@@ -19,13 +19,6 @@ def apply_matrix(vec: np.ndarray, mat: np.ndarray, targets: tuple[int, ...], k: 
     return np.moveaxis(t, range(m), targets).reshape(-1)
 
 
-def permute_qubits(vec: np.ndarray, perm: list[int], d: int = 2) -> np.ndarray:
-    """Relabel qubits: old qubit q becomes new qubit perm[q]."""
-    k = len(perm)
-    dest = list(perm)
-    return np.moveaxis(vec.reshape((d,) * k), range(k), dest).reshape(-1)
-
-
 def amplitude_matrix(vec: np.ndarray, n: int, d: int = 2) -> np.ndarray:
     """View a doubled-register vector (site-interleaved (L,R) pairs) as the
     d^n x d^n matrix S with S[i, j] = amplitude on |i>_L |j>_R."""
@@ -51,6 +44,3 @@ def apply_block(vec: np.ndarray, n: int, left: np.ndarray | None, right: np.ndar
         s = s @ right.T
     return from_amplitude_matrix(s, n, d)
 
-
-def dagger(mat: np.ndarray) -> np.ndarray:
-    return mat.conj().T

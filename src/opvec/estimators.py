@@ -499,8 +499,10 @@ def nqubit_sample(
     i_arr = gen.integers(0, 2**n, size=shots)
     u_arr = gen.random(shots)
     j_arr = np.empty(shots, dtype=np.int64)
-    for idx in range(shots):
-        j_arr[idx] = np.searchsorted(cdfs[:, i_arr[idx]], u_arr[idx], side="right")
+    order = np.argsort(i_arr, kind="stable")
+    cols, starts = np.unique(i_arr[order], return_index=True)
+    for i, group in zip(cols, np.split(order, starts[1:])):
+        j_arr[group] = np.searchsorted(cdfs[:, i], u_arr[group], side="right")
     return np.stack([i_arr.astype(np.int64), j_arr], axis=1)
 
 

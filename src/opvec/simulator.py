@@ -51,9 +51,12 @@ _FIXED = {
         [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
     ),
 }
+for _m in _FIXED.values():
+    _m.flags.writeable = False
 _ROTATION_AXES = {"rx": "X", "ry": "Y", "rz": "Z", "rxx": "XX", "ryy": "YY", "rzz": "ZZ"}
 _SELF_INVERSE = {"id", "x", "y", "z", "h", "cx", "cz", "swap"}
 _INVERSE_NAME = {"s": "sdg", "sdg": "s", "t": "tdg", "tdg": "t"}
+_TO_Z = {"X": ("h",), "Y": ("sdg", "h"), "Z": ()}  # gates rotating each axis onto Z
 
 GATE_NAMES = frozenset(_FIXED) | frozenset(_ROTATION_AXES) | {"pexp", "u"}
 
@@ -104,13 +107,15 @@ class Gate:
         elif self.name == "u":
             if self.matrix is None:
                 raise ValueError("u requires an explicit matrix")
-            m = np.asarray(self.matrix, dtype=complex)
+            # A private read-only copy, so the unitarity check keeps holding.
+            m = np.array(self.matrix, dtype=complex)
             if len(self.targets) > 2:
                 raise ValueError("explicit unitaries are limited to 2 targets")
             if m.shape != (2 ** len(self.targets),) * 2:
                 raise ValueError("matrix dimension does not match targets")
             if np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))) > 1e-12:
                 raise ValueError("matrix is not unitary")
+            m.flags.writeable = False
             object.__setattr__(self, "matrix", m)
 
     def inverse(self) -> "Gate":
@@ -125,7 +130,8 @@ class Gate:
 
 def gate_matrix(g: Gate) -> np.ndarray:
     """Dense matrix of a gate on its own targets (pexp limited to the
-    dense-kernel regime of <= 2 targets)."""
+    dense-kernel regime of <= 2 targets). Fixed and u gates return shared
+    read-only arrays."""
     if g.name in _FIXED:
         return _FIXED[g.name]
     if g.name in _ROTATION_AXES:
@@ -139,20 +145,13 @@ def gate_matrix(g: Gate) -> np.ndarray:
     return np.cos(g.angle / 2) * np.eye(p.shape[0]) - 1j * np.sin(g.angle / 2) * p
 
 
-def _pexp_ladder(g: Gate) -> list[Gate]:
-    """CX-ladder decomposition of exp(-i angle P/2) for wide supports."""
-    pre: list[Gate] = []
-    for t, a in zip(g.targets, g.axes):
-        if a == "X":
-            pre.append(Gate("h", (t,)))
-        elif a == "Y":
-            pre.append(Gate("sdg", (t,)))
-            pre.append(Gate("h", (t,)))
-    chain = [
-        Gate("cx", (g.targets[i], g.targets[i + 1])) for i in range(len(g.targets) - 1)
-    ]
-    post = [gate.inverse() for gate in reversed(pre)]
-    return pre + chain + [Gate("rz", (g.targets[-1],), g.angle)] + list(reversed(chain)) + post
+def _pexp_ladder(g: Gate) -> list[tuple[str, tuple[int, ...], float | None]]:
+    """CX-ladder decomposition of exp(-i angle P/2) for wide supports, as
+    (name, targets, angle) steps."""
+    pre = [(name, (t,), None) for t, a in zip(g.targets, g.axes) for name in _TO_Z[a]]
+    chain = [("cx", pair, None) for pair in zip(g.targets, g.targets[1:])]
+    post = [(_INVERSE_NAME.get(name, name), t, None) for name, t, _ in reversed(pre)]
+    return pre + chain + [("rz", g.targets[-1:], g.angle)] + chain[::-1] + post
 
 
 @dataclass(frozen=True)
@@ -275,6 +274,52 @@ def _parse_gate(tok: list[str]) -> Gate:
 
 
 # ---------------------------------------------------------------------------
+# Lowering: the (matrix, register targets) steps that apply a circuit.
+
+def _lower(circuit: Circuit, dagger=False, copies=(0,), qubits=None) -> list:
+    """(matrix, targets) steps applying ``circuit`` to a register: circuit
+    qubit q lands on qubits[q] + c (default q) for each copy c in ``copies``,
+    copy 0 taking the gate matrix M and copy 1 conj(M), left before right.
+    With ``dagger`` the steps run in reverse with M^dag in place of M.
+
+    Each distinct gate's matrices are built once per call and shared
+    read-only. Gates are told apart by name, axes and repr(angle), which
+    keeps a float32 angle apart from the equal float64; u gates, which
+    compare equal whatever their matrices, are never merged."""
+    qubits = range(circuit.k) if qubits is None else qubits
+    steps = []
+    for g in circuit.gates():
+        if g.name == "pexp" and len(g.targets) > 2:
+            steps += [(None, *step) for step in _pexp_ladder(g)]
+        else:
+            steps.append((g, g.name, g.targets, g.angle))
+    if dagger:
+        steps.reverse()
+    built: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+    out = []
+    for g, name, targets, angle in steps:
+        key = (name, getattr(g, "axes", None), repr(angle))
+        mats = built.get(key)
+        if mats is None:
+            m = gate_matrix(g or Gate(name, targets, angle))
+            if dagger:
+                m = m.conj().T
+            mats = (m, m.conj())
+            for a in mats:
+                a.flags.writeable = False
+            if name != "u":
+                built[key] = mats
+        out += [(mats[c], tuple(qubits[t] + c for t in targets)) for c in copies]
+    return out
+
+
+def _run(amps: np.ndarray, lowered: list, k: int) -> np.ndarray:
+    for mat, targets in lowered:
+        amps = apply_matrix(amps, mat, targets, k)
+    return amps
+
+
+# ---------------------------------------------------------------------------
 # States and application.
 
 @dataclass
@@ -301,33 +346,31 @@ class QState:
         return p / p.sum()
 
 
-def _apply_gate_array(amps: np.ndarray, g: Gate, k: int) -> np.ndarray:
-    if g.name == "pexp" and len(g.targets) > 2:
-        for sub in _pexp_ladder(g):
-            amps = apply_matrix(amps, gate_matrix(sub), sub.targets, k)
-        return amps
-    return apply_matrix(amps, gate_matrix(g), g.targets, k)
-
-
 def apply_circuit(state: QState, circuit: Circuit) -> QState:
     if circuit.k != state.k:
         raise ValueError(f"circuit on {circuit.k} qubits, state on {state.k}")
-    amps = state.amplitudes
-    for g in circuit.gates():
-        amps = _apply_gate_array(amps, g, state.k)
-    return QState(state.k, amps)
+    return QState(state.k, _run(state.amplitudes, _lower(circuit), state.k))
 
 
 def dense_unitary(circuit: Circuit) -> np.ndarray:
+    """The circuit's 2^k x 2^k unitary, from one pass of the circuit over the
+    identity viewed as a 2k-qubit vector (gates on the k row qubits).
+
+    Column j is bitwise equal to the circuit applied to basis state j. Peak
+    working memory, the output plus apply_matrix temporaries, is four arrays
+    of 16 * 4^k bytes: measured with tracemalloc, 1.0 MiB at k=7 (no CLI
+    task goes past it) and 1.0 GiB at DENSE_UNITARY_CAP = 12."""
     if circuit.k > DENSE_UNITARY_CAP:
         raise CapExceededError(f"dense unitary on {circuit.k} qubits")
     dim = 2**circuit.k
+    lowered = _lower(circuit)
     cols = np.eye(dim, dtype=complex)
+    if circuit.k > 3:
+        return _run(cols.ravel(), lowered, 2 * circuit.k).reshape(dim, dim)
+    # Below 4 qubits one state's gate products have 1 or 2 columns, which BLAS
+    # rounds differently from wide ones: run those circuits column by column.
     for j in range(dim):
-        col = cols[:, j].copy()
-        for g in circuit.gates():
-            col = _apply_gate_array(col, g, circuit.k)
-        cols[:, j] = col
+        cols[:, j] = _run(cols[:, j].copy(), lowered, circuit.k)
     return cols
 
 
@@ -419,6 +462,13 @@ def super_propagator_circuit(h: PauliSum, t: float, steps: int) -> Circuit:
     Each term contributes exp(+i c dt P) on the left-copy qubits and
     exp(-i c dt P^T) on the right copy, emitted back to back so the pair
     lands in one layer and the depth matches trotter_circuit(h, t, steps).
+
+    Of the two first-order doubled Trotter paths, this one runs each step's
+    terms in the order listed; heisenberg_doubled on trotter_circuit(h, t,
+    steps) runs them in reverse. Their Trotter errors differ, so ``hamiltonian``
+    configs (this path) and inline ``circuit`` configs (the other) write
+    different report.json files. Merging the paths would change artifacts,
+    so both stay until a change declares that.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -439,49 +489,26 @@ def super_propagator_circuit(h: PauliSum, t: float, steps: int) -> Circuit:
 # ---------------------------------------------------------------------------
 # Doubled-register evolution without transposed circuits.
 
-def _doubled_gate_pair(g: Gate, dagger: bool) -> tuple[Gate, Gate]:
-    """Left/right gate pair for one base gate: (M, conj(M)) forward or
-    (M^dag, conj(M^dag)) for the reversed pass."""
-    m = gate_matrix(g)
-    if dagger:
-        m = m.conj().T
-    left = Gate("u", tuple(2 * t for t in g.targets), matrix=m)
-    right = Gate("u", tuple(2 * t + 1 for t in g.targets), matrix=m.conj())
-    return left, right
-
-
-def _expand_for_doubling(circuit: Circuit):
-    for g in circuit.gates():
-        if g.name == "pexp" and len(g.targets) > 2:
-            yield from _pexp_ladder(g)
-        else:
-            yield g
-
-
 def heisenberg_doubled(state: VectorizedState, u: Circuit) -> VectorizedState:
-    """Apply U^dag (x) U^T gatewise: ||O>>_C -> ||U^dag O U>>_C."""
-    if state.basis != COMPUTATIONAL:
-        raise ValueError("doubled evolution acts on the computational rep")
-    if u.k != state.n:
-        raise ValueError("circuit size does not match site count")
-    amps = state.amplitudes
-    for g in reversed(list(_expand_for_doubling(u))):
-        for doubled in _doubled_gate_pair(g, dagger=True):
-            amps = apply_matrix(amps, doubled.matrix, doubled.targets, 2 * state.n)
-    return VectorizedState(state.n, COMPUTATIONAL, amps)
+    """Apply U^dag (x) U^T gatewise: ||O>>_C -> ||U^dag O U>>_C.
+
+    On trotter_circuit(h, t, steps) this is the second first-order doubled
+    Trotter path; see super_propagator_circuit for why both stay."""
+    return _doubled_pass(state, u, dagger=True)
 
 
 def schrodinger_doubled(state: VectorizedState, u: Circuit) -> VectorizedState:
     """Apply U (x) U^* gatewise: ||O>>_C -> ||U O U^dag>>_C."""
+    return _doubled_pass(state, u, dagger=False)
+
+
+def _doubled_pass(state: VectorizedState, u: Circuit, dagger: bool) -> VectorizedState:
     if state.basis != COMPUTATIONAL:
         raise ValueError("doubled evolution acts on the computational rep")
     if u.k != state.n:
         raise ValueError("circuit size does not match site count")
-    amps = state.amplitudes
-    for g in _expand_for_doubling(u):
-        for doubled in _doubled_gate_pair(g, dagger=False):
-            amps = apply_matrix(amps, doubled.matrix, doubled.targets, 2 * state.n)
-    return VectorizedState(state.n, COMPUTATIONAL, amps)
+    lowered = _lower(u, dagger, (0, 1), range(0, 2 * u.k, 2))
+    return VectorizedState(state.n, COMPUTATIONAL, _run(state.amplitudes, lowered, 2 * state.n))
 
 
 # ---------------------------------------------------------------------------
@@ -505,13 +532,8 @@ def _identity_pairs(n: int) -> np.ndarray:
 
 def prepare_choi(u: Circuit) -> QState:
     """||U>>_C: per-site Bell pairs with U applied to the left copies."""
-    amps = _identity_pairs(u.k)
-    for g in _expand_for_doubling(u):
-        lifted = Gate(
-            "u", tuple(2 * t for t in g.targets), matrix=gate_matrix(g)
-        )
-        amps = apply_matrix(amps, lifted.matrix, lifted.targets, 2 * u.k)
-    return QState(2 * u.k, amps)
+    lowered = _lower(u, qubits=range(0, 2 * u.k, 2))
+    return QState(2 * u.k, _run(_identity_pairs(u.k), lowered, 2 * u.k))
 
 
 def heisenberg_left_only(op: PauliSum, u: Circuit) -> VectorizedState:
@@ -522,13 +544,10 @@ def heisenberg_left_only(op: PauliSum, u: Circuit) -> VectorizedState:
     dense = op.to_dense()
     if np.max(np.abs(dense @ dense.conj().T - np.eye(2**n))) > 1e-10:
         raise ValueError("left-only preparation requires a unitary operator")
-    amps = _identity_pairs(n)
-    for g in _expand_for_doubling(u):
-        amps = apply_matrix(amps, gate_matrix(g), tuple(2 * t for t in g.targets), 2 * n)
-    targets = tuple(2 * i for i in range(n))
-    amps = apply_matrix(amps, dense, targets, 2 * n)
-    for g in _expand_for_doubling(u.inverse()):
-        amps = apply_matrix(amps, gate_matrix(g), tuple(2 * t for t in g.targets), 2 * n)
+    lefts = range(0, 2 * n, 2)
+    amps = _run(_identity_pairs(n), _lower(u, qubits=lefts), 2 * n)
+    amps = apply_matrix(amps, dense, tuple(lefts), 2 * n)
+    amps = _run(amps, _lower(u.inverse(), qubits=lefts), 2 * n)
     return VectorizedState(n, COMPUTATIONAL, amps)
 
 
@@ -543,34 +562,19 @@ def interferometric_state(
     ||I>>_C, so no controlled time evolution is needed.
     """
     n = u.k
-    dense_o = op.to_dense()
-    dense_o2 = op2.to_dense()
-    eye = np.eye(2**n)
-    for name, m in (("first", dense_o), ("second", dense_o2)):
-        if np.max(np.abs(m @ m.conj().T - eye)) > 1e-10:
-            raise ValueError(f"{name} operator is not unitary")
     k = 2 * n + 1
+    lefts = range(0, 2 * n, 2)
+    controlled = []
+    for name, o in (("first", op), ("second", op2)):
+        m = o.to_dense()
+        if np.max(np.abs(m @ m.conj().T - np.eye(2**n))) > 1e-10:
+            raise ValueError(f"{name} operator is not unitary")
+        block = np.eye(2 * len(m), dtype=complex)
+        block[len(m):, len(m):] = m
+        controlled.append((block, (2 * n, *lefts)))
+    lowered = _lower(u, True, (0, 1), lefts) + _lower(u2, False, (0, 1), lefts)
     amps = np.kron(_identity_pairs(n), np.array([_SQ, _SQ], dtype=complex))
-
-    def controlled(mat: np.ndarray) -> None:
-        nonlocal amps
-        dim = mat.shape[0]
-        block = np.eye(2 * dim, dtype=complex)
-        block[dim:, dim:] = mat
-        targets = (2 * n,) + tuple(2 * i for i in range(n))
-        amps = apply_matrix(amps, block, targets, k)
-
-    controlled(dense_o)
-    for g in reversed(list(_expand_for_doubling(u))):
-        m = gate_matrix(g).conj().T
-        amps = apply_matrix(amps, m, tuple(2 * t for t in g.targets), k)
-        amps = apply_matrix(amps, m.conj(), tuple(2 * t + 1 for t in g.targets), k)
-    for g in _expand_for_doubling(u2):
-        m = gate_matrix(g)
-        amps = apply_matrix(amps, m, tuple(2 * t for t in g.targets), k)
-        amps = apply_matrix(amps, m.conj(), tuple(2 * t + 1 for t in g.targets), k)
-    controlled(dense_o2)
-    return QState(k, amps)
+    return QState(k, _run(amps, [controlled[0], *lowered, controlled[1]], k))
 
 
 # ---------------------------------------------------------------------------
@@ -603,17 +607,8 @@ def channel_dual_postselect(
 
     total = n + n_env
     amps = np.kron(state.amplitudes, _identity_pairs(n_env))
-
-    def doubled_target(q: int, copy: int) -> int:
-        site = sites[q] if q < n_sys else n + (q - n_sys)
-        return 2 * site + copy
-
-    for g in reversed(list(_expand_for_doubling(dilation))):
-        m = gate_matrix(g).conj().T
-        amps = apply_matrix(amps, m, tuple(doubled_target(t, 0) for t in g.targets), 2 * total)
-        amps = apply_matrix(
-            amps, m.conj(), tuple(doubled_target(t, 1) for t in g.targets), 2 * total
-        )
+    lefts = [2 * s for s in sites] + [2 * e for e in range(n, total)]
+    amps = _run(amps, _lower(dilation, True, (0, 1), lefts), 2 * total)
     block = amps.reshape(4**n, 4**n_env)[:, 0]
     prob = float(np.linalg.norm(block) ** 2)
     if prob < 1e-12:

@@ -508,7 +508,30 @@ class TestInterferometric:
             estimate_corr_interferometric(reg, 10, RngStream(0))
 
 
+def _per_shot_sample(v, u_phi, u_psi, shots, rng):
+    """nqubit_sample with one searchsorted call per shot, as a reference."""
+    w = dense_unitary(u_phi.concat(v).concat(u_psi.inverse()))
+    cdfs = np.cumsum(np.abs(w) ** 2, axis=0)
+    cdfs /= cdfs[-1]
+    gen = rng.generator
+    i_arr = gen.integers(0, 2**v.k, size=shots)
+    u_arr = gen.random(shots)
+    j_arr = np.empty(shots, dtype=np.int64)
+    for idx in range(shots):
+        j_arr[idx] = np.searchsorted(cdfs[:, i_arr[idx]], u_arr[idx], side="right")
+    return np.stack([i_arr.astype(np.int64), j_arr], axis=1)
+
+
 class TestRandomizedSampler:
+    @pytest.mark.parametrize("shots", [1, 7, 3000])
+    def test_matches_per_shot_loop(self, shots):
+        v = trotter_circuit(ising_chain(3), 0.8, 4)
+        u_phi = random_clifford_circuit(3, 2, RngStream(5))
+        u_psi = Circuit.from_gates(3, [Gate("ry", (1,), 0.4), Gate("h", (2,))])
+        got = nqubit_sample(v, u_phi, u_psi, shots, RngStream(11))
+        want = _per_shot_sample(v, u_phi, u_psi, shots, RngStream(11))
+        assert np.array_equal(got, want)
+
     def test_identity_returns_diagonal(self):
         c = Circuit(2)
         samples = nqubit_sample(c, c, c, 500, RngStream(71))

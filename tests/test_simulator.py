@@ -9,6 +9,7 @@ the most significant index bit).
 import numpy as np
 import pytest
 
+from opvec._linalg import apply_matrix
 from opvec.errors import CapExceededError, ParseError, ProjectionFailedError
 from opvec.pauli import PauliString, PauliSum
 from opvec.simulator import (
@@ -33,6 +34,7 @@ from opvec.simulator import (
     super_propagator_circuit,
     trotter_circuit,
 )
+from opvec.simulator import _identity_pairs, _lower
 from opvec.vectorize import COMPUTATIONAL, PAULI, VectorizedState, devectorize, vectorize
 from helpers import ginibre, ising_chain, random_hermitian_sum
 
@@ -401,3 +403,181 @@ def test_random_clifford_is_unitary_and_seeded():
     b = dense_unitary(random_clifford_circuit(3, 4, RngStream(77).fork("c")))
     assert np.allclose(a, b)
     assert np.allclose(a @ a.conj().T, np.eye(8), atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Bitwise references: the gate-by-gate loops that the shared lowering
+# replaced, kept as they were so the new path must reproduce them exactly.
+
+def _ref_expand(circuit: Circuit):
+    for g in circuit.gates():
+        if g.name != "pexp" or len(g.targets) <= 2:
+            yield g
+            continue
+        pre = []
+        for t, a in zip(g.targets, g.axes):
+            if a == "X":
+                pre.append(Gate("h", (t,)))
+            elif a == "Y":
+                pre += [Gate("sdg", (t,)), Gate("h", (t,))]
+        chain = [Gate("cx", (g.targets[i], g.targets[i + 1])) for i in range(len(g.targets) - 1)]
+        post = [p.inverse() for p in reversed(pre)]
+        yield from pre + chain + [Gate("rz", (g.targets[-1],), g.angle)] + chain[::-1] + post
+
+
+def _ref_dense_unitary(circuit: Circuit) -> np.ndarray:
+    dim = 2**circuit.k
+    cols = np.eye(dim, dtype=complex)
+    for j in range(dim):
+        col = cols[:, j].copy()
+        for g in _ref_expand(circuit):
+            col = apply_matrix(col, gate_matrix(g), g.targets, circuit.k)
+        cols[:, j] = col
+    return cols
+
+
+def _ref_doubled_pass(amps, u: Circuit, k: int, dagger: bool, qubit=lambda q: 2 * q):
+    gates = list(_ref_expand(u))
+    for g in reversed(gates) if dagger else gates:
+        m = gate_matrix(g).conj().T if dagger else gate_matrix(g)
+        amps = apply_matrix(amps, m, tuple(qubit(t) for t in g.targets), k)
+        amps = apply_matrix(amps, m.conj(), tuple(qubit(t) + 1 for t in g.targets), k)
+    return amps
+
+
+def _ref_heisenberg_doubled(state: VectorizedState, u: Circuit) -> np.ndarray:
+    return _ref_doubled_pass(state.amplitudes, u, 2 * state.n, dagger=True)
+
+
+def _ref_interferometric_state(op, op2, u: Circuit, u2: Circuit) -> np.ndarray:
+    n = u.k
+    k = 2 * n + 1
+    amps = np.kron(_identity_pairs(n), np.array([1, 1], dtype=complex) / np.sqrt(2))
+
+    def controlled(amps, mat):
+        block = np.eye(2 * mat.shape[0], dtype=complex)
+        block[mat.shape[0]:, mat.shape[0]:] = mat
+        return apply_matrix(amps, block, (2 * n,) + tuple(2 * i for i in range(n)), k)
+
+    amps = controlled(amps, op.to_dense())
+    amps = _ref_doubled_pass(amps, u, k, dagger=True)
+    amps = _ref_doubled_pass(amps, u2, k, dagger=False)
+    return controlled(amps, op2.to_dense())
+
+
+def _ref_channel_dual_postselect(dilation: Circuit, n_env: int, state, sites):
+    n, n_sys = state.n, dilation.k - n_env
+    total = n + n_env
+    amps = np.kron(state.amplitudes, _identity_pairs(n_env))
+    amps = _ref_doubled_pass(
+        amps, dilation, 2 * total, dagger=True,
+        qubit=lambda q: 2 * (sites[q] if q < n_sys else n + (q - n_sys)),
+    )
+    block = amps.reshape(4**n, 4**n_env)[:, 0]
+    prob = float(np.linalg.norm(block) ** 2)
+    return block / np.sqrt(prob), prob
+
+
+def _random_unitary(gen, dim: int) -> np.ndarray:
+    q, r = np.linalg.qr(gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _mixed_circuit(gen, k: int, count: int) -> Circuit:
+    """Seeded circuit mixing fixed 1q/2q gates, rotations (signed zero
+    angles included), narrow and wide pexp, and explicit unitaries."""
+    gates = []
+    while len(gates) < count:
+        q = tuple(int(x) for x in gen.permutation(k))
+        kind = int(gen.integers(5))
+        if kind == 0:
+            gates.append(Gate(str(gen.choice(["x", "y", "h", "s", "sdg", "t", "tdg"])), q[:1]))
+        elif kind == 1 and k > 1:
+            gates.append(Gate(str(gen.choice(["cx", "cz", "swap"])), q[:2]))
+        elif kind == 2:
+            name = str(gen.choice(["rx", "ry", "rz", "rxx", "ryy", "rzz"]))
+            width = 1 if len(name) == 2 else 2
+            if width <= k:
+                angle = float(gen.choice([0.0, -0.0, 0.3, gen.normal()]))
+                gates.append(Gate(name, q[:width], angle))
+        elif kind == 3:
+            width = int(gen.integers(1, k + 1))
+            axes = "".join(gen.choice(list("XYZ"), width))
+            gates.append(Gate("pexp", q[:width], float(gen.normal()), axes))
+        elif kind == 4:
+            width = min(k, int(gen.integers(1, 3)))
+            gates.append(Gate("u", q[:width], matrix=_random_unitary(gen, 2**width)))
+    return Circuit.from_gates(k, gates)
+
+
+def _twin_u_circuit(gen, k: int) -> Circuit:
+    """Two u gates on the same targets with different matrices: they compare
+    equal as Gates, so a lowering keyed on Gate equality would merge them."""
+    a = Gate("u", (0, 1), matrix=_random_unitary(gen, 4))
+    b = Gate("u", (0, 1), matrix=_random_unitary(gen, 4))
+    assert a == b and not np.array_equal(a.matrix, b.matrix)
+    return Circuit.from_gates(k, [a, Gate("h", (0,)), b, Gate("pexp", (0, 1, 2), 0.7, "XYZ")])
+
+
+class TestLoweringMatchesGateLoops:
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_dense_unitary(self, k):
+        gen = np.random.default_rng(100 + k)
+        for circ in (_mixed_circuit(gen, k, 30), _mixed_circuit(gen, k, 30)):
+            assert np.array_equal(dense_unitary(circ), _ref_dense_unitary(circ))
+        if k >= 3:
+            circ = _twin_u_circuit(gen, k)
+            assert np.array_equal(dense_unitary(circ), _ref_dense_unitary(circ))
+
+    def test_equal_angles_of_other_dtypes_keep_their_matrices(self):
+        narrow, wide = Gate("rx", (1,), np.float32(0.5)), Gate("rx", (1,), 0.5)
+        assert narrow == wide and not np.array_equal(gate_matrix(narrow), gate_matrix(wide))
+        circ = Circuit.from_gates(4, [narrow, Gate("h", (1,)), wide])
+        assert np.array_equal(dense_unitary(circ), _ref_dense_unitary(circ))
+
+    def test_dense_unitary_columns_are_applied_basis_states(self):
+        circ = _mixed_circuit(np.random.default_rng(7), 5, 40)
+        u = dense_unitary(circ)
+        for j in (0, 13, 31):
+            col = apply_circuit(QState.computational(5, j), circ).amplitudes
+            assert np.array_equal(u[:, j], col)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_heisenberg_doubled(self, n):
+        gen = np.random.default_rng(200 + n)
+        circuits = [_mixed_circuit(gen, n, 40)] + ([_twin_u_circuit(gen, n)] if n >= 3 else [])
+        for circ in circuits:
+            state = vectorize(ginibre(gen, 2**n), COMPUTATIONAL)
+            got = heisenberg_doubled(state, circ).amplitudes
+            assert np.array_equal(got, _ref_heisenberg_doubled(state, circ))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_interferometric_state(self, n):
+        gen = np.random.default_rng(300 + n)
+        op = PauliSum.from_text("1 0 " + "XZY"[:n])
+        op2 = PauliSum.from_text("1 0 " + "ZYX"[:n])
+        u, u2 = _mixed_circuit(gen, n, 30), _twin_u_circuit(gen, n) if n >= 3 else _mixed_circuit(gen, n, 30)
+        got = interferometric_state(op, op2, u, u2).amplitudes
+        assert np.array_equal(got, _ref_interferometric_state(op, op2, u, u2))
+
+    def test_channel_dual_postselect(self):
+        gen = np.random.default_rng(400)
+        state = vectorize(ginibre(gen, 8), COMPUTATIONAL)
+        for sites in ((2,), (0, 2)):
+            dilation = _mixed_circuit(gen, len(sites) + 1, 25)
+            out, prob = channel_dual_postselect(dilation, 1, state, sites=sites)
+            want, want_prob = _ref_channel_dual_postselect(dilation, 1, state, sites)
+            assert np.array_equal(out.amplitudes, want) and prob == want_prob
+
+    def test_shared_matrices_are_read_only(self):
+        src = np.array([[0, 1j], [1j, 0]])
+        g = Gate("u", (0,), matrix=src)
+        src[0, 1] = 5.0
+        assert g.matrix[0, 1] == 1j
+        assert not gate_matrix(Gate("h", (0,))).flags.writeable
+        assert not gate_matrix(g).flags.writeable
+        circ = _mixed_circuit(np.random.default_rng(8), 3, 20)
+        for dagger in (False, True):
+            for mat, _ in _lower(circ, dagger=dagger, copies=(0, 1)):
+                with pytest.raises(ValueError):
+                    mat[0, 0] = 0.0
