@@ -11,12 +11,39 @@ from __future__ import annotations
 import numpy as np
 
 
+# Largest (target block) x (trailing block) size folded into one matrix,
+# mat (x) I_B: many tiny batched products cost far more than one wider product
+# over the last axis.
+_FOLD = 32
+
+
 def apply_matrix(vec: np.ndarray, mat: np.ndarray, targets: tuple[int, ...], k: int, d: int = 2) -> np.ndarray:
-    """Apply ``mat`` (d^m x d^m) to the ``targets`` axes of a K-qudit vector."""
+    """Apply ``mat`` (d^m x d^m) to the ``targets`` axes of a K-qudit vector.
+
+    A 1-D ``mat`` is a diagonal, applied as an elementwise multiply. Targets
+    forming an ascending contiguous run are contracted through an (A, D, B)
+    reshape with no axis copies; any other order moves the target axes to
+    the front and back."""
     m = len(targets)
-    t = np.moveaxis(vec.reshape((d,) * k), targets, range(m))
-    t = (mat @ t.reshape(d**m, -1)).reshape((d,) * k)
-    return np.moveaxis(t, range(m), targets).reshape(-1)
+    lo = targets[0] if m else 0
+    if tuple(targets) != tuple(range(lo, lo + m)):
+        t = np.moveaxis(vec.reshape((d,) * k), targets, range(m)).reshape(d**m, -1)
+        t = (mat[:, None] * t if mat.ndim == 1 else mat @ t).reshape((d,) * k)
+        return np.moveaxis(t, range(m), targets).reshape(-1)
+    dim, b = d**m, d ** (k - lo - m)
+    if 1 < b and dim * b <= _FOLD:
+        if mat.ndim == 1:
+            mat = np.repeat(mat, b)
+        else:
+            mat = (mat[:, None, :, None] * np.eye(b)[None, :, None, :]).reshape(dim * b, dim * b)
+        dim, b = dim * b, 1
+    if b == 1:
+        t = vec.reshape(-1, dim)
+        out = t * mat if mat.ndim == 1 else t @ mat.T
+    else:
+        t = vec.reshape(-1, dim, b)
+        out = t * mat[:, None] if mat.ndim == 1 else mat @ t
+    return out.reshape(-1)
 
 
 def amplitude_matrix(vec: np.ndarray, n: int, d: int = 2) -> np.ndarray:

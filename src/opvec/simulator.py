@@ -72,16 +72,20 @@ def _pauli_word_matrix(axes: str) -> np.ndarray:
 class Gate:
     """One gate: a named standard gate, a rotation with an angle, a Pauli
     exponential exp(-i angle P/2) over an axis word, or an explicit small
-    unitary (name "u")."""
+    unitary (name "u"). Angles are stored as Python floats; u gates compare
+    and hash by their matrix bytes."""
 
     name: str
     targets: tuple[int, ...]
     angle: float | None = None
     axes: str | None = None
     matrix: np.ndarray | None = field(default=None, compare=False, repr=False)
+    _matrix_bytes: bytes = field(default=b"", init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
+        if self.angle is not None:
+            object.__setattr__(self, "angle", float(self.angle))
         if self.name not in GATE_NAMES:
             raise ValueError(f"unknown gate {self.name!r}")
         if len(set(self.targets)) != len(self.targets):
@@ -117,6 +121,7 @@ class Gate:
                 raise ValueError("matrix is not unitary")
             m.flags.writeable = False
             object.__setattr__(self, "matrix", m)
+            object.__setattr__(self, "_matrix_bytes", m.tobytes())
 
     def inverse(self) -> "Gate":
         if self.name in _SELF_INVERSE:
@@ -276,16 +281,21 @@ def _parse_gate(tok: list[str]) -> Gate:
 # ---------------------------------------------------------------------------
 # Lowering: the (matrix, register targets) steps that apply a circuit.
 
+# Widest fused block in register qubits: one nearest-neighbour gate pair
+# (left and right copies) on the doubled register.
+_FUSE_SPAN = 4
+
+
 def _lower(circuit: Circuit, dagger=False, copies=(0,), qubits=None) -> list:
     """(matrix, targets) steps applying ``circuit`` to a register: circuit
     qubit q lands on qubits[q] + c (default q) for each copy c in ``copies``,
     copy 0 taking the gate matrix M and copy 1 conj(M), left before right.
     With ``dagger`` the steps run in reverse with M^dag in place of M.
+    The steps are then fused by :func:`_fuse`.
 
     Each distinct gate's matrices are built once per call and shared
     read-only. Gates are told apart by name, axes and repr(angle), which
-    keeps a float32 angle apart from the equal float64; u gates, which
-    compare equal whatever their matrices, are never merged."""
+    keeps -0.0 apart from 0.0; u gates are never merged."""
     qubits = range(circuit.k) if qubits is None else qubits
     steps = []
     for g in circuit.gates():
@@ -310,7 +320,55 @@ def _lower(circuit: Circuit, dagger=False, copies=(0,), qubits=None) -> list:
             if name != "u":
                 built[key] = mats
         out += [(mats[c], tuple(qubits[t] + c for t in targets)) for c in copies]
-    return out
+    return _fuse(out)
+
+
+def _fuse(steps: list) -> list:
+    """Merge each step into the one before it when their targets are
+    disjoint and together form a contiguous run of at most _FUSE_SPAN
+    register qubits; a merged step is not merged again. A merged matrix is
+    the kron of the two, permuted to ascending targets, and a diagonal block
+    is stored as its 1-D diagonal. Blocks are built once per distinct source
+    matrices per call and are read-only. They are keyed on the identity of
+    their sources, which ``steps`` or the cache itself keeps alive."""
+    blocks: dict[tuple, np.ndarray] = {}
+
+    def block(key, make):
+        if key not in blocks:
+            blocks[key] = make()
+            blocks[key].flags.writeable = False
+        return blocks[key]
+
+    merged: list = []
+    fresh = False  # whether merged[-1] is an unmerged step
+    for mat, targets in steps:
+        if fresh:
+            prev, before = merged[-1]
+            both = before + targets
+            lo = min(both)
+            if len(both) <= _FUSE_SPAN and sorted(both) == list(range(lo, lo + len(both))):
+                key = ("kron", id(prev), id(mat), tuple(t - lo for t in both))
+                fused = block(key, lambda: _kron_sorted(prev, mat, both))
+                merged[-1] = (fused, tuple(range(lo, lo + len(both))))
+                fresh = False
+                continue
+        merged.append((mat, targets))
+        fresh = True
+    return [(block(("diag", id(m)), lambda: _compact(m)), t) for m, t in merged]
+
+
+def _kron_sorted(a: np.ndarray, b: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
+    """kron(a, b) on ``targets`` (a's then b's), permuted to ascending targets."""
+    m = len(targets)
+    order = list(np.argsort(targets))
+    t = np.kron(a, b).reshape((2,) * (2 * m)).transpose(order + [m + i for i in order])
+    return t.reshape(2**m, 2**m)
+
+
+def _compact(m: np.ndarray) -> np.ndarray:
+    """The 1-D diagonal of a diagonal matrix; any other matrix as it is."""
+    diag = np.diagonal(m)
+    return diag.copy() if np.count_nonzero(m) == np.count_nonzero(diag) else m
 
 
 def _run(amps: np.ndarray, lowered: list, k: int) -> np.ndarray:
@@ -356,22 +414,16 @@ def dense_unitary(circuit: Circuit) -> np.ndarray:
     """The circuit's 2^k x 2^k unitary, from one pass of the circuit over the
     identity viewed as a 2k-qubit vector (gates on the k row qubits).
 
-    Column j is bitwise equal to the circuit applied to basis state j. Peak
-    working memory, the output plus apply_matrix temporaries, is four arrays
-    of 16 * 4^k bytes: measured with tracemalloc, 1.0 MiB at k=7 (no CLI
-    task goes past it) and 1.0 GiB at DENSE_UNITARY_CAP = 12."""
+    Peak working memory, the output plus apply_matrix temporaries, is at
+    most four arrays of 16 * 4^k bytes, 1.0 GiB at DENSE_UNITARY_CAP = 12;
+    steps on contiguous targets need three. Measured with tracemalloc on an
+    Ising Trotter circuit: 0.88 MiB at k=7 (no CLI task goes past it) and
+    48 MiB at k=10."""
     if circuit.k > DENSE_UNITARY_CAP:
         raise CapExceededError(f"dense unitary on {circuit.k} qubits")
     dim = 2**circuit.k
-    lowered = _lower(circuit)
-    cols = np.eye(dim, dtype=complex)
-    if circuit.k > 3:
-        return _run(cols.ravel(), lowered, 2 * circuit.k).reshape(dim, dim)
-    # Below 4 qubits one state's gate products have 1 or 2 columns, which BLAS
-    # rounds differently from wide ones: run those circuits column by column.
-    for j in range(dim):
-        cols[:, j] = _run(cols[:, j].copy(), lowered, circuit.k)
-    return cols
+    cols = np.eye(dim, dtype=complex).ravel()
+    return _run(cols, _lower(circuit), 2 * circuit.k).reshape(dim, dim)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ the most significant index bit).
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from opvec._linalg import apply_matrix
 from opvec.errors import CapExceededError, ParseError, ProjectionFailedError
@@ -34,7 +35,7 @@ from opvec.simulator import (
     super_propagator_circuit,
     trotter_circuit,
 )
-from opvec.simulator import _identity_pairs, _lower
+from opvec.simulator import _FUSE_SPAN, _fuse, _identity_pairs, _lower
 from opvec.vectorize import COMPUTATIONAL, PAULI, VectorizedState, devectorize, vectorize
 from helpers import ginibre, ising_chain, random_hermitian_sum
 
@@ -406,8 +407,13 @@ def test_random_clifford_is_unitary_and_seeded():
 
 
 # ---------------------------------------------------------------------------
-# Bitwise references: the gate-by-gate loops that the shared lowering
-# replaced, kept as they were so the new path must reproduce them exactly.
+# References: the gate-by-gate loops that the shared lowering replaced, one
+# unfused apply_matrix per gate and copy. The fused lowering must reproduce
+# them to 1e-12 and give bitwise-identical results on reruns.
+
+def _close(got, want) -> bool:
+    return np.allclose(got, want, rtol=0, atol=1e-12)
+
 
 def _ref_expand(circuit: Circuit):
     for g in circuit.gates():
@@ -511,11 +517,11 @@ def _mixed_circuit(gen, k: int, count: int) -> Circuit:
 
 
 def _twin_u_circuit(gen, k: int) -> Circuit:
-    """Two u gates on the same targets with different matrices: they compare
-    equal as Gates, so a lowering keyed on Gate equality would merge them."""
+    """Two u gates on the same targets with different matrices, which a
+    lowering or fusion cache keyed on name and targets alone would merge."""
     a = Gate("u", (0, 1), matrix=_random_unitary(gen, 4))
     b = Gate("u", (0, 1), matrix=_random_unitary(gen, 4))
-    assert a == b and not np.array_equal(a.matrix, b.matrix)
+    assert a != b and not np.array_equal(a.matrix, b.matrix)
     return Circuit.from_gates(k, [a, Gate("h", (0,)), b, Gate("pexp", (0, 1, 2), 0.7, "XYZ")])
 
 
@@ -524,23 +530,24 @@ class TestLoweringMatchesGateLoops:
     def test_dense_unitary(self, k):
         gen = np.random.default_rng(100 + k)
         for circ in (_mixed_circuit(gen, k, 30), _mixed_circuit(gen, k, 30)):
-            assert np.array_equal(dense_unitary(circ), _ref_dense_unitary(circ))
+            assert _close(dense_unitary(circ), _ref_dense_unitary(circ))
         if k >= 3:
             circ = _twin_u_circuit(gen, k)
-            assert np.array_equal(dense_unitary(circ), _ref_dense_unitary(circ))
+            assert _close(dense_unitary(circ), _ref_dense_unitary(circ))
 
-    def test_equal_angles_of_other_dtypes_keep_their_matrices(self):
+    def test_angles_of_other_dtypes_build_one_matrix(self):
         narrow, wide = Gate("rx", (1,), np.float32(0.5)), Gate("rx", (1,), 0.5)
-        assert narrow == wide and not np.array_equal(gate_matrix(narrow), gate_matrix(wide))
+        assert type(narrow.angle) is float and narrow == wide
+        assert np.array_equal(gate_matrix(narrow), gate_matrix(wide))
         circ = Circuit.from_gates(4, [narrow, Gate("h", (1,)), wide])
-        assert np.array_equal(dense_unitary(circ), _ref_dense_unitary(circ))
+        assert _close(dense_unitary(circ), _ref_dense_unitary(circ))
 
     def test_dense_unitary_columns_are_applied_basis_states(self):
         circ = _mixed_circuit(np.random.default_rng(7), 5, 40)
         u = dense_unitary(circ)
         for j in (0, 13, 31):
             col = apply_circuit(QState.computational(5, j), circ).amplitudes
-            assert np.array_equal(u[:, j], col)
+            assert _close(u[:, j], col)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_heisenberg_doubled(self, n):
@@ -549,7 +556,7 @@ class TestLoweringMatchesGateLoops:
         for circ in circuits:
             state = vectorize(ginibre(gen, 2**n), COMPUTATIONAL)
             got = heisenberg_doubled(state, circ).amplitudes
-            assert np.array_equal(got, _ref_heisenberg_doubled(state, circ))
+            assert _close(got, _ref_heisenberg_doubled(state, circ))
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_interferometric_state(self, n):
@@ -558,7 +565,7 @@ class TestLoweringMatchesGateLoops:
         op2 = PauliSum.from_text("1 0 " + "ZYX"[:n])
         u, u2 = _mixed_circuit(gen, n, 30), _twin_u_circuit(gen, n) if n >= 3 else _mixed_circuit(gen, n, 30)
         got = interferometric_state(op, op2, u, u2).amplitudes
-        assert np.array_equal(got, _ref_interferometric_state(op, op2, u, u2))
+        assert _close(got, _ref_interferometric_state(op, op2, u, u2))
 
     def test_channel_dual_postselect(self):
         gen = np.random.default_rng(400)
@@ -567,7 +574,7 @@ class TestLoweringMatchesGateLoops:
             dilation = _mixed_circuit(gen, len(sites) + 1, 25)
             out, prob = channel_dual_postselect(dilation, 1, state, sites=sites)
             want, want_prob = _ref_channel_dual_postselect(dilation, 1, state, sites)
-            assert np.array_equal(out.amplitudes, want) and prob == want_prob
+            assert _close(out.amplitudes, want) and prob == pytest.approx(want_prob, abs=1e-12)
 
     def test_shared_matrices_are_read_only(self):
         src = np.array([[0, 1j], [1j, 0]])
@@ -580,4 +587,122 @@ class TestLoweringMatchesGateLoops:
         for dagger in (False, True):
             for mat, _ in _lower(circ, dagger=dagger, copies=(0, 1)):
                 with pytest.raises(ValueError):
-                    mat[0, 0] = 0.0
+                    mat[(0,) * mat.ndim] = 0.0
+
+    def test_reruns_are_bitwise_identical(self):
+        gen = np.random.default_rng(500)
+        circ, circ2 = _mixed_circuit(gen, 3, 40), _twin_u_circuit(gen, 3)
+        state = vectorize(ginibre(gen, 8), COMPUTATIONAL)
+        op, op2 = PauliSum.from_text("1 0 XZY"), PauliSum.from_text("1 0 ZYX")
+        runs = [
+            lambda: dense_unitary(circ),
+            lambda: heisenberg_doubled(state, circ).amplitudes,
+            lambda: interferometric_state(op, op2, circ, circ2).amplitudes,
+            lambda: channel_dual_postselect(circ, 1, state, sites=(0, 2))[0].amplitudes,
+        ]
+        for run in runs:
+            assert np.array_equal(run(), run())
+
+
+# ---------------------------------------------------------------------------
+# apply_matrix against a dense kron reference, and the fused lowering.
+
+def _dense_reference(vec, mat, targets, k, d):
+    """mat (x) I on (targets, then the other qudits), permuted back to the
+    natural qudit order, times vec."""
+    rest = [q for q in range(k) if q not in targets]
+    full = np.kron(np.diag(mat) if mat.ndim == 1 else mat, np.eye(d ** len(rest)))
+    inv = list(np.argsort(list(targets) + rest))
+    full = full.reshape((d,) * (2 * k)).transpose(inv + [k + i for i in inv])
+    return full.reshape(d**k, d**k) @ vec
+
+
+@st.composite
+def _apply_cases(draw):
+    d = draw(st.sampled_from([2, 3]))
+    k = draw(st.integers(1, 7 if d == 2 else 4))
+    m = draw(st.integers(1, min(k, 3)))
+    if draw(st.booleans()):
+        lo = draw(st.integers(0, k - m))
+        targets = tuple(range(lo, lo + m))
+    else:
+        targets = tuple(draw(st.permutations(range(k)))[:m])
+    return d, k, targets, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+
+
+class TestApplyMatrix:
+    @given(_apply_cases())
+    @example((2, 6, (0, 1), False, 1))  # block at the start, trailing block of 16
+    @example((2, 6, (2, 3), False, 2))  # middle
+    @example((2, 6, (4, 5), False, 3))  # end: trailing block of 1
+    @example((2, 6, (3, 4), False, 4))  # trailing block of 2
+    @example((2, 6, (3, 4), True, 5))  # diagonal, trailing block of 2
+    @example((2, 6, (1, 4), False, 6))  # not contiguous
+    @example((2, 6, (3, 2), True, 7))  # unsorted
+    @example((3, 4, (1, 2), False, 8))  # qutrits
+    def test_matches_dense_kron(self, case):
+        d, k, targets, diagonal, seed = case
+        gen = np.random.default_rng(seed)
+        dim = d ** len(targets)
+        vec = gen.normal(size=d**k) + 1j * gen.normal(size=d**k)
+        if diagonal:
+            mat = np.exp(1j * gen.normal(size=dim))
+        else:
+            mat = _random_unitary(gen, dim)
+        got = apply_matrix(vec, mat, targets, k, d)
+        assert _close(got, _dense_reference(vec, mat, targets, k, d))
+
+
+class TestFusedLowering:
+    def test_doubled_trotter_pairs_fuse(self):
+        n = 7
+        lowered = _lower(trotter_circuit(ising_chain(n), 1.0, 64), True, (0, 1), range(0, 2 * n, 2))
+        assert len(lowered) == 832
+        assert sum(mat.ndim == 1 for mat, _ in lowered) == 448
+        assert len({id(mat) for mat, _ in lowered}) == 2  # one Z pair, one XX pair
+        for mat, targets in lowered:
+            assert not mat.flags.writeable
+            assert targets == tuple(range(targets[0], targets[0] + len(targets)))
+            assert len(targets) <= _FUSE_SPAN
+
+    def test_super_propagator_pairs_fuse(self):
+        circ = super_propagator_circuit(ising_chain(7), 1.0, 64)
+        assert len(_lower(circ)) == circ.num_gates() // 2 == 832
+
+    def test_merged_steps_are_not_merged_again(self):
+        circ = Circuit.from_gates(4, [Gate("h", (q,)) for q in range(4)])
+        assert [t for _, t in _lower(circ)] == [(0, 1), (2, 3)]
+
+    def test_blocks_wider_than_the_span_stay_apart(self):
+        wide = np.eye(2 ** (_FUSE_SPAN - 1), dtype=complex)
+        steps = [(wide, tuple(range(_FUSE_SPAN - 1))), (gate_matrix(Gate("cx", (0, 1))), (_FUSE_SPAN - 1, _FUSE_SPAN))]
+        assert [t for _, t in _fuse(steps)] == [t for _, t in steps]
+
+    def test_fused_blocks_follow_their_targets(self, gen):
+        # One cx pair fused in two target orders, plus a diagonal pair and a
+        # u pair that does not fuse (sites 0 and 2 are not neighbours).
+        gates = [
+            Gate("cx", (2, 1)),
+            Gate("rzz", (1, 0), 0.4),
+            Gate("cx", (0, 1)),
+            Gate("u", (0, 2), matrix=_random_unitary(gen, 4)),
+        ]
+        circ = Circuit.from_gates(3, gates)
+        state = vectorize(ginibre(gen, 8), COMPUTATIONAL)
+        assert _close(heisenberg_doubled(state, circ).amplitudes, _ref_heisenberg_doubled(state, circ))
+
+
+class TestGateValues:
+    def test_float32_angle_evolves(self):
+        circ = Circuit.from_gates(2, [Gate("rx", (q % 2,), np.float32(0.3 + q)) for q in range(6)])
+        state = vectorize(PauliSum.from_text("1 0 XZ"), COMPUTATIONAL)
+        out = heisenberg_doubled(state, circ)
+        assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-12)
+
+    def test_u_gates_compare_by_matrix(self, gen):
+        m = _random_unitary(gen, 2)
+        a, b = Gate("u", (0,), matrix=m), Gate("u", (0,), matrix=m.copy())
+        c = Gate("u", (0,), matrix=_random_unitary(gen, 2))
+        assert a == b and hash(a) == hash(b)
+        assert a != c and len({a, b, c}) == 2
+        assert Circuit.from_gates(1, [a]) != Circuit.from_gates(1, [c])
