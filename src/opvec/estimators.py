@@ -14,12 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._linalg import apply_matrix
 from .errors import (
     EntangledEigenbasisError,
     NonCommutingSetError,
     ParseError,
 )
-from .pauli import PauliString
+from .pauli import SIGMA, PauliString
 from .simulator import (
     Circuit,
     Gate,
@@ -408,6 +409,65 @@ def estimate_ose(
 # ---------------------------------------------------------------------------
 # Linearized operator entanglement via the destructive SWAP test.
 
+# Per-qubit 4x4 factors of the swap test's Bell statistics, Paulis ordered
+# I, X, Y, Z. Row P of _PAULI_COEF maps a qubit's (row bit, column bit) pair
+# of a density matrix to its factor of tr(P rho). Row sigma of _BELL_FROM_PAULI
+# holds s(sigma, P) eps(P) / 4, the Pauli expansion of the projector onto the
+# Bell pair (sigma x I)|Phi+>: s is +1 when sigma and P commute, eps is -1 on Y.
+# Outcome Y is the singlet, the one outcome with swap eigenvalue -1.
+_PAULI_COEF = np.array([SIGMA[c].T.reshape(-1) for c in "IXYZ"])
+_BELL_FROM_PAULI = np.array(
+    [[1, 1, -1, 1], [1, 1, 1, -1], [1, -1, -1, -1], [1, -1, 1, 1]], dtype=float
+) / 4
+_SINGLET = 2
+
+
+def _pauli_coefficients(state: VectorizedState, qubits: list[int]) -> np.ndarray:
+    """tr(P rho) for every Pauli word P on ``qubits``, where rho is the
+    reduced state of ``state``, in the computational rep, on those qubits;
+    indexed by one base-4 digit (I, X, Y, Z) per qubit, in ``qubits`` order."""
+    if state.basis != COMPUTATIONAL:
+        state = bell_transform(state, "p_to_c")
+    k = len(qubits)
+    amps = state.amplitudes.reshape((2,) * (2 * state.n))
+    m = np.moveaxis(amps, qubits, range(k)).reshape(2**k, -1)
+    rho = m @ m.conj().T
+    # one (row bit, column bit) pair per qubit, so each qubit is one 4-level axis
+    vec = rho.reshape((2,) * (2 * k)).transpose(
+        [ax for q in range(k) for ax in (q, k + q)]
+    ).reshape(-1)
+    for q in range(k):
+        vec = apply_matrix(vec, _PAULI_COEF, (q,), k, d=4)
+    return vec.real
+
+
+def _swap_test_distribution(
+    state_a: VectorizedState, state_b: VectorizedState, sites: list[int]
+) -> np.ndarray:
+    """Exact distribution of the swap test's Bell outcomes, from the two
+    copies' reduced states on the measured qubits.
+
+    Axis j of the result is measured qubit j; its index is that qubit's Bell
+    pair sigma_j, ordered I, X, Y, Z. With the Pauli coefficients
+    c(P) = tr(P rho) of each copy, the probability of sigma over q measured
+    qubits is 4^-q sum_P prod_j s(sigma_j, P_j) eps(P_j) c_a(P) c_b(P), and
+    both sums factor into one 4x4 contraction per qubit. When both copies
+    hold the same state and the partition is more than half the sites, the
+    complement is measured instead: a pure state's two sides have the same
+    purity, so the swap sign has the same law there (the outcomes differ).
+    """
+    n = state_a.n
+    same = np.array_equal(state_a.amplitudes, state_b.amplitudes)
+    if same and 2 * len(sites) > n:
+        sites = [s for s in range(n) if s not in sites]
+    qubits = [q for s in sites for q in (2 * s, 2 * s + 1)]
+    coef = _pauli_coefficients(state_a, qubits)
+    coef = coef * (coef if same else _pauli_coefficients(state_b, qubits))
+    for q in range(len(qubits)):
+        coef = apply_matrix(coef, _BELL_FROM_PAULI, (q,), len(qubits), d=4)
+    return coef.reshape((4,) * len(qubits))
+
+
 def estimate_loe2(
     state_a: VectorizedState,
     state_b: VectorizedState,
@@ -419,7 +479,16 @@ def estimate_loe2(
 
     Each shot measures, for every register qubit of the partition's (left,
     right) pairs, the corresponding copy-1/copy-2 qubit pair in the Bell
-    basis; the swap eigenvalue is the product of singlet signs.
+    basis; the swap eigenvalue is the product of singlet signs, and its mean
+    is tr(rho_A^a rho_A^b).
+
+    The two-copy register is never built. The Bell outcomes depend only on
+    the copies' reduced states on the measured qubits, so they are drawn in
+    one multinomial from their exact distribution. When both copies hold
+    the same state, the smaller side of the cut is measured, m =
+    min(|A|, n-|A|) sites: the distribution has 16^m entries (4096 at n=7)
+    and the reduced states 16^m amplitudes each. Different copies are
+    measured on the partition as given, 16^|A| entries.
     """
     if state_a.n != state_b.n or state_a.basis != state_b.basis:
         raise ValueError("copies must share site count and rep")
@@ -429,25 +498,12 @@ def estimate_loe2(
         raise ValueError("partition must be a nonempty proper subset of sites")
     if sites[0] < 0 or sites[-1] >= n:
         raise ValueError("partition site out of range")
-    a = state_a if state_a.basis == COMPUTATIONAL else bell_transform(state_a, "p_to_c")
-    b = state_b if state_b.basis == COMPUTATIONAL else bell_transform(state_b, "p_to_c")
-    k = 2 * n
-    joint = QState(2 * k, np.kron(a.amplitudes, b.amplitudes))
-    qubits = [q for s in sites for q in (2 * s, 2 * s + 1)]
-    gates = []
-    for q in qubits:
-        gates.append(Gate("cx", (q, k + q)))
-        gates.append(Gate("h", (q,)))
-    joint = apply_circuit(joint, Circuit.from_gates(2 * k, gates))
-    counts = born_sample(joint, shots, rng)
-    outcomes = np.array(sorted(counts), dtype=np.int64)
-    weights = np.array([counts[int(o)] for o in outcomes], dtype=float)
-    signs = np.ones(outcomes.shape, dtype=float)
-    for q in qubits:
-        bit_a = (outcomes >> (2 * k - 1 - q)) & 1
-        bit_b = (outcomes >> (2 * k - 1 - (k + q))) & 1
-        signs *= 1.0 - 2.0 * (bit_a & bit_b).astype(float)
-    purity, stderr = _mean_stderr(signs, weights)
+    p = np.clip(_swap_test_distribution(state_a, state_b, sites), 0.0, None)
+    counts = rng.generator.multinomial(shots, p.reshape(-1) / p.sum())
+    outcomes = np.flatnonzero(counts)
+    singlets = sum(d == _SINGLET for d in np.unravel_index(outcomes, p.shape))
+    signs = 1.0 - 2.0 * (singlets % 2)
+    purity, stderr = _mean_stderr(signs, counts[outcomes].astype(float))
     return EstimatorReport(
         1.0 - purity,
         stderr,

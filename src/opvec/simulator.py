@@ -464,7 +464,8 @@ def born_sample(state: QState, shots: int, rng: RngStream) -> dict[int, int]:
     if shots < 1:
         raise ValueError("shots must be at least 1")
     counts = rng.generator.multinomial(shots, state.probabilities())
-    return {int(i): int(c) for i, c in enumerate(counts) if c}
+    hits = np.flatnonzero(counts)
+    return dict(zip(hits.tolist(), counts[hits].tolist()))
 
 
 # ---------------------------------------------------------------------------

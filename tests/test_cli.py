@@ -2,12 +2,17 @@
 byte-level determinism, all driven in process through main()."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import ising_chain
 
+import opvec
 from opvec.cli import main
 from opvec.estimators import EmpiricalPauliDist
 from opvec.vectorize import COMPUTATIONAL, PAULI, load_state, vectorize
@@ -213,6 +218,33 @@ class TestLoe:
         assert doc["oracle"]["value"] == pytest.approx(0.5, abs=1e-12)
         assert abs(doc["value"] - 0.5) < 3 * doc["stderr"]
         assert doc["params"]["partition"] == [0]
+
+    def test_dense_cap_runs_under_one_gib(self, tmp_path):
+        # The two-copy register at n=7 would be 4 GiB: under the ceiling a
+        # regression raises MemoryError instead of exhausting the machine.
+        shots = 4096
+        cfg = dict(
+            task="loe", operator="ZIIIIII", hamiltonian={"text": ising_chain(7).to_text()},
+            t=1.0, steps=16, partition=[0, 1, 2], shots=shots, seed=3,
+        )
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        script = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from opvec.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        src = str(Path(opvec.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "loe", "--config", str(tmp_path / "config.json"),
+             "--out", str(out), "--with-oracle"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["oracle"]["abs_delta"] <= 5 * doc["stderr"] + 1 / shots
 
     def test_rejects_full_partition(self, tmp_path, capsys):
         code, _ = run_task(

@@ -7,6 +7,7 @@ so those assert equality.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from opvec.estimators import (
     ose_shot_counts,
     sample_pauli_dist,
 )
+from opvec.estimators import _swap_test_distribution
 from opvec.oracle import (
     exact_heisenberg,
     exact_loe,
@@ -45,6 +47,7 @@ from opvec.simulator import (
     Gate,
     QState,
     RngStream,
+    apply_circuit,
     dense_unitary,
     interferometric_state,
     random_clifford_circuit,
@@ -478,6 +481,105 @@ class TestLinearEntanglement:
         b = word_state("XY", PAULI)
         with pytest.raises(ValueError, match="share"):
             estimate_loe2(a, b, [0], 10, RngStream(0))
+
+
+# Bell pair of the old CX/H readout's (bit_a, bit_b), as 2*bit_a + bit_b, in
+# the distribution's I, X, Y, Z order: Phi+ = 00, Psi+ = 01, Psi- = 11, Phi- = 10.
+_SIGMA_FROM_BITS = [0, 1, 3, 2]
+
+
+def joint_register_bell_marginal(a, b, sites) -> np.ndarray:
+    """Reference: the Bell outcome distribution on the partition's qubits,
+    read off the two-copy register the swap test used to build (4^(2n)
+    amplitudes). Axes as in ``_swap_test_distribution``."""
+    a = a if a.basis == COMPUTATIONAL else bell_transform(a, "p_to_c")
+    b = b if b.basis == COMPUTATIONAL else bell_transform(b, "p_to_c")
+    k = 2 * a.n
+    qubits = [q for s in sites for q in (2 * s, 2 * s + 1)]
+    gates = []
+    for q in qubits:
+        gates.append(Gate("cx", (q, k + q)))
+        gates.append(Gate("h", (q,)))
+    joint = QState(2 * k, np.kron(a.amplitudes, b.amplitudes))
+    probs = apply_circuit(joint, Circuit.from_gates(2 * k, gates)).probabilities()
+    keep = [ax for q in qubits for ax in (q, k + q)]
+    probs = np.moveaxis(probs.reshape((2,) * (2 * k)), keep, range(len(keep)))
+    marginal = probs.reshape(4 ** len(qubits), -1).sum(axis=1)
+    marginal = marginal.reshape((4,) * len(qubits))
+    return marginal[np.ix_(*[_SIGMA_FROM_BITS] * len(qubits))]
+
+
+def minus_sign_probability(dist: np.ndarray) -> float:
+    """P(swap sign = -1): the outcomes with an odd number of singlets (Y)."""
+    digits = np.indices(dist.shape).reshape(dist.ndim, -1)
+    odd = (digits == 2).sum(axis=0) % 2 == 1
+    return float(dist.reshape(-1)[odd].sum())
+
+
+def random_state(gen, n: int, basis=COMPUTATIONAL):
+    return vectorize(ginibre(gen, 2**n), basis)
+
+
+class TestSwapTestDistribution:
+    @pytest.mark.parametrize(
+        "n,partition",
+        [(2, [0]), (2, [1]), (3, [1]), (4, [1, 2]), (4, [0, 3]), (4, [0, 2])],
+    )
+    @pytest.mark.parametrize("copies", ["same", "different"])
+    def test_matches_the_joint_register(self, gen, n, partition, copies):
+        a = random_state(gen, n)
+        b = a if copies == "same" else random_state(gen, n)
+        got = _swap_test_distribution(a, b, partition)
+        want = joint_register_bell_marginal(a, b, partition)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n,partition", [(3, [0, 1]), (3, [0, 2]), (4, [0, 1, 3])])
+    def test_larger_side_keeps_the_sign_law(self, gen, n, partition):
+        # equal copies measure the complement: other outcomes, same sign law
+        a = random_state(gen, n)
+        got = _swap_test_distribution(a, a, partition)
+        assert got.ndim == 2 * (n - len(partition))
+        want = joint_register_bell_marginal(a, a, partition)
+        assert minus_sign_probability(got) == pytest.approx(
+            minus_sign_probability(want), abs=1e-12
+        )
+
+    @pytest.mark.parametrize("n,partition", [(3, [0, 2]), (4, [0, 1, 3])])
+    def test_different_copies_measure_the_partition_as_given(self, gen, n, partition):
+        # tr(rho_A^a rho_A^b) != tr(rho_B^a rho_B^b) for different states
+        a, b = random_state(gen, n), random_state(gen, n)
+        got = _swap_test_distribution(a, b, partition)
+        want = joint_register_bell_marginal(a, b, partition)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_pauli_rep_input(self, gen):
+        a = random_state(gen, 4, PAULI)
+        b = random_state(gen, 4, PAULI)
+        for x, y in [(a, a), (a, b)]:
+            got = _swap_test_distribution(x, y, [0, 2])
+            want = joint_register_bell_marginal(x, y, [0, 2])
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("partition", [[0], [1, 2], [0, 1, 3], [2]])
+    def test_expected_sign_is_the_oracle_purity(self, gen, partition):
+        op = ginibre(gen, 16)
+        st = vectorize(op, COMPUTATIONAL)
+        dist = _swap_test_distribution(st, st, partition)
+        assert dist.sum() == pytest.approx(1.0, abs=1e-12)
+        mean_sign = 1.0 - 2.0 * minus_sign_probability(dist)
+        assert mean_sign == pytest.approx(exact_loe(op, partition)["trace"], abs=1e-12)
+
+    def test_estimate_stays_small_in_memory(self, gen):
+        # the two-copy register alone would be 16 * 4^10 bytes = 16 MiB
+        st = random_state(gen, 5)
+        for partition in ([0, 1], [0, 2, 4]):
+            tracemalloc.start()
+            try:
+                estimate_loe2(st, st, partition, 4096, RngStream(7))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
 
 
 class TestInterferometric:

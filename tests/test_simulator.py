@@ -207,6 +207,17 @@ class TestRng:
         assert c1 == c2
         assert sum(c1.values()) == 1000
 
+    @pytest.mark.parametrize("k", [1, 6, 12])
+    def test_born_sample_matches_a_loop_over_all_outcomes(self, k, gen):
+        amps = gen.standard_normal(2**k) + 1j * gen.standard_normal(2**k)
+        state = QState(k, amps / np.linalg.norm(amps))
+        got = born_sample(state, 500, RngStream(4).fork("s"))
+        counts = RngStream(4).fork("s").generator.multinomial(500, state.probabilities())
+        want = {int(i): int(c) for i, c in enumerate(counts) if c}
+        assert got == want
+        assert list(got) == list(want)
+        assert all(type(i) is int and type(c) is int for i, c in got.items())
+
 
 class TestTrotter:
     def test_single_term_is_exact(self):
