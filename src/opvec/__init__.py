@@ -39,7 +39,6 @@ from .lattice2d import (
     trotter_step_schedule,
     validate,
 )
-from .oracle import OracleConfig
 from .pauli import DENSE_SITE_CAP, PauliString, PauliSum
 from .simulator import (
     Circuit,

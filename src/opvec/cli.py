@@ -68,19 +68,6 @@ EXIT_PARSE = 2
 EXIT_CAP = 3
 EXIT_NONCOMMUTING = 4
 
-TASKS = (
-    "evolve",
-    "sample",
-    "otoc",
-    "superop",
-    "ose",
-    "loe",
-    "corr",
-    "choi2pc",
-    "nqubit",
-    "compile2d",
-)
-
 _DEFAULTS = {
     "seed": 0,
     "shots": 4096,
@@ -318,7 +305,6 @@ def _require_cap(n: int) -> None:
 
 def _evolved(cfg: dict, op: PauliSum) -> VectorizedState:
     """Encoded operator after the configured evolution, computational rep."""
-    _require_cap(op.n)
     state = vectorize(op, COMPUTATIONAL)
     circuit = cfg.get("_circuit")
     h = cfg.get("_hamiltonian")
@@ -331,11 +317,20 @@ def _evolved(cfg: dict, op: PauliSum) -> VectorizedState:
     return state
 
 
+def _single_register_circuit(cfg: dict, n: int) -> Circuit:
+    """The configured evolution on one n-qubit register: the given circuit,
+    the Hamiltonian's Trotter circuit, or the identity."""
+    circuit = cfg.get("_circuit")
+    h = cfg.get("_hamiltonian")
+    if circuit is not None:
+        return circuit
+    if h is not None and cfg["t"] != 0.0:
+        return trotter_circuit(h, cfg["t"], cfg["steps"])
+    return Circuit(n)
+
+
 def _oracle_evolved(cfg: dict, op: PauliSum) -> np.ndarray:
     """Exactly evolved dense operator, normalized to unit amplitude vector."""
-    limit = oracle.OracleConfig.default().max_n
-    if op.n > limit:
-        raise CapExceededError(f"oracle comparison capped at {limit} sites")
     dense = op.to_dense()
     circuit = cfg.get("_circuit")
     h = cfg.get("_hamiltonian")
@@ -349,43 +344,18 @@ def _oracle_evolved(cfg: dict, op: PauliSum) -> np.ndarray:
     return dense * math.sqrt(2**op.n) / norm
 
 
-def _report_entry(rep: est.EstimatorReport, **extra) -> dict:
-    entry = {
-        "value": float(rep.value),
-        "stderr": float(rep.stderr),
-        "shots": int(rep.shots),
-    }
-    entry.update({k: _jsonable(v) for k, v in rep.metadata.items()})
-    entry.update(extra)
-    return entry
+def _exact_otocs(cfg: dict) -> list[float]:
+    """Oracle value of every configured pair on the exactly evolved operator."""
+    dense = _oracle_evolved(cfg, cfg["_operator"])
+    return [oracle.exact_otoc(dense, left, right) for left, right in cfg["_pairs"]]
 
 
-def _jsonable(value):
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, PauliString):
-        return value.label
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
-def _write_report(out: Path, doc: dict) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    (out / "report.json").write_text(text)
-
-
-def _base_doc(cfg: dict, value: float, stderr: float, shots: int, params: dict) -> dict:
-    return {
-        "task": cfg["task"],
-        "seed": cfg["seed"],
-        "value": float(value),
-        "stderr": float(stderr),
-        "shots": int(shots),
-        "params": {k: _jsonable(v) for k, v in params.items()},
-    }
+def _estimate(rep) -> dict:
+    """Value, stderr and shots of a report; a bare number is computed, not
+    sampled: no error, one shot."""
+    if not isinstance(rep, est.EstimatorReport):
+        return {"value": float(rep), "stderr": 0.0, "shots": 1}
+    return {"value": float(rep.value), "stderr": float(rep.stderr), "shots": int(rep.shots)}
 
 
 def _delta_block(value: float, stderr: float, exact: float) -> dict:
@@ -395,29 +365,40 @@ def _delta_block(value: float, stderr: float, exact: float) -> dict:
     return block
 
 
-# ---------------------------------------------------------------------------
-# Task handlers. Each writes its artifacts and returns nothing.
+def _pair_entry(rep: est.EstimatorReport, exact: float | None) -> dict:
+    """One pair's estimate with its metadata and, given an exact value, its
+    oracle block."""
+    entry = _estimate(rep)
+    entry.update(rep.metadata)
+    if exact is not None:
+        entry["oracle"] = _delta_block(entry["value"], entry["stderr"], exact)
+    return entry
 
-def _task_evolve(cfg: dict, out: Path, rng: RngStream) -> None:
+
+# ---------------------------------------------------------------------------
+# Task handlers. Each runs its estimator, writes its own artifacts and
+# returns (report, params, exact): its report (a bare number for a computed
+# value, a list of per-pair reports for otoc and nqubit), the params only it
+# reports, and a thunk giving its exact value, its whole oracle block, or
+# one exact value per pair.
+
+def _task_evolve(cfg: dict, out: Path, rng: RngStream):
     op = cfg["_operator"]
     state = _evolved(cfg, op)
     if cfg["basis"] == "pauli":
         state = bell_transform(state, "c_to_p")
     save_state(state, out / "state.bin")
-    initial = vectorize(op, state.basis)
-    value = float(np.vdot(initial.amplitudes, state.amplitudes).real)
-    doc = _base_doc(cfg, value, 0.0, 1, {
-        "n": op.n, "t": cfg["t"], "steps": cfg["steps"], "basis": cfg["basis"],
-        "label": "autocorrelation",
-    })
-    if cfg["with_oracle"]:
+    initial = vectorize(op, state.basis).amplitudes
+    value = float(np.vdot(initial, state.amplitudes).real)
+
+    def exact():
         exact_state = vectorize(_oracle_evolved(cfg, op), state.basis)
-        exact = float(np.vdot(initial.amplitudes, exact_state.amplitudes).real)
-        doc["oracle"] = _delta_block(value, 0.0, exact)
-    _write_report(out, doc)
+        return float(np.vdot(initial, exact_state.amplitudes).real)
+
+    return value, {"basis": cfg["basis"]}, exact
 
 
-def _task_sample(cfg: dict, out: Path, rng: RngStream) -> None:
+def _task_sample(cfg: dict, out: Path, rng: RngStream):
     op = cfg["_operator"]
     state = bell_transform(_evolved(cfg, op), "c_to_p")
     dist = est.sample_pauli_dist(state, cfg["shots"], rng.fork("sample"))
@@ -425,53 +406,36 @@ def _task_sample(cfg: dict, out: Path, rng: RngStream) -> None:
     mode = max(sorted(dist.counts), key=lambda k: dist.counts[k])
     p_hat = dist.counts[mode] / dist.shots
     stderr = math.sqrt(max(p_hat * (1 - p_hat), 0.0) / dist.shots)
-    doc = _base_doc(cfg, p_hat, stderr, dist.shots, {
-        "n": op.n, "t": cfg["t"], "steps": cfg["steps"],
-        "mode": index_pauli(mode, op.n).label,
-        "distinct": len(dist.counts),
-        "label": "mode_frequency",
-    })
-    if cfg["with_oracle"]:
-        exact = oracle.pauli_probabilities(_oracle_evolved(cfg, op))
-        empirical = np.zeros_like(exact)
+
+    def exact():
+        probs = oracle.pauli_probabilities(_oracle_evolved(cfg, op))
+        empirical = np.zeros_like(probs)
         for k, c in dist.counts.items():
             empirical[k] = c / dist.shots
-        doc["oracle"] = {"tv_distance": float(0.5 * np.abs(empirical - exact).sum())}
-    _write_report(out, doc)
+        return {"tv_distance": float(0.5 * np.abs(empirical - probs).sum())}
+
+    params = {"mode": index_pauli(mode, op.n).label, "distinct": len(dist.counts)}
+    return est.EstimatorReport(p_hat, stderr, dist.shots, cfg["seed"]), params, exact
 
 
-def _task_otoc(cfg: dict, out: Path, rng: RngStream) -> None:
-    op = cfg["_operator"]
-    pairs = cfg["_pairs"]
-    state = _evolved(cfg, op)
-    reports = est.estimate_otoc_group(state, pairs, cfg["shots"], rng.fork("otoc"))
-    exact_dense = _oracle_evolved(cfg, op) if cfg["with_oracle"] else None
-    entries = []
-    for (left, right), rep in zip(pairs, reports):
-        entry = _report_entry(rep)
-        if exact_dense is not None:
-            exact = oracle.exact_otoc(exact_dense, left, right)
-            entry["oracle"] = _delta_block(rep.value, rep.stderr, exact)
-        entries.append(entry)
-    doc = _base_doc(cfg, reports[0].value, reports[0].stderr, reports[0].shots, {
-        "n": op.n, "t": cfg["t"], "steps": cfg["steps"], "label": "otoc",
-    })
-    doc["reports"] = entries
-    _write_report(out, doc)
+def _task_otoc(cfg: dict, out: Path, rng: RngStream):
+    state = _evolved(cfg, cfg["_operator"])
+    reports = est.estimate_otoc_group(state, cfg["_pairs"], cfg["shots"], rng.fork("otoc"))
+    return reports, {}, lambda: _exact_otocs(cfg)
 
 
-def _task_superop(cfg: dict, out: Path, rng: RngStream) -> None:
+def _task_superop(cfg: dict, out: Path, rng: RngStream):
     op = cfg["_operator"]
     a = cfg["_superop"]
     state = _evolved(cfg, op)
-    params = {"n": op.n, "t": cfg["t"], "steps": cfg["steps"], "label": "superop"}
-    if isinstance(a, DiagonalSuperop):
+    diagonal = isinstance(a, DiagonalSuperop)
+    if diagonal:
         dist = est.sample_pauli_dist(
             bell_transform(state, "c_to_p"), cfg["shots"], rng.fork("superop")
         )
         (out / "dist.csv").write_text(dist.to_csv())
         rep = est.mc_diagonal(dist, a, power=cfg["power"], seed=cfg["seed"])
-        params["power"] = cfg["power"]
+        params = {"power": cfg["power"]}
     else:
         grouping = cfg.get("grouping")
         if grouping is None:
@@ -485,155 +449,98 @@ def _task_superop(cfg: dict, out: Path, rng: RngStream) -> None:
         ]
         plan = est.allocate_shots(weights, cfg["shots"])
         rep = est.estimate_superop_grouped(state, a, grouping, plan, rng.fork("superop"))
-        params["groups"] = len(grouping)
-    doc = _base_doc(cfg, rep.value, rep.stderr, rep.shots, params)
-    if cfg["with_oracle"]:
-        exact_state = vectorize(
-            _oracle_evolved(cfg, op),
-            PAULI if isinstance(a, DiagonalSuperop) else COMPUTATIONAL,
-        )
-        exact = expectation(a, exact_state, k=cfg["power"])
-        doc["oracle"] = _delta_block(rep.value, rep.stderr, exact)
-    _write_report(out, doc)
+        params = {"groups": len(grouping)}
+
+    def exact():
+        basis = PAULI if diagonal else COMPUTATIONAL
+        return expectation(a, vectorize(_oracle_evolved(cfg, op), basis), k=cfg["power"])
+
+    return rep, params, exact
 
 
-def _task_ose(cfg: dict, out: Path, rng: RngStream) -> None:
+def _task_ose(cfg: dict, out: Path, rng: RngStream):
     op = cfg["_operator"]
     state = bell_transform(_evolved(cfg, op), "c_to_p")
     result = est.estimate_ose(
         state, cfg["alpha"], cfg["epsilon"], cfg["delta"], rng.fork("ose")
     )
-    rep = result.purity
-    doc = _base_doc(cfg, rep.value, rep.stderr, rep.shots, {
-        "n": op.n, "t": cfg["t"], "steps": cfg["steps"],
+    params = {
         "alpha": cfg["alpha"], "epsilon": cfg["epsilon"], "delta": cfg["delta"],
         "entropy": result.entropy if math.isfinite(result.entropy) else None,
-        "label": "stabilizer_purity",
-    })
-    if cfg["with_oracle"]:
-        purity, _entropy = oracle.exact_ose(_oracle_evolved(cfg, op), cfg["alpha"])
-        doc["oracle"] = _delta_block(rep.value, rep.stderr, purity)
-    _write_report(out, doc)
+    }
+
+    def exact():
+        return oracle.exact_ose(_oracle_evolved(cfg, op), cfg["alpha"])[0]
+
+    return result.purity, params, exact
 
 
-def _task_loe(cfg: dict, out: Path, rng: RngStream) -> None:
+def _task_loe(cfg: dict, out: Path, rng: RngStream):
     op = cfg["_operator"]
     partition = sorted(set(cfg["partition"]))
     state = _evolved(cfg, op)
     rep = est.estimate_loe2(state, state, partition, cfg["shots"], rng.fork("loe"))
-    doc = _base_doc(cfg, rep.value, rep.stderr, rep.shots, {
-        "n": op.n, "t": cfg["t"], "steps": cfg["steps"],
-        "partition": partition, "label": "linear_operator_entanglement",
-    })
-    if cfg["with_oracle"]:
-        exact = oracle.exact_loe(_oracle_evolved(cfg, op), partition)
-        doc["oracle"] = _delta_block(rep.value, rep.stderr, exact["linear"])
-    _write_report(out, doc)
+    return (
+        rep,
+        {"partition": partition},
+        lambda: oracle.exact_loe(_oracle_evolved(cfg, op), partition)["linear"],
+    )
 
 
-def _task_corr(cfg: dict, out: Path, rng: RngStream) -> None:
+def _task_corr(cfg: dict, out: Path, rng: RngStream):
     op = cfg["_operator"]
     op_b = cfg.get("_operator_b", op)
-    h = cfg.get("_hamiltonian")
-    circuit = cfg.get("_circuit")
-    if circuit is not None:
-        u = u2 = circuit
-    elif h is not None and cfg["t"] != 0.0:
-        u = u2 = trotter_circuit(h, cfg["t"], cfg["steps"])
-    else:
-        u = u2 = Circuit(op.n)
-    _require_cap(op.n)
-    state = interferometric_state(op, op_b, u, u2)
+    u = _single_register_circuit(cfg, op.n)
+    state = interferometric_state(op, op_b, u, u)
     rep = est.estimate_corr_interferometric(state, cfg["shots"], rng.fork("corr"))
-    doc = _base_doc(cfg, rep.value, rep.stderr, rep.shots, {
-        "n": op.n, "t": cfg["t"], "steps": cfg["steps"], "label": "two_point",
-    })
-    if cfg["with_oracle"]:
+
+    def exact():
         # Unitary operators keep unit HS norm, so the scaled dense forms
         # returned here are the evolved operators themselves.
         d1 = _oracle_evolved(cfg, op)
         d2 = _oracle_evolved(cfg, op_b)
-        exact = float(np.trace(d2 @ d1).real) / 2**op.n
-        doc["oracle"] = _delta_block(rep.value, rep.stderr, exact)
-    _write_report(out, doc)
+        return float(np.trace(d2 @ d1).real) / 2**op.n
+
+    return rep, {}, exact
 
 
-def _bitflip_dilation(p: float) -> Circuit:
-    # |psi>|0> -> sqrt(1-p)|psi>|0> + sqrt(p) X|psi>|1>
-    theta = 2.0 * math.asin(math.sqrt(p))
-    return Circuit.from_gates(2, [Gate("ry", (1,), theta), Gate("cx", (1, 0))])
-
-
-def _task_choi2pc(cfg: dict, out: Path, rng: RngStream) -> None:
+def _task_choi2pc(cfg: dict, out: Path, rng: RngStream):
     op = cfg["_operator"]
-    _require_cap(op.n)
-    site = cfg["site"]
+    site, p = cfg["site"], cfg["p"]
     if not 0 <= site < op.n:
         raise ValueError(f"site {site} outside 0..{op.n - 1}")
-    dilation = _bitflip_dilation(cfg["p"])
-    state = vectorize(op, COMPUTATIONAL)
-    dual, prob = channel_dual_postselect(dilation, 1, state, sites=(site,))
+    # |psi>|0> -> sqrt(1-p)|psi>|0> + sqrt(p) X|psi>|1>
+    theta = 2.0 * math.asin(math.sqrt(p))
+    dilation = Circuit.from_gates(2, [Gate("ry", (1,), theta), Gate("cx", (1, 0))])
+    dual, prob = channel_dual_postselect(dilation, 1, vectorize(op, COMPUTATIONAL), sites=(site,))
     save_state(dual, out / "state.bin")
-    doc = _base_doc(cfg, prob, 0.0, 1, {
-        "n": op.n, "p": cfg["p"], "site": site, "label": "postselect_probability",
-    })
-    if cfg["with_oracle"]:
-        p = cfg["p"]
+
+    def exact():
+        dense = op.to_dense()
         kraus = [
-            math.sqrt(1 - p) * np.eye(2, dtype=complex),
-            math.sqrt(p) * np.array([[0, 1], [1, 0]], dtype=complex),
+            math.sqrt(1 - p) * np.eye(2**op.n, dtype=complex),
+            math.sqrt(p) * PauliString.single(op.n, site, "X").to_dense(),
         ]
-        full = [_embed_site(k, site, op.n) for k in kraus]
-        dual_dense = oracle.exact_channel_dual(full, op.to_dense())
-        exact_prob = float(
-            np.linalg.norm(dual_dense) ** 2 / (np.linalg.norm(op.to_dense()) ** 2 * 2)
-        )
-        block = _delta_block(prob, 0.0, exact_prob)
+        dual_dense = oracle.exact_channel_dual(kraus, dense)
         norm = np.linalg.norm(dual_dense)
+        block = _delta_block(prob, 0.0, float(norm**2 / (np.linalg.norm(dense) ** 2 * 2)))
         if norm > 1e-12:
             fid = abs(np.vdot(vectorize(dual_dense, COMPUTATIONAL).amplitudes, dual.amplitudes))
             block["state_fidelity"] = float(fid)
-        doc["oracle"] = block
-    _write_report(out, doc)
+        return block
+
+    return prob, {"p": p, "site": site}, exact
 
 
-def _embed_site(local: np.ndarray, site: int, n: int) -> np.ndarray:
-    out = np.eye(1, dtype=complex)
-    for i in range(n):
-        out = np.kron(out, local if i == site else np.eye(2, dtype=complex))
-    return out
-
-
-def _task_nqubit(cfg: dict, out: Path, rng: RngStream) -> None:
+def _task_nqubit(cfg: dict, out: Path, rng: RngStream):
     op = cfg["_operator"]
     word = next(iter(op.ordered_items()))[1]
-    pairs = cfg["_pairs"]
-    _require_cap(op.n)
-    h = cfg.get("_hamiltonian")
-    circuit = cfg.get("_circuit")
-    if circuit is not None:
-        u = circuit
-    elif h is not None and cfg["t"] != 0.0:
-        u = trotter_circuit(h, cfg["t"], cfg["steps"])
-    else:
-        u = Circuit(op.n)
-    reports = est.nqubit_otoc(word, u, pairs, cfg["shots"], rng.fork("nqubit"))
-    exact_dense = _oracle_evolved(cfg, op) if cfg["with_oracle"] else None
-    entries = []
-    for (left, right), rep in zip(pairs, reports):
-        entry = _report_entry(rep)
-        if exact_dense is not None:
-            exact = oracle.exact_otoc(exact_dense, left, right)
-            entry["oracle"] = _delta_block(rep.value, rep.stderr, exact)
-        entries.append(entry)
-    doc = _base_doc(cfg, reports[0].value, reports[0].stderr, reports[0].shots, {
-        "n": op.n, "t": cfg["t"], "steps": cfg["steps"], "label": "nqubit_otoc",
-    })
-    doc["reports"] = entries
-    _write_report(out, doc)
+    u = _single_register_circuit(cfg, op.n)
+    reports = est.nqubit_otoc(word, u, cfg["_pairs"], cfg["shots"], rng.fork("nqubit"))
+    return reports, {}, lambda: _exact_otocs(cfg)
 
 
-def _task_compile2d(cfg: dict, out: Path, rng: RngStream) -> None:
+def _task_compile2d(cfg: dict, out: Path, rng: RngStream):
     rows, cols = cfg["lattice"]["rows"], cfg["lattice"]["cols"]
     layout = lattice2d.embed(rows, cols)
     schedule = lattice2d.trotter_step_schedule(
@@ -641,46 +548,100 @@ def _task_compile2d(cfg: dict, out: Path, rng: RngStream) -> None:
     )
     (out / "schedule.json").write_text(schedule.to_json() + "\n")
     report = lattice2d.validate(schedule, layout)
-    doc = _base_doc(cfg, report.entangling_depth, 0.0, 1, {
+    params = {
         "rows": rows, "cols": cols, "depth": report.depth,
         "gate_counts": report.gate_counts,
         "edges_covered": report.edges_covered,
         "violations": list(report.violations),
-        "label": "entangling_depth",
-    })
-    if cfg["with_oracle"]:
+    }
+
+    def exact():
+        # One lowered schedule step against one doubled Trotter step of the
+        # lattice Hamiltonian, both applied to the encoded Z on site 0.
         n = rows * cols
-        _require_cap(n)
         h = PauliSum(n)
-        for i in range(n):
-            if cfg["h_x"]:
-                h.add(cfg["h_x"], PauliString.single(n, i, "X"))
-            if cfg["h_z"]:
-                h.add(cfg["h_z"], PauliString.single(n, i, "Z"))
+        for i in range(n):  # adding a zero coefficient adds no term
+            h.add(cfg["h_x"], PauliString.single(n, i, "X"))
+            h.add(cfg["h_z"], PauliString.single(n, i, "Z"))
         for a, b in sorted(lattice2d._lattice_edges(rows, cols)):
-            if cfg["J"]:
-                h.add(-cfg["J"], PauliString(n, (1 << a) | (1 << b), 0))
+            h.add(-cfg["J"], PauliString(n, (1 << a) | (1 << b), 0))
         op = PauliSum.from_terms([(1.0, PauliString.single(n, 0, "Z"))])
         start = prepare_vectorized(op, COMPUTATIONAL)
         one = apply_circuit(start, lattice2d.schedule_to_circuit(schedule, layout))
         ref = apply_circuit(start, super_propagator_circuit(h, cfg["dt"], 1))
-        diff = float(np.linalg.norm(one.amplitudes - ref.amplitudes))
-        doc["oracle"] = {"value": 0.0, "abs_delta": diff}
-    _write_report(out, doc)
+        return {"value": 0.0, "abs_delta": float(np.linalg.norm(one.amplitudes - ref.amplitudes))}
+
+    return report.entangling_depth, params, exact
 
 
-_HANDLERS = {
-    "evolve": _task_evolve,
-    "sample": _task_sample,
-    "otoc": _task_otoc,
-    "superop": _task_superop,
-    "ose": _task_ose,
-    "loe": _task_loe,
-    "corr": _task_corr,
-    "choi2pc": _task_choi2pc,
-    "nqubit": _task_nqubit,
-    "compile2d": _task_compile2d,
+# ---------------------------------------------------------------------------
+# The runner: one frame for every task.
+
+_TASKS = {
+    "evolve": (_task_evolve, "autocorrelation"),
+    "sample": (_task_sample, "mode_frequency"),
+    "otoc": (_task_otoc, "otoc"),
+    "superop": (_task_superop, "superop"),
+    "ose": (_task_ose, "stabilizer_purity"),
+    "loe": (_task_loe, "linear_operator_entanglement"),
+    "corr": (_task_corr, "two_point"),
+    "choi2pc": (_task_choi2pc, "postselect_probability"),
+    "nqubit": (_task_nqubit, "nqubit_otoc"),
+    "compile2d": (_task_compile2d, "entangling_depth"),
 }
+
+TASKS = tuple(_TASKS)
+
+# Tasks that run no evolution, so report no t and steps.
+_UNEVOLVED = ("choi2pc", "compile2d")
+
+# Checked in order; the first class the exception is an instance of wins.
+_EXIT_CODES = {
+    ParseError: EXIT_PARSE,
+    CapExceededError: EXIT_CAP,
+    NonCommutingSetError: EXIT_NONCOMMUTING,
+    EntangledEigenbasisError: EXIT_NONCOMMUTING,
+    ProjectionFailedError: EXIT_FAIL,
+    ValueError: EXIT_FAIL,
+    OSError: EXIT_FAIL,
+}
+
+
+def _execute(cfg: dict, out: Path, rng: RngStream) -> None:
+    """Cap check, the task's handler, the shared params, the oracle block,
+    and report.json."""
+    task = cfg["task"]
+    handler, label = _TASKS[task]
+    op = cfg.get("_operator")
+    if op is not None:
+        _require_cap(op.n)
+    rep, own, exact = handler(cfg, out, rng)
+    params = {"label": label, **own}
+    if op is not None:
+        params["n"] = op.n
+    if task not in _UNEVOLVED:
+        params.update(t=cfg["t"], steps=cfg["steps"])
+    if cfg["with_oracle"] and op is None:
+        # compile2d: its oracle is its only dense step, and comes after the
+        # schedule is written.
+        _require_cap(params["rows"] * params["cols"])
+    truth = exact() if cfg["with_oracle"] else None
+    pairs = rep if isinstance(rep, list) else None
+    doc = {
+        "task": task,
+        "seed": cfg["seed"],
+        **_estimate(pairs[0] if pairs else rep),
+        "params": params,
+    }
+    if pairs:
+        exacts = truth if truth is not None else [None] * len(pairs)
+        doc["reports"] = [_pair_entry(r, e) for r, e in zip(pairs, exacts)]
+    elif truth is not None:
+        doc["oracle"] = truth if isinstance(truth, dict) else _delta_block(
+            doc["value"], doc["stderr"], truth
+        )
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    (out / "report.json").write_text(text)
 
 
 def run(config: dict, out_dir=None, with_oracle: bool | None = None,
@@ -695,19 +656,10 @@ def run(config: dict, out_dir=None, with_oracle: bool | None = None,
     out.mkdir(parents=True, exist_ok=True)
     rng = RngStream(cfg["seed"]).fork(cfg["task"])
     try:
-        _HANDLERS[cfg["task"]](cfg, out, rng)
-    except ParseError as exc:
+        _execute(cfg, out, rng)
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except (NonCommutingSetError, EntangledEigenbasisError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NONCOMMUTING
-    except (ProjectionFailedError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
     return EXIT_OK
 
 

@@ -1,5 +1,5 @@
 """Exact dense ground truth for every sampled quantity, at small site
-counts.
+counts: every function refuses operators above DENSE_SITE_CAP sites.
 
 Everything here is brute-force linear algebra on 2^n x 2^n matrices:
 conjugation by explicit propagators, trace formulas, reduced density
@@ -12,33 +12,13 @@ Entropies use the natural logarithm throughout.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import CapExceededError
-from .pauli import SIGMA, PauliString, PauliSum
+from .pauli import DENSE_SITE_CAP, SIGMA, PauliString, PauliSum
 
-_ENV_CAP = "OPVEC_MAX_N"
-
-
-@dataclass(frozen=True)
-class OracleConfig:
-    max_n: int = 7
-    tolerance: float = 1e-10
-
-    def __post_init__(self):
-        if self.max_n > 7:
-            raise ValueError("oracle is capped at 7 sites")
-
-    @staticmethod
-    def default() -> "OracleConfig":
-        cap = 7
-        env = os.environ.get(_ENV_CAP)
-        if env is not None:
-            cap = min(cap, int(env))
-        return OracleConfig(max_n=cap)
+# Largest unitarity, completeness or imaginary residue accepted as rounding.
+_TOLERANCE = 1e-10
 
 
 def _dense(op, n: int | None = None) -> np.ndarray:
@@ -57,9 +37,9 @@ def _sites(mat: np.ndarray) -> int:
     return n
 
 
-def _check_cap(n: int, config: OracleConfig) -> None:
-    if n > config.max_n:
-        raise CapExceededError(f"n={n} exceeds oracle cap {config.max_n}")
+def _check_cap(n: int) -> None:
+    if n > DENSE_SITE_CAP:
+        raise CapExceededError(f"n={n} exceeds oracle cap {DENSE_SITE_CAP}")
 
 
 def propagator(h, t: float) -> np.ndarray:
@@ -77,14 +57,13 @@ def _thermal(h: np.ndarray, a: float) -> np.ndarray:
     return (vecs * np.exp(-a * evals)) @ vecs.conj().T
 
 
-def exact_heisenberg(op, u, config: OracleConfig | None = None) -> np.ndarray:
-    config = config or OracleConfig.default()
+def exact_heisenberg(op, u) -> np.ndarray:
     om = _dense(op)
     um = _dense(u)
     if om.shape != um.shape:
         raise ValueError("operator and propagator dims differ")
-    _check_cap(_sites(om), config)
-    if np.max(np.abs(um @ um.conj().T - np.eye(um.shape[0]))) > config.tolerance:
+    _check_cap(_sites(om))
+    if np.max(np.abs(um @ um.conj().T - np.eye(um.shape[0]))) > _TOLERANCE:
         raise ValueError("propagator is not unitary within tolerance")
     return um.conj().T @ om @ um
 
@@ -92,14 +71,13 @@ def exact_heisenberg(op, u, config: OracleConfig | None = None) -> np.ndarray:
 _STACK = np.stack([SIGMA[c] for c in "IXZY"])
 
 
-def exact_pauli_amplitudes(op, config: OracleConfig | None = None) -> np.ndarray:
+def exact_pauli_amplitudes(op) -> np.ndarray:
     """All 4^n amplitudes tr(Q_k O)/2^n, indexed base-4 with digits
     I,X,Z,Y and site 0 most significant. Computed by site-by-site tensor
     contraction rather than any vectorized-register code."""
-    config = config or OracleConfig.default()
     om = _dense(op)
     n = _sites(om)
-    _check_cap(n, config)
+    _check_cap(n)
     cur = om.reshape((2,) * (2 * n))
     for k in range(n):
         # row axis of the next site sits at k, its column axis at n
@@ -108,8 +86,8 @@ def exact_pauli_amplitudes(op, config: OracleConfig | None = None) -> np.ndarray
     return cur.reshape(-1) / 2**n
 
 
-def pauli_probabilities(op, config: OracleConfig | None = None) -> np.ndarray:
-    c = exact_pauli_amplitudes(op, config)
+def pauli_probabilities(op) -> np.ndarray:
+    c = exact_pauli_amplitudes(op)
     p = np.abs(c) ** 2
     total = p.sum()
     if total <= 0:
@@ -117,26 +95,25 @@ def pauli_probabilities(op, config: OracleConfig | None = None) -> np.ndarray:
     return p / total
 
 
-def exact_otoc(op, p, q, config: OracleConfig | None = None) -> float:
+def exact_otoc(op, p, q) -> float:
     """tr(O^dag P^dag O Q)/2^n for the already-evolved operator O."""
-    config = config or OracleConfig.default()
     om = _dense(op)
     n = _sites(om)
-    _check_cap(n, config)
+    _check_cap(n)
     pm = _dense(p, n)
     qm = _dense(q, n)
     val = np.trace(om.conj().T @ pm.conj().T @ om @ qm) / 2**n
-    if abs(val.imag) > config.tolerance:
+    if abs(val.imag) > _TOLERANCE:
         raise ValueError(f"imaginary residue {val.imag} exceeds tolerance")
     return float(val.real)
 
 
-def exact_ose(op, alpha: int, config: OracleConfig | None = None) -> tuple[float, float]:
+def exact_ose(op, alpha: int) -> tuple[float, float]:
     """(purity of order alpha, entropy) of the Pauli distribution; alpha=1
     gives (1, Shannon entropy)."""
     if alpha < 1:
         raise ValueError("entropy order must be a positive integer")
-    p = pauli_probabilities(op, config)
+    p = pauli_probabilities(op)
     p = p[p > 0]
     if alpha == 1:
         return 1.0, float(-(p * np.log(p)).sum())
@@ -144,9 +121,7 @@ def exact_ose(op, alpha: int, config: OracleConfig | None = None) -> tuple[float
     return purity, float(np.log(purity) / (1 - alpha))
 
 
-def exact_loe(
-    op, partition, alpha: int = 2, config: OracleConfig | None = None
-) -> dict[str, float]:
+def exact_loe(op, partition, alpha: int = 2) -> dict[str, float]:
     """Entanglement of the vectorized operator across a site bipartition.
 
     The reduced state keeps, for every site in the partition, both qubits
@@ -155,10 +130,9 @@ def exact_loe(
     """
     if alpha < 2:
         raise ValueError("entanglement order must be an integer >= 2")
-    config = config or OracleConfig.default()
     om = _dense(op)
     n = _sites(om)
-    _check_cap(n, config)
+    _check_cap(n)
     sites = sorted(set(partition))
     if not sites or len(sites) == n:
         raise ValueError("partition must be a nonempty proper subset of sites")
@@ -195,52 +169,49 @@ def _validate_pattern(pattern) -> tuple[float, float, float, float]:
 
 
 def exact_regulated(
-    op, a, b, h, t: float, beta: float, pattern, config: OracleConfig | None = None
+    op, a, b, h, t: float, beta: float, pattern
 ) -> float:
     """Regulated out-of-time-order correlator
     tr(rho^a1 O(t) rho^a2 A rho^a3 O(t) rho^a4 B)/Z with rho = e^{-beta H}
     unnormalized and Z = tr(e^{-beta H}). beta=0 reduces to the plain
     correlator."""
-    config = config or OracleConfig.default()
     hm = _dense(h)
     n = _sites(hm)
-    _check_cap(n, config)
+    _check_cap(n)
     a1, a2, a3, a4 = _validate_pattern(pattern)
-    om = exact_heisenberg(_dense(op, n), propagator(hm, t), config)
+    om = exact_heisenberg(_dense(op, n), propagator(hm, t))
     am = _dense(a, n)
     bm = _dense(b, n)
     z = np.trace(_thermal(hm, beta)).real
     weights = [_thermal(hm, ai * beta) for ai in (a1, a2, a3, a4)]
     val = np.trace(weights[0] @ om @ weights[1] @ am @ weights[2] @ om @ weights[3] @ bm) / z
-    if abs(val.imag) > config.tolerance:
+    if abs(val.imag) > _TOLERANCE:
         raise ValueError(f"imaginary residue {val.imag} exceeds tolerance")
     return float(val.real)
 
 
-def exact_wightman(op1, op2, h, beta: float, config: OracleConfig | None = None) -> float:
+def exact_wightman(op1, op2, h, beta: float) -> float:
     """Thermally split two-point function tr(rho^{1/2} O1 rho^{1/2} O2)/Z."""
-    config = config or OracleConfig.default()
     hm = _dense(h)
     n = _sites(hm)
-    _check_cap(n, config)
+    _check_cap(n)
     half = _thermal(hm, beta / 2)
     z = np.trace(_thermal(hm, beta)).real
     val = np.trace(half @ _dense(op1, n) @ half @ _dense(op2, n)) / z
-    if abs(val.imag) > config.tolerance:
+    if abs(val.imag) > _TOLERANCE:
         raise ValueError(f"imaginary residue {val.imag} exceeds tolerance")
     return float(val.real)
 
 
-def exact_channel_dual(kraus, op, config: OracleConfig | None = None) -> np.ndarray:
+def exact_channel_dual(kraus, op) -> np.ndarray:
     """Adjoint channel sum E_k^dag O E_k after checking Kraus completeness."""
-    config = config or OracleConfig.default()
     mats = [np.asarray(e, dtype=complex) for e in kraus]
     if not mats:
         raise ValueError("empty Kraus list")
     dim = mats[0].shape[0]
-    _check_cap(_sites(mats[0]), config)
+    _check_cap(_sites(mats[0]))
     total = sum(e.conj().T @ e for e in mats)
-    if np.max(np.abs(total - np.eye(dim))) > config.tolerance:
+    if np.max(np.abs(total - np.eye(dim))) > _TOLERANCE:
         raise ValueError("Kraus operators do not satisfy completeness")
     om = _dense(op)
     if om.shape[0] != dim:

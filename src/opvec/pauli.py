@@ -140,11 +140,6 @@ def phase_value(k: Phase) -> complex:
     return (1, 1j, -1, -1j)[k % 4]
 
 
-def geometric_features(p: PauliString) -> tuple[int, int]:
-    """(weight, right_boundary) of a string; both 0 for the identity."""
-    return p.weight, p.right_boundary
-
-
 class PauliSum:
     """Complex linear combination of Pauli words over a fixed site count.
 

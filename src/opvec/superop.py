@@ -8,8 +8,9 @@ product of per-site 4x4 blocks. Diagonal superoperators are carried as a
 real function lambda over Pauli strings plus, when one exists, a sparse
 operator-sum coefficient vector f; the two are related by the commutation
 sign transform lambda = K f, f = K lambda / 4^n with
-K[i,k] = +1 iff strings i and k commute. K is materialized only for n <= 2;
-everything else streams rows on demand.
+K[i,k] = +1 iff strings i and k commute. Commutation signs multiply site by
+site, so K is the n-fold tensor power of one 4x4 sign matrix and is applied
+one site at a time; it is materialized only for n <= 2.
 
 Self-adjointness of an operator-sum superoperator is equivalent to its
 merged (L, R) coefficients being real, which in turn is equivalent to a
@@ -23,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._linalg import apply_block
+from ._linalg import apply_block, apply_matrix
 from .errors import CapExceededError, NonCommutingSetError, ParseError
 from .pauli import DENSE_SITE_CAP, SIGMA, PauliString, PauliSum
 from .simulator import Circuit, Gate, gate_matrix
@@ -139,7 +140,11 @@ class OperatorSumSuperop:
 # ---------------------------------------------------------------------------
 # Diagonal superoperators.
 
-_POPCOUNT = np.array([bin(i).count("1") for i in range(1 << DENSE_SITE_CAP)], dtype=np.int64)
+# +1 where two single-site Paulis commute, digits I, X, Z, Y as in the
+# Pauli index: the one-site factor of the commutation-sign matrix K.
+_SITE_SIGNS = np.array(
+    [[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]], dtype=float
+)
 
 
 @dataclass
@@ -198,30 +203,23 @@ def walsh_hadamard(values: np.ndarray, n: int, direction: str) -> np.ndarray:
     """Commutation-sign transform between operator-sum coefficients f and
     diagonal entries lambda: lambda = K f and f = K lambda / 4^n.
 
-    Rows are streamed; only walsh_matrix materializes K.
+    K is applied as one 4x4 sign contraction per site, O(n 4^n); only
+    walsh_matrix materializes it.
     """
-    values = np.asarray(values, dtype=float).reshape(-1)
-    if values.shape[0] != 4**n:
+    out = np.array(values, dtype=float).reshape(-1)
+    if out.shape[0] != 4**n:
         raise ValueError(f"expected 4^{n} entries")
     if direction not in ("f_to_lambda", "lambda_to_f"):
         raise ValueError(f"unknown direction {direction!r}")
-    zs = np.empty(4**n, dtype=np.int64)
-    xs = np.empty(4**n, dtype=np.int64)
-    for i in range(4**n):
-        p = index_pauli(i, n)
-        zs[i], xs[i] = p.z, p.x
-    out = np.empty_like(values)
-    for i in range(4**n):
-        anti = (_POPCOUNT[zs[i] & xs] + _POPCOUNT[xs[i] & zs]) & 1
-        signs = 1.0 - 2.0 * anti
-        out[i] = signs @ values
+    for site in range(n):
+        out = apply_matrix(out, _SITE_SIGNS, (site,), n, d=4)
     if direction == "lambda_to_f":
         out /= 4**n
     return out
 
 
 def walsh_matrix(n: int) -> np.ndarray:
-    """Dense K, deliberately capped at n <= 2."""
+    """Dense K, the reference for walsh_hadamard, deliberately capped at n <= 2."""
     if n > 2:
         raise CapExceededError("dense commutation-sign matrix is capped at n=2")
     k = np.empty((4**n, 4**n))
@@ -397,18 +395,6 @@ def classify_commuting_set(
     if anti_pair is not None:
         return CommutationClass(COMMUTING_ENTANGLED, anti_pair)
     return CommutationClass(ALL_SEPARABLE_COMMUTING, None)
-
-
-def all_pairs_anticommute(
-    pairs: list[tuple[PauliString, PauliString]]
-) -> tuple[bool, tuple[int, int] | None]:
-    """True when every distinct lifted pair anticommutes: exactly one of
-    the left/right factor pairs anticommutes, for every (i, j)."""
-    for i in range(len(pairs)):
-        for j in range(i + 1, len(pairs)):
-            if pairs[i][0].commutes(pairs[j][0]) == pairs[i][1].commutes(pairs[j][1]):
-                return False, (i, j)
-    return True, None
 
 
 def lifted_pauli(left: PauliString, right: PauliString) -> tuple[int, PauliString]:

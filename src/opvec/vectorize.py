@@ -123,13 +123,6 @@ def index_pauli(idx: int, n: int) -> PauliString:
     return PauliString(n, z, x)
 
 
-def pauli_index_codec(p: PauliString) -> tuple[int, complex]:
-    """Index and amplitude phase of the basis state representing ``p``:
-    a standard Pauli word picks up (-i) per Y site relative to the Z^z X^x
-    product the index encodes."""
-    return pauli_index(p), (-1j) ** p.y_count
-
-
 # ---------------------------------------------------------------------------
 # Local basis-change transforms.
 

@@ -429,3 +429,84 @@ class TestCapExit:
         code, _ = run_task(tmp_path, "evolve", operator="Z" + "I" * 7, seed=1)
         assert code == 3
         assert "error:" in capsys.readouterr().err
+
+    W8 = "Z" + "I" * 7
+    OPERATOR_TASKS_N8 = {
+        "evolve": dict(operator=W8),
+        "sample": dict(operator=W8),
+        "otoc": dict(operator=W8, pairs=[[W8, W8]]),
+        "superop": dict(operator=W8, superop="size"),
+        "ose": dict(operator=W8),
+        "loe": dict(operator=W8, partition=[0]),
+        "corr": dict(operator=W8, operator_b="X" + "I" * 7),
+        "choi2pc": dict(operator=W8, p=0.1, site=0),
+        "nqubit": dict(operator="X" + "I" * 7, pairs=[[W8, W8]]),
+    }
+
+    @pytest.mark.parametrize("task", sorted(OPERATOR_TASKS_N8))
+    def test_every_operator_task_refuses_n8(self, tmp_path, capsys, task):
+        code, out = run_task(
+            tmp_path, task, hamiltonian={"text": ising_chain(8).to_text()}, t=1.0,
+            steps=4, seed=1, extra_args=("--with-oracle",), **self.OPERATOR_TASKS_N8[task],
+        )
+        assert code == 3
+        assert "error: 8 sites exceed the dense cap of 7" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_lattice_oracle_refuses_eight_sites(self, tmp_path, capsys):
+        code, _ = run_task(
+            tmp_path, "compile2d", lattice={"rows": 2, "cols": 4},
+            h_x=0.5, J=-0.25, dt=0.05, seed=1, extra_args=("--with-oracle",),
+        )
+        assert code == 3
+        assert "error: 8 sites exceed the dense cap of 7" in capsys.readouterr().err
+
+
+# Exact report.json key sets: top level, params, the oracle block and each
+# per-pair entry, for the acceptance CLI configs (seed 9), plus an
+# operator-sum superop. Whether delta_over_stderr appears depends on the
+# estimate's stderr being nonzero, so it is pinned for these configs only.
+SUPEROP_SUM = dict(operator="XII", superop={"text": "0.5 0 XII XII\n0.25 0 ZII ZII"}, shots=1024)
+TOP = {"task", "seed", "value", "stderr", "shots", "params"}
+EVOLVED = {"label", "n", "t", "steps"}
+PAIR = {"left", "right", "value", "stderr", "shots"}
+DELTA = {"value", "abs_delta"}
+REPORT_KEYS = {
+    "evolve": (TOP, EVOLVED | {"basis"}, DELTA, None),
+    "sample": (TOP, EVOLVED | {"mode", "distinct"}, {"tv_distance"}, None),
+    "otoc": (TOP | {"reports"}, EVOLVED, None,
+             [(PAIR, DELTA | {"delta_over_stderr"}), (PAIR, DELTA)]),
+    "superop": (TOP, EVOLVED | {"power"}, DELTA, None),
+    "superop_sum": (TOP, EVOLVED | {"groups"}, DELTA, None),
+    "ose": (TOP, EVOLVED | {"alpha", "epsilon", "delta", "entropy"}, DELTA, None),
+    "loe": (TOP, EVOLVED | {"partition"}, DELTA | {"delta_over_stderr"}, None),
+    "corr": (TOP, EVOLVED, DELTA | {"delta_over_stderr"}, None),
+    "choi2pc": (TOP, {"label", "n", "p", "site"}, DELTA | {"state_fidelity"}, None),
+    "nqubit": (TOP | {"reports"}, EVOLVED, None, [(PAIR, DELTA)]),
+    "compile2d": (TOP, {"label", "rows", "cols", "depth", "gate_counts",
+                        "edges_covered", "violations"}, DELTA, None),
+}
+
+
+@pytest.mark.parametrize("with_oracle", [False, True])
+@pytest.mark.parametrize("case", sorted(REPORT_KEYS))
+def test_report_key_sets(tmp_path, case, with_oracle):
+    from test_acceptance import CLI_CASES
+
+    task = "superop" if case == "superop_sum" else case
+    cfg = SUPEROP_SUM if case == "superop_sum" else CLI_CASES[task]
+    extra = ("--with-oracle",) if with_oracle else ()
+    code, out = run_task(tmp_path, task, extra_args=extra, seed=9, **cfg)
+    assert code == 0
+    doc = json.loads((out / "report.json").read_text())
+    top, params, block, pairs = REPORT_KEYS[case]
+    assert set(doc) == (top | {"oracle"} if with_oracle and block else top)
+    assert set(doc["params"]) == params
+    if with_oracle and block:
+        assert set(doc["oracle"]) == block
+    if pairs is not None:
+        assert len(doc["reports"]) == len(pairs)
+        for entry, (keys, pair_block) in zip(doc["reports"], pairs):
+            assert set(entry) == (keys | {"oracle"} if with_oracle else keys)
+            if with_oracle:
+                assert set(entry["oracle"]) == pair_block

@@ -11,7 +11,6 @@ import pytest
 
 from opvec.errors import CapExceededError
 from opvec.oracle import (
-    OracleConfig,
     exact_channel_dual,
     exact_heisenberg,
     exact_loe,
@@ -212,18 +211,5 @@ class TestChannelDual:
 
 class TestConfig:
     def test_cap_enforced(self):
-        with pytest.raises(CapExceededError):
-            exact_otoc(
-                np.eye(2**8),
-                PauliString.identity(8),
-                PauliString.identity(8),
-                OracleConfig(max_n=7),
-            )
-
-    def test_cap_ceiling(self):
-        with pytest.raises(ValueError):
-            OracleConfig(max_n=8)
-
-    def test_env_override_lowers_cap(self, monkeypatch):
-        monkeypatch.setenv("OPVEC_MAX_N", "2")
-        assert OracleConfig.default().max_n == 2
+        with pytest.raises(CapExceededError, match="exceeds oracle cap 7"):
+            exact_otoc(np.eye(2**8), PauliString.identity(8), PauliString.identity(8))

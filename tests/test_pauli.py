@@ -8,7 +8,6 @@ from opvec.errors import CapExceededError, ParseError
 from opvec.pauli import (
     PauliString,
     PauliSum,
-    geometric_features,
     pauli_product,
     phase_value,
 )
@@ -69,7 +68,6 @@ def test_product_is_involution_up_to_phase():
 def test_geometric_features(label, weight, boundary, ys):
     p = PauliString.from_label(label)
     assert (p.weight, p.right_boundary, p.y_count) == (weight, boundary, ys)
-    assert geometric_features(p) == (weight, boundary)
 
 
 def test_single_and_site():

@@ -18,7 +18,6 @@ from opvec.superop import (
     NOT_COMMUTING,
     DiagonalSuperop,
     OperatorSumSuperop,
-    all_pairs_anticommute,
     builtin_diagonal,
     classify_commuting_set,
     common_eigenbasis_circuit,
@@ -34,7 +33,7 @@ from opvec.superop import (
     walsh_hadamard,
     walsh_matrix,
 )
-from opvec.vectorize import COMPUTATIONAL, PAULI, vectorize
+from opvec.vectorize import COMPUTATIONAL, PAULI, pauli_index, vectorize
 from helpers import ginibre, random_hermitian_sum, random_word
 
 # Conjugation images of two-qubit Pauli words under the per-site-pair basis
@@ -188,6 +187,18 @@ class TestWalsh:
         f = walsh_hadamard(lam, n, "lambda_to_f")
         assert np.allclose(walsh_hadamard(f, n, "f_to_lambda"), lam, atol=1e-10)
 
+    def test_size_weights_past_the_dense_cap(self):
+        # Every sum here is of quarters, so the transform is exact.
+        n = 8
+        f = np.zeros(4**n)
+        for (z, x), c in size_superop(n).f_sparse.items():
+            f[pauli_index(PauliString(n, z, x))] = c
+        idx = np.arange(4**n)
+        weights = sum(((idx >> (2 * site)) & 3) != 0 for site in range(n))
+        lam = walsh_hadamard(f, n, "f_to_lambda")
+        assert np.array_equal(lam, weights)
+        assert np.array_equal(walsh_hadamard(lam, n, "lambda_to_f"), f)
+
     def test_matrix_cap(self):
         with pytest.raises(CapExceededError):
             walsh_matrix(3)
@@ -301,11 +312,6 @@ class TestClassification:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             classify_commuting_set([])
-
-    def test_all_pairs_anticommute(self):
-        x, z, i = (PauliString.from_label(c) for c in "XZI")
-        assert all_pairs_anticommute([(x, i), (z, i)]) == (True, None)
-        assert all_pairs_anticommute([(x, x), (z, z)]) == (False, (0, 1))
 
     def test_lifted_word_matches_dense(self, gen):
         for _ in range(10):
