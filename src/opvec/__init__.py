@@ -50,26 +50,21 @@ from .simulator import (
     channel_dual_postselect,
     dense_unitary,
     heisenberg_doubled,
-    heisenberg_left_only,
     imaginary_time_apply,
     interferometric_state,
-    prepare_choi,
     prepare_vectorized,
     regulated_overlap,
-    schrodinger_doubled,
     super_propagator_circuit,
     trotter_circuit,
 )
 from .superop import (
     DiagonalSuperop,
     OperatorSumSuperop,
-    TransferMatrix,
     builtin_diagonal,
     classify_commuting_set,
     common_eigenbasis_circuit,
     expectation,
     size_superop,
-    transfer_matrix,
     walsh_hadamard,
 )
 from .vectorize import (
@@ -79,7 +74,6 @@ from .vectorize import (
     VectorizedState,
     bell_transform,
     devectorize,
-    hs_inner,
     index_pauli,
     load_state,
     pauli_index,

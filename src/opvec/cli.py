@@ -615,16 +615,14 @@ def _execute(cfg: dict, out: Path, rng: RngStream) -> None:
     op = cfg.get("_operator")
     if op is not None:
         _require_cap(op.n)
+    elif cfg["with_oracle"]:  # compile2d: its oracle is its only dense step
+        _require_cap(cfg["lattice"]["rows"] * cfg["lattice"]["cols"])
     rep, own, exact = handler(cfg, out, rng)
     params = {"label": label, **own}
     if op is not None:
         params["n"] = op.n
     if task not in _UNEVOLVED:
         params.update(t=cfg["t"], steps=cfg["steps"])
-    if cfg["with_oracle"] and op is None:
-        # compile2d: its oracle is its only dense step, and comes after the
-        # schedule is written.
-        _require_cap(params["rows"] * params["cols"])
     truth = exact() if cfg["with_oracle"] else None
     pairs = rep if isinstance(rep, list) else None
     doc = {

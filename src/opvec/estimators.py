@@ -226,6 +226,53 @@ def _site_bitmask(word: PauliString) -> int:
     return mask
 
 
+def _outcome_weights(counts: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct Born outcomes in ascending order, and how often each came up."""
+    outcomes = np.array(sorted(counts), dtype=np.int64)
+    return outcomes, np.array([counts[int(o)] for o in outcomes], dtype=float)
+
+
+def _require_commuting(pairs: list[tuple[PauliString, PauliString]], message: str):
+    """The family's commutation class; NonCommutingSetError if it has none."""
+    verdict = classify_commuting_set(pairs)
+    if verdict.verdict == NOT_COMMUTING:
+        raise NonCommutingSetError(message, witness=verdict.witness)
+    return verdict
+
+
+def _pair_report(
+    eig: np.ndarray, weights: np.ndarray, shots: int, rng: RngStream,
+    left: PauliString, right: PauliString,
+) -> EstimatorReport:
+    mean, stderr = _mean_stderr(eig, weights)
+    return EstimatorReport(
+        mean, stderr, shots, rng.seed, metadata={"left": left.label, "right": right.label}
+    )
+
+
+def _measure_family(
+    state: VectorizedState,
+    pairs: list[tuple[PauliString, PauliString]],
+    shots: int,
+    rng: RngStream,
+    message: str,
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Born-sample the doubled register in the common eigenbasis of the
+    lifted family {L_i (x) R_i^*}: each pair's eigenvalue at every distinct
+    outcome, and the outcome counts. ``message`` heads the
+    NonCommutingSetError raised when the family does not commute."""
+    _require_commuting(pairs, message)
+    s = state if state.basis == COMPUTATIONAL else bell_transform(state, "p_to_c")
+    lifted = [lifted_pauli(l, r) for l, r in pairs]
+    circ = common_eigenbasis_circuit([w for _, w in lifted])
+    reg = apply_circuit(QState(2 * s.n, s.amplitudes), circ)
+    outcomes, weights = _outcome_weights(born_sample(reg, shots, rng))
+    eigs = [
+        _eigen_signs(outcomes, *conjugate_through(circ, sign, word)) for sign, word in lifted
+    ]
+    return eigs, weights
+
+
 def estimate_otoc_group(
     state: VectorizedState,
     pairs: list[tuple[PauliString, PauliString]],
@@ -234,34 +281,13 @@ def estimate_otoc_group(
 ) -> list[EstimatorReport]:
     """Estimate every <L_i (x) R_i^*> from one sample set measured in the
     family's common eigenbasis."""
-    verdict = classify_commuting_set(pairs)
-    if verdict.verdict == NOT_COMMUTING:
-        raise NonCommutingSetError(
-            "pairs do not lift to a commuting family", witness=verdict.witness
-        )
-    s = state if state.basis == COMPUTATIONAL else bell_transform(state, "p_to_c")
-    lifted = [lifted_pauli(l, r) for l, r in pairs]
-    circ = common_eigenbasis_circuit([w for _, w in lifted])
-    reg = QState(2 * s.n, s.amplitudes)
-    reg = apply_circuit(reg, circ)
-    counts = born_sample(reg, shots, rng)
-    outcomes = np.array(sorted(counts), dtype=np.int64)
-    weights = np.array([counts[int(o)] for o in outcomes], dtype=float)
-    reports = []
-    for (left, right), (sign, word) in zip(pairs, lifted):
-        phase, zword = conjugate_through(circ, sign, word)
-        eig = _eigen_signs(outcomes.copy(), phase, zword)
-        mean, stderr = _mean_stderr(eig, weights)
-        reports.append(
-            EstimatorReport(
-                mean,
-                stderr,
-                shots,
-                rng.seed,
-                metadata={"left": left.label, "right": right.label},
-            )
-        )
-    return reports
+    eigs, weights = _measure_family(
+        state, pairs, shots, rng, "pairs do not lift to a commuting family"
+    )
+    return [
+        _pair_report(eig, weights, shots, rng, left, right)
+        for (left, right), eig in zip(pairs, eigs)
+    ]
 
 
 def estimate_superop_grouped(
@@ -303,28 +329,16 @@ def estimate_superop_grouped(
         gshots = plan.counts[gi]
         if gshots < 1:
             raise ValueError(f"group {gi} got no shots")
-        pairs = [(a.terms[idx][1], a.terms[idx][2]) for idx in group]
-        coefs = []
-        for idx in group:
-            f = a.terms[idx][0]
-            if abs(f.imag) > 1e-12:
-                raise ValueError("grouped terms need real coefficients")
-            coefs.append(f.real)
-        verdict = classify_commuting_set(pairs)
-        if verdict.verdict == NOT_COMMUTING:
-            raise NonCommutingSetError(
-                f"group {gi} is not a commuting family", witness=verdict.witness
-            )
-        lifted = [lifted_pauli(l, r) for l, r in pairs]
-        circ = common_eigenbasis_circuit([w for _, w in lifted])
-        reg = apply_circuit(QState(2 * s.n, s.amplitudes), circ)
-        counts = born_sample(reg, gshots, rng.fork(f"group{gi}"))
-        outcomes = np.array(sorted(counts), dtype=np.int64)
-        weights = np.array([counts[int(o)] for o in outcomes], dtype=float)
-        per_shot = np.zeros(outcomes.shape, dtype=float)
-        for coef, (sign, word) in zip(coefs, lifted):
-            phase, zword = conjugate_through(circ, sign, word)
-            per_shot += coef * _eigen_signs(outcomes.copy(), phase, zword)
+        terms = [a.terms[idx] for idx in group]
+        if any(abs(f.imag) > 1e-12 for f, _, _ in terms):
+            raise ValueError("grouped terms need real coefficients")
+        eigs, weights = _measure_family(
+            s, [(l, r) for _, l, r in terms], gshots, rng.fork(f"group{gi}"),
+            f"group {gi} is not a commuting family",
+        )
+        per_shot = np.zeros(weights.shape, dtype=float)
+        for (f, _, _), eig in zip(terms, eigs):
+            per_shot += f.real * eig
         mean, stderr = _mean_stderr(per_shot, weights)
         value += mean
         var += stderr**2
@@ -524,9 +538,7 @@ def estimate_corr_interferometric(
         raise ValueError("expected a doubled register plus one ancilla")
     anc = state.k - 1
     meas = apply_circuit(state, Circuit.from_gates(state.k, [Gate("h", (anc,))]))
-    counts = born_sample(meas, shots, rng)
-    outcomes = np.array(sorted(counts), dtype=np.int64)
-    weights = np.array([counts[int(o)] for o in outcomes], dtype=float)
+    outcomes, weights = _outcome_weights(born_sample(meas, shots, rng))
     signs = 1.0 - 2.0 * (outcomes & 1).astype(float)
     mean, stderr = _mean_stderr(signs, weights)
     return EstimatorReport(mean, stderr, shots, rng.seed, metadata={"basis": "x"})
@@ -575,11 +587,7 @@ def nqubit_otoc(
     n = op.n
     if u.k != n:
         raise ValueError("circuit acts on a different qubit count")
-    verdict = classify_commuting_set(pairs)
-    if verdict.verdict == NOT_COMMUTING:
-        raise NonCommutingSetError(
-            "pairs do not lift to a commuting family", witness=verdict.witness
-        )
+    verdict = _require_commuting(pairs, "pairs do not lift to a commuting family")
     if verdict.verdict != ALL_SEPARABLE_COMMUTING:
         raise EntangledEigenbasisError(
             "family requires an eigenbasis entangling the two copies",
@@ -593,22 +601,10 @@ def nqubit_otoc(
     diag_right = common_eigenbasis_circuit([r for _, r in pairs])
     samples = nqubit_sample(v, diag_right.inverse(), diag_left.inverse(), shots, rng)
     uniq, cnt = np.unique(samples, axis=0, return_counts=True)
-    i_vals = uniq[:, 0]
-    j_vals = uniq[:, 1]
     weights = cnt.astype(float)
     reports = []
     for left, right in pairs:
-        phl, wl = conjugate_through(diag_left, 1.0, left)
-        phr, wr = conjugate_through(diag_right, 1.0, right)
-        eig = _eigen_signs(j_vals.copy(), phl, wl) * _eigen_signs(i_vals.copy(), phr, wr)
-        mean, stderr = _mean_stderr(eig, weights)
-        reports.append(
-            EstimatorReport(
-                mean,
-                stderr,
-                shots,
-                rng.seed,
-                metadata={"left": left.label, "right": right.label},
-            )
-        )
+        eig = _eigen_signs(uniq[:, 1], *conjugate_through(diag_left, 1.0, left))
+        eig = eig * _eigen_signs(uniq[:, 0], *conjugate_through(diag_right, 1.0, right))
+        reports.append(_pair_report(eig, weights, shots, rng, left, right))
     return reports

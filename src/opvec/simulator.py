@@ -547,20 +547,11 @@ def heisenberg_doubled(state: VectorizedState, u: Circuit) -> VectorizedState:
 
     On trotter_circuit(h, t, steps) this is the second first-order doubled
     Trotter path; see super_propagator_circuit for why both stay."""
-    return _doubled_pass(state, u, dagger=True)
-
-
-def schrodinger_doubled(state: VectorizedState, u: Circuit) -> VectorizedState:
-    """Apply U (x) U^* gatewise: ||O>>_C -> ||U O U^dag>>_C."""
-    return _doubled_pass(state, u, dagger=False)
-
-
-def _doubled_pass(state: VectorizedState, u: Circuit, dagger: bool) -> VectorizedState:
     if state.basis != COMPUTATIONAL:
         raise ValueError("doubled evolution acts on the computational rep")
     if u.k != state.n:
         raise ValueError("circuit size does not match site count")
-    lowered = _lower(u, dagger, (0, 1), range(0, 2 * u.k, 2))
+    lowered = _lower(u, True, (0, 1), range(0, 2 * u.k, 2))
     return VectorizedState(state.n, COMPUTATIONAL, _run(state.amplitudes, lowered, 2 * state.n))
 
 
@@ -581,27 +572,6 @@ def _identity_pairs(n: int) -> np.ndarray:
     for _ in range(n):
         amps = np.kron(amps, bell)
     return amps
-
-
-def prepare_choi(u: Circuit) -> QState:
-    """||U>>_C: per-site Bell pairs with U applied to the left copies."""
-    lowered = _lower(u, qubits=range(0, 2 * u.k, 2))
-    return QState(2 * u.k, _run(_identity_pairs(u.k), lowered, 2 * u.k))
-
-
-def heisenberg_left_only(op: PauliSum, u: Circuit) -> VectorizedState:
-    """||U^dag O U>>_C built with gates on the left copies alone: U forward,
-    then the operator (which must be unitary), then U reversed. Avoids any
-    transposed gate at the cost of starting from the identity state."""
-    n = u.k
-    dense = op.to_dense()
-    if np.max(np.abs(dense @ dense.conj().T - np.eye(2**n))) > 1e-10:
-        raise ValueError("left-only preparation requires a unitary operator")
-    lefts = range(0, 2 * n, 2)
-    amps = _run(_identity_pairs(n), _lower(u, qubits=lefts), 2 * n)
-    amps = apply_matrix(amps, dense, tuple(lefts), 2 * n)
-    amps = _run(amps, _lower(u.inverse(), qubits=lefts), 2 * n)
-    return VectorizedState(n, COMPUTATIONAL, amps)
 
 
 def interferometric_state(

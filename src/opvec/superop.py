@@ -1,5 +1,5 @@
-"""Superoperators on n-site operators and their matrix representations on
-the doubled register.
+"""Superoperators on n-site operators and their action on the doubled
+register.
 
 An operator-sum superoperator A(O) = sum f L O R (Hermitian Pauli words L, R)
 acts on computational-rep vectorized states as the matrix
@@ -10,7 +10,7 @@ operator-sum coefficient vector f; the two are related by the commutation
 sign transform lambda = K f, f = K lambda / 4^n with
 K[i,k] = +1 iff strings i and k commute. Commutation signs multiply site by
 site, so K is the n-fold tensor power of one 4x4 sign matrix and is applied
-one site at a time; it is materialized only for n <= 2.
+one site at a time, never materialized.
 
 Self-adjointness of an operator-sum superoperator is equivalent to its
 merged (L, R) coefficients being real, which in turn is equivalent to a
@@ -19,24 +19,21 @@ Hermitian transfer matrix and real expectation values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from ._linalg import apply_block, apply_matrix
 from .errors import CapExceededError, NonCommutingSetError, ParseError
-from .pauli import DENSE_SITE_CAP, SIGMA, PauliString, PauliSum
+from .pauli import DENSE_SITE_CAP, SIGMA, PauliString
 from .simulator import Circuit, Gate, gate_matrix
 from .vectorize import (
     COMPUTATIONAL,
     PAULI,
-    BasisTag,
     VectorizedState,
     bell_transform,
     index_pauli,
-    pauli_index,
-    transform_matrix,
 )
 
 NOT_COMMUTING = "NotCommuting"
@@ -186,25 +183,11 @@ class DiagonalSuperop:
         return OperatorSumSuperop(self.n, tuple(terms))
 
 
-def lam_from_sparse_f(f_sparse: dict[tuple[int, int], float], n: int):
-    items = sorted(f_sparse.items())
-
-    def lam(p: PauliString) -> float:
-        total = 0.0
-        for (z, x), f in items:
-            q = PauliString(n, z, x)
-            total += f if p.commutes(q) else -f
-        return total
-
-    return lam
-
-
 def walsh_hadamard(values: np.ndarray, n: int, direction: str) -> np.ndarray:
     """Commutation-sign transform between operator-sum coefficients f and
     diagonal entries lambda: lambda = K f and f = K lambda / 4^n.
 
-    K is applied as one 4x4 sign contraction per site, O(n 4^n); only
-    walsh_matrix materializes it.
+    K is applied as one 4x4 sign contraction per site, O(n 4^n).
     """
     out = np.array(values, dtype=float).reshape(-1)
     if out.shape[0] != 4**n:
@@ -216,18 +199,6 @@ def walsh_hadamard(values: np.ndarray, n: int, direction: str) -> np.ndarray:
     if direction == "lambda_to_f":
         out /= 4**n
     return out
-
-
-def walsh_matrix(n: int) -> np.ndarray:
-    """Dense K, the reference for walsh_hadamard, deliberately capped at n <= 2."""
-    if n > 2:
-        raise CapExceededError("dense commutation-sign matrix is capped at n=2")
-    k = np.empty((4**n, 4**n))
-    for i in range(4**n):
-        pi = index_pauli(i, n)
-        for j in range(4**n):
-            k[i, j] = 1.0 if pi.commutes(index_pauli(j, n)) else -1.0
-    return k
 
 
 def size_superop(n: int) -> DiagonalSuperop:
@@ -268,76 +239,7 @@ def builtin_diagonal(spec: str, n: int) -> DiagonalSuperop:
 
 
 # ---------------------------------------------------------------------------
-# Transfer matrices.
-
-@dataclass
-class TransferMatrix:
-    basis: BasisTag
-    n: int
-    matrix: np.ndarray = field(repr=False)
-
-    @property
-    def is_hermitian(self) -> bool:
-        return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) < 1e-12)
-
-
-def _interleaved_term(left: PauliString, right: PauliString) -> np.ndarray:
-    out = np.eye(1, dtype=complex)
-    for i in range(left.n):
-        block = np.kron(SIGMA[left.site(i)], SIGMA[right.site(i)].conj())
-        out = np.kron(out, block)
-    return out
-
-
-def transfer_matrix(
-    a: OperatorSumSuperop | DiagonalSuperop, basis: BasisTag, n: int | None = None
-) -> TransferMatrix:
-    """Dense matrix of the superoperator on vectorized states of ``basis``."""
-    if n is None:
-        n = a.n
-    if n != a.n:
-        raise ValueError("site count mismatch")
-    if n > DENSE_SITE_CAP:
-        raise CapExceededError(f"dense transfer matrix at n={n}")
-    if basis.kind not in ("computational", "pauli") or basis.d != 2:
-        raise ValueError("transfer matrices are built in the qubit C or P rep")
-    if isinstance(a, DiagonalSuperop):
-        m_p = np.diag(a.lam_vector()).astype(complex)
-        if basis.kind == "pauli":
-            return TransferMatrix(basis, n, m_p)
-        r = transform_matrix(n, "c_to_p")
-        return TransferMatrix(basis, n, r.conj().T @ m_p @ r)
-    m_c = np.zeros((4**n, 4**n), dtype=complex)
-    for f, left, right in a.terms:
-        m_c += f * _interleaved_term(left, right)
-    if basis.kind == "computational":
-        return TransferMatrix(basis, n, m_c)
-    r = transform_matrix(n, "c_to_p")
-    return TransferMatrix(basis, n, r @ m_c @ r.conj().T)
-
-
-def conjugation_transfer(u: np.ndarray) -> np.ndarray:
-    """Transfer matrix, in the computational rep, of O -> U^dag O U:
-    the interleaved form of U^dag (x) U^T."""
-    u = np.asarray(u, dtype=complex)
-    dim = u.shape[0]
-    n = int(round(np.log2(dim)))
-    if 2**n != dim:
-        raise ValueError("dimension is not a power of 2")
-    return interleaved_kron(u.conj().T, u.T, n)
-
-
-def interleaved_kron(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """kron(a, b) reordered from [L-block, R-block] to interleaved qubits."""
-    block = np.kron(a, b)
-    src = np.zeros(4**n, dtype=np.int64)
-    for q in range(2 * n):
-        site, copy = divmod(q, 2)
-        block_pos = site if copy == 0 else n + site
-        bit = ((np.arange(4**n) >> (2 * n - 1 - q)) & 1).astype(np.int64)
-        src |= bit << (2 * n - 1 - block_pos)
-    return block[np.ix_(src, src)]
-
+# Expectation values.
 
 def expectation(
     a: OperatorSumSuperop | DiagonalSuperop, state: VectorizedState, k: int = 1

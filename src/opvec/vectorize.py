@@ -58,8 +58,9 @@ class BasisTag:
             raise ValueError(f"unknown basis kind {self.kind!r}")
         if self.kind == "pauli" and self.d != 2:
             raise ValueError("'pauli' is the qubit basis; use qudit_pauli for d > 2")
-        if self.kind == "qudit_pauli" and not _is_prime(self.d):
-            raise ValueError("qudit Pauli basis requires prime local dimension")
+        if self.kind == "qudit_pauli" and (self.d == 2 or not _is_prime(self.d)):
+            raise ValueError("qudit Pauli basis requires prime local dimension > 2; "
+                             "'pauli' is the qubit basis")
         if self.d < 2:
             raise ValueError("local dimension must be at least 2")
 
@@ -146,55 +147,26 @@ def _apply_pairwise(amps: np.ndarray, n: int, mat: np.ndarray, d: int) -> np.nda
 
 
 def bell_transform(state: VectorizedState, direction: str) -> VectorizedState:
-    """Change a qubit state between the computational and Pauli reps.
+    """Change a state between the computational and Pauli reps.
 
-    direction: "c_to_p" or "p_to_c". Acts as one fixed two-qubit unitary per
+    direction: "c_to_p" or "p_to_c". Acts as one fixed two-qudit unitary per
     (L, R) site pair, so the composition of the two directions is exactly the
-    identity.
+    identity. Qubit states move between COMPUTATIONAL and PAULI; qudit states
+    of prime d between qudit_computational(d) and qudit_pauli(d).
     """
-    if state.basis.d != 2:
-        raise ValueError("bell_transform is the qubit transform; see qudit_bell_transform")
-    if direction == "p_to_c":
-        if state.basis.kind not in ("pauli", "qudit_pauli"):
-            raise ValueError(f"state is already in {state.basis.kind!r}")
-        mat, out_basis = _pair_transform_p_to_c(2), COMPUTATIONAL
-    elif direction == "c_to_p":
-        if state.basis.kind != "computational":
-            raise ValueError(f"state is in {state.basis.kind!r}, not computational")
-        mat, out_basis = _pair_transform_p_to_c(2).conj().T, PAULI
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-    return VectorizedState(state.n, out_basis, _apply_pairwise(state.amplitudes, state.n, mat, 2))
-
-
-def qudit_bell_transform(state: VectorizedState, direction: str) -> VectorizedState:
-    """General-d version of :func:`bell_transform` (identical to it at d=2,
-    up to the basis tag used for the Pauli-side representation)."""
     d = state.basis.d
     if direction == "p_to_c":
-        if state.basis.kind != "qudit_pauli":
-            raise ValueError(f"state is in {state.basis.kind!r}, not qudit_pauli")
+        if state.basis.kind == "computational":
+            raise ValueError("state is already in 'computational'")
         mat, out_basis = _pair_transform_p_to_c(d), qudit_computational(d)
     elif direction == "c_to_p":
         if state.basis.kind != "computational":
             raise ValueError(f"state is in {state.basis.kind!r}, not computational")
-        mat, out_basis = _pair_transform_p_to_c(d).conj().T, qudit_pauli(d)
+        mat = _pair_transform_p_to_c(d).conj().T
+        out_basis = PAULI if d == 2 else qudit_pauli(d)
     else:
         raise ValueError(f"unknown direction {direction!r}")
     return VectorizedState(state.n, out_basis, _apply_pairwise(state.amplitudes, state.n, mat, d))
-
-
-def transform_matrix(n: int, direction: str, d: int = 2) -> np.ndarray:
-    """Dense basis-change matrix on the full doubled register."""
-    base = _pair_transform_p_to_c(d)
-    if direction == "c_to_p":
-        base = base.conj().T
-    elif direction != "p_to_c":
-        raise ValueError(f"unknown direction {direction!r}")
-    out = np.eye(1, dtype=complex)
-    for _ in range(n):
-        out = np.kron(out, base)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +195,7 @@ def vectorize(op: PauliString | PauliSum | np.ndarray, basis: BasisTag) -> Vecto
     if isinstance(op, PauliSum):
         if d != 2:
             raise ValueError("PauliSum input is qubit-only")
-        if basis.kind in ("pauli", "qudit_pauli"):
+        if basis == PAULI:
             amps = np.zeros(4**op.n, dtype=complex)
             for c, p in op.items():
                 amps[pauli_index(p)] = c * (-1j) ** p.y_count
@@ -234,12 +206,8 @@ def vectorize(op: PauliString | PauliSum | np.ndarray, basis: BasisTag) -> Vecto
         raise ValueError("operator must be a square matrix")
     n = _infer_sites(mat.shape[0], d)
     amps = from_amplitude_matrix(mat, n, d)
-    state = _normalized(n, BasisTag("computational", d), amps)
-    if basis.kind == "computational":
-        return state
-    if basis.kind == "pauli":
-        return bell_transform(state, "c_to_p")
-    return qudit_bell_transform(state, "c_to_p")
+    state = _normalized(n, qudit_computational(d), amps)
+    return state if basis.kind == "computational" else bell_transform(state, "c_to_p")
 
 
 def _normalized(n: int, basis: BasisTag, amps: np.ndarray) -> VectorizedState:
@@ -251,48 +219,9 @@ def _normalized(n: int, basis: BasisTag, amps: np.ndarray) -> VectorizedState:
 
 def devectorize(state: VectorizedState) -> np.ndarray:
     """Dense unit-HS-norm operator whose expansion amplitudes are the state."""
-    if state.basis.kind == "computational":
-        return amplitude_matrix(state.amplitudes, state.n, state.basis.d)
-    if state.basis.kind == "pauli":
-        return amplitude_matrix(bell_transform(state, "p_to_c").amplitudes, state.n, 2)
-    return amplitude_matrix(
-        qudit_bell_transform(state, "p_to_c").amplitudes, state.n, state.basis.d
-    )
-
-
-def local_basis_change(
-    state: VectorizedState, partitions, unitaries
-) -> np.ndarray:
-    """Apply caller-supplied unitaries to the doubled-qubit blocks of site
-    partitions, moving to a custom product operator basis. Returns raw
-    amplitudes since the result is not one of the named representations.
-
-    partitions: disjoint tuples of site indices; unitaries: matching list of
-    d^(2k) x d^(2k) matrices, each acting on the (L, R) qubits of its sites.
-    """
-    d = state.basis.d
-    amps = state.amplitudes
-    seen: set[int] = set()
-    for sites, mat in zip(partitions, unitaries, strict=True):
-        if seen & set(sites):
-            raise ValueError("partitions overlap")
-        seen |= set(sites)
-        targets = []
-        for s in sites:
-            targets += [2 * s, 2 * s + 1]
-        mat = np.asarray(mat, dtype=complex)
-        if mat.shape != (d ** len(targets), d ** len(targets)):
-            raise ValueError("unitary dimension does not match partition")
-        amps = apply_matrix(amps, mat, tuple(targets), 2 * state.n, d)
-    return amps
-
-
-def hs_inner(a: VectorizedState, b: VectorizedState) -> complex:
-    """Hilbert-Schmidt inner product of the represented operators,
-    normalized by both HS norms (an isometry of the map)."""
-    if (a.n, a.basis) != (b.n, b.basis):
-        raise ValueError("states live in different representations")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
+    if state.basis.kind != "computational":
+        state = bell_transform(state, "p_to_c")
+    return amplitude_matrix(state.amplitudes, state.n, state.basis.d)
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +236,7 @@ def save_state(state: VectorizedState, path) -> None:
 
 
 def load_state(path) -> VectorizedState:
+    """Read a state file; a malformed header or payload is a ParseError."""
     with open(path, "rb") as fh:
         header = fh.read(13)
         if len(header) != 13:
@@ -316,11 +246,18 @@ def load_state(path) -> VectorizedState:
             raise ParseError("not a vectorized-state file")
         if tag not in _TAG_NAMES:
             raise ParseError(f"unknown basis tag {tag}")
+        try:
+            basis = BasisTag(_TAG_NAMES[tag], d)
+        except ValueError as exc:
+            raise ParseError(f"bad basis in header: {exc}") from None
         payload = np.frombuffer(fh.read(), dtype="<c8")
-    want = d ** (2 * n)
-    if payload.shape[0] != want:
-        raise ParseError(f"expected {want} amplitudes, found {payload.shape[0]}")
+    # d >= 2 here, so past 32 sites no payload could hold d^(2n) amplitudes
+    # and the power is never computed.
+    if n > 32 or payload.shape[0] != d ** (2 * n):
+        raise ParseError(f"expected {d}^{2 * n} amplitudes, found {payload.shape[0]}")
     amps = payload.astype(complex)
+    norm = np.linalg.norm(amps)
+    if not 0 < norm < np.inf:
+        raise ParseError(f"payload norm {norm!r} cannot be normalized")
     # complex64 round-off can leave the norm slightly off; renormalize.
-    amps = amps / np.linalg.norm(amps)
-    return VectorizedState(n, BasisTag(_TAG_NAMES[tag], d), amps)
+    return VectorizedState(n, basis, amps / norm)

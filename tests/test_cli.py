@@ -454,12 +454,13 @@ class TestCapExit:
         assert not out.exists() or not any(out.iterdir())
 
     def test_lattice_oracle_refuses_eight_sites(self, tmp_path, capsys):
-        code, _ = run_task(
+        code, out = run_task(
             tmp_path, "compile2d", lattice={"rows": 2, "cols": 4},
             h_x=0.5, J=-0.25, dt=0.05, seed=1, extra_args=("--with-oracle",),
         )
         assert code == 3
         assert "error: 8 sites exceed the dense cap of 7" in capsys.readouterr().err
+        assert not any(out.iterdir())
 
 
 # Exact report.json key sets: top level, params, the oracle block and each

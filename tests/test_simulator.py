@@ -24,19 +24,16 @@ from opvec.simulator import (
     dense_unitary,
     gate_matrix,
     heisenberg_doubled,
-    heisenberg_left_only,
     imaginary_time_apply,
     interferometric_state,
-    prepare_choi,
     prepare_vectorized,
     random_clifford_circuit,
     regulated_overlap,
-    schrodinger_doubled,
     super_propagator_circuit,
     trotter_circuit,
 )
 from opvec.simulator import _FUSE_SPAN, _fuse, _identity_pairs, _lower
-from opvec.vectorize import COMPUTATIONAL, PAULI, VectorizedState, devectorize, vectorize
+from opvec.vectorize import COMPUTATIONAL, PAULI, VectorizedState, vectorize
 from helpers import ginibre, ising_chain, random_hermitian_sum
 
 
@@ -274,27 +271,10 @@ class TestDoubledEvolution:
         want = vectorize(u.conj().T @ mat @ u, COMPUTATIONAL)
         assert np.allclose(got.amplitudes, want.amplitudes, atol=1e-12)
 
-    def test_schrodinger_inverts_heisenberg(self, gen):
-        circ = random_clifford_circuit(2, 2, RngStream(22))
-        state = vectorize(ginibre(gen, 4), COMPUTATIONAL)
-        back = schrodinger_doubled(heisenberg_doubled(state, circ), circ)
-        assert np.allclose(back.amplitudes, state.amplitudes, atol=1e-12)
-
     def test_wrong_rep_rejected(self, gen):
         state = vectorize(ginibre(gen, 4), PAULI)
         with pytest.raises(ValueError):
             heisenberg_doubled(state, Circuit(2))
-
-    def test_left_only_matches_doubled(self):
-        circ = random_clifford_circuit(2, 3, RngStream(23))
-        op = PauliSum.from_text("1 0 XZ")
-        got = heisenberg_left_only(op, circ)
-        want = heisenberg_doubled(vectorize(op, COMPUTATIONAL), circ)
-        assert np.allclose(got.amplitudes, want.amplitudes, atol=1e-12)
-
-    def test_left_only_requires_unitary(self):
-        with pytest.raises(ValueError):
-            heisenberg_left_only(PauliSum.from_text("0.5 0 XI"), Circuit(2))
 
 
 class TestPreparation:
@@ -303,13 +283,6 @@ class TestPreparation:
         s = random_hermitian_sum(gen, 2, 4)
         reg = prepare_vectorized(s, basis)
         assert np.allclose(reg.amplitudes, vectorize(s, basis).amplitudes, atol=1e-12)
-
-    def test_choi_state_encodes_unitary(self):
-        circ = random_clifford_circuit(2, 2, RngStream(31))
-        reg = prepare_choi(circ)
-        op = devectorize(VectorizedState(2, COMPUTATIONAL, reg.amplitudes))
-        u = dense_unitary(circ)
-        assert np.allclose(op, u / np.linalg.norm(u), atol=1e-12)
 
 
 class TestInterferometric:

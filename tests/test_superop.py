@@ -10,31 +10,26 @@ import numpy as np
 import pytest
 
 from opvec.errors import CapExceededError, NonCommutingSetError, ParseError
-from opvec.pauli import SIGMA, PauliString, PauliSum
-from opvec.simulator import Circuit, Gate, RngStream, dense_unitary, random_clifford_circuit
+from opvec.pauli import PauliString
+from opvec.simulator import Circuit, Gate, dense_unitary
 from opvec.superop import (
     ALL_SEPARABLE_COMMUTING,
     COMMUTING_ENTANGLED,
     NOT_COMMUTING,
-    DiagonalSuperop,
     OperatorSumSuperop,
     builtin_diagonal,
     classify_commuting_set,
     common_eigenbasis_circuit,
     conjugate_pauli,
     conjugate_through,
-    conjugation_transfer,
     expectation,
-    interleaved_kron,
-    lam_from_sparse_f,
     lifted_pauli,
     size_superop,
-    transfer_matrix,
     walsh_hadamard,
-    walsh_matrix,
 )
 from opvec.vectorize import COMPUTATIONAL, PAULI, pauli_index, vectorize
-from helpers import ginibre, random_hermitian_sum, random_word
+from helpers import ginibre, random_word
+from reference import interleaved_kron, transfer_matrix, transform_matrix, walsh_matrix
 
 # Conjugation images of two-qubit Pauli words under the per-site-pair basis
 # change from the computational to the Pauli rep (the CX then H pair layer):
@@ -122,15 +117,6 @@ class TestDiagonal:
         assert s.lam(PauliString.from_label("III")) == 0
         assert s.lam(PauliString.from_label("XIZ")) == 2
         assert s.lam(PauliString.from_label("YYY")) == 3
-
-    def test_size_sparse_f_reproduces_weight(self):
-        n = 3
-        lam = lam_from_sparse_f(size_superop(n).f_sparse, n)
-        for idx in range(4**n):
-            from opvec.vectorize import index_pauli
-
-            p = index_pauli(idx, n)
-            assert lam(p) == pytest.approx(p.weight)
 
     def test_operator_sum_form_matches_transfer(self):
         s = size_superop(2)
@@ -225,8 +211,6 @@ class TestTransfer:
         s = size_superop(2).to_operator_sum()
         mc = transfer_matrix(s, COMPUTATIONAL).matrix
         mp = transfer_matrix(s, PAULI).matrix
-        from opvec.vectorize import transform_matrix
-
         r = transform_matrix(2, "c_to_p")
         assert np.allclose(mp, r @ mc @ r.conj().T, atol=1e-12)
 
@@ -237,16 +221,6 @@ class TestTransfer:
         state = vectorize(ginibre(gen, 4), COMPUTATIONAL)
         tm = transfer_matrix(a, COMPUTATIONAL).matrix
         assert np.allclose(tm @ state.amplitudes, a.apply_vectorized(state.amplitudes), atol=1e-12)
-
-    def test_conjugation_transfer_matches_heisenberg(self, gen):
-        from opvec.simulator import heisenberg_doubled
-
-        circ = random_clifford_circuit(2, 2, RngStream(61))
-        u = dense_unitary(circ)
-        state = vectorize(ginibre(gen, 4), COMPUTATIONAL)
-        got = conjugation_transfer(u) @ state.amplitudes
-        want = heisenberg_doubled(state, circ)
-        assert np.allclose(got, want.amplitudes, atol=1e-12)
 
     def test_diagonal_in_pauli_rep(self):
         d = size_superop(2)

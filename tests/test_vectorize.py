@@ -5,12 +5,15 @@ vectors; everything else is round-trip or isometry checks against dense
 linear algebra.
 """
 
+import struct
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from opvec.errors import ParseError
-from opvec.pauli import PauliString, PauliSum
+from opvec.pauli import PauliString
 from opvec.vectorize import (
     COMPUTATIONAL,
     PAULI,
@@ -18,19 +21,16 @@ from opvec.vectorize import (
     VectorizedState,
     bell_transform,
     devectorize,
-    hs_inner,
     index_pauli,
     load_state,
-    local_basis_change,
     pauli_index,
-    qudit_bell_transform,
     qudit_computational,
     qudit_pauli,
     save_state,
-    transform_matrix,
     vectorize,
 )
 from helpers import ginibre
+from reference import transform_matrix
 
 SQ = 1 / np.sqrt(2)
 
@@ -80,14 +80,7 @@ def test_isometry(gen):
     b = ginibre(gen, 8)
     sa, sb = vectorize(a, PAULI), vectorize(b, PAULI)
     want = np.trace(a.conj().T @ b) / (np.linalg.norm(a) * np.linalg.norm(b))
-    assert hs_inner(sa, sb) == pytest.approx(want, abs=1e-12)
-
-
-def test_hs_inner_rejects_mixed_reps():
-    a = vectorize(PauliString.from_label("X"), PAULI)
-    b = vectorize(PauliString.from_label("X"), COMPUTATIONAL)
-    with pytest.raises(ValueError):
-        hs_inner(a, b)
+    assert np.vdot(sa.amplitudes, sb.amplitudes) == pytest.approx(want, abs=1e-12)
 
 
 class TestIndexCodec:
@@ -154,6 +147,8 @@ class TestQudit:
             qudit_pauli(4)
         with pytest.raises(ValueError):
             BasisTag("pauli", 3)
+        with pytest.raises(ValueError):
+            BasisTag("qudit_pauli", 2)
 
     def test_qutrit_round_trip(self, gen):
         mat = ginibre(gen, 9)
@@ -164,26 +159,24 @@ class TestQudit:
 
     def test_qutrit_transform_inverts(self, gen):
         state = vectorize(ginibre(gen, 3), qudit_computational(3))
-        there = qudit_bell_transform(state, "c_to_p")
-        back = qudit_bell_transform(there, "p_to_c")
+        there = bell_transform(state, "c_to_p")
+        back = bell_transform(there, "p_to_c")
         assert np.allclose(back.amplitudes, state.amplitudes, atol=1e-12)
 
     def test_d2_reduces_to_qubit_transform(self, gen):
         mat = ginibre(gen, 4)
         qubit = vectorize(mat, PAULI)
         state = vectorize(mat, COMPUTATIONAL)
-        qudit = qudit_bell_transform(state, "c_to_p")
+        qudit = bell_transform(state, "c_to_p")
+        assert qudit.basis == PAULI
         assert np.allclose(qudit.amplitudes, qubit.amplitudes, atol=1e-12)
 
-
-def test_local_basis_change_matches_global(gen):
-    state = vectorize(ginibre(gen, 4), COMPUTATIONAL)
-    u = np.linalg.qr(ginibre(gen, 16))[0]
-    amps = local_basis_change(state, [(0, 1)], [u])
-    want = np.kron(u, np.eye(1)) @ state.amplitudes
-    assert np.allclose(amps, want, atol=1e-12)
-    with pytest.raises(ValueError):
-        local_basis_change(state, [(0,), (0,)], [np.eye(4), np.eye(4)])
+    def test_qutrit_matches_dense_transform(self, gen):
+        state = vectorize(ginibre(gen, 9), qudit_computational(3))
+        moved = bell_transform(state, "c_to_p")
+        assert moved.basis == qudit_pauli(3)
+        want = transform_matrix(2, "c_to_p", d=3) @ state.amplitudes
+        assert np.allclose(moved.amplitudes, want, atol=1e-12)
 
 
 class TestSerialization:
@@ -201,6 +194,26 @@ class TestSerialization:
         path.write_bytes(b"NOPE" + bytes(9))
         with pytest.raises(ParseError):
             load_state(path)
+
+    @pytest.mark.parametrize(
+        "tag,n,d,payload",
+        [
+            (1, 1, 3, np.eye(9)[0]),  # 'pauli' is the qubit basis
+            (2, 1, 4, np.eye(16)[0]),  # qudit Pauli needs a prime d
+            (2, 1, 2, np.eye(4)[0]),  # qudit Pauli at d = 2 duplicates 'pauli'
+            (0, 1, 1, np.eye(1)[0]),  # no local dimension below 2
+            (0, 1, 2, np.zeros(4)),  # the zero vector has no direction
+        ],
+        ids=["pauli-d3", "qudit-d4", "qudit-d2", "d1", "zero-payload"],
+    )
+    def test_rejects_bad_header_or_payload(self, tmp_path, tag, n, d, payload):
+        path = tmp_path / "bad.bin"
+        header = struct.pack("<4sBII", b"OPV1", tag, n, d)
+        path.write_bytes(header + payload.astype("<c8").tobytes())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError):
+                load_state(path)
 
     def test_rejects_truncated_payload(self, tmp_path, gen):
         state = vectorize(ginibre(gen, 4), COMPUTATIONAL)
