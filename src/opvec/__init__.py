@@ -35,11 +35,12 @@ from .lattice2d import (
     ValidationReport,
     embed,
     final_layout,
+    grid_hamiltonian,
     schedule_to_circuit,
     trotter_step_schedule,
     validate,
 )
-from .pauli import DENSE_SITE_CAP, PauliString, PauliSum
+from .pauli import PauliString, PauliSum
 from .simulator import (
     Circuit,
     Gate,

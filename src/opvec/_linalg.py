@@ -10,6 +10,25 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import CapExceededError
+
+# Working memory, in bytes, that one dense allocation may ask for. Every array
+# that grows as 2^n or faster states its bytes to :func:`reserve` before it
+# is built, so an oversized task exits with CapExceededError instead of
+# exhausting memory. Chosen from measured peaks under a 2 GiB address-space
+# ceiling (numpy 2.4, one OpenBLAS thread, Linux x86-64): the largest request
+# a CLI task made and finished with was 640 MiB (corr at 11 sites, 1.15 GB
+# resident); the smallest that ran out of memory was 1 GiB (choi2pc at 12
+# sites, evolve at 13). Every value in between admits the same runs.
+BYTE_BUDGET = 3 << 28
+
+
+def reserve(nbytes: int, what: str) -> None:
+    """Refuse ``what``, before it is allocated, if its ``nbytes`` of working
+    memory exceed BYTE_BUDGET."""
+    if nbytes > BYTE_BUDGET:
+        raise CapExceededError(f"{what} needs {nbytes} bytes; the byte budget allows {BYTE_BUDGET}")
+
 
 # Largest (target block) x (trailing block) size folded into one matrix,
 # mat (x) I_B: many tiny batched products cost far more than one wider product

@@ -7,8 +7,11 @@ All randomness flows from the config seed through named stream forks, and
 reports are serialized with sorted keys, so identical config and seed give
 byte-identical outputs.
 
+Artifacts are written only once the task and, with ``--with-oracle``, its
+oracle block have run, so a run that fails writes none.
+
 Exit codes: 0 success, 1 runtime failure, 2 config or parse error,
-3 cap violation, 4 group spec without a usable common eigenbasis.
+3 over the byte budget, 4 group spec without a usable common eigenbasis.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .errors import (
     ParseError,
     ProjectionFailedError,
 )
-from .pauli import DENSE_SITE_CAP, PauliString, PauliSum
+from .pauli import PauliString, PauliSum
 from .simulator import (
     Circuit,
     Gate,
@@ -298,11 +301,6 @@ def validate_config(path) -> tuple[dict | None, list[str]]:
 # ---------------------------------------------------------------------------
 # Shared task plumbing.
 
-def _require_cap(n: int) -> None:
-    if n > DENSE_SITE_CAP:
-        raise CapExceededError(f"{n} sites exceed the dense cap of {DENSE_SITE_CAP}")
-
-
 def _evolved(cfg: dict, op: PauliSum) -> VectorizedState:
     """Encoded operator after the configured evolution, computational rep."""
     state = vectorize(op, COMPUTATIONAL)
@@ -331,7 +329,7 @@ def _single_register_circuit(cfg: dict, n: int) -> Circuit:
 
 def _oracle_evolved(cfg: dict, op: PauliSum) -> np.ndarray:
     """Exactly evolved dense operator, normalized to unit amplitude vector."""
-    dense = op.to_dense()
+    dense = oracle.dense(op)
     circuit = cfg.get("_circuit")
     h = cfg.get("_hamiltonian")
     if circuit is not None:
@@ -376,18 +374,17 @@ def _pair_entry(rep: est.EstimatorReport, exact: float | None) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Task handlers. Each runs its estimator, writes its own artifacts and
-# returns (report, params, exact): its report (a bare number for a computed
-# value, a list of per-pair reports for otoc and nqubit), the params only it
-# reports, and a thunk giving its exact value, its whole oracle block, or
-# one exact value per pair.
+# Task handlers. Each runs its estimator and returns (report, params, exact,
+# artifacts): its report (a bare number for a computed value, a list of
+# per-pair reports for otoc and nqubit), the params only it reports, a thunk
+# giving its exact value, its whole oracle block, or one exact value per
+# pair, and its artifacts by file name (text, or a state for save_state).
 
-def _task_evolve(cfg: dict, out: Path, rng: RngStream):
+def _task_evolve(cfg: dict, rng: RngStream):
     op = cfg["_operator"]
     state = _evolved(cfg, op)
     if cfg["basis"] == "pauli":
         state = bell_transform(state, "c_to_p")
-    save_state(state, out / "state.bin")
     initial = vectorize(op, state.basis).amplitudes
     value = float(np.vdot(initial, state.amplitudes).real)
 
@@ -395,14 +392,13 @@ def _task_evolve(cfg: dict, out: Path, rng: RngStream):
         exact_state = vectorize(_oracle_evolved(cfg, op), state.basis)
         return float(np.vdot(initial, exact_state.amplitudes).real)
 
-    return value, {"basis": cfg["basis"]}, exact
+    return value, {"basis": cfg["basis"]}, exact, {"state.bin": state}
 
 
-def _task_sample(cfg: dict, out: Path, rng: RngStream):
+def _task_sample(cfg: dict, rng: RngStream):
     op = cfg["_operator"]
     state = bell_transform(_evolved(cfg, op), "c_to_p")
     dist = est.sample_pauli_dist(state, cfg["shots"], rng.fork("sample"))
-    (out / "dist.csv").write_text(dist.to_csv())
     mode = max(sorted(dist.counts), key=lambda k: dist.counts[k])
     p_hat = dist.counts[mode] / dist.shots
     stderr = math.sqrt(max(p_hat * (1 - p_hat), 0.0) / dist.shots)
@@ -415,25 +411,27 @@ def _task_sample(cfg: dict, out: Path, rng: RngStream):
         return {"tv_distance": float(0.5 * np.abs(empirical - probs).sum())}
 
     params = {"mode": index_pauli(mode, op.n).label, "distinct": len(dist.counts)}
-    return est.EstimatorReport(p_hat, stderr, dist.shots, cfg["seed"]), params, exact
+    rep = est.EstimatorReport(p_hat, stderr, dist.shots, cfg["seed"])
+    return rep, params, exact, {"dist.csv": dist.to_csv()}
 
 
-def _task_otoc(cfg: dict, out: Path, rng: RngStream):
+def _task_otoc(cfg: dict, rng: RngStream):
     state = _evolved(cfg, cfg["_operator"])
     reports = est.estimate_otoc_group(state, cfg["_pairs"], cfg["shots"], rng.fork("otoc"))
-    return reports, {}, lambda: _exact_otocs(cfg)
+    return reports, {}, lambda: _exact_otocs(cfg), {}
 
 
-def _task_superop(cfg: dict, out: Path, rng: RngStream):
+def _task_superop(cfg: dict, rng: RngStream):
     op = cfg["_operator"]
     a = cfg["_superop"]
     state = _evolved(cfg, op)
     diagonal = isinstance(a, DiagonalSuperop)
+    artifacts = {}
     if diagonal:
         dist = est.sample_pauli_dist(
             bell_transform(state, "c_to_p"), cfg["shots"], rng.fork("superop")
         )
-        (out / "dist.csv").write_text(dist.to_csv())
+        artifacts["dist.csv"] = dist.to_csv()
         rep = est.mc_diagonal(dist, a, power=cfg["power"], seed=cfg["seed"])
         params = {"power": cfg["power"]}
     else:
@@ -455,10 +453,10 @@ def _task_superop(cfg: dict, out: Path, rng: RngStream):
         basis = PAULI if diagonal else COMPUTATIONAL
         return expectation(a, vectorize(_oracle_evolved(cfg, op), basis), k=cfg["power"])
 
-    return rep, params, exact
+    return rep, params, exact, artifacts
 
 
-def _task_ose(cfg: dict, out: Path, rng: RngStream):
+def _task_ose(cfg: dict, rng: RngStream):
     op = cfg["_operator"]
     state = bell_transform(_evolved(cfg, op), "c_to_p")
     result = est.estimate_ose(
@@ -472,10 +470,10 @@ def _task_ose(cfg: dict, out: Path, rng: RngStream):
     def exact():
         return oracle.exact_ose(_oracle_evolved(cfg, op), cfg["alpha"])[0]
 
-    return result.purity, params, exact
+    return result.purity, params, exact, {}
 
 
-def _task_loe(cfg: dict, out: Path, rng: RngStream):
+def _task_loe(cfg: dict, rng: RngStream):
     op = cfg["_operator"]
     partition = sorted(set(cfg["partition"]))
     state = _evolved(cfg, op)
@@ -484,27 +482,30 @@ def _task_loe(cfg: dict, out: Path, rng: RngStream):
         rep,
         {"partition": partition},
         lambda: oracle.exact_loe(_oracle_evolved(cfg, op), partition)["linear"],
+        {},
     )
 
 
-def _task_corr(cfg: dict, out: Path, rng: RngStream):
+def _task_corr(cfg: dict, rng: RngStream):
     op = cfg["_operator"]
     op_b = cfg.get("_operator_b", op)
+    # Re tr(B A(t))/2^n: A evolves, B stays at t = 0.
     u = _single_register_circuit(cfg, op.n)
-    state = interferometric_state(op, op_b, u, u)
+    state = interferometric_state(op, op_b, u, Circuit(op.n))
     rep = est.estimate_corr_interferometric(state, cfg["shots"], rng.fork("corr"))
 
     def exact():
         # Unitary operators keep unit HS norm, so the scaled dense forms
-        # returned here are the evolved operators themselves.
+        # returned here are the operators themselves; an empty config
+        # evolves nothing.
         d1 = _oracle_evolved(cfg, op)
-        d2 = _oracle_evolved(cfg, op_b)
+        d2 = _oracle_evolved({}, op_b)
         return float(np.trace(d2 @ d1).real) / 2**op.n
 
-    return rep, {}, exact
+    return rep, {}, exact, {}
 
 
-def _task_choi2pc(cfg: dict, out: Path, rng: RngStream):
+def _task_choi2pc(cfg: dict, rng: RngStream):
     op = cfg["_operator"]
     site, p = cfg["site"], cfg["p"]
     if not 0 <= site < op.n:
@@ -513,10 +514,9 @@ def _task_choi2pc(cfg: dict, out: Path, rng: RngStream):
     theta = 2.0 * math.asin(math.sqrt(p))
     dilation = Circuit.from_gates(2, [Gate("ry", (1,), theta), Gate("cx", (1, 0))])
     dual, prob = channel_dual_postselect(dilation, 1, vectorize(op, COMPUTATIONAL), sites=(site,))
-    save_state(dual, out / "state.bin")
 
     def exact():
-        dense = op.to_dense()
+        dense = oracle.dense(op)
         kraus = [
             math.sqrt(1 - p) * np.eye(2**op.n, dtype=complex),
             math.sqrt(p) * PauliString.single(op.n, site, "X").to_dense(),
@@ -529,24 +529,23 @@ def _task_choi2pc(cfg: dict, out: Path, rng: RngStream):
             block["state_fidelity"] = float(fid)
         return block
 
-    return prob, {"p": p, "site": site}, exact
+    return prob, {"p": p, "site": site}, exact, {"state.bin": dual}
 
 
-def _task_nqubit(cfg: dict, out: Path, rng: RngStream):
+def _task_nqubit(cfg: dict, rng: RngStream):
     op = cfg["_operator"]
     word = next(iter(op.ordered_items()))[1]
     u = _single_register_circuit(cfg, op.n)
     reports = est.nqubit_otoc(word, u, cfg["_pairs"], cfg["shots"], rng.fork("nqubit"))
-    return reports, {}, lambda: _exact_otocs(cfg)
+    return reports, {}, lambda: _exact_otocs(cfg), {}
 
 
-def _task_compile2d(cfg: dict, out: Path, rng: RngStream):
+def _task_compile2d(cfg: dict, rng: RngStream):
     rows, cols = cfg["lattice"]["rows"], cfg["lattice"]["cols"]
     layout = lattice2d.embed(rows, cols)
     schedule = lattice2d.trotter_step_schedule(
         cfg["h_x"], cfg["h_z"], cfg["J"], cfg["dt"], layout
     )
-    (out / "schedule.json").write_text(schedule.to_json() + "\n")
     report = lattice2d.validate(schedule, layout)
     params = {
         "rows": rows, "cols": cols, "depth": report.depth,
@@ -559,19 +558,14 @@ def _task_compile2d(cfg: dict, out: Path, rng: RngStream):
         # One lowered schedule step against one doubled Trotter step of the
         # lattice Hamiltonian, both applied to the encoded Z on site 0.
         n = rows * cols
-        h = PauliSum(n)
-        for i in range(n):  # adding a zero coefficient adds no term
-            h.add(cfg["h_x"], PauliString.single(n, i, "X"))
-            h.add(cfg["h_z"], PauliString.single(n, i, "Z"))
-        for a, b in sorted(lattice2d._lattice_edges(rows, cols)):
-            h.add(-cfg["J"], PauliString(n, (1 << a) | (1 << b), 0))
+        h = lattice2d.grid_hamiltonian(rows, cols, cfg["h_x"], cfg["h_z"], cfg["J"])
         op = PauliSum.from_terms([(1.0, PauliString.single(n, 0, "Z"))])
         start = prepare_vectorized(op, COMPUTATIONAL)
         one = apply_circuit(start, lattice2d.schedule_to_circuit(schedule, layout))
         ref = apply_circuit(start, super_propagator_circuit(h, cfg["dt"], 1))
         return {"value": 0.0, "abs_delta": float(np.linalg.norm(one.amplitudes - ref.amplitudes))}
 
-    return report.entangling_depth, params, exact
+    return report.entangling_depth, params, exact, {"schedule.json": schedule.to_json() + "\n"}
 
 
 # ---------------------------------------------------------------------------
@@ -608,16 +602,12 @@ _EXIT_CODES = {
 
 
 def _execute(cfg: dict, out: Path, rng: RngStream) -> None:
-    """Cap check, the task's handler, the shared params, the oracle block,
-    and report.json."""
+    """The task's handler, the shared params, the oracle block, then every
+    artifact and report.json."""
     task = cfg["task"]
     handler, label = _TASKS[task]
     op = cfg.get("_operator")
-    if op is not None:
-        _require_cap(op.n)
-    elif cfg["with_oracle"]:  # compile2d: its oracle is its only dense step
-        _require_cap(cfg["lattice"]["rows"] * cfg["lattice"]["cols"])
-    rep, own, exact = handler(cfg, out, rng)
+    rep, own, exact, artifacts = handler(cfg, rng)
     params = {"label": label, **own}
     if op is not None:
         params["n"] = op.n
@@ -638,8 +628,13 @@ def _execute(cfg: dict, out: Path, rng: RngStream) -> None:
         doc["oracle"] = truth if isinstance(truth, dict) else _delta_block(
             doc["value"], doc["stderr"], truth
         )
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    (out / "report.json").write_text(text)
+    artifacts["report.json"] = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    out.mkdir(parents=True, exist_ok=True)
+    for name, body in artifacts.items():
+        if isinstance(body, str):
+            (out / name).write_text(body)
+        else:
+            save_state(body, out / name)
 
 
 def run(config: dict, out_dir=None, with_oracle: bool | None = None,
@@ -651,7 +646,6 @@ def run(config: dict, out_dir=None, with_oracle: bool | None = None,
     if with_oracle is not None:
         cfg["with_oracle"] = with_oracle
     out = Path(out_dir) if out_dir is not None else Path(cfg.get("out", "."))
-    out.mkdir(parents=True, exist_ok=True)
     rng = RngStream(cfg["seed"]).fork(cfg["task"])
     try:
         _execute(cfg, out, rng)

@@ -14,7 +14,7 @@ class ParseError(OpvecError):
 
 
 class CapExceededError(OpvecError):
-    """A dense/oracle code path was asked to exceed its qubit cap."""
+    """An allocation would exceed the byte budget, ``_linalg.BYTE_BUDGET``."""
 
 
 class NonCommutingSetError(OpvecError):

@@ -64,9 +64,6 @@ class EmpiricalPauliDist:
         if any(c <= 0 for c in self.counts.values()):
             raise ValueError("counts must be positive")
 
-    def frequencies(self) -> dict[int, float]:
-        return {k: c / self.shots for k, c in self.counts.items()}
-
     def to_csv(self) -> str:
         lines = ["pauli_string,count"]
         for k in sorted(self.counts):

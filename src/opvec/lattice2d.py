@@ -26,8 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import CapExceededError
-from .pauli import DENSE_SITE_CAP
+from .pauli import PauliString, PauliSum
 from .simulator import Circuit, Gate
 
 Coord = tuple[int, int]
@@ -66,14 +65,6 @@ class GridLayout:
     @property
     def sites(self) -> int:
         return self.rows * self.cols
-
-    def site_index(self, row: int, col: int) -> int:
-        if not (0 <= row < self.rows and 0 <= col < self.cols):
-            raise ValueError(f"lattice site {(row, col)} out of range")
-        return row * self.cols + col
-
-    def device_qubit(self, site: int, copy: int) -> Coord:
-        return self.placement[site][copy]
 
     def logical_map(self) -> dict[Coord, tuple[int, int]]:
         """Device coordinate -> (site, copy)."""
@@ -292,6 +283,20 @@ def _lattice_edges(rows: int, cols: int) -> set[tuple[int, int]]:
     return edges
 
 
+def grid_hamiltonian(rows: int, cols: int, h_x: float, h_z: float, J: float) -> PauliSum:
+    """The lattice's H = h_x sum X_k + h_z sum Z_k - J sum_<ij> Z_i Z_j, sites
+    row-major. Terms are listed site by site (X field, then Z field), then the
+    couplings in sorted edge order; a zero coefficient adds no term."""
+    n = rows * cols
+    h = PauliSum(n)
+    for i in range(n):
+        h.add(h_x, PauliString.single(n, i, "X"))
+        h.add(h_z, PauliString.single(n, i, "Z"))
+    for a, b in sorted(_lattice_edges(rows, cols)):
+        h.add(-J, PauliString(n, (1 << a) | (1 << b), 0))
+    return h
+
+
 def validate(schedule: Schedule, layout: GridLayout) -> ValidationReport:
     """Audit a schedule against the device grid and the doubled-model
     contract: adjacency of every two-qubit gate, disjoint targets within a
@@ -371,11 +376,6 @@ def schedule_to_circuit(schedule: Schedule, layout: GridLayout) -> Circuit:
     """Lower a schedule to a simulator circuit on the interleaved logical
     register (site i -> qubits 2i, 2i+1).  Swap layers only reroute, so
     they update the device-to-logical map and emit nothing."""
-    total = 2 * layout.sites
-    if layout.sites > DENSE_SITE_CAP:
-        raise CapExceededError(
-            f"{total} device qubits exceed the dense simulation regime"
-        )
     position = layout.logical_map()
     gates: list[Gate] = []
     for layer in schedule.layers:
@@ -393,4 +393,4 @@ def schedule_to_circuit(schedule: Schedule, layout: GridLayout) -> Circuit:
                 continue
             # Schedule angles are exp(-i a W); rotations use exp(-i a W / 2).
             gates.append(Gate(g.name, logical, 2.0 * g.angle))
-    return Circuit.from_gates(total, gates)
+    return Circuit.from_gates(2 * layout.sites, gates)

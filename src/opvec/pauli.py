@@ -10,9 +10,6 @@ whose label reads over IXYZ); the ``Z^z X^x`` product form differs from it by
 a factor of (-i) per Y site, and that bookkeeping lives wherever the product
 form is actually needed (e.g. the vectorization map), not here.
 
-Phases produced by multiplication are powers of i and are returned as an
-exponent modulo 4 (``Phase``).
-
 Dense matrices follow the convention that site 0 is the most significant
 tensor factor: ``to_dense`` of "XZ" is kron(X, Z).
 """
@@ -24,9 +21,8 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import CapExceededError, ParseError
-
-DENSE_SITE_CAP = 7  # dense 2^n x 2^n work is refused above this many sites
+from ._linalg import reserve
+from .errors import ParseError
 
 PAULI_CHARS = "IXZY"  # label char for (z,x) packed as 2*z + x
 
@@ -36,8 +32,6 @@ SIGMA = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
-
-Phase = int  # exponent k in i**k, always reduced mod 4
 
 
 @dataclass(frozen=True)
@@ -107,37 +101,13 @@ class PauliString:
         return ((self.z & other.x).bit_count() + (self.x & other.z).bit_count()) % 2 == 0
 
     def to_dense(self) -> np.ndarray:
-        if self.n > DENSE_SITE_CAP:
-            raise CapExceededError(f"dense Pauli refused for n={self.n} > {DENSE_SITE_CAP}")
+        reserve(16 * 4**self.n, f"a dense operator on {self.n} sites")
         if self.n == 0:
             return np.ones((1, 1), dtype=complex)
         return reduce(np.kron, (SIGMA[self.site(i)] for i in range(self.n)))
 
     def __repr__(self) -> str:
         return f"PauliString({self.label!r})"
-
-
-def pauli_product(a: PauliString, b: PauliString) -> tuple[Phase, PauliString]:
-    """Product of standard Pauli words: dense(a) @ dense(b) == i**phase * dense(r).
-
-    Per site, with a = (-i)^{z.x} Z^z X^x, the X-past-Z reordering contributes
-    (-1)^{x_a z_b}; collecting the (-i) normalizations of a, b and the result
-    gives the i-exponent below. Word-parallel via popcounts.
-    """
-    if a.n != b.n:
-        raise ValueError("site-count mismatch")
-    rz, rx = a.z ^ b.z, a.x ^ b.x
-    k = (
-        3 * (a.z & a.x).bit_count()
-        + 3 * (b.z & b.x).bit_count()
-        + 2 * (a.x & b.z).bit_count()
-        + (rz & rx).bit_count()
-    )
-    return k % 4, PauliString(a.n, rz, rx)
-
-
-def phase_value(k: Phase) -> complex:
-    return (1, 1j, -1, -1j)[k % 4]
 
 
 class PauliSum:
@@ -219,19 +189,8 @@ class PauliSum:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def scale(self, s: complex) -> "PauliSum":
-        return PauliSum(self.n, {k: s * c for k, c in self.terms.items()})
-
-    def hs_norm(self) -> float:
-        """Hilbert-Schmidt norm sqrt(tr(O^dag O)) = sqrt(2^n * sum |c|^2)."""
-        return float(np.sqrt(2**self.n * sum(abs(c) ** 2 for c in self.terms.values())))
-
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return all(abs(c.imag) <= tol for c in self.terms.values())
-
     def to_dense(self) -> np.ndarray:
-        if self.n > DENSE_SITE_CAP:
-            raise CapExceededError(f"dense PauliSum refused for n={self.n} > {DENSE_SITE_CAP}")
+        reserve(16 * 4**self.n, f"a dense operator on {self.n} sites")
         out = np.zeros((2**self.n, 2**self.n), dtype=complex)
         for c, p in self.items():
             out += c * p.to_dense()

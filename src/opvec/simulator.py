@@ -18,12 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import apply_block, apply_matrix
-from .errors import CapExceededError, ParseError, ProjectionFailedError
-from .pauli import DENSE_SITE_CAP, PauliString, PauliSum
+from ._linalg import apply_block, apply_matrix, reserve
+from .errors import ParseError, ProjectionFailedError
+from .pauli import PauliString, PauliSum
 from .vectorize import COMPUTATIONAL, BasisTag, VectorizedState, vectorize
-
-DENSE_UNITARY_CAP = 12
 
 _SQ = 1 / np.sqrt(2)
 _I2 = np.eye(2, dtype=complex)
@@ -144,8 +142,7 @@ def gate_matrix(g: Gate) -> np.ndarray:
         return np.cos(g.angle / 2) * np.eye(p.shape[0]) - 1j * np.sin(g.angle / 2) * p
     if g.name == "u":
         return g.matrix
-    if len(g.targets) > DENSE_SITE_CAP:
-        raise CapExceededError(f"pexp dense matrix on {len(g.targets)} targets")
+    reserve(16 * 4 ** len(g.targets), f"a pexp matrix on {len(g.targets)} targets")
     p = _pauli_word_matrix(g.axes)
     return np.cos(g.angle / 2) * np.eye(p.shape[0]) - 1j * np.sin(g.angle / 2) * p
 
@@ -415,12 +412,10 @@ def dense_unitary(circuit: Circuit) -> np.ndarray:
     identity viewed as a 2k-qubit vector (gates on the k row qubits).
 
     Peak working memory, the output plus apply_matrix temporaries, is at
-    most four arrays of 16 * 4^k bytes, 1.0 GiB at DENSE_UNITARY_CAP = 12;
-    steps on contiguous targets need three. Measured with tracemalloc on an
-    Ising Trotter circuit: 0.88 MiB at k=7 (no CLI task goes past it) and
-    48 MiB at k=10."""
-    if circuit.k > DENSE_UNITARY_CAP:
-        raise CapExceededError(f"dense unitary on {circuit.k} qubits")
+    most four arrays of 16 * 4^k bytes; steps on contiguous targets need
+    three. Measured with tracemalloc on an Ising Trotter circuit: 0.88 MiB
+    at k=7 and 48 MiB at k=10."""
+    reserve(4 * 16 * 4**circuit.k, f"the dense unitary of a circuit on {circuit.k} qubits")
     dim = 2**circuit.k
     cols = np.eye(dim, dtype=complex).ravel()
     return _run(cols, _lower(circuit), 2 * circuit.k).reshape(dim, dim)
@@ -586,6 +581,8 @@ def interferometric_state(
     """
     n = u.k
     k = 2 * n + 1
+    # The register and the two controlled blocks of side 2^(n+1).
+    reserve(16 * 2**k + 2 * 16 * 4 ** (n + 1), f"the interferometric state on {k} qubits")
     lefts = range(0, 2 * n, 2)
     controlled = []
     for name, o in (("first", op), ("second", op2)):
@@ -629,6 +626,7 @@ def channel_dual_postselect(
         raise ValueError("site outside register")
 
     total = n + n_env
+    reserve(16 * 4**total, f"the dilated register of {2 * total} qubits")
     amps = np.kron(state.amplitudes, _identity_pairs(n_env))
     lefts = [2 * s for s in sites] + [2 * e for e in range(n, total)]
     amps = _run(amps, _lower(dilation, True, (0, 1), lefts), 2 * total)

@@ -24,9 +24,9 @@ from typing import Callable
 
 import numpy as np
 
-from ._linalg import apply_block, apply_matrix
-from .errors import CapExceededError, NonCommutingSetError, ParseError
-from .pauli import DENSE_SITE_CAP, SIGMA, PauliString
+from ._linalg import apply_block, apply_matrix, reserve
+from .errors import NonCommutingSetError, ParseError
+from .pauli import SIGMA, PauliString
 from .simulator import Circuit, Gate, gate_matrix
 from .vectorize import (
     COMPUTATIONAL,
@@ -87,12 +87,6 @@ class OperatorSumSuperop:
         return OperatorSumSuperop(
             self.n, tuple((np.conj(f), l, r) for f, l, r in self.terms)
         )
-
-    def apply_dense(self, op: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(op, dtype=complex)
-        for f, l, r in self.terms:
-            out += f * (l.to_dense() @ op @ r.to_dense())
-        return out
 
     def apply_vectorized(self, amps: np.ndarray) -> np.ndarray:
         """Action on raw computational-rep amplitudes (norm not preserved)."""
@@ -157,10 +151,10 @@ class DiagonalSuperop:
     label: str = ""
 
     def lam_vector(self) -> np.ndarray:
-        if self.n > DENSE_SITE_CAP:
-            raise CapExceededError(f"dense eigenvalue table at n={self.n}")
-        return np.array(
-            [self.lam(index_pauli(i, self.n)) for i in range(4**self.n)], dtype=float
+        size = 4**self.n
+        reserve(8 * size, f"an eigenvalue table on {self.n} sites")
+        return np.fromiter(
+            (self.lam(index_pauli(i, self.n)) for i in range(size)), dtype=float, count=size
         )
 
     def to_operator_sum(self) -> OperatorSumSuperop:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import amplitude_matrix, apply_matrix, from_amplitude_matrix
+from ._linalg import amplitude_matrix, apply_matrix, from_amplitude_matrix, reserve
 from .errors import ParseError
 from .pauli import PauliString, PauliSum
 
@@ -195,6 +195,7 @@ def vectorize(op: PauliString | PauliSum | np.ndarray, basis: BasisTag) -> Vecto
     if isinstance(op, PauliSum):
         if d != 2:
             raise ValueError("PauliSum input is qubit-only")
+        reserve(16 * 4**op.n, f"a register of {2 * op.n} qubits")
         if basis == PAULI:
             amps = np.zeros(4**op.n, dtype=complex)
             for c, p in op.items():
@@ -205,6 +206,7 @@ def vectorize(op: PauliString | PauliSum | np.ndarray, basis: BasisTag) -> Vecto
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("operator must be a square matrix")
     n = _infer_sites(mat.shape[0], d)
+    reserve(16 * d ** (2 * n), f"a register of {2 * n} qudits")
     amps = from_amplitude_matrix(mat, n, d)
     state = _normalized(n, qudit_computational(d), amps)
     return state if basis.kind == "computational" else bell_transform(state, "c_to_p")

@@ -1,8 +1,25 @@
 """Shared builders for the test suite."""
 
-import numpy as np
+import tracemalloc
 
+import numpy as np
+import pytest
+
+from opvec import _linalg
+from opvec.errors import CapExceededError
 from opvec.pauli import PauliString, PauliSum
+
+
+def refusal_peak(call, requested: int) -> int:
+    """Peak bytes traced while ``call()`` is refused for ``requested`` bytes."""
+    refusal = f"needs {requested} bytes; the byte budget allows {_linalg.BYTE_BUDGET}$"
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError, match=refusal):
+            call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def ising_chain(n: int) -> PauliSum:
@@ -14,29 +31,6 @@ def ising_chain(n: int) -> PauliSum:
         label = ["I"] * n
         label[i] = label[i + 1] = "X"
         out.add(0.25, PauliString.from_label("".join(label)))
-    return out
-
-
-def grid_ising(rows: int, cols: int, h_x: float, h_z: float, J: float) -> PauliSum:
-    """Mixed-field Ising model on a rows x cols grid, sites row-major.
-
-    Terms are listed fields-first so a first-order product matches the
-    layer order of the device schedule."""
-    n = rows * cols
-    out = PauliSum(n)
-    for s in range(n):
-        if h_x:
-            out.add(h_x, PauliString.single(n, s, "X"))
-    for s in range(n):
-        if h_z:
-            out.add(h_z, PauliString.single(n, s, "Z"))
-    for r in range(rows):
-        for c in range(cols):
-            s = r * cols + c
-            if c + 1 < cols:
-                out.add(-J, PauliString(n, (1 << s) | (1 << (s + 1)), 0))
-            if r + 1 < rows:
-                out.add(-J, PauliString(n, (1 << s) | (1 << (s + cols)), 0))
     return out
 
 

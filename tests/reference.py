@@ -4,7 +4,7 @@ Each builds an explicit dense matrix, so each suits small n only:
 ``transform_matrix`` checks ``bell_transform``, ``walsh_matrix`` checks
 ``walsh_hadamard``, ``interleaved_kron`` checks ``lifted_pauli``, and
 ``transfer_matrix`` checks ``to_operator_sum``, ``apply_vectorized`` and
-``expectation``.
+``expectation``, and ``apply_dense`` checks ``apply_vectorized``.
 """
 
 from __future__ import annotations
@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from opvec._linalg import reserve
 from opvec.errors import CapExceededError
-from opvec.pauli import DENSE_SITE_CAP, SIGMA, PauliString
+from opvec.pauli import SIGMA, PauliString
 from opvec.superop import DiagonalSuperop, OperatorSumSuperop
 from opvec.vectorize import BasisTag, _pair_transform_p_to_c, index_pauli
 
@@ -83,8 +84,7 @@ def transfer_matrix(
         n = a.n
     if n != a.n:
         raise ValueError("site count mismatch")
-    if n > DENSE_SITE_CAP:
-        raise CapExceededError(f"dense transfer matrix at n={n}")
+    reserve(16 * 16**n, f"a dense transfer matrix on {n} sites")
     if basis.kind not in ("computational", "pauli") or basis.d != 2:
         raise ValueError("transfer matrices are built in the qubit C or P rep")
     if isinstance(a, DiagonalSuperop):
@@ -100,3 +100,10 @@ def transfer_matrix(
         return TransferMatrix(basis, n, m_c)
     r = transform_matrix(n, "c_to_p")
     return TransferMatrix(basis, n, r @ m_c @ r.conj().T)
+
+
+def apply_dense(a: OperatorSumSuperop, op: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(op, dtype=complex)
+    for f, l, r in a.terms:
+        out += f * (l.to_dense() @ op @ r.to_dense())
+    return out

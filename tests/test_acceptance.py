@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import ginibre, grid_ising, ising_chain, pauli_normalized
+from helpers import ginibre, ising_chain, pauli_normalized
 
 from opvec.cli import main as cli_main
 from opvec.errors import (
@@ -35,6 +35,7 @@ from opvec.estimators import (
 )
 from opvec.lattice2d import (
     embed,
+    grid_hamiltonian,
     schedule_to_circuit,
     trotter_step_schedule,
     validate,
@@ -227,7 +228,7 @@ def test_swap_test_operator_entanglement():
     assert exact_loe(pair, [0])["trace"] == pytest.approx(0.5, abs=1e-12)
     rep = estimate_loe2(state, state, [0], 50_000, RngStream(3).fork("pair"))
     assert abs((1.0 - rep.value) - 0.5) < 3.0 * rep.stderr + 1e-12
-    h = grid_ising(1, 4, 0.9, 0.8, 1.0)
+    h = grid_hamiltonian(1, 4, 0.9, 0.8, 1.0)
     ed = exact_heisenberg(word("ZIII").to_dense(), propagator(h, 2.0))
     st4 = vectorize(ed, COMPUTATIONAL)
     stderrs = []
@@ -310,7 +311,7 @@ def test_grid_schedule_shape_and_lowering():
         report = validate(sched, layout)
         assert report.ok and report.edges_covered == edges
     layout = embed(2, 2)
-    h = grid_ising(2, 2, 0.3, 0.7, 1.1)
+    h = grid_hamiltonian(2, 2, 0.3, 0.7, 1.1)
     start = vectorize(word("ZIII").to_dense(), COMPUTATIONAL)
     target = vectorize(
         exact_heisenberg(word("ZIII").to_dense(), propagator(h, 1.0)), COMPUTATIONAL

@@ -13,6 +13,7 @@ import pytest
 from helpers import ising_chain
 
 import opvec
+from opvec import _linalg
 from opvec.cli import main
 from opvec.estimators import EmpiricalPauliDist
 from opvec.vectorize import COMPUTATIONAL, PAULI, load_state, vectorize
@@ -23,6 +24,28 @@ HAM3 = {"text": ising_chain(3).to_text()}
 BELL_OP3 = {
     "text": "0.7071067811865476 0 XXI\n0.7071067811865476 0 YYI\n"
 }
+
+
+def run_limited(tmp_path, cfg, limit):
+    """Run one config with the oracle in a child process whose address
+    space is capped at ``limit`` bytes; returns its report."""
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    script = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+        "from opvec.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = str(Path(opvec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, cfg["task"], "--config", str(tmp_path / "config.json"),
+         "--out", str(out), "--with-oracle"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads((out / "report.json").read_text())
 
 
 def run_task(tmp_path, task, out="out", extra_args=(), **cfg):
@@ -227,23 +250,7 @@ class TestLoe:
             task="loe", operator="ZIIIIII", hamiltonian={"text": ising_chain(7).to_text()},
             t=1.0, steps=16, partition=[0, 1, 2], shots=shots, seed=3,
         )
-        (tmp_path / "config.json").write_text(json.dumps(cfg))
-        out = tmp_path / "out"
-        script = (
-            "import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-            "from opvec.cli import main\n"
-            "sys.exit(main(sys.argv[1:]))\n"
-        )
-        src = str(Path(opvec.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
-        proc = subprocess.run(
-            [sys.executable, "-c", script, "loe", "--config", str(tmp_path / "config.json"),
-             "--out", str(out), "--with-oracle"],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        doc = json.loads((out / "report.json").read_text())
+        doc = run_limited(tmp_path, cfg, 1 << 30)
         assert doc["oracle"]["abs_delta"] <= 5 * doc["stderr"] + 1 / shots
 
     def test_rejects_full_partition(self, tmp_path, capsys):
@@ -265,6 +272,29 @@ class TestCorr:
         assert doc["value"] == 1.0
         assert doc["stderr"] == 0.0
         assert doc["oracle"]["abs_delta"] < 1e-12
+
+    def test_evolved_self_correlation_decays(self, tmp_path):
+        # tr(A A(t))/2^n falls below 1 once A stops commuting with H.
+        code, out = run_task(
+            tmp_path, "corr", operator="XII", hamiltonian=HAM3, t=1.0, steps=32,
+            shots=4096, seed=31, extra_args=("--with-oracle",),
+        )
+        assert code == 0
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["oracle"]["value"] < 0.6
+        assert doc["value"] < 0.6
+        assert doc["oracle"]["abs_delta"] <= 5 * doc["stderr"]
+
+    def test_past_the_old_cap_under_two_gib(self, tmp_path):
+        # n=9: a 19-qubit register and two 2^10-sided controlled blocks.
+        shots = 4096
+        cfg = dict(
+            task="corr", operator="ZX" + "I" * 7, hamiltonian={"text": ising_chain(9).to_text()},
+            t=1.0, steps=16, shots=shots, seed=5,
+        )
+        doc = run_limited(tmp_path, cfg, 2 << 30)
+        assert doc["params"]["n"] == 9
+        assert doc["oracle"]["abs_delta"] <= 5 * doc["stderr"] + 1 / shots
 
     def test_orthogonal_pair_centers_on_zero(self, tmp_path):
         code, out = run_task(
@@ -425,10 +455,24 @@ class TestConfigValidation:
 
 
 class TestCapExit:
+    """With the byte budget lowered to one dense 7-site operator, 256 KiB,
+    every task refuses 8 sites with exit 3, names the requested and allowed
+    bytes, and writes nothing."""
+
+    BUDGET = 16 * 4**7
+    REFUSAL = f" bytes; the byte budget allows {BUDGET}\n"
+
+    @pytest.fixture(autouse=True)
+    def lowered_budget(self, monkeypatch):
+        monkeypatch.setattr(_linalg, "BYTE_BUDGET", self.BUDGET)
+
     def test_dense_cap_exit_code(self, tmp_path, capsys):
-        code, _ = run_task(tmp_path, "evolve", operator="Z" + "I" * 7, seed=1)
+        code, out = run_task(tmp_path, "evolve", operator="Z" + "I" * 7, seed=1)
         assert code == 3
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: a register of 16 qubits needs {16 * 4**8}{self.REFUSAL}"
+        )
+        assert not out.exists()
 
     W8 = "Z" + "I" * 7
     OPERATOR_TASKS_N8 = {
@@ -450,8 +494,21 @@ class TestCapExit:
             steps=4, seed=1, extra_args=("--with-oracle",), **self.OPERATOR_TASKS_N8[task],
         )
         assert code == 3
-        assert "error: 8 sites exceed the dense cap of 7" in capsys.readouterr().err
-        assert not out.exists() or not any(out.iterdir())
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and " needs " in err and err.endswith(self.REFUSAL)
+        assert not out.exists()
+
+    def test_oracle_refusal_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        # The 3-site estimate fits a budget of one 3-site dense operator; the
+        # oracle's working set does not, and the state is not written.
+        monkeypatch.setattr(_linalg, "BYTE_BUDGET", 16 * 4**3)
+        code, out = run_task(
+            tmp_path, "evolve", operator="ZII", hamiltonian=HAM3, t=1.0, steps=8,
+            seed=1, extra_args=("--with-oracle",),
+        )
+        assert code == 3
+        assert "the oracle's working set at dimension 8 needs" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_lattice_oracle_refuses_eight_sites(self, tmp_path, capsys):
         code, out = run_task(
@@ -459,8 +516,9 @@ class TestCapExit:
             h_x=0.5, J=-0.25, dt=0.05, seed=1, extra_args=("--with-oracle",),
         )
         assert code == 3
-        assert "error: 8 sites exceed the dense cap of 7" in capsys.readouterr().err
-        assert not any(out.iterdir())
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and " needs " in err and err.endswith(self.REFUSAL)
+        assert not out.exists()
 
 
 # Exact report.json key sets: top level, params, the oracle block and each

@@ -119,10 +119,6 @@ class TestEmpiricalDist:
         dist = EmpiricalPauliDist(2, {0: 40, 5: 50, 15: 10}, 100)
         assert EmpiricalPauliDist.from_csv(dist.to_csv()) == dist
 
-    def test_frequencies(self):
-        dist = EmpiricalPauliDist(1, {0: 1, 3: 3}, 4)
-        assert dist.frequencies() == {0: 0.25, 3: 0.75}
-
     @pytest.mark.parametrize(
         "text",
         [

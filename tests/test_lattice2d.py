@@ -6,9 +6,6 @@ import json
 import numpy as np
 import pytest
 
-from helpers import grid_ising
-
-from opvec.errors import CapExceededError
 from opvec.lattice2d import (
     GridLayout,
     Schedule,
@@ -16,6 +13,7 @@ from opvec.lattice2d import (
     ScheduleLayer,
     embed,
     final_layout,
+    grid_hamiltonian,
     schedule_to_circuit,
     trotter_step_schedule,
     validate,
@@ -31,12 +29,10 @@ class TestLayout:
         assert layout.placement[2] == ((0, 4), (0, 5))
 
     def test_site_indexing(self):
+        # Sites are row-major: site 5 of a 2x3 lattice is (row 1, col 2).
         layout = embed(2, 3)
         assert layout.sites == 6
-        assert layout.site_index(1, 2) == 5
-        assert layout.device_qubit(5, 0) == (1, 4)
-        with pytest.raises(ValueError, match="out of range"):
-            layout.site_index(2, 0)
+        assert layout.placement[5] == ((1, 4), (1, 5))
 
     def test_logical_map_inverts_placement(self):
         layout = embed(3, 2)
@@ -234,6 +230,20 @@ class TestValidation:
         assert any("missing" in v for v in report.violations)
 
 
+class TestGridHamiltonian:
+    def test_fields_site_by_site_then_sorted_edges(self):
+        h = grid_hamiltonian(2, 2, 0.3, 0.7, 1.1)
+        assert [(c, p.label) for c, p in h.ordered_items()] == [
+            (0.3, "XIII"), (0.7, "ZIII"), (0.3, "IXII"), (0.7, "IZII"),
+            (0.3, "IIXI"), (0.7, "IIZI"), (0.3, "IIIX"), (0.7, "IIIZ"),
+            (-1.1, "ZZII"), (-1.1, "ZIZI"), (-1.1, "IZIZ"), (-1.1, "IIZZ"),
+        ]
+
+    def test_zero_coefficients_add_no_term(self):
+        h = grid_hamiltonian(1, 3, 0.0, 0.5, 0.0)
+        assert [p.label for _, p in h.ordered_items()] == ["ZII", "IZI", "IIZ"]
+
+
 class TestLowering:
     def test_matches_doubled_propagator(self):
         # one step of the 2x2 model against the interleaved-register
@@ -242,7 +252,7 @@ class TestLowering:
         layout = embed(2, 2)
         sched = trotter_step_schedule(h_x, h_z, J, dt, layout)
         lowered = dense_unitary(schedule_to_circuit(sched, layout))
-        h = grid_ising(2, 2, h_x, h_z, J)
+        h = grid_hamiltonian(2, 2, h_x, h_z, J)
         reference = dense_unitary(super_propagator_circuit(h, dt, 1))
         assert np.max(np.abs(lowered - reference)) < 1e-12
 
@@ -254,8 +264,10 @@ class TestLowering:
         assert names == {"rx", "rz", "rzz"}
         assert circ.k == 8
 
-    def test_refuses_oversized_lattice(self):
+    def test_lowers_eight_site_lattice(self):
         layout = embed(2, 4)
         sched = trotter_step_schedule(0.9, 0.5, 1.1, 0.05, layout)
-        with pytest.raises(CapExceededError):
-            schedule_to_circuit(sched, layout)
+        circ = schedule_to_circuit(sched, layout)
+        assert circ.k == 16
+        counts = sched.gate_counts()
+        assert circ.num_gates() == sum(counts.values()) - counts["swap"]

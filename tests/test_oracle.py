@@ -6,11 +6,13 @@ exists and structural checks (unitarity, normalization, symmetry)
 elsewhere.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from opvec.errors import CapExceededError
 from opvec.oracle import (
+    _HELD,
     exact_channel_dual,
     exact_heisenberg,
     exact_loe,
@@ -24,7 +26,7 @@ from opvec.oracle import (
 )
 from opvec.pauli import SIGMA, PauliString, PauliSum
 from opvec.vectorize import PAULI, pauli_index, vectorize
-from helpers import ginibre, ising_chain, random_hermitian_sum
+from helpers import ginibre, ising_chain, random_hermitian_sum, refusal_peak
 
 
 def test_propagator_is_unitary_and_generates_h(gen):
@@ -132,6 +134,19 @@ class TestLoe:
         b = exact_loe(op, [1, 2])
         assert a["trace"] == pytest.approx(b["trace"], abs=1e-10)
 
+    def test_wide_partition_builds_the_smaller_reduced_state(self):
+        # Six of seven sites: the complement's 4x4 reduced state, not the
+        # partition's 4^6 x 4^6 one (256 MiB).
+        op = PauliString.from_label("ZXIIIIZ")
+        tracemalloc.start()
+        try:
+            out = exact_loe(op, range(6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out["trace"] == pytest.approx(1.0, abs=1e-12)
+        assert peak < 8 << 20
+
     @pytest.mark.parametrize("partition", [[], [0, 1], [5]])
     def test_bad_partitions(self, partition):
         with pytest.raises(ValueError):
@@ -211,5 +226,8 @@ class TestChannelDual:
 
 class TestConfig:
     def test_cap_enforced(self):
-        with pytest.raises(CapExceededError, match="exceeds oracle cap 7"):
-            exact_otoc(np.eye(2**8), PauliString.identity(8), PauliString.identity(8))
+        # The matrices an oracle call holds at n=20, refused before the first
+        # dense operator is built.
+        word = PauliString.identity(20)
+        requested = _HELD * 16 * 4**20
+        assert refusal_peak(lambda: exact_otoc(word, word, word), requested) < 1 << 20

@@ -4,13 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from opvec.errors import CapExceededError, ParseError
-from opvec.pauli import (
-    PauliString,
-    PauliSum,
-    pauli_product,
-    phase_value,
-)
+from helpers import refusal_peak
+from opvec.errors import ParseError
+from opvec.pauli import PauliString, PauliSum
 
 labels = st.text(alphabet="IXYZ", min_size=1, max_size=4)
 
@@ -35,30 +31,13 @@ def test_dense_matches_kron(label):
     assert np.allclose(p.to_dense(), want)
 
 
-@given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, 4**n - 1), st.integers(0, 4**n - 1))))
-def test_product_matches_dense(args):
-    n, ka, kb = args
-    a = PauliString(n, ka % 2**n, ka // 2**n)
-    b = PauliString(n, kb % 2**n, kb // 2**n)
-    k, r = pauli_product(a, b)
-    assert np.allclose(a.to_dense() @ b.to_dense(), phase_value(k) * r.to_dense())
-
-
 @given(st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, 4**n - 1), st.integers(0, 4**n - 1))))
 def test_commutes_matches_product_order(args):
     n, ka, kb = args
     a = PauliString(n, ka % 2**n, ka // 2**n)
     b = PauliString(n, kb % 2**n, kb // 2**n)
-    kab, _ = pauli_product(a, b)
-    kba, _ = pauli_product(b, a)
-    assert a.commutes(b) == (kab == kba)
-
-
-def test_product_is_involution_up_to_phase():
-    p = PauliString.from_label("XYZY")
-    k, r = pauli_product(p, p)
-    assert r == PauliString.identity(4)
-    assert k == 0
+    da, db = a.to_dense(), b.to_dense()
+    assert a.commutes(b) == np.allclose(da @ db, db @ da)
 
 
 @pytest.mark.parametrize(
@@ -89,10 +68,10 @@ def test_bits_outside_range_rejected():
 
 
 def test_dense_cap():
-    with pytest.raises(CapExceededError):
-        PauliString.identity(8).to_dense()
-    with pytest.raises(CapExceededError):
-        PauliSum(8, {(0, 0): 1.0}).to_dense()
+    # 16 * 4^20 bytes, 16 TiB, refused at the default budget before any of
+    # it is allocated.
+    assert refusal_peak(lambda: PauliString.identity(20).to_dense(), 16 * 4**20) < 1 << 20
+    assert refusal_peak(lambda: PauliSum(20, {(0, 0): 1.0}).to_dense(), 16 * 4**20) < 1 << 20
 
 
 class TestPauliSum:
@@ -116,20 +95,6 @@ class TestPauliSum:
         assert len(s) == 0
         s.add(0.5j, p)
         assert s.terms == {(p.z, p.x): 0.5j}
-
-    def test_hs_norm_matches_dense(self, gen):
-        from helpers import random_hermitian_sum
-
-        s = random_hermitian_sum(gen, 3, 5)
-        assert s.hs_norm() == pytest.approx(np.linalg.norm(s.to_dense()))
-
-    def test_is_hermitian(self):
-        assert PauliSum.from_text("1 0 XY").is_hermitian()
-        assert not PauliSum.from_text("1 1 XY").is_hermitian()
-
-    def test_scale(self):
-        s = PauliSum.from_text("2 0 ZZ").scale(0.5j)
-        assert s.terms == {(3, 0): 1j}
 
     @pytest.mark.parametrize(
         "text", ["", "1 0", "x 0 ZI", "1 0 ZI\n1 0 Z", "1 0 QQ"]

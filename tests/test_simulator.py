@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from opvec._linalg import apply_matrix
-from opvec.errors import CapExceededError, ParseError, ProjectionFailedError
+from opvec.errors import ParseError, ProjectionFailedError
 from opvec.pauli import PauliString, PauliSum
 from opvec.simulator import (
     Circuit,
@@ -34,7 +34,7 @@ from opvec.simulator import (
 )
 from opvec.simulator import _FUSE_SPAN, _fuse, _identity_pairs, _lower
 from opvec.vectorize import COMPUTATIONAL, PAULI, VectorizedState, vectorize
-from helpers import ginibre, ising_chain, random_hermitian_sum
+from helpers import ginibre, ising_chain, random_hermitian_sum, refusal_peak
 
 
 def _expm_exact(m: np.ndarray) -> np.ndarray:
@@ -169,8 +169,8 @@ class TestCircuit:
             Circuit.from_text(text)
 
     def test_dense_unitary_cap(self):
-        with pytest.raises(CapExceededError):
-            dense_unitary(Circuit(13))
+        # Four arrays of 16 * 4^20 bytes, refused before any is allocated.
+        assert refusal_peak(lambda: dense_unitary(Circuit(20)), 4 * 16 * 4**20) < 1 << 20
 
     def test_apply_matches_dense(self, gen):
         circ = random_clifford_circuit(3, 3, RngStream(7))

@@ -28,8 +28,8 @@ from opvec.superop import (
     walsh_hadamard,
 )
 from opvec.vectorize import COMPUTATIONAL, PAULI, pauli_index, vectorize
-from helpers import ginibre, random_word
-from reference import interleaved_kron, transfer_matrix, transform_matrix, walsh_matrix
+from helpers import ginibre, random_word, refusal_peak
+from reference import apply_dense, interleaved_kron, transfer_matrix, transform_matrix, walsh_matrix
 
 # Conjugation images of two-qubit Pauli words under the per-site-pair basis
 # change from the computational to the Pauli rep (the CX then H pair layer):
@@ -72,7 +72,7 @@ class TestOperatorSum:
         mat = ginibre(gen, 4)
         state = vectorize(mat, COMPUTATIONAL)
         moved = a.apply_vectorized(state.amplitudes)
-        want = vectorize(a.apply_dense(mat / np.linalg.norm(mat)), COMPUTATIONAL)
+        want = vectorize(apply_dense(a, mat / np.linalg.norm(mat)), COMPUTATIONAL)
         assert np.allclose(moved / np.linalg.norm(moved), want.amplitudes, atol=1e-12)
 
     def test_merged_sums_duplicates(self):
@@ -108,10 +108,13 @@ class TestOperatorSum:
 
     def test_identity(self, gen):
         mat = ginibre(gen, 4)
-        assert np.allclose(OperatorSumSuperop.identity(2).apply_dense(mat), mat)
+        assert np.allclose(apply_dense(OperatorSumSuperop.identity(2), mat), mat)
 
 
 class TestDiagonal:
+    def test_lam_vector_refused_before_allocating(self):
+        assert refusal_peak(lambda: size_superop(20).lam_vector(), 8 * 4**20) < 1 << 20
+
     def test_size_eigenvalues_count_support(self):
         s = size_superop(3)
         assert s.lam(PauliString.from_label("III")) == 0
