@@ -603,10 +603,13 @@ _EXIT_CODES = {
 
 def _execute(cfg: dict, out: Path, rng: RngStream) -> None:
     """The task's handler, the shared params, the oracle block, then every
-    artifact and report.json."""
+    artifact and report.json. An oracle block that cannot fit the byte
+    budget refuses before the handler runs, so no estimate is wasted."""
     task = cfg["task"]
     handler, label = _TASKS[task]
     op = cfg.get("_operator")
+    if cfg["with_oracle"] and op is not None:
+        oracle.reserve_working_set(2**op.n)
     rep, own, exact, artifacts = handler(cfg, rng)
     params = {"label": label, **own}
     if op is not None:

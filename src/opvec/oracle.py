@@ -27,6 +27,12 @@ _TOLERANCE = 1e-10
 _HELD = 8
 
 
+def reserve_working_set(dim: int) -> None:
+    """Refuse an oracle computation at dimension ``dim``, before anything is
+    built, if the dense matrices it holds exceed the byte budget."""
+    reserve(_HELD * 16 * dim**2, f"the oracle's working set at dimension {dim}")
+
+
 def dense(op) -> np.ndarray:
     """The operator as a square matrix, once the matrices an oracle
     computation holds at its size fit the byte budget. Every oracle function
@@ -38,7 +44,7 @@ def dense(op) -> np.ndarray:
         if op.ndim != 2 or op.shape[0] != op.shape[1]:
             raise ValueError("operator must be square")
         dim = op.shape[0]
-    reserve(_HELD * 16 * dim**2, f"the oracle's working set at dimension {dim}")
+    reserve_working_set(dim)
     return op if isinstance(op, np.ndarray) else op.to_dense()
 
 

@@ -14,7 +14,9 @@ copy receives conj(M^dag), which together implement U^dag (x) U^T.
 from __future__ import annotations
 
 import zlib
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -178,13 +180,13 @@ class Circuit:
                 used |= set(g.targets)
 
     @staticmethod
-    def from_gates(k: int, gates, pack: bool = True) -> "Circuit":
+    def from_gates(k: int, gates) -> "Circuit":
         """Greedy left packing: each gate joins the newest layer unless its
         targets collide there."""
         layers: list[list[Gate]] = []
         used: set[int] = set()
         for g in gates:
-            if not pack or not layers or (used & set(g.targets)):
+            if not layers or (used & set(g.targets)):
                 layers.append([g])
                 used = set(g.targets)
             else:
@@ -368,9 +370,44 @@ def _compact(m: np.ndarray) -> np.ndarray:
     return diag.copy() if np.count_nonzero(m) == np.count_nonzero(diag) else m
 
 
+def _merged_diagonal(run: list) -> tuple[np.ndarray, tuple[int, ...]]:
+    """One read-only diagonal step equal to the diagonal steps of ``run``
+    applied in order, over their contiguous target span: the steps applied
+    to np.ones. Overlapping and non-contiguous targets are allowed."""
+    lo = min(min(targets) for _, targets in run)
+    span = max(max(targets) for _, targets in run) + 1 - lo
+    reserve(16 * 2**span, f"a merged diagonal on {span} qubits")
+    diag = np.ones(2**span, dtype=complex)
+    for mat, targets in run:
+        diag = apply_matrix(diag, mat, tuple(t - lo for t in targets), span)
+    diag.flags.writeable = False
+    return diag, tuple(range(lo, lo + span))
+
+
 def _run(amps: np.ndarray, lowered: list, k: int) -> np.ndarray:
-    for mat, targets in lowered:
-        amps = apply_matrix(amps, mat, targets, k)
+    """Apply lowered (matrix, targets) steps to a k-qubit register, one
+    register pass per step, except that a maximal run of two or more
+    consecutive diagonal (1-D) steps that recurs in ``lowered``, as each
+    Trotter step's does, is one pass of its :func:`_merged_diagonal`.
+
+    Each distinct run's diagonal is built once per call. A run that occurs
+    once keeps its own passes: building its diagonal would cost as many.
+    Runs are keyed on the identity of their source arrays and on their
+    targets; ``lowered`` keeps the arrays alive."""
+    groups = [list(g) for _, g in groupby(lowered, key=lambda step: step[0].ndim == 1)]
+    keys = [
+        tuple((id(mat), targets) for mat, targets in g) if len(g) > 1 and g[0][0].ndim == 1 else None
+        for g in groups
+    ]
+    uses = Counter(keys)
+    merged: dict[tuple, tuple[np.ndarray, tuple[int, ...]]] = {}
+    for steps, key in zip(groups, keys):
+        if key is not None and uses[key] > 1:
+            if key not in merged:
+                merged[key] = _merged_diagonal(steps)
+            steps = [merged[key]]
+        for mat, targets in steps:
+            amps = apply_matrix(amps, mat, targets, k)
     return amps
 
 
@@ -489,18 +526,15 @@ def _hermitian_real_terms(h: PauliSum) -> list[tuple[float, PauliString]]:
 
 def trotter_circuit(h: PauliSum, t: float, steps: int) -> Circuit:
     """First-order Trotter circuit for exp(-iHt), one pexp per term per
-    step, terms in the order they were listed."""
+    step, terms in the order they were listed. One step's gates are built
+    once and repeated, so every step shares the same Gate objects."""
     if steps < 1:
         raise ValueError("steps must be at least 1")
     if t == 0:
         return Circuit(h.n, ())
     dt = t / steps
-    terms = _hermitian_real_terms(h)
-    gates = []
-    for _ in range(steps):
-        for c, p in terms:
-            gates.append(_term_gate(p, 2 * c * dt, lambda i: i))
-    return Circuit.from_gates(h.n, gates)
+    step = [_term_gate(p, 2 * c * dt, lambda i: i) for c, p in _hermitian_real_terms(h)]
+    return Circuit.from_gates(h.n, step * steps)
 
 
 def super_propagator_circuit(h: PauliSum, t: float, steps: int) -> Circuit:
@@ -510,6 +544,7 @@ def super_propagator_circuit(h: PauliSum, t: float, steps: int) -> Circuit:
     Each term contributes exp(+i c dt P) on the left-copy qubits and
     exp(-i c dt P^T) on the right copy, emitted back to back so the pair
     lands in one layer and the depth matches trotter_circuit(h, t, steps).
+    As there, one step's gates are built once and repeated.
 
     Of the two first-order doubled Trotter paths, this one runs each step's
     terms in the order listed; heisenberg_doubled on trotter_circuit(h, t,
@@ -523,15 +558,13 @@ def super_propagator_circuit(h: PauliSum, t: float, steps: int) -> Circuit:
     if t == 0:
         return Circuit(2 * h.n, ())
     dt = t / steps
-    terms = _hermitian_real_terms(h)
-    gates = []
-    for _ in range(steps):
-        for c, p in terms:
-            # P^T = (-1)^{#Y} P for Pauli words.
-            tsign = -1.0 if p.y_count % 2 else 1.0
-            gates.append(_term_gate(p, -2 * c * dt, lambda i: 2 * i))
-            gates.append(_term_gate(p, 2 * c * dt * tsign, lambda i: 2 * i + 1))
-    return Circuit.from_gates(2 * h.n, gates)
+    step = []
+    for c, p in _hermitian_real_terms(h):
+        # P^T = (-1)^{#Y} P for Pauli words.
+        tsign = -1.0 if p.y_count % 2 else 1.0
+        step.append(_term_gate(p, -2 * c * dt, lambda i: 2 * i))
+        step.append(_term_gate(p, 2 * c * dt * tsign, lambda i: 2 * i + 1))
+    return Circuit.from_gates(2 * h.n, step * steps)
 
 
 # ---------------------------------------------------------------------------

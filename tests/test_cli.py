@@ -13,7 +13,7 @@ import pytest
 from helpers import ising_chain
 
 import opvec
-from opvec import _linalg
+from opvec import _linalg, cli
 from opvec.cli import main
 from opvec.estimators import EmpiricalPauliDist
 from opvec.vectorize import COMPUTATIONAL, PAULI, load_state, vectorize
@@ -508,6 +508,34 @@ class TestCapExit:
         )
         assert code == 3
         assert "the oracle's working set at dimension 8 needs" in capsys.readouterr().err
+        assert not out.exists()
+
+    # corr's 3-site estimate needs more than the oracle's 8192 bytes.
+    @pytest.mark.parametrize("task", sorted(set(OPERATOR_TASKS_N8) - {"corr"}))
+    def test_oracle_refuses_before_the_estimate(self, tmp_path, capsys, monkeypatch, task):
+        # One byte short of the oracle's working set at 3 sites: the estimate
+        # alone fits and runs, but with the oracle no handler is called.
+        from test_acceptance import CLI_CASES
+
+        monkeypatch.setattr(_linalg, "BYTE_BUDGET", 8 * 16 * 4**3 - 1)
+        handler, label = cli._TASKS[task]
+        calls = []
+
+        def spy(*args):
+            calls.append(task)
+            return handler(*args)
+
+        monkeypatch.setitem(cli._TASKS, task, (spy, label))
+        code, _ = run_task(tmp_path, task, out="plain", seed=1, **CLI_CASES[task])
+        assert code == 0 and calls == [task]
+        code, out = run_task(
+            tmp_path, task, seed=1, extra_args=("--with-oracle",), **CLI_CASES[task]
+        )
+        assert code == 3 and calls == [task]
+        assert capsys.readouterr().err == (
+            "error: the oracle's working set at dimension 8 needs 8192 bytes; "
+            f"the byte budget allows {8 * 16 * 4**3 - 1}\n"
+        )
         assert not out.exists()
 
     def test_lattice_oracle_refuses_eight_sites(self, tmp_path, capsys):

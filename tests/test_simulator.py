@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from opvec import _linalg, simulator
 from opvec._linalg import apply_matrix
 from opvec.errors import ParseError, ProjectionFailedError
 from opvec.pauli import PauliString, PauliSum
@@ -32,7 +33,7 @@ from opvec.simulator import (
     super_propagator_circuit,
     trotter_circuit,
 )
-from opvec.simulator import _FUSE_SPAN, _fuse, _identity_pairs, _lower
+from opvec.simulator import _FUSE_SPAN, _fuse, _identity_pairs, _lower, _term_gate
 from opvec.vectorize import COMPUTATIONAL, PAULI, VectorizedState, vectorize
 from helpers import ginibre, ising_chain, random_hermitian_sum, refusal_peak
 
@@ -690,3 +691,199 @@ class TestGateValues:
         assert a == b and hash(a) == hash(b)
         assert a != c and len({a, b, c}) == 2
         assert Circuit.from_gates(1, [a]) != Circuit.from_gates(1, [c])
+
+
+# ---------------------------------------------------------------------------
+# Merged diagonal runs: _run against one apply_matrix pass per lowered step.
+
+def _per_step(amps, lowered, k):
+    for mat, targets in lowered:
+        amps = apply_matrix(amps, mat, targets, k)
+    return amps
+
+
+def _merged_and_per_step(monkeypatch, call):
+    """``call()`` as it runs, then with every lowered step its own pass."""
+    merged = call()
+    with monkeypatch.context() as m:
+        m.setattr(simulator, "_run", _per_step)
+        return merged, call()
+
+
+def _count_passes(monkeypatch, call):
+    """(matrix shape, targets, vector length) of every apply_matrix call
+    that ``call()`` makes, in order."""
+    shapes = []
+
+    def counting(vec, mat, targets, k, d=2):
+        shapes.append((mat.shape, targets, len(vec)))
+        return apply_matrix(vec, mat, targets, k, d)
+
+    with monkeypatch.context() as m:
+        m.setattr(simulator, "apply_matrix", counting)
+        call()
+    return shapes
+
+
+def _ising_doubled_n7():
+    """The n=7 chain's doubled 64-step evolution by both Trotter paths."""
+    h = ising_chain(7)
+    state = vectorize(PauliSum.from_text("1 0 ZXIIIII"), COMPUTATIONAL)
+    return {
+        "super_propagator_circuit": lambda: apply_circuit(
+            QState(14, state.amplitudes), super_propagator_circuit(h, 1.0, 64)
+        ).amplitudes,
+        "heisenberg_doubled": lambda: heisenberg_doubled(
+            state, trotter_circuit(h, 1.0, 64)
+        ).amplitudes,
+    }
+
+
+class TestMergedDiagonals:
+    @pytest.mark.parametrize("path", ["super_propagator_circuit", "heisenberg_doubled"])
+    def test_ising_n7_matches_per_step(self, monkeypatch, path):
+        merged, plain = _merged_and_per_step(monkeypatch, _ising_doubled_n7()[path])
+        assert _close(merged, plain)
+
+    @pytest.mark.parametrize("path", ["super_propagator_circuit", "heisenberg_doubled"])
+    def test_ising_n7_makes_448_passes(self, monkeypatch, path):
+        # Per Trotter step: 6 fused 16x16 blocks and one diagonal over all 14
+        # qubits, built once from the step's 7 four-entry diagonals.
+        shapes = [shape for shape, _, _ in _count_passes(monkeypatch, _ising_doubled_n7()[path])]
+        assert len(shapes) == 448 + 7
+        assert shapes.count((16, 16)) == 384
+        assert shapes.count((2**14,)) == 64
+        assert shapes.count((4,)) == 7
+
+    def test_interferometric_run_next_to_the_ancilla(self, monkeypatch):
+        # The field diagonals of the last Trotter step span qubits 0..5; the
+        # ancilla is qubit 6.
+        h = ising_chain(3)
+        op, op2 = PauliSum.from_text("1 0 ZXI"), PauliSum.from_text("1 0 XIZ")
+        u, u2 = trotter_circuit(h, 0.7, 5), trotter_circuit(h, -0.4, 3)
+        merged, plain = _merged_and_per_step(
+            monkeypatch, lambda: interferometric_state(op, op2, u, u2).amplitudes
+        )
+        assert _close(merged, plain)
+        assert _close(merged, _ref_interferometric_state(op, op2, u, u2))
+        calls = _count_passes(monkeypatch, lambda: interferometric_state(op, op2, u, u2))
+        assert ((2**6,), tuple(range(6)), 2**7) in calls
+
+    def test_dense_unitary(self, monkeypatch):
+        circ = trotter_circuit(ising_chain(4), 0.9, 6)
+        merged, plain = _merged_and_per_step(monkeypatch, lambda: dense_unitary(circ))
+        assert _close(merged, plain)
+        calls = _count_passes(monkeypatch, lambda: dense_unitary(circ))
+        assert ((2**4,), tuple(range(4)), 4**4) in calls
+
+    def test_channel_dual_postselect(self, monkeypatch, gen):
+        state = vectorize(ginibre(gen, 8), COMPUTATIONAL)
+        dilation = Circuit.from_gates(3, [
+            Gate("rz", (0,), 0.3), Gate("rzz", (1, 2), 0.8), Gate("ry", (2,), 1.1),
+            Gate("cz", (0, 2)), Gate("t", (1,)), Gate("cx", (2, 0)),
+        ] * 2)
+
+        def call():
+            return channel_dual_postselect(dilation, 1, state, sites=(0, 2))
+
+        merged, plain = _merged_and_per_step(monkeypatch, call)
+        assert _close(merged[0].amplitudes, plain[0].amplitudes)
+        assert merged[1] == pytest.approx(plain[1], abs=1e-12)
+        # t on site 1 and cz on sites (0, 2), both copies: qubits 0..7.
+        assert ((2**8,), tuple(range(8)), 4**4) in _count_passes(monkeypatch, call)
+
+    # Each circuit runs twice, so its diagonal run recurs.
+    @pytest.mark.parametrize("gates, span", [
+        # cz then s on the shared qubit 2: overlapping targets.
+        ([Gate("h", (2,)), Gate("cz", (1, 2)), Gate("s", (2,)), Gate("h", (4,))], (1, 2)),
+        # (4, 1), (5,) and (3, 5): unsorted, non-contiguous targets in one run.
+        ([Gate("h", (1,)), Gate("cz", (4, 1)), Gate("t", (5,)), Gate("rzz", (3, 5), 0.6),
+          Gate("h", (5,))], (1, 2, 3, 4, 5)),
+    ])
+    def test_run_targets_need_not_be_contiguous(self, monkeypatch, gen, gates, span):
+        circ = Circuit.from_gates(6, gates * 2)
+        amps = ginibre(gen, 64)[0]
+        state = QState(6, amps / np.linalg.norm(amps))
+        merged, plain = _merged_and_per_step(monkeypatch, lambda: apply_circuit(state, circ).amplitudes)
+        assert _close(merged, plain)
+        assert _close(merged, dense_unitary(circ) @ state.amplitudes)
+        calls = _count_passes(monkeypatch, lambda: apply_circuit(state, circ))
+        passes = [(shape, targets) for shape, targets, size in calls if size == 2**6]
+        assert len(passes) == 6
+        assert passes[1] == passes[4] == ((2 ** len(span),), span)
+
+    def test_a_run_that_occurs_once_keeps_its_passes(self, monkeypatch):
+        # Building its diagonal would cost as many passes as it saves.
+        circ = Circuit.from_gates(3, [Gate("h", (1,)), Gate("cz", (0, 1)), Gate("s", (1,)),
+                                      Gate("t", (2,)), Gate("h", (0,))])
+        shapes = [shape for shape, _, _ in _count_passes(
+            monkeypatch, lambda: apply_circuit(QState.computational(3), circ))]
+        assert shapes == [mat.shape for mat, _ in _lower(circ)] == [(2, 2), (4,), (4,), (2, 2)]
+
+    def test_distinct_runs_are_built_once_and_read_only(self, monkeypatch, gen):
+        # Three distinct runs, the last with the first's arrays on swapped
+        # targets, and a lone diagonal, repeated three times: three merged
+        # diagonals are built, from two source steps each, and every pass of
+        # a run uses its run's one read-only array.
+        da, db, dc = (np.exp(1j * gen.normal(size=m)) for m in (2, 2, 4))
+        h = gate_matrix(Gate("h", (0,)))
+        step = [(da, (0,)), (db, (2,)), (h, (1,)), (dc, (1, 0)), (da, (2,)), (h, (1,)),
+                (da, (2,)), (db, (0,)), (h, (1,)), (db, (1,)), (h, (0,))]
+        seen = []
+
+        def spy(vec, mat, targets, k, d=2):
+            seen.append((mat, targets, len(vec)))
+            return apply_matrix(vec, mat, targets, k, d)
+
+        monkeypatch.setattr(simulator, "apply_matrix", spy)
+        amps = ginibre(gen, 8)[0]
+        got = simulator._run(amps, step * 3, 3)
+        assert _close(got, _per_step(amps, step * 3, 3))
+        merged = [(mat, t) for mat, t, _ in seen if mat.shape == (8,)]
+        assert [t for _, t in merged] == [(0, 1, 2)] * 9
+        assert len({id(mat) for mat, _ in merged}) == 3
+        assert all(not mat.flags.writeable for mat, _ in merged)
+        assert sum(mat.shape != (8,) and mat.ndim == 1 for mat, _, _ in seen) == 6 + 3
+
+    def test_merged_diagonal_over_the_budget_is_refused(self, monkeypatch):
+        # A recurring run over all 16 qubits asks for a 1 MiB diagonal:
+        # refused before it is built, with the register allocated outside the
+        # call.
+        k = 16
+        step = [Gate("rz", (q,), 0.1 * q) for q in range(k)] + [Gate("h", (0,))]
+        circ = Circuit.from_gates(k, step * 2)
+        state = QState.computational(k)
+        monkeypatch.setattr(_linalg, "BYTE_BUDGET", 16 * 2**k - 1)
+        peak = refusal_peak(lambda: apply_circuit(state, circ), 16 * 2**k)
+        assert peak < 16 * 2**k // 4
+
+    def test_reruns_are_bitwise_identical(self):
+        for run in _ising_doubled_n7().values():
+            assert np.array_equal(run(), run())
+
+
+def _trotter_per_step(h, t, steps, doubled):
+    """The Trotter circuits built gate by gate, one new Gate per term and step."""
+    dt = t / steps
+    gates = []
+    for _ in range(steps):
+        for c, p in h.ordered_items():
+            if not doubled:
+                gates.append(_term_gate(p, 2 * c.real * dt, lambda i: i))
+                continue
+            tsign = -1.0 if p.y_count % 2 else 1.0
+            gates.append(_term_gate(p, -2 * c.real * dt, lambda i: 2 * i))
+            gates.append(_term_gate(p, 2 * c.real * dt * tsign, lambda i: 2 * i + 1))
+    return Circuit.from_gates((2 if doubled else 1) * h.n, gates)
+
+
+@pytest.mark.parametrize("doubled", [False, True])
+def test_trotter_circuits_repeat_one_step(doubled):
+    h = random_hermitian_sum(np.random.default_rng(41), 4, 6)
+    h.add(0.3, PauliString.from_label("XYZY"))
+    build = super_propagator_circuit if doubled else trotter_circuit
+    circ = build(h, 0.8, 9)
+    assert circ == _trotter_per_step(h, 0.8, 9, doubled)
+    terms = sum(1 for c, p in h.ordered_items() if p.weight)
+    assert circ.num_gates() == 9 * terms * (2 if doubled else 1)
+    assert len({id(g) for g in circ.gates()}) == terms * (2 if doubled else 1)
