@@ -17,9 +17,10 @@ from .errors import CapExceededError
 # is built, so an oversized task exits with CapExceededError instead of
 # exhausting memory. Chosen from measured peaks under a 2 GiB address-space
 # ceiling (numpy 2.4, one OpenBLAS thread, Linux x86-64): the largest request
-# a CLI task made and finished with was 640 MiB (corr at 11 sites, 1.21 GB
-# resident); the smallest that ran out of memory was 1 GiB (choi2pc at 12
-# sites, evolve at 13). Every value in between admits the same runs.
+# a CLI task made and finished with was 512 MiB (the oracle's working set at
+# 11 sites; choi2pc there peaked at 1.12 GB resident, corr at 0.57 GB); the
+# smallest that ran out of memory was 1 GiB (choi2pc at 12 sites, evolve at
+# 13). Every value in between admits the same runs.
 BYTE_BUDGET = 3 << 28
 
 

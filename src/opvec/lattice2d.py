@@ -18,7 +18,7 @@ Schedule angles follow the device convention exp(-i * angle * word): a
 left-copy gate for a term with coefficient c carries angle -c*dt and the
 matching right-copy gate +c*dt.  The simulator's rotation gates use
 half-angle semantics, so `schedule_to_circuit` doubles angles on the way
-out and drops swap layers, which are routing only.
+out and drops swap gates, which are routing only.
 """
 
 from __future__ import annotations
@@ -154,21 +154,29 @@ def _swapped_placement(
     return tuple((right, left) for left, right in placement)
 
 
-def final_layout(layout: GridLayout, schedule: Schedule) -> GridLayout:
-    """Layout after executing the schedule: every swap layer exchanges the
-    contents of the capsule pairs it touches."""
-    placement = list(layout.placement)
-    position = {coord: (site, copy) for coord, (site, copy) in layout.logical_map().items()}
-    for layer in schedule.layers:
-        if not layer.is_swap:
-            continue
+def _walk(schedule: Schedule, position: dict[Coord, tuple[int, int]]):
+    """Yield (layer index, gate) for every gate in order, with ``position``
+    (device coordinate -> (site, copy)) holding the map in force when that
+    gate runs. After a swap gate is yielded, its two targets exchange their
+    contents, whatever layer it sits in; a swap with a target off the grid
+    moves nothing."""
+    for li, layer in enumerate(schedule.layers):
         for g in layer.gates:
-            a, b = g.targets
-            position[a], position[b] = position[b], position[a]
-    slots: dict[tuple[int, int], Coord] = {lc: coord for coord, lc in position.items()}
-    for site in range(layout.sites):
-        placement[site] = (slots[(site, 0)], slots[(site, 1)])
-    return GridLayout(layout.rows, layout.cols, tuple(placement))
+            yield li, g
+            if g.name == "swap" and all(t in position for t in g.targets):
+                a, b = g.targets
+                position[a], position[b] = position[b], position[a]
+
+
+def final_layout(layout: GridLayout, schedule: Schedule) -> GridLayout:
+    """Layout after executing the schedule: every swap gate exchanges the
+    contents of the two qubits it touches."""
+    position = layout.logical_map()
+    for _ in _walk(schedule, position):
+        pass
+    slots = {lc: coord for coord, lc in position.items()}
+    placement = tuple((slots[(site, 0)], slots[(site, 1)]) for site in range(layout.sites))
+    return GridLayout(layout.rows, layout.cols, placement)
 
 
 def _field_layer(
@@ -309,46 +317,43 @@ def validate(schedule: Schedule, layout: GridLayout) -> ValidationReport:
     edges = _lattice_edges(layout.rows, layout.cols)
     seen: dict[tuple[int, int, int], float] = {}
 
-    for li, layer in enumerate(schedule.layers):
-        used: set[Coord] = set()
-        for g in layer.gates:
-            for t in g.targets:
-                if t in used:
-                    violations.append(f"layer {li}: target {t} used twice")
-                used.add(t)
-                if t not in position:
-                    violations.append(f"layer {li}: target {t} off grid")
-            if len(g.targets) == 2:
-                (r0, c0), (r1, c1) = g.targets
-                if abs(r0 - r1) + abs(c0 - c1) != 1:
-                    violations.append(
-                        f"layer {li}: {g.name} on non-adjacent {g.targets}"
-                    )
-            if g.name == "rzz":
-                labels = [position.get(t) for t in g.targets]
-                if None in labels:
-                    continue
-                (s_a, k_a), (s_b, k_b) = labels
-                if k_a != k_b:
-                    violations.append(
-                        f"layer {li}: coupling mixes copies at {g.targets}"
-                    )
-                    continue
-                edge = (min(s_a, s_b), max(s_a, s_b))
-                if edge not in edges:
-                    violations.append(
-                        f"layer {li}: coupling on non-edge sites {edge}"
-                    )
-                    continue
-                key = (*edge, k_a)
-                if key in seen:
-                    violations.append(
-                        f"layer {li}: edge {edge} copy {k_a} repeated"
-                    )
-                seen[key] = g.angle if g.angle is not None else 0.0
-            if g.name == "swap":
-                a, b = g.targets
-                position[a], position[b] = position[b], position[a]
+    used: set[tuple[int, Coord]] = set()  # (layer, target)
+
+    for li, g in _walk(schedule, position):
+        for t in g.targets:
+            if (li, t) in used:
+                violations.append(f"layer {li}: target {t} used twice")
+            used.add((li, t))
+            if t not in position:
+                violations.append(f"layer {li}: target {t} off grid")
+        if len(g.targets) == 2:
+            (r0, c0), (r1, c1) = g.targets
+            if abs(r0 - r1) + abs(c0 - c1) != 1:
+                violations.append(
+                    f"layer {li}: {g.name} on non-adjacent {g.targets}"
+                )
+        if g.name == "rzz":
+            labels = [position.get(t) for t in g.targets]
+            if None in labels:
+                continue
+            (s_a, k_a), (s_b, k_b) = labels
+            if k_a != k_b:
+                violations.append(
+                    f"layer {li}: coupling mixes copies at {g.targets}"
+                )
+                continue
+            edge = (min(s_a, s_b), max(s_a, s_b))
+            if edge not in edges:
+                violations.append(
+                    f"layer {li}: coupling on non-edge sites {edge}"
+                )
+                continue
+            key = (*edge, k_a)
+            if key in seen:
+                violations.append(
+                    f"layer {li}: edge {edge} copy {k_a} repeated"
+                )
+            seen[key] = g.angle if g.angle is not None else 0.0
 
     covered = {(a, b) for a, b, _ in seen}
     for edge in sorted(covered):
@@ -374,23 +379,13 @@ def validate(schedule: Schedule, layout: GridLayout) -> ValidationReport:
 
 def schedule_to_circuit(schedule: Schedule, layout: GridLayout) -> Circuit:
     """Lower a schedule to a simulator circuit on the interleaved logical
-    register (site i -> qubits 2i, 2i+1).  Swap layers only reroute, so
+    register (site i -> qubits 2i, 2i+1).  Swap gates only reroute, so
     they update the device-to-logical map and emit nothing."""
     position = layout.logical_map()
     gates: list[Gate] = []
-    for layer in schedule.layers:
-        if layer.is_swap:
-            for g in layer.gates:
-                if g.name == "swap":
-                    a, b = g.targets
-                    position[a], position[b] = position[b], position[a]
-            continue
-        for g in layer.gates:
+    for _, g in _walk(schedule, position):
+        if g.name != "swap":
             logical = tuple(2 * s + k for s, k in (position[t] for t in g.targets))
-            if g.name == "swap":
-                a, b = g.targets
-                position[a], position[b] = position[b], position[a]
-                continue
             # Schedule angles are exp(-i a W); rotations use exp(-i a W / 2).
             gates.append(Gate(g.name, logical, 2.0 * g.angle))
     return Circuit.from_gates(2 * layout.sites, gates)

@@ -21,23 +21,17 @@ from itertools import groupby
 import numpy as np
 
 from ._linalg import apply_block, apply_matrix, reserve
-from .errors import ParseError, ProjectionFailedError
-from .pauli import PauliString, PauliSum
+from .errors import ProjectionFailedError
+from .pauli import SIGMA, PauliString, PauliSum
 from .vectorize import COMPUTATIONAL, BasisTag, VectorizedState, vectorize
 
 _SQ = 1 / np.sqrt(2)
-_I2 = np.eye(2, dtype=complex)
-_PAULI_1Q = {
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 _FIXED = {
-    "id": _I2,
-    "x": _PAULI_1Q["X"],
-    "y": _PAULI_1Q["Y"],
-    "z": _PAULI_1Q["Z"],
+    "id": SIGMA["I"],
+    "x": SIGMA["X"],
+    "y": SIGMA["Y"],
+    "z": SIGMA["Z"],
     "h": np.array([[_SQ, _SQ], [_SQ, -_SQ]], dtype=complex),
     "s": np.diag([1, 1j]).astype(complex),
     "sdg": np.diag([1, -1j]).astype(complex),
@@ -59,13 +53,6 @@ _INVERSE_NAME = {"s": "sdg", "sdg": "s", "t": "tdg", "tdg": "t"}
 _TO_Z = {"X": ("h",), "Y": ("sdg", "h"), "Z": ()}  # gates rotating each axis onto Z
 
 GATE_NAMES = frozenset(_FIXED) | frozenset(_ROTATION_AXES) | {"pexp", "u"}
-
-
-def _pauli_word_matrix(axes: str) -> np.ndarray:
-    out = np.eye(1, dtype=complex)
-    for a in axes:
-        out = np.kron(out, _PAULI_1Q[a])
-    return out
 
 
 @dataclass(frozen=True)
@@ -139,13 +126,9 @@ def gate_matrix(g: Gate) -> np.ndarray:
     read-only arrays."""
     if g.name in _FIXED:
         return _FIXED[g.name]
-    if g.name in _ROTATION_AXES:
-        p = _pauli_word_matrix(_ROTATION_AXES[g.name])
-        return np.cos(g.angle / 2) * np.eye(p.shape[0]) - 1j * np.sin(g.angle / 2) * p
     if g.name == "u":
         return g.matrix
-    reserve(16 * 4 ** len(g.targets), f"a pexp matrix on {len(g.targets)} targets")
-    p = _pauli_word_matrix(g.axes)
+    p = PauliString.from_label(_ROTATION_AXES.get(g.name) or g.axes).to_dense()
     return np.cos(g.angle / 2) * np.eye(p.shape[0]) - 1j * np.sin(g.angle / 2) * p
 
 
@@ -215,66 +198,6 @@ class Circuit:
         if other.k != self.k:
             raise ValueError("qubit counts differ")
         return Circuit(self.k, self.layers + other.layers)
-
-    def to_text(self) -> str:
-        lines = [f"qubits {self.k}"]
-        for layer in self.layers:
-            for g in layer:
-                if g.name == "u":
-                    raise ValueError("explicit-matrix gates have no text form")
-                parts = [g.name, *map(str, g.targets)]
-                if g.angle is not None:
-                    parts.append(repr(float(g.angle)))
-                if g.axes is not None:
-                    parts.append(g.axes)
-                lines.append(" ".join(parts))
-            lines.append("---")
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def from_text(text: str) -> "Circuit":
-        k = None
-        layers: list[list[Gate]] = [[]]
-        for ln, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line == "---":
-                if layers[-1]:
-                    layers.append([])
-                continue
-            tok = line.split()
-            if tok[0] == "qubits":
-                if k is not None:
-                    raise ParseError(f"line {ln}: repeated qubits header")
-                try:
-                    k = int(tok[1])
-                except (IndexError, ValueError):
-                    raise ParseError(f"line {ln}: bad qubits header") from None
-                continue
-            if k is None:
-                raise ParseError(f"line {ln}: missing qubits header")
-            try:
-                layers[-1].append(_parse_gate(tok))
-            except (ValueError, IndexError) as exc:
-                raise ParseError(f"line {ln}: {exc}") from None
-        if k is None:
-            raise ParseError("missing qubits header")
-        if not layers[-1]:
-            layers.pop()
-        return Circuit(k, tuple(tuple(layer) for layer in layers))
-
-
-def _parse_gate(tok: list[str]) -> Gate:
-    name = tok[0]
-    if name == "pexp":
-        axes = tok[-1]
-        angle = float(tok[-2])
-        targets = tuple(int(t) for t in tok[1:-2])
-        return Gate("pexp", targets, angle, axes)
-    if name in _ROTATION_AXES:
-        return Gate(name, tuple(int(t) for t in tok[1:-1]), float(tok[-1]))
-    return Gate(name, tuple(int(t) for t in tok[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -372,14 +295,25 @@ def _compact(m: np.ndarray) -> np.ndarray:
 
 def _merged_diagonal(run: list) -> tuple[np.ndarray, tuple[int, ...]]:
     """One read-only diagonal step equal to the diagonal steps of ``run``
-    applied in order, over their contiguous target span: the steps applied
-    to np.ones. Overlapping and non-contiguous targets are allowed."""
+    applied in order, over their contiguous target span: the steps
+    multiplied in place, in order, into one np.ones array, so the build
+    holds one array of span size. Overlapping and non-contiguous targets
+    are allowed."""
     lo = min(min(targets) for _, targets in run)
     span = max(max(targets) for _, targets in run) + 1 - lo
     reserve(16 * 2**span, f"a merged diagonal on {span} qubits")
     diag = np.ones(2**span, dtype=complex)
     for mat, targets in run:
-        diag = apply_matrix(diag, mat, tuple(t - lo for t in targets), span)
+        rel = [t - lo for t in targets]
+        m = len(rel)
+        view = np.moveaxis(diag.reshape((2,) * span), rel, range(m))
+        factor = mat.reshape((2,) * m + (1,) * (span - m))
+        # apply_matrix's operand order: a complex product can round
+        # differently with its operands swapped.
+        if rel == list(range(rel[0], rel[0] + m)):
+            np.multiply(view, factor, out=view)
+        else:
+            np.multiply(factor, view, out=view)
     diag.flags.writeable = False
     return diag, tuple(range(lo, lo + span))
 
@@ -427,12 +361,6 @@ class QState:
         if abs(norm - 1.0) > 1e-10:
             raise ValueError(f"state norm {norm!r} outside tolerance")
 
-    @staticmethod
-    def computational(k: int, index: int = 0) -> "QState":
-        amps = np.zeros(2**k, dtype=complex)
-        amps[index] = 1.0
-        return QState(k, amps)
-
     def probabilities(self) -> np.ndarray:
         p = np.abs(self.amplitudes) ** 2
         return p / p.sum()
@@ -475,9 +403,6 @@ class RngStream:
 
     def fork(self, name: str) -> "RngStream":
         return RngStream(self.seed, self.path + (zlib.crc32(name.encode()),))
-
-    def child(self, index: int) -> "RngStream":
-        return RngStream(self.seed, self.path + (int(index),))
 
     @property
     def generator(self) -> np.random.Generator:
@@ -605,29 +530,34 @@ def _identity_pairs(n: int) -> np.ndarray:
 def interferometric_state(
     op: PauliSum, op2: PauliSum, u: Circuit, u2: Circuit
 ) -> QState:
-    """Ancilla-controlled encoding whose ancilla X expectation reads off
+    """Two-branch encoding whose ancilla X expectation reads off
     Re tr(O2(t2) O(t))/2^n with O(t) = U^dag O U and O2(t2) = U2^dag O2 U2.
 
-    Register layout: 2n doubled qubits then one ancilla (qubit 2n). The
-    identity branch rides along unchanged because both evolution passes fix
-    ||I>>_C, so no controlled time evolution is needed.
+    Register layout: 2n doubled qubits then one ancilla (qubit 2n), holding
+    (|0>||I>> + |1>||O2 U2 O(t) U2^dag>>)/sqrt(2). Both evolution passes
+    fix ||I>>_C, so only the ancilla-1 half is evolved, on its own 2n
+    qubits: ||O>> through both passes, then O2 on the left copy. No
+    controlled operation is needed.
     """
     n = u.k
     k = 2 * n + 1
-    # The register and the two controlled blocks of side 2^(n+1).
-    reserve(16 * 2**k + 2 * 16 * 4 ** (n + 1), f"the interferometric state on {k} qubits")
-    lefts = range(0, 2 * n, 2)
-    controlled = []
+    # The register, the ancilla-1 branch and the two dense operators.
+    reserve(16 * 2**k + 3 * 16 * 4**n, f"the interferometric state on {k} qubits")
+    mats = []
     for name, o in (("first", op), ("second", op2)):
         m = o.to_dense()
         if np.max(np.abs(m @ m.conj().T - np.eye(2**n))) > 1e-10:
             raise ValueError(f"{name} operator is not unitary")
-        block = np.eye(2 * len(m), dtype=complex)
-        block[len(m):, len(m):] = m
-        controlled.append((block, (2 * n, *lefts)))
+        mats.append(m)
+    lefts = range(0, 2 * n, 2)
+    identity = _identity_pairs(n)
     lowered = _lower(u, True, (0, 1), lefts) + _lower(u2, False, (0, 1), lefts)
-    amps = np.kron(_identity_pairs(n), np.array([_SQ, _SQ], dtype=complex))
-    return QState(k, _run(amps, [controlled[0], *lowered, controlled[1]], k))
+    branch = _run(apply_block(identity, n, mats[0], None), lowered, 2 * n)
+    amps = np.empty(2**k, dtype=complex)
+    amps[0::2] = identity
+    amps[1::2] = apply_block(branch, n, mats[1], None)
+    amps /= np.sqrt(2)
+    return QState(k, amps)
 
 
 # ---------------------------------------------------------------------------

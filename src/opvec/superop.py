@@ -26,7 +26,7 @@ import numpy as np
 
 from ._linalg import apply_block, apply_matrix, reserve
 from .errors import NonCommutingSetError, ParseError
-from .pauli import SIGMA, PauliString
+from .pauli import PauliString
 from .simulator import Circuit, Gate, gate_matrix
 from .vectorize import (
     COMPUTATIONAL,
@@ -61,15 +61,6 @@ class OperatorSumSuperop:
             if l.n != self.n or r.n != self.n:
                 raise ValueError("term site count mismatch")
 
-    @staticmethod
-    def single(f: complex, left: PauliString, right: PauliString) -> "OperatorSumSuperop":
-        return OperatorSumSuperop(left.n, ((f, left, right),))
-
-    @staticmethod
-    def identity(n: int) -> "OperatorSumSuperop":
-        eye = PauliString.identity(n)
-        return OperatorSumSuperop(n, ((1.0, eye, eye),))
-
     def merged(self) -> dict[tuple[int, int, int, int], complex]:
         """Coefficients keyed by (left.z, left.x, right.z, right.x), summed
         over duplicate (L, R) pairs, exact zeros dropped."""
@@ -83,23 +74,12 @@ class OperatorSumSuperop:
     def is_self_adjoint(self) -> bool:
         return all(abs(v.imag) < 1e-12 for v in self.merged().values())
 
-    def adjoint(self) -> "OperatorSumSuperop":
-        return OperatorSumSuperop(
-            self.n, tuple((np.conj(f), l, r) for f, l, r in self.terms)
-        )
-
     def apply_vectorized(self, amps: np.ndarray) -> np.ndarray:
         """Action on raw computational-rep amplitudes (norm not preserved)."""
         out = np.zeros_like(amps)
         for f, l, r in self.terms:
             out += f * apply_block(amps, self.n, l.to_dense(), r.to_dense().T)
         return out
-
-    def to_text(self) -> str:
-        lines = []
-        for f, l, r in self.terms:
-            lines.append(f"{f.real!r} {f.imag!r} {l.label} {r.label}")
-        return "\n".join(lines) + "\n"
 
     @staticmethod
     def from_text(text: str) -> "OperatorSumSuperop":
@@ -314,16 +294,6 @@ def lifted_pauli(left: PauliString, right: PauliString) -> tuple[int, PauliStrin
 _PHASES = (1, 1j, -1, -1j)
 
 
-def _local_candidates(m: int):
-    for idx in range(4**m):
-        kinds = []
-        rem = idx
-        for _ in range(m):
-            kinds.append("IXZY"[rem % 4])
-            rem //= 4
-        yield tuple(reversed(kinds))
-
-
 def _with_sites(p: PauliString, targets: tuple[int, ...], kinds) -> PauliString:
     z, x = p.z, p.x
     for t, kind in zip(targets, kinds):
@@ -340,21 +310,17 @@ def conjugate_pauli(gate: Gate, phase: complex, p: PauliString) -> tuple[complex
     """phase * p -> C (phase * p) C^dag for a single Clifford gate, by dense
     conjugation of the local factor and exact re-identification."""
     m = len(gate.targets)
-    fac = np.eye(1, dtype=complex)
-    for t in gate.targets:
-        fac = np.kron(fac, SIGMA[p.site(t)])
+    fac = PauliString.from_label("".join(p.site(t) for t in gate.targets)).to_dense()
     g = gate_matrix(gate)
     out = g @ fac @ g.conj().T
-    for kinds in _local_candidates(m):
-        cand = np.eye(1, dtype=complex)
-        for kind in kinds:
-            cand = np.kron(cand, SIGMA[kind])
-        coef = np.trace(cand.conj().T @ out) / 2**m
+    for idx in range(4**m):
+        cand = index_pauli(idx, m)
+        coef = np.trace(cand.to_dense().conj().T @ out) / 2**m
         if abs(coef) > 0.5:
             snapped = min(_PHASES, key=lambda ph: abs(ph - coef))
             if abs(snapped - coef) > 1e-9:
                 raise ValueError(f"gate {gate.name} is not Clifford on Pauli words")
-            return phase * snapped, _with_sites(p, gate.targets, kinds)
+            return phase * snapped, _with_sites(p, gate.targets, cand.label)
     raise ValueError(f"gate {gate.name} is not Clifford on Pauli words")
 
 

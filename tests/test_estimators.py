@@ -299,7 +299,7 @@ class TestGroupedSuperop:
         assert abs(rep.value - want) < 3 * rep.stderr + 1e-12
 
     def test_rejects_non_self_adjoint(self):
-        a = OperatorSumSuperop.single(1j, word("X"), word("I"))
+        a = OperatorSumSuperop(1, ((1j, word("X"), word("I")),))
         with pytest.raises(ValueError, match="self-adjoint"):
             estimate_superop_grouped(
                 word_state("Z", COMPUTATIONAL), a, [[0]], ShotPlan((4,), 4), RngStream(0)
@@ -380,7 +380,7 @@ class TestGroupedSuperop:
             )
 
     def test_rejects_all_exact_grouping(self):
-        a = OperatorSumSuperop.identity(1)
+        a = OperatorSumSuperop(1, ((1.0, word("I"), word("I")),))
         with pytest.raises(ValueError, match="no sampled"):
             estimate_superop_grouped(
                 word_state("Z", COMPUTATIONAL), a, [[]], ShotPlan((4,), 4), RngStream(0)

@@ -173,6 +173,13 @@ class TestValidation:
         report = validate(Schedule(1, 1, (layer,)), embed(1, 1))
         assert any("off grid" in v for v in report.violations)
 
+    def test_flags_off_grid_swap(self):
+        # Reported like any off-grid target, and the swap moves nothing.
+        layout = embed(2, 2)
+        layer = ScheduleLayer((ScheduledGate("swap", ((0, 3), (0, 4))),), is_swap=True)
+        report = validate(Schedule(2, 2, (layer,)), layout)
+        assert report.violations == ("layer 0: target (0, 4) off grid",)
+
     def test_flags_copy_mixing(self):
         # both targets sit inside one capsule, so the coupling straddles copies
         layer = ScheduleLayer((ScheduledGate("rzz", ((0, 0), (0, 1)), 0.1),))
@@ -228,6 +235,26 @@ class TestValidation:
         )
         report = validate(Schedule(1, 3, layers), layout)
         assert any("missing" in v for v in report.violations)
+
+
+def test_every_swap_gate_reroutes_whatever_its_layer():
+    # A swap gate in a non-swap layer, then a coupling in a swap layer: the
+    # capsule swap moves the edge's coupling from copy 1 to copy 0 in
+    # final_layout, validate and schedule_to_circuit alike.
+    layout = embed(1, 2)
+    layers = (
+        ScheduleLayer((ScheduledGate("rzz", ((0, 1), (0, 2)), -0.2),)),
+        ScheduleLayer((ScheduledGate("swap", ((0, 0), (0, 1))), ScheduledGate("swap", ((0, 2), (0, 3))))),
+        ScheduleLayer((ScheduledGate("rzz", ((0, 1), (0, 2)), 0.2),), is_swap=True),
+    )
+    sched = Schedule(1, 2, layers)
+    assert final_layout(layout, sched).placement == (((0, 1), (0, 0)), ((0, 2), (0, 3)))
+    report = validate(sched, layout)
+    assert report.ok and report.edges_covered == 1
+    circ = schedule_to_circuit(sched, layout)
+    assert [(g.name, g.targets, g.angle) for g in circ.gates()] == [
+        ("rzz", (1, 3), -0.4), ("rzz", (0, 2), 0.4)
+    ]
 
 
 class TestGridHamiltonian:
