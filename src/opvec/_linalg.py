@@ -36,14 +36,22 @@ def reserve(nbytes: int, what: str) -> None:
 # over the last axis.
 _FOLD = 32
 
+# Amplitudes transposed at a time when a dense block's trailing block is
+# narrower than the matrix: each chunk's copy and product stay in L2.
+_CHUNK = 1 << 13
+
 
 def apply_matrix(vec: np.ndarray, mat: np.ndarray, targets: tuple[int, ...], k: int, d: int = 2) -> np.ndarray:
     """Apply ``mat`` (d^m x d^m) to the ``targets`` axes of a K-qudit vector.
 
     A 1-D ``mat`` is a diagonal, applied as an elementwise multiply. Targets
     forming an ascending contiguous run are contracted through an (A, D, B)
-    reshape with no axis copies; any other order moves the target axes to
-    the front and back."""
+    reshape with no axis copies of the register: a trailing block with
+    D * B <= _FOLD is folded into mat (x) I_B, and a dense ``mat`` whose
+    trailing block is still narrower than it (1 < B < D) is applied by one
+    GEMM per chunk of about _CHUNK amplitudes transposed to (-1, D), not by
+    A products of a D x D by a thin D x B matrix. Any other target order
+    moves the target axes to the front and back."""
     m = len(targets)
     lo = targets[0] if m else 0
     if tuple(targets) != tuple(range(lo, lo + m)):
@@ -60,9 +68,17 @@ def apply_matrix(vec: np.ndarray, mat: np.ndarray, targets: tuple[int, ...], k: 
     if b == 1:
         t = vec.reshape(-1, dim)
         out = t * mat if mat.ndim == 1 else t @ mat.T
-    else:
+    elif mat.ndim == 1:
+        out = vec.reshape(-1, dim, b) * mat[:, None]
+    elif b < dim:
         t = vec.reshape(-1, dim, b)
-        out = t * mat[:, None] if mat.ndim == 1 else mat @ t
+        out = np.empty(t.shape, dtype=np.result_type(vec, mat))
+        rows = max(1, _CHUNK // (dim * b))
+        for r in range(0, len(t), rows):
+            part = t[r : r + rows].transpose(0, 2, 1).reshape(-1, dim) @ mat.T
+            out[r : r + rows] = part.reshape(-1, b, dim).transpose(0, 2, 1)
+    else:
+        out = mat @ vec.reshape(-1, dim, b)
     return out.reshape(-1)
 
 

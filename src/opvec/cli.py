@@ -40,6 +40,7 @@ from .simulator import (
     Gate,
     QState,
     RngStream,
+    _reserve_dilated,
     apply_circuit,
     channel_dual_postselect,
     dense_unitary,
@@ -117,7 +118,12 @@ def _load_pauli_sum(spec, base: Path, errors: list[str], field: str) -> PauliSum
 
 
 def _load_circuit(spec, base: Path, errors: list[str]) -> Circuit | None:
-    """Circuit JSON: {"qubits": k, "gates": [{"name", "targets", "angle"?, "axes"?}]}."""
+    """Circuit JSON: {"qubits": k, "gates": [{"name", "targets", "angle"?, "axes"?}]}.
+
+    Equal gate specs share one Gate, as the steps of ``trotter_circuit`` do,
+    so the lowering places each distinct gate once. Specs are keyed on name,
+    targets, repr(angle) and axes, which keeps -0.0 apart from 0.0; a spec
+    with an unhashable field gets its own Gate, which reports it."""
     try:
         if isinstance(spec, dict) and isinstance(spec.get("file"), str):
             doc = json.loads(_resolve(base, spec["file"]).read_text())
@@ -126,10 +132,19 @@ def _load_circuit(spec, base: Path, errors: list[str]) -> Circuit | None:
         else:
             errors.append("circuit: expected {'file': ...} or an inline gate list")
             return None
-        gates = [
-            Gate(g["name"], tuple(g["targets"]), g.get("angle"), g.get("axes"))
-            for g in doc["gates"]
-        ]
+        made: dict[tuple, Gate] = {}
+        gates = []
+        for g in doc["gates"]:
+            key = (g["name"], tuple(g["targets"]), repr(g.get("angle")), g.get("axes"))
+            try:
+                gate = made.get(key)
+            except TypeError:
+                key = gate = None
+            if gate is None:
+                gate = Gate(g["name"], tuple(g["targets"]), g.get("angle"), g.get("axes"))
+                if key is not None:
+                    made[key] = gate
+            gates.append(gate)
         return Circuit.from_gates(int(doc["qubits"]), gates)
     except (KeyError, TypeError, ValueError, OSError, json.JSONDecodeError) as exc:
         errors.append(f"circuit: {exc}")
@@ -513,6 +528,8 @@ def _task_choi2pc(cfg: dict, rng: RngStream):
     # |psi>|0> -> sqrt(1-p)|psi>|0> + sqrt(p) X|psi>|1>
     theta = 2.0 * math.asin(math.sqrt(p))
     dilation = Circuit.from_gates(2, [Gate("ry", (1,), theta), Gate("cx", (1, 0))])
+    # The dilated register is 4x the vectorized operator: refuse it first.
+    _reserve_dilated(op.n, 1)
     dual, prob = channel_dual_postselect(dilation, 1, vectorize(op, COMPUTATIONAL), sites=(site,))
 
     def exact():

@@ -180,7 +180,7 @@ def mc_diagonal(
     if power < 1:
         raise ValueError("power must be a positive integer")
     keys = sorted(dist.counts)
-    lam = np.array([diag.lam(index_pauli(k, dist.n)) for k in keys], dtype=float)
+    lam = np.asarray(diag.lam(np.array(keys, dtype=np.int64)), dtype=float)
     if not np.all(np.isfinite(lam)):
         raise ValueError("eigenvalue function is unbounded on the sampled support")
     weights = np.array([dist.counts[k] for k in keys], dtype=float)

@@ -215,25 +215,44 @@ def _lower(circuit: Circuit, dagger=False, copies=(0,), qubits=None) -> list:
     With ``dagger`` the steps run in reverse with M^dag in place of M.
     The steps are then fused by :func:`_fuse`.
 
+    Each gate object is placed once per call by :func:`_place`, and a gate
+    that recurs, as every Trotter step's do, reuses its placed steps, so the
+    work grows with the distinct gates rather than the circuit's length. The
+    circuit keeps its gates alive, so they are keyed on their identity.
     Each distinct gate's matrices are built once per call and shared
     read-only. Gates are told apart by name, axes and repr(angle), which
     keeps -0.0 apart from 0.0; u gates are never merged."""
     qubits = range(circuit.k) if qubits is None else qubits
-    steps = []
-    for g in circuit.gates():
-        if g.name == "pexp" and len(g.targets) > 2:
-            steps += [(None, *step) for step in _pexp_ladder(g)]
-        else:
-            steps.append((g, g.name, g.targets, g.angle))
+    gates = list(circuit.gates())
     if dagger:
-        steps.reverse()
+        gates.reverse()
     built: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+    placed: dict[int, list] = {}
     out = []
-    for g, name, targets, angle in steps:
-        key = (name, getattr(g, "axes", None), repr(angle))
+    for g in gates:
+        steps = placed.get(id(g))
+        if steps is None:
+            steps = placed[id(g)] = _place(g, dagger, copies, qubits, built)
+        out += steps
+    return _fuse(out)
+
+
+def _place(g: Gate, dagger: bool, copies, qubits, built: dict) -> list:
+    """The (matrix, register targets) steps of one gate, as :func:`_lower`
+    describes: a wide pexp becomes its CX ladder, reversed under
+    ``dagger``. ``built`` holds the matrices already made in this call."""
+    if g.name == "pexp" and len(g.targets) > 2:
+        parts = [(None, *step) for step in _pexp_ladder(g)]
+    else:
+        parts = [(g, g.name, g.targets, g.angle)]
+    if dagger:
+        parts.reverse()
+    out = []
+    for gate, name, targets, angle in parts:
+        key = (name, getattr(gate, "axes", None), repr(angle))
         mats = built.get(key)
         if mats is None:
-            m = gate_matrix(g or Gate(name, targets, angle))
+            m = gate_matrix(gate or Gate(name, targets, angle))
             if dagger:
                 m = m.conj().T
             mats = (m, m.conj())
@@ -242,7 +261,7 @@ def _lower(circuit: Circuit, dagger=False, copies=(0,), qubits=None) -> list:
             if name != "u":
                 built[key] = mats
         out += [(mats[c], tuple(qubits[t] + c for t in targets)) for c in copies]
-    return _fuse(out)
+    return out
 
 
 def _fuse(steps: list) -> list:
@@ -250,33 +269,55 @@ def _fuse(steps: list) -> list:
     disjoint and together form a contiguous run of at most _FUSE_SPAN
     register qubits; a merged step is not merged again. A merged matrix is
     the kron of the two, permuted to ascending targets, and a diagonal block
-    is stored as its 1-D diagonal. Blocks are built once per distinct source
-    matrices per call and are read-only. They are keyed on the identity of
-    their sources, which ``steps`` or the cache itself keeps alive."""
+    is stored as its 1-D diagonal.
+
+    Each distinct adjacent pair, by the identity of both matrices and by
+    their targets, is decided once per call by :func:`_merge`, and both
+    outcomes are kept; each distinct matrix is compacted once. Merged blocks
+    are built once per distinct source matrices and relative targets, and
+    every block is read-only. All are keyed on the identity of their
+    sources, which ``steps`` or the caches keep alive."""
     blocks: dict[tuple, np.ndarray] = {}
-
-    def block(key, make):
-        if key not in blocks:
-            blocks[key] = make()
-            blocks[key].flags.writeable = False
-        return blocks[key]
-
+    decided: dict[tuple, tuple | None] = {}
     merged: list = []
     fresh = False  # whether merged[-1] is an unmerged step
     for mat, targets in steps:
         if fresh:
             prev, before = merged[-1]
-            both = before + targets
-            lo = min(both)
-            if len(both) <= _FUSE_SPAN and sorted(both) == list(range(lo, lo + len(both))):
-                key = ("kron", id(prev), id(mat), tuple(t - lo for t in both))
-                fused = block(key, lambda: _kron_sorted(prev, mat, both))
-                merged[-1] = (fused, tuple(range(lo, lo + len(both))))
+            key = (id(prev), before, id(mat), targets)
+            if key not in decided:
+                decided[key] = _merge(prev, before, mat, targets, blocks)
+            if decided[key] is not None:
+                merged[-1] = decided[key]
                 fresh = False
                 continue
         merged.append((mat, targets))
         fresh = True
-    return [(block(("diag", id(m)), lambda: _compact(m)), t) for m, t in merged]
+    compact: dict[int, np.ndarray] = {}
+    out = []
+    for m, t in merged:
+        c = compact.get(id(m))
+        if c is None:
+            c = compact[id(m)] = _compact(m)
+            c.flags.writeable = False
+        out.append((c, t))
+    return out
+
+
+def _merge(a: np.ndarray, ta: tuple, b: np.ndarray, tb: tuple, blocks: dict) -> tuple | None:
+    """The fused step of ``a`` on ``ta`` followed by ``b`` on ``tb``, or
+    None when their targets overlap or do not form one contiguous run of at
+    most _FUSE_SPAN qubits. ``blocks`` holds the fused matrices already
+    built, keyed on both sources and the targets relative to the run."""
+    both = ta + tb
+    lo = min(both)
+    if len(both) > _FUSE_SPAN or sorted(both) != list(range(lo, lo + len(both))):
+        return None
+    key = (id(a), id(b), tuple(t - lo for t in both))
+    if key not in blocks:
+        blocks[key] = _kron_sorted(a, b, both)
+        blocks[key].flags.writeable = False
+    return blocks[key], tuple(range(lo, lo + len(both)))
 
 
 def _kron_sorted(a: np.ndarray, b: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
@@ -563,6 +604,14 @@ def interferometric_state(
 # ---------------------------------------------------------------------------
 # Channel duals by postselection.
 
+def _reserve_dilated(n: int, n_env: int) -> None:
+    """State the bytes of the doubled register of n system and n_env
+    environment sites that :func:`channel_dual_postselect` builds; a caller
+    can state them before it vectorizes the operator."""
+    total = n + n_env
+    reserve(16 * 4**total, f"the dilated register of {2 * total} qubits")
+
+
 def channel_dual_postselect(
     dilation: Circuit,
     n_env: int,
@@ -589,7 +638,7 @@ def channel_dual_postselect(
         raise ValueError("site outside register")
 
     total = n + n_env
-    reserve(16 * 4**total, f"the dilated register of {2 * total} qubits")
+    _reserve_dilated(n, n_env)
     amps = np.kron(state.amplitudes, _identity_pairs(n_env))
     lefts = [2 * s for s in sites] + [2 * e for e in range(n, total)]
     amps = _run(amps, _lower(dilation, True, (0, 1), lefts), 2 * total)

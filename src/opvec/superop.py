@@ -5,7 +5,7 @@ An operator-sum superoperator A(O) = sum f L O R (Hermitian Pauli words L, R)
 acts on computational-rep vectorized states as the matrix
 sum f L (x) R^*, with the site-interleaved ordering making each term a
 product of per-site 4x4 blocks. Diagonal superoperators are carried as a
-real function lambda over Pauli strings plus, when one exists, a sparse
+real function lambda over Pauli indices plus, when one exists, a sparse
 operator-sum coefficient vector f; the two are related by the commutation
 sign transform lambda = K f, f = K lambda / 4^n with
 K[i,k] = +1 iff strings i and k commute. Commutation signs multiply site by
@@ -34,6 +34,7 @@ from .vectorize import (
     VectorizedState,
     bell_transform,
     index_pauli,
+    pauli_index,
 )
 
 NOT_COMMUTING = "NotCommuting"
@@ -118,24 +119,33 @@ _SITE_SIGNS = np.array(
 )
 
 
+# Pauli indices per eigenvalue call in lam_vector: the digit table of one
+# chunk stays small at any site count.
+_LAM_CHUNK = 1 << 16
+
+
 @dataclass
 class DiagonalSuperop:
     """Superoperator diagonal in the Pauli rep: a real eigenvalue function
-    over Pauli strings. f_sparse, when present, is the operator-sum
-    coefficient vector keyed by (z, x); observables like boundary indicators
-    have no sparse f and carry only the closure."""
+    that maps an integer array of Pauli indices to their eigenvalues.
+    f_sparse, when present, is the operator-sum coefficient vector keyed by
+    (z, x); observables like boundary indicators have no sparse f and carry
+    only the function."""
 
     n: int
-    lam: Callable[[PauliString], float]
+    lam: Callable[[np.ndarray], np.ndarray]
     f_sparse: dict[tuple[int, int], float] | None = None
     label: str = ""
 
     def lam_vector(self) -> np.ndarray:
+        """Eigenvalues of all 4^n Pauli indices, from ``lam`` on
+        consecutive index ranges."""
         size = 4**self.n
         reserve(8 * size, f"an eigenvalue table on {self.n} sites")
-        return np.fromiter(
-            (self.lam(index_pauli(i, self.n)) for i in range(size)), dtype=float, count=size
-        )
+        out = np.empty(size)
+        for lo in range(0, size, _LAM_CHUNK):
+            out[lo : lo + _LAM_CHUNK] = self.lam(np.arange(lo, min(size, lo + _LAM_CHUNK)))
+        return out
 
     def to_operator_sum(self) -> OperatorSumSuperop:
         """Diagonal operator-sum form sum_k f_k P_k (.) P_k from the sparse
@@ -175,6 +185,17 @@ def walsh_hadamard(values: np.ndarray, n: int, direction: str) -> np.ndarray:
     return out
 
 
+def _site_digits(idx: np.ndarray, n: int) -> np.ndarray:
+    """(n, len(idx)) base-4 digits of Pauli indices, row s for site s:
+    0, 1, 2, 3 for I, X, Z, Y, as in the Pauli index."""
+    shifts = 2 * np.arange(n - 1, -1, -1)
+    return (np.asarray(idx)[None, :] >> shifts[:, None]) & 3
+
+
+def _weights(idx: np.ndarray, n: int) -> np.ndarray:
+    return np.count_nonzero(_site_digits(idx, n), axis=0)
+
+
 def size_superop(n: int) -> DiagonalSuperop:
     """Operator-size observable: eigenvalue = Pauli weight; sparse f has
     3n/4 on the identity and -1/4 on each weight-1 string."""
@@ -183,31 +204,40 @@ def size_superop(n: int) -> DiagonalSuperop:
         f[(1 << i, 0)] = -0.25
         f[(0, 1 << i)] = -0.25
         f[(1 << i, 1 << i)] = -0.25
-    return DiagonalSuperop(n, lam=lambda p: float(p.weight), f_sparse=f, label="size")
+    return DiagonalSuperop(n, lam=lambda idx: _weights(idx, n).astype(float), f_sparse=f, label="size")
 
 
 def builtin_diagonal(spec: str, n: int) -> DiagonalSuperop:
     """Named diagonal observables: ``size``, ``weight_indicator@k``,
-    ``rhs_boundary@x`` (1-based boundary position), ``diag_otoc@<label>``."""
+    ``rhs_boundary@x`` (1-based position of the last non-identity site, 0
+    for the identity), ``diag_otoc@<label>`` (+1 where the string commutes
+    with the label, -1 where it anticommutes)."""
     if spec == "size":
         return size_superop(n)
     name, _, arg = spec.partition("@")
     if name == "weight_indicator":
         k = int(arg)
         return DiagonalSuperop(
-            n, lam=lambda p: 1.0 if p.weight == k else 0.0, label=spec
+            n, lam=lambda idx: (_weights(idx, n) == k).astype(float), label=spec
         )
     if name == "rhs_boundary":
         x = int(arg)
-        return DiagonalSuperop(
-            n, lam=lambda p: 1.0 if p.right_boundary == x else 0.0, label=spec
-        )
+
+        def boundary(idx):
+            nonzero = _site_digits(idx, n) != 0
+            last = np.where(nonzero.any(axis=0), n - np.argmax(nonzero[::-1], axis=0), 0)
+            return (last == x).astype(float)
+
+        return DiagonalSuperop(n, lam=boundary, label=spec)
     if name == "diag_otoc":
         q = PauliString.from_label(arg)
         if q.n != n:
             raise ValueError(f"{spec}: string length {q.n} != {n}")
+        rows = _SITE_SIGNS[_site_digits([pauli_index(q)], n)[:, 0]]
         return DiagonalSuperop(
-            n, lam=lambda p: 1.0 if p.commutes(q) else -1.0, label=spec
+            n,
+            lam=lambda idx: np.prod(np.take_along_axis(rows, _site_digits(idx, n), axis=1), axis=0),
+            label=spec,
         )
     raise ValueError(f"unknown diagonal observable {spec!r}")
 

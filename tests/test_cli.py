@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import ising_chain
+from helpers import ising_chain, refusal_peak
 
 import opvec
 from opvec import _linalg, cli
@@ -18,6 +18,7 @@ from opvec.cli import main
 from opvec.estimators import EmpiricalPauliDist
 from opvec.vectorize import COMPUTATIONAL, PAULI, load_state, vectorize
 from opvec.pauli import PauliString
+from opvec.simulator import Gate, heisenberg_doubled, trotter_circuit
 
 
 HAM3 = {"text": ising_chain(3).to_text()}
@@ -454,6 +455,67 @@ class TestConfigValidation:
         assert "operator:" in capsys.readouterr().err
 
 
+def ising_spec(n: int, t: float, steps: int) -> dict:
+    """The Ising chain's Trotter circuit as inline circuit JSON, one pexp
+    per term per step in ising_chain's term order, angle 2 c dt."""
+    dt = t / steps
+    terms = [(0.5, [i], "Z") for i in range(n)]
+    terms += [(0.25, [i, i + 1], "XX") for i in range(n - 1)]
+    gates = [
+        {"name": "pexp", "targets": targets, "angle": 2 * c * dt, "axes": axes}
+        for _ in range(steps)
+        for c, targets, axes in terms
+    ]
+    return {"qubits": n, "gates": gates}
+
+
+def errors_of_each_gate(spec: dict) -> list[str]:
+    """The errors of building every gate of ``spec`` on its own."""
+    try:
+        for g in spec["gates"]:
+            Gate(g["name"], tuple(g["targets"]), g.get("angle"), g.get("axes"))
+    except (KeyError, TypeError, ValueError) as exc:
+        return [f"circuit: {exc}"]
+    return []
+
+
+class TestInlineCircuit:
+    def test_equal_specs_share_one_gate(self, tmp_path):
+        circ = cli._load_circuit(ising_spec(7, 1.0, 64), tmp_path, [])
+        assert circ.num_gates() == 64 * 13
+        assert len({id(g) for g in circ.gates()}) == 13
+
+    def test_signed_zero_angles_stay_apart(self, tmp_path):
+        rz = [{"name": "rz", "targets": [0], "angle": a} for a in (0.0, -0.0, 0.0, -0.0)]
+        gates = list(cli._load_circuit({"qubits": 1, "gates": rz}, tmp_path, []).gates())
+        assert gates[0] is gates[2] and gates[1] is gates[3] and gates[0] is not gates[1]
+        assert [repr(g.angle) for g in gates] == ["0.0", "-0.0"] * 2
+
+    def test_evolves_as_the_trotter_circuit(self, tmp_path):
+        state = vectorize(PauliString.from_label("ZXIIIII").to_dense(), COMPUTATIONAL)
+        inline = cli._load_circuit(ising_spec(7, 1.0, 64), tmp_path, [])
+        built = trotter_circuit(ising_chain(7), 1.0, 64)
+        assert np.array_equal(
+            heisenberg_doubled(state, inline).amplitudes,
+            heisenberg_doubled(state, built).amplitudes,
+        )
+
+    @pytest.mark.parametrize("bad", [
+        {"name": "h", "targets": [[0]]},
+        {"name": ["h"], "targets": [0]},
+        {"name": "h", "targets": 0},
+        {"name": "h"},
+        {"name": "rz", "targets": [0], "angle": [0.5]},
+        {"name": "pexp", "targets": [0], "angle": 0.5, "axes": [["Z"]]},
+        ["h", [0]],
+    ])
+    def test_malformed_gates_keep_their_messages(self, tmp_path, bad):
+        spec = {"qubits": 1, "gates": [{"name": "h", "targets": [0]}, bad, bad]}
+        errors = []
+        cli._load_circuit(spec, tmp_path, errors)
+        assert errors == errors_of_each_gate(spec)
+
+
 class TestCapExit:
     """With the byte budget lowered to one dense 7-site operator, 256 KiB,
     every task refuses 8 sites with exit 3, names the requested and allowed
@@ -537,6 +599,20 @@ class TestCapExit:
             f"the byte budget allows {8 * 16 * 4**3 - 1}\n"
         )
         assert not out.exists()
+
+    def test_choi2pc_refuses_before_it_vectorizes(self, tmp_path, monkeypatch):
+        # The 8-site operator's register fits the budget, the dilated
+        # register of 18 qubits does not: the refusal comes before the
+        # operator register is built.
+        (tmp_path / "config.json").write_text(json.dumps(
+            {"task": "choi2pc", "operator": "Z" + "I" * 7, "p": 0.1, "site": 0, "seed": 1}
+        ))
+        cfg, errors = cli.validate_config(tmp_path / "config.json")
+        assert not errors
+        monkeypatch.setattr(_linalg, "BYTE_BUDGET", 16 * 4**9 - 1)
+        handler, _ = cli._TASKS["choi2pc"]
+        peak = refusal_peak(lambda: handler(cfg, cli.RngStream(1)), 16 * 4**9)
+        assert peak < 16 * 4**8
 
     def test_lattice_oracle_refuses_eight_sites(self, tmp_path, capsys):
         code, out = run_task(

@@ -202,7 +202,7 @@ class TestDiagonalMonteCarlo:
 
     def test_rejects_unbounded_eigenvalue(self):
         dist = sample_pauli_dist(vectorize(np.eye(2), PAULI), 10, RngStream(1))
-        diag = DiagonalSuperop(1, lam=lambda p: math.inf if p.weight == 0 else 1.0)
+        diag = DiagonalSuperop(1, lam=lambda idx: np.where(idx == 0, math.inf, 1.0))
         with pytest.raises(ValueError, match="unbounded"):
             mc_diagonal(dist, diag)
 

@@ -596,7 +596,7 @@ def _dense_reference(vec, mat, targets, k, d):
 def _apply_cases(draw):
     d = draw(st.sampled_from([2, 3]))
     k = draw(st.integers(1, 7 if d == 2 else 4))
-    m = draw(st.integers(1, min(k, 3)))
+    m = draw(st.integers(1, min(k, 4 if d == 2 else 3)))
     if draw(st.booleans()):
         lo = draw(st.integers(0, k - m))
         targets = tuple(range(lo, lo + m))
@@ -615,17 +615,35 @@ class TestApplyMatrix:
     @example((2, 6, (1, 4), False, 6))  # not contiguous
     @example((2, 6, (3, 2), True, 7))  # unsorted
     @example((3, 4, (1, 2), False, 8))  # qutrits
+    @example((2, 6, (0, 1, 2, 3), False, 9))  # D=16, trailing block of 4: transposed GEMM
+    @example((2, 7, (0, 1, 2, 3), False, 10))  # D=16, trailing block of 8
+    @example((2, 7, (1, 2, 3, 4), True, 11))  # diagonal, D=16, trailing block of 4
+    @example((3, 4, (0, 1, 2), False, 12))  # qutrits, D=27, trailing block of 3
     def test_matches_dense_kron(self, case):
         d, k, targets, diagonal, seed = case
-        gen = np.random.default_rng(seed)
-        dim = d ** len(targets)
-        vec = gen.normal(size=d**k) + 1j * gen.normal(size=d**k)
-        if diagonal:
-            mat = np.exp(1j * gen.normal(size=dim))
-        else:
-            mat = _random_unitary(gen, dim)
+        vec, mat = self._operands(d, k, len(targets), diagonal, seed)
         got = apply_matrix(vec, mat, targets, k, d)
         assert _close(got, _dense_reference(vec, mat, targets, k, d))
+
+    @staticmethod
+    def _operands(d, k, m, diagonal, seed):
+        gen = np.random.default_rng(seed)
+        vec = gen.normal(size=d**k) + 1j * gen.normal(size=d**k)
+        if diagonal:
+            return vec, np.exp(1j * gen.normal(size=d**m))
+        return vec, _random_unitary(gen, d**m)
+
+    # Chunk sizes in amplitudes for a 16x16 block with a trailing block of
+    # 4 (64 amplitudes per row, 8 rows): smaller than one row, three rows
+    # with a partial last chunk, and every row in one chunk.
+    @pytest.mark.parametrize("chunk", [1, 3 * 64, 8 * 64])
+    def test_narrow_trailing_blocks_in_chunks(self, monkeypatch, chunk):
+        monkeypatch.setattr(_linalg, "_CHUNK", chunk)
+        vec, mat = self._operands(2, 9, 4, False, chunk)
+        got = apply_matrix(vec, mat, (3, 4, 5, 6), 9)
+        assert _close(got, _dense_reference(vec, mat, (3, 4, 5, 6), 9, 2))
+        real = apply_matrix(vec.real.copy(), mat, (3, 4, 5, 6), 9)
+        assert _close(real, _dense_reference(vec.real, mat, (3, 4, 5, 6), 9, 2))
 
 
 class TestFusedLowering:
@@ -665,6 +683,66 @@ class TestFusedLowering:
         circ = Circuit.from_gates(3, gates)
         state = vectorize(ginibre(gen, 8), COMPUTATIONAL)
         assert _close(heisenberg_doubled(state, circ).amplitudes, _ref_heisenberg_doubled(state, circ))
+
+
+class TestLoweringPerDistinctGate:
+    """The lowering places each gate object once and decides each distinct
+    adjacent pair once per call, so its work follows the distinct gates of
+    a circuit, not its length."""
+
+    N = 7
+
+    def _lowerings(self, steps):
+        # dt = 1/64 in both the 1-step and the 64-step circuits.
+        h, t = ising_chain(self.N), steps / 64
+        lefts = range(0, 2 * self.N, 2)
+        return {
+            "heisenberg_doubled": lambda: _lower(trotter_circuit(h, t, steps), True, (0, 1), lefts),
+            "super_propagator_circuit": lambda: _lower(super_propagator_circuit(h, t, steps)),
+        }
+
+    @pytest.mark.parametrize("seam, counts", [
+        ("_place", {"heisenberg_doubled": 13, "super_propagator_circuit": 26}),
+        ("_merge", {"heisenberg_doubled": 13, "super_propagator_circuit": 13}),
+    ])
+    def test_work_does_not_grow_with_steps(self, monkeypatch, seam, counts):
+        real = getattr(simulator, seam)
+        calls = []
+
+        def counting(*args):
+            calls.append(seam)
+            return real(*args)
+
+        monkeypatch.setattr(simulator, seam, counting)
+        for path, want in counts.items():
+            made = []
+            for steps in (1, 64):
+                calls.clear()
+                self._lowerings(steps)[path]()
+                made.append(len(calls))
+            assert made == [want, want], path
+
+    @pytest.mark.parametrize("path", ["heisenberg_doubled", "super_propagator_circuit"])
+    def test_many_steps_repeat_the_one_step_lowering(self, path):
+        one, many = self._lowerings(1)[path](), self._lowerings(64)[path]()
+        period = len(one)
+        assert len(many) == 64 * period
+        assert [t for _, t in many] == [t for _, t in one] * 64
+        assert all(mat is many[i % period][0] for i, (mat, _) in enumerate(many))
+        assert all(np.array_equal(a, b) for (a, _), (b, _) in zip(many, one))
+
+    def test_equal_gate_objects_keep_their_own_matrices(self, gen):
+        # Distinct objects of equal u gates, and rz at 0.0 and -0.0, on
+        # qubits too far apart to fuse: the u gates are never merged, the
+        # signed zeros stay apart, and a repeated object shares its steps.
+        m = _random_unitary(gen, 2)
+        u1, u2 = Gate("u", (0,), matrix=m), Gate("u", (0,), matrix=m.copy())
+        pos, neg = Gate("rz", (3,), 0.0), Gate("rz", (3,), -0.0)
+        lowered = _lower(Circuit.from_gates(4, [u1, u2, pos, neg, u1, pos]))
+        mats = [mat for mat, _ in lowered]
+        assert [t for _, t in lowered] == [(0,), (0,), (3,), (3,), (0,), (3,)]
+        assert mats[0] is mats[4] and mats[0] is not mats[1]
+        assert mats[2] is mats[5] and mats[2] is not mats[3]
 
 
 class TestGateValues:

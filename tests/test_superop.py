@@ -27,7 +27,7 @@ from opvec.superop import (
     size_superop,
     walsh_hadamard,
 )
-from opvec.vectorize import COMPUTATIONAL, PAULI, pauli_index, vectorize
+from opvec.vectorize import COMPUTATIONAL, PAULI, index_pauli, pauli_index, vectorize
 from helpers import ginibre, random_word, refusal_peak
 from reference import apply_dense, interleaved_kron, transfer_matrix, transform_matrix, walsh_matrix
 
@@ -117,9 +117,9 @@ class TestDiagonal:
 
     def test_size_eigenvalues_count_support(self):
         s = size_superop(3)
-        assert s.lam(PauliString.from_label("III")) == 0
-        assert s.lam(PauliString.from_label("XIZ")) == 2
-        assert s.lam(PauliString.from_label("YYY")) == 3
+        labels = ("III", "XIZ", "YYY")
+        got = s.lam(np.array([pauli_index(PauliString.from_label(a)) for a in labels]))
+        assert got.tolist() == [0.0, 2.0, 3.0]
 
     def test_operator_sum_form_matches_transfer(self):
         s = size_superop(2)
@@ -147,7 +147,24 @@ class TestDiagonal:
     )
     def test_builtin_diagonals(self, spec, label, value):
         d = builtin_diagonal(spec, 3)
-        assert d.lam(PauliString.from_label(label)) == value
+        assert d.lam(np.array([pauli_index(PauliString.from_label(label))])).tolist() == [value]
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_builtins_equal_the_per_string_closures(self, n):
+        # The eigenvalue functions as they were written per Pauli string;
+        # the index-array forms must give exactly the same tables.
+        q = PauliString.from_label("ZXYI"[:n].ljust(n, "Y"))
+        closures = {"size": lambda p: float(p.weight)}
+        for k in range(n + 2):
+            closures[f"weight_indicator@{k}"] = lambda p, k=k: 1.0 if p.weight == k else 0.0
+            closures[f"rhs_boundary@{k}"] = lambda p, k=k: 1.0 if p.right_boundary == k else 0.0
+        closures[f"diag_otoc@{q.label}"] = lambda p: 1.0 if p.commutes(q) else -1.0
+        keys = np.random.default_rng(n).integers(4**n, size=50)
+        for spec, closure in closures.items():
+            d = builtin_diagonal(spec, n)
+            want = np.array([closure(index_pauli(i, n)) for i in range(4**n)])
+            assert np.array_equal(d.lam_vector(), want), spec
+            assert np.array_equal(d.lam(keys), want[keys]), spec
 
     def test_builtin_rejects(self):
         with pytest.raises(ValueError):
