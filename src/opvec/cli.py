@@ -46,7 +46,6 @@ from .simulator import (
     dense_unitary,
     heisenberg_doubled,
     interferometric_state,
-    prepare_vectorized,
     super_propagator_circuit,
     trotter_circuit,
 )
@@ -264,6 +263,10 @@ def validate_config(path) -> tuple[dict | None, list[str]]:
                     errors.append("superop: expected builtin name, {'text': ...}, or {'file': ...}")
             except (ParseError, ValueError, OSError) as exc:
                 errors.append(f"superop: {exc}")
+        if cfg["power"] < 1:
+            errors.append("power: must be >= 1")
+        elif cfg["power"] > 1 and isinstance(cfg.get("_superop"), OperatorSumSuperop):
+            errors.append("power: moments above 1 need a diagonal superoperator")
         grouping = raw.get("grouping")
         if grouping is not None:
             if not (isinstance(grouping, list)
@@ -316,30 +319,29 @@ def validate_config(path) -> tuple[dict | None, list[str]]:
 # ---------------------------------------------------------------------------
 # Shared task plumbing.
 
-def _evolved(cfg: dict, op: PauliSum) -> VectorizedState:
-    """Encoded operator after the configured evolution, computational rep."""
-    state = vectorize(op, COMPUTATIONAL)
-    circuit = cfg.get("_circuit")
-    h = cfg.get("_hamiltonian")
-    if circuit is not None:
-        return heisenberg_doubled(state, circuit)
-    if h is not None and cfg["t"] != 0.0:
-        reg = QState(2 * op.n, state.amplitudes)
-        reg = apply_circuit(reg, super_propagator_circuit(h, cfg["t"], cfg["steps"]))
-        return VectorizedState(op.n, COMPUTATIONAL, reg.amplitudes)
-    return state
+def _evolved(cfg: dict, op: PauliSum, basis) -> VectorizedState:
+    """Encoded operator in ``basis`` after the configured evolution. An
+    evolution runs from the Pauli rep, whose coefficients of a Hermitian
+    operator are real; with none, the operator is vectorized in ``basis``.
+    A Hamiltonian evolves by super_propagator_circuit, whose Heisenberg
+    picture applies each step's terms in the order listed."""
+    u = _configured_circuit(cfg, super_propagator_circuit)
+    if u is None:
+        return vectorize(op, basis)
+    state = heisenberg_doubled(vectorize(op, PAULI), u)
+    return state if basis == PAULI else bell_transform(state, "p_to_c")
 
 
-def _single_register_circuit(cfg: dict, n: int) -> Circuit:
-    """The configured evolution on one n-qubit register: the given circuit,
-    the Hamiltonian's Trotter circuit, or the identity."""
+def _configured_circuit(cfg: dict, build) -> Circuit | None:
+    """The configured evolution's circuit: the given circuit, ``build``(h, t,
+    steps) of the Hamiltonian, or None when nothing evolves."""
     circuit = cfg.get("_circuit")
     h = cfg.get("_hamiltonian")
     if circuit is not None:
         return circuit
     if h is not None and cfg["t"] != 0.0:
-        return trotter_circuit(h, cfg["t"], cfg["steps"])
-    return Circuit(n)
+        return build(h, cfg["t"], cfg["steps"])
+    return None
 
 
 def _oracle_evolved(cfg: dict, op: PauliSum) -> np.ndarray:
@@ -397,9 +399,7 @@ def _pair_entry(rep: est.EstimatorReport, exact: float | None) -> dict:
 
 def _task_evolve(cfg: dict, rng: RngStream):
     op = cfg["_operator"]
-    state = _evolved(cfg, op)
-    if cfg["basis"] == "pauli":
-        state = bell_transform(state, "c_to_p")
+    state = _evolved(cfg, op, PAULI if cfg["basis"] == "pauli" else COMPUTATIONAL)
     initial = vectorize(op, state.basis).amplitudes
     value = float(np.vdot(initial, state.amplitudes).real)
 
@@ -412,7 +412,7 @@ def _task_evolve(cfg: dict, rng: RngStream):
 
 def _task_sample(cfg: dict, rng: RngStream):
     op = cfg["_operator"]
-    state = bell_transform(_evolved(cfg, op), "c_to_p")
+    state = _evolved(cfg, op, PAULI)
     dist = est.sample_pauli_dist(state, cfg["shots"], rng.fork("sample"))
     mode = max(sorted(dist.counts), key=lambda k: dist.counts[k])
     p_hat = dist.counts[mode] / dist.shots
@@ -431,7 +431,7 @@ def _task_sample(cfg: dict, rng: RngStream):
 
 
 def _task_otoc(cfg: dict, rng: RngStream):
-    state = _evolved(cfg, cfg["_operator"])
+    state = _evolved(cfg, cfg["_operator"], COMPUTATIONAL)
     reports = est.estimate_otoc_group(state, cfg["_pairs"], cfg["shots"], rng.fork("otoc"))
     return reports, {}, lambda: _exact_otocs(cfg), {}
 
@@ -439,16 +439,14 @@ def _task_otoc(cfg: dict, rng: RngStream):
 def _task_superop(cfg: dict, rng: RngStream):
     op = cfg["_operator"]
     a = cfg["_superop"]
-    state = _evolved(cfg, op)
     diagonal = isinstance(a, DiagonalSuperop)
+    state = _evolved(cfg, op, PAULI if diagonal else COMPUTATIONAL)
     artifacts = {}
+    params = {"power": cfg["power"]}
     if diagonal:
-        dist = est.sample_pauli_dist(
-            bell_transform(state, "c_to_p"), cfg["shots"], rng.fork("superop")
-        )
+        dist = est.sample_pauli_dist(state, cfg["shots"], rng.fork("superop"))
         artifacts["dist.csv"] = dist.to_csv()
         rep = est.mc_diagonal(dist, a, power=cfg["power"], seed=cfg["seed"])
-        params = {"power": cfg["power"]}
     else:
         grouping = cfg.get("grouping")
         if grouping is None:
@@ -462,7 +460,7 @@ def _task_superop(cfg: dict, rng: RngStream):
         ]
         plan = est.allocate_shots(weights, cfg["shots"])
         rep = est.estimate_superop_grouped(state, a, grouping, plan, rng.fork("superop"))
-        params = {"groups": len(grouping)}
+        params["groups"] = len(grouping)
 
     def exact():
         basis = PAULI if diagonal else COMPUTATIONAL
@@ -473,7 +471,7 @@ def _task_superop(cfg: dict, rng: RngStream):
 
 def _task_ose(cfg: dict, rng: RngStream):
     op = cfg["_operator"]
-    state = bell_transform(_evolved(cfg, op), "c_to_p")
+    state = _evolved(cfg, op, PAULI)
     result = est.estimate_ose(
         state, cfg["alpha"], cfg["epsilon"], cfg["delta"], rng.fork("ose")
     )
@@ -491,7 +489,7 @@ def _task_ose(cfg: dict, rng: RngStream):
 def _task_loe(cfg: dict, rng: RngStream):
     op = cfg["_operator"]
     partition = sorted(set(cfg["partition"]))
-    state = _evolved(cfg, op)
+    state = _evolved(cfg, op, COMPUTATIONAL)
     rep = est.estimate_loe2(state, state, partition, cfg["shots"], rng.fork("loe"))
     return (
         rep,
@@ -505,7 +503,7 @@ def _task_corr(cfg: dict, rng: RngStream):
     op = cfg["_operator"]
     op_b = cfg.get("_operator_b", op)
     # Re tr(B A(t))/2^n: A evolves, B stays at t = 0.
-    u = _single_register_circuit(cfg, op.n)
+    u = _configured_circuit(cfg, trotter_circuit) or Circuit(op.n)
     state = interferometric_state(op, op_b, u, Circuit(op.n))
     rep = est.estimate_corr_interferometric(state, cfg["shots"], rng.fork("corr"))
 
@@ -530,7 +528,7 @@ def _task_choi2pc(cfg: dict, rng: RngStream):
     dilation = Circuit.from_gates(2, [Gate("ry", (1,), theta), Gate("cx", (1, 0))])
     # The dilated register is 4x the vectorized operator: refuse it first.
     _reserve_dilated(op.n, 1)
-    dual, prob = channel_dual_postselect(dilation, 1, vectorize(op, COMPUTATIONAL), sites=(site,))
+    dual, prob = channel_dual_postselect(dilation, 1, vectorize(op, PAULI), sites=(site,))
 
     def exact():
         dense = oracle.dense(op)
@@ -552,7 +550,7 @@ def _task_choi2pc(cfg: dict, rng: RngStream):
 def _task_nqubit(cfg: dict, rng: RngStream):
     op = cfg["_operator"]
     word = next(iter(op.ordered_items()))[1]
-    u = _single_register_circuit(cfg, op.n)
+    u = _configured_circuit(cfg, trotter_circuit) or Circuit(op.n)
     reports = est.nqubit_otoc(word, u, cfg["_pairs"], cfg["shots"], rng.fork("nqubit"))
     return reports, {}, lambda: _exact_otocs(cfg), {}
 
@@ -572,14 +570,14 @@ def _task_compile2d(cfg: dict, rng: RngStream):
     }
 
     def exact():
-        # One lowered schedule step against one doubled Trotter step of the
-        # lattice Hamiltonian, both applied to the encoded Z on site 0.
+        # One lowered schedule step against one Heisenberg Trotter step of
+        # the lattice Hamiltonian, both applied to the encoded Z on site 0.
         n = rows * cols
         h = lattice2d.grid_hamiltonian(rows, cols, cfg["h_x"], cfg["h_z"], cfg["J"])
-        op = PauliSum.from_terms([(1.0, PauliString.single(n, 0, "Z"))])
-        start = prepare_vectorized(op, COMPUTATIONAL)
-        one = apply_circuit(start, lattice2d.schedule_to_circuit(schedule, layout))
-        ref = apply_circuit(start, super_propagator_circuit(h, cfg["dt"], 1))
+        start = vectorize(PauliString.single(n, 0, "Z"), COMPUTATIONAL)
+        lowered = lattice2d.schedule_to_circuit(schedule, layout)
+        one = apply_circuit(QState(2 * n, start.amplitudes), lowered)
+        ref = heisenberg_doubled(start, super_propagator_circuit(h, cfg["dt"], 1))
         return {"value": 0.0, "abs_delta": float(np.linalg.norm(one.amplitudes - ref.amplitudes))}
 
     return report.entangling_depth, params, exact, {"schedule.json": schedule.to_json() + "\n"}

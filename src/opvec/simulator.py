@@ -6,9 +6,11 @@ Doubled registers interleave the two copies as [0_L, 0_R, 1_L, 1_R, ...];
 site i of the represented operator owns qubits 2i (left copy) and 2i+1
 (right copy).
 
-Heisenberg evolution of a vectorized operator never transposes a circuit:
-gate-by-gate, the left copy receives M^dag in reversed order and the right
-copy receives conj(M^dag), which together implement U^dag (x) U^T.
+Heisenberg evolution of a vectorized operator runs in the Hermitian-Pauli
+basis, where site i's qubit pair (2i, 2i+1) indexes I, X, Z, Y. There the
+doubled image U^dag (x) U^T of a gate is its real orthogonal Pauli transfer
+matrix, so a Hermitian operator evolves as a float64 vector, one real pass
+per fused block, gates taken in reverse order.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ import numpy as np
 
 from ._linalg import apply_block, apply_matrix, reserve
 from .errors import ProjectionFailedError
-from .pauli import SIGMA, PauliString, PauliSum
-from .vectorize import COMPUTATIONAL, BasisTag, VectorizedState, vectorize
+from .pauli import PAULI_CHARS, SIGMA, PauliString, PauliSum
+from .vectorize import COMPUTATIONAL, PAULI, BasisTag, VectorizedState, bell_transform, vectorize
 
 _SQ = 1 / np.sqrt(2)
 
@@ -153,28 +155,40 @@ class Circuit:
         object.__setattr__(
             self, "layers", tuple(tuple(layer) for layer in self.layers)
         )
+        # Each distinct layer, by the identity of its gates, is checked once,
+        # as Trotter steps repeat one step's gates; the layers keep them alive.
+        checked: set[tuple[int, ...]] = set()
         for layer in self.layers:
+            key = tuple(map(id, layer))
+            if key in checked:
+                continue
             used: set[int] = set()
             for g in layer:
                 if any(t < 0 or t >= self.k for t in g.targets):
                     raise ValueError(f"gate {g.name} targets outside 0..{self.k - 1}")
-                if used & set(g.targets):
+                if not used.isdisjoint(g.targets):
                     raise ValueError("overlapping targets within a layer")
-                used |= set(g.targets)
+                used.update(g.targets)
+            checked.add(key)
 
     @staticmethod
     def from_gates(k: int, gates) -> "Circuit":
         """Greedy left packing: each gate joins the newest layer unless its
-        targets collide there."""
+        targets collide there. Each distinct gate object's target set is
+        built once."""
         layers: list[list[Gate]] = []
         used: set[int] = set()
+        sets: dict[int, frozenset[int]] = {}
         for g in gates:
-            if not layers or (used & set(g.targets)):
+            targets = sets.get(id(g))
+            if targets is None:
+                targets = sets[id(g)] = frozenset(g.targets)
+            if not layers or not used.isdisjoint(targets):
                 layers.append([g])
-                used = set(g.targets)
+                used = set(targets)
             else:
                 layers[-1].append(g)
-                used |= set(g.targets)
+                used |= targets
         return Circuit(k, tuple(tuple(layer) for layer in layers))
 
     @property
@@ -208,60 +222,147 @@ class Circuit:
 _FUSE_SPAN = 4
 
 
-def _lower(circuit: Circuit, dagger=False, copies=(0,), qubits=None) -> list:
-    """(matrix, targets) steps applying ``circuit`` to a register: circuit
-    qubit q lands on qubits[q] + c (default q) for each copy c in ``copies``,
-    copy 0 taking the gate matrix M and copy 1 conj(M), left before right.
-    With ``dagger`` the steps run in reverse with M^dag in place of M.
-    The steps are then fused by :func:`_fuse`.
+def _lower(circuit: Circuit) -> list:
+    """(matrix, targets) steps applying ``circuit`` to its own register,
+    fused by :func:`_fuse`. Each distinct gate's matrix is built once per
+    call and shared read-only; see :func:`_placed` and :func:`_place`."""
+    built: dict[tuple, np.ndarray] = {}
+    return _fuse(_placed(circuit.gates(), lambda g: _place(g, built)))
 
-    Each gate object is placed once per call by :func:`_place`, and a gate
-    that recurs, as every Trotter step's do, reuses its placed steps, so the
-    work grows with the distinct gates rather than the circuit's length. The
-    circuit keeps its gates alive, so they are keyed on their identity.
-    Each distinct gate's matrices are built once per call and shared
-    read-only. Gates are told apart by name, axes and repr(angle), which
-    keeps -0.0 apart from 0.0; u gates are never merged."""
-    qubits = range(circuit.k) if qubits is None else qubits
-    gates = list(circuit.gates())
-    if dagger:
-        gates.reverse()
-    built: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+
+def _transfer(circuit: Circuit, sites=None) -> list:
+    """Real (transfer matrix, register targets) steps carrying the
+    Hermitian-Pauli coefficients of O to those of U^dag O U on a doubled
+    register: gates in reverse order, circuit qubit q on register qubits
+    (2s, 2s+1) of its site s = sites[q] (default q). Single-site steps are
+    absorbed by :func:`_absorb`, then the steps are fused by :func:`_fuse`.
+    Matrices are built and shared as in :func:`_lower`."""
+    sites = range(circuit.k) if sites is None else sites
+    built: dict[tuple, np.ndarray] = {}
+    gates = reversed(list(circuit.gates()))
+    return _fuse(_absorb(_placed(gates, lambda g: _place(g, built, sites))))
+
+
+def _placed(gates, place) -> list:
+    """The concatenated steps ``place(g)`` of ``gates``. Each gate object is
+    placed once per call, and a gate that recurs, as every Trotter step's
+    do, reuses its placed steps, so the work grows with the distinct gates
+    rather than the circuit's length. The circuit keeps its gates alive, so
+    they are keyed on their identity."""
     placed: dict[int, list] = {}
     out = []
     for g in gates:
         steps = placed.get(id(g))
         if steps is None:
-            steps = placed[id(g)] = _place(g, dagger, copies, qubits, built)
+            steps = placed[id(g)] = place(g)
         out += steps
-    return _fuse(out)
+    return out
 
 
-def _place(g: Gate, dagger: bool, copies, qubits, built: dict) -> list:
-    """The (matrix, register targets) steps of one gate, as :func:`_lower`
-    describes: a wide pexp becomes its CX ladder, reversed under
-    ``dagger``. ``built`` holds the matrices already made in this call."""
+def _place(g: Gate, built: dict, sites=None) -> list:
+    """The (matrix, targets) steps of one gate; a wide pexp becomes its CX
+    ladder. With ``sites``, each part is its real transfer matrix on the
+    register qubits of its sites in ascending order, and the parts run in
+    reverse, as :func:`_transfer` describes. ``built`` holds the matrices
+    already made in this call, told apart by name, axes, repr(angle), which
+    keeps -0.0 apart from 0.0, and site order; u gates are never merged."""
     if g.name == "pexp" and len(g.targets) > 2:
         parts = [(None, *step) for step in _pexp_ladder(g)]
     else:
         parts = [(g, g.name, g.targets, g.angle)]
-    if dagger:
+    if sites is not None:
         parts.reverse()
     out = []
     for gate, name, targets, angle in parts:
-        key = (name, getattr(gate, "axes", None), repr(angle))
-        mats = built.get(key)
-        if mats is None:
+        at = [sites[t] for t in targets] if sites is not None else targets
+        flip = sites is not None and len(at) == 2 and at[0] > at[1]
+        key = (name, getattr(gate, "axes", None), repr(angle), flip)
+        m = built.get(key)
+        if m is None:
             m = gate_matrix(gate or Gate(name, targets, angle))
-            if dagger:
-                m = m.conj().T
-            mats = (m, m.conj())
-            for a in mats:
-                a.flags.writeable = False
+            if sites is not None:
+                m = _transfer_matrix(m, flip)
+            m.flags.writeable = False
             if name != "u":
-                built[key] = mats
-        out += [(mats[c], tuple(qubits[t] + c for t in targets)) for c in copies]
+                built[key] = m
+        if sites is not None:
+            targets = tuple(q for s in sorted(at) for q in (2 * s, 2 * s + 1))
+        out.append((m, targets))
     return out
+
+
+# Hermitian Pauli words on one and two sites, by pair index 2z + x per site.
+_PAULI_WORDS = {1: np.array([SIGMA[c] for c in PAULI_CHARS])}
+_PAULI_WORDS[2] = np.einsum("aij,bkl->abikjl", _PAULI_WORDS[1], _PAULI_WORDS[1]).reshape(16, 4, 4)
+
+
+def _transfer_matrix(m: np.ndarray, flip: bool = False) -> np.ndarray:
+    """The real 4^w x 4^w transfer matrix R_ab = tr(P_a M^dag P_b M) / 2^w
+    of a unitary M on w <= 2 sites: it maps the Hermitian-Pauli coefficients
+    of O to those of M^dag O M. ``flip`` lists the two sites in reverse."""
+    w = m.shape[0].bit_length() - 1
+    p = _PAULI_WORDS[w]
+    # P_a is Hermitian, so tr(P_a A) sums conj(P_a) * A entrywise.
+    rows = p.reshape(len(p), -1)
+    r = rows.conj() @ (m.conj().T @ p @ m).reshape(len(p), -1).T / 2**w
+    if np.max(np.abs(r.imag)) > 1e-12:
+        raise ValueError("gate has no real transfer matrix")
+    if flip:
+        return np.ascontiguousarray(r.real.reshape(4, 4, 4, 4).transpose(1, 0, 3, 2).reshape(16, 16))
+    return np.ascontiguousarray(r.real)
+
+
+def _absorb(steps: list) -> list:
+    """Transfer steps with each single-site step, on one site's two register
+    qubits, multiplied into the nearest earlier step on its site, or, when
+    none is earlier, into the next later one, provided every step in between
+    has disjoint targets: they commute with it. A block's targets are
+    ascending, as :func:`_place` builds them.
+
+    Each distinct product, by the identity of both matrices, the site's
+    place in the block and the side, is built once per call and read-only;
+    ``steps`` and the products made so far keep the sources alive."""
+    products: dict[tuple, np.ndarray] = {}
+
+    def absorbed(block, tb, mat, ts, later):
+        key = (id(block), id(mat), tb.index(ts[0]) // 2, later)
+        made = products.get(key)
+        if made is None:
+            made = products[key] = _site_product(block, mat, key[2], later)
+            made.flags.writeable = False
+        return made
+
+    out: list = []  # None marks a step moved into a later block
+    last: dict[int, int] = {}  # a site's first register qubit -> its last step
+    for mat, targets in steps:
+        firsts = targets[::2]
+        if len(firsts) == 1:
+            j = last.get(firsts[0])
+            if j is not None:
+                block, tb = out[j]
+                out[j] = (absorbed(block, tb, mat, targets, True), tb)
+                continue
+        else:
+            for q in firsts:
+                j = last.get(q)
+                if j is not None and out[j] is not None and len(out[j][1]) == 2:
+                    mat = absorbed(mat, targets, *out[j], False)
+                    out[j] = None
+        for q in firsts:
+            last[q] = len(out)
+        out.append((mat, targets))
+    return [step for step in out if step is not None]
+
+
+def _site_product(block: np.ndarray, mat: np.ndarray, site: int, later: bool) -> np.ndarray:
+    """A one- or two-site transfer ``block`` with the one-site ``mat`` on its
+    ``site``-th site applied after it (``later``) or before it."""
+    if not later:
+        return np.ascontiguousarray(_site_product(block.T, mat.T, site, True).T)
+    if len(block) == 4:
+        return mat @ block
+    rows = block.reshape(4, 4, 16)
+    return (mat @ rows if site else mat @ rows.reshape(4, 64)).reshape(16, 16)
 
 
 def _fuse(steps: list) -> list:
@@ -342,8 +443,9 @@ def _merged_diagonal(run: list) -> tuple[np.ndarray, tuple[int, ...]]:
     are allowed."""
     lo = min(min(targets) for _, targets in run)
     span = max(max(targets) for _, targets in run) + 1 - lo
-    reserve(16 * 2**span, f"a merged diagonal on {span} qubits")
-    diag = np.ones(2**span, dtype=complex)
+    dtype = np.result_type(*(mat for mat, _ in run))
+    reserve(dtype.itemsize * 2**span, f"a merged diagonal on {span} qubits")
+    diag = np.ones(2**span, dtype=dtype)
     for mat, targets in run:
         rel = [t - lo for t in targets]
         m = len(rel)
@@ -494,59 +596,78 @@ def trotter_circuit(h: PauliSum, t: float, steps: int) -> Circuit:
     """First-order Trotter circuit for exp(-iHt), one pexp per term per
     step, terms in the order they were listed. One step's gates are built
     once and repeated, so every step shares the same Gate objects."""
+    return _trotter(h, t, steps, reverse=False)
+
+
+def super_propagator_circuit(h: PauliSum, t: float, steps: int) -> Circuit:
+    """The Trotter circuit of ``hamiltonian`` configs: trotter_circuit(h, t,
+    steps) with each step's terms in reverse order.
+
+    :func:`heisenberg_doubled` takes a circuit's gates in reverse, so on
+    this circuit it applies each step's terms in the order listed, driving
+    ||O>> toward ||U^dag O U>> for U = exp(-iHt)."""
+    return _trotter(h, t, steps, reverse=True)
+
+
+def _trotter(h: PauliSum, t: float, steps: int, reverse: bool) -> Circuit:
     if steps < 1:
         raise ValueError("steps must be at least 1")
     if t == 0:
         return Circuit(h.n, ())
     dt = t / steps
     step = [_term_gate(p, 2 * c * dt, lambda i: i) for c, p in _hermitian_real_terms(h)]
+    if reverse:
+        step.reverse()
     return Circuit.from_gates(h.n, step * steps)
 
 
-def super_propagator_circuit(h: PauliSum, t: float, steps: int) -> Circuit:
-    """Trotter circuit on the doubled register driving ||O>> toward
-    ||U^dag O U>> for U = exp(-iHt).
-
-    Each term contributes exp(+i c dt P) on the left-copy qubits and
-    exp(-i c dt P^T) on the right copy, emitted back to back so the pair
-    lands in one layer and the depth matches trotter_circuit(h, t, steps).
-    As there, one step's gates are built once and repeated.
-
-    Of the two first-order doubled Trotter paths, this one runs each step's
-    terms in the order listed; heisenberg_doubled on trotter_circuit(h, t,
-    steps) runs them in reverse. Their Trotter errors differ, so ``hamiltonian``
-    configs (this path) and inline ``circuit`` configs (the other) write
-    different report.json files. Merging the paths would change artifacts,
-    so both stay until a change declares that.
-    """
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
-    if t == 0:
-        return Circuit(2 * h.n, ())
-    dt = t / steps
-    step = []
-    for c, p in _hermitian_real_terms(h):
-        # P^T = (-1)^{#Y} P for Pauli words.
-        tsign = -1.0 if p.y_count % 2 else 1.0
-        step.append(_term_gate(p, -2 * c * dt, lambda i: 2 * i))
-        step.append(_term_gate(p, 2 * c * dt * tsign, lambda i: 2 * i + 1))
-    return Circuit.from_gates(2 * h.n, step * steps)
-
-
 # ---------------------------------------------------------------------------
-# Doubled-register evolution without transposed circuits.
+# Doubled-register evolution as real Pauli-transfer passes.
+
+def _y_phase(amps: np.ndarray, n: int, phase: complex) -> np.ndarray:
+    """``amps``, on n sites' pair indices, times phase^{#Y} in place: the
+    Pauli rep's Z^z X^x amplitudes become Hermitian-Pauli coefficients at
+    phase 1j (Y = -i Z X) and return at -1j."""
+    for i in range(n):
+        amps.reshape(4**i, 4, -1)[:, 3] *= phase
+    return amps
+
+
+def _evolve_pauli(amps: np.ndarray, n: int, lowered: list) -> np.ndarray:
+    """Pauli-rep amplitudes of n sites after the :func:`_transfer` steps
+    ``lowered``, as a new array.
+
+    The coefficients run as one float64 vector when every imaginary part
+    is exactly 0; otherwise their float64 view runs, as a register with one
+    extra trailing re/im qubit. The running register and one pass output
+    are stated to the byte budget before the first pass."""
+    coeffs = _y_phase(amps.copy(), n, 1j)
+    if coeffs.imag.any():
+        reg, k = coeffs.view(np.float64), 2 * n + 1
+    else:
+        reg, k = np.ascontiguousarray(coeffs.real), 2 * n
+    del coeffs  # on the real path, the complex copy is freed before the passes
+    reserve(2 * reg.nbytes, f"a doubled evolution on {2 * n} qubits")
+    reg = _run(reg, lowered, k)
+    out = reg.astype(complex) if k == 2 * n else np.ascontiguousarray(reg).view(complex)
+    return _y_phase(out, n, -1j)
+
 
 def heisenberg_doubled(state: VectorizedState, u: Circuit) -> VectorizedState:
-    """Apply U^dag (x) U^T gatewise: ||O>>_C -> ||U^dag O U>>_C.
+    """||O>> -> ||U^dag O U>> in the state's own basis, computational or
+    Pauli, as real transfer passes in the Hermitian-Pauli basis: gates in
+    reverse order, one :func:`bell_transform` each way for the
+    computational rep.
 
-    On trotter_circuit(h, t, steps) this is the second first-order doubled
-    Trotter path; see super_propagator_circuit for why both stay."""
-    if state.basis != COMPUTATIONAL:
-        raise ValueError("doubled evolution acts on the computational rep")
+    On trotter_circuit(h, t, steps) each step's terms apply in reverse
+    order; super_propagator_circuit applies them in the order listed."""
+    if state.d != 2:
+        raise ValueError("doubled evolution acts on qubit reps")
     if u.k != state.n:
         raise ValueError("circuit size does not match site count")
-    lowered = _lower(u, True, (0, 1), range(0, 2 * u.k, 2))
-    return VectorizedState(state.n, COMPUTATIONAL, _run(state.amplitudes, lowered, 2 * state.n))
+    pauli = state if state.basis == PAULI else bell_transform(state, "c_to_p")
+    out = VectorizedState(state.n, PAULI, _evolve_pauli(pauli.amplitudes, state.n, _transfer(u)))
+    return out if state.basis == PAULI else bell_transform(out, "p_to_c")
 
 
 # ---------------------------------------------------------------------------
@@ -575,10 +696,10 @@ def interferometric_state(
     Re tr(O2(t2) O(t))/2^n with O(t) = U^dag O U and O2(t2) = U2^dag O2 U2.
 
     Register layout: 2n doubled qubits then one ancilla (qubit 2n), holding
-    (|0>||I>> + |1>||O2 U2 O(t) U2^dag>>)/sqrt(2). Both evolution passes
-    fix ||I>>_C, so only the ancilla-1 half is evolved, on its own 2n
-    qubits: ||O>> through both passes, then O2 on the left copy. No
-    controlled operation is needed.
+    (|0>||I>> + |1>||O2 U2 O(t) U2^dag>>)/sqrt(2). Both evolutions fix
+    ||I>>, so only the ancilla-1 half is evolved, on its own 2n qubits:
+    ||O>> by :func:`heisenberg_doubled` of U U2^dag, then O2 on the left
+    copy. No controlled operation is needed.
     """
     n = u.k
     k = 2 * n + 1
@@ -590,10 +711,9 @@ def interferometric_state(
         if np.max(np.abs(m @ m.conj().T - np.eye(2**n))) > 1e-10:
             raise ValueError(f"{name} operator is not unitary")
         mats.append(m)
-    lefts = range(0, 2 * n, 2)
     identity = _identity_pairs(n)
-    lowered = _lower(u, True, (0, 1), lefts) + _lower(u2, False, (0, 1), lefts)
-    branch = _run(apply_block(identity, n, mats[0], None), lowered, 2 * n)
+    branch = heisenberg_doubled(vectorize(op, PAULI), u2.inverse().concat(u))
+    branch = bell_transform(branch, "p_to_c").amplitudes
     amps = np.empty(2**k, dtype=complex)
     amps[0::2] = identity
     amps[1::2] = apply_block(branch, n, mats[1], None)
@@ -618,16 +738,19 @@ def channel_dual_postselect(
     state: VectorizedState,
     sites: tuple[int, ...] | None = None,
 ) -> tuple[VectorizedState, float]:
-    """Propagate ||O>>_C through the dual of the channel dilated by
+    """Propagate ||O>> through the dual of the channel dilated by
     ``dilation`` and postselect every environment qubit (both copies) on 0.
 
     dilation acts on len(sites) system qubits followed by n_env fresh
     environment qubits; its qubit q < len(sites) is system site sites[q].
-    Returns the renormalized ||E^dag(O)>>_C and the exact projection
-    probability tr(E^dag(O)^2) / (tr(O^dag O) 2^{n_env}).
+    O (x) I runs through the dilation's transfer passes, as in
+    :func:`heisenberg_doubled`, then into the computational rep, where the
+    environment's |0><0| block is taken. Returns the renormalized
+    ||E^dag(O)>>_C and the exact projection probability
+    tr(E^dag(O)^2) / (tr(O^dag O) 2^{n_env}).
     """
-    if state.basis != COMPUTATIONAL:
-        raise ValueError("channel duals act on the computational rep")
+    if state.d != 2:
+        raise ValueError("channel duals act on qubit reps")
     n = state.n
     if sites is None:
         sites = tuple(range(dilation.k - n_env))
@@ -639,9 +762,13 @@ def channel_dual_postselect(
 
     total = n + n_env
     _reserve_dilated(n, n_env)
-    amps = np.kron(state.amplitudes, _identity_pairs(n_env))
-    lefts = [2 * s for s in sites] + [2 * e for e in range(n, total)]
-    amps = _run(amps, _lower(dilation, True, (0, 1), lefts), 2 * total)
+    pauli = state if state.basis == PAULI else bell_transform(state, "c_to_p")
+    # The environment sites are the least significant: I on each is index 0.
+    amps = np.zeros(4**total, dtype=complex)
+    amps[:: 4**n_env] = pauli.amplitudes
+    lowered = _transfer(dilation, list(sites) + list(range(n, total)))
+    amps = _evolve_pauli(amps, total, lowered)
+    amps = bell_transform(VectorizedState(total, PAULI, amps), "p_to_c").amplitudes
     block = amps.reshape(4**n, 4**n_env)[:, 0]
     prob = float(np.linalg.norm(block) ** 2)
     if prob < 1e-12:

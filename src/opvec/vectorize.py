@@ -200,7 +200,7 @@ def vectorize(op: PauliString | PauliSum | np.ndarray, basis: BasisTag) -> Vecto
             amps = np.zeros(4**op.n, dtype=complex)
             for c, p in op.items():
                 amps[pauli_index(p)] = c * (-1j) ** p.y_count
-            return _normalized(op.n, basis, amps)
+            return _normalized(op.n, basis, amps, out=amps)
         return vectorize(op.to_dense(), basis)
     mat = np.asarray(op, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -212,11 +212,13 @@ def vectorize(op: PauliString | PauliSum | np.ndarray, basis: BasisTag) -> Vecto
     return state if basis.kind == "computational" else bell_transform(state, "c_to_p")
 
 
-def _normalized(n: int, basis: BasisTag, amps: np.ndarray) -> VectorizedState:
+def _normalized(n: int, basis: BasisTag, amps: np.ndarray, out=None) -> VectorizedState:
+    """The state of ``amps`` divided by their norm, written into ``out`` when
+    given (the caller's own array, so no second register is made)."""
     norm = np.linalg.norm(amps)
     if norm < 1e-300:
         raise ValueError("cannot vectorize the zero operator")
-    return VectorizedState(n, basis, amps / norm)
+    return VectorizedState(n, basis, np.divide(amps, norm, out=out))
 
 
 def devectorize(state: VectorizedState) -> np.ndarray:
@@ -231,10 +233,10 @@ def devectorize(state: VectorizedState) -> np.ndarray:
 
 def save_state(state: VectorizedState, path) -> None:
     header = struct.pack("<4sBII", _MAGIC, _TAG_CODES[state.basis.kind], state.n, state.basis.d)
-    payload = state.amplitudes.astype("<c8").tobytes()
+    payload = state.amplitudes.astype("<c8")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload)
+        fh.write(payload.data)
 
 
 def load_state(path) -> VectorizedState:

@@ -150,9 +150,7 @@ def test_doubled_propagator_first_order_convergence():
     )
     tds = []
     for steps in STEPS_GRID:
-        out = apply_circuit(
-            QState(6, start.amplitudes), super_propagator_circuit(h, 1.0, steps)
-        )
+        out = heisenberg_doubled(start, super_propagator_circuit(h, 1.0, steps))
         tds.append(_trace_distance(out.amplitudes, target.amplitudes))
     slope = np.polyfit(np.log(STEPS_GRID), np.log(tds), 1)[0]
     assert abs(slope + 1.0) <= 0.15

@@ -216,6 +216,31 @@ class TestSuperop:
         assert doc["params"]["groups"] == 9
         assert doc["oracle"]["abs_delta"] < 1e-12
 
+    @pytest.mark.parametrize("superop", ["size", {"text": "0.5 0 XII XII"}])
+    def test_power_below_one_is_config_error(self, tmp_path, capsys, superop):
+        code, out = run_task(tmp_path, "superop", operator="XII", superop=superop,
+                             power=0, seed=1)
+        assert code == 2
+        assert "power: must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_operator_sum_moment_is_config_error(self, tmp_path, capsys):
+        # Until operator-sum moments land, a second moment would be written
+        # as the first while its oracle block held the second.
+        code, out = run_task(tmp_path, "superop", operator="XII",
+                             superop={"text": "0.5 0 XII XII"}, power=2, seed=1)
+        assert code == 2
+        assert "power: moments above 1 need a diagonal superoperator" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_diagonal_moment_reports_its_power(self, tmp_path):
+        code, out = run_task(tmp_path, "superop", operator="XII", superop="size",
+                             power=2, shots=512, seed=17, extra_args=("--with-oracle",))
+        assert code == 0
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["params"]["power"] == 2
+        assert doc["value"] == 1.0 and doc["oracle"]["abs_delta"] < 1e-12
+
 
 class TestOse:
     def test_point_mass_purity(self, tmp_path):
@@ -640,7 +665,7 @@ REPORT_KEYS = {
     "otoc": (TOP | {"reports"}, EVOLVED, None,
              [(PAIR, DELTA | {"delta_over_stderr"}), (PAIR, DELTA)]),
     "superop": (TOP, EVOLVED | {"power"}, DELTA, None),
-    "superop_sum": (TOP, EVOLVED | {"groups"}, DELTA, None),
+    "superop_sum": (TOP, EVOLVED | {"power", "groups"}, DELTA, None),
     "ose": (TOP, EVOLVED | {"alpha", "epsilon", "delta", "entropy"}, DELTA, None),
     "loe": (TOP, EVOLVED | {"partition"}, DELTA | {"delta_over_stderr"}, None),
     "corr": (TOP, EVOLVED, DELTA | {"delta_over_stderr"}, None),

@@ -273,14 +273,19 @@ class TestGridHamiltonian:
 
 class TestLowering:
     def test_matches_doubled_propagator(self):
-        # one step of the 2x2 model against the interleaved-register
-        # reference circuit; orders agree because couplings commute
+        # one step of the 2x2 model against U^dag (x) U^T on the interleaved
+        # register, for the Trotter step U whose Heisenberg picture applies
+        # the terms in the order listed; orders agree because couplings commute
         h_x, h_z, J, dt = 0.9, 0.5, 1.1, 0.05
         layout = embed(2, 2)
         sched = trotter_step_schedule(h_x, h_z, J, dt, layout)
         lowered = dense_unitary(schedule_to_circuit(sched, layout))
-        h = grid_hamiltonian(2, 2, h_x, h_z, J)
-        reference = dense_unitary(super_propagator_circuit(h, dt, 1))
+        n = 4
+        u = dense_unitary(super_propagator_circuit(grid_hamiltonian(2, 2, h_x, h_z, J), dt, 1))
+        # all left-copy qubits, then all right-copy ones -> [0L, 0R, 1L, 1R, ...]
+        order = [q for s in range(n) for q in (s, n + s)]
+        doubled = np.kron(u.conj().T, u.T).reshape((2,) * (4 * n))
+        reference = doubled.transpose(order + [2 * n + q for q in order]).reshape(4**n, 4**n)
         assert np.max(np.abs(lowered - reference)) < 1e-12
 
     def test_swap_layers_emit_nothing(self):

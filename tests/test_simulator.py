@@ -35,8 +35,16 @@ from opvec.simulator import (
     super_propagator_circuit,
     trotter_circuit,
 )
-from opvec.simulator import _FUSE_SPAN, _fuse, _identity_pairs, _lower, _term_gate
-from opvec.vectorize import COMPUTATIONAL, PAULI, VectorizedState, vectorize
+from opvec.simulator import (
+    _FUSE_SPAN,
+    _absorb,
+    _fuse,
+    _identity_pairs,
+    _lower,
+    _term_gate,
+    _transfer,
+)
+from opvec.vectorize import COMPUTATIONAL, PAULI, VectorizedState, qudit_computational, vectorize
 from helpers import ginibre, ising_chain, random_hermitian_sum, refusal_peak
 
 
@@ -220,19 +228,18 @@ class TestTrotter:
         t = 0.9
         o = PauliSum.from_text("1 0 ZI")
         start = vectorize(o, COMPUTATIONAL)
-        reg = apply_circuit(
-            QState(4, start.amplitudes), super_propagator_circuit(h, t, 1)
-        )
+        reg = heisenberg_doubled(start, super_propagator_circuit(h, t, 1))
         u = _expm_exact(-1j * t * h.to_dense())
         want = vectorize(u.conj().T @ o.to_dense() @ u, COMPUTATIONAL)
         assert np.allclose(reg.amplitudes, want.amplitudes, atol=1e-12)
 
     def test_super_propagator_depth_matches_plain(self):
+        # The same gates, each step's terms reversed.
         h = ising_chain(3)
         plain = trotter_circuit(h, 1.0, 4)
-        doubled = super_propagator_circuit(h, 1.0, 4)
-        assert doubled.depth == plain.depth
-        assert doubled.num_gates() == 2 * plain.num_gates()
+        reverse = super_propagator_circuit(h, 1.0, 4)
+        assert reverse.depth == plain.depth
+        assert reverse.num_gates() == plain.num_gates()
 
 
 class TestDoubledEvolution:
@@ -245,8 +252,8 @@ class TestDoubledEvolution:
         assert np.allclose(got.amplitudes, want.amplitudes, atol=1e-12)
 
     def test_wrong_rep_rejected(self, gen):
-        state = vectorize(ginibre(gen, 4), PAULI)
-        with pytest.raises(ValueError):
+        state = vectorize(ginibre(gen, 9), qudit_computational(3))
+        with pytest.raises(ValueError, match="qubit reps"):
             heisenberg_doubled(state, Circuit(2))
 
 
@@ -559,8 +566,8 @@ class TestLoweringMatchesGateLoops:
         assert not gate_matrix(Gate("h", (0,))).flags.writeable
         assert not gate_matrix(g).flags.writeable
         circ = _mixed_circuit(np.random.default_rng(8), 3, 20)
-        for dagger in (False, True):
-            for mat, _ in _lower(circ, dagger=dagger, copies=(0, 1)):
+        for lowered in (_lower(circ), _transfer(circ)):
+            for mat, _ in lowered:
                 with pytest.raises(ValueError):
                     mat[(0,) * mat.ndim] = 0.0
 
@@ -648,19 +655,26 @@ class TestApplyMatrix:
 
 class TestFusedLowering:
     def test_doubled_trotter_pairs_fuse(self):
+        # In the Heisenberg order of trotter_circuit, each step's field on a
+        # site joins the coupling block just before it on that site: n-1 real
+        # blocks per step, shared by all 64 steps.
         n = 7
-        lowered = _lower(trotter_circuit(ising_chain(n), 1.0, 64), True, (0, 1), range(0, 2 * n, 2))
-        assert len(lowered) == 832
-        assert sum(mat.ndim == 1 for mat, _ in lowered) == 448
-        assert len({id(mat) for mat, _ in lowered}) == 2  # one Z pair, one XX pair
+        lowered = _transfer(trotter_circuit(ising_chain(n), 1.0, 64))
+        assert len(lowered) == 64 * (n - 1)
+        assert len({id(mat) for mat, _ in lowered}) == 2  # XX with one field, XX with two
         for mat, targets in lowered:
+            assert mat.shape == (16, 16) and mat.dtype == np.float64
             assert not mat.flags.writeable
             assert targets == tuple(range(targets[0], targets[0] + len(targets)))
             assert len(targets) <= _FUSE_SPAN
 
     def test_super_propagator_pairs_fuse(self):
-        circ = super_propagator_circuit(ising_chain(7), 1.0, 64)
-        assert len(_lower(circ)) == circ.num_gates() // 2 == 832
+        # Terms in the order listed: the first step's fields join the block
+        # after them, every later step's the previous step's last block on
+        # their site.
+        lowered = _transfer(super_propagator_circuit(ising_chain(7), 1.0, 64))
+        assert len(lowered) == 64 * 6
+        assert all(mat.shape == (16, 16) and mat.dtype == np.float64 for mat, _ in lowered)
 
     def test_merged_steps_are_not_merged_again(self):
         circ = Circuit.from_gates(4, [Gate("h", (q,)) for q in range(4)])
@@ -685,6 +699,132 @@ class TestFusedLowering:
         assert _close(heisenberg_doubled(state, circ).amplitudes, _ref_heisenberg_doubled(state, circ))
 
 
+# ---------------------------------------------------------------------------
+# Real Pauli-transfer evolution.
+
+def _every_gate_kind(gen) -> list[Gate]:
+    """One gate of each kind on 3 qubits: fixed gates, rotations, 1- and
+    2-site pexp, 1- and 2-target u, and two-site gates on non-adjacent and
+    descending targets."""
+    gates = [Gate(name, (1,)) for name in ("id", "x", "y", "z", "h", "s", "sdg", "t", "tdg")]
+    gates += [Gate(name, (0, 1)) for name in ("cx", "cz", "swap")]
+    gates += [Gate("cx", (2, 0)), Gate("cz", (0, 2)), Gate("cx", (1, 0))]
+    gates += [Gate(name, (2,), 0.37) for name in ("rx", "ry", "rz")]
+    gates += [Gate(name, (2, 1), -1.1) for name in ("rxx", "ryy", "rzz")]
+    gates += [Gate("pexp", (0,), -0.8, axis) for axis in "XYZ"]
+    gates += [Gate("pexp", (2, 0), 1.3, "YX"), Gate("pexp", (1, 2), 0.2, "ZZ")]
+    gates += [Gate("u", (1,), matrix=_random_unitary(gen, 2)),
+              Gate("u", (2, 1), matrix=_random_unitary(gen, 4))]
+    return gates
+
+
+class TestTransferPath:
+    def test_every_gate_kind_has_a_real_orthogonal_transfer_matrix(self, gen):
+        op = random_hermitian_sum(gen, 3, 8)
+        for g in _every_gate_kind(gen):
+            circ = Circuit.from_gates(3, [g])
+            [(mat, targets)] = _transfer(circ)
+            mat = np.diag(mat) if mat.ndim == 1 else mat  # Pauli gates are diagonal
+            assert mat.dtype == np.float64, g
+            assert np.max(np.abs(mat @ mat.T - np.eye(len(mat)))) < 1e-12, g
+            assert targets == tuple(q for s in sorted(g.targets) for q in (2 * s, 2 * s + 1))
+            u = dense_unitary(circ)
+            got = heisenberg_doubled(vectorize(op, PAULI), circ).amplitudes
+            assert _close(got, vectorize(u.conj().T @ op.to_dense() @ u, PAULI).amplitudes), g
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_heisenberg_doubled_matches_dense(self, n):
+        # Clifford layers around rotations and a pexp on three sites out of
+        # order (a CX ladder), against vectorize(U^dag O U) for a Hermitian
+        # sum, a sum with complex coefficients and a dense matrix, in both
+        # bases.
+        gen = np.random.default_rng(600 + n)
+        gates = list(random_clifford_circuit(n, 4, RngStream(n)).gates())
+        gates += [Gate("rx", (0,), 0.4), Gate("rzz", (n - 1, 1), -0.9),
+                  Gate("pexp", (n - 1, 0, 1), 0.7, "XYZ")]
+        gates += list(random_clifford_circuit(n, 3, RngStream(n + 10)).gates())
+        circ = Circuit.from_gates(n, gates)
+        u = dense_unitary(circ)
+        hermitian = random_hermitian_sum(gen, n, 6)
+        skewed = PauliSum.from_terms(
+            [(complex(gen.normal(), gen.normal()), p) for _, p in hermitian.items()]
+        )
+        for op in (hermitian, skewed, ginibre(gen, 2**n)):
+            dense = op.to_dense() if isinstance(op, PauliSum) else op
+            for basis in (PAULI, COMPUTATIONAL):
+                got = heisenberg_doubled(vectorize(op, basis), circ)
+                want = vectorize(u.conj().T @ dense @ u, basis)
+                assert got.basis == basis
+                assert _close(got.amplitudes, want.amplitudes)
+
+    @pytest.mark.parametrize("text, size", [
+        ("0.6 0 XZI\n-0.8 0 IYY", 4**3),  # Hermitian: one float64 vector
+        ("0.5 0.5 XZI", 2 * 4**3),  # complex: the float64 view, re/im trailing
+    ])
+    def test_coefficients_run_as_float64(self, monkeypatch, text, size):
+        state = vectorize(PauliSum.from_text(text), PAULI)
+        circ = trotter_circuit(ising_chain(3), 0.6, 4)
+        calls = _count_passes(monkeypatch, lambda: heisenberg_doubled(state, circ))
+        assert len(calls) == 4 * 2
+        assert all(length == size for _, _, length in calls)
+
+    @pytest.mark.parametrize("build", [trotter_circuit, super_propagator_circuit])
+    def test_ising_step_is_n_minus_1_passes(self, build):
+        lowered = _transfer(build(ising_chain(7), 1 / 64, 1))
+        assert sorted(t for _, t in lowered) == [tuple(range(2 * i, 2 * i + 4)) for i in range(6)]
+
+    def test_single_site_steps_join_the_nearest_block_on_their_site(self, gen):
+        def orthogonal(sites):
+            return np.linalg.qr(gen.normal(size=(4**sites, 4**sites)))[0]
+
+        steps = [(orthogonal(1), (2, 3)), (orthogonal(1), (6, 7)), (orthogonal(2), (0, 1, 2, 3)),
+                 (orthogonal(1), (0, 1)), (orthogonal(2), (2, 3, 4, 5)), (orthogonal(1), (2, 3))]
+        out = _absorb(steps)
+        # The first step joins the block after it; the fourth and the sixth
+        # join the nearest block before them on their site; no block holds
+        # the second's site.
+        assert [t for _, t in out] == [(6, 7), (0, 1, 2, 3), (2, 3, 4, 5)]
+        vec = gen.normal(size=4**4)
+        assert _close(_per_step(vec, out, 8), _per_step(vec, steps, 8))
+
+    @pytest.mark.parametrize("text, itemsize", [("1 0 ZXIII", 8), ("0.6 0.8 ZXIII", 16)])
+    def test_register_is_stated_before_the_first_pass(self, monkeypatch, text, itemsize):
+        # The running register and one pass output: 8 bytes per coefficient
+        # on the real path, 16 on the float64 view.
+        n = 5
+        state = vectorize(PauliSum.from_text(text), PAULI)
+        circ = trotter_circuit(ising_chain(n), 1.0, 2)
+        want = 2 * itemsize * 4**n
+        monkeypatch.setattr(_linalg, "BYTE_BUDGET", want - 1)
+        assert _count_passes(monkeypatch, lambda: refusal_peak(
+            lambda: heisenberg_doubled(state, circ), want)) == []
+        monkeypatch.setattr(_linalg, "BYTE_BUDGET", want)
+        assert len(_count_passes(monkeypatch, lambda: heisenberg_doubled(state, circ))) == 2 * 4
+
+
+class TestCircuitChecks:
+    def test_out_of_range_target(self):
+        with pytest.raises(ValueError, match=r"^gate cx targets outside 0\.\.2$"):
+            Circuit(3, ((Gate("h", (0,)), Gate("cx", (1, 3))),))
+
+    def test_overlap_within_a_layer(self):
+        with pytest.raises(ValueError, match="^overlapping targets within a layer$"):
+            Circuit(3, ((Gate("h", (1,)), Gate("cx", (0, 1))),))
+
+    def test_first_fault_in_gate_order_is_reported(self):
+        h, cx, far = Gate("h", (1,)), Gate("cx", (0, 1)), Gate("x", (5,))
+        with pytest.raises(ValueError, match="overlapping"):
+            Circuit(3, ((h, cx, far),))
+        with pytest.raises(ValueError, match="outside"):
+            Circuit(3, ((far, h, cx),))
+
+    def test_a_shared_gate_is_checked_in_every_circuit(self):
+        g = Gate("cx", (2, 3))
+        assert Circuit(4, ((g,), (g,))).depth == 2
+        with pytest.raises(ValueError, match="outside 0..2"):
+            Circuit(3, ((Gate("h", (0,)),), (g,)))
+
+
 class TestLoweringPerDistinctGate:
     """The lowering places each gate object once and decides each distinct
     adjacent pair once per call, so its work follows the distinct gates of
@@ -693,17 +833,23 @@ class TestLoweringPerDistinctGate:
     N = 7
 
     def _lowerings(self, steps):
-        # dt = 1/64 in both the 1-step and the 64-step circuits.
+        # dt = 1/64 in every circuit, whatever its step count. The keys name
+        # the config kind: inline circuits run heisenberg_doubled on
+        # trotter_circuit, hamiltonian configs on super_propagator_circuit.
         h, t = ising_chain(self.N), steps / 64
-        lefts = range(0, 2 * self.N, 2)
         return {
-            "heisenberg_doubled": lambda: _lower(trotter_circuit(h, t, steps), True, (0, 1), lefts),
-            "super_propagator_circuit": lambda: _lower(super_propagator_circuit(h, t, steps)),
+            "heisenberg_doubled": lambda: _transfer(trotter_circuit(h, t, steps)),
+            "super_propagator_circuit": lambda: _transfer(super_propagator_circuit(h, t, steps)),
         }
 
+    # Counted at 4 and 64 steps: in the listed order, the first step's
+    # fields wait for a later block and the last step's blocks take none, so
+    # the first and last steps have blocks of their own, and the distinct
+    # products and adjacent pairs settle after the first few steps.
     @pytest.mark.parametrize("seam, counts", [
-        ("_place", {"heisenberg_doubled": 13, "super_propagator_circuit": 26}),
-        ("_merge", {"heisenberg_doubled": 13, "super_propagator_circuit": 13}),
+        ("_place", {"heisenberg_doubled": 13, "super_propagator_circuit": 13}),
+        ("_merge", {"heisenberg_doubled": 6, "super_propagator_circuit": 18}),
+        ("_site_product", {"heisenberg_doubled": 2, "super_propagator_circuit": 11}),
     ])
     def test_work_does_not_grow_with_steps(self, monkeypatch, seam, counts):
         real = getattr(simulator, seam)
@@ -716,11 +862,11 @@ class TestLoweringPerDistinctGate:
         monkeypatch.setattr(simulator, seam, counting)
         for path, want in counts.items():
             made = []
-            for steps in (1, 64):
+            for steps in (1, 4, 64):
                 calls.clear()
                 self._lowerings(steps)[path]()
                 made.append(len(calls))
-            assert made == [want, want], path
+            assert made[0] <= want and made[1:] == [want, want], path
 
     @pytest.mark.parametrize("path", ["heisenberg_doubled", "super_propagator_circuit"])
     def test_many_steps_repeat_the_one_step_lowering(self, path):
@@ -728,8 +874,12 @@ class TestLoweringPerDistinctGate:
         period = len(one)
         assert len(many) == 64 * period
         assert [t for _, t in many] == [t for _, t in one] * 64
-        assert all(mat is many[i % period][0] for i, (mat, _) in enumerate(many))
-        assert all(np.array_equal(a, b) for (a, _), (b, _) in zip(many, one))
+        # Every step with steps on both sides shares the second step's blocks.
+        assert all(many[i][0] is many[period + i % period][0] for i in range(period, 63 * period))
+        if path == "heisenberg_doubled":
+            # Each step's fields stay inside it: all 64 are the one step.
+            assert all(mat is many[i % period][0] for i, (mat, _) in enumerate(many))
+            assert all(np.array_equal(a, b) for (a, _), (b, _) in zip(many, one))
 
     def test_equal_gate_objects_keep_their_own_matrices(self, gen):
         # Distinct objects of equal u gates, and rz at 0.0 and -0.0, on
@@ -794,12 +944,13 @@ def _count_passes(monkeypatch, call):
 
 
 def _ising_doubled_n7():
-    """The n=7 chain's doubled 64-step evolution by both Trotter paths."""
+    """The n=7 chain's 64-step Heisenberg evolution from the Pauli rep, as
+    the CLI runs it, on both config kinds' circuits."""
     h = ising_chain(7)
-    state = vectorize(PauliSum.from_text("1 0 ZXIIIII"), COMPUTATIONAL)
+    state = vectorize(PauliSum.from_text("1 0 ZXIIIII"), PAULI)
     return {
-        "super_propagator_circuit": lambda: apply_circuit(
-            QState(14, state.amplitudes), super_propagator_circuit(h, 1.0, 64)
+        "super_propagator_circuit": lambda: heisenberg_doubled(
+            state, super_propagator_circuit(h, 1.0, 64)
         ).amplitudes,
         "heisenberg_doubled": lambda: heisenberg_doubled(
             state, trotter_circuit(h, 1.0, 64)
@@ -814,18 +965,16 @@ class TestMergedDiagonals:
         assert _close(merged, plain)
 
     @pytest.mark.parametrize("path", ["super_propagator_circuit", "heisenberg_doubled"])
-    def test_ising_n7_makes_448_passes(self, monkeypatch, path):
-        # Per Trotter step: 6 fused 16x16 blocks and one diagonal over all 14
-        # qubits, built once, with no pass of its own, from the step's 7
-        # four-entry diagonals.
-        shapes = [shape for shape, _, _ in _count_passes(monkeypatch, _ising_doubled_n7()[path])]
-        assert len(shapes) == 448
-        assert shapes.count((16, 16)) == 384
-        assert shapes.count((2**14,)) == 64
+    def test_ising_n7_makes_384_passes(self, monkeypatch, path):
+        # Per Trotter step: n-1 = 6 real 16x16 blocks, the fields absorbed
+        # into them, on the float64 register of 4^7 coefficients.
+        calls = _count_passes(monkeypatch, _ising_doubled_n7()[path])
+        assert len(calls) == 384
+        assert all(shape == (16, 16) and size == 4**7 for shape, _, size in calls)
 
     def test_interferometric_passes_act_on_the_doubled_register(self, monkeypatch):
-        # Only the ancilla-1 branch is evolved, on the 6 doubled qubits, and
-        # each Trotter step's field diagonals merge into one pass over them.
+        # Only the ancilla-1 branch is evolved, on the 6 doubled qubits, as
+        # one real vector: n-1 = 2 blocks per Trotter step of either circuit.
         h = ising_chain(3)
         op, op2 = PauliSum.from_text("1 0 ZXI"), PauliSum.from_text("1 0 XIZ")
         u, u2 = trotter_circuit(h, 0.7, 5), trotter_circuit(h, -0.4, 3)
@@ -835,8 +984,8 @@ class TestMergedDiagonals:
         assert _close(merged, plain)
         assert _close(merged, _ref_interferometric_state(op, op2, u, u2))
         calls = _count_passes(monkeypatch, lambda: interferometric_state(op, op2, u, u2))
-        assert calls and all(size == 2**6 for _, _, size in calls)
-        assert ((2**6,), tuple(range(6)), 2**6) in calls
+        assert len(calls) == 2 * (5 + 3)
+        assert all(size == 2**6 for _, _, size in calls)
 
     def test_dense_unitary(self, monkeypatch):
         circ = trotter_circuit(ising_chain(4), 0.9, 6)
@@ -858,8 +1007,11 @@ class TestMergedDiagonals:
         merged, plain = _merged_and_per_step(monkeypatch, call)
         assert _close(merged[0].amplitudes, plain[0].amplitudes)
         assert merged[1] == pytest.approx(plain[1], abs=1e-12)
-        # t on site 1 and cz on sites (0, 2), both copies: qubits 0..7.
-        assert ((2**8,), tuple(range(8)), 4**4) in _count_passes(monkeypatch, call)
+        # Each single-site gate joins a two-site block: one pass per rzz,
+        # cz and cx, on the float64 view of the 4 sites' complex coefficients.
+        calls = _count_passes(monkeypatch, call)
+        assert len(calls) == 6
+        assert all(shape == (16, 16) and size == 2 * 4**4 for shape, _, size in calls)
 
     # Each circuit runs twice, so its diagonal run recurs.
     @pytest.mark.parametrize("gates, span", [
@@ -949,28 +1101,24 @@ class TestMergedDiagonals:
             assert np.array_equal(run(), run())
 
 
-def _trotter_per_step(h, t, steps, doubled):
-    """The Trotter circuits built gate by gate, one new Gate per term and step."""
+def _trotter_per_step(h, t, steps, reverse):
+    """The Trotter circuits built gate by gate, one new Gate per term and
+    step, each step's terms reversed for super_propagator_circuit."""
     dt = t / steps
     gates = []
     for _ in range(steps):
-        for c, p in h.ordered_items():
-            if not doubled:
-                gates.append(_term_gate(p, 2 * c.real * dt, lambda i: i))
-                continue
-            tsign = -1.0 if p.y_count % 2 else 1.0
-            gates.append(_term_gate(p, -2 * c.real * dt, lambda i: 2 * i))
-            gates.append(_term_gate(p, 2 * c.real * dt * tsign, lambda i: 2 * i + 1))
-    return Circuit.from_gates((2 if doubled else 1) * h.n, gates)
+        step = [_term_gate(p, 2 * c.real * dt, lambda i: i) for c, p in h.ordered_items()]
+        gates += step[::-1] if reverse else step
+    return Circuit.from_gates(h.n, gates)
 
 
-@pytest.mark.parametrize("doubled", [False, True])
-def test_trotter_circuits_repeat_one_step(doubled):
+@pytest.mark.parametrize("reverse", [False, True])
+def test_trotter_circuits_repeat_one_step(reverse):
     h = random_hermitian_sum(np.random.default_rng(41), 4, 6)
     h.add(0.3, PauliString.from_label("XYZY"))
-    build = super_propagator_circuit if doubled else trotter_circuit
+    build = super_propagator_circuit if reverse else trotter_circuit
     circ = build(h, 0.8, 9)
-    assert circ == _trotter_per_step(h, 0.8, 9, doubled)
+    assert circ == _trotter_per_step(h, 0.8, 9, reverse)
     terms = sum(1 for c, p in h.ordered_items() if p.weight)
-    assert circ.num_gates() == 9 * terms * (2 if doubled else 1)
-    assert len({id(g) for g in circ.gates()}) == terms * (2 if doubled else 1)
+    assert circ.num_gates() == 9 * terms
+    assert len({id(g) for g in circ.gates()}) == terms
