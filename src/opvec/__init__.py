@@ -53,7 +53,6 @@ from .simulator import (
     heisenberg_doubled,
     imaginary_time_apply,
     interferometric_state,
-    prepare_vectorized,
     regulated_overlap,
     super_propagator_circuit,
     trotter_circuit,

@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 runtime failure, 2 config or parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -673,7 +674,10 @@ def run(config: dict, out_dir=None, with_oracle: bool | None = None,
     return EXIT_OK
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every
+    ``main`` call in the process: building it costs far more than a parse."""
     parser = argparse.ArgumentParser(
         prog="opvec",
         description="Seeded Heisenberg-picture experiments with file-based artifacts.",
@@ -686,7 +690,11 @@ def main(argv=None) -> int:
                        help="append exact reference values to the report")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="output directory")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     cfg, errors = validate_config(args.config)
     if errors:

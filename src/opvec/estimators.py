@@ -571,6 +571,14 @@ def nqubit_sample(
     return np.stack([i_arr.astype(np.int64), j_arr], axis=1)
 
 
+def _count_pairs(samples: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of an (shots, 2) array of n-bit outcome pairs in
+    (i, j) order, and their counts, as np.unique(samples, axis=0,
+    return_counts=True) gives them, counted on one int64 key (i << n) | j."""
+    keys, cnt = np.unique((samples[:, 0] << n) | samples[:, 1], return_counts=True)
+    return np.stack([keys >> n, keys & ((1 << n) - 1)], axis=1), cnt
+
+
 def nqubit_otoc(
     op: PauliString,
     u: Circuit,
@@ -597,7 +605,7 @@ def nqubit_otoc(
     diag_left = common_eigenbasis_circuit([l for l, _ in pairs])
     diag_right = common_eigenbasis_circuit([r for _, r in pairs])
     samples = nqubit_sample(v, diag_right.inverse(), diag_left.inverse(), shots, rng)
-    uniq, cnt = np.unique(samples, axis=0, return_counts=True)
+    uniq, cnt = _count_pairs(samples, n)
     weights = cnt.astype(float)
     reports = []
     for left, right in pairs:

@@ -25,7 +25,7 @@ import numpy as np
 from ._linalg import apply_block, apply_matrix, reserve
 from .errors import ProjectionFailedError
 from .pauli import PAULI_CHARS, SIGMA, PauliString, PauliSum
-from .vectorize import COMPUTATIONAL, PAULI, BasisTag, VectorizedState, bell_transform, vectorize
+from .vectorize import COMPUTATIONAL, PAULI, VectorizedState, bell_transform, vectorize
 
 _SQ = 1 / np.sqrt(2)
 
@@ -203,8 +203,13 @@ class Circuit:
         return sum(len(layer) for layer in self.layers)
 
     def inverse(self) -> "Circuit":
+        """Layers reversed, each gate inverted. Each distinct gate object is
+        inverted once, so a repeated gate, as in a Trotter circuit, stays
+        one shared object."""
+        distinct = {id(g): g for g in self.gates()}
+        inverted = {key: g.inverse() for key, g in distinct.items()}
         layers = tuple(
-            tuple(g.inverse() for g in layer) for layer in reversed(self.layers)
+            tuple(inverted[id(g)] for g in layer) for layer in reversed(self.layers)
         )
         return Circuit(self.k, layers)
 
@@ -671,15 +676,7 @@ def heisenberg_doubled(state: VectorizedState, u: Circuit) -> VectorizedState:
 
 
 # ---------------------------------------------------------------------------
-# State preparation.
-
-def prepare_vectorized(op: PauliSum, basis: BasisTag) -> QState:
-    """Direct amplitude initialization of the encoded operator."""
-    if basis.d != 2:
-        raise ValueError("qubit register required")
-    vec = vectorize(op, basis)
-    return QState(2 * vec.n, vec.amplitudes)
-
+# The two-branch interferometric register.
 
 def _identity_pairs(n: int) -> np.ndarray:
     bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)

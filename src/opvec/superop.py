@@ -323,35 +323,58 @@ def lifted_pauli(left: PauliString, right: PauliString) -> tuple[int, PauliStrin
 
 _PHASES = (1, 1j, -1, -1j)
 
+# Images of every local Pauli word under one gate kind, keyed by name, axes
+# and repr(angle): a tuple indexed by the local word's Pauli index, each
+# entry (phase, z bits, x bits) over the gate's targets, or None where the
+# image is not a single Pauli word.
+_IMAGES: dict[tuple, tuple] = {}
 
-def _with_sites(p: PauliString, targets: tuple[int, ...], kinds) -> PauliString:
-    z, x = p.z, p.x
-    for t, kind in zip(targets, kinds):
-        z &= ~(1 << t)
-        x &= ~(1 << t)
-        if kind in ("Z", "Y"):
-            z |= 1 << t
-        if kind in ("X", "Y"):
-            x |= 1 << t
-    return PauliString(p.n, z, x)
+
+def _local_images(gate: Gate) -> tuple:
+    """C P C^dag of each local word P, by dense conjugation and exact
+    re-identification against every candidate word."""
+    m = len(gate.targets)
+    words = [index_pauli(idx, m) for idx in range(4**m)]
+    dense = [w.to_dense() for w in words]
+    g = gate_matrix(gate)
+    images = []
+    for fac in dense:
+        out = g @ fac @ g.conj().T
+        image = None
+        for cand, cand_dense in zip(words, dense):
+            coef = np.trace(cand_dense.conj().T @ out) / 2**m
+            if abs(coef) > 0.5:
+                snapped = min(_PHASES, key=lambda ph: abs(ph - coef))
+                if abs(snapped - coef) <= 1e-9:
+                    image = (snapped, cand.z, cand.x)
+                break
+        images.append(image)
+    return tuple(images)
 
 
 def conjugate_pauli(gate: Gate, phase: complex, p: PauliString) -> tuple[complex, PauliString]:
-    """phase * p -> C (phase * p) C^dag for a single Clifford gate, by dense
-    conjugation of the local factor and exact re-identification."""
-    m = len(gate.targets)
-    fac = PauliString.from_label("".join(p.site(t) for t in gate.targets)).to_dense()
-    g = gate_matrix(gate)
-    out = g @ fac @ g.conj().T
-    for idx in range(4**m):
-        cand = index_pauli(idx, m)
-        coef = np.trace(cand.to_dense().conj().T @ out) / 2**m
-        if abs(coef) > 0.5:
-            snapped = min(_PHASES, key=lambda ph: abs(ph - coef))
-            if abs(snapped - coef) > 1e-9:
-                raise ValueError(f"gate {gate.name} is not Clifford on Pauli words")
-            return phase * snapped, _with_sites(p, gate.targets, cand.label)
-    raise ValueError(f"gate {gate.name} is not Clifford on Pauli words")
+    """phase * p -> C (phase * p) C^dag for a single Clifford gate. The image
+    of the local factor is read from a table filled once per gate kind by
+    :func:`_local_images`; a ``u`` gate is derived afresh, never shared."""
+    if gate.name == "u":
+        images = _local_images(gate)
+    else:
+        key = (gate.name, gate.axes, repr(gate.angle))
+        images = _IMAGES.get(key)
+        if images is None:
+            images = _IMAGES[key] = _local_images(gate)
+    idx = 0
+    for t in gate.targets:
+        idx = (idx << 2) | (((p.z >> t) & 1) << 1) | ((p.x >> t) & 1)
+    image = images[idx]
+    if image is None:
+        raise ValueError(f"gate {gate.name} is not Clifford on Pauli words")
+    snapped, lz, lx = image
+    z, x = p.z, p.x
+    for i, t in enumerate(gate.targets):
+        z = (z & ~(1 << t)) | (((lz >> i) & 1) << t)
+        x = (x & ~(1 << t)) | (((lx >> i) & 1) << t)
+    return phase * snapped, PauliString(p.n, z, x)
 
 
 def conjugate_through(

@@ -389,6 +389,50 @@ class TestNqubit:
         assert "single unit-coefficient Pauli" in capsys.readouterr().err
 
 
+class TestParserReuse:
+    """Calls of main in one process share one parser; each must write what
+    the same command writes from a fresh interpreter."""
+
+    CONFIGS = {
+        "nqubit": {"operator": "XII", "pairs": [["ZII", "ZII"], ["IZI", "IIZ"]],
+                   "hamiltonian": HAM3, "t": 0.5, "steps": 8, "shots": 512, "seed": 3},
+        "evolve": {"operator": "ZII", "hamiltonian": HAM3, "t": 1.0, "steps": 16, "seed": 5},
+        "sample": {"operator": {"text": "0.6 0 XZI\n0.8 0 IYY\n"}, "shots": 256, "seed": 7},
+    }
+
+    def test_calls_in_one_process_match_runs_alone(self, tmp_path):
+        calls = [
+            ("nqubit", ["--seed", "11", "--with-oracle"]),
+            ("evolve", []),
+            ("sample", ["--with-oracle"]),
+            ("nqubit", []),
+        ]
+        src = str(Path(opvec.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        cli._parser.cache_clear()
+        for i, (task, flags) in enumerate(calls):
+            path = tmp_path / f"{task}.json"
+            path.write_text(json.dumps({"task": task, **self.CONFIGS[task]}))
+            argv = [task, "--config", str(path), *flags, "--out"]
+            assert main([*argv, str(tmp_path / f"shared{i}")]) == 0
+            alone = subprocess.run(
+                [sys.executable, "-m", "opvec.cli", *argv, str(tmp_path / f"alone{i}")],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert alone.returncode == 0, alone.stderr
+            names = sorted(f.name for f in (tmp_path / f"alone{i}").iterdir())
+            assert sorted(f.name for f in (tmp_path / f"shared{i}").iterdir()) == names
+            for name in names:
+                want = (tmp_path / f"alone{i}" / name).read_bytes()
+                assert (tmp_path / f"shared{i}" / name).read_bytes() == want, (i, name)
+        assert cli._parser.cache_info().misses == 1
+        # No flag of one call carries over to the next.
+        first, last = (json.loads((tmp_path / f"shared{i}/report.json").read_text()) for i in (0, 3))
+        assert first["seed"] == 11 and all("oracle" in r for r in first["reports"])
+        assert last["seed"] == 3 and not any("oracle" in r for r in last["reports"])
+        assert "oracle" not in json.loads((tmp_path / "shared1/report.json").read_text())
+
+
 class TestCompile2d:
     def test_schedule_artifact(self, tmp_path):
         code, out = run_task(

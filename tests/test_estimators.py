@@ -34,7 +34,7 @@ from opvec.estimators import (
     ose_shot_counts,
     sample_pauli_dist,
 )
-from opvec.estimators import _swap_test_distribution
+from opvec.estimators import _count_pairs, _swap_test_distribution
 from opvec.oracle import (
     exact_heisenberg,
     exact_loe,
@@ -656,6 +656,23 @@ class TestRandomizedSampler:
     def test_rejects_size_mismatch(self):
         with pytest.raises(ValueError, match="qubit count"):
             nqubit_sample(Circuit(2), Circuit(3), Circuit(2), 10, RngStream(0))
+
+
+class TestPairCounting:
+    @pytest.mark.parametrize("n", [1, 3, 7])
+    def test_matches_unique_rows(self, n):
+        # Uniform pairs, and a sampler's skewed ones with many repeats.
+        gen = np.random.default_rng(n)
+        v = trotter_circuit(ising_chain(n), 0.8, 4)
+        for samples in (
+            gen.integers(0, 2**n, size=(3000, 2), dtype=np.int64),
+            nqubit_sample(v, Circuit(n), Circuit(n), 3000, RngStream(n)),
+        ):
+            want_uniq, want_cnt = np.unique(samples, axis=0, return_counts=True)
+            uniq, cnt = _count_pairs(samples, n)
+            assert uniq.dtype == want_uniq.dtype and cnt.dtype == want_cnt.dtype
+            assert np.array_equal(uniq, want_uniq)
+            assert np.array_equal(cnt, want_cnt)
 
 
 class TestRandomizedOtoc:

@@ -29,7 +29,6 @@ from opvec.simulator import (
     heisenberg_doubled,
     imaginary_time_apply,
     interferometric_state,
-    prepare_vectorized,
     random_clifford_circuit,
     regulated_overlap,
     super_propagator_circuit,
@@ -152,6 +151,12 @@ class TestCircuit:
         u = dense_unitary(circ)
         assert np.allclose(dense_unitary(circ.inverse()), u.conj().T, atol=1e-12)
 
+    def test_inverse_inverts_each_distinct_gate_once(self):
+        u = trotter_circuit(ising_chain(7), 1.0, 64)
+        inv = u.inverse()
+        assert len({id(g) for g in inv.gates()}) == len({id(g) for g in u.gates()}) == 13
+        assert inv.layers == tuple(tuple(g.inverse() for g in layer) for layer in reversed(u.layers))
+
     def test_dense_unitary_cap(self):
         # Four arrays of 16 * 4^20 bytes, refused before any is allocated.
         assert refusal_peak(lambda: dense_unitary(Circuit(20)), 4 * 16 * 4**20) < 1 << 20
@@ -255,14 +260,6 @@ class TestDoubledEvolution:
         state = vectorize(ginibre(gen, 9), qudit_computational(3))
         with pytest.raises(ValueError, match="qubit reps"):
             heisenberg_doubled(state, Circuit(2))
-
-
-class TestPreparation:
-    @pytest.mark.parametrize("basis", [PAULI, COMPUTATIONAL])
-    def test_prepare_matches_vectorize(self, basis, gen):
-        s = random_hermitian_sum(gen, 2, 4)
-        reg = prepare_vectorized(s, basis)
-        assert np.allclose(reg.amplitudes, vectorize(s, basis).amplitudes, atol=1e-12)
 
 
 class TestInterferometric:

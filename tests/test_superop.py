@@ -11,7 +11,8 @@ import pytest
 
 from opvec.errors import CapExceededError, NonCommutingSetError, ParseError
 from opvec.pauli import PauliString
-from opvec.simulator import Circuit, Gate, dense_unitary
+from opvec import superop
+from opvec.simulator import Circuit, Gate, dense_unitary, gate_matrix
 from opvec.superop import (
     ALL_SEPARABLE_COMMUTING,
     COMMUTING_ENTANGLED,
@@ -338,10 +339,61 @@ class TestCliffordConjugation:
         with pytest.raises(ValueError):
             conjugate_pauli(Gate("t", (0,)), 1.0, PauliString.from_label("X"))
 
+    @pytest.mark.parametrize("name", ["id", "x", "y", "z", "h", "s", "sdg", "cx", "cz", "swap"])
+    def test_every_word_matches_dense_conjugation(self, name):
+        # Every word on three qubits: every local word on the targets, two-
+        # qubit targets out of order, under every background letter.
+        targets = (2, 0) if name in ("cx", "cz", "swap") else (1,)
+        g = Gate(name, targets)
+        u = dense_unitary(Circuit.from_gates(3, [g]))
+        for idx in range(4**3):
+            p = index_pauli(idx, 3)
+            phase, q = conjugate_pauli(g, 1.0, p)
+            assert np.allclose(u @ p.to_dense() @ u.conj().T, phase * q.to_dense(), atol=1e-12)
+            assert conjugate_pauli(g, -1j, p) == (-1j * phase, q)
+
+    @pytest.mark.parametrize(
+        "gate", [Gate("t", (0,)), Gate("tdg", (0,)), Gate("rz", (0,), 0.3)], ids=str
+    )
+    def test_non_clifford_gates_raise(self, gate):
+        with pytest.raises(ValueError, match=f"^gate {gate.name} is not Clifford on Pauli words$"):
+            conjugate_pauli(gate, 1.0, PauliString.from_label("X"))
+
+    def test_each_angle_has_its_own_images(self):
+        x = PauliString.from_label("X")
+        for angle, image in ((np.pi / 2, (1, "Y")), (np.pi, (-1, "X")), (-np.pi / 2, (-1, "Y"))):
+            phase, q = conjugate_pauli(Gate("rz", (0,), angle), 1.0, x)
+            assert (phase, q.label) == image
+        with pytest.raises(ValueError, match="not Clifford"):
+            conjugate_pauli(Gate("rz", (0,), 0.3), 1.0, x)
+
+    def test_u_gates_are_conjugated_by_their_own_matrix(self):
+        x = PauliString.from_label("X")
+        for name, image in (("h", "Z"), ("s", "Y"), ("x", "X")):
+            u = Gate("u", (0,), matrix=gate_matrix(Gate(name, (0,))))
+            phase, q = conjugate_pauli(u, 1.0, x)
+            assert (phase, q.label) == (1, image)
+
+    def test_second_pass_builds_no_dense_matrix(self, monkeypatch):
+        circ = Circuit.from_gates(3, [
+            Gate("h", (0,)), Gate("s", (1,)), Gate("cx", (0, 2)), Gate("cz", (1, 2)),
+            Gate("rz", (2,), np.pi / 2), Gate("pexp", (0, 1), np.pi / 2, "XZ"),
+        ])
+        word = PauliString.from_label("XYZ")
+        first = conjugate_through(circ, 1.0, word)
+        calls = []
+        monkeypatch.setattr(superop, "gate_matrix", lambda g: calls.append(g) or gate_matrix(g))
+        assert conjugate_through(circ, 1.0, word) == first
+        # New gate objects of the same kinds on other targets share the table.
+        moved = Circuit.from_gates(3, [Gate("h", (2,)), Gate("cx", (1, 0)), Gate("rz", (0,), np.pi / 2)])
+        conjugate_through(moved, 1.0, word)
+        assert calls == []
+        # A u gate is derived on every call, so the hook does see calls.
+        conjugate_pauli(Gate("u", (0,), matrix=gate_matrix(Gate("h", (0,)))), 1.0, word)
+        assert len(calls) == 1
+
 
 def _gate_dense(name: str) -> np.ndarray:
-    from opvec.simulator import gate_matrix
-
     arity = 2 if name in ("cx", "cz", "swap") else 1
     return gate_matrix(Gate(name, tuple(range(arity))))
 
