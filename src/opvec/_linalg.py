@@ -1,9 +1,9 @@
 """Small dense-statevector kernels shared by the vectorization, simulator,
 and superoperator layers.
 
-Index convention used everywhere: a K-qubit state of local dimension d is a
-flat vector whose reshape to (d,)*K puts qubit 0 on axis 0, i.e. qubit 0 is
-the most significant digit of the flat index.
+Index convention used everywhere: a K-qubit state is a flat vector whose
+reshape to (2,)*K puts qubit 0 on axis 0, i.e. qubit 0 is the most
+significant bit of the flat index.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ _FOLD = 32
 _CHUNK = 1 << 13
 
 
-def apply_matrix(vec: np.ndarray, mat: np.ndarray, targets: tuple[int, ...], k: int, d: int = 2) -> np.ndarray:
-    """Apply ``mat`` (d^m x d^m) to the ``targets`` axes of a K-qudit vector.
+def apply_matrix(vec: np.ndarray, mat: np.ndarray, targets: tuple[int, ...], k: int) -> np.ndarray:
+    """Apply ``mat`` (2^m x 2^m) to the ``targets`` qubits of a K-qubit vector.
 
     A 1-D ``mat`` is a diagonal, applied as an elementwise multiply. Targets
     forming an ascending contiguous run are contracted through an (A, D, B)
@@ -55,10 +55,10 @@ def apply_matrix(vec: np.ndarray, mat: np.ndarray, targets: tuple[int, ...], k: 
     m = len(targets)
     lo = targets[0] if m else 0
     if tuple(targets) != tuple(range(lo, lo + m)):
-        t = np.moveaxis(vec.reshape((d,) * k), targets, range(m)).reshape(d**m, -1)
-        t = (mat[:, None] * t if mat.ndim == 1 else mat @ t).reshape((d,) * k)
+        t = np.moveaxis(vec.reshape((2,) * k), targets, range(m)).reshape(2**m, -1)
+        t = (mat[:, None] * t if mat.ndim == 1 else mat @ t).reshape((2,) * k)
         return np.moveaxis(t, range(m), targets).reshape(-1)
-    dim, b = d**m, d ** (k - lo - m)
+    dim, b = 2**m, 2 ** (k - lo - m)
     if 1 < b and dim * b <= _FOLD:
         if mat.ndim == 1:
             mat = np.repeat(mat, b)
@@ -82,28 +82,28 @@ def apply_matrix(vec: np.ndarray, mat: np.ndarray, targets: tuple[int, ...], k: 
     return out.reshape(-1)
 
 
-def amplitude_matrix(vec: np.ndarray, n: int, d: int = 2) -> np.ndarray:
+def amplitude_matrix(vec: np.ndarray, n: int) -> np.ndarray:
     """View a doubled-register vector (site-interleaved (L,R) pairs) as the
-    d^n x d^n matrix S with S[i, j] = amplitude on |i>_L |j>_R."""
-    t = vec.reshape((d,) * (2 * n))
+    2^n x 2^n matrix S with S[i, j] = amplitude on |i>_L |j>_R."""
+    t = vec.reshape((2,) * (2 * n))
     t = np.transpose(t, [2 * s for s in range(n)] + [2 * s + 1 for s in range(n)])
-    return t.reshape(d**n, d**n).copy()
+    return t.reshape(2**n, 2**n).copy()
 
 
-def from_amplitude_matrix(mat: np.ndarray, n: int, d: int = 2) -> np.ndarray:
+def from_amplitude_matrix(mat: np.ndarray, n: int) -> np.ndarray:
     """Inverse of :func:`amplitude_matrix`."""
-    t = mat.reshape((d,) * (2 * n))
+    t = mat.reshape((2,) * (2 * n))
     order = np.argsort([2 * s for s in range(n)] + [2 * s + 1 for s in range(n)])
     return np.transpose(t, order).reshape(-1)
 
 
-def apply_block(vec: np.ndarray, n: int, left: np.ndarray | None, right: np.ndarray | None, d: int = 2) -> np.ndarray:
+def apply_block(vec: np.ndarray, n: int, left: np.ndarray | None, right: np.ndarray | None) -> np.ndarray:
     """Apply (A x B) with A on all L qubits and B on all R qubits of a
     site-interleaved doubled register: S -> A S B^T in matrix form."""
-    s = amplitude_matrix(vec, n, d)
+    s = amplitude_matrix(vec, n)
     if left is not None:
         s = left @ s
     if right is not None:
         s = s @ right.T
-    return from_amplitude_matrix(s, n, d)
+    return from_amplitude_matrix(s, n)
 

@@ -96,6 +96,11 @@ _DEFAULTS = {
 # ---------------------------------------------------------------------------
 # Config loading and validation.
 
+def _is_int(value) -> bool:
+    """JSON integers only: bool is an int subclass, but true is not a count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _resolve(base: Path, value: str) -> Path:
     path = Path(value)
     return path if path.is_absolute() else base / path
@@ -195,11 +200,10 @@ def validate_config(path) -> tuple[dict | None, list[str]]:
     for key, default in _DEFAULTS.items():
         cfg.setdefault(key, default)
 
-    for key, kind in (("seed", int), ("shots", int), ("steps", int),
-                      ("alpha", int), ("power", int)):
-        if not isinstance(cfg[key], int) or isinstance(cfg[key], bool):
+    for key in ("seed", "shots", "steps", "alpha", "power", "site"):
+        if not _is_int(cfg[key]):
             errors.append(f"{key}: expected an integer")
-            cfg[key] = kind(_DEFAULTS[key])
+            cfg[key] = _DEFAULTS[key]
     for key in ("t", "epsilon", "delta", "dt", "h_x", "h_z", "J", "p"):
         if not isinstance(cfg[key], (int, float)) or isinstance(cfg[key], bool):
             errors.append(f"{key}: expected a number")
@@ -208,6 +212,10 @@ def validate_config(path) -> tuple[dict | None, list[str]]:
         errors.append("shots: must be >= 1")
     if cfg["steps"] < 1:
         errors.append("steps: must be >= 1")
+    if not 0 <= cfg["p"] <= 1:
+        errors.append("p: must lie in [0, 1]")
+    if not isinstance(cfg["out"], str):
+        errors.append("out: expected a string")
     if not isinstance(cfg["with_oracle"], bool):
         errors.append("with_oracle: expected a boolean")
         cfg["with_oracle"] = False
@@ -272,7 +280,7 @@ def validate_config(path) -> tuple[dict | None, list[str]]:
         if grouping is not None:
             if not (isinstance(grouping, list)
                     and all(isinstance(g, list)
-                            and all(isinstance(i, int) for i in g) for g in grouping)):
+                            and all(_is_int(i) for i in g) for g in grouping)):
                 errors.append("grouping: expected a list of integer lists")
 
     if task == "ose":
@@ -286,7 +294,7 @@ def validate_config(path) -> tuple[dict | None, list[str]]:
     if task == "loe":
         partition = raw.get("partition")
         if not (isinstance(partition, list) and partition
-                and all(isinstance(s, int) for s in partition)):
+                and all(_is_int(s) for s in partition)):
             errors.append("partition: expected a nonempty list of site indices")
         elif op is not None:
             sites = sorted(set(partition))
@@ -308,8 +316,8 @@ def validate_config(path) -> tuple[dict | None, list[str]]:
     if task == "compile2d":
         lattice = raw.get("lattice")
         if not (isinstance(lattice, dict)
-                and isinstance(lattice.get("rows"), int)
-                and isinstance(lattice.get("cols"), int)):
+                and _is_int(lattice.get("rows"))
+                and _is_int(lattice.get("cols"))):
             errors.append("lattice: expected {'rows': int, 'cols': int}")
         elif lattice["rows"] < 1 or lattice["cols"] < 1:
             errors.append("lattice: dimensions must be positive")

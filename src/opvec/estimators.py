@@ -443,12 +443,12 @@ def _pauli_coefficients(state: VectorizedState, qubits: list[int]) -> np.ndarray
     amps = state.amplitudes.reshape((2,) * (2 * state.n))
     m = np.moveaxis(amps, qubits, range(k)).reshape(2**k, -1)
     rho = m @ m.conj().T
-    # one (row bit, column bit) pair per qubit, so each qubit is one 4-level axis
+    # qubit q's (row bit, column bit) pair on bits (2q, 2q + 1)
     vec = rho.reshape((2,) * (2 * k)).transpose(
         [ax for q in range(k) for ax in (q, k + q)]
     ).reshape(-1)
     for q in range(k):
-        vec = apply_matrix(vec, _PAULI_COEF, (q,), k, d=4)
+        vec = apply_matrix(vec, _PAULI_COEF, (2 * q, 2 * q + 1), 2 * k)
     return vec.real
 
 
@@ -475,7 +475,7 @@ def _swap_test_distribution(
     coef = _pauli_coefficients(state_a, qubits)
     coef = coef * (coef if same else _pauli_coefficients(state_b, qubits))
     for q in range(len(qubits)):
-        coef = apply_matrix(coef, _BELL_FROM_PAULI, (q,), len(qubits), d=4)
+        coef = apply_matrix(coef, _BELL_FROM_PAULI, (2 * q, 2 * q + 1), 2 * len(qubits))
     return coef.reshape((4,) * len(qubits))
 
 

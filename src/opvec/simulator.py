@@ -666,8 +666,6 @@ def heisenberg_doubled(state: VectorizedState, u: Circuit) -> VectorizedState:
 
     On trotter_circuit(h, t, steps) each step's terms apply in reverse
     order; super_propagator_circuit applies them in the order listed."""
-    if state.d != 2:
-        raise ValueError("doubled evolution acts on qubit reps")
     if u.k != state.n:
         raise ValueError("circuit size does not match site count")
     pauli = state if state.basis == PAULI else bell_transform(state, "c_to_p")
@@ -746,8 +744,6 @@ def channel_dual_postselect(
     ||E^dag(O)>>_C and the exact projection probability
     tr(E^dag(O)^2) / (tr(O^dag O) 2^{n_env}).
     """
-    if state.d != 2:
-        raise ValueError("channel duals act on qubit reps")
     n = state.n
     if sites is None:
         sites = tuple(range(dilation.k - n_env))

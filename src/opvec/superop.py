@@ -179,7 +179,7 @@ def walsh_hadamard(values: np.ndarray, n: int, direction: str) -> np.ndarray:
     if direction not in ("f_to_lambda", "lambda_to_f"):
         raise ValueError(f"unknown direction {direction!r}")
     for site in range(n):
-        out = apply_matrix(out, _SITE_SIGNS, (site,), n, d=4)
+        out = apply_matrix(out, _SITE_SIGNS, (2 * site, 2 * site + 1), 2 * n)
     if direction == "lambda_to_f":
         out /= 4**n
     return out

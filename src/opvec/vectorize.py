@@ -3,8 +3,8 @@ representations.
 
 An n-site operator O with expansion O = sum_k c_k Q_k over an orthogonal
 operator basis {Q_k} (tr(Q_j^dag Q_k) = N delta_jk) maps to the unit vector
-whose k-th amplitude is c_k / sqrt(sum_i |c_i|^2). Two qubit bases are
-supported, plus their qudit generalizations:
+whose k-th amplitude is c_k / sqrt(sum_i |c_i|^2) on a register of 2n
+qubits. Two bases are supported:
 
 * computational: Q = |i><j| products per site (N = 1). The doubled register
   stores the (row, column) indices of each site as an adjacent qubit pair
@@ -20,8 +20,9 @@ The two representations are related by a local basis change acting on each
 can be moved freely between representations.
 
 Vectors are serialized to a small binary format: a 13-byte header
-(magic "OPV1", basis tag byte, uint32 n, uint32 d, little-endian) followed by
-the amplitudes as little-endian complex64.
+(magic "OPV1", basis tag byte, uint32 n, uint32 local dimension, which is
+always 2, little-endian) followed by the amplitudes as little-endian
+complex64.
 """
 
 from __future__ import annotations
@@ -36,50 +37,28 @@ from .errors import ParseError
 from .pauli import PauliString, PauliSum
 
 _MAGIC = b"OPV1"
-_TAG_CODES = {"computational": 0, "pauli": 1, "qudit_pauli": 2}
+_TAG_CODES = {"computational": 0, "pauli": 1}
 _TAG_NAMES = {v: k for k, v in _TAG_CODES.items()}
 
 NORM_TOL = 1e-12
 
 
-def _is_prime(d: int) -> bool:
-    if d < 2:
-        return False
-    return all(d % q for q in range(2, int(d**0.5) + 1))
-
-
 @dataclass(frozen=True)
 class BasisTag:
     kind: str
-    d: int = 2
 
     def __post_init__(self):
         if self.kind not in _TAG_CODES:
             raise ValueError(f"unknown basis kind {self.kind!r}")
-        if self.kind == "pauli" and self.d != 2:
-            raise ValueError("'pauli' is the qubit basis; use qudit_pauli for d > 2")
-        if self.kind == "qudit_pauli" and (self.d == 2 or not _is_prime(self.d)):
-            raise ValueError("qudit Pauli basis requires prime local dimension > 2; "
-                             "'pauli' is the qubit basis")
-        if self.d < 2:
-            raise ValueError("local dimension must be at least 2")
 
 
-COMPUTATIONAL = BasisTag("computational", 2)
-PAULI = BasisTag("pauli", 2)
-
-
-def qudit_computational(d: int) -> BasisTag:
-    return BasisTag("computational", d)
-
-
-def qudit_pauli(d: int) -> BasisTag:
-    return BasisTag("qudit_pauli", d)
+COMPUTATIONAL = BasisTag("computational")
+PAULI = BasisTag("pauli")
 
 
 @dataclass
 class VectorizedState:
-    """Unit vector on 2n qudits representing an n-site operator."""
+    """Unit vector on 2n qubits representing an n-site operator."""
 
     n: int
     basis: BasisTag
@@ -87,16 +66,12 @@ class VectorizedState:
 
     def __post_init__(self):
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        want = self.basis.d ** (2 * self.n)
+        want = 4**self.n
         if self.amplitudes.shape[0] != want:
             raise ValueError(f"expected {want} amplitudes, got {self.amplitudes.shape[0]}")
         norm = np.linalg.norm(self.amplitudes)
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"vectorized states are unit norm; got {norm!r}")
-
-    @property
-    def d(self) -> int:
-        return self.basis.d
 
     def copy(self) -> "VectorizedState":
         return VectorizedState(self.n, self.basis, self.amplitudes.copy())
@@ -127,74 +102,53 @@ def index_pauli(idx: int, n: int) -> PauliString:
 # ---------------------------------------------------------------------------
 # Local basis-change transforms.
 
-def _pair_transform_p_to_c(d: int) -> np.ndarray:
-    """Unitary taking the Pauli-rep pair state to the computational rep:
-    SUM_d (H_d x I) per site pair, which is CNOT (H x I) at d = 2."""
-    w = np.exp(2j * np.pi / d)
-    h = np.array([[w ** (j * k) for k in range(d)] for j in range(d)], dtype=complex) / np.sqrt(d)
-    s = np.zeros((d * d, d * d), dtype=complex)
-    for m in range(d):
-        for t in range(d):
-            s[d * m + (m + t) % d, d * m + t] = 1.0
-    return s @ np.kron(h, np.eye(d))
-
-
-def _apply_pairwise(amps: np.ndarray, n: int, mat: np.ndarray, d: int) -> np.ndarray:
-    out = amps
-    for site in range(n):
-        out = apply_matrix(out, mat, (2 * site, 2 * site + 1), 2 * n, d)
-    return out
+# The unitary taking a Pauli-rep (L, R) pair to the computational rep,
+# CNOT (H x I). H's -1 entry is exp(i pi), so the two -1/sqrt(2) entries keep
+# an imaginary part of 8.66e-17: the last bits of every computational-rep
+# state depend on it, and Born sampling redraws a whole sample when they move.
+_P_TO_C = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]) @ np.kron(
+    np.array([[1, 1], [1, np.exp(1j * np.pi)]]) / np.sqrt(2), np.eye(2)
+)
+_C_TO_P = _P_TO_C.conj().T
+_P_TO_C.setflags(write=False)
+_C_TO_P.setflags(write=False)
 
 
 def bell_transform(state: VectorizedState, direction: str) -> VectorizedState:
     """Change a state between the computational and Pauli reps.
 
-    direction: "c_to_p" or "p_to_c". Acts as one fixed two-qudit unitary per
+    direction: "c_to_p" or "p_to_c". Acts as one fixed two-qubit unitary per
     (L, R) site pair, so the composition of the two directions is exactly the
-    identity. Qubit states move between COMPUTATIONAL and PAULI; qudit states
-    of prime d between qudit_computational(d) and qudit_pauli(d).
+    identity.
     """
-    d = state.basis.d
     if direction == "p_to_c":
         if state.basis.kind == "computational":
             raise ValueError("state is already in 'computational'")
-        mat, out_basis = _pair_transform_p_to_c(d), qudit_computational(d)
+        mat, out_basis = _P_TO_C, COMPUTATIONAL
     elif direction == "c_to_p":
         if state.basis.kind != "computational":
             raise ValueError(f"state is in {state.basis.kind!r}, not computational")
-        mat = _pair_transform_p_to_c(d).conj().T
-        out_basis = PAULI if d == 2 else qudit_pauli(d)
+        mat, out_basis = _C_TO_P, PAULI
     else:
         raise ValueError(f"unknown direction {direction!r}")
-    return VectorizedState(state.n, out_basis, _apply_pairwise(state.amplitudes, state.n, mat, d))
+    n, out = state.n, state.amplitudes
+    for site in range(n):
+        out = apply_matrix(out, mat, (2 * site, 2 * site + 1), 2 * n)
+    return VectorizedState(n, out_basis, out)
 
 
 # ---------------------------------------------------------------------------
 # The map itself.
 
-def _infer_sites(dim: int, d: int) -> int:
-    n = 0
-    acc = 1
-    while acc < dim:
-        acc *= d
-        n += 1
-    if acc != dim:
-        raise ValueError(f"dimension {dim} is not a power of {d}")
-    return n
-
-
 def vectorize(op: PauliString | PauliSum | np.ndarray, basis: BasisTag) -> VectorizedState:
     """Map an operator to its unit-norm vectorized state in ``basis``.
 
-    Accepts a Pauli word or sum (qubits only) or a dense square matrix of
-    dimension d^n. The zero operator has no direction and is rejected.
+    Accepts a Pauli word or sum or a dense square matrix of dimension 2^n.
+    The zero operator has no direction and is rejected.
     """
-    d = basis.d
     if isinstance(op, PauliString):
         op = PauliSum.from_terms([(1.0, op)])
     if isinstance(op, PauliSum):
-        if d != 2:
-            raise ValueError("PauliSum input is qubit-only")
         reserve(16 * 4**op.n, f"a register of {2 * op.n} qubits")
         if basis == PAULI:
             amps = np.zeros(4**op.n, dtype=complex)
@@ -205,10 +159,11 @@ def vectorize(op: PauliString | PauliSum | np.ndarray, basis: BasisTag) -> Vecto
     mat = np.asarray(op, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("operator must be a square matrix")
-    n = _infer_sites(mat.shape[0], d)
-    reserve(16 * d ** (2 * n), f"a register of {2 * n} qudits")
-    amps = from_amplitude_matrix(mat, n, d)
-    state = _normalized(n, qudit_computational(d), amps)
+    n = (mat.shape[0] - 1).bit_length()
+    if mat.shape[0] != 1 << n:
+        raise ValueError(f"dimension {mat.shape[0]} is not a power of 2")
+    reserve(16 * 4**n, f"a register of {2 * n} qubits")
+    state = _normalized(n, COMPUTATIONAL, from_amplitude_matrix(mat, n))
     return state if basis.kind == "computational" else bell_transform(state, "c_to_p")
 
 
@@ -225,14 +180,14 @@ def devectorize(state: VectorizedState) -> np.ndarray:
     """Dense unit-HS-norm operator whose expansion amplitudes are the state."""
     if state.basis.kind != "computational":
         state = bell_transform(state, "p_to_c")
-    return amplitude_matrix(state.amplitudes, state.n, state.basis.d)
+    return amplitude_matrix(state.amplitudes, state.n)
 
 
 # ---------------------------------------------------------------------------
 # Binary serialization.
 
 def save_state(state: VectorizedState, path) -> None:
-    header = struct.pack("<4sBII", _MAGIC, _TAG_CODES[state.basis.kind], state.n, state.basis.d)
+    header = struct.pack("<4sBII", _MAGIC, _TAG_CODES[state.basis.kind], state.n, 2)
     payload = state.amplitudes.astype("<c8")
     with open(path, "wb") as fh:
         fh.write(header)
@@ -250,18 +205,16 @@ def load_state(path) -> VectorizedState:
             raise ParseError("not a vectorized-state file")
         if tag not in _TAG_NAMES:
             raise ParseError(f"unknown basis tag {tag}")
-        try:
-            basis = BasisTag(_TAG_NAMES[tag], d)
-        except ValueError as exc:
-            raise ParseError(f"bad basis in header: {exc}") from None
+        if d != 2:
+            raise ParseError(f"local dimension {d} in header; states are on qubits")
         payload = np.frombuffer(fh.read(), dtype="<c8")
-    # d >= 2 here, so past 32 sites no payload could hold d^(2n) amplitudes
-    # and the power is never computed.
-    if n > 32 or payload.shape[0] != d ** (2 * n):
-        raise ParseError(f"expected {d}^{2 * n} amplitudes, found {payload.shape[0]}")
+    # Past 32 sites no payload could hold 4^n amplitudes, so the power is
+    # never computed.
+    if n > 32 or payload.shape[0] != 4**n:
+        raise ParseError(f"expected 4^{n} amplitudes, found {payload.shape[0]}")
     amps = payload.astype(complex)
     norm = np.linalg.norm(amps)
     if not 0 < norm < np.inf:
         raise ParseError(f"payload norm {norm!r} cannot be normalized")
     # complex64 round-off can leave the norm slightly off; renormalize.
-    return VectorizedState(n, basis, amps / norm)
+    return VectorizedState(n, BasisTag(_TAG_NAMES[tag]), amps / norm)

@@ -17,12 +17,16 @@ from opvec._linalg import reserve
 from opvec.errors import CapExceededError
 from opvec.pauli import SIGMA, PauliString
 from opvec.superop import DiagonalSuperop, OperatorSumSuperop
-from opvec.vectorize import BasisTag, _pair_transform_p_to_c, index_pauli
+from opvec.vectorize import BasisTag, index_pauli
+
+CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 
 
-def transform_matrix(n: int, direction: str, d: int = 2) -> np.ndarray:
-    """Dense basis-change matrix on the full doubled register."""
-    base = _pair_transform_p_to_c(d)
+def transform_matrix(n: int, direction: str) -> np.ndarray:
+    """Dense basis-change matrix on the full doubled register: CNOT (H x I)
+    per (L, R) site pair from the Pauli rep to the computational rep."""
+    base = CNOT @ np.kron(H, np.eye(2))
     if direction == "c_to_p":
         base = base.conj().T
     elif direction != "p_to_c":
@@ -85,8 +89,6 @@ def transfer_matrix(
     if n != a.n:
         raise ValueError("site count mismatch")
     reserve(16 * 16**n, f"a dense transfer matrix on {n} sites")
-    if basis.kind not in ("computational", "pauli") or basis.d != 2:
-        raise ValueError("transfer matrices are built in the qubit C or P rep")
     if isinstance(a, DiagonalSuperop):
         m_p = np.diag(a.lam_vector()).astype(complex)
         if basis.kind == "pauli":

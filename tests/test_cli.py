@@ -523,6 +523,30 @@ class TestConfigValidation:
         assert code == 2
         assert "operator:" in capsys.readouterr().err
 
+    CHOI = dict(operator="ZII", p=0.1, site=0)
+
+    @pytest.mark.parametrize("task,cfg,field", [
+        ("choi2pc", {**CHOI, "site": "x"}, "site"),
+        ("choi2pc", {**CHOI, "site": 1.5}, "site"),
+        ("choi2pc", {**CHOI, "site": [0]}, "site"),
+        ("choi2pc", {**CHOI, "site": True}, "site"),
+        ("choi2pc", {**CHOI, "p": 1.5}, "p"),
+        ("choi2pc", {**CHOI, "p": -0.2}, "p"),
+        ("evolve", {"operator": "ZII", "out": 5}, "out"),
+        ("loe", {"operator": "ZII", "partition": [True]}, "partition"),
+        ("superop", {"operator": "ZII", "superop": "size", "grouping": [[True], [0]]},
+         "grouping"),
+        ("compile2d", {"lattice": {"rows": True, "cols": 2}}, "lattice"),
+    ], ids=["site-str", "site-float", "site-list", "site-bool", "p-above-1",
+            "p-below-0", "out-int", "partition-bool", "grouping-bool", "rows-bool"])
+    def test_mistyped_field_is_config_error(self, tmp_path, capsys, task, cfg, field):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"task": task, "seed": 1, **cfg}))
+        code = main([task, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"config error: {field}:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 def ising_spec(n: int, t: float, steps: int) -> dict:
     """The Ising chain's Trotter circuit as inline circuit JSON, one pexp

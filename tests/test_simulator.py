@@ -43,7 +43,7 @@ from opvec.simulator import (
     _term_gate,
     _transfer,
 )
-from opvec.vectorize import COMPUTATIONAL, PAULI, VectorizedState, qudit_computational, vectorize
+from opvec.vectorize import COMPUTATIONAL, PAULI, VectorizedState, vectorize
 from helpers import ginibre, ising_chain, random_hermitian_sum, refusal_peak
 
 
@@ -255,11 +255,6 @@ class TestDoubledEvolution:
         got = heisenberg_doubled(vectorize(mat, COMPUTATIONAL), circ)
         want = vectorize(u.conj().T @ mat @ u, COMPUTATIONAL)
         assert np.allclose(got.amplitudes, want.amplitudes, atol=1e-12)
-
-    def test_wrong_rep_rejected(self, gen):
-        state = vectorize(ginibre(gen, 9), qudit_computational(3))
-        with pytest.raises(ValueError, match="qubit reps"):
-            heisenberg_doubled(state, Circuit(2))
 
 
 class TestInterferometric:
@@ -586,56 +581,53 @@ class TestLoweringMatchesGateLoops:
 # ---------------------------------------------------------------------------
 # apply_matrix against a dense kron reference, and the fused lowering.
 
-def _dense_reference(vec, mat, targets, k, d):
-    """mat (x) I on (targets, then the other qudits), permuted back to the
-    natural qudit order, times vec."""
+def _dense_reference(vec, mat, targets, k):
+    """mat (x) I on (targets, then the other qubits), permuted back to the
+    natural qubit order, times vec."""
     rest = [q for q in range(k) if q not in targets]
-    full = np.kron(np.diag(mat) if mat.ndim == 1 else mat, np.eye(d ** len(rest)))
+    full = np.kron(np.diag(mat) if mat.ndim == 1 else mat, np.eye(2 ** len(rest)))
     inv = list(np.argsort(list(targets) + rest))
-    full = full.reshape((d,) * (2 * k)).transpose(inv + [k + i for i in inv])
-    return full.reshape(d**k, d**k) @ vec
+    full = full.reshape((2,) * (2 * k)).transpose(inv + [k + i for i in inv])
+    return full.reshape(2**k, 2**k) @ vec
 
 
 @st.composite
 def _apply_cases(draw):
-    d = draw(st.sampled_from([2, 3]))
-    k = draw(st.integers(1, 7 if d == 2 else 4))
-    m = draw(st.integers(1, min(k, 4 if d == 2 else 3)))
+    k = draw(st.integers(1, 7))
+    m = draw(st.integers(1, min(k, 4)))
     if draw(st.booleans()):
         lo = draw(st.integers(0, k - m))
         targets = tuple(range(lo, lo + m))
     else:
         targets = tuple(draw(st.permutations(range(k)))[:m])
-    return d, k, targets, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+    return k, targets, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
 
 
 class TestApplyMatrix:
     @given(_apply_cases())
-    @example((2, 6, (0, 1), False, 1))  # block at the start, trailing block of 16
-    @example((2, 6, (2, 3), False, 2))  # middle
-    @example((2, 6, (4, 5), False, 3))  # end: trailing block of 1
-    @example((2, 6, (3, 4), False, 4))  # trailing block of 2
-    @example((2, 6, (3, 4), True, 5))  # diagonal, trailing block of 2
-    @example((2, 6, (1, 4), False, 6))  # not contiguous
-    @example((2, 6, (3, 2), True, 7))  # unsorted
-    @example((3, 4, (1, 2), False, 8))  # qutrits
-    @example((2, 6, (0, 1, 2, 3), False, 9))  # D=16, trailing block of 4: transposed GEMM
-    @example((2, 7, (0, 1, 2, 3), False, 10))  # D=16, trailing block of 8
-    @example((2, 7, (1, 2, 3, 4), True, 11))  # diagonal, D=16, trailing block of 4
-    @example((3, 4, (0, 1, 2), False, 12))  # qutrits, D=27, trailing block of 3
+    @example((6, (0, 1), False, 1))  # block at the start, trailing block of 16
+    @example((6, (2, 3), False, 2))  # middle
+    @example((6, (4, 5), False, 3))  # end: trailing block of 1
+    @example((6, (3, 4), False, 4))  # trailing block of 2
+    @example((6, (3, 4), True, 5))  # diagonal, trailing block of 2
+    @example((6, (1, 4), False, 6))  # not contiguous
+    @example((6, (3, 2), True, 7))  # unsorted
+    @example((6, (0, 1, 2, 3), False, 9))  # D=16, trailing block of 4: transposed GEMM
+    @example((7, (0, 1, 2, 3), False, 10))  # D=16, trailing block of 8
+    @example((7, (1, 2, 3, 4), True, 11))  # diagonal, D=16, trailing block of 4
     def test_matches_dense_kron(self, case):
-        d, k, targets, diagonal, seed = case
-        vec, mat = self._operands(d, k, len(targets), diagonal, seed)
-        got = apply_matrix(vec, mat, targets, k, d)
-        assert _close(got, _dense_reference(vec, mat, targets, k, d))
+        k, targets, diagonal, seed = case
+        vec, mat = self._operands(k, len(targets), diagonal, seed)
+        got = apply_matrix(vec, mat, targets, k)
+        assert _close(got, _dense_reference(vec, mat, targets, k))
 
     @staticmethod
-    def _operands(d, k, m, diagonal, seed):
+    def _operands(k, m, diagonal, seed):
         gen = np.random.default_rng(seed)
-        vec = gen.normal(size=d**k) + 1j * gen.normal(size=d**k)
+        vec = gen.normal(size=2**k) + 1j * gen.normal(size=2**k)
         if diagonal:
-            return vec, np.exp(1j * gen.normal(size=d**m))
-        return vec, _random_unitary(gen, d**m)
+            return vec, np.exp(1j * gen.normal(size=2**m))
+        return vec, _random_unitary(gen, 2**m)
 
     # Chunk sizes in amplitudes for a 16x16 block with a trailing block of
     # 4 (64 amplitudes per row, 8 rows): smaller than one row, three rows
@@ -643,11 +635,11 @@ class TestApplyMatrix:
     @pytest.mark.parametrize("chunk", [1, 3 * 64, 8 * 64])
     def test_narrow_trailing_blocks_in_chunks(self, monkeypatch, chunk):
         monkeypatch.setattr(_linalg, "_CHUNK", chunk)
-        vec, mat = self._operands(2, 9, 4, False, chunk)
+        vec, mat = self._operands(9, 4, False, chunk)
         got = apply_matrix(vec, mat, (3, 4, 5, 6), 9)
-        assert _close(got, _dense_reference(vec, mat, (3, 4, 5, 6), 9, 2))
+        assert _close(got, _dense_reference(vec, mat, (3, 4, 5, 6), 9))
         real = apply_matrix(vec.real.copy(), mat, (3, 4, 5, 6), 9)
-        assert _close(real, _dense_reference(vec.real, mat, (3, 4, 5, 6), 9, 2))
+        assert _close(real, _dense_reference(vec.real, mat, (3, 4, 5, 6), 9))
 
 
 class TestFusedLowering:
@@ -930,9 +922,9 @@ def _count_passes(monkeypatch, call):
     that ``call()`` makes, in order."""
     shapes = []
 
-    def counting(vec, mat, targets, k, d=2):
+    def counting(vec, mat, targets, k):
         shapes.append((mat.shape, targets, len(vec)))
-        return apply_matrix(vec, mat, targets, k, d)
+        return apply_matrix(vec, mat, targets, k)
 
     with monkeypatch.context() as m:
         m.setattr(simulator, "apply_matrix", counting)
@@ -1049,9 +1041,9 @@ class TestMergedDiagonals:
                 (da, (2,)), (db, (0,)), (h, (1,)), (db, (1,)), (h, (0,))]
         seen = []
 
-        def spy(vec, mat, targets, k, d=2):
+        def spy(vec, mat, targets, k):
             seen.append((mat, targets, len(vec)))
-            return apply_matrix(vec, mat, targets, k, d)
+            return apply_matrix(vec, mat, targets, k)
 
         monkeypatch.setattr(simulator, "apply_matrix", spy)
         amps = ginibre(gen, 8)[0]

@@ -17,15 +17,13 @@ from opvec.pauli import PauliString
 from opvec.vectorize import (
     COMPUTATIONAL,
     PAULI,
-    BasisTag,
     VectorizedState,
+    _P_TO_C,
     bell_transform,
     devectorize,
     index_pauli,
     load_state,
     pauli_index,
-    qudit_computational,
-    qudit_pauli,
     save_state,
     vectorize,
 )
@@ -133,50 +131,25 @@ class TestBasisChange:
         want = transform_matrix(2, "p_to_c") @ state.amplitudes
         assert np.allclose(moved.amplitudes, want, atol=1e-12)
 
+    def test_pair_transform_keeps_its_rounding(self):
+        # SUM (F x I) with F the d = 2 Fourier matrix: F's -1 entry is
+        # exp(2 pi i / 2), whose imaginary part (8.66e-17 after the 1/sqrt(2))
+        # the production matrix keeps.
+        f = np.array([[1, 1], [1, np.exp(2j * np.pi / 2)]], dtype=complex) / np.sqrt(2)
+        sum_perm = np.zeros((4, 4), dtype=complex)
+        for m in range(2):
+            for t in range(2):
+                sum_perm[2 * m + (m + t) % 2, 2 * m + t] = 1.0
+        want = sum_perm @ np.kron(f, np.eye(2))
+        assert _P_TO_C.tobytes() == want.tobytes()
+        assert not _P_TO_C.flags.writeable
+
     def test_rejects_wrong_rep(self):
         state = vectorize(PauliString.from_label("Z"), PAULI)
         with pytest.raises(ValueError):
             bell_transform(state, "c_to_p")
         with pytest.raises(ValueError):
             bell_transform(state, "sideways")
-
-
-class TestQudit:
-    def test_prime_dimension_enforced(self):
-        with pytest.raises(ValueError):
-            qudit_pauli(4)
-        with pytest.raises(ValueError):
-            BasisTag("pauli", 3)
-        with pytest.raises(ValueError):
-            BasisTag("qudit_pauli", 2)
-
-    def test_qutrit_round_trip(self, gen):
-        mat = ginibre(gen, 9)
-        state = vectorize(mat, qudit_pauli(3))
-        assert state.basis.d == 3
-        back = devectorize(state)
-        assert np.linalg.norm(back - mat / np.linalg.norm(mat)) <= 1e-12
-
-    def test_qutrit_transform_inverts(self, gen):
-        state = vectorize(ginibre(gen, 3), qudit_computational(3))
-        there = bell_transform(state, "c_to_p")
-        back = bell_transform(there, "p_to_c")
-        assert np.allclose(back.amplitudes, state.amplitudes, atol=1e-12)
-
-    def test_d2_reduces_to_qubit_transform(self, gen):
-        mat = ginibre(gen, 4)
-        qubit = vectorize(mat, PAULI)
-        state = vectorize(mat, COMPUTATIONAL)
-        qudit = bell_transform(state, "c_to_p")
-        assert qudit.basis == PAULI
-        assert np.allclose(qudit.amplitudes, qubit.amplitudes, atol=1e-12)
-
-    def test_qutrit_matches_dense_transform(self, gen):
-        state = vectorize(ginibre(gen, 9), qudit_computational(3))
-        moved = bell_transform(state, "c_to_p")
-        assert moved.basis == qudit_pauli(3)
-        want = transform_matrix(2, "c_to_p", d=3) @ state.amplitudes
-        assert np.allclose(moved.amplitudes, want, atol=1e-12)
 
 
 class TestSerialization:
@@ -199,12 +172,13 @@ class TestSerialization:
         "tag,n,d,payload",
         [
             (1, 1, 3, np.eye(9)[0]),  # 'pauli' is the qubit basis
-            (2, 1, 4, np.eye(16)[0]),  # qudit Pauli needs a prime d
-            (2, 1, 2, np.eye(4)[0]),  # qudit Pauli at d = 2 duplicates 'pauli'
+            (2, 1, 4, np.eye(16)[0]),  # unknown tag
+            (2, 1, 2, np.eye(4)[0]),  # unknown tag
             (0, 1, 1, np.eye(1)[0]),  # no local dimension below 2
+            (0, 1, 3, np.eye(9)[0]),  # states are on qubits
             (0, 1, 2, np.zeros(4)),  # the zero vector has no direction
         ],
-        ids=["pauli-d3", "qudit-d4", "qudit-d2", "d1", "zero-payload"],
+        ids=["pauli-d3", "qudit-d4", "qudit-d2", "d1", "computational-d3", "zero-payload"],
     )
     def test_rejects_bad_header_or_payload(self, tmp_path, tag, n, d, payload):
         path = tmp_path / "bad.bin"
