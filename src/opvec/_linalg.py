@@ -33,53 +33,124 @@ def reserve(nbytes: int, what: str) -> None:
 
 # Largest (target block) x (trailing block) size folded into one matrix,
 # mat (x) I_B: many tiny batched products cost far more than one wider product
-# over the last axis.
+# over the last axis. A dense block whose trailing block is narrower than it
+# (1 < B < D) is folded up to _FOLD_NARROW when the folded GEMM has at least
+# _FOLD_ROWS rows. At D = 16, B = 4 on 2^14 float64 amplitudes the fold took
+# 74 us against 95 us for the transposed GEMM. With fewer rows OpenBLAS
+# (0.3.31, Haswell kernels) takes a small-matrix path that rounds the folded
+# product differently from the transposed one, and the pass is cheap anyway.
 _FOLD = 32
-
-# Amplitudes transposed at a time when a dense block's trailing block is
-# narrower than the matrix: each chunk's copy and product stay in L2.
-_CHUNK = 1 << 13
+_FOLD_NARROW = 64
+_FOLD_ROWS = 32
 
 
-def apply_matrix(vec: np.ndarray, mat: np.ndarray, targets: tuple[int, ...], k: int) -> np.ndarray:
-    """Apply ``mat`` (2^m x 2^m) to the ``targets`` qubits of a K-qubit vector.
+def run_passes(vec: np.ndarray, steps: list, k: int) -> np.ndarray:
+    """Apply the (matrix, targets) ``steps``, in order, to a k-qubit vector,
+    one register pass each; ``vec`` is left as it is, and returned when there
+    are no steps. A 1-D matrix is a diagonal.
 
-    A 1-D ``mat`` is a diagonal, applied as an elementwise multiply. Targets
-    forming an ascending contiguous run are contracted through an (A, D, B)
-    reshape with no axis copies of the register: a trailing block with
-    D * B <= _FOLD is folded into mat (x) I_B, and a dense ``mat`` whose
-    trailing block is still narrower than it (1 < B < D) is applied by one
-    GEMM per chunk of about _CHUNK amplitudes transposed to (-1, D), not by
-    A products of a D x D by a thin D x B matrix. Any other target order
-    moves the target axes to the front and back."""
+    Each distinct step, by the identity of its matrix and its targets, is
+    planned once by :func:`_plan`. The passes then alternate between two
+    register buffers allocated before the first one, reading ``vec`` or one
+    buffer and writing the other, so no pass allocates a register. Each
+    buffer is one allocation of the register's bytes at the widest dtype of
+    the run, stated to :func:`reserve` before the first pass; a caller that
+    holds more states it itself. A pass's dtype is that of its operands'
+    product, as numpy promotes it, and a promotion takes a new pair of
+    buffers. ``steps`` keeps its matrices alive through the call.
+
+    This is the package's one pass loop: every caller that applies a list of
+    steps to a register hands the whole list to it."""
+    if not steps:
+        return vec
+    widest = np.result_type(vec.dtype, *{mat.dtype for mat, _ in steps})
+    reserve(widest.itemsize * vec.size, f"each register buffer of {k} qubits")
+    plans: dict[tuple, object] = {}
+    bufs: tuple[np.ndarray, ...] = ()
+    src = vec
+    for mat, targets in steps:
+        key = (id(mat), targets)
+        plan = plans.get(key)
+        if plan is None:
+            plan = plans[key] = _plan(mat, targets, k)
+        dtype = np.promote_types(src.dtype, mat.dtype)
+        if not bufs or bufs[0].dtype != dtype:
+            bufs = (np.empty(vec.size, dtype), np.empty(vec.size, dtype))
+        dst, spare = (bufs[1], bufs[0]) if src is bufs[0] else bufs
+        plan(src, dst, spare)
+        src = dst
+    return src
+
+
+def _plan(mat: np.ndarray, targets: tuple[int, ...], k: int):
+    """The pass of ``mat`` on ``targets`` of a k-qubit register, as a
+    function (src, dst, spare) that writes the result into ``dst``;
+    ``spare`` is scratch of the same size and dtype, and ``src`` is only read.
+
+    For ascending contiguous targets, with A, D = 2^m and B the sizes of the
+    leading, target and trailing blocks of a register viewed as (A, D, B):
+
+    ========================================  ===============================
+    diagonal (1-D ``mat``)                    one multiply over (A, D, B)
+    B = 1                                     one GEMM (A, D) @ mat^T
+    D * B <= _FOLD, or 1 < B < D with         mat (x) I_B, built here, then
+    D * B <= _FOLD_NARROW, A >= _FOLD_ROWS    as B = 1
+    B >= D                                    one batched GEMM mat @ (A, D,
+                                              B); one GEMM when A = 1
+    any other 1 < B < D                       (A, D, B) transposed to (A, B,
+                                              D) in ``dst``, one GEMM (-1, D)
+                                              @ mat^T into ``spare``,
+                                              transposed back into ``dst``
+    ========================================  ===============================
+
+    Any other target order copies the target axes to the front into
+    ``dst``, applies one product into ``spare`` and moves the axes back into
+    ``dst``. Each kernel runs the GEMM or multiply of the one-array-per-pass
+    kernel it replaced, with the same operand shapes and order, so every
+    pass keeps that kernel's bits; the narrow fold, which replaced chunked
+    transposed GEMMs, rounds as they did only from _FOLD_ROWS rows up."""
     m = len(targets)
+    dim = 2**m
+    diagonal = mat.ndim == 1
     lo = targets[0] if m else 0
     if tuple(targets) != tuple(range(lo, lo + m)):
-        t = np.moveaxis(vec.reshape((2,) * k), targets, range(m)).reshape(2**m, -1)
-        t = (mat[:, None] * t if mat.ndim == 1 else mat @ t).reshape((2,) * k)
-        return np.moveaxis(t, range(m), targets).reshape(-1)
-    dim, b = 2**m, 2 ** (k - lo - m)
-    if 1 < b and dim * b <= _FOLD:
-        if mat.ndim == 1:
+        cube, front = (2,) * k, tuple(range(m))
+
+        def moved(src, dst, spare):
+            np.copyto(dst.reshape(cube), np.moveaxis(src.reshape(cube), targets, front))
+            rows, out = dst.reshape(dim, -1), spare.reshape(dim, -1)
+            if diagonal:
+                np.multiply(mat[:, None], rows, out=out)
+            else:
+                np.matmul(mat, rows, out=out)
+            np.copyto(dst.reshape(cube), np.moveaxis(spare.reshape(cube), front, targets))
+
+        return moved
+    b = 2 ** (k - lo - m)
+    narrow = b < dim and dim * b <= _FOLD_NARROW and 2**lo >= _FOLD_ROWS
+    if 1 < b and (dim * b <= _FOLD or narrow):
+        if diagonal:
             mat = np.repeat(mat, b)
         else:
             mat = (mat[:, None, :, None] * np.eye(b)[None, :, None, :]).reshape(dim * b, dim * b)
         dim, b = dim * b, 1
+    shape = (-1, dim, b)
+    if diagonal:
+        factor = mat[:, None]
+        return lambda src, dst, spare: np.multiply(src.reshape(shape), factor, out=dst.reshape(shape))
     if b == 1:
-        t = vec.reshape(-1, dim)
-        out = t * mat if mat.ndim == 1 else t @ mat.T
-    elif mat.ndim == 1:
-        out = vec.reshape(-1, dim, b) * mat[:, None]
-    elif b < dim:
-        t = vec.reshape(-1, dim, b)
-        out = np.empty(t.shape, dtype=np.result_type(vec, mat))
-        rows = max(1, _CHUNK // (dim * b))
-        for r in range(0, len(t), rows):
-            part = t[r : r + rows].transpose(0, 2, 1).reshape(-1, dim) @ mat.T
-            out[r : r + rows] = part.reshape(-1, b, dim).transpose(0, 2, 1)
-    else:
-        out = mat @ vec.reshape(-1, dim, b)
-    return out.reshape(-1)
+        right = mat.T
+        return lambda src, dst, spare: np.matmul(src.reshape(-1, dim), right, out=dst.reshape(-1, dim))
+    if b >= dim:
+        return lambda src, dst, spare: np.matmul(mat, src.reshape(shape), out=dst.reshape(shape))
+    right = mat.T
+
+    def transposed(src, dst, spare):
+        np.copyto(dst.reshape(-1, b, dim), src.reshape(shape).transpose(0, 2, 1))
+        np.matmul(dst.reshape(-1, dim), right, out=spare.reshape(-1, dim))
+        np.copyto(dst.reshape(shape), spare.reshape(-1, b, dim).transpose(0, 2, 1))
+
+    return transposed
 
 
 def amplitude_matrix(vec: np.ndarray, n: int) -> np.ndarray:

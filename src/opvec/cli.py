@@ -101,6 +101,11 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    """JSON numbers only, integer or real; not true or false."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _resolve(base: Path, value: str) -> Path:
     path = Path(value)
     return path if path.is_absolute() else base / path
@@ -128,7 +133,10 @@ def _load_circuit(spec, base: Path, errors: list[str]) -> Circuit | None:
     Equal gate specs share one Gate, as the steps of ``trotter_circuit`` do,
     so the lowering places each distinct gate once. Specs are keyed on name,
     targets, repr(angle) and axes, which keeps -0.0 apart from 0.0; a spec
-    with an unhashable field gets its own Gate, which reports it."""
+    with an unhashable field gets its own Gate, which reports it. Gate
+    coerces what it can, so ``qubits`` and every target must be JSON
+    integers, and every angle a number, checked on each spec after Gate
+    has reported what it refuses."""
     try:
         if isinstance(spec, dict) and isinstance(spec.get("file"), str):
             doc = json.loads(_resolve(base, spec["file"]).read_text())
@@ -139,7 +147,7 @@ def _load_circuit(spec, base: Path, errors: list[str]) -> Circuit | None:
             return None
         made: dict[tuple, Gate] = {}
         gates = []
-        for g in doc["gates"]:
+        for i, g in enumerate(doc["gates"]):
             key = (g["name"], tuple(g["targets"]), repr(g.get("angle")), g.get("axes"))
             try:
                 gate = made.get(key)
@@ -149,8 +157,14 @@ def _load_circuit(spec, base: Path, errors: list[str]) -> Circuit | None:
                 gate = Gate(g["name"], tuple(g["targets"]), g.get("angle"), g.get("axes"))
                 if key is not None:
                     made[key] = gate
+            if not all(map(_is_int, g["targets"])):
+                raise ValueError(f"gates[{i}].targets: expected integers")
+            if g.get("angle") is not None and not _is_number(g["angle"]):
+                raise ValueError(f"gates[{i}].angle: expected a number")
             gates.append(gate)
-        return Circuit.from_gates(int(doc["qubits"]), gates)
+        if not _is_int(doc["qubits"]):
+            raise ValueError("qubits: expected an integer")
+        return Circuit.from_gates(doc["qubits"], gates)
     except (KeyError, TypeError, ValueError, OSError, json.JSONDecodeError) as exc:
         errors.append(f"circuit: {exc}")
         return None
@@ -205,7 +219,7 @@ def validate_config(path) -> tuple[dict | None, list[str]]:
             errors.append(f"{key}: expected an integer")
             cfg[key] = _DEFAULTS[key]
     for key in ("t", "epsilon", "delta", "dt", "h_x", "h_z", "J", "p"):
-        if not isinstance(cfg[key], (int, float)) or isinstance(cfg[key], bool):
+        if not _is_number(cfg[key]):
             errors.append(f"{key}: expected a number")
             cfg[key] = float(_DEFAULTS[key])
     if cfg["shots"] < 1:

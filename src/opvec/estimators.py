@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import apply_matrix
+from ._linalg import run_passes
 from .errors import (
     EntangledEigenbasisError,
     NonCommutingSetError,
@@ -447,8 +447,7 @@ def _pauli_coefficients(state: VectorizedState, qubits: list[int]) -> np.ndarray
     vec = rho.reshape((2,) * (2 * k)).transpose(
         [ax for q in range(k) for ax in (q, k + q)]
     ).reshape(-1)
-    for q in range(k):
-        vec = apply_matrix(vec, _PAULI_COEF, (2 * q, 2 * q + 1), 2 * k)
+    vec = run_passes(vec, [(_PAULI_COEF, (2 * q, 2 * q + 1)) for q in range(k)], 2 * k)
     return vec.real
 
 
@@ -474,9 +473,9 @@ def _swap_test_distribution(
     qubits = [q for s in sites for q in (2 * s, 2 * s + 1)]
     coef = _pauli_coefficients(state_a, qubits)
     coef = coef * (coef if same else _pauli_coefficients(state_b, qubits))
-    for q in range(len(qubits)):
-        coef = apply_matrix(coef, _BELL_FROM_PAULI, (2 * q, 2 * q + 1), 2 * len(qubits))
-    return coef.reshape((4,) * len(qubits))
+    k = len(qubits)
+    coef = run_passes(coef, [(_BELL_FROM_PAULI, (2 * q, 2 * q + 1)) for q in range(k)], 2 * k)
+    return coef.reshape((4,) * k)
 
 
 def estimate_loe2(

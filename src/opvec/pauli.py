@@ -11,13 +11,13 @@ a factor of (-i) per Y site, and that bookkeeping lives wherever the product
 form is actually needed (e.g. the vectorization map), not here.
 
 Dense matrices follow the convention that site 0 is the most significant
-tensor factor: ``to_dense`` of "XZ" is kron(X, Z).
+tensor factor: ``to_dense`` of "XZ" is kron(X, Z). A word's matrix has one
+nonzero per row, at column ``row ^ xmask``, and is built from those alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -32,6 +32,8 @@ SIGMA = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+# Each letter's two nonzeros, rows 0 and 1.
+_NONZEROS = {c: m[[0, 1], [0, 1] if c in "IZ" else [1, 0]] for c, m in SIGMA.items()}
 
 
 @dataclass(frozen=True)
@@ -100,11 +102,29 @@ class PauliString:
             raise ValueError("site-count mismatch")
         return ((self.z & other.x).bit_count() + (self.x & other.z).bit_count()) % 2 == 0
 
+    @property
+    def xmask(self) -> int:
+        """The x bits as a row index (site 0 most significant): row r's one
+        nonzero sits at column r ^ xmask."""
+        return sum(1 << (self.n - 1 - i) for i in range(self.n) if (self.x >> i) & 1)
+
+    def row_values(self) -> np.ndarray:
+        """The 2^n nonzeros of the word's matrix, by row: an outer-product
+        fold of each site's two nonzeros, the same products in the same order
+        as the kron chain of its letters, so equal to its entries bit for bit."""
+        if self.n == 0:
+            return np.ones(1, dtype=complex)
+        values = _NONZEROS[self.site(0)]
+        for i in range(1, self.n):
+            values = np.multiply.outer(values, _NONZEROS[self.site(i)]).reshape(-1)
+        return values
+
     def to_dense(self) -> np.ndarray:
         reserve(16 * 4**self.n, f"a dense operator on {self.n} sites")
-        if self.n == 0:
-            return np.ones((1, 1), dtype=complex)
-        return reduce(np.kron, (SIGMA[self.site(i)] for i in range(self.n)))
+        out = np.zeros((2**self.n, 2**self.n), dtype=complex)
+        rows = np.arange(2**self.n)
+        out[rows, rows ^ self.xmask] = self.row_values()
+        return out
 
     def __repr__(self) -> str:
         return f"PauliString({self.label!r})"
@@ -190,11 +210,15 @@ class PauliSum:
         return len(self.terms)
 
     def to_dense(self) -> np.ndarray:
+        """Dense matrix: c times each word's row values, added term by term in
+        :meth:`items` order at the word's nonzeros."""
         reserve(16 * 4**self.n, f"a dense operator on {self.n} sites")
-        out = np.zeros((2**self.n, 2**self.n), dtype=complex)
+        dim = 2**self.n
+        out = np.zeros(dim * dim, dtype=complex)
+        rows = np.arange(dim)
         for c, p in self.items():
-            out += c * p.to_dense()
-        return out
+            out[rows * dim + (rows ^ p.xmask)] += c * p.row_values()
+        return out.reshape(dim, dim)
 
     def __repr__(self) -> str:
         inner = " + ".join(f"({c:.3g})*{p.label}" for c, p in self.items())

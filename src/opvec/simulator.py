@@ -22,7 +22,7 @@ from itertools import groupby
 
 import numpy as np
 
-from ._linalg import apply_block, apply_matrix, reserve
+from ._linalg import apply_block, reserve, run_passes
 from .errors import ProjectionFailedError
 from .pauli import PAULI_CHARS, SIGMA, PauliString, PauliSum
 from .vectorize import COMPUTATIONAL, PAULI, VectorizedState, bell_transform, vectorize
@@ -456,7 +456,7 @@ def _merged_diagonal(run: list) -> tuple[np.ndarray, tuple[int, ...]]:
         m = len(rel)
         view = np.moveaxis(diag.reshape((2,) * span), rel, range(m))
         factor = mat.reshape((2,) * m + (1,) * (span - m))
-        # apply_matrix's operand order: a complex product can round
+        # run_passes's operand order: a complex product can round
         # differently with its operands swapped.
         if rel == list(range(rel[0], rel[0] + m)):
             np.multiply(view, factor, out=view)
@@ -467,10 +467,11 @@ def _merged_diagonal(run: list) -> tuple[np.ndarray, tuple[int, ...]]:
 
 
 def _run(amps: np.ndarray, lowered: list, k: int) -> np.ndarray:
-    """Apply lowered (matrix, targets) steps to a k-qubit register, one
-    register pass per step, except that a maximal run of two or more
-    consecutive diagonal (1-D) steps that recurs in ``lowered``, as each
-    Trotter step's does, is one pass of its :func:`_merged_diagonal`.
+    """Apply lowered (matrix, targets) steps to a k-qubit register through
+    :func:`run_passes`, one register pass per step, except that a maximal
+    run of two or more consecutive diagonal (1-D) steps that recurs in
+    ``lowered``, as each Trotter step's does, is one pass of its
+    :func:`_merged_diagonal`.
 
     Each distinct run's diagonal is built once per call. A run that occurs
     once keeps its own passes: building its diagonal would cost as many.
@@ -483,14 +484,14 @@ def _run(amps: np.ndarray, lowered: list, k: int) -> np.ndarray:
     ]
     uses = Counter(keys)
     merged: dict[tuple, tuple[np.ndarray, tuple[int, ...]]] = {}
+    passes = []
     for steps, key in zip(groups, keys):
         if key is not None and uses[key] > 1:
             if key not in merged:
                 merged[key] = _merged_diagonal(steps)
             steps = [merged[key]]
-        for mat, targets in steps:
-            amps = apply_matrix(amps, mat, targets, k)
-    return amps
+        passes += steps
+    return run_passes(amps, passes, k)
 
 
 # ---------------------------------------------------------------------------
@@ -524,10 +525,10 @@ def dense_unitary(circuit: Circuit) -> np.ndarray:
     """The circuit's 2^k x 2^k unitary, from one pass of the circuit over the
     identity viewed as a 2k-qubit vector (gates on the k row qubits).
 
-    Peak working memory, the output plus apply_matrix temporaries, is at
-    most four arrays of 16 * 4^k bytes; steps on contiguous targets need
-    three. Measured with tracemalloc on an Ising Trotter circuit: 0.88 MiB
-    at k=7 and 48 MiB at k=10."""
+    Peak working memory is three arrays of 16 * 4^k bytes, the identity and
+    :func:`run_passes`'s two buffers, the output being one of them; four
+    are reserved, as before the buffers. Measured with tracemalloc on a
+    4-step Ising Trotter circuit: 0.89 MiB at k=7 and 48 MiB at k=10."""
     reserve(4 * 16 * 4**circuit.k, f"the dense unitary of a circuit on {circuit.k} qubits")
     dim = 2**circuit.k
     cols = np.eye(dim, dtype=complex).ravel()
@@ -644,8 +645,9 @@ def _evolve_pauli(amps: np.ndarray, n: int, lowered: list) -> np.ndarray:
 
     The coefficients run as one float64 vector when every imaginary part
     is exactly 0; otherwise their float64 view runs, as a register with one
-    extra trailing re/im qubit. The running register and one pass output
-    are stated to the byte budget before the first pass."""
+    extra trailing re/im qubit. The running register and one pass output,
+    :func:`run_passes`'s two buffers, are stated to the byte budget before
+    the first pass."""
     coeffs = _y_phase(amps.copy(), n, 1j)
     if coeffs.imag.any():
         reg, k = coeffs.view(np.float64), 2 * n + 1

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._linalg import apply_block, apply_matrix, reserve
+from ._linalg import apply_block, reserve, run_passes
 from .errors import NonCommutingSetError, ParseError
 from .pauli import PauliString
 from .simulator import Circuit, Gate, gate_matrix
@@ -178,8 +178,7 @@ def walsh_hadamard(values: np.ndarray, n: int, direction: str) -> np.ndarray:
         raise ValueError(f"expected 4^{n} entries")
     if direction not in ("f_to_lambda", "lambda_to_f"):
         raise ValueError(f"unknown direction {direction!r}")
-    for site in range(n):
-        out = apply_matrix(out, _SITE_SIGNS, (2 * site, 2 * site + 1), 2 * n)
+    out = run_passes(out, [(_SITE_SIGNS, (2 * site, 2 * site + 1)) for site in range(n)], 2 * n)
     if direction == "lambda_to_f":
         out /= 4**n
     return out

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import amplitude_matrix, apply_matrix, from_amplitude_matrix, reserve
+from ._linalg import amplitude_matrix, from_amplitude_matrix, reserve, run_passes
 from .errors import ParseError
 from .pauli import PauliString, PauliSum
 
@@ -131,10 +131,9 @@ def bell_transform(state: VectorizedState, direction: str) -> VectorizedState:
         mat, out_basis = _C_TO_P, PAULI
     else:
         raise ValueError(f"unknown direction {direction!r}")
-    n, out = state.n, state.amplitudes
-    for site in range(n):
-        out = apply_matrix(out, mat, (2 * site, 2 * site + 1), 2 * n)
-    return VectorizedState(n, out_basis, out)
+    n = state.n
+    steps = [(mat, (2 * site, 2 * site + 1)) for site in range(n)]
+    return VectorizedState(n, out_basis, run_passes(state.amplitudes, steps, 2 * n))
 
 
 # ---------------------------------------------------------------------------
@@ -150,12 +149,17 @@ def vectorize(op: PauliString | PauliSum | np.ndarray, basis: BasisTag) -> Vecto
         op = PauliSum.from_terms([(1.0, op)])
     if isinstance(op, PauliSum):
         reserve(16 * 4**op.n, f"a register of {2 * op.n} qubits")
+        amps = np.zeros(4**op.n, dtype=complex)
         if basis == PAULI:
-            amps = np.zeros(4**op.n, dtype=complex)
             for c, p in op.items():
                 amps[pauli_index(p)] = c * (-1j) ** p.y_count
-            return _normalized(op.n, basis, amps, out=amps)
-        return vectorize(op.to_dense(), basis)
+        else:
+            # Each word's row values, added term by term as PauliSum.to_dense
+            # adds them, at the interleaved index of (row, row ^ xmask).
+            rows = _spread(np.arange(2**op.n), op.n)
+            for c, p in op.items():
+                amps[(rows << 1) | (rows ^ _spread(p.xmask, op.n))] += c * p.row_values()
+        return _normalized(op.n, basis, amps, out=amps)
     mat = np.asarray(op, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("operator must be a square matrix")
@@ -165,6 +169,15 @@ def vectorize(op: PauliString | PauliSum | np.ndarray, basis: BasisTag) -> Vecto
     reserve(16 * 4**n, f"a register of {2 * n} qubits")
     state = _normalized(n, COMPUTATIONAL, from_amplitude_matrix(mat, n))
     return state if basis.kind == "computational" else bell_transform(state, "c_to_p")
+
+
+def _spread(bits, n: int):
+    """Bit j of each of ``bits`` (n bits) moved to bit 2j: a row or column
+    index as the L or R bits of an interleaved register index."""
+    out = bits & 1
+    for j in range(1, n):
+        out = out | (((bits >> j) & 1) << (2 * j))
+    return out
 
 
 def _normalized(n: int, basis: BasisTag, amps: np.ndarray, out=None) -> VectorizedState:

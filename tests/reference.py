@@ -5,17 +5,21 @@ Each builds an explicit dense matrix, so each suits small n only:
 ``walsh_hadamard``, ``interleaved_kron`` checks ``lifted_pauli``, and
 ``transfer_matrix`` checks ``to_operator_sum``, ``apply_vectorized`` and
 ``expectation``, and ``apply_dense`` checks ``apply_vectorized``.
+``kron_dense`` checks the Pauli-matrix builders, and ``apply_matrix``, the
+per-step kernel that ``run_passes`` replaced, checks the pass executor bit
+for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from opvec._linalg import reserve
 from opvec.errors import CapExceededError
-from opvec.pauli import SIGMA, PauliString
+from opvec.pauli import SIGMA, PauliString, PauliSum
 from opvec.superop import DiagonalSuperop, OperatorSumSuperop
 from opvec.vectorize import BasisTag, index_pauli
 
@@ -109,3 +113,66 @@ def apply_dense(a: OperatorSumSuperop, op: np.ndarray) -> np.ndarray:
     for f, l, r in a.terms:
         out += f * (l.to_dense() @ op @ r.to_dense())
     return out
+
+
+def kron_dense(p: PauliString) -> np.ndarray:
+    """The word's matrix as the kron chain of its letters' 2x2 matrices."""
+    if p.n == 0:
+        return np.ones((1, 1), dtype=complex)
+    return reduce(np.kron, (SIGMA[p.site(i)] for i in range(p.n)))
+
+
+def kron_sum(s: PauliSum) -> np.ndarray:
+    """The sum's matrix: c times each word's kron chain, added in items() order."""
+    out = np.zeros((2**s.n, 2**s.n), dtype=complex)
+    for c, p in s.items():
+        out += c * kron_dense(p)
+    return out
+
+
+# Amplitudes transposed at a time by apply_matrix's chunked branch.
+_CHUNK = 1 << 13
+
+
+def apply_matrix(vec: np.ndarray, mat: np.ndarray, targets: tuple[int, ...], k: int) -> np.ndarray:
+    """``mat`` (2^m x 2^m, or 1-D for a diagonal) on the ``targets`` qubits
+    of a k-qubit vector, as one new array: the per-step kernel each register
+    pass used before the pass executor. Contiguous ascending targets are an
+    (A, D, B) contraction: D * B <= 32 folds into mat (x) I_B, 1 < B < D runs
+    one transposed GEMM per chunk of _CHUNK amplitudes, and B >= D one batched
+    GEMM. Other target orders move the target axes to the front and back."""
+    m = len(targets)
+    lo = targets[0] if m else 0
+    if tuple(targets) != tuple(range(lo, lo + m)):
+        t = np.moveaxis(vec.reshape((2,) * k), targets, range(m)).reshape(2**m, -1)
+        t = (mat[:, None] * t if mat.ndim == 1 else mat @ t).reshape((2,) * k)
+        return np.moveaxis(t, range(m), targets).reshape(-1)
+    dim, b = 2**m, 2 ** (k - lo - m)
+    if 1 < b and dim * b <= 32:
+        if mat.ndim == 1:
+            mat = np.repeat(mat, b)
+        else:
+            mat = (mat[:, None, :, None] * np.eye(b)[None, :, None, :]).reshape(dim * b, dim * b)
+        dim, b = dim * b, 1
+    if b == 1:
+        t = vec.reshape(-1, dim)
+        out = t * mat if mat.ndim == 1 else t @ mat.T
+    elif mat.ndim == 1:
+        out = vec.reshape(-1, dim, b) * mat[:, None]
+    elif b < dim:
+        t = vec.reshape(-1, dim, b)
+        out = np.empty(t.shape, dtype=np.result_type(vec, mat))
+        rows = max(1, _CHUNK // (dim * b))
+        for r in range(0, len(t), rows):
+            part = t[r : r + rows].transpose(0, 2, 1).reshape(-1, dim) @ mat.T
+            out[r : r + rows] = part.reshape(-1, b, dim).transpose(0, 2, 1)
+    else:
+        out = mat @ vec.reshape(-1, dim, b)
+    return out.reshape(-1)
+
+
+def apply_steps(vec: np.ndarray, steps: list, k: int) -> np.ndarray:
+    """One :func:`apply_matrix` per (matrix, targets) step, in order."""
+    for mat, targets in steps:
+        vec = apply_matrix(vec, mat, targets, k)
+    return vec

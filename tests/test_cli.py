@@ -609,6 +609,34 @@ class TestInlineCircuit:
         assert errors == errors_of_each_gate(spec)
 
 
+class TestCircuitFieldTypes:
+    # Gate would coerce each of these with int() or float(); the loader
+    # refuses them, naming the gate and its field.
+    @pytest.mark.parametrize("circuit, field", [
+        ({"qubits": 3.9, "gates": [{"name": "h", "targets": [0]}]}, "qubits"),
+        ({"qubits": "3", "gates": [{"name": "h", "targets": [0]}]}, "qubits"),
+        ({"qubits": 3, "gates": [{"name": "h", "targets": [0]}, {"name": "h", "targets": [True]}]},
+         "gates[1].targets"),
+        ({"qubits": 3, "gates": [{"name": "h", "targets": [2.7]}]}, "gates[0].targets"),
+        ({"qubits": 3, "gates": [{"name": "h", "targets": ["1"]}]}, "gates[0].targets"),
+        ({"qubits": 3, "gates": [{"name": "cx", "targets": [0, 1]},
+                                 {"name": "cx", "targets": [0, True]}]}, "gates[1].targets"),
+        ({"qubits": 3, "gates": [{"name": "rz", "targets": [0], "angle": True}]}, "gates[0].angle"),
+        ({"qubits": 3, "gates": [{"name": "rz", "targets": [0], "angle": "0.5"}]}, "gates[0].angle"),
+    ], ids=["qubits-float", "qubits-str", "target-bool", "target-float", "target-str",
+            "target-bool-after-equal-int", "angle-bool", "angle-str"])
+    def test_non_integer_fields_are_config_errors(self, tmp_path, capsys, circuit, field):
+        code, out = run_task(tmp_path, "evolve", operator="ZII", circuit=circuit, seed=1)
+        assert code == 2
+        assert f"config error: circuit: {field}: expected" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_null_angle_is_no_angle(self, tmp_path):
+        circuit = {"qubits": 3, "gates": [{"name": "h", "targets": [0], "angle": None}]}
+        code, _ = run_task(tmp_path, "evolve", operator="ZII", circuit=circuit, seed=1)
+        assert code == 0
+
+
 class TestCapExit:
     """With the byte budget lowered to one dense 7-site operator, 256 KiB,
     every task refuses 8 sites with exit 3, names the requested and allowed

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from helpers import refusal_peak
 from opvec.errors import ParseError
 from opvec.pauli import PauliString, PauliSum
+from reference import kron_dense, kron_sum
 
 labels = st.text(alphabet="IXYZ", min_size=1, max_size=4)
 
@@ -107,3 +108,35 @@ class TestPauliSum:
         s = PauliSum.from_text("1 0 ZZ\n1 0 XX")
         assert [p.label for _, p in s.ordered_items()] == ["ZZ", "XX"]
         assert [p.label for _, p in s.items()] == ["XX", "ZZ"]
+
+
+# ---------------------------------------------------------------------------
+# The builders from each word's one nonzero per row, against the kron chain.
+
+def _random_words(n: int, count: int, seed: int) -> list[PauliString]:
+    gen = np.random.default_rng(seed)
+    return [PauliString(n, int(gen.integers(2**n)), int(gen.integers(2**n))) for _ in range(count)]
+
+
+@pytest.mark.parametrize("word", [PauliString(n, z, x) for n in range(4)
+                                  for z in range(2**n) for x in range(2**n)]
+                         + _random_words(7, 24, 7), ids=lambda p: p.label or "empty")
+def test_word_equals_its_kron_chain_on_the_support(word):
+    # Off the support the kron chain leaves some -0.0; the builder writes +0.0.
+    got, want = word.to_dense(), kron_dense(word)
+    support = want != 0
+    assert np.array_equal(got, want)
+    assert np.array_equal(got != 0, support) and np.count_nonzero(support) == 2**word.n
+    assert got[support].tobytes() == want[support].tobytes()
+    rows = np.arange(2**word.n)
+    assert word.row_values().tobytes() == want[rows, rows ^ word.xmask].tobytes()
+
+
+@pytest.mark.parametrize("n, seed", [(1, 1), (3, 2), (5, 3), (7, 4), (7, 5)])
+def test_sum_bytes_equal_the_kron_chain_sum(n, seed):
+    gen = np.random.default_rng(seed)
+    s = PauliSum(n)
+    for p in _random_words(n, 12, seed):
+        s.add(complex(*gen.normal(size=2)), p)
+    s.add(-1.5, PauliString.from_label("Y" * n))
+    assert s.to_dense().tobytes() == kron_sum(s).tobytes()

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from opvec import _linalg, simulator
-from opvec._linalg import apply_matrix
-from opvec.errors import ProjectionFailedError
+from opvec._linalg import run_passes
+from opvec.errors import CapExceededError, ProjectionFailedError
 from opvec.pauli import PauliString, PauliSum
 from opvec.simulator import (
     Circuit,
@@ -45,6 +45,7 @@ from opvec.simulator import (
 )
 from opvec.vectorize import COMPUTATIONAL, PAULI, VectorizedState, vectorize
 from helpers import ginibre, ising_chain, random_hermitian_sum, refusal_peak
+from reference import apply_matrix, apply_steps
 
 
 def _expm_exact(m: np.ndarray) -> np.ndarray:
@@ -579,7 +580,8 @@ class TestLoweringMatchesGateLoops:
 
 
 # ---------------------------------------------------------------------------
-# apply_matrix against a dense kron reference, and the fused lowering.
+# The pass executor against a dense kron reference and, bit for bit, against
+# the per-step kernel it replaced; and the fused lowering.
 
 def _dense_reference(vec, mat, targets, k):
     """mat (x) I on (targets, then the other qubits), permuted back to the
@@ -604,6 +606,9 @@ def _apply_cases(draw):
 
 
 class TestApplyMatrix:
+    """One step through run_passes against a dense kron reference, and
+    step lists against one reference apply_matrix per step, bit for bit."""
+
     @given(_apply_cases())
     @example((6, (0, 1), False, 1))  # block at the start, trailing block of 16
     @example((6, (2, 3), False, 2))  # middle
@@ -618,7 +623,7 @@ class TestApplyMatrix:
     def test_matches_dense_kron(self, case):
         k, targets, diagonal, seed = case
         vec, mat = self._operands(k, len(targets), diagonal, seed)
-        got = apply_matrix(vec, mat, targets, k)
+        got = run_passes(vec, [(mat, targets)], k)
         assert _close(got, _dense_reference(vec, mat, targets, k))
 
     @staticmethod
@@ -629,17 +634,107 @@ class TestApplyMatrix:
             return vec, np.exp(1j * gen.normal(size=2**m))
         return vec, _random_unitary(gen, 2**m)
 
-    # Chunk sizes in amplitudes for a 16x16 block with a trailing block of
-    # 4 (64 amplitudes per row, 8 rows): smaller than one row, three rows
-    # with a partial last chunk, and every row in one chunk.
-    @pytest.mark.parametrize("chunk", [1, 3 * 64, 8 * 64])
-    def test_narrow_trailing_blocks_in_chunks(self, monkeypatch, chunk):
-        monkeypatch.setattr(_linalg, "_CHUNK", chunk)
-        vec, mat = self._operands(9, 4, False, chunk)
-        got = apply_matrix(vec, mat, (3, 4, 5, 6), 9)
-        assert _close(got, _dense_reference(vec, mat, (3, 4, 5, 6), 9))
-        real = apply_matrix(vec.real.copy(), mat, (3, 4, 5, 6), 9)
-        assert _close(real, _dense_reference(vec.real, mat, (3, 4, 5, 6), 9))
+    # Steps of each kernel class on a k-qubit register, k = 2n or 2n + 1 for
+    # n = 5 and 7, as (matrix size, diagonal, targets). A, D, B are the
+    # leading, target and trailing block sizes: B1 is B = 1, A1 is A = 1,
+    # B-ge-D is B >= D, and the narrow classes have 1 < B < D.
+    _CLASSES = {
+        "diagonal": lambda k: [(4, True, (k - 2, k - 1)), (16, True, (2, 3, 4, 5)), (2, True, (0,))],
+        "B1": lambda k: [(16, False, tuple(range(k - 4, k))), (4, False, (k - 2, k - 1))],
+        "A1": lambda k: [(16, False, (0, 1, 2, 3)), (4, False, (0, 1))],
+        "B-ge-D": lambda k: [(16, False, (k - 8, k - 7, k - 6, k - 5)), (4, False, (1, 2))],
+        # D * B <= 32 folds; D * B = 64 folds with at least 32 leading rows.
+        "narrow-folded": lambda k: [(16, False, tuple(range(k - 5, k - 1))),
+                                    (8, False, (k - 5, k - 4, k - 3))]
+                                   + [(16, False, tuple(range(k - 6, k - 2)))] * (k > 10),
+        # B = 8, and B = 4 with fewer than 32 leading rows.
+        "narrow-transposed": lambda k: [(16, False, tuple(range(k - 7, k - 3)))]
+                                       + [(16, False, tuple(range(k - 6, k - 2)))] * (k < 11),
+        "non-contiguous": lambda k: [(4, False, (1, k - 2)), (8, False, (k - 1, 0, 3)),
+                                     (4, True, (5, 2)), (16, False, (3, 1, 2, 0))],
+    }
+
+    @pytest.mark.parametrize("k", [10, 11, 14, 15])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("kernel", list(_CLASSES))
+    def test_kernel_classes_match_the_per_step_kernel(self, kernel, dtype, k):
+        gen = np.random.default_rng(k)
+        steps = []
+        for size, diagonal, targets in self._CLASSES[kernel](k):
+            mat = gen.normal(size=size if diagonal else (size, size)).astype(dtype)
+            if dtype is np.complex128:
+                mat += 1j * gen.normal(size=mat.shape)
+            steps.append((mat, targets))
+        vec = gen.normal(size=2**k).astype(dtype)
+        before = vec.copy()
+        # Every step twice, and the list twice: the passes alternate buffers
+        # and each distinct step's plan is reused.
+        steps = [step for step in steps for _ in range(2)] * 2
+        got = run_passes(vec, steps, k)
+        assert got.dtype == dtype
+        assert got.tobytes() == apply_steps(vec, steps, k).tobytes()
+        assert np.array_equal(vec, before)
+
+    @given(st.integers(2, 9), st.integers(0, 2**32 - 1), st.booleans())
+    @example(9, 3, False)  # float register, complex steps: promoted at the first
+    def test_random_step_lists_match_the_per_step_kernel(self, k, seed, real):
+        # Mixed float64 and complex128 steps: a float register is promoted
+        # where the per-step product would promote it.
+        gen = np.random.default_rng(seed)
+        steps = []
+        for _ in range(int(gen.integers(1, 8))):
+            m = int(gen.integers(1, min(k, 4) + 1))
+            targets = tuple(int(t) for t in gen.permutation(k)[:m])
+            if gen.integers(2):
+                lo = int(gen.integers(0, k - m + 1))
+                targets = tuple(range(lo, lo + m))
+            shape = 2**m if gen.integers(2) else (2**m, 2**m)
+            mat = gen.normal(size=shape)
+            if gen.integers(2):
+                mat = mat + 1j * gen.normal(size=shape)
+            steps.append((mat, targets))
+        vec = gen.normal(size=2**k) if real else ginibre(gen, 2**k)[0]
+        before = vec.copy()
+        got = run_passes(vec, steps, k)
+        want = apply_steps(vec, steps, k)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert np.array_equal(vec, before)
+
+    def test_no_steps_return_the_input(self):
+        vec = np.ones(8)
+        assert run_passes(vec, [], 3) is vec
+
+    def test_buffers_are_stated_to_the_budget(self, monkeypatch):
+        # Each buffer holds 2^12 complex128 amplitudes, the float64 input
+        # promoted to the complex step's dtype: refused before the first pass.
+        monkeypatch.setattr(_linalg, "BYTE_BUDGET", 16 * 2**12 - 1)
+        steps = [(np.eye(2), (0,)), (np.eye(2, dtype=complex), (1,))]
+        with pytest.raises(CapExceededError, match="each register buffer of 12 qubits"):
+            run_passes(np.ones(2**12), steps, 12)
+        monkeypatch.setattr(_linalg, "BYTE_BUDGET", 16 * 2**12)
+        assert run_passes(np.ones(2**12), steps, 12).dtype == np.complex128
+
+    def test_a_doubled_evolution_allocates_no_register_per_pass(self):
+        # A 64-step n=5 Heisenberg evolution on the float64 view of complex
+        # coefficients: 4 passes per step over 2^11 amplitudes (16 KiB), among
+        # them the transposed kernel (B = 8), whose per-step form holds two
+        # more register-sized temporaries (4.1 registers at peak). Beyond the
+        # input, the run holds its two buffers, one folded 32 x 32 matrix
+        # (8 KiB) and its plans: 2.73 registers.
+        n = 5
+        lowered = _transfer(trotter_circuit(ising_chain(n), 1.0, 64))
+        assert len(lowered) == 64 * (n - 1)
+        vec = np.random.default_rng(5).normal(size=2 * 4**n)
+        register = vec.nbytes
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            got = run_passes(vec, lowered, 2 * n + 1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == apply_steps(vec, lowered, 2 * n + 1).tobytes()
+        assert 2 * register <= peak < 3 * register
 
 
 class TestFusedLowering:
@@ -774,7 +869,7 @@ class TestTransferPath:
         # the second's site.
         assert [t for _, t in out] == [(6, 7), (0, 1, 2, 3), (2, 3, 4, 5)]
         vec = gen.normal(size=4**4)
-        assert _close(_per_step(vec, out, 8), _per_step(vec, steps, 8))
+        assert _close(apply_steps(vec, out, 8), apply_steps(vec, steps, 8))
 
     @pytest.mark.parametrize("text, itemsize", [("1 0 ZXIII", 8), ("0.6 0.8 ZXIII", 16)])
     def test_register_is_stated_before_the_first_pass(self, monkeypatch, text, itemsize):
@@ -901,33 +996,29 @@ class TestGateValues:
 
 
 # ---------------------------------------------------------------------------
-# Merged diagonal runs: _run against one apply_matrix pass per lowered step.
-
-def _per_step(amps, lowered, k):
-    for mat, targets in lowered:
-        amps = apply_matrix(amps, mat, targets, k)
-    return amps
-
+# Merged diagonal runs: _run against one reference apply_matrix pass per
+# lowered step. Passes are counted at the simulator's one seam, run_passes,
+# which gets every pass of a call in one list.
 
 def _merged_and_per_step(monkeypatch, call):
     """``call()`` as it runs, then with every lowered step its own pass."""
     merged = call()
     with monkeypatch.context() as m:
-        m.setattr(simulator, "_run", _per_step)
+        m.setattr(simulator, "_run", apply_steps)
         return merged, call()
 
 
 def _count_passes(monkeypatch, call):
-    """(matrix shape, targets, vector length) of every apply_matrix call
-    that ``call()`` makes, in order."""
+    """(matrix shape, targets, vector length) of every register pass that
+    ``call()`` makes through the simulator, in order."""
     shapes = []
 
-    def counting(vec, mat, targets, k):
-        shapes.append((mat.shape, targets, len(vec)))
-        return apply_matrix(vec, mat, targets, k)
+    def counting(vec, steps, k):
+        shapes.extend((mat.shape, targets, len(vec)) for mat, targets in steps)
+        return run_passes(vec, steps, k)
 
     with monkeypatch.context() as m:
-        m.setattr(simulator, "apply_matrix", counting)
+        m.setattr(simulator, "run_passes", counting)
         call()
     return shapes
 
@@ -1041,14 +1132,14 @@ class TestMergedDiagonals:
                 (da, (2,)), (db, (0,)), (h, (1,)), (db, (1,)), (h, (0,))]
         seen = []
 
-        def spy(vec, mat, targets, k):
-            seen.append((mat, targets, len(vec)))
-            return apply_matrix(vec, mat, targets, k)
+        def spy(vec, steps, k):
+            seen.extend((mat, targets, len(vec)) for mat, targets in steps)
+            return run_passes(vec, steps, k)
 
-        monkeypatch.setattr(simulator, "apply_matrix", spy)
+        monkeypatch.setattr(simulator, "run_passes", spy)
         amps = ginibre(gen, 8)[0]
         got = simulator._run(amps, step * 3, 3)
-        assert _close(got, _per_step(amps, step * 3, 3))
+        assert _close(got, apply_steps(amps, step * 3, 3))
         merged = [(mat, t) for mat, t, _ in seen if mat.shape == (8,)]
         assert [t for _, t in merged] == [(0, 1, 2)] * 9
         assert len({id(mat) for mat, _ in merged}) == 3
@@ -1070,12 +1161,12 @@ class TestMergedDiagonals:
     def test_build_holds_one_array_of_span_size(self, gen):
         # Overlapping, unsorted and non-contiguous targets over an 18-qubit
         # span: every entry gets the same factors in the same order as one
-        # apply_matrix pass per step on np.ones. Beyond the one array, only
+        # reference apply_matrix pass per step on np.ones. Beyond the one array, only
         # numpy's fixed-size ufunc buffers are allocated.
         span = 18
         run = [(np.exp(1j * gen.normal(size=4)), (q, q + 1)) for q in range(span - 1)]
         run += [(np.exp(1j * gen.normal(size=4)), (9, 2)), (np.exp(1j * gen.normal(size=8)), (17, 0, 7))]
-        want = _per_step(np.ones(2**span, dtype=complex), run, span)
+        want = apply_steps(np.ones(2**span, dtype=complex), run, span)
         tracemalloc.start()
         try:
             diag, targets = simulator._merged_diagonal(run)

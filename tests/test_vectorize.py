@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from opvec.errors import ParseError
-from opvec.pauli import PauliString
+from opvec.pauli import PauliString, PauliSum
 from opvec.vectorize import (
     COMPUTATIONAL,
     PAULI,
@@ -28,7 +28,7 @@ from opvec.vectorize import (
     vectorize,
 )
 from helpers import ginibre
-from reference import transform_matrix
+from reference import kron_sum, transform_matrix
 
 SQ = 1 / np.sqrt(2)
 
@@ -66,6 +66,19 @@ def test_vectorize_pauli_sum_matches_dense_path(gen):
     via_terms = vectorize(s, PAULI)
     via_dense = vectorize(s.to_dense(), PAULI)
     assert np.allclose(via_terms.amplitudes, via_dense.amplitudes, atol=1e-12)
+
+
+@pytest.mark.parametrize("n, seed", [(1, 1), (2, 2), (4, 3), (7, 4)])
+def test_pauli_sum_scatters_as_its_dense_matrix(n, seed):
+    # The computational rep of a sum, filled from each word's nonzeros, is
+    # byte-identical to vectorizing the kron-chain matrix of the sum.
+    gen = np.random.default_rng(seed)
+    s = PauliSum(n)
+    for _ in range(10):
+        s.add(complex(*gen.normal(size=2)), PauliString(n, int(gen.integers(2**n)), int(gen.integers(2**n))))
+    s.add(0.25j, PauliString.from_label("Y" * n))
+    got = vectorize(s, COMPUTATIONAL).amplitudes
+    assert got.tobytes() == vectorize(kron_sum(s), COMPUTATIONAL).amplitudes.tobytes()
 
 
 def test_zero_operator_rejected():
