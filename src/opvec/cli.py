@@ -164,7 +164,7 @@ def _load_circuit(spec, base: Path, errors: list[str]) -> Circuit | None:
             gates.append(gate)
         if not _is_int(doc["qubits"]):
             raise ValueError("qubits: expected an integer")
-        return Circuit.from_gates(doc["qubits"], gates)
+        return Circuit(doc["qubits"], gates)
     except (KeyError, TypeError, ValueError, OSError, json.JSONDecodeError) as exc:
         errors.append(f"circuit: {exc}")
         return None
@@ -222,8 +222,11 @@ def validate_config(path) -> tuple[dict | None, list[str]]:
         if not _is_number(cfg[key]):
             errors.append(f"{key}: expected a number")
             cfg[key] = float(_DEFAULTS[key])
-    if cfg["shots"] < 1:
-        errors.append("shots: must be >= 1")
+    if cfg["seed"] < 0:
+        errors.append("seed: must be >= 0")
+    # Generator.multinomial and .binomial take int64 counts.
+    if not 1 <= cfg["shots"] < 2**63:
+        errors.append("shots: must lie in 1..2^63 - 1")
     if cfg["steps"] < 1:
         errors.append("steps: must be >= 1")
     if not 0 <= cfg["p"] <= 1:
@@ -296,6 +299,15 @@ def validate_config(path) -> tuple[dict | None, list[str]]:
                     and all(isinstance(g, list)
                             and all(_is_int(i) for i in g) for g in grouping)):
                 errors.append("grouping: expected a list of integer lists")
+            elif isinstance(cfg.get("_superop"), OperatorSumSuperop):
+                indices = [i for group in grouping for i in group]
+                terms = len(cfg["_superop"].terms)
+                if not indices:
+                    errors.append("grouping: needs at least one nonempty group")
+                elif not all(0 <= i < terms for i in indices):
+                    errors.append(f"grouping: term indices must lie in 0..{terms - 1}")
+                elif len(set(indices)) < len(indices):
+                    errors.append("grouping: each term index may appear once")
 
     if task == "ose":
         if cfg["alpha"] < 2:
@@ -304,6 +316,13 @@ def validate_config(path) -> tuple[dict | None, list[str]]:
             errors.append("epsilon: must be positive")
         if not 0 < cfg["delta"] < 1:
             errors.append("delta: must lie in (0, 1)")
+        if cfg["alpha"] >= 2 and cfg["epsilon"] > 0 and 0 < cfg["delta"] < 1:
+            try:
+                counts = est.ose_shot_counts(cfg["alpha"], cfg["epsilon"], cfg["delta"])
+            except (OverflowError, ZeroDivisionError):  # past float range, or epsilon**2 == 0
+                counts = (2**63,)
+            if max(counts) >= 2**63:
+                errors.append("alpha, epsilon, delta: both shot counts must be below 2^63")
 
     if task == "loe":
         partition = raw.get("partition")
@@ -316,6 +335,9 @@ def validate_config(path) -> tuple[dict | None, list[str]]:
                 errors.append(f"partition: sites must lie in 0..{op.n - 1}")
             elif len(sites) == op.n:
                 errors.append("partition: must be a proper subset of the sites")
+
+    if task == "choi2pc" and op is not None and not 0 <= cfg["site"] < op.n:
+        errors.append(f"site: must lie in 0..{op.n - 1}")
 
     if task == "corr" and "operator_b" in raw:
         cfg["_operator_b"] = _load_pauli_sum(
@@ -544,11 +566,9 @@ def _task_corr(cfg: dict, rng: RngStream):
 def _task_choi2pc(cfg: dict, rng: RngStream):
     op = cfg["_operator"]
     site, p = cfg["site"], cfg["p"]
-    if not 0 <= site < op.n:
-        raise ValueError(f"site {site} outside 0..{op.n - 1}")
     # |psi>|0> -> sqrt(1-p)|psi>|0> + sqrt(p) X|psi>|1>
     theta = 2.0 * math.asin(math.sqrt(p))
-    dilation = Circuit.from_gates(2, [Gate("ry", (1,), theta), Gate("cx", (1, 0))])
+    dilation = Circuit(2, [Gate("ry", (1,), theta), Gate("cx", (1, 0))])
     # The dilated register is 4x the vectorized operator: refuse it first.
     _reserve_dilated(op.n, 1)
     dual, prob = channel_dual_postselect(dilation, 1, vectorize(op, PAULI), sites=(site,))

@@ -533,7 +533,7 @@ def estimate_corr_interferometric(
     if state.k % 2 != 1:
         raise ValueError("expected a doubled register plus one ancilla")
     anc = state.k - 1
-    meas = apply_circuit(state, Circuit.from_gates(state.k, [Gate("h", (anc,))]))
+    meas = apply_circuit(state, Circuit(state.k, [Gate("h", (anc,))]))
     outcomes, weights = _outcome_weights(born_sample(meas, shots, rng))
     signs = 1.0 - 2.0 * (outcomes & 1).astype(float)
     mean, stderr = _mean_stderr(signs, weights)
@@ -600,7 +600,7 @@ def nqubit_otoc(
     op_gates = [
         Gate(op.site(i).lower(), (i,)) for i in range(n) if op.site(i) != "I"
     ]
-    v = u.concat(Circuit.from_gates(n, op_gates)).concat(u.inverse())
+    v = u.concat(Circuit(n, op_gates)).concat(u.inverse())
     diag_left = common_eigenbasis_circuit([l for l, _ in pairs])
     diag_right = common_eigenbasis_circuit([r for _, r in pairs])
     samples = nqubit_sample(v, diag_right.inverse(), diag_left.inverse(), shots, rng)

@@ -388,4 +388,4 @@ def schedule_to_circuit(schedule: Schedule, layout: GridLayout) -> Circuit:
             logical = tuple(2 * s + k for s, k in (position[t] for t in g.targets))
             # Schedule angles are exp(-i a W); rotations use exp(-i a W / 2).
             gates.append(Gate(g.name, logical, 2.0 * g.angle))
-    return Circuit.from_gates(2 * layout.sites, gates)
+    return Circuit(2 * layout.sites, gates)

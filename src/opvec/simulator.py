@@ -6,11 +6,14 @@ Doubled registers interleave the two copies as [0_L, 0_R, 1_L, 1_R, ...];
 site i of the represented operator owns qubits 2i (left copy) and 2i+1
 (right copy).
 
+A circuit is a sequence of gates, applied in order. :func:`_lower` turns
+it into fused (matrix, targets) steps on its own register.
+
 Heisenberg evolution of a vectorized operator runs in the Hermitian-Pauli
 basis, where site i's qubit pair (2i, 2i+1) indexes I, X, Z, Y. There the
 doubled image U^dag (x) U^T of a gate is its real orthogonal Pauli transfer
-matrix, so a Hermitian operator evolves as a float64 vector, one real pass
-per fused block, gates taken in reverse order.
+matrix, so a Hermitian operator evolves as a float64 vector: gates in
+reverse order, one real pass per :func:`_transfer` block.
 """
 
 from __future__ import annotations
@@ -145,78 +148,38 @@ def _pexp_ladder(g: Gate) -> list[tuple[str, tuple[int, ...], float | None]]:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Layered gate list; layers have pairwise-disjoint targets, so the
-    layer count is the circuit depth."""
+    """A sequence of gates on k qubits, applied in order."""
 
     k: int
-    layers: tuple[tuple[Gate, ...], ...] = ()
+    gates: tuple[Gate, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "layers", tuple(tuple(layer) for layer in self.layers)
-        )
-        # Each distinct layer, by the identity of its gates, is checked once,
-        # as Trotter steps repeat one step's gates; the layers keep them alive.
-        checked: set[tuple[int, ...]] = set()
-        for layer in self.layers:
-            key = tuple(map(id, layer))
-            if key in checked:
+        object.__setattr__(self, "gates", tuple(self.gates))
+        # Each distinct gate object is checked once, as Trotter steps repeat
+        # one step's gates; the tuple keeps them alive.
+        checked: set[int] = set()
+        for g in self.gates:
+            if id(g) in checked:
                 continue
-            used: set[int] = set()
-            for g in layer:
-                if any(t < 0 or t >= self.k for t in g.targets):
-                    raise ValueError(f"gate {g.name} targets outside 0..{self.k - 1}")
-                if not used.isdisjoint(g.targets):
-                    raise ValueError("overlapping targets within a layer")
-                used.update(g.targets)
-            checked.add(key)
-
-    @staticmethod
-    def from_gates(k: int, gates) -> "Circuit":
-        """Greedy left packing: each gate joins the newest layer unless its
-        targets collide there. Each distinct gate object's target set is
-        built once."""
-        layers: list[list[Gate]] = []
-        used: set[int] = set()
-        sets: dict[int, frozenset[int]] = {}
-        for g in gates:
-            targets = sets.get(id(g))
-            if targets is None:
-                targets = sets[id(g)] = frozenset(g.targets)
-            if not layers or not used.isdisjoint(targets):
-                layers.append([g])
-                used = set(targets)
-            else:
-                layers[-1].append(g)
-                used |= targets
-        return Circuit(k, tuple(tuple(layer) for layer in layers))
-
-    @property
-    def depth(self) -> int:
-        return len(self.layers)
-
-    def gates(self):
-        for layer in self.layers:
-            yield from layer
+            if any(t < 0 or t >= self.k for t in g.targets):
+                raise ValueError(f"gate {g.name} targets outside 0..{self.k - 1}")
+            checked.add(id(g))
 
     def num_gates(self) -> int:
-        return sum(len(layer) for layer in self.layers)
+        return len(self.gates)
 
     def inverse(self) -> "Circuit":
-        """Layers reversed, each gate inverted. Each distinct gate object is
+        """Gates reversed, each inverted. Each distinct gate object is
         inverted once, so a repeated gate, as in a Trotter circuit, stays
         one shared object."""
-        distinct = {id(g): g for g in self.gates()}
-        inverted = {key: g.inverse() for key, g in distinct.items()}
-        layers = tuple(
-            tuple(inverted[id(g)] for g in layer) for layer in reversed(self.layers)
-        )
-        return Circuit(self.k, layers)
+        inverted = {id(g): g for g in self.gates}
+        inverted = {key: g.inverse() for key, g in inverted.items()}
+        return Circuit(self.k, tuple(inverted[id(g)] for g in reversed(self.gates)))
 
     def concat(self, other: "Circuit") -> "Circuit":
         if other.k != self.k:
             raise ValueError("qubit counts differ")
-        return Circuit(self.k, self.layers + other.layers)
+        return Circuit(self.k, self.gates + other.gates)
 
 
 # ---------------------------------------------------------------------------
@@ -232,20 +195,19 @@ def _lower(circuit: Circuit) -> list:
     fused by :func:`_fuse`. Each distinct gate's matrix is built once per
     call and shared read-only; see :func:`_placed` and :func:`_place`."""
     built: dict[tuple, np.ndarray] = {}
-    return _fuse(_placed(circuit.gates(), lambda g: _place(g, built)))
+    return _fuse(_placed(circuit.gates, lambda g: _place(g, built)))
 
 
 def _transfer(circuit: Circuit, sites=None) -> list:
     """Real (transfer matrix, register targets) steps carrying the
     Hermitian-Pauli coefficients of O to those of U^dag O U on a doubled
     register: gates in reverse order, circuit qubit q on register qubits
-    (2s, 2s+1) of its site s = sites[q] (default q). Single-site steps are
-    absorbed by :func:`_absorb`, then the steps are fused by :func:`_fuse`.
-    Matrices are built and shared as in :func:`_lower`."""
+    (2s, 2s+1) of its site s = sites[q] (default q), and single-site steps
+    absorbed by :func:`_absorb`. Matrices are built and shared as in
+    :func:`_lower`."""
     sites = range(circuit.k) if sites is None else sites
     built: dict[tuple, np.ndarray] = {}
-    gates = reversed(list(circuit.gates()))
-    return _fuse(_absorb(_placed(gates, lambda g: _place(g, built, sites))))
+    return _absorb(_placed(reversed(circuit.gates), lambda g: _place(g, built, sites)))
 
 
 def _placed(gates, place) -> list:
@@ -325,9 +287,11 @@ def _absorb(steps: list) -> list:
     ascending, as :func:`_place` builds them.
 
     Each distinct product, by the identity of both matrices, the site's
-    place in the block and the side, is built once per call and read-only;
-    ``steps`` and the products made so far keep the sources alive."""
+    place in the block and the side, is built once per call and read-only,
+    and each distinct step is one shared tuple; ``steps`` and the products
+    made so far keep the sources alive."""
     products: dict[tuple, np.ndarray] = {}
+    made_steps: dict[tuple, tuple] = {}
 
     def absorbed(block, tb, mat, ts, later):
         key = (id(block), id(mat), tb.index(ts[0]) // 2, later)
@@ -335,27 +299,26 @@ def _absorb(steps: list) -> list:
         if made is None:
             made = products[key] = _site_product(block, mat, key[2], later)
             made.flags.writeable = False
-        return made
+        return made_steps.setdefault((id(made), tb), (made, tb))
 
     out: list = []  # None marks a step moved into a later block
     last: dict[int, int] = {}  # a site's first register qubit -> its last step
-    for mat, targets in steps:
-        firsts = targets[::2]
+    for step in steps:
+        firsts = step[1][::2]
         if len(firsts) == 1:
             j = last.get(firsts[0])
             if j is not None:
-                block, tb = out[j]
-                out[j] = (absorbed(block, tb, mat, targets, True), tb)
+                out[j] = absorbed(*out[j], *step, True)
                 continue
         else:
             for q in firsts:
                 j = last.get(q)
                 if j is not None and out[j] is not None and len(out[j][1]) == 2:
-                    mat = absorbed(mat, targets, *out[j], False)
+                    step = absorbed(*step, *out[j], False)
                     out[j] = None
         for q in firsts:
             last[q] = len(out)
-        out.append((mat, targets))
+        out.append(step)
     return [step for step in out if step is not None]
 
 
@@ -370,12 +333,16 @@ def _site_product(block: np.ndarray, mat: np.ndarray, site: int, later: bool) ->
     return (mat @ rows if site else mat @ rows.reshape(4, 64)).reshape(16, 16)
 
 
+# ---------------------------------------------------------------------------
+# The single-register path: :func:`_lower` fuses its steps and :func:`_run`
+# merges their recurring diagonal runs. Transfer steps take neither.
+
 def _fuse(steps: list) -> list:
-    """Merge each step into the one before it when their targets are
-    disjoint and together form a contiguous run of at most _FUSE_SPAN
-    register qubits; a merged step is not merged again. A merged matrix is
-    the kron of the two, permuted to ascending targets, and a diagonal block
-    is stored as its 1-D diagonal.
+    """The steps of :func:`_lower`, each merged into the one before it when
+    their targets are disjoint and together form a contiguous run of at most
+    _FUSE_SPAN register qubits; a merged step is not merged again. A merged
+    matrix is the kron of the two, permuted to ascending targets, and a
+    diagonal block is stored as its 1-D diagonal.
 
     Each distinct adjacent pair, by the identity of both matrices and by
     their targets, is decided once per call by :func:`_merge`, and both
@@ -467,7 +434,7 @@ def _merged_diagonal(run: list) -> tuple[np.ndarray, tuple[int, ...]]:
 
 
 def _run(amps: np.ndarray, lowered: list, k: int) -> np.ndarray:
-    """Apply lowered (matrix, targets) steps to a k-qubit register through
+    """Apply :func:`_lower` steps to a k-qubit register through
     :func:`run_passes`, one register pass per step, except that a maximal
     run of two or more consecutive diagonal (1-D) steps that recurs in
     ``lowered``, as each Trotter step's does, is one pass of its
@@ -598,33 +565,39 @@ def _hermitian_real_terms(h: PauliSum) -> list[tuple[float, PauliString]]:
     return terms
 
 
+# Peak bytes per placed step (a gate, or a part of a wide pexp's CX ladder)
+# of a Trotter circuit's gates and its doubled lowering's step lists, by
+# tracemalloc over _transfer(super_propagator_circuit(...)): 33.7 B for "ZZ",
+# 24.5 B for a 7-site Ising chain, 15.3 B for XYZY + ZIII, at 150,000 steps;
+# 40.2 B for "ZZ" at 1,000.
+_TROTTER_STEP_BYTES = 40
+
+
 def trotter_circuit(h: PauliSum, t: float, steps: int) -> Circuit:
     """First-order Trotter circuit for exp(-iHt), one pexp per term per
     step, terms in the order they were listed. One step's gates are built
     once and repeated, so every step shares the same Gate objects."""
-    return _trotter(h, t, steps, reverse=False)
-
-
-def super_propagator_circuit(h: PauliSum, t: float, steps: int) -> Circuit:
-    """The Trotter circuit of ``hamiltonian`` configs: trotter_circuit(h, t,
-    steps) with each step's terms in reverse order.
-
-    :func:`heisenberg_doubled` takes a circuit's gates in reverse, so on
-    this circuit it applies each step's terms in the order listed, driving
-    ||O>> toward ||U^dag O U>> for U = exp(-iHt)."""
-    return _trotter(h, t, steps, reverse=True)
-
-
-def _trotter(h: PauliSum, t: float, steps: int, reverse: bool) -> Circuit:
     if steps < 1:
         raise ValueError("steps must be at least 1")
     if t == 0:
         return Circuit(h.n, ())
     dt = t / steps
-    step = [_term_gate(p, 2 * c * dt, lambda i: i) for c, p in _hermitian_real_terms(h)]
-    if reverse:
-        step.reverse()
-    return Circuit.from_gates(h.n, step * steps)
+    step = tuple(_term_gate(p, 2 * c * dt, lambda i: i) for c, p in _hermitian_real_terms(h))
+    placed = steps * sum(len(_pexp_ladder(g)) if len(g.targets) > 2 else 1 for g in step)
+    reserve(_TROTTER_STEP_BYTES * placed,
+            f"a Trotter circuit of {len(step) * steps} gates and its lowering")
+    return Circuit(h.n, step * steps)
+
+
+def super_propagator_circuit(h: PauliSum, t: float, steps: int) -> Circuit:
+    """The Trotter circuit of ``hamiltonian`` configs: the inverse of
+    trotter_circuit(h, -t, steps), which is trotter_circuit(h, t, steps)
+    with each step's terms in reverse order, angles bitwise equal.
+
+    :func:`heisenberg_doubled` takes a circuit's gates in reverse, so on
+    this circuit it applies each step's terms in the order listed, driving
+    ||O>> toward ||U^dag O U>> for U = exp(-iHt)."""
+    return trotter_circuit(h, -t, steps).inverse()
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +628,7 @@ def _evolve_pauli(amps: np.ndarray, n: int, lowered: list) -> np.ndarray:
         reg, k = np.ascontiguousarray(coeffs.real), 2 * n
     del coeffs  # on the real path, the complex copy is freed before the passes
     reserve(2 * reg.nbytes, f"a doubled evolution on {2 * n} qubits")
-    reg = _run(reg, lowered, k)
+    reg = run_passes(reg, lowered, k)
     out = reg.astype(complex) if k == 2 * n else np.ascontiguousarray(reg).view(complex)
     return _y_phase(out, n, -1j)
 
@@ -836,4 +809,4 @@ def random_clifford_circuit(n: int, layers: int, rng: RngStream) -> Circuit:
         for q in range(start, n - 1, 2):
             name = "cx" if gen.integers(2) else "cz"
             gates.append(Gate(name, (q, q + 1)))
-    return Circuit.from_gates(n, gates)
+    return Circuit(n, gates)

@@ -379,7 +379,7 @@ def conjugate_pauli(gate: Gate, phase: complex, p: PauliString) -> tuple[complex
 def conjugate_through(
     circuit: Circuit, phase: complex, p: PauliString
 ) -> tuple[complex, PauliString]:
-    for g in circuit.gates():
+    for g in circuit.gates:
         phase, p = conjugate_pauli(g, phase, p)
     return phase, p
 
@@ -492,14 +492,14 @@ def common_eigenbasis_circuit(strings: list[PauliString]) -> Circuit:
             for i in range(n):
                 gates.append(Gate("cx", (2 * i, 2 * i + 1)))
                 gates.append(Gate("h", (2 * i,)))
-            return Circuit.from_gates(k, gates)
+            return Circuit(k, gates)
         lefts = [_restrict(s, 0) for s in strings]
         rights = [_restrict(s, 1) for s in strings]
         if _all_commuting(lefts) and _all_commuting(rights):
             gates = _eliminate(lefts, lambda t: 2 * t)
             gates += _eliminate(rights, lambda t: 2 * t + 1)
-            return Circuit.from_gates(k, gates)
-    return Circuit.from_gates(k, _eliminate(strings, lambda t: t))
+            return Circuit(k, gates)
+    return Circuit(k, _eliminate(strings, lambda t: t))
 
 
 def _all_commuting(strings: list[PauliString]) -> bool:

@@ -131,7 +131,7 @@ def test_single_site_images_and_round_trip():
 
 
 def test_pair_basis_conjugation_table():
-    pair_layer = Circuit.from_gates(2, [Gate("cx", (0, 1)), Gate("h", (0,))])
+    pair_layer = Circuit(2, [Gate("cx", (0, 1)), Gate("h", (0,))])
     v = dense_unitary(pair_layer)
     for label, (sign, out) in BELL_TABLE.items():
         want = sign * word(out).to_dense()
@@ -279,7 +279,7 @@ def test_interferometric_correlator_suite():
 def test_single_register_sampler_distribution():
     n = 3
     u = trotter_circuit(ising_chain(n), 0.9, 12)
-    v = u.concat(Circuit.from_gates(n, [Gate("x", (0,))])).concat(u.inverse())
+    v = u.concat(Circuit(n, [Gate("x", (0,))])).concat(u.inverse())
     shots = 100_000
     samples = nqubit_sample(v, Circuit(n, ()), Circuit(n, ()), shots, RngStream(17).fork("tv"))
     emp = np.zeros((2**n, 2**n))
@@ -335,7 +335,7 @@ def test_bitflip_channel_dual_postselection():
 
     def dilation(p: float) -> Circuit:
         theta = 2.0 * math.asin(math.sqrt(p))
-        return Circuit.from_gates(2, [Gate("ry", (1,), theta), Gate("cx", (1, 0))])
+        return Circuit(2, [Gate("ry", (1,), theta), Gate("cx", (1, 0))])
 
     for p in (0.0, 0.1, 0.25):
         dual, prob = channel_dual_postselect(dilation(p), 1, z_state, sites=(0,))

@@ -27,11 +27,10 @@ BELL_OP3 = {
 }
 
 
-def run_limited(tmp_path, cfg, limit):
-    """Run one config with the oracle in a child process whose address
-    space is capped at ``limit`` bytes; returns its report."""
+def run_child(tmp_path, cfg, limit, *args) -> subprocess.CompletedProcess:
+    """Run one config, with ``args`` appended to its command line, in a
+    child process whose address space is capped at ``limit`` bytes."""
     (tmp_path / "config.json").write_text(json.dumps(cfg))
-    out = tmp_path / "out"
     script = (
         "import resource, sys\n"
         f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
@@ -40,13 +39,19 @@ def run_limited(tmp_path, cfg, limit):
     )
     src = str(Path(opvec.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", script, cfg["task"], "--config", str(tmp_path / "config.json"),
-         "--out", str(out), "--with-oracle"],
+         "--out", str(tmp_path / "out"), *args],
         env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def run_limited(tmp_path, cfg, limit):
+    """Run one config with the oracle in a child process whose address
+    space is capped at ``limit`` bytes; returns its report."""
+    proc = run_child(tmp_path, cfg, limit, "--with-oracle")
     assert proc.returncode == 0, proc.stderr
-    return json.loads((out / "report.json").read_text())
+    return json.loads((tmp_path / "out" / "report.json").read_text())
 
 
 def run_task(tmp_path, task, out="out", extra_args=(), **cfg):
@@ -116,8 +121,25 @@ class TestEvolve:
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
         assert (out1 / "state.bin").read_bytes() == (out2 / "state.bin").read_bytes()
 
+    def test_huge_trotter_step_count_exits_3(self, tmp_path):
+        # 10^8 gates: refused before the gate tuple is built, under the
+        # benchmark's 2 GiB address-space ceiling, with no traceback.
+        cfg = {"task": "evolve", "operator": "ZZ", "hamiltonian": "ZZ", "t": 1, "steps": 10**8}
+        proc = run_child(tmp_path, cfg, 2 << 30)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr == (
+            "error: a Trotter circuit of 100000000 gates and its lowering needs 4000000000 bytes; "
+            f"the byte budget allows {_linalg.BYTE_BUDGET}\n"
+        )
+        assert not (tmp_path / "out").exists()
+
 
 class TestSample:
+    def test_largest_shot_count_samples(self, tmp_path):
+        code, out = run_task(tmp_path, "sample", operator="XII", shots=2**63 - 1, seed=1)
+        assert code == 0
+        assert json.loads((out / "report.json").read_text())["shots"] == 2**63 - 1
+
     def test_distribution_artifact(self, tmp_path):
         code, out = run_task(
             tmp_path, "sample", operator="ZII", hamiltonian=HAM3,
@@ -354,12 +376,6 @@ class TestChoi2pc:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_bad_site_is_runtime_failure(self, tmp_path):
-        code, _ = run_task(
-            tmp_path, "choi2pc", operator="ZII", p=0.1, site=5, seed=1
-        )
-        assert code == 1
-
 
 class TestNqubit:
     def test_flip_word_exact(self, tmp_path):
@@ -524,27 +540,47 @@ class TestConfigValidation:
         assert "operator:" in capsys.readouterr().err
 
     CHOI = dict(operator="ZII", p=0.1, site=0)
+    SUM2 = dict(operator="XII", superop={"text": "0.5 0 XII XII\n0.25 0 ZII ZII"})
+    OSE_COUNTS = "alpha, epsilon, delta: both shot counts must be below 2^63"
 
+    # Each field is named; out-of-range values exit 2 before any handler
+    # runs, where an estimator would raise or numpy overflow.
     @pytest.mark.parametrize("task,cfg,field", [
         ("choi2pc", {**CHOI, "site": "x"}, "site"),
         ("choi2pc", {**CHOI, "site": 1.5}, "site"),
         ("choi2pc", {**CHOI, "site": [0]}, "site"),
         ("choi2pc", {**CHOI, "site": True}, "site"),
+        ("choi2pc", {**CHOI, "site": 5}, "site: must lie in 0..2"),
         ("choi2pc", {**CHOI, "p": 1.5}, "p"),
         ("choi2pc", {**CHOI, "p": -0.2}, "p"),
         ("evolve", {"operator": "ZII", "out": 5}, "out"),
         ("loe", {"operator": "ZII", "partition": [True]}, "partition"),
         ("superop", {"operator": "ZII", "superop": "size", "grouping": [[True], [0]]},
          "grouping"),
+        ("superop", {**SUM2, "grouping": [[0], [7]]}, "grouping: term indices must lie in 0..1"),
+        ("superop", {**SUM2, "grouping": [[-1]]}, "grouping: term indices must lie in 0..1"),
+        ("superop", {**SUM2, "grouping": [[0], [0, 1]]}, "grouping: each term index may appear once"),
+        ("superop", {**SUM2, "grouping": []}, "grouping: needs at least one nonempty group"),
+        ("superop", {**SUM2, "grouping": [[], []]}, "grouping: needs at least one nonempty group"),
+        ("sample", {"operator": "ZII", "seed": -3}, "seed: must be >= 0"),
+        ("sample", {"operator": "ZII", "shots": 10**20}, "shots: must lie in 1..2^63 - 1"),
+        ("otoc", {"operator": "ZII", "pairs": [["ZII", "ZII"]], "shots": 2**63},
+         "shots: must lie in 1..2^63 - 1"),
+        ("ose", {"operator": "ZII", "alpha": 10**20}, OSE_COUNTS),
+        ("ose", {"operator": "ZII", "alpha": 10**400}, OSE_COUNTS),
+        ("ose", {"operator": "ZII", "epsilon": 1e-200}, OSE_COUNTS),
         ("compile2d", {"lattice": {"rows": True, "cols": 2}}, "lattice"),
-    ], ids=["site-str", "site-float", "site-list", "site-bool", "p-above-1",
-            "p-below-0", "out-int", "partition-bool", "grouping-bool", "rows-bool"])
+    ], ids=["site-str", "site-float", "site-list", "site-bool", "site-past-end", "p-above-1",
+            "p-below-0", "out-int", "partition-bool", "grouping-bool", "grouping-past-end",
+            "grouping-negative", "grouping-repeat", "groups-none", "groups-empty",
+            "seed-negative", "shots-sample", "shots-otoc", "ose-alpha", "ose-alpha-past-float",
+            "ose-epsilon", "rows-bool"])
     def test_mistyped_field_is_config_error(self, tmp_path, capsys, task, cfg, field):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"task": task, "seed": 1, **cfg}))
         code = main([task, "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 2
-        assert f"config error: {field}:" in capsys.readouterr().err
+        assert f"config error: {field}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 
@@ -576,11 +612,11 @@ class TestInlineCircuit:
     def test_equal_specs_share_one_gate(self, tmp_path):
         circ = cli._load_circuit(ising_spec(7, 1.0, 64), tmp_path, [])
         assert circ.num_gates() == 64 * 13
-        assert len({id(g) for g in circ.gates()}) == 13
+        assert len({id(g) for g in circ.gates}) == 13
 
     def test_signed_zero_angles_stay_apart(self, tmp_path):
         rz = [{"name": "rz", "targets": [0], "angle": a} for a in (0.0, -0.0, 0.0, -0.0)]
-        gates = list(cli._load_circuit({"qubits": 1, "gates": rz}, tmp_path, []).gates())
+        gates = list(cli._load_circuit({"qubits": 1, "gates": rz}, tmp_path, []).gates)
         assert gates[0] is gates[2] and gates[1] is gates[3] and gates[0] is not gates[1]
         assert [repr(g.angle) for g in gates] == ["0.0", "-0.0"] * 2
 

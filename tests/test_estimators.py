@@ -497,7 +497,7 @@ def joint_register_bell_marginal(a, b, sites) -> np.ndarray:
         gates.append(Gate("cx", (q, k + q)))
         gates.append(Gate("h", (q,)))
     joint = QState(2 * k, np.kron(a.amplitudes, b.amplitudes))
-    probs = apply_circuit(joint, Circuit.from_gates(2 * k, gates)).probabilities()
+    probs = apply_circuit(joint, Circuit(2 * k, gates)).probabilities()
     keep = [ax for q in qubits for ax in (q, k + q)]
     probs = np.moveaxis(probs.reshape((2,) * (2 * k)), keep, range(len(keep)))
     marginal = probs.reshape(4 ** len(qubits), -1).sum(axis=1)
@@ -625,7 +625,7 @@ class TestRandomizedSampler:
     def test_matches_per_shot_loop(self, shots):
         v = trotter_circuit(ising_chain(3), 0.8, 4)
         u_phi = random_clifford_circuit(3, 2, RngStream(5))
-        u_psi = Circuit.from_gates(3, [Gate("ry", (1,), 0.4), Gate("h", (2,))])
+        u_psi = Circuit(3, [Gate("ry", (1,), 0.4), Gate("h", (2,))])
         got = nqubit_sample(v, u_phi, u_psi, shots, RngStream(11))
         want = _per_shot_sample(v, u_phi, u_psi, shots, RngStream(11))
         assert np.array_equal(got, want)
@@ -689,7 +689,7 @@ class TestRandomizedOtoc:
         n = 2
         u = trotter_circuit(ising_chain(n), 0.9, 8)
         op = word("XI")
-        op_circ = Circuit.from_gates(n, [Gate("x", (0,))])
+        op_circ = Circuit(n, [Gate("x", (0,))])
         vd = dense_unitary(u.concat(op_circ).concat(u.inverse()))
         pairs = [
             (word("ZI"), word("IZ")),
@@ -724,7 +724,7 @@ def test_grouped_and_randomized_routes_agree():
     n = 2
     u = trotter_circuit(ising_chain(n), 1.1, 12)
     op = word("XI")
-    op_circ = Circuit.from_gates(n, [Gate("x", (0,))])
+    op_circ = Circuit(n, [Gate("x", (0,))])
     evolved = exact_heisenberg(op.to_dense(), dense_unitary(u))
     pairs = [(word("ZI"), word("ZI"))]
     grouped = estimate_otoc_group(

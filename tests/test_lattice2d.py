@@ -252,7 +252,7 @@ def test_every_swap_gate_reroutes_whatever_its_layer():
     report = validate(sched, layout)
     assert report.ok and report.edges_covered == 1
     circ = schedule_to_circuit(sched, layout)
-    assert [(g.name, g.targets, g.angle) for g in circ.gates()] == [
+    assert [(g.name, g.targets, g.angle) for g in circ.gates] == [
         ("rzz", (1, 3), -0.4), ("rzz", (0, 2), 0.4)
     ]
 
@@ -292,7 +292,7 @@ class TestLowering:
         layout = embed(2, 2)
         sched = trotter_step_schedule(0.9, 0.5, 1.1, 0.05, layout)
         circ = schedule_to_circuit(sched, layout)
-        names = {g.name for layer in circ.layers for g in layer}
+        names = {g.name for g in circ.gates}
         assert names == {"rx", "rz", "rzz"}
         assert circ.k == 8
 

@@ -57,14 +57,14 @@ def _expm_exact(m: np.ndarray) -> np.ndarray:
 class TestGates:
     def test_x_on_msb_qubit(self):
         state = apply_circuit(
-            QState(2, np.eye(4)[0]), Circuit.from_gates(2, [Gate("x", (0,))])
+            QState(2, np.eye(4)[0]), Circuit(2, [Gate("x", (0,))])
         )
         want = np.zeros(4)
         want[2] = 1.0
         assert np.allclose(state.amplitudes, want)
 
     def test_cx_control_is_first_target(self):
-        circ = Circuit.from_gates(2, [Gate("cx", (0, 1))])
+        circ = Circuit(2, [Gate("cx", (0, 1))])
         state = apply_circuit(QState(2, np.eye(4)[2]), circ)
         assert np.argmax(np.abs(state.amplitudes)) == 3
         state = apply_circuit(QState(2, np.eye(4)[1]), circ)
@@ -86,7 +86,7 @@ class TestGates:
     def test_wide_pexp_ladder_matches_dense(self):
         theta = 0.4321
         g = Gate("pexp", (0, 1, 2), theta, "XYZ")
-        circ = Circuit.from_gates(3, [g])
+        circ = Circuit(3, [g])
         got = dense_unitary(circ)
         want = _expm_exact(-1j * theta * PauliString.from_label("XYZ").to_dense() / 2)
         assert np.allclose(got, want, atol=1e-12)
@@ -103,7 +103,7 @@ class TestGates:
             Gate("pexp", (0, 1, 2), 1.1, "ZXY"),
             Gate("u", (0,), matrix=np.array([[0, 1j], [1j, 0]])),
         ]
-        circ = Circuit.from_gates(3, gates)
+        circ = Circuit(3, gates)
         u = dense_unitary(circ.concat(circ.inverse()))
         assert np.allclose(u, np.eye(8), atol=1e-12)
 
@@ -127,23 +127,19 @@ class TestGates:
 
 
 class TestCircuit:
-    def test_greedy_packing_depth(self):
+    def test_gates_stay_in_order(self):
         gates = [Gate("h", (0,)), Gate("h", (1,)), Gate("cx", (0, 1)), Gate("h", (2,))]
-        circ = Circuit.from_gates(3, gates)
-        assert circ.depth == 2
+        circ = Circuit(3, gates)
+        assert circ.gates == tuple(gates)
         assert circ.num_gates() == 4
-
-    def test_layer_overlap_rejected(self):
-        with pytest.raises(ValueError):
-            Circuit(2, ((Gate("h", (0,)), Gate("x", (0,))),))
 
     def test_target_range_checked(self):
         with pytest.raises(ValueError):
-            Circuit.from_gates(1, [Gate("h", (1,))])
+            Circuit(1, [Gate("h", (1,))])
 
     def test_concat_applies_left_then_right(self):
-        a = Circuit.from_gates(1, [Gate("h", (0,))])
-        b = Circuit.from_gates(1, [Gate("s", (0,))])
+        a = Circuit(1, [Gate("h", (0,))])
+        b = Circuit(1, [Gate("s", (0,))])
         u = dense_unitary(a.concat(b))
         assert np.allclose(u, gate_matrix(Gate("s", (0,))) @ gate_matrix(Gate("h", (0,))))
 
@@ -155,8 +151,8 @@ class TestCircuit:
     def test_inverse_inverts_each_distinct_gate_once(self):
         u = trotter_circuit(ising_chain(7), 1.0, 64)
         inv = u.inverse()
-        assert len({id(g) for g in inv.gates()}) == len({id(g) for g in u.gates()}) == 13
-        assert inv.layers == tuple(tuple(g.inverse() for g in layer) for layer in reversed(u.layers))
+        assert len({id(g) for g in inv.gates}) == len({id(g) for g in u.gates}) == 13
+        assert inv.gates == tuple(g.inverse() for g in reversed(u.gates))
 
     def test_dense_unitary_cap(self):
         # Four arrays of 16 * 4^20 bytes, refused before any is allocated.
@@ -211,8 +207,8 @@ class TestTrotter:
         assert np.allclose(u, _expm_exact(-1j * t * h.to_dense()), atol=1e-12)
 
     def test_zero_time_is_empty(self):
-        assert trotter_circuit(ising_chain(2), 0.0, 4).depth == 0
-        assert super_propagator_circuit(ising_chain(2), 0.0, 4).depth == 0
+        assert trotter_circuit(ising_chain(2), 0.0, 4).gates == ()
+        assert super_propagator_circuit(ising_chain(2), 0.0, 4).gates == ()
 
     def test_first_order_convergence(self):
         h = ising_chain(3)
@@ -239,13 +235,13 @@ class TestTrotter:
         want = vectorize(u.conj().T @ o.to_dense() @ u, COMPUTATIONAL)
         assert np.allclose(reg.amplitudes, want.amplitudes, atol=1e-12)
 
-    def test_super_propagator_depth_matches_plain(self):
-        # The same gates, each step's terms reversed.
+    def test_super_propagator_reverses_each_step(self):
+        # The same gates, bitwise, each step's terms reversed.
         h = ising_chain(3)
-        plain = trotter_circuit(h, 1.0, 4)
-        reverse = super_propagator_circuit(h, 1.0, 4)
-        assert reverse.depth == plain.depth
-        assert reverse.num_gates() == plain.num_gates()
+        plain = trotter_circuit(h, 1.0, 4).gates
+        reverse = super_propagator_circuit(h, 1.0, 4).gates
+        assert reverse == sum((plain[i:i + 5][::-1] for i in range(0, 20, 5)), ())
+        assert [repr(g.angle) for g in reverse[:5]] == [repr(g.angle) for g in plain[4::-1]]
 
 
 class TestDoubledEvolution:
@@ -313,7 +309,7 @@ class TestChannelDual:
     def test_bit_flip_shrinks_z(self):
         p = 0.1
         theta = 2 * np.arcsin(np.sqrt(p))
-        dilation = Circuit.from_gates(2, [Gate("ry", (1,), theta), Gate("cx", (1, 0))])
+        dilation = Circuit(2, [Gate("ry", (1,), theta), Gate("cx", (1, 0))])
         state = vectorize(PauliString.from_label("Z"), COMPUTATIONAL)
         out, prob = channel_dual_postselect(dilation, 1, state)
         assert prob == pytest.approx((1 - 2 * p) ** 2 / 2, abs=1e-12)
@@ -322,7 +318,7 @@ class TestChannelDual:
 
     def test_vanishing_projection_raises(self):
         theta = 2 * np.arcsin(np.sqrt(0.5))
-        dilation = Circuit.from_gates(2, [Gate("ry", (1,), theta), Gate("cx", (1, 0))])
+        dilation = Circuit(2, [Gate("ry", (1,), theta), Gate("cx", (1, 0))])
         state = vectorize(PauliString.from_label("Z"), COMPUTATIONAL)
         with pytest.raises(ProjectionFailedError) as err:
             channel_dual_postselect(dilation, 1, state)
@@ -391,7 +387,7 @@ def _close(got, want) -> bool:
 
 
 def _ref_expand(circuit: Circuit):
-    for g in circuit.gates():
+    for g in circuit.gates:
         if g.name != "pexp" or len(g.targets) <= 2:
             yield g
             continue
@@ -488,7 +484,7 @@ def _mixed_circuit(gen, k: int, count: int) -> Circuit:
         elif kind == 4:
             width = min(k, int(gen.integers(1, 3)))
             gates.append(Gate("u", q[:width], matrix=_random_unitary(gen, 2**width)))
-    return Circuit.from_gates(k, gates)
+    return Circuit(k, gates)
 
 
 def _twin_u_circuit(gen, k: int) -> Circuit:
@@ -497,7 +493,7 @@ def _twin_u_circuit(gen, k: int) -> Circuit:
     a = Gate("u", (0, 1), matrix=_random_unitary(gen, 4))
     b = Gate("u", (0, 1), matrix=_random_unitary(gen, 4))
     assert a != b and not np.array_equal(a.matrix, b.matrix)
-    return Circuit.from_gates(k, [a, Gate("h", (0,)), b, Gate("pexp", (0, 1, 2), 0.7, "XYZ")])
+    return Circuit(k, [a, Gate("h", (0,)), b, Gate("pexp", (0, 1, 2), 0.7, "XYZ")])
 
 
 class TestLoweringMatchesGateLoops:
@@ -514,7 +510,7 @@ class TestLoweringMatchesGateLoops:
         narrow, wide = Gate("rx", (1,), np.float32(0.5)), Gate("rx", (1,), 0.5)
         assert type(narrow.angle) is float and narrow == wide
         assert np.array_equal(gate_matrix(narrow), gate_matrix(wide))
-        circ = Circuit.from_gates(4, [narrow, Gate("h", (1,)), wide])
+        circ = Circuit(4, [narrow, Gate("h", (1,)), wide])
         assert _close(dense_unitary(circ), _ref_dense_unitary(circ))
 
     def test_dense_unitary_columns_are_applied_basis_states(self):
@@ -750,7 +746,6 @@ class TestFusedLowering:
             assert mat.shape == (16, 16) and mat.dtype == np.float64
             assert not mat.flags.writeable
             assert targets == tuple(range(targets[0], targets[0] + len(targets)))
-            assert len(targets) <= _FUSE_SPAN
 
     def test_super_propagator_pairs_fuse(self):
         # Terms in the order listed: the first step's fields join the block
@@ -761,7 +756,7 @@ class TestFusedLowering:
         assert all(mat.shape == (16, 16) and mat.dtype == np.float64 for mat, _ in lowered)
 
     def test_merged_steps_are_not_merged_again(self):
-        circ = Circuit.from_gates(4, [Gate("h", (q,)) for q in range(4)])
+        circ = Circuit(4, [Gate("h", (q,)) for q in range(4)])
         assert [t for _, t in _lower(circ)] == [(0, 1), (2, 3)]
 
     def test_blocks_wider_than_the_span_stay_apart(self):
@@ -770,17 +765,22 @@ class TestFusedLowering:
         assert [t for _, t in _fuse(steps)] == [t for _, t in steps]
 
     def test_fused_blocks_follow_their_targets(self, gen):
-        # One cx pair fused in two target orders, plus a diagonal pair and a
-        # u pair that does not fuse (sites 0 and 2 are not neighbours).
+        # A cx and an h fused in two target orders, a diagonal pair, and a
+        # u gate on qubits 0 and 2, which are not neighbours: it stays alone.
         gates = [
             Gate("cx", (2, 1)),
-            Gate("rzz", (1, 0), 0.4),
-            Gate("cx", (0, 1)),
+            Gate("h", (0,)),
+            Gate("rz", (3,), 0.4),
+            Gate("rzz", (1, 2), 0.4),
+            Gate("cx", (1, 0)),
+            Gate("h", (2,)),
             Gate("u", (0, 2), matrix=_random_unitary(gen, 4)),
         ]
-        circ = Circuit.from_gates(3, gates)
-        state = vectorize(ginibre(gen, 8), COMPUTATIONAL)
-        assert _close(heisenberg_doubled(state, circ).amplitudes, _ref_heisenberg_doubled(state, circ))
+        circ = Circuit(4, gates)
+        assert [t for _, t in _lower(circ)] == [(0, 1, 2), (1, 2, 3), (0, 1, 2), (0, 2)]
+        amps = ginibre(gen, 16)[0]
+        state = QState(4, amps / np.linalg.norm(amps))
+        assert _close(apply_circuit(state, circ).amplitudes, _ref_dense_unitary(circ) @ state.amplitudes)
 
 
 # ---------------------------------------------------------------------------
@@ -806,9 +806,8 @@ class TestTransferPath:
     def test_every_gate_kind_has_a_real_orthogonal_transfer_matrix(self, gen):
         op = random_hermitian_sum(gen, 3, 8)
         for g in _every_gate_kind(gen):
-            circ = Circuit.from_gates(3, [g])
+            circ = Circuit(3, [g])
             [(mat, targets)] = _transfer(circ)
-            mat = np.diag(mat) if mat.ndim == 1 else mat  # Pauli gates are diagonal
             assert mat.dtype == np.float64, g
             assert np.max(np.abs(mat @ mat.T - np.eye(len(mat)))) < 1e-12, g
             assert targets == tuple(q for s in sorted(g.targets) for q in (2 * s, 2 * s + 1))
@@ -823,11 +822,11 @@ class TestTransferPath:
         # sum, a sum with complex coefficients and a dense matrix, in both
         # bases.
         gen = np.random.default_rng(600 + n)
-        gates = list(random_clifford_circuit(n, 4, RngStream(n)).gates())
+        gates = list(random_clifford_circuit(n, 4, RngStream(n)).gates)
         gates += [Gate("rx", (0,), 0.4), Gate("rzz", (n - 1, 1), -0.9),
                   Gate("pexp", (n - 1, 0, 1), 0.7, "XYZ")]
-        gates += list(random_clifford_circuit(n, 3, RngStream(n + 10)).gates())
-        circ = Circuit.from_gates(n, gates)
+        gates += list(random_clifford_circuit(n, 3, RngStream(n + 10)).gates)
+        circ = Circuit(n, gates)
         u = dense_unitary(circ)
         hermitian = random_hermitian_sum(gen, n, 6)
         skewed = PauliSum.from_terms(
@@ -889,51 +888,50 @@ class TestTransferPath:
 class TestCircuitChecks:
     def test_out_of_range_target(self):
         with pytest.raises(ValueError, match=r"^gate cx targets outside 0\.\.2$"):
-            Circuit(3, ((Gate("h", (0,)), Gate("cx", (1, 3))),))
-
-    def test_overlap_within_a_layer(self):
-        with pytest.raises(ValueError, match="^overlapping targets within a layer$"):
-            Circuit(3, ((Gate("h", (1,)), Gate("cx", (0, 1))),))
+            Circuit(3, (Gate("h", (0,)), Gate("cx", (1, 3))))
 
     def test_first_fault_in_gate_order_is_reported(self):
-        h, cx, far = Gate("h", (1,)), Gate("cx", (0, 1)), Gate("x", (5,))
-        with pytest.raises(ValueError, match="overlapping"):
-            Circuit(3, ((h, cx, far),))
-        with pytest.raises(ValueError, match="outside"):
-            Circuit(3, ((far, h, cx),))
+        h, far, wide = Gate("h", (1,)), Gate("x", (5,)), Gate("cx", (0, 4))
+        with pytest.raises(ValueError, match="^gate x "):
+            Circuit(3, (h, far, wide))
+        with pytest.raises(ValueError, match="^gate cx "):
+            Circuit(3, (wide, h, far))
 
     def test_a_shared_gate_is_checked_in_every_circuit(self):
         g = Gate("cx", (2, 3))
-        assert Circuit(4, ((g,), (g,))).depth == 2
+        assert Circuit(4, (g, g)).num_gates() == 2
         with pytest.raises(ValueError, match="outside 0..2"):
-            Circuit(3, ((Gate("h", (0,)),), (g,)))
+            Circuit(3, (Gate("h", (0,)), g))
 
 
 class TestLoweringPerDistinctGate:
-    """The lowering places each gate object once and decides each distinct
-    adjacent pair once per call, so its work follows the distinct gates of
-    a circuit, not its length."""
+    """The lowerings place each gate object once, and _lower decides each
+    distinct adjacent pair once per call, so their work follows the
+    distinct gates of a circuit, not its length."""
 
     N = 7
 
     def _lowerings(self, steps):
-        # dt = 1/64 in every circuit, whatever its step count. The keys name
-        # the config kind: inline circuits run heisenberg_doubled on
-        # trotter_circuit, hamiltonian configs on super_propagator_circuit.
+        # dt = 1/64 in every circuit, whatever its step count. The doubled
+        # keys name the config kind: inline circuits run heisenberg_doubled
+        # on trotter_circuit, hamiltonian configs on super_propagator_circuit.
+        # apply_circuit lowers trotter_circuit onto its own register.
         h, t = ising_chain(self.N), steps / 64
         return {
             "heisenberg_doubled": lambda: _transfer(trotter_circuit(h, t, steps)),
             "super_propagator_circuit": lambda: _transfer(super_propagator_circuit(h, t, steps)),
+            "apply_circuit": lambda: _lower(trotter_circuit(h, t, steps)),
         }
 
     # Counted at 4 and 64 steps: in the listed order, the first step's
     # fields wait for a later block and the last step's blocks take none, so
     # the first and last steps have blocks of their own, and the distinct
-    # products and adjacent pairs settle after the first few steps.
+    # products and adjacent pairs settle after the first few steps. Transfer
+    # steps are not fused: only _lower calls _merge.
     @pytest.mark.parametrize("seam, counts", [
-        ("_place", {"heisenberg_doubled": 13, "super_propagator_circuit": 13}),
-        ("_merge", {"heisenberg_doubled": 6, "super_propagator_circuit": 18}),
-        ("_site_product", {"heisenberg_doubled": 2, "super_propagator_circuit": 11}),
+        ("_place", {"heisenberg_doubled": 13, "super_propagator_circuit": 13, "apply_circuit": 13}),
+        ("_merge", {"heisenberg_doubled": 0, "super_propagator_circuit": 0, "apply_circuit": 10}),
+        ("_site_product", {"heisenberg_doubled": 2, "super_propagator_circuit": 11, "apply_circuit": 0}),
     ])
     def test_work_does_not_grow_with_steps(self, monkeypatch, seam, counts):
         real = getattr(simulator, seam)
@@ -972,7 +970,7 @@ class TestLoweringPerDistinctGate:
         m = _random_unitary(gen, 2)
         u1, u2 = Gate("u", (0,), matrix=m), Gate("u", (0,), matrix=m.copy())
         pos, neg = Gate("rz", (3,), 0.0), Gate("rz", (3,), -0.0)
-        lowered = _lower(Circuit.from_gates(4, [u1, u2, pos, neg, u1, pos]))
+        lowered = _lower(Circuit(4, [u1, u2, pos, neg, u1, pos]))
         mats = [mat for mat, _ in lowered]
         assert [t for _, t in lowered] == [(0,), (0,), (3,), (3,), (0,), (3,)]
         assert mats[0] is mats[4] and mats[0] is not mats[1]
@@ -981,7 +979,7 @@ class TestLoweringPerDistinctGate:
 
 class TestGateValues:
     def test_float32_angle_evolves(self):
-        circ = Circuit.from_gates(2, [Gate("rx", (q % 2,), np.float32(0.3 + q)) for q in range(6)])
+        circ = Circuit(2, [Gate("rx", (q % 2,), np.float32(0.3 + q)) for q in range(6)])
         state = vectorize(PauliSum.from_text("1 0 XZ"), COMPUTATIONAL)
         out = heisenberg_doubled(state, circ)
         assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-12)
@@ -992,19 +990,21 @@ class TestGateValues:
         c = Gate("u", (0,), matrix=_random_unitary(gen, 2))
         assert a == b and hash(a) == hash(b)
         assert a != c and len({a, b, c}) == 2
-        assert Circuit.from_gates(1, [a]) != Circuit.from_gates(1, [c])
+        assert Circuit(1, [a]) != Circuit(1, [c])
 
 
 # ---------------------------------------------------------------------------
-# Merged diagonal runs: _run against one reference apply_matrix pass per
-# lowered step. Passes are counted at the simulator's one seam, run_passes,
+# Merged diagonal runs: _run, and the transfer passes, against one
+# reference apply_matrix pass per lowered step. Passes are counted at the simulator's one seam, run_passes,
 # which gets every pass of a call in one list.
 
 def _merged_and_per_step(monkeypatch, call):
-    """``call()`` as it runs, then with every lowered step its own pass."""
+    """``call()`` as it runs, then with every lowered step its own
+    reference pass."""
     merged = call()
     with monkeypatch.context() as m:
         m.setattr(simulator, "_run", apply_steps)
+        m.setattr(simulator, "run_passes", apply_steps)
         return merged, call()
 
 
@@ -1076,7 +1076,7 @@ class TestMergedDiagonals:
 
     def test_channel_dual_postselect(self, monkeypatch, gen):
         state = vectorize(ginibre(gen, 8), COMPUTATIONAL)
-        dilation = Circuit.from_gates(3, [
+        dilation = Circuit(3, [
             Gate("rz", (0,), 0.3), Gate("rzz", (1, 2), 0.8), Gate("ry", (2,), 1.1),
             Gate("cz", (0, 2)), Gate("t", (1,)), Gate("cx", (2, 0)),
         ] * 2)
@@ -1102,7 +1102,7 @@ class TestMergedDiagonals:
           Gate("h", (5,))], (1, 2, 3, 4, 5)),
     ])
     def test_run_targets_need_not_be_contiguous(self, monkeypatch, gen, gates, span):
-        circ = Circuit.from_gates(6, gates * 2)
+        circ = Circuit(6, gates * 2)
         amps = ginibre(gen, 64)[0]
         state = QState(6, amps / np.linalg.norm(amps))
         merged, plain = _merged_and_per_step(monkeypatch, lambda: apply_circuit(state, circ).amplitudes)
@@ -1115,7 +1115,7 @@ class TestMergedDiagonals:
 
     def test_a_run_that_occurs_once_keeps_its_passes(self, monkeypatch):
         # Building its diagonal would cost as many passes as it saves.
-        circ = Circuit.from_gates(3, [Gate("h", (1,)), Gate("cz", (0, 1)), Gate("s", (1,)),
+        circ = Circuit(3, [Gate("h", (1,)), Gate("cz", (0, 1)), Gate("s", (1,)),
                                       Gate("t", (2,)), Gate("h", (0,))])
         shapes = [shape for shape, _, _ in _count_passes(
             monkeypatch, lambda: apply_circuit(QState(3, np.eye(8)[0]), circ))]
@@ -1152,7 +1152,7 @@ class TestMergedDiagonals:
         # call.
         k = 16
         step = [Gate("rz", (q,), 0.1 * q) for q in range(k)] + [Gate("h", (0,))]
-        circ = Circuit.from_gates(k, step * 2)
+        circ = Circuit(k, step * 2)
         state = QState(k, np.eye(1, 2**k)[0])
         monkeypatch.setattr(_linalg, "BYTE_BUDGET", 16 * 2**k - 1)
         peak = refusal_peak(lambda: apply_circuit(state, circ), 16 * 2**k)
@@ -1189,7 +1189,7 @@ def _trotter_per_step(h, t, steps, reverse):
     for _ in range(steps):
         step = [_term_gate(p, 2 * c.real * dt, lambda i: i) for c, p in h.ordered_items()]
         gates += step[::-1] if reverse else step
-    return Circuit.from_gates(h.n, gates)
+    return Circuit(h.n, gates)
 
 
 @pytest.mark.parametrize("reverse", [False, True])
@@ -1201,4 +1201,4 @@ def test_trotter_circuits_repeat_one_step(reverse):
     assert circ == _trotter_per_step(h, 0.8, 9, reverse)
     terms = sum(1 for c, p in h.ordered_items() if p.weight)
     assert circ.num_gates() == 9 * terms
-    assert len({id(g) for g in circ.gates()}) == terms
+    assert len({id(g) for g in circ.gates}) == terms

@@ -42,7 +42,7 @@ BELL_TABLE = {
     "YI": (-1, "YX"), "YX": (-1, "YI"), "YZ": (1, "ZY"), "YY": (-1, "ZZ"),
 }
 
-_PAIR_LAYER = Circuit.from_gates(2, [Gate("cx", (0, 1)), Gate("h", (0,))])
+_PAIR_LAYER = Circuit(2, [Gate("cx", (0, 1)), Gate("h", (0,))])
 
 
 @pytest.mark.parametrize("label", sorted(BELL_TABLE))
@@ -345,7 +345,7 @@ class TestCliffordConjugation:
         # qubit targets out of order, under every background letter.
         targets = (2, 0) if name in ("cx", "cz", "swap") else (1,)
         g = Gate(name, targets)
-        u = dense_unitary(Circuit.from_gates(3, [g]))
+        u = dense_unitary(Circuit(3, [g]))
         for idx in range(4**3):
             p = index_pauli(idx, 3)
             phase, q = conjugate_pauli(g, 1.0, p)
@@ -375,7 +375,7 @@ class TestCliffordConjugation:
             assert (phase, q.label) == (1, image)
 
     def test_second_pass_builds_no_dense_matrix(self, monkeypatch):
-        circ = Circuit.from_gates(3, [
+        circ = Circuit(3, [
             Gate("h", (0,)), Gate("s", (1,)), Gate("cx", (0, 2)), Gate("cz", (1, 2)),
             Gate("rz", (2,), np.pi / 2), Gate("pexp", (0, 1), np.pi / 2, "XZ"),
         ])
@@ -385,7 +385,7 @@ class TestCliffordConjugation:
         monkeypatch.setattr(superop, "gate_matrix", lambda g: calls.append(g) or gate_matrix(g))
         assert conjugate_through(circ, 1.0, word) == first
         # New gate objects of the same kinds on other targets share the table.
-        moved = Circuit.from_gates(3, [Gate("h", (2,)), Gate("cx", (1, 0)), Gate("rz", (0,), np.pi / 2)])
+        moved = Circuit(3, [Gate("h", (2,)), Gate("cx", (1, 0)), Gate("rz", (0,), np.pi / 2)])
         conjugate_through(moved, 1.0, word)
         assert calls == []
         # A u gate is derived on every call, so the hook does see calls.
@@ -415,7 +415,7 @@ class TestCommonEigenbasis:
             for p in (PauliString.from_label("XI"), PauliString.from_label("ZZ"))
         ]
         circ = common_eigenbasis_circuit(strings)
-        names = [g.name for g in circ.gates()]
+        names = [g.name for g in circ.gates]
         assert names == ["cx", "h", "cx", "h"]
         self._check(strings)
 
