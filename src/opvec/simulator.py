@@ -7,7 +7,8 @@ site i of the represented operator owns qubits 2i (left copy) and 2i+1
 (right copy).
 
 A circuit is a sequence of gates, applied in order. :func:`_lower` turns
-it into fused (matrix, targets) steps on its own register.
+it into (matrix, targets) steps on its own register, one per gate or part of
+a wide pexp's CX ladder, and :func:`run_passes` applies them one pass each.
 
 Heisenberg evolution of a vectorized operator runs in the Hermitian-Pauli
 basis, where site i's qubit pair (2i, 2i+1) indexes I, X, Z, Y. There the
@@ -19,9 +20,7 @@ reverse order, one real pass per :func:`_transfer` block.
 from __future__ import annotations
 
 import zlib
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import groupby
 
 import numpy as np
 
@@ -185,17 +184,14 @@ class Circuit:
 # ---------------------------------------------------------------------------
 # Lowering: the (matrix, register targets) steps that apply a circuit.
 
-# Widest fused block in register qubits: one nearest-neighbour gate pair
-# (left and right copies) on the doubled register.
-_FUSE_SPAN = 4
-
-
 def _lower(circuit: Circuit) -> list:
-    """(matrix, targets) steps applying ``circuit`` to its own register,
-    fused by :func:`_fuse`. Each distinct gate's matrix is built once per
-    call and shared read-only; see :func:`_placed` and :func:`_place`."""
+    """(matrix, targets) steps applying ``circuit`` to its own register, in
+    gate order. Each distinct gate's matrix is built once per call and
+    shared read-only, and a repeated gate shares its step tuples, so the
+    list holds one reference per step; see :func:`_placed` and
+    :func:`_place`."""
     built: dict[tuple, np.ndarray] = {}
-    return _fuse(_placed(circuit.gates, lambda g: _place(g, built)))
+    return _placed(circuit.gates, lambda g: _place(g, built))
 
 
 def _transfer(circuit: Circuit, sites=None) -> list:
@@ -334,134 +330,6 @@ def _site_product(block: np.ndarray, mat: np.ndarray, site: int, later: bool) ->
 
 
 # ---------------------------------------------------------------------------
-# The single-register path: :func:`_lower` fuses its steps and :func:`_run`
-# merges their recurring diagonal runs. Transfer steps take neither.
-
-def _fuse(steps: list) -> list:
-    """The steps of :func:`_lower`, each merged into the one before it when
-    their targets are disjoint and together form a contiguous run of at most
-    _FUSE_SPAN register qubits; a merged step is not merged again. A merged
-    matrix is the kron of the two, permuted to ascending targets, and a
-    diagonal block is stored as its 1-D diagonal.
-
-    Each distinct adjacent pair, by the identity of both matrices and by
-    their targets, is decided once per call by :func:`_merge`, and both
-    outcomes are kept; each distinct matrix is compacted once. Merged blocks
-    are built once per distinct source matrices and relative targets, and
-    every block is read-only. All are keyed on the identity of their
-    sources, which ``steps`` or the caches keep alive."""
-    blocks: dict[tuple, np.ndarray] = {}
-    decided: dict[tuple, tuple | None] = {}
-    merged: list = []
-    fresh = False  # whether merged[-1] is an unmerged step
-    for mat, targets in steps:
-        if fresh:
-            prev, before = merged[-1]
-            key = (id(prev), before, id(mat), targets)
-            if key not in decided:
-                decided[key] = _merge(prev, before, mat, targets, blocks)
-            if decided[key] is not None:
-                merged[-1] = decided[key]
-                fresh = False
-                continue
-        merged.append((mat, targets))
-        fresh = True
-    compact: dict[int, np.ndarray] = {}
-    out = []
-    for m, t in merged:
-        c = compact.get(id(m))
-        if c is None:
-            c = compact[id(m)] = _compact(m)
-            c.flags.writeable = False
-        out.append((c, t))
-    return out
-
-
-def _merge(a: np.ndarray, ta: tuple, b: np.ndarray, tb: tuple, blocks: dict) -> tuple | None:
-    """The fused step of ``a`` on ``ta`` followed by ``b`` on ``tb``, or
-    None when their targets overlap or do not form one contiguous run of at
-    most _FUSE_SPAN qubits. ``blocks`` holds the fused matrices already
-    built, keyed on both sources and the targets relative to the run."""
-    both = ta + tb
-    lo = min(both)
-    if len(both) > _FUSE_SPAN or sorted(both) != list(range(lo, lo + len(both))):
-        return None
-    key = (id(a), id(b), tuple(t - lo for t in both))
-    if key not in blocks:
-        blocks[key] = _kron_sorted(a, b, both)
-        blocks[key].flags.writeable = False
-    return blocks[key], tuple(range(lo, lo + len(both)))
-
-
-def _kron_sorted(a: np.ndarray, b: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
-    """kron(a, b) on ``targets`` (a's then b's), permuted to ascending targets."""
-    m = len(targets)
-    order = list(np.argsort(targets))
-    t = np.kron(a, b).reshape((2,) * (2 * m)).transpose(order + [m + i for i in order])
-    return t.reshape(2**m, 2**m)
-
-
-def _compact(m: np.ndarray) -> np.ndarray:
-    """The 1-D diagonal of a diagonal matrix; any other matrix as it is."""
-    diag = np.diagonal(m)
-    return diag.copy() if np.count_nonzero(m) == np.count_nonzero(diag) else m
-
-
-def _merged_diagonal(run: list) -> tuple[np.ndarray, tuple[int, ...]]:
-    """One read-only diagonal step equal to the diagonal steps of ``run``
-    applied in order, over their contiguous target span: the steps
-    multiplied in place, in order, into one np.ones array, so the build
-    holds one array of span size. Overlapping and non-contiguous targets
-    are allowed."""
-    lo = min(min(targets) for _, targets in run)
-    span = max(max(targets) for _, targets in run) + 1 - lo
-    dtype = np.result_type(*(mat for mat, _ in run))
-    reserve(dtype.itemsize * 2**span, f"a merged diagonal on {span} qubits")
-    diag = np.ones(2**span, dtype=dtype)
-    for mat, targets in run:
-        rel = [t - lo for t in targets]
-        m = len(rel)
-        view = np.moveaxis(diag.reshape((2,) * span), rel, range(m))
-        factor = mat.reshape((2,) * m + (1,) * (span - m))
-        # run_passes's operand order: a complex product can round
-        # differently with its operands swapped.
-        if rel == list(range(rel[0], rel[0] + m)):
-            np.multiply(view, factor, out=view)
-        else:
-            np.multiply(factor, view, out=view)
-    diag.flags.writeable = False
-    return diag, tuple(range(lo, lo + span))
-
-
-def _run(amps: np.ndarray, lowered: list, k: int) -> np.ndarray:
-    """Apply :func:`_lower` steps to a k-qubit register through
-    :func:`run_passes`, one register pass per step, except that a maximal
-    run of two or more consecutive diagonal (1-D) steps that recurs in
-    ``lowered``, as each Trotter step's does, is one pass of its
-    :func:`_merged_diagonal`.
-
-    Each distinct run's diagonal is built once per call. A run that occurs
-    once keeps its own passes: building its diagonal would cost as many.
-    Runs are keyed on the identity of their source arrays and on their
-    targets; ``lowered`` keeps the arrays alive."""
-    groups = [list(g) for _, g in groupby(lowered, key=lambda step: step[0].ndim == 1)]
-    keys = [
-        tuple((id(mat), targets) for mat, targets in g) if len(g) > 1 and g[0][0].ndim == 1 else None
-        for g in groups
-    ]
-    uses = Counter(keys)
-    merged: dict[tuple, tuple[np.ndarray, tuple[int, ...]]] = {}
-    passes = []
-    for steps, key in zip(groups, keys):
-        if key is not None and uses[key] > 1:
-            if key not in merged:
-                merged[key] = _merged_diagonal(steps)
-            steps = [merged[key]]
-        passes += steps
-    return run_passes(amps, passes, k)
-
-
-# ---------------------------------------------------------------------------
 # States and application.
 
 @dataclass
@@ -485,21 +353,21 @@ class QState:
 def apply_circuit(state: QState, circuit: Circuit) -> QState:
     if circuit.k != state.k:
         raise ValueError(f"circuit on {circuit.k} qubits, state on {state.k}")
-    return QState(state.k, _run(state.amplitudes, _lower(circuit), state.k))
+    return QState(state.k, run_passes(state.amplitudes, _lower(circuit), state.k))
 
 
 def dense_unitary(circuit: Circuit) -> np.ndarray:
-    """The circuit's 2^k x 2^k unitary, from one pass of the circuit over the
+    """The circuit's 2^k x 2^k unitary, from one pass per gate over the
     identity viewed as a 2k-qubit vector (gates on the k row qubits).
 
     Peak working memory is three arrays of 16 * 4^k bytes, the identity and
     :func:`run_passes`'s two buffers, the output being one of them; four
     are reserved, as before the buffers. Measured with tracemalloc on a
-    4-step Ising Trotter circuit: 0.89 MiB at k=7 and 48 MiB at k=10."""
+    4-step Ising Trotter circuit: 0.76 MiB at k=7 and 48 MiB at k=10."""
     reserve(4 * 16 * 4**circuit.k, f"the dense unitary of a circuit on {circuit.k} qubits")
     dim = 2**circuit.k
     cols = np.eye(dim, dtype=complex).ravel()
-    return _run(cols, _lower(circuit), 2 * circuit.k).reshape(dim, dim)
+    return run_passes(cols, _lower(circuit), 2 * circuit.k).reshape(dim, dim)
 
 
 # ---------------------------------------------------------------------------

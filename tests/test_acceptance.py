@@ -281,11 +281,11 @@ def test_single_register_sampler_distribution():
     u = trotter_circuit(ising_chain(n), 0.9, 12)
     v = u.concat(Circuit(n, [Gate("x", (0,))])).concat(u.inverse())
     shots = 100_000
-    samples = nqubit_sample(v, Circuit(n, ()), Circuit(n, ()), shots, RngStream(17).fork("tv"))
+    w = dense_unitary(v)
+    samples = nqubit_sample(w, shots, RngStream(17).fork("tv"))
     emp = np.zeros((2**n, 2**n))
     for i, j in samples:
         emp[i, j] += 1.0 / shots
-    w = dense_unitary(v)
     exact = (np.abs(w) ** 2).T / 2**n
     tv = 0.5 * np.abs(emp - exact).sum()
     assert tv < 0.05

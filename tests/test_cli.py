@@ -134,6 +134,21 @@ class TestEvolve:
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("cfg, refusal", [
+    ({"task": "nqubit", "operator": "XII", "pairs": [["ZII", "ZII"]], "shots": 10**15},
+     "1000000000000000 nqubit shots needs 48000000000000000 bytes"),
+    ({"task": "ose", "operator": "XII", "epsilon": 1e-6},
+     "8764053269348 stabilizer-entropy samples needs 280449704619136 bytes"),
+])
+def test_huge_sample_counts_exit_3(tmp_path, cfg, refusal):
+    # Refused before the per-shot arrays are drawn, under the benchmark's
+    # 2 GiB address-space ceiling, with no traceback.
+    proc = run_child(tmp_path, cfg, 2 << 30)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == f"error: {refusal}; the byte budget allows {_linalg.BYTE_BUDGET}\n"
+    assert not (tmp_path / "out").exists()
+
+
 class TestSample:
     def test_largest_shot_count_samples(self, tmp_path):
         code, out = run_task(tmp_path, "sample", operator="XII", shots=2**63 - 1, seed=1)
@@ -729,13 +744,18 @@ class TestCapExit:
         assert "the oracle's working set at dimension 8 needs" in capsys.readouterr().err
         assert not out.exists()
 
-    # corr's 3-site estimate needs more than the oracle's 8192 bytes.
+    # corr's 3-site estimate needs more than the oracle's 8192 bytes. The
+    # per-shot arrays of nqubit and ose are stated too, so they run fewer
+    # shots here: 128 of 48 bytes, and 182 outer samples of 32 bytes.
+    FEWER_SHOTS = {"nqubit": {"shots": 128}, "ose": {"epsilon": 0.22}}
+
     @pytest.mark.parametrize("task", sorted(set(OPERATOR_TASKS_N8) - {"corr"}))
     def test_oracle_refuses_before_the_estimate(self, tmp_path, capsys, monkeypatch, task):
         # One byte short of the oracle's working set at 3 sites: the estimate
         # alone fits and runs, but with the oracle no handler is called.
         from test_acceptance import CLI_CASES
 
+        case = {**CLI_CASES[task], **self.FEWER_SHOTS.get(task, {})}
         monkeypatch.setattr(_linalg, "BYTE_BUDGET", 8 * 16 * 4**3 - 1)
         handler, label = cli._TASKS[task]
         calls = []
@@ -745,11 +765,9 @@ class TestCapExit:
             return handler(*args)
 
         monkeypatch.setitem(cli._TASKS, task, (spy, label))
-        code, _ = run_task(tmp_path, task, out="plain", seed=1, **CLI_CASES[task])
+        code, _ = run_task(tmp_path, task, out="plain", seed=1, **case)
         assert code == 0 and calls == [task]
-        code, out = run_task(
-            tmp_path, task, seed=1, extra_args=("--with-oracle",), **CLI_CASES[task]
-        )
+        code, out = run_task(tmp_path, task, seed=1, extra_args=("--with-oracle",), **case)
         assert code == 3 and calls == [task]
         assert capsys.readouterr().err == (
             "error: the oracle's working set at dimension 8 needs 8192 bytes; "

@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import ginibre, ising_chain, pauli_normalized
+from helpers import ginibre, ising_chain, pauli_normalized, random_hermitian_sum, refusal_peak
 
 from opvec.errors import (
     EntangledEigenbasisError,
@@ -34,7 +34,8 @@ from opvec.estimators import (
     ose_shot_counts,
     sample_pauli_dist,
 )
-from opvec.estimators import _count_pairs, _swap_test_distribution
+from opvec import estimators, simulator
+from opvec.estimators import _NQUBIT_SHOT_BYTES, _OSE_SAMPLE_BYTES, _count_pairs, _swap_test_distribution
 from opvec.oracle import (
     exact_heisenberg,
     exact_loe,
@@ -56,6 +57,7 @@ from opvec.simulator import (
 from opvec.superop import (
     DiagonalSuperop,
     OperatorSumSuperop,
+    common_eigenbasis_circuit,
     expectation,
     size_superop,
 )
@@ -414,6 +416,44 @@ class TestStabilizerEntropy:
         assert est.entropy == 0.0
         assert est.purity.shots == 877 * 5
 
+    @pytest.mark.parametrize("alpha", [2, 3])
+    @pytest.mark.parametrize("seed", [41, 43])
+    def test_draws_match_a_per_sample_loop(self, alpha, seed):
+        # About 20,000 outer samples over the 4^5 Pauli outcomes of a
+        # six-word sum: one binomial call draws what one call per sample did.
+        state = vectorize(random_hermitian_sum(np.random.default_rng(seed), 5, 6), PAULI)
+        epsilon, delta, rng = 0.021, 0.05, RngStream(seed)
+        m, n = ose_shot_counts(alpha, epsilon, delta)
+        m_inner = math.ceil(n / m)
+        p = np.abs(state.amplitudes) ** 2
+        p = p / p.sum()
+        ks = rng.fork("outer").generator.choice(p.size, size=m, p=p)
+        inner = rng.fork("inner").generator
+        zbars = np.empty(m)
+        for i, k in enumerate(ks):
+            zbars[i] = inner.binomial(m_inner, p[k] ** (alpha - 1)) / m_inner
+        est = estimate_ose(state, alpha, epsilon, delta, rng)
+        assert est.purity.value == float(zbars.mean())
+        assert est.purity.stderr == float(zbars.std(ddof=1) / math.sqrt(m))
+
+    def test_samples_are_stated_before_the_first_draw(self):
+        # epsilon 1e-6 asks for 8.8e12 outer samples: refused before any
+        # per-sample array is drawn.
+        m, _ = ose_shot_counts(2, 1e-6, 0.05)
+        call = lambda: estimate_ose(word_state("XY", PAULI), 2, 1e-6, 0.05, RngStream(0))  # noqa: E731
+        assert refusal_peak(call, _OSE_SAMPLE_BYTES * m) < 1 << 16
+
+    def test_per_sample_bytes_stay_within_the_statement(self):
+        state = vectorize(random_hermitian_sum(np.random.default_rng(3), 3, 6), PAULI)
+        m, _ = ose_shot_counts(3, 3e-3, 0.05)
+        tracemalloc.start()
+        try:
+            estimate_ose(state, 3, 3e-3, 0.05, RngStream(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _OSE_SAMPLE_BYTES * m
+
     def test_requires_pauli_rep(self):
         with pytest.raises(ValueError, match="Pauli rep"):
             estimate_ose(word_state("XY", COMPUTATIONAL), 2, 0.1, 0.05, RngStream(0))
@@ -606,13 +646,12 @@ class TestInterferometric:
             estimate_corr_interferometric(reg, 10, RngStream(0))
 
 
-def _per_shot_sample(v, u_phi, u_psi, shots, rng):
+def _per_shot_sample(w, shots, rng):
     """nqubit_sample with one searchsorted call per shot, as a reference."""
-    w = dense_unitary(u_phi.concat(v).concat(u_psi.inverse()))
     cdfs = np.cumsum(np.abs(w) ** 2, axis=0)
     cdfs /= cdfs[-1]
     gen = rng.generator
-    i_arr = gen.integers(0, 2**v.k, size=shots)
+    i_arr = gen.integers(0, len(w), size=shots)
     u_arr = gen.random(shots)
     j_arr = np.empty(shots, dtype=np.int64)
     for idx in range(shots):
@@ -626,21 +665,20 @@ class TestRandomizedSampler:
         v = trotter_circuit(ising_chain(3), 0.8, 4)
         u_phi = random_clifford_circuit(3, 2, RngStream(5))
         u_psi = Circuit(3, [Gate("ry", (1,), 0.4), Gate("h", (2,))])
-        got = nqubit_sample(v, u_phi, u_psi, shots, RngStream(11))
-        want = _per_shot_sample(v, u_phi, u_psi, shots, RngStream(11))
+        w = dense_unitary(u_phi.concat(v).concat(u_psi.inverse()))
+        got = nqubit_sample(w, shots, RngStream(11))
+        want = _per_shot_sample(w, shots, RngStream(11))
         assert np.array_equal(got, want)
 
     def test_identity_returns_diagonal(self):
-        c = Circuit(2)
-        samples = nqubit_sample(c, c, c, 500, RngStream(71))
+        samples = nqubit_sample(np.eye(4), 500, RngStream(71))
         assert samples.shape == (500, 2)
         assert samples.dtype == np.int64
         assert np.array_equal(samples[:, 0], samples[:, 1])
 
     def test_matches_born_distribution(self):
-        u = random_clifford_circuit(2, 2, RngStream(73))
-        samples = nqubit_sample(u, Circuit(2), Circuit(2), 40_000, RngStream(79))
-        w = dense_unitary(u)
+        w = dense_unitary(random_clifford_circuit(2, 2, RngStream(73)))
+        samples = nqubit_sample(w, 40_000, RngStream(79))
         probs = np.abs(w) ** 2 / 4
         emp = np.zeros((4, 4))
         for i, j in samples:
@@ -648,14 +686,31 @@ class TestRandomizedSampler:
         assert 0.5 * np.abs(emp - probs).sum() < 0.02
 
     def test_deterministic_per_seed(self):
-        u = random_clifford_circuit(2, 2, RngStream(73))
-        a = nqubit_sample(u, Circuit(2), Circuit(2), 100, RngStream(3))
-        b = nqubit_sample(u, Circuit(2), Circuit(2), 100, RngStream(3))
+        w = dense_unitary(random_clifford_circuit(2, 2, RngStream(73)))
+        a = nqubit_sample(w, 100, RngStream(3))
+        b = nqubit_sample(w, 100, RngStream(3))
         assert np.array_equal(a, b)
 
-    def test_rejects_size_mismatch(self):
-        with pytest.raises(ValueError, match="qubit count"):
-            nqubit_sample(Circuit(2), Circuit(3), Circuit(2), 10, RngStream(0))
+    def test_rejects_a_non_square_w(self):
+        with pytest.raises(ValueError, match="square"):
+            nqubit_sample(np.eye(4)[:2], 10, RngStream(0))
+
+    def test_shots_are_stated_before_the_first_draw(self):
+        # 10^15 shots ask for 48 bytes each: refused before any per-shot
+        # array is drawn.
+        w = dense_unitary(random_clifford_circuit(3, 2, RngStream(73)))
+        assert refusal_peak(lambda: nqubit_sample(w, 10**15, RngStream(3)), 48 * 10**15) < 1 << 16
+
+    def test_per_shot_bytes_stay_within_the_statement(self):
+        w = dense_unitary(random_clifford_circuit(7, 2, RngStream(73)))
+        shots = 200_000
+        tracemalloc.start()
+        try:
+            nqubit_sample(w, shots, RngStream(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _NQUBIT_SHOT_BYTES * shots
 
 
 class TestPairCounting:
@@ -663,16 +718,40 @@ class TestPairCounting:
     def test_matches_unique_rows(self, n):
         # Uniform pairs, and a sampler's skewed ones with many repeats.
         gen = np.random.default_rng(n)
-        v = trotter_circuit(ising_chain(n), 0.8, 4)
+        w = dense_unitary(trotter_circuit(ising_chain(n), 0.8, 4))
         for samples in (
             gen.integers(0, 2**n, size=(3000, 2), dtype=np.int64),
-            nqubit_sample(v, Circuit(n), Circuit(n), 3000, RngStream(n)),
+            nqubit_sample(w, 3000, RngStream(n)),
         ):
             want_uniq, want_cnt = np.unique(samples, axis=0, return_counts=True)
             uniq, cnt = _count_pairs(samples, n)
             assert uniq.dtype == want_uniq.dtype and cnt.dtype == want_cnt.dtype
             assert np.array_equal(uniq, want_uniq)
             assert np.array_equal(cnt, want_cnt)
+
+
+def _sampled_w(monkeypatch, op, u, pairs):
+    """The W that nqubit_otoc hands to nqubit_sample."""
+    seen = []
+
+    def spy(w, shots, rng):
+        seen.append(w)
+        return nqubit_sample(w, shots, rng)
+
+    monkeypatch.setattr(estimators, "nqubit_sample", spy)
+    nqubit_otoc(op, u, pairs, 16, RngStream(0))
+    return seen[0]
+
+
+def _dense_w(op, u, pairs):
+    """W = D_L U^dag P U D_R^dag as one dense unitary of the circuits u,
+    then P, then u^-1, between the two eigenbasis circuits."""
+    n = op.n
+    gates = [Gate(op.site(i).lower(), (i,)) for i in range(n) if op.site(i) != "I"]
+    v = u.concat(Circuit(n, gates)).concat(u.inverse())
+    diag_left = common_eigenbasis_circuit([l for l, _ in pairs])
+    diag_right = common_eigenbasis_circuit([r for _, r in pairs])
+    return dense_unitary(diag_right.inverse().concat(v).concat(diag_left))
 
 
 class TestRandomizedOtoc:
@@ -700,6 +779,35 @@ class TestRandomizedOtoc:
         for rep, (left, right) in zip(reports, pairs):
             want = exact_otoc(vd, left.to_dense(), right.to_dense())
             assert abs(rep.value - want) < 3 * rep.stderr + 1e-12
+
+    # Pairs with X and Y make eigenbasis circuits with S gates, whose
+    # conjugates on the column qubits are S^dag.
+    @pytest.mark.parametrize("op, pairs", [
+        ("XZI", [("YXI", "XYI")]),
+        ("YIZ", [("IIZ", "IIZ")]),
+        ("ZZY", [("YYI", "XXI"), ("ZZI", "ZZI")]),
+        ("IXZY", [("YXIZ", "XYZI")]),
+    ])
+    def test_w_is_the_dense_unitary(self, monkeypatch, op, pairs):
+        n = len(op)
+        u = trotter_circuit(ising_chain(n), 0.7, 8)
+        pairs = [(word(l), word(r)) for l, r in pairs]
+        got = _sampled_w(monkeypatch, word(op), u, pairs)
+        assert np.max(np.abs(got - _dense_w(word(op), u, pairs))) < 1e-12
+
+    def test_n7_runs_no_dense_unitary(self, monkeypatch):
+        calls = []
+
+        def spy(circuit):
+            calls.append(circuit)
+            return dense_unitary(circuit)
+
+        monkeypatch.setattr(simulator, "dense_unitary", spy)
+        monkeypatch.setattr(estimators, "dense_unitary", spy, raising=False)
+        u = trotter_circuit(ising_chain(7), 1.0, 64)
+        pairs = [(word("YXIIIII"), word("IIIZIYI"))]
+        nqubit_otoc(word("IXZIIII"), u, pairs, 4096, RngStream(5))
+        assert calls == []
 
     def test_rejects_noncommuting(self):
         pairs = [(word("XI"), word("II")), (word("ZI"), word("II"))]

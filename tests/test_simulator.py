@@ -35,9 +35,8 @@ from opvec.simulator import (
     trotter_circuit,
 )
 from opvec.simulator import (
-    _FUSE_SPAN,
+    _TROTTER_STEP_BYTES,
     _absorb,
-    _fuse,
     _identity_pairs,
     _lower,
     _term_gate,
@@ -379,8 +378,8 @@ def test_random_clifford_is_unitary_and_seeded():
 
 # ---------------------------------------------------------------------------
 # References: the gate-by-gate loops that the shared lowering replaced, one
-# unfused apply_matrix per gate and copy. The fused lowering must reproduce
-# them to 1e-12 and give bitwise-identical results on reruns.
+# apply_matrix per gate and copy. The lowerings must reproduce them to 1e-12
+# and give bitwise-identical results on reruns.
 
 def _close(got, want) -> bool:
     return np.allclose(got, want, rtol=0, atol=1e-12)
@@ -577,7 +576,7 @@ class TestLoweringMatchesGateLoops:
 
 # ---------------------------------------------------------------------------
 # The pass executor against a dense kron reference and, bit for bit, against
-# the per-step kernel it replaced; and the fused lowering.
+# the per-step kernel it replaced; and the single-register lowering.
 
 def _dense_reference(vec, mat, targets, k):
     """mat (x) I on (targets, then the other qubits), permuted back to the
@@ -733,40 +732,14 @@ class TestApplyMatrix:
         assert 2 * register <= peak < 3 * register
 
 
-class TestFusedLowering:
-    def test_doubled_trotter_pairs_fuse(self):
-        # In the Heisenberg order of trotter_circuit, each step's field on a
-        # site joins the coupling block just before it on that site: n-1 real
-        # blocks per step, shared by all 64 steps.
-        n = 7
-        lowered = _transfer(trotter_circuit(ising_chain(n), 1.0, 64))
-        assert len(lowered) == 64 * (n - 1)
-        assert len({id(mat) for mat, _ in lowered}) == 2  # XX with one field, XX with two
-        for mat, targets in lowered:
-            assert mat.shape == (16, 16) and mat.dtype == np.float64
-            assert not mat.flags.writeable
-            assert targets == tuple(range(targets[0], targets[0] + len(targets)))
-
-    def test_super_propagator_pairs_fuse(self):
-        # Terms in the order listed: the first step's fields join the block
-        # after them, every later step's the previous step's last block on
-        # their site.
-        lowered = _transfer(super_propagator_circuit(ising_chain(7), 1.0, 64))
-        assert len(lowered) == 64 * 6
-        assert all(mat.shape == (16, 16) and mat.dtype == np.float64 for mat, _ in lowered)
-
-    def test_merged_steps_are_not_merged_again(self):
+class TestSingleRegisterLowering:
+    def test_one_step_per_gate(self):
         circ = Circuit(4, [Gate("h", (q,)) for q in range(4)])
-        assert [t for _, t in _lower(circ)] == [(0, 1), (2, 3)]
+        assert [t for _, t in _lower(circ)] == [(0,), (1,), (2,), (3,)]
 
-    def test_blocks_wider_than_the_span_stay_apart(self):
-        wide = np.eye(2 ** (_FUSE_SPAN - 1), dtype=complex)
-        steps = [(wide, tuple(range(_FUSE_SPAN - 1))), (gate_matrix(Gate("cx", (0, 1))), (_FUSE_SPAN - 1, _FUSE_SPAN))]
-        assert [t for _, t in _fuse(steps)] == [t for _, t in steps]
-
-    def test_fused_blocks_follow_their_targets(self, gen):
-        # A cx and an h fused in two target orders, a diagonal pair, and a
-        # u gate on qubits 0 and 2, which are not neighbours: it stays alone.
+    def test_steps_follow_their_gates(self, gen):
+        # Targets in either order, diagonal gates and a u gate on qubits
+        # that are not neighbours: each gate is one step on its own targets.
         gates = [
             Gate("cx", (2, 1)),
             Gate("h", (0,)),
@@ -777,10 +750,25 @@ class TestFusedLowering:
             Gate("u", (0, 2), matrix=_random_unitary(gen, 4)),
         ]
         circ = Circuit(4, gates)
-        assert [t for _, t in _lower(circ)] == [(0, 1, 2), (1, 2, 3), (0, 1, 2), (0, 2)]
+        lowered = _lower(circ)
+        assert [t for _, t in lowered] == [g.targets for g in gates]
+        assert all(mat.shape == (2 ** len(t),) * 2 for mat, t in lowered)
         amps = ginibre(gen, 16)[0]
         state = QState(4, amps / np.linalg.norm(amps))
         assert _close(apply_circuit(state, circ).amplitudes, _ref_dense_unitary(circ) @ state.amplitudes)
+
+    def test_a_long_trotter_circuit_holds_one_reference_per_gate(self):
+        # 200,000 gates of one shared object: the list and one shared step.
+        circ = trotter_circuit(PauliSum.from_text("1 0 ZZ"), 1.0, 200_000)
+        assert circ.num_gates() == 200_000
+        tracemalloc.start()
+        try:
+            lowered = _lower(circ)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(lowered) == 200_000
+        assert peak <= _TROTTER_STEP_BYTES * circ.num_gates()
 
 
 # ---------------------------------------------------------------------------
@@ -803,6 +791,27 @@ def _every_gate_kind(gen) -> list[Gate]:
 
 
 class TestTransferPath:
+    def test_doubled_trotter_pairs_fuse(self):
+        # In the Heisenberg order of trotter_circuit, each step's field on a
+        # site joins the coupling block just before it on that site: n-1 real
+        # blocks per step, shared by all 64 steps.
+        n = 7
+        lowered = _transfer(trotter_circuit(ising_chain(n), 1.0, 64))
+        assert len(lowered) == 64 * (n - 1)
+        assert len({id(mat) for mat, _ in lowered}) == 2  # XX with one field, XX with two
+        for mat, targets in lowered:
+            assert mat.shape == (16, 16) and mat.dtype == np.float64
+            assert not mat.flags.writeable
+            assert targets == tuple(range(targets[0], targets[0] + len(targets)))
+
+    def test_super_propagator_pairs_fuse(self):
+        # Terms in the order listed: the first step's fields join the block
+        # after them, every later step's the previous step's last block on
+        # their site.
+        lowered = _transfer(super_propagator_circuit(ising_chain(7), 1.0, 64))
+        assert len(lowered) == 64 * 6
+        assert all(mat.shape == (16, 16) and mat.dtype == np.float64 for mat, _ in lowered)
+
     def test_every_gate_kind_has_a_real_orthogonal_transfer_matrix(self, gen):
         op = random_hermitian_sum(gen, 3, 8)
         for g in _every_gate_kind(gen):
@@ -905,8 +914,7 @@ class TestCircuitChecks:
 
 
 class TestLoweringPerDistinctGate:
-    """The lowerings place each gate object once, and _lower decides each
-    distinct adjacent pair once per call, so their work follows the
+    """The lowerings place each gate object once, so their work follows the
     distinct gates of a circuit, not its length."""
 
     N = 7
@@ -926,11 +934,9 @@ class TestLoweringPerDistinctGate:
     # Counted at 4 and 64 steps: in the listed order, the first step's
     # fields wait for a later block and the last step's blocks take none, so
     # the first and last steps have blocks of their own, and the distinct
-    # products and adjacent pairs settle after the first few steps. Transfer
-    # steps are not fused: only _lower calls _merge.
+    # products settle after the first few steps. Only _transfer absorbs.
     @pytest.mark.parametrize("seam, counts", [
         ("_place", {"heisenberg_doubled": 13, "super_propagator_circuit": 13, "apply_circuit": 13}),
-        ("_merge", {"heisenberg_doubled": 0, "super_propagator_circuit": 0, "apply_circuit": 10}),
         ("_site_product", {"heisenberg_doubled": 2, "super_propagator_circuit": 11, "apply_circuit": 0}),
     ])
     def test_work_does_not_grow_with_steps(self, monkeypatch, seam, counts):
@@ -964,9 +970,9 @@ class TestLoweringPerDistinctGate:
             assert all(np.array_equal(a, b) for (a, _), (b, _) in zip(many, one))
 
     def test_equal_gate_objects_keep_their_own_matrices(self, gen):
-        # Distinct objects of equal u gates, and rz at 0.0 and -0.0, on
-        # qubits too far apart to fuse: the u gates are never merged, the
-        # signed zeros stay apart, and a repeated object shares its steps.
+        # Distinct objects of equal u gates, and rz at 0.0 and -0.0: the u
+        # gates never share a matrix, the signed zeros stay apart, and a
+        # repeated object shares its steps.
         m = _random_unitary(gen, 2)
         u1, u2 = Gate("u", (0,), matrix=m), Gate("u", (0,), matrix=m.copy())
         pos, neg = Gate("rz", (3,), 0.0), Gate("rz", (3,), -0.0)
@@ -994,18 +1000,17 @@ class TestGateValues:
 
 
 # ---------------------------------------------------------------------------
-# Merged diagonal runs: _run, and the transfer passes, against one
-# reference apply_matrix pass per lowered step. Passes are counted at the simulator's one seam, run_passes,
-# which gets every pass of a call in one list.
+# The simulator's passes against one reference apply_matrix pass per lowered
+# step. Passes are counted at the simulator's one seam, run_passes, which
+# gets every pass of a call in one list.
 
-def _merged_and_per_step(monkeypatch, call):
+def _run_and_per_step(monkeypatch, call):
     """``call()`` as it runs, then with every lowered step its own
     reference pass."""
-    merged = call()
+    got = call()
     with monkeypatch.context() as m:
-        m.setattr(simulator, "_run", apply_steps)
         m.setattr(simulator, "run_passes", apply_steps)
-        return merged, call()
+        return got, call()
 
 
 def _count_passes(monkeypatch, call):
@@ -1038,11 +1043,11 @@ def _ising_doubled_n7():
     }
 
 
-class TestMergedDiagonals:
+class TestPasses:
     @pytest.mark.parametrize("path", ["super_propagator_circuit", "heisenberg_doubled"])
     def test_ising_n7_matches_per_step(self, monkeypatch, path):
-        merged, plain = _merged_and_per_step(monkeypatch, _ising_doubled_n7()[path])
-        assert _close(merged, plain)
+        got, plain = _run_and_per_step(monkeypatch, _ising_doubled_n7()[path])
+        assert _close(got, plain)
 
     @pytest.mark.parametrize("path", ["super_propagator_circuit", "heisenberg_doubled"])
     def test_ising_n7_makes_384_passes(self, monkeypatch, path):
@@ -1058,21 +1063,25 @@ class TestMergedDiagonals:
         h = ising_chain(3)
         op, op2 = PauliSum.from_text("1 0 ZXI"), PauliSum.from_text("1 0 XIZ")
         u, u2 = trotter_circuit(h, 0.7, 5), trotter_circuit(h, -0.4, 3)
-        merged, plain = _merged_and_per_step(
+        got, plain = _run_and_per_step(
             monkeypatch, lambda: interferometric_state(op, op2, u, u2).amplitudes
         )
-        assert _close(merged, plain)
-        assert _close(merged, _ref_interferometric_state(op, op2, u, u2))
+        assert _close(got, plain)
+        assert _close(got, _ref_interferometric_state(op, op2, u, u2))
         calls = _count_passes(monkeypatch, lambda: interferometric_state(op, op2, u, u2))
         assert len(calls) == 2 * (5 + 3)
         assert all(size == 2**6 for _, _, size in calls)
 
     def test_dense_unitary(self, monkeypatch):
+        # One pass per gate over the identity's 4^4 amplitudes.
         circ = trotter_circuit(ising_chain(4), 0.9, 6)
-        merged, plain = _merged_and_per_step(monkeypatch, lambda: dense_unitary(circ))
-        assert _close(merged, plain)
+        got, plain = _run_and_per_step(monkeypatch, lambda: dense_unitary(circ))
+        assert _close(got, plain)
         calls = _count_passes(monkeypatch, lambda: dense_unitary(circ))
-        assert ((2**4,), tuple(range(4)), 4**4) in calls
+        assert [(shape, targets) for shape, targets, _ in calls] == [
+            ((2 ** len(g.targets),) * 2, g.targets) for g in circ.gates
+        ]
+        assert all(size == 4**4 for _, _, size in calls)
 
     def test_channel_dual_postselect(self, monkeypatch, gen):
         state = vectorize(ginibre(gen, 8), COMPUTATIONAL)
@@ -1084,97 +1093,32 @@ class TestMergedDiagonals:
         def call():
             return channel_dual_postselect(dilation, 1, state, sites=(0, 2))
 
-        merged, plain = _merged_and_per_step(monkeypatch, call)
-        assert _close(merged[0].amplitudes, plain[0].amplitudes)
-        assert merged[1] == pytest.approx(plain[1], abs=1e-12)
+        got, plain = _run_and_per_step(monkeypatch, call)
+        assert _close(got[0].amplitudes, plain[0].amplitudes)
+        assert got[1] == pytest.approx(plain[1], abs=1e-12)
         # Each single-site gate joins a two-site block: one pass per rzz,
         # cz and cx, on the float64 view of the 4 sites' complex coefficients.
         calls = _count_passes(monkeypatch, call)
         assert len(calls) == 6
         assert all(shape == (16, 16) and size == 2 * 4**4 for shape, _, size in calls)
 
-    # Each circuit runs twice, so its diagonal run recurs.
-    @pytest.mark.parametrize("gates, span", [
+    @pytest.mark.parametrize("gates", [
         # cz then s on the shared qubit 2: overlapping targets.
-        ([Gate("h", (2,)), Gate("cz", (1, 2)), Gate("s", (2,)), Gate("h", (4,))], (1, 2)),
-        # (4, 1), (5,) and (3, 5): unsorted, non-contiguous targets in one run.
-        ([Gate("h", (1,)), Gate("cz", (4, 1)), Gate("t", (5,)), Gate("rzz", (3, 5), 0.6),
-          Gate("h", (5,))], (1, 2, 3, 4, 5)),
+        [Gate("h", (2,)), Gate("cz", (1, 2)), Gate("s", (2,)), Gate("h", (4,))],
+        # (4, 1), (5,) and (3, 5): unsorted, non-contiguous targets.
+        [Gate("h", (1,)), Gate("cz", (4, 1)), Gate("t", (5,)), Gate("rzz", (3, 5), 0.6),
+         Gate("h", (5,))],
     ])
-    def test_run_targets_need_not_be_contiguous(self, monkeypatch, gen, gates, span):
+    def test_apply_circuit_is_one_pass_per_gate(self, monkeypatch, gen, gates):
         circ = Circuit(6, gates * 2)
         amps = ginibre(gen, 64)[0]
         state = QState(6, amps / np.linalg.norm(amps))
-        merged, plain = _merged_and_per_step(monkeypatch, lambda: apply_circuit(state, circ).amplitudes)
-        assert _close(merged, plain)
-        assert _close(merged, dense_unitary(circ) @ state.amplitudes)
+        got, plain = _run_and_per_step(monkeypatch, lambda: apply_circuit(state, circ).amplitudes)
+        assert _close(got, plain)
+        assert _close(got, dense_unitary(circ) @ state.amplitudes)
         calls = _count_passes(monkeypatch, lambda: apply_circuit(state, circ))
         passes = [(shape, targets) for shape, targets, size in calls if size == 2**6]
-        assert len(passes) == 6
-        assert passes[1] == passes[4] == ((2 ** len(span),), span)
-
-    def test_a_run_that_occurs_once_keeps_its_passes(self, monkeypatch):
-        # Building its diagonal would cost as many passes as it saves.
-        circ = Circuit(3, [Gate("h", (1,)), Gate("cz", (0, 1)), Gate("s", (1,)),
-                                      Gate("t", (2,)), Gate("h", (0,))])
-        shapes = [shape for shape, _, _ in _count_passes(
-            monkeypatch, lambda: apply_circuit(QState(3, np.eye(8)[0]), circ))]
-        assert shapes == [mat.shape for mat, _ in _lower(circ)] == [(2, 2), (4,), (4,), (2, 2)]
-
-    def test_distinct_runs_are_built_once_and_read_only(self, monkeypatch, gen):
-        # Three distinct runs, the last with the first's arrays on swapped
-        # targets, and a lone diagonal, repeated three times: three merged
-        # diagonals are built, with no pass of their own, and every pass of
-        # a run uses its run's one read-only array.
-        da, db, dc = (np.exp(1j * gen.normal(size=m)) for m in (2, 2, 4))
-        h = gate_matrix(Gate("h", (0,)))
-        step = [(da, (0,)), (db, (2,)), (h, (1,)), (dc, (1, 0)), (da, (2,)), (h, (1,)),
-                (da, (2,)), (db, (0,)), (h, (1,)), (db, (1,)), (h, (0,))]
-        seen = []
-
-        def spy(vec, steps, k):
-            seen.extend((mat, targets, len(vec)) for mat, targets in steps)
-            return run_passes(vec, steps, k)
-
-        monkeypatch.setattr(simulator, "run_passes", spy)
-        amps = ginibre(gen, 8)[0]
-        got = simulator._run(amps, step * 3, 3)
-        assert _close(got, apply_steps(amps, step * 3, 3))
-        merged = [(mat, t) for mat, t, _ in seen if mat.shape == (8,)]
-        assert [t for _, t in merged] == [(0, 1, 2)] * 9
-        assert len({id(mat) for mat, _ in merged}) == 3
-        assert all(not mat.flags.writeable for mat, _ in merged)
-        assert sum(mat.shape != (8,) and mat.ndim == 1 for mat, _, _ in seen) == 3
-
-    def test_merged_diagonal_over_the_budget_is_refused(self, monkeypatch):
-        # A recurring run over all 16 qubits asks for a 1 MiB diagonal:
-        # refused before it is built, with the register allocated outside the
-        # call.
-        k = 16
-        step = [Gate("rz", (q,), 0.1 * q) for q in range(k)] + [Gate("h", (0,))]
-        circ = Circuit(k, step * 2)
-        state = QState(k, np.eye(1, 2**k)[0])
-        monkeypatch.setattr(_linalg, "BYTE_BUDGET", 16 * 2**k - 1)
-        peak = refusal_peak(lambda: apply_circuit(state, circ), 16 * 2**k)
-        assert peak < 16 * 2**k // 4
-
-    def test_build_holds_one_array_of_span_size(self, gen):
-        # Overlapping, unsorted and non-contiguous targets over an 18-qubit
-        # span: every entry gets the same factors in the same order as one
-        # reference apply_matrix pass per step on np.ones. Beyond the one array, only
-        # numpy's fixed-size ufunc buffers are allocated.
-        span = 18
-        run = [(np.exp(1j * gen.normal(size=4)), (q, q + 1)) for q in range(span - 1)]
-        run += [(np.exp(1j * gen.normal(size=4)), (9, 2)), (np.exp(1j * gen.normal(size=8)), (17, 0, 7))]
-        want = apply_steps(np.ones(2**span, dtype=complex), run, span)
-        tracemalloc.start()
-        try:
-            diag, targets = simulator._merged_diagonal(run)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert targets == tuple(range(span)) and np.array_equal(diag, want)
-        assert peak < 1.25 * 16 * 2**span
+        assert passes == [((2 ** len(g.targets),) * 2, g.targets) for g in circ.gates]
 
     def test_reruns_are_bitwise_identical(self):
         for run in _ising_doubled_n7().values():
