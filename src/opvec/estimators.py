@@ -534,17 +534,30 @@ def estimate_loe2(
 # ---------------------------------------------------------------------------
 # Interferometric two-point correlator.
 
+# Binomial probabilities are rounded to a multiple of 1/_P_GRID. numpy draws
+# Binomial(shots, p) for p > 1/2 as shots - Binomial(shots, 1 - p), so rounding
+# dust across p = 1/2, where every vanishing correlator sits, would mirror
+# the draw; the grid is far coarser than that dust (about 1e-14 on <X>) and
+# far finer than any stated error.
+_P_GRID = 2.0**40
+
+
 def estimate_corr_interferometric(
     state: QState, shots: int, rng: RngStream
 ) -> EstimatorReport:
-    """Empirical <X> on the ancilla (the register's last qubit)."""
+    """Empirical <X> on the ancilla (the register's last qubit): of
+    ``shots`` X measurements, the number reading +1 is one binomial draw at
+    p = (1 + <X>)/2, with <X> = 2 Re sum_i conj(a_i0) a_i1 / |a|^2 from the
+    amplitudes a_i0, a_i1 of ancilla 0 and 1."""
     if state.k % 2 != 1:
         raise ValueError("expected a doubled register plus one ancilla")
-    anc = state.k - 1
-    meas = apply_circuit(state, Circuit(state.k, [Gate("h", (anc,))]))
-    outcomes, weights = _outcome_weights(born_sample(meas, shots, rng))
-    signs = 1.0 - 2.0 * (outcomes & 1).astype(float)
-    mean, stderr = _mean_stderr(signs, weights)
+    if shots < 1:
+        raise ValueError("shots must be at least 1")
+    pairs = state.amplitudes.reshape(-1, 2)
+    a0, a1 = pairs[:, 0], pairs[:, 1]
+    x = 2 * np.vdot(a0, a1).real / (np.vdot(a0, a0).real + np.vdot(a1, a1).real)
+    plus = int(rng.generator.binomial(shots, round((1 + x) / 2 * _P_GRID) / _P_GRID))
+    mean, stderr = _mean_stderr(np.array([1.0, -1.0]), np.array([plus, shots - plus], dtype=float))
     return EstimatorReport(mean, stderr, shots, rng.seed, metadata={"basis": "x"})
 
 

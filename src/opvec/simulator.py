@@ -14,7 +14,8 @@ Heisenberg evolution of a vectorized operator runs in the Hermitian-Pauli
 basis, where site i's qubit pair (2i, 2i+1) indexes I, X, Z, Y. There the
 doubled image U^dag (x) U^T of a gate is its real orthogonal Pauli transfer
 matrix, so a Hermitian operator evolves as a float64 vector: gates in
-reverse order, one real pass per :func:`_transfer` block.
+reverse order, one real pass per :func:`_transfer` block, or per pair of
+blocks on the last three sites that :func:`_fuse_tail` joins.
 """
 
 from __future__ import annotations
@@ -318,6 +319,43 @@ def _absorb(steps: list) -> list:
     return [step for step in out if step is not None]
 
 
+def _fuse_tail(steps: list, k: int) -> list:
+    """Transfer steps on a k-qubit register with each two consecutive
+    two-site blocks that cover its last three sites, one on register qubits
+    k-6..k-3 and one on k-4..k-1 in either order, multiplied into one 64 x 64
+    block on k-6..k-1. Alone, the first of them has 4 trailing amplitudes
+    and runs as the fold mat (x) I_4 (see :func:`_linalg._plan`); the fused
+    block is a GEMM of the same shape that does its neighbour's work instead.
+    Blocks whose union does not end the register, as on the float64 view of
+    complex coefficients, stay apart.
+
+    Each distinct fused pair, by the identity of both matrices and which one
+    comes first, is built once per call and read-only; ``steps`` keeps the
+    sources alive."""
+    upper, lower = tuple(range(k - 6, k - 2)), tuple(range(k - 4, k))
+    eye = np.eye(4)
+    made: dict[tuple, tuple] = {}
+    out: list = []
+    for step in steps:
+        mat, targets = step
+        if not out or {out[-1][1], targets} != {upper, lower}:
+            out.append(step)
+            continue
+        first, first_targets = out.pop()
+        upper_first = first_targets == upper
+        key = (id(first), id(mat), upper_first)
+        fused = made.get(key)
+        if fused is None:
+            if upper_first:
+                m = np.kron(eye, mat) @ np.kron(first, eye)
+            else:
+                m = np.kron(mat, eye) @ np.kron(eye, first)
+            m.flags.writeable = False
+            fused = made[key] = (m, upper[:2] + lower)
+        out.append(fused)
+    return out
+
+
 def _site_product(block: np.ndarray, mat: np.ndarray, site: int, later: bool) -> np.ndarray:
     """A one- or two-site transfer ``block`` with the one-site ``mat`` on its
     ``site``-th site applied after it (``later``) or before it."""
@@ -361,10 +399,10 @@ def dense_unitary(circuit: Circuit) -> np.ndarray:
     identity viewed as a 2k-qubit vector (gates on the k row qubits).
 
     Peak working memory is three arrays of 16 * 4^k bytes, the identity and
-    :func:`run_passes`'s two buffers, the output being one of them; four
-    are reserved, as before the buffers. Measured with tracemalloc on a
-    4-step Ising Trotter circuit: 0.76 MiB at k=7 and 48 MiB at k=10."""
-    reserve(4 * 16 * 4**circuit.k, f"the dense unitary of a circuit on {circuit.k} qubits")
+    :func:`run_passes`'s two buffers, the output being one of them; those
+    three are reserved. Measured with tracemalloc on a 4-step Ising Trotter
+    circuit: 0.76 MiB at k=7 and 48 MiB at k=10."""
+    reserve(3 * 16 * 4**circuit.k, f"the dense unitary of a circuit on {circuit.k} qubits")
     dim = 2**circuit.k
     cols = np.eye(dim, dtype=complex).ravel()
     return run_passes(cols, _lower(circuit), 2 * circuit.k).reshape(dim, dim)
@@ -486,9 +524,10 @@ def _evolve_pauli(amps: np.ndarray, n: int, lowered: list) -> np.ndarray:
 
     The coefficients run as one float64 vector when every imaginary part
     is exactly 0; otherwise their float64 view runs, as a register with one
-    extra trailing re/im qubit. The running register and one pass output,
-    :func:`run_passes`'s two buffers, are stated to the byte budget before
-    the first pass."""
+    extra trailing re/im qubit. On the float64 vector, :func:`_fuse_tail`
+    joins adjacent blocks on the last three sites. The running register and
+    one pass output, :func:`run_passes`'s two buffers, are stated to the
+    byte budget before the first pass."""
     coeffs = _y_phase(amps.copy(), n, 1j)
     if coeffs.imag.any():
         reg, k = coeffs.view(np.float64), 2 * n + 1
@@ -496,7 +535,7 @@ def _evolve_pauli(amps: np.ndarray, n: int, lowered: list) -> np.ndarray:
         reg, k = np.ascontiguousarray(coeffs.real), 2 * n
     del coeffs  # on the real path, the complex copy is freed before the passes
     reserve(2 * reg.nbytes, f"a doubled evolution on {2 * n} qubits")
-    reg = run_passes(reg, lowered, k)
+    reg = run_passes(reg, _fuse_tail(lowered, k), k)
     out = reg.astype(complex) if k == 2 * n else np.ascontiguousarray(reg).view(complex)
     return _y_phase(out, n, -1j)
 

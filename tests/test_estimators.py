@@ -645,6 +645,25 @@ class TestInterferometric:
         with pytest.raises(ValueError, match="ancilla"):
             estimate_corr_interferometric(reg, 10, RngStream(0))
 
+    @pytest.mark.parametrize("op2, want", [("XIZ", 0.0), ("ZXI", 0.3622)])
+    def test_rounding_dust_leaves_the_draw_unchanged(self, gen, op2, want):
+        # One binomial draw from the ancilla's <X>: a 1e-15 change to every
+        # amplitude redraws nothing, at <X> = 0 (p = 1/2, where numpy's draw
+        # mirrors) as elsewhere.
+        h = ising_chain(3)
+        st = interferometric_state(
+            PauliSum.from_text("1 0 ZXI"), PauliSum.from_text(f"1 0 {op2}"),
+            trotter_circuit(h, 0.7, 5), trotter_circuit(h, -0.4, 3),
+        )
+        dust = 1e-15 * (gen.normal(size=2**st.k) + 1j * gen.normal(size=2**st.k))
+        moved = QState(st.k, st.amplitudes + dust)
+        assert not np.array_equal(moved.amplitudes, st.amplitudes)
+        for seed in range(20):
+            a = estimate_corr_interferometric(st, 4096, RngStream(seed))
+            b = estimate_corr_interferometric(moved, 4096, RngStream(seed))
+            assert (a.value, a.stderr) == (b.value, b.stderr)
+            assert abs(a.value - want) < 4 * a.stderr
+
 
 def _per_shot_sample(w, shots, rng):
     """nqubit_sample with one searchsorted call per shot, as a reference."""

@@ -40,6 +40,24 @@ def test_propagator_is_unitary_and_generates_h(gen):
     assert np.allclose(deriv, -1j * h, atol=1e-5)
 
 
+@pytest.mark.parametrize("extra, solved_as", [
+    ("YYIII", np.float64),  # even Ys: a real symmetric matrix
+    ("IYZII", np.complex128),  # one Y: imaginary entries
+])
+def test_propagator_solves_real_hamiltonians_in_real_arithmetic(monkeypatch, extra, solved_as):
+    h = ising_chain(5)
+    h.add(0.3, PauliString.from_label(extra))
+    evals, vecs = np.linalg.eigh(h.to_dense())
+    want = (vecs * np.exp(-0.7j * evals)) @ vecs.conj().T
+    solved = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: solved.append(m.dtype) or eigh(m))
+    u = propagator(h, 0.7)
+    assert solved == [solved_as]
+    assert np.max(np.abs(u - want)) < 1e-12
+    assert np.max(np.abs(u @ u.conj().T - np.eye(32))) < 1e-12
+
+
 def test_propagator_rejects_non_hermitian():
     with pytest.raises(ValueError):
         propagator(np.array([[0, 1], [0, 0]]), 1.0)
@@ -84,11 +102,17 @@ class TestOtoc:
         eye = PauliString.identity(2)
         assert exact_otoc(op, eye, eye) == pytest.approx(1.0)
 
-    def test_trace_formula(self, gen):
-        op = ginibre(gen, 4)
-        p = PauliString.from_label("XY")
-        q = PauliString.from_label("ZI")
-        want = np.trace(op.conj().T @ p.to_dense() @ op @ q.to_dense()).real / 4
+    @pytest.mark.parametrize("words", [True, False], ids=["pauli_words", "dense_hermitian"])
+    def test_trace_formula(self, gen, words):
+        # Pauli words, or dense Hermitian P and Q, which keep the trace real.
+        op = ginibre(gen, 8)
+        if words:
+            p, q = PauliString.from_label("XYI"), PauliString.from_label("ZIY")
+            pm, qm = p.to_dense(), q.to_dense()
+        else:
+            p, q = (m + m.conj().T for m in (ginibre(gen, 8), ginibre(gen, 8)))
+            pm, qm = p, q
+        want = np.trace(op.conj().T @ pm.conj().T @ op @ qm).real / 8
         assert exact_otoc(op, p, q) == pytest.approx(want, abs=1e-12)
 
 

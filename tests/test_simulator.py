@@ -37,6 +37,7 @@ from opvec.simulator import (
 from opvec.simulator import (
     _TROTTER_STEP_BYTES,
     _absorb,
+    _fuse_tail,
     _identity_pairs,
     _lower,
     _term_gate,
@@ -154,8 +155,17 @@ class TestCircuit:
         assert inv.gates == tuple(g.inverse() for g in reversed(u.gates))
 
     def test_dense_unitary_cap(self):
-        # Four arrays of 16 * 4^20 bytes, refused before any is allocated.
-        assert refusal_peak(lambda: dense_unitary(Circuit(20)), 4 * 16 * 4**20) < 1 << 20
+        # Three arrays of 16 * 4^20 bytes, refused before any is allocated.
+        assert refusal_peak(lambda: dense_unitary(Circuit(20)), 3 * 16 * 4**20) < 1 << 20
+
+    def test_dense_unitary_runs_at_exactly_its_three_arrays(self, monkeypatch):
+        # The identity and the two pass buffers, 16 * 4^k bytes each.
+        circ = trotter_circuit(ising_chain(4), 0.9, 2)
+        monkeypatch.setattr(_linalg, "BYTE_BUDGET", 3 * 16 * 4**4)
+        assert _close(dense_unitary(circ), _ref_dense_unitary(circ))
+        monkeypatch.setattr(_linalg, "BYTE_BUDGET", 3 * 16 * 4**4 - 1)
+        with pytest.raises(CapExceededError, match="dense unitary of a circuit on 4 qubits"):
+            dense_unitary(circ)
 
     def test_apply_matches_dense(self, gen):
         circ = random_clifford_circuit(3, 3, RngStream(7))
@@ -849,15 +859,17 @@ class TestTransferPath:
                 assert got.basis == basis
                 assert _close(got.amplitudes, want.amplitudes)
 
-    @pytest.mark.parametrize("text, size", [
-        ("0.6 0 XZI\n-0.8 0 IYY", 4**3),  # Hermitian: one float64 vector
-        ("0.5 0.5 XZI", 2 * 4**3),  # complex: the float64 view, re/im trailing
+    @pytest.mark.parametrize("text, size, per_step", [
+        # Hermitian: one float64 vector, whose two blocks per step end the
+        # register and fuse into one.
+        ("0.6 0 XZI\n-0.8 0 IYY", 4**3, 1),
+        ("0.5 0.5 XZI", 2 * 4**3, 2),  # complex: the float64 view, re/im trailing
     ])
-    def test_coefficients_run_as_float64(self, monkeypatch, text, size):
+    def test_coefficients_run_as_float64(self, monkeypatch, text, size, per_step):
         state = vectorize(PauliSum.from_text(text), PAULI)
         circ = trotter_circuit(ising_chain(3), 0.6, 4)
         calls = _count_passes(monkeypatch, lambda: heisenberg_doubled(state, circ))
-        assert len(calls) == 4 * 2
+        assert len(calls) == 4 * per_step
         assert all(length == size for _, _, length in calls)
 
     @pytest.mark.parametrize("build", [trotter_circuit, super_propagator_circuit])
@@ -879,10 +891,13 @@ class TestTransferPath:
         vec = gen.normal(size=4**4)
         assert _close(apply_steps(vec, out, 8), apply_steps(vec, steps, 8))
 
-    @pytest.mark.parametrize("text, itemsize", [("1 0 ZXIII", 8), ("0.6 0.8 ZXIII", 16)])
-    def test_register_is_stated_before_the_first_pass(self, monkeypatch, text, itemsize):
+    @pytest.mark.parametrize("text, itemsize, per_step", [
+        ("1 0 ZXIII", 8, 3), ("0.6 0.8 ZXIII", 16, 4),
+    ])
+    def test_register_is_stated_before_the_first_pass(self, monkeypatch, text, itemsize, per_step):
         # The running register and one pass output: 8 bytes per coefficient
-        # on the real path, 16 on the float64 view.
+        # on the real path, 16 on the float64 view. The real path fuses the
+        # blocks on the last three sites.
         n = 5
         state = vectorize(PauliSum.from_text(text), PAULI)
         circ = trotter_circuit(ising_chain(n), 1.0, 2)
@@ -891,7 +906,50 @@ class TestTransferPath:
         assert _count_passes(monkeypatch, lambda: refusal_peak(
             lambda: heisenberg_doubled(state, circ), want)) == []
         monkeypatch.setattr(_linalg, "BYTE_BUDGET", want)
-        assert len(_count_passes(monkeypatch, lambda: heisenberg_doubled(state, circ))) == 2 * 4
+        assert len(_count_passes(monkeypatch, lambda: heisenberg_doubled(state, circ))) == 2 * per_step
+
+
+class TestTailFusion:
+    """On the float64 register, adjacent blocks on the last three sites run
+    as one 64x64 block."""
+
+    @pytest.mark.parametrize("build", [trotter_circuit, super_propagator_circuit])
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_fused_matches_unfused(self, monkeypatch, n, build):
+        state = vectorize(PauliSum.from_text("0.6 0 " + "ZX".ljust(n, "I") + "\n0.8 0 " + "Y" * n), PAULI)
+        circ = build(ising_chain(n), 1.0, 64)
+        fused = heisenberg_doubled(state, circ).amplitudes
+        calls = _count_passes(monkeypatch, lambda: heisenberg_doubled(state, circ))
+        assert [shape for shape, _, _ in calls].count((64, 64)) == 64
+        assert len(calls) == 64 * (n - 2)
+        monkeypatch.setattr(simulator, "_fuse_tail", lambda steps, k: steps)
+        assert _close(fused, heisenberg_doubled(state, circ).amplitudes)
+
+    def test_complex_register_and_separated_tail_blocks_stay_unfused(self, monkeypatch):
+        n = 4
+        # On the float64 view of complex coefficients the tail blocks end one
+        # qubit, the trailing re/im one, short of the register.
+        state = vectorize(PauliSum.from_text("0.6 0.8 ZXII"), PAULI)
+        circ = trotter_circuit(ising_chain(n), 1.0, 4)
+        calls = _count_passes(monkeypatch, lambda: heisenberg_doubled(state, circ))
+        assert len(calls) == 4 * (n - 1) and all(shape == (16, 16) for shape, _, _ in calls)
+        # A block on sites (0, 1) between the blocks on (1, 2) and (2, 3).
+        state = vectorize(PauliSum.from_text("1 0 ZXII"), PAULI)
+        circ = Circuit(n, [Gate("rzz", (2, 3), 0.3), Gate("rzz", (0, 1), 0.5), Gate("rxx", (1, 2), 0.7)])
+        calls = _count_passes(monkeypatch, lambda: heisenberg_doubled(state, circ))
+        assert [targets for _, targets, _ in calls] == [(2, 3, 4, 5), (0, 1, 2, 3), (4, 5, 6, 7)]
+
+    @pytest.mark.parametrize("build, distinct", [(trotter_circuit, 1), (super_propagator_circuit, 3)])
+    def test_one_read_only_block_per_distinct_pair(self, build, distinct):
+        # trotter_circuit repeats one step's blocks; super_propagator_circuit's
+        # first and last steps have blocks of their own.
+        lowered = _transfer(build(ising_chain(7), 1.0, 64))
+        ends = {tuple(range(8, 12)), tuple(range(10, 14))}
+        pairs = {(id(a), id(b)) for (a, ta), (b, tb) in zip(lowered, lowered[1:]) if {ta, tb} == ends}
+        blocks = [mat for mat, targets in _fuse_tail(lowered, 14) if len(targets) == 6]
+        assert len(blocks) == 64 and len(pairs) == distinct
+        assert len({id(m) for m in blocks}) == distinct
+        assert not any(m.flags.writeable for m in blocks)
 
 
 class TestCircuitChecks:
@@ -1050,16 +1108,21 @@ class TestPasses:
         assert _close(got, plain)
 
     @pytest.mark.parametrize("path", ["super_propagator_circuit", "heisenberg_doubled"])
-    def test_ising_n7_makes_384_passes(self, monkeypatch, path):
+    def test_ising_n7_makes_320_passes(self, monkeypatch, path):
         # Per Trotter step: n-1 = 6 real 16x16 blocks, the fields absorbed
-        # into them, on the float64 register of 4^7 coefficients.
+        # into them, of which the two on the last three sites fuse into one
+        # 64x64 block: 5 passes on the float64 register of 4^7 coefficients.
         calls = _count_passes(monkeypatch, _ising_doubled_n7()[path])
-        assert len(calls) == 384
-        assert all(shape == (16, 16) and size == 4**7 for shape, _, size in calls)
+        assert len(calls) == 320
+        assert all(size == 4**7 for _, _, size in calls)
+        assert [shape for shape, _, _ in calls].count((64, 64)) == 64
+        assert all(targets == tuple(range(8, 14)) for shape, targets, _ in calls if shape == (64, 64))
+        assert all(shape == (16, 16) for shape, targets, _ in calls if targets != tuple(range(8, 14)))
 
     def test_interferometric_passes_act_on_the_doubled_register(self, monkeypatch):
         # Only the ancilla-1 branch is evolved, on the 6 doubled qubits, as
-        # one real vector: n-1 = 2 blocks per Trotter step of either circuit.
+        # one real vector: n-1 = 2 blocks per Trotter step of either circuit,
+        # which span the register and fuse into one 64x64 block.
         h = ising_chain(3)
         op, op2 = PauliSum.from_text("1 0 ZXI"), PauliSum.from_text("1 0 XIZ")
         u, u2 = trotter_circuit(h, 0.7, 5), trotter_circuit(h, -0.4, 3)
@@ -1069,8 +1132,8 @@ class TestPasses:
         assert _close(got, plain)
         assert _close(got, _ref_interferometric_state(op, op2, u, u2))
         calls = _count_passes(monkeypatch, lambda: interferometric_state(op, op2, u, u2))
-        assert len(calls) == 2 * (5 + 3)
-        assert all(size == 2**6 for _, _, size in calls)
+        assert len(calls) == 5 + 3
+        assert all(shape == (64, 64) and size == 2**6 for shape, _, size in calls)
 
     def test_dense_unitary(self, monkeypatch):
         # One pass per gate over the identity's 4^4 amplitudes.
