@@ -135,8 +135,8 @@ def _load_circuit(spec, base: Path, errors: list[str]) -> Circuit | None:
     targets, repr(angle) and axes, which keeps -0.0 apart from 0.0; a spec
     with an unhashable field gets its own Gate, which reports it. Gate
     coerces what it can, so ``qubits`` and every target must be JSON
-    integers, and every angle a number, checked on each spec after Gate
-    has reported what it refuses."""
+    integers, every angle a number and every axis word a string, checked
+    on each spec after Gate has reported what it refuses."""
     try:
         if isinstance(spec, dict) and isinstance(spec.get("file"), str):
             doc = json.loads(_resolve(base, spec["file"]).read_text())
@@ -161,6 +161,8 @@ def _load_circuit(spec, base: Path, errors: list[str]) -> Circuit | None:
                 raise ValueError(f"gates[{i}].targets: expected integers")
             if g.get("angle") is not None and not _is_number(g["angle"]):
                 raise ValueError(f"gates[{i}].angle: expected a number")
+            if g.get("axes") is not None and not isinstance(g["axes"], str):
+                raise ValueError(f"gates[{i}].axes: expected a string")
             gates.append(gate)
         if not _is_int(doc["qubits"]):
             raise ValueError("qubits: expected an integer")

@@ -425,6 +425,15 @@ def estimate_ose(
     return OseEstimate(report, entropy)
 
 
+# The binomial draws of estimate_loe2 and estimate_corr_interferometric take
+# their probabilities rounded to a multiple of 1/_P_GRID. numpy draws
+# Binomial(shots, p) for p > 1/2 as shots - Binomial(shots, 1 - p), so rounding
+# dust across p = 1/2, where every vanishing correlator sits, would mirror
+# the draw; the grid is far coarser than that dust (about 1e-14 on <X>) and
+# far finer than any stated error.
+_P_GRID = 2.0**40
+
+
 # ---------------------------------------------------------------------------
 # Linearized operator entanglement via the destructive SWAP test.
 
@@ -501,9 +510,12 @@ def estimate_loe2(
     is tr(rho_A^a rho_A^b).
 
     The two-copy register is never built. The Bell outcomes depend only on
-    the copies' reduced states on the measured qubits, so they are drawn in
-    one multinomial from their exact distribution. When both copies hold
-    the same state, the smaller side of the cut is measured, m =
+    the copies' reduced states on the measured qubits, and the estimate only
+    on the parity of each outcome's singlet count. So the exact distribution
+    gives p_even, the probability of an even count, and the number of +1
+    signs is one binomial draw at p_even rounded to a multiple of
+    1/_P_GRID, as in :func:`estimate_corr_interferometric`. When both copies
+    hold the same state, the smaller side of the cut is measured, m =
     min(|A|, n-|A|) sites: the distribution has 16^m entries (4096 at n=7)
     and the reduced states 16^m amplitudes each. Different copies are
     measured on the partition as given, 16^|A| entries.
@@ -517,11 +529,12 @@ def estimate_loe2(
     if sites[0] < 0 or sites[-1] >= n:
         raise ValueError("partition site out of range")
     p = np.clip(_swap_test_distribution(state_a, state_b, sites), 0.0, None)
-    counts = rng.generator.multinomial(shots, p.reshape(-1) / p.sum())
-    outcomes = np.flatnonzero(counts)
-    singlets = sum(d == _SINGLET for d in np.unravel_index(outcomes, p.shape))
-    signs = 1.0 - 2.0 * (singlets % 2)
-    purity, stderr = _mean_stderr(signs, counts[outcomes].astype(float))
+    odd = np.zeros((), dtype=bool)  # odd singlet count, by outcome
+    for _ in range(p.ndim):
+        odd = np.logical_xor.outer(odd, np.arange(4) == _SINGLET)
+    p_even = p[~odd].sum() / p.sum()
+    even = int(rng.generator.binomial(shots, round(p_even * _P_GRID) / _P_GRID))
+    purity, stderr = _mean_stderr(np.array([1.0, -1.0]), np.array([even, shots - even], dtype=float))
     return EstimatorReport(
         1.0 - purity,
         stderr,
@@ -533,14 +546,6 @@ def estimate_loe2(
 
 # ---------------------------------------------------------------------------
 # Interferometric two-point correlator.
-
-# Binomial probabilities are rounded to a multiple of 1/_P_GRID. numpy draws
-# Binomial(shots, p) for p > 1/2 as shots - Binomial(shots, 1 - p), so rounding
-# dust across p = 1/2, where every vanishing correlator sits, would mirror
-# the draw; the grid is far coarser than that dust (about 1e-14 on <X>) and
-# far finer than any stated error.
-_P_GRID = 2.0**40
-
 
 def estimate_corr_interferometric(
     state: QState, shots: int, rng: RngStream

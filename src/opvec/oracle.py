@@ -58,15 +58,23 @@ def _sites(mat: np.ndarray) -> int:
 def propagator(h, t: float) -> np.ndarray:
     """e^{-iHt} by hermitian eigendecomposition. A Hamiltonian with no
     imaginary part, such as a sum of Pauli words with an even number of Ys
-    each, is diagonalized as the real symmetric matrix ``hm.real``. On the
+    each, is diagonalized as the real symmetric matrix ``hm.real``, and U is
+    formed from two real products, (V cos Et) V^T - i (V sin Et) V^T. On the
     Ising chain (numpy 2.4, one OpenBLAS thread, x86-64) the real ``eigh``
     took 1.5 ms against 3.4 ms for the complex one at 7 sites, and 0.30 s
-    against 1.57 s at 10."""
+    against 1.57 s at 10; the real products took 0.12 s against 0.21 s for
+    the complex one at 10."""
     hm = dense(h)
     if np.max(np.abs(hm - hm.conj().T)) > 1e-12:
         raise ValueError("Hamiltonian must be hermitian")
-    evals, vecs = np.linalg.eigh(hm if hm.imag.any() else hm.real)
-    return (vecs * np.exp(-1j * evals * t)) @ vecs.conj().T
+    if hm.imag.any():
+        evals, vecs = np.linalg.eigh(hm)
+        return (vecs * np.exp(-1j * evals * t)) @ vecs.conj().T
+    evals, vecs = np.linalg.eigh(hm.real)
+    u = np.empty(hm.shape, dtype=complex)
+    u.real = (vecs * np.cos(evals * t)) @ vecs.T
+    u.imag = (vecs * -np.sin(evals * t)) @ vecs.T
+    return u
 
 
 def _thermal(h: np.ndarray, a: float) -> np.ndarray:

@@ -9,6 +9,9 @@ site i of the represented operator owns qubits 2i (left copy) and 2i+1
 A circuit is a sequence of gates, applied in order. :func:`_lower` turns
 it into (matrix, targets) steps on its own register, one per gate or part of
 a wide pexp's CX ladder, and :func:`run_passes` applies them one pass each.
+For a doubled evolution, a circuit that repeats one period, as a Trotter
+circuit repeats one step, is lowered and fused one period at a time and the
+period's steps repeated (:func:`_tiled`).
 
 Heisenberg evolution of a vectorized operator runs in the Hermitian-Pauli
 basis, where site i's qubit pair (2i, 2i+1) indexes I, X, Z, Y. There the
@@ -20,6 +23,7 @@ blocks on the last three sites that :func:`_fuse_tail` joins.
 
 from __future__ import annotations
 
+import operator
 import zlib
 from dataclasses import dataclass, field
 
@@ -201,10 +205,46 @@ def _transfer(circuit: Circuit, sites=None) -> list:
     register: gates in reverse order, circuit qubit q on register qubits
     (2s, 2s+1) of its site s = sites[q] (default q), and single-site steps
     absorbed by :func:`_absorb`. Matrices are built and shared as in
-    :func:`_lower`."""
+    :func:`_lower`.
+
+    One period of the reversed gates is placed and absorbed, and its steps
+    repeated (see :func:`_tiled`), so a period's single-site steps join
+    blocks inside that period. A period that leaves a single-site step,
+    on a site no block of it covers, would merge that step with the next
+    period's; then the whole circuit is lowered."""
     sites = range(circuit.k) if sites is None else sites
     built: dict[tuple, np.ndarray] = {}
-    return _absorb(_placed(reversed(circuit.gates), lambda g: _place(g, built, sites)))
+    return _tiled(
+        circuit.gates[::-1],
+        lambda gates: _absorb(_placed(gates, lambda g: _place(g, built, sites))),
+        lambda out, head: any(len(targets) == 2 for _, targets in out),
+    )
+
+
+def _period(seq) -> int:
+    """The smallest p dividing len(seq) with seq[i] is seq[i + p] for every
+    i, or len(seq) when there is none (1 when ``seq`` is empty): the length
+    of the part that ``seq`` repeats, as a Trotter circuit repeats one step.
+    Items compare by identity, as steps hold numpy arrays, and only the
+    positions where seq[0] recurs are tried."""
+    n = len(seq)
+    for p in range(1, n // 2 + 1):
+        if seq[p] is seq[0] and n % p == 0 and all(map(operator.is_, seq, seq[p:])):
+            return p
+    return max(n, 1)
+
+
+def _tiled(seq, lower, joins) -> list:
+    """The list ``lower(seq)``, computed on one period of ``seq`` (see
+    :func:`_period`) and repeated, so its work follows the period, not the
+    length. When ``joins(out, head)`` says that ``out``, one period's
+    lowering, would merge with the next period, which starts with ``head``,
+    the whole of ``seq`` is lowered, as an aperiodic one is."""
+    p = _period(seq)
+    out = lower(seq[:p])
+    if p < len(seq) and joins(out, seq[0]):
+        return lower(seq)
+    return out * (len(seq) // p)
 
 
 def _placed(gates, place) -> list:
@@ -473,9 +513,10 @@ def _hermitian_real_terms(h: PauliSum) -> list[tuple[float, PauliString]]:
 
 # Peak bytes per placed step (a gate, or a part of a wide pexp's CX ladder)
 # of a Trotter circuit's gates and its doubled lowering's step lists, by
-# tracemalloc over _transfer(super_propagator_circuit(...)): 33.7 B for "ZZ",
-# 24.5 B for a 7-site Ising chain, 15.3 B for XYZY + ZIII, at 150,000 steps;
-# 40.2 B for "ZZ" at 1,000.
+# tracemalloc over building super_propagator_circuit(...) and its _transfer:
+# 24.0 B for "ZZ" and for a 7-site Ising chain at 150,000 gates, 4.5 B for
+# XYZY + ZIII at 337,500 placed steps; 31.0 B for "ZZ" at 1,000. One step is
+# lowered and its steps repeated, so the lists hold one reference per step.
 _TROTTER_STEP_BYTES = 40
 
 
@@ -527,7 +568,9 @@ def _evolve_pauli(amps: np.ndarray, n: int, lowered: list) -> np.ndarray:
     extra trailing re/im qubit. On the float64 vector, :func:`_fuse_tail`
     joins adjacent blocks on the last three sites. The running register and
     one pass output, :func:`run_passes`'s two buffers, are stated to the
-    byte budget before the first pass."""
+    byte budget before the first pass. The fusion runs on one period of
+    ``lowered`` and is repeated (see :func:`_tiled`), unless one period's
+    last block would fuse with the next one's first."""
     coeffs = _y_phase(amps.copy(), n, 1j)
     if coeffs.imag.any():
         reg, k = coeffs.view(np.float64), 2 * n + 1
@@ -535,7 +578,9 @@ def _evolve_pauli(amps: np.ndarray, n: int, lowered: list) -> np.ndarray:
         reg, k = np.ascontiguousarray(coeffs.real), 2 * n
     del coeffs  # on the real path, the complex copy is freed before the passes
     reserve(2 * reg.nbytes, f"a doubled evolution on {2 * n} qubits")
-    reg = run_passes(reg, _fuse_tail(lowered, k), k)
+    fused = _tiled(lowered, lambda steps: _fuse_tail(steps, k),
+                   lambda out, head: len(_fuse_tail([out[-1], head], k)) == 1)
+    reg = run_passes(reg, fused, k)
     out = reg.astype(complex) if k == 2 * n else np.ascontiguousarray(reg).view(complex)
     return _y_phase(out, n, -1j)
 

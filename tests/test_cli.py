@@ -674,8 +674,22 @@ class TestCircuitFieldTypes:
                                  {"name": "cx", "targets": [0, True]}]}, "gates[1].targets"),
         ({"qubits": 3, "gates": [{"name": "rz", "targets": [0], "angle": True}]}, "gates[0].angle"),
         ({"qubits": 3, "gates": [{"name": "rz", "targets": [0], "angle": "0.5"}]}, "gates[0].angle"),
+        # A bad spec after a good one it shares a Gate with (true == 1), and
+        # a repeated bad spec: the first bad index is reported.
+        ({"qubits": 3, "gates": [{"name": "h", "targets": [1]}, {"name": "h", "targets": [1]},
+                                 {"name": "h", "targets": [True]}, {"name": "h", "targets": [True]}]},
+         "gates[2].targets"),
+        ({"qubits": 3, "gates": [{"name": "rz", "targets": [0], "angle": 0.5},
+                                 {"name": "rz", "targets": [0], "angle": "0.5"},
+                                 {"name": "rz", "targets": [0], "angle": "0.5"}]}, "gates[1].angle"),
+        # A list axis word: refused, not left to crash the lowering.
+        ({"qubits": 3, "gates": [{"name": "pexp", "targets": [0], "angle": 0.5, "axes": "Z"},
+                                 {"name": "pexp", "targets": [0], "angle": 0.5, "axes": ["Z"]},
+                                 {"name": "pexp", "targets": [0], "angle": 0.5, "axes": ["Z"]}]},
+         "gates[1].axes"),
     ], ids=["qubits-float", "qubits-str", "target-bool", "target-float", "target-str",
-            "target-bool-after-equal-int", "angle-bool", "angle-str"])
+            "target-bool-after-equal-int", "angle-bool", "angle-str", "target-bool-repeated",
+            "angle-str-repeated", "axes-list"])
     def test_non_integer_fields_are_config_errors(self, tmp_path, capsys, circuit, field):
         code, out = run_task(tmp_path, "evolve", operator="ZII", circuit=circuit, seed=1)
         assert code == 2

@@ -61,7 +61,7 @@ from opvec.superop import (
     expectation,
     size_superop,
 )
-from opvec.vectorize import COMPUTATIONAL, PAULI, bell_transform, pauli_index, vectorize
+from opvec.vectorize import COMPUTATIONAL, PAULI, VectorizedState, bell_transform, pauli_index, vectorize
 
 
 def word(label: str) -> PauliString:
@@ -505,6 +505,37 @@ class TestLinearEntanglement:
         lo = estimate_loe2(st, st, [0], 4000, RngStream(83))
         hi = estimate_loe2(st, st, [0], 64_000, RngStream(83))
         assert 3.0 < lo.stderr / hi.stderr < 5.5
+
+    @pytest.mark.parametrize("copies", ["same", "different"])
+    def test_one_binomial_at_the_even_singlet_probability(self, gen, copies):
+        # The +1 signs are Binomial(shots, p_even), p_even summed over the
+        # even-singlet outcomes of the exact distribution and rounded to the
+        # grid.
+        a = random_state(gen, 4)
+        b = a if copies == "same" else random_state(gen, 4)
+        dist = np.clip(_swap_test_distribution(a, b, [0, 2]), 0.0, None)
+        even_singlets = (np.indices(dist.shape) == 2).sum(axis=0) % 2 == 0
+        p_even = dist[even_singlets].sum() / dist.sum()
+        shots = 4096
+        for seed in range(5):
+            rep = estimate_loe2(a, b, [0, 2], shots, RngStream(seed))
+            even = RngStream(seed).generator.binomial(shots, round(p_even * 2.0**40) / 2.0**40)
+            assert rep.value == 1.0 - (2 * even - shots) / shots
+
+    @pytest.mark.parametrize("text", ["1 0 ZI\n1 0 XX", "1 0 XZ\n0.7 0 ZX"], ids=["ZI+XX", "XZ+ZX"])
+    def test_rounding_dust_leaves_the_draw_unchanged(self, gen, text):
+        # A 1e-15 change to every amplitude moves p_even by far less than
+        # the grid: no seed redraws. These operators' Bell outcomes include
+        # exact zeros that the dust makes positive, which redrew every seed
+        # of a multinomial over the outcomes.
+        st = vectorize(PauliSum.from_text(text), COMPUTATIONAL)
+        dust = 1e-15 * (gen.normal(size=st.amplitudes.size) + 1j * gen.normal(size=st.amplitudes.size))
+        moved = VectorizedState(st.n, COMPUTATIONAL, st.amplitudes + dust)
+        assert not np.array_equal(moved.amplitudes, st.amplitudes)
+        for seed in range(20):
+            a = estimate_loe2(st, st, [0], 4096, RngStream(seed))
+            b = estimate_loe2(moved, moved, [0], 4096, RngStream(seed))
+            assert (a.value, a.stderr) == (b.value, b.stderr)
 
     @pytest.mark.parametrize("partition", [[], [0, 1], [5], [-1]])
     def test_rejects_bad_partition(self, partition):

@@ -58,6 +58,17 @@ def test_propagator_solves_real_hamiltonians_in_real_arithmetic(monkeypatch, ext
     assert np.max(np.abs(u @ u.conj().T - np.eye(32))) < 1e-12
 
 
+@pytest.mark.parametrize("n", [3, 6])
+@pytest.mark.parametrize("extra", ["YY", "YZ"])  # even Ys: real products; one Y: complex
+def test_propagator_matches_the_complex_formula(n, extra):
+    h = ising_chain(n)
+    h.add(0.3, PauliString.from_label(extra.ljust(n, "I")))
+    evals, vecs = np.linalg.eigh(h.to_dense())
+    for t in (0.7, -2.3, 11.0):
+        want = (vecs * np.exp(-1j * evals * t)) @ vecs.conj().T
+        assert np.max(np.abs(propagator(h, t) - want)) < 1e-12
+
+
 def test_propagator_rejects_non_hermitian():
     with pytest.raises(ValueError):
         propagator(np.array([[0, 1], [0, 0]]), 1.0)

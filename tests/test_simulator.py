@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from opvec import _linalg, simulator
 from opvec._linalg import run_passes
@@ -40,6 +40,7 @@ from opvec.simulator import (
     _fuse_tail,
     _identity_pairs,
     _lower,
+    _period,
     _term_gate,
     _transfer,
 )
@@ -815,9 +816,8 @@ class TestTransferPath:
             assert targets == tuple(range(targets[0], targets[0] + len(targets)))
 
     def test_super_propagator_pairs_fuse(self):
-        # Terms in the order listed: the first step's fields join the block
-        # after them, every later step's the previous step's last block on
-        # their site.
+        # Terms in the order listed: each step's fields join the block after
+        # them in that step.
         lowered = _transfer(super_propagator_circuit(ising_chain(7), 1.0, 64))
         assert len(lowered) == 64 * 6
         assert all(mat.shape == (16, 16) and mat.dtype == np.float64 for mat, _ in lowered)
@@ -939,10 +939,10 @@ class TestTailFusion:
         calls = _count_passes(monkeypatch, lambda: heisenberg_doubled(state, circ))
         assert [targets for _, targets, _ in calls] == [(2, 3, 4, 5), (0, 1, 2, 3), (4, 5, 6, 7)]
 
-    @pytest.mark.parametrize("build, distinct", [(trotter_circuit, 1), (super_propagator_circuit, 3)])
+    @pytest.mark.parametrize("build, distinct", [(trotter_circuit, 1), (super_propagator_circuit, 1)])
     def test_one_read_only_block_per_distinct_pair(self, build, distinct):
-        # trotter_circuit repeats one step's blocks; super_propagator_circuit's
-        # first and last steps have blocks of their own.
+        # Both circuits repeat one step's blocks: each step's fields are
+        # absorbed inside that step.
         lowered = _transfer(build(ising_chain(7), 1.0, 64))
         ends = {tuple(range(8, 12)), tuple(range(10, 14))}
         pairs = {(id(a), id(b)) for (a, ta), (b, tb) in zip(lowered, lowered[1:]) if {ta, tb} == ends}
@@ -989,13 +989,12 @@ class TestLoweringPerDistinctGate:
             "apply_circuit": lambda: _lower(trotter_circuit(h, t, steps)),
         }
 
-    # Counted at 4 and 64 steps: in the listed order, the first step's
-    # fields wait for a later block and the last step's blocks take none, so
-    # the first and last steps have blocks of their own, and the distinct
-    # products settle after the first few steps. Only _transfer absorbs.
+    # Counted at 4 and 64 steps: one step is placed and absorbed, and its
+    # steps repeated, so in the listed order too each step's fields join
+    # blocks of that step. Only _transfer absorbs.
     @pytest.mark.parametrize("seam, counts", [
         ("_place", {"heisenberg_doubled": 13, "super_propagator_circuit": 13, "apply_circuit": 13}),
-        ("_site_product", {"heisenberg_doubled": 2, "super_propagator_circuit": 11, "apply_circuit": 0}),
+        ("_site_product", {"heisenberg_doubled": 2, "super_propagator_circuit": 6, "apply_circuit": 0}),
     ])
     def test_work_does_not_grow_with_steps(self, monkeypatch, seam, counts):
         real = getattr(simulator, seam)
@@ -1020,12 +1019,9 @@ class TestLoweringPerDistinctGate:
         period = len(one)
         assert len(many) == 64 * period
         assert [t for _, t in many] == [t for _, t in one] * 64
-        # Every step with steps on both sides shares the second step's blocks.
-        assert all(many[i][0] is many[period + i % period][0] for i in range(period, 63 * period))
-        if path == "heisenberg_doubled":
-            # Each step's fields stay inside it: all 64 are the one step.
-            assert all(mat is many[i % period][0] for i, (mat, _) in enumerate(many))
-            assert all(np.array_equal(a, b) for (a, _), (b, _) in zip(many, one))
+        # Each step's fields stay inside it: all 64 are the one step.
+        assert all(step is many[i % period] for i, step in enumerate(many))
+        assert all(np.array_equal(a, b) for (a, _), (b, _) in zip(many, one))
 
     def test_equal_gate_objects_keep_their_own_matrices(self, gen):
         # Distinct objects of equal u gates, and rz at 0.0 and -0.0: the u
@@ -1039,6 +1035,143 @@ class TestLoweringPerDistinctGate:
         assert [t for _, t in lowered] == [(0,), (0,), (3,), (3,), (0,), (3,)]
         assert mats[0] is mats[4] and mats[0] is not mats[1]
         assert mats[2] is mats[5] and mats[2] is not mats[3]
+
+
+def _untiled(m):
+    """Patch ``m`` so that every sequence is lowered whole, as if nothing
+    repeated a period."""
+    m.setattr(simulator, "_period", lambda seq: max(len(seq), 1))
+
+
+def _and_passes(call):
+    """``call()`` and the passes it makes, as :func:`_count_passes` lists
+    them."""
+    with pytest.MonkeyPatch.context() as m:
+        return call(), _count_passes(m, call)
+
+
+class TestPeriodicLowering:
+    """A circuit that repeats one period is lowered one period at a time,
+    and the period's steps repeated."""
+
+    def test_period_is_the_shortest_repeat_by_identity(self):
+        a, b, c = object(), object(), object()
+        assert _period([a, b] * 3) == 2
+        assert _period([a] * 5) == 1
+        assert _period([a, b, a]) == 3  # 2 does not divide 3
+        assert _period([a, b, a, c]) == 4
+        assert _period([a, b, a, b, a, c] * 2) == 6
+        assert _period((a, b) * 4) == 2
+        assert _period([]) == 1
+        # Equal but distinct arrays are different items.
+        assert _period([np.zeros(2), np.zeros(2)]) == 2
+
+    @settings(deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 6),
+           st.sampled_from([1, 2, 3, 7]))
+    @example(1, 3, 1, 7)  # one gate: a single-site one stays apart in its period
+    def test_a_repeated_circuit_lowers_as_the_untiled_one(self, seed, k, count, reps):
+        # Against the whole circuit lowered at once: the evolution of a
+        # Hermitian sum (the float64 vector, whose tail blocks fuse) and of
+        # a complex one (the float64 view) within 1e-12, with the same
+        # passes on the same targets.
+        gen = np.random.default_rng(seed)
+        circ = Circuit(k, _mixed_circuit(gen, k, count).gates * reps)
+        hermitian = random_hermitian_sum(gen, k, 4)
+        skewed = PauliSum.from_terms(
+            [(complex(gen.normal(), gen.normal()), p) for _, p in hermitian.items()]
+        )
+        calls = [lambda op=op: heisenberg_doubled(vectorize(op, PAULI), circ).amplitudes
+                 for op in (hermitian, skewed)]
+        got = [_and_passes(call) for call in calls]
+        with pytest.MonkeyPatch.context() as m:
+            _untiled(m)
+            want = [_and_passes(call) for call in calls]
+        for (a, a_passes), (b, b_passes) in zip(got, want):
+            assert [(shape, t) for shape, t, _ in a_passes] == [(shape, t) for shape, t, _ in b_passes]
+            assert _close(a, b)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_trotter_order_and_aperiodic_circuits_are_bitwise_the_untiled_lowering(self, n):
+        # trotter_circuit's Heisenberg order absorbs each step's fields in
+        # that step, as the whole-circuit lowering does: the corr branch, an
+        # inline circuit and nqubit run it. An aperiodic circuit is its own
+        # period.
+        h = ising_chain(n)
+        hermitian = vectorize(PauliSum.from_text("0.6 0 " + "ZX".ljust(n, "I") + "\n0.8 0 " + "Y" * n), PAULI)
+        skewed = vectorize(PauliSum.from_text("0.6 0.8 " + "XZ".ljust(n, "I")), PAULI)
+        circ = trotter_circuit(h, 1.0, 16)
+        aperiodic = _mixed_circuit(np.random.default_rng(n), n, 12)
+        op, op2 = PauliSum.from_text("1 0 " + "ZX".ljust(n, "I")), PauliSum.from_text("1 0 " + "X" * n)
+        calls = [
+            lambda: heisenberg_doubled(hermitian, circ).amplitudes,
+            lambda: heisenberg_doubled(skewed, circ).amplitudes,
+            lambda: interferometric_state(op, op2, circ, Circuit(n)).amplitudes,
+            lambda: heisenberg_doubled(hermitian, aperiodic).amplitudes,
+            lambda: heisenberg_doubled(skewed, aperiodic).amplitudes,
+        ]
+        got = [call() for call in calls]
+        with pytest.MonkeyPatch.context() as m:
+            _untiled(m)
+            want = [call() for call in calls]
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_super_propagator_order_stays_within_rounding(self, n):
+        # Listed order: each step's fields join that step's next block on
+        # their site, where the whole-circuit lowering joins them to the
+        # previous step's last one. The values agree to rounding, the passes
+        # exactly.
+        state = vectorize(PauliSum.from_text("0.6 0 " + "ZX".ljust(n, "I") + "\n0.8 0 " + "Y" * n), PAULI)
+        circ = super_propagator_circuit(ising_chain(n), 1.0, 64)
+        got, got_passes = _and_passes(lambda: heisenberg_doubled(state, circ).amplitudes)
+        with pytest.MonkeyPatch.context() as m:
+            _untiled(m)
+            want, want_passes = _and_passes(lambda: heisenberg_doubled(state, circ).amplitudes)
+        assert _close(got, want)
+        assert got_passes == want_passes
+
+    @pytest.mark.parametrize("path", ["super_propagator_circuit", "heisenberg_doubled"])
+    def test_a_64_step_evolution_lowers_one_step(self, monkeypatch, path):
+        # _absorb gets one step's 13 placed steps, not 64 x 13 = 832;
+        # _fuse_tail gets the step's 6 blocks, not 384, and then the fused
+        # step's last block with the next step's first, which do not fuse.
+        lengths = {"_absorb": [], "_fuse_tail": []}
+        for name, seen in lengths.items():
+            real = getattr(simulator, name)
+
+            def counting(steps, *rest, real=real, seen=seen):
+                seen.append(len(steps))
+                return real(steps, *rest)
+
+            monkeypatch.setattr(simulator, name, counting)
+        _ising_doubled_n7()[path]()
+        assert lengths == {"_absorb": [13], "_fuse_tail": [6, 2]}
+
+    def test_blocks_fusing_across_the_seam_fuse_the_whole_list(self, monkeypatch):
+        # In Heisenberg order each period's blocks are on sites (1, 2),
+        # (0, 2) and (0, 1), and the last fuses with the next period's first.
+        state = vectorize(PauliSum.from_text("0.6 0 ZXI\n0.8 0 YYY"), PAULI)
+        period = [Gate("rxx", (0, 1), 0.3), Gate("rzz", (0, 2), 0.5), Gate("ryy", (1, 2), 0.7)]
+        circ = Circuit(3, period * 3)
+        got, passes = _and_passes(lambda: heisenberg_doubled(state, circ).amplitudes)
+        lower, apart, upper, fused = (2, 3, 4, 5), (0, 1, 4, 5), (0, 1, 2, 3), tuple(range(6))
+        assert [t for _, t, _ in passes] == [lower, apart, fused, apart, fused, apart, upper]
+        with monkeypatch.context() as m:
+            _untiled(m)
+            assert heisenberg_doubled(state, circ).amplitudes.tobytes() == got.tobytes()
+
+    def test_a_lone_single_site_step_lowers_the_whole_circuit(self, monkeypatch):
+        # Site 2 has only its field: over the whole circuit its 8 steps are
+        # one single-site step, which one step's lowering would leave 8 times.
+        circ = trotter_circuit(PauliSum.from_text("1 0 ZZI\n0.5 0 IIZ"), 0.8, 8)
+        lowered = _transfer(circ)
+        assert [t for _, t in lowered] == [(4, 5)] + [(0, 1, 2, 3)] * 8
+        with monkeypatch.context() as m:
+            _untiled(m)
+            whole = _transfer(circ)
+        assert [(mat.tobytes(), t) for mat, t in whole] == [(mat.tobytes(), t) for mat, t in lowered]
 
 
 class TestGateValues:
