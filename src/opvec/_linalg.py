@@ -8,6 +8,10 @@ significant bit of the flat index.
 
 from __future__ import annotations
 
+import itertools
+import operator
+from functools import partial
+
 import numpy as np
 
 from .errors import CapExceededError
@@ -63,33 +67,77 @@ def run_passes(vec: np.ndarray, steps: list, k: int) -> np.ndarray:
     product, as numpy promotes it, and a promotion takes a new pair of
     buffers. ``steps`` keeps its matrices alive through the call.
 
+    A list that repeats a period of p steps by identity (see :func:`_period`),
+    as a Trotter evolution's lowering does, costs O(p) Python work, not
+    O(len(steps)). After the first period every pass has the widest dtype,
+    so the passes alternate between one settled pair of buffers, and pass i
+    reads the buffer that pass i - 2p read. So passes p..3p-1 bind each
+    distinct (step, output buffer) once, as a call with its operand views
+    made (see :func:`_plan`), and pass i >= 3p repeats the bound call of
+    pass p + (i - 3p) mod 2p. The first period's passes, and every pass of
+    an aperiodic list, are bound as they run. Either way each pass makes
+    the same numpy calls on the same operands, so it keeps its bits.
+
     This is the package's one pass loop: every caller that applies a list of
     steps to a register hands the whole list to it."""
     if not steps:
         return vec
-    widest = np.result_type(vec.dtype, *{mat.dtype for mat, _ in steps})
+    p = _period(steps)
+    widest = np.result_type(vec.dtype, *{mat.dtype for mat, _ in steps[:p]})
     reserve(widest.itemsize * vec.size, f"each register buffer of {k} qubits")
-    plans: dict[tuple, object] = {}
+    binders: dict[tuple, object] = {}
+    bound: dict[tuple, object] = {}
+    cycle, outs = [], []  # the bound calls of passes p..3p-1, and their outputs
     bufs: tuple[np.ndarray, ...] = ()
     src = vec
-    for mat, targets in steps:
+    for i, (mat, targets) in enumerate(steps[: 3 * p]):
         key = (id(mat), targets)
-        plan = plans.get(key)
-        if plan is None:
-            plan = plans[key] = _plan(mat, targets, k)
+        bind = binders.get(key)
+        if bind is None:
+            bind = binders[key] = _plan(mat, targets, k)
         dtype = np.promote_types(src.dtype, mat.dtype)
         if not bufs or bufs[0].dtype != dtype:
             bufs = (np.empty(vec.size, dtype), np.empty(vec.size, dtype))
         dst, spare = (bufs[1], bufs[0]) if src is bufs[0] else bufs
-        plan(src, dst, spare)
+        if i < p:
+            bind(src, dst, spare)()
+        else:
+            call = bound.get((key, dst is bufs[1]))
+            if call is None:
+                call = bound[key, dst is bufs[1]] = bind(src, dst, spare)
+            cycle.append(call)
+            outs.append(dst)
+            call()
         src = dst
+    rest = len(steps) - 3 * p
+    if rest > 0:
+        for call in itertools.islice(itertools.cycle(cycle), rest):
+            call()
+        src = outs[(rest - 1) % len(outs)]
     return src
 
 
+def _period(seq) -> int:
+    """The smallest p dividing len(seq) with seq[i] is seq[i + p] for every
+    i, or len(seq) when there is none (1 when ``seq`` is empty): the length
+    of the part that ``seq`` repeats, as a Trotter circuit repeats one step.
+    Items compare by identity, as steps hold numpy arrays, and only the
+    positions where seq[0] recurs are tried."""
+    n = len(seq)
+    for p in range(1, n // 2 + 1):
+        if seq[p] is seq[0] and n % p == 0 and all(map(operator.is_, seq, seq[p:])):
+            return p
+    return max(n, 1)
+
+
 def _plan(mat: np.ndarray, targets: tuple[int, ...], k: int):
-    """The pass of ``mat`` on ``targets`` of a k-qubit register, as a
-    function (src, dst, spare) that writes the result into ``dst``;
-    ``spare`` is scratch of the same size and dtype, and ``src`` is only read.
+    """The pass of ``mat`` on ``targets`` of a k-qubit register, as a binder
+    bind(src, dst, spare) -> call: call() writes the pass's result into
+    ``dst``; ``spare`` is scratch of the same size and dtype, and ``src`` is
+    only read. The call holds its views of the three arrays and any matrix
+    folded here, so it can run again on whatever the arrays then hold. It is
+    one numpy call with its operands bound, ``out`` positional, or
+    :func:`_moved` or :func:`_transposed` with theirs.
 
     For ascending contiguous targets, with A, D = 2^m and B the sizes of the
     leading, target and trailing blocks of a register viewed as (A, D, B):
@@ -115,46 +163,52 @@ def _plan(mat: np.ndarray, targets: tuple[int, ...], k: int):
     transposed GEMMs, rounds as they did only from _FOLD_ROWS rows up."""
     m = len(targets)
     dim = 2**m
-    diagonal = mat.ndim == 1
     lo = targets[0] if m else 0
     if tuple(targets) != tuple(range(lo, lo + m)):
         cube, front = (2,) * k, tuple(range(m))
-
-        def moved(src, dst, spare):
-            np.copyto(dst.reshape(cube), np.moveaxis(src.reshape(cube), targets, front))
-            rows, out = dst.reshape(dim, -1), spare.reshape(dim, -1)
-            if diagonal:
-                np.multiply(mat[:, None], rows, out=out)
-            else:
-                np.matmul(mat, rows, out=out)
-            np.copyto(dst.reshape(cube), np.moveaxis(spare.reshape(cube), front, targets))
-
-        return moved
+        product, operand = (np.multiply, mat[:, None]) if mat.ndim == 1 else (np.matmul, mat)
+        return lambda src, dst, spare: partial(
+            _moved, dst.reshape(cube), np.moveaxis(src.reshape(cube), targets, front), product,
+            operand, dst.reshape(dim, -1), spare.reshape(dim, -1),
+            np.moveaxis(spare.reshape(cube), front, targets))
     b = 2 ** (k - lo - m)
     narrow = b < dim and dim * b <= _FOLD_NARROW and 2**lo >= _FOLD_ROWS
     if 1 < b and (dim * b <= _FOLD or narrow):
-        if diagonal:
+        if mat.ndim == 1:
             mat = np.repeat(mat, b)
         else:
             mat = (mat[:, None, :, None] * np.eye(b)[None, :, None, :]).reshape(dim * b, dim * b)
         dim, b = dim * b, 1
     shape = (-1, dim, b)
-    if diagonal:
+    if mat.ndim == 1:
         factor = mat[:, None]
-        return lambda src, dst, spare: np.multiply(src.reshape(shape), factor, out=dst.reshape(shape))
+        return lambda src, dst, spare: partial(np.multiply, src.reshape(shape), factor, dst.reshape(shape))
     if b == 1:
         right = mat.T
-        return lambda src, dst, spare: np.matmul(src.reshape(-1, dim), right, out=dst.reshape(-1, dim))
+        return lambda src, dst, spare: partial(np.matmul, src.reshape(-1, dim), right, dst.reshape(-1, dim))
     if b >= dim:
-        return lambda src, dst, spare: np.matmul(mat, src.reshape(shape), out=dst.reshape(shape))
+        return lambda src, dst, spare: partial(np.matmul, mat, src.reshape(shape), dst.reshape(shape))
     right = mat.T
+    return lambda src, dst, spare: partial(
+        _transposed, dst.reshape(-1, b, dim), src.reshape(shape).transpose(0, 2, 1),
+        dst.reshape(-1, dim), right, spare.reshape(-1, dim), dst.reshape(shape),
+        spare.reshape(-1, b, dim).transpose(0, 2, 1))
 
-    def transposed(src, dst, spare):
-        np.copyto(dst.reshape(-1, b, dim), src.reshape(shape).transpose(0, 2, 1))
-        np.matmul(dst.reshape(-1, dim), right, out=spare.reshape(-1, dim))
-        np.copyto(dst.reshape(shape), spare.reshape(-1, b, dim).transpose(0, 2, 1))
 
-    return transposed
+def _moved(into, gathered, product, operand, rows, out, back):
+    """The pass on targets in any other order: the target axes copied to
+    the front, one product, and the axes moved back (see :func:`_plan`)."""
+    np.copyto(into, gathered)
+    product(operand, rows, out)
+    np.copyto(into, back)
+
+
+def _transposed(cols, rows, flat, right, out, into, back):
+    """The pass with 1 < B < D unfolded: (A, D, B) transposed to (A, B, D),
+    one GEMM, and transposed back (see :func:`_plan`)."""
+    np.copyto(cols, rows)
+    np.matmul(flat, right, out)
+    np.copyto(into, back)
 
 
 def amplitude_matrix(vec: np.ndarray, n: int) -> np.ndarray:

@@ -127,6 +127,15 @@ def _load_pauli_sum(spec, base: Path, errors: list[str], field: str) -> PauliSum
     return None
 
 
+def _load_operator(spec, base: Path, errors: list[str], field: str) -> PauliSum | None:
+    """An operator to vectorize, loaded as :func:`_load_pauli_sum` loads it;
+    one whose coefficients are all zero has no direction, so it is refused."""
+    op = _load_pauli_sum(spec, base, errors, field)
+    if op is not None and not op.terms:
+        errors.append(f"{field}: every coefficient is zero; the zero operator cannot be vectorized")
+    return op
+
+
 def _load_circuit(spec, base: Path, errors: list[str]) -> Circuit | None:
     """Circuit JSON: {"qubits": k, "gates": [{"name", "targets", "angle"?, "axes"?}]}.
 
@@ -192,6 +201,50 @@ def _pairs(spec, n: int, errors: list[str]) -> list[tuple[PauliString, PauliStri
     return out
 
 
+def _groups(a: OperatorSumSuperop, grouping) -> tuple[list[list[int]], list[float]]:
+    """The groups an operator-sum superoperator is measured in, ``grouping``
+    or, when it is None, one per term that is not identity on both sides,
+    and each group's weight: the sum of its terms' |coefficients|."""
+    if grouping is None:
+        grouping = [
+            [i] for i, (_, left, right) in enumerate(a.terms) if left.weight or right.weight
+        ]
+    return grouping, [sum(abs(a.terms[i][0]) for i in group) for group in grouping]
+
+
+def _check_groups(a: OperatorSumSuperop, grouping, shots: int, errors: list[str]) -> None:
+    """Append what the grouped estimate of ``a`` would refuse at run time in
+    its groups and its ``shots``, naming the field: ``grouping`` is a list of
+    integer lists, or None for the default of :func:`_groups`."""
+    if grouping is not None:
+        indices = [i for group in grouping for i in group]
+        if not indices:
+            problem = "needs at least one nonempty group"
+        elif not all(0 <= i < len(a.terms) for i in indices):
+            problem = f"term indices must lie in 0..{len(a.terms) - 1}"
+        elif len(set(indices)) < len(indices):
+            problem = "each term index may appear once"
+        elif any((left.weight or right.weight) and i not in indices
+                 for i, (_, left, right) in enumerate(a.terms)):
+            problem = "every term that is not identity on both sides must be in a group"
+        else:
+            problem = None
+        if problem:
+            errors.append(f"grouping: {problem}")
+            return
+    groups, weights = _groups(a, grouping)
+    measured = sum(w > 0 for w in weights)
+    if not a.is_self_adjoint or any(abs(a.terms[i][0].imag) > 1e-12 for g in groups for i in g):
+        errors.append("superop: grouped estimation needs real coefficients")
+    elif not groups:
+        errors.append("superop: every term is identity on both sides, so no group is measured")
+    elif any(group and not w for group, w in zip(groups, weights)):
+        field = "superop" if grouping is None else "grouping"
+        errors.append(f"{field}: a group whose coefficients are all zero gets no shots")
+    elif shots < measured:
+        errors.append(f"shots: the {measured} measured groups need at least {measured} shots")
+
+
 def validate_config(path) -> tuple[dict | None, list[str]]:
     """Load, default-fill, and fully check one experiment config.
 
@@ -247,7 +300,7 @@ def validate_config(path) -> tuple[dict | None, list[str]]:
         if "operator" not in raw:
             errors.append("operator: required")
         else:
-            op = _load_pauli_sum(cfg["operator"], cfg["_dir"], errors, "operator")
+            op = _load_operator(cfg["operator"], cfg["_dir"], errors, "operator")
             cfg["_operator"] = op
 
     if "hamiltonian" in raw and "circuit" in raw:
@@ -296,20 +349,12 @@ def validate_config(path) -> tuple[dict | None, list[str]]:
         elif cfg["power"] > 1 and isinstance(cfg.get("_superop"), OperatorSumSuperop):
             errors.append("power: moments above 1 need a diagonal superoperator")
         grouping = raw.get("grouping")
-        if grouping is not None:
-            if not (isinstance(grouping, list)
-                    and all(isinstance(g, list)
-                            and all(_is_int(i) for i in g) for g in grouping)):
-                errors.append("grouping: expected a list of integer lists")
-            elif isinstance(cfg.get("_superop"), OperatorSumSuperop):
-                indices = [i for group in grouping for i in group]
-                terms = len(cfg["_superop"].terms)
-                if not indices:
-                    errors.append("grouping: needs at least one nonempty group")
-                elif not all(0 <= i < terms for i in indices):
-                    errors.append(f"grouping: term indices must lie in 0..{terms - 1}")
-                elif len(set(indices)) < len(indices):
-                    errors.append("grouping: each term index may appear once")
+        if grouping is not None and not (
+                isinstance(grouping, list)
+                and all(isinstance(g, list) and all(_is_int(i) for i in g) for g in grouping)):
+            errors.append("grouping: expected a list of integer lists")
+        elif isinstance(cfg.get("_superop"), OperatorSumSuperop):
+            _check_groups(cfg["_superop"], grouping, cfg["shots"], errors)
 
     if task == "ose":
         if cfg["alpha"] < 2:
@@ -342,9 +387,7 @@ def validate_config(path) -> tuple[dict | None, list[str]]:
         errors.append(f"site: must lie in 0..{op.n - 1}")
 
     if task == "corr" and "operator_b" in raw:
-        cfg["_operator_b"] = _load_pauli_sum(
-            cfg["operator_b"], cfg["_dir"], errors, "operator_b"
-        )
+        cfg["_operator_b"] = _load_operator(cfg["operator_b"], cfg["_dir"], errors, "operator_b")
 
     if task == "nqubit" and op is not None:
         items = list(op.ordered_items())
@@ -495,16 +538,7 @@ def _task_superop(cfg: dict, rng: RngStream):
         artifacts["dist.csv"] = dist.to_csv()
         rep = est.mc_diagonal(dist, a, power=cfg["power"], seed=cfg["seed"])
     else:
-        grouping = cfg.get("grouping")
-        if grouping is None:
-            grouping = [
-                [i] for i, (_, left, right) in enumerate(a.terms)
-                if left.weight or right.weight
-            ]
-        weights = [
-            sum(abs(a.terms[i][0]) for i in group) if group else 0.0
-            for group in grouping
-        ]
+        grouping, weights = _groups(a, cfg.get("grouping"))
         plan = est.allocate_shots(weights, cfg["shots"])
         rep = est.estimate_superop_grouped(state, a, grouping, plan, rng.fork("superop"))
         params["groups"] = len(grouping)

@@ -11,7 +11,8 @@ it into (matrix, targets) steps on its own register, one per gate or part of
 a wide pexp's CX ladder, and :func:`run_passes` applies them one pass each.
 For a doubled evolution, a circuit that repeats one period, as a Trotter
 circuit repeats one step, is lowered and fused one period at a time and the
-period's steps repeated (:func:`_tiled`).
+period's steps repeated (:func:`_tiled`); :func:`run_passes` then binds one
+period's passes and replays them.
 
 Heisenberg evolution of a vectorized operator runs in the Hermitian-Pauli
 basis, where site i's qubit pair (2i, 2i+1) indexes I, X, Z, Y. There the
@@ -23,16 +24,16 @@ blocks on the last three sites that :func:`_fuse_tail` joins.
 
 from __future__ import annotations
 
-import operator
+import functools
 import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import apply_block, reserve, run_passes
+from ._linalg import _period, apply_block, reserve, run_passes
 from .errors import ProjectionFailedError
 from .pauli import PAULI_CHARS, SIGMA, PauliString, PauliSum
-from .vectorize import COMPUTATIONAL, PAULI, VectorizedState, bell_transform, vectorize
+from .vectorize import _P_TO_C, COMPUTATIONAL, PAULI, VectorizedState, bell_transform, vectorize
 
 _SQ = 1 / np.sqrt(2)
 
@@ -221,25 +222,12 @@ def _transfer(circuit: Circuit, sites=None) -> list:
     )
 
 
-def _period(seq) -> int:
-    """The smallest p dividing len(seq) with seq[i] is seq[i + p] for every
-    i, or len(seq) when there is none (1 when ``seq`` is empty): the length
-    of the part that ``seq`` repeats, as a Trotter circuit repeats one step.
-    Items compare by identity, as steps hold numpy arrays, and only the
-    positions where seq[0] recurs are tried."""
-    n = len(seq)
-    for p in range(1, n // 2 + 1):
-        if seq[p] is seq[0] and n % p == 0 and all(map(operator.is_, seq, seq[p:])):
-            return p
-    return max(n, 1)
-
-
 def _tiled(seq, lower, joins) -> list:
     """The list ``lower(seq)``, computed on one period of ``seq`` (see
-    :func:`_period`) and repeated, so its work follows the period, not the
-    length. When ``joins(out, head)`` says that ``out``, one period's
-    lowering, would merge with the next period, which starts with ``head``,
-    the whole of ``seq`` is lowered, as an aperiodic one is."""
+    :func:`_linalg._period`) and repeated, so its work follows the period,
+    not the length. When ``joins(out, head)`` says that ``out``, one
+    period's lowering, would merge with the next period, which starts with
+    ``head``, the whole of ``seq`` is lowered, as an aperiodic one is."""
     p = _period(seq)
     out = lower(seq[:p])
     if p < len(seq) and joins(out, seq[0]):
@@ -666,10 +654,11 @@ def channel_dual_postselect(
     dilation acts on len(sites) system qubits followed by n_env fresh
     environment qubits; its qubit q < len(sites) is system site sites[q].
     O (x) I runs through the dilation's transfer passes, as in
-    :func:`heisenberg_doubled`, then into the computational rep, where the
-    environment's |0><0| block is taken. Returns the renormalized
-    ||E^dag(O)>>_C and the exact projection probability
-    tr(E^dag(O)^2) / (tr(O^dag O) 2^{n_env}).
+    :func:`heisenberg_doubled`. The environment's |0><0| block is taken in
+    the Pauli rep, where on each environment site it is (c_I + c_Z)/sqrt(2),
+    row 0 of the p_to_c pair transform; only the system's block then moves
+    to the computational rep. Returns the renormalized ||E^dag(O)>>_C and the
+    exact projection probability tr(E^dag(O)^2) / (tr(O^dag O) 2^{n_env}).
     """
     n = state.n
     if sites is None:
@@ -688,12 +677,12 @@ def channel_dual_postselect(
     amps[:: 4**n_env] = pauli.amplitudes
     lowered = _transfer(dilation, list(sites) + list(range(n, total)))
     amps = _evolve_pauli(amps, total, lowered)
-    amps = bell_transform(VectorizedState(total, PAULI, amps), "p_to_c").amplitudes
-    block = amps.reshape(4**n, 4**n_env)[:, 0]
+    zero = functools.reduce(np.kron, [_P_TO_C[0]] * n_env)
+    block = amps.reshape(4**n, 4**n_env) @ zero
     prob = float(np.linalg.norm(block) ** 2)
     if prob < 1e-12:
         raise ProjectionFailedError("environment projection lost all amplitude", prob)
-    return VectorizedState(n, COMPUTATIONAL, block / np.sqrt(prob)), prob
+    return bell_transform(VectorizedState(n, PAULI, block / np.sqrt(prob)), "p_to_c"), prob
 
 
 # ---------------------------------------------------------------------------

@@ -598,6 +598,45 @@ class TestConfigValidation:
         assert f"config error: {field}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    # Configs whose fields are each well typed and in range, but which the
+    # estimator would refuse at run time with exit 1: the zero operator has
+    # no vectorized state, and an operator-sum superop's groups must each get
+    # a shot, be real and cover every term that is not identity.
+    @pytest.mark.parametrize("task,cfg,field", [
+        ("evolve", {"operator": {"text": "0 0 XII"}}, "operator: every coefficient is zero"),
+        ("evolve", {"operator": {"text": "0.5 0 XII\n-0.5 0 XII"}},
+         "operator: every coefficient is zero"),
+        ("corr", {"operator": "ZII", "operator_b": {"text": "0 0 XII"}},
+         "operator_b: every coefficient is zero"),
+        ("superop", {"operator": "XII", "shots": 2,
+                     "superop": {"text": "0.5 0 XII XII\n0.25 0 ZII ZII\n0.25 0 IZI IZI"}},
+         "shots: the 3 measured groups need at least 3 shots"),
+        ("superop", {"operator": "XII", "superop": {"text": "0.5 0 III III"}},
+         "superop: every term is identity on both sides"),
+        ("superop", {"operator": "XII", "superop": {"text": "0 0 XII XII\n0.5 0 ZII ZII"}},
+         "superop: a group whose coefficients are all zero gets no shots"),
+        ("superop", {**SUM2, "grouping": [[0]]},
+         "grouping: every term that is not identity on both sides must be in a group"),
+        ("superop", {"operator": "XII", "superop": {"text": "0.5 0.5 XII XII"}},
+         "superop: grouped estimation needs real coefficients"),
+    ], ids=["zero-operator", "cancelling-terms", "zero-operator-b", "shots-below-groups",
+            "identity-terms", "zero-group", "term-left-out", "complex-coefficient"])
+    def test_config_the_estimator_would_refuse_is_config_error(self, tmp_path, capsys, task, cfg,
+                                                               field):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"task": task, "seed": 1, **cfg}))
+        code = main([task, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"config error: {field}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("grouping,shots", [([[0, 1]], 1), ([[0], [1]], 2)])
+    def test_one_shot_per_measured_group_runs(self, tmp_path, grouping, shots):
+        code, out = run_task(tmp_path, "superop", seed=1, grouping=grouping, shots=shots,
+                             **self.SUM2)
+        assert code == 0
+        assert json.loads((out / "report.json").read_text())["shots"] == shots
+
 
 def ising_spec(n: int, t: float, steps: int) -> dict:
     """The Ising chain's Trotter circuit as inline circuit JSON, one pexp

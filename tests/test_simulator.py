@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from opvec import _linalg, simulator
-from opvec._linalg import run_passes
+from opvec._linalg import _period, run_passes
 from opvec.errors import CapExceededError, ProjectionFailedError
 from opvec.pauli import PauliString, PauliSum
 from opvec.simulator import (
@@ -37,14 +37,14 @@ from opvec.simulator import (
 from opvec.simulator import (
     _TROTTER_STEP_BYTES,
     _absorb,
+    _evolve_pauli,
     _fuse_tail,
     _identity_pairs,
     _lower,
-    _period,
     _term_gate,
     _transfer,
 )
-from opvec.vectorize import COMPUTATIONAL, PAULI, VectorizedState, vectorize
+from opvec.vectorize import COMPUTATIONAL, PAULI, VectorizedState, bell_transform, vectorize
 from helpers import ginibre, ising_chain, random_hermitian_sum, refusal_peak
 from reference import apply_matrix, apply_steps
 
@@ -325,6 +325,26 @@ class TestChannelDual:
         assert prob == pytest.approx((1 - 2 * p) ** 2 / 2, abs=1e-12)
         want = vectorize(PauliSum.from_text(f"{1 - 2 * p} 0 Z"), COMPUTATIONAL)
         assert np.allclose(out.amplitudes, want.amplitudes, atol=1e-10)
+
+    @pytest.mark.parametrize("n,sites,n_env",
+                             [(3, (1,), 1), (4, (0, 2), 1), (2, (1,), 2), (7, (3,), 1)])
+    def test_postselecting_in_the_pauli_rep_matches_the_whole_register(self, gen, n, sites, n_env):
+        # The environment's |0><0| block taken from the Pauli rep, and only
+        # the system's block moved to the computational rep, against the
+        # whole dilated register moved first and the block taken after.
+        state = vectorize(ginibre(gen, 2**n), COMPUTATIONAL)
+        dilation = _mixed_circuit(gen, len(sites) + n_env, 20)
+        out, prob = channel_dual_postselect(dilation, n_env, state, sites=sites)
+        total = n + n_env
+        amps = np.zeros(4**total, dtype=complex)
+        amps[:: 4**n_env] = bell_transform(state, "c_to_p").amplitudes
+        amps = _evolve_pauli(amps, total, _transfer(dilation, list(sites) + list(range(n, total))))
+        whole = bell_transform(VectorizedState(total, PAULI, amps), "p_to_c").amplitudes
+        block = whole.reshape(4**n, 4**n_env)[:, 0]
+        want = float(np.linalg.norm(block) ** 2)
+        assert out.basis == COMPUTATIONAL
+        assert abs(prob - want) < 1e-12
+        assert np.max(np.abs(out.amplitudes - block / np.sqrt(want))) < 1e-12
 
     def test_vanishing_projection_raises(self):
         theta = 2 * np.arcsin(np.sqrt(0.5))
@@ -681,29 +701,59 @@ class TestApplyMatrix:
         assert got.tobytes() == apply_steps(vec, steps, k).tobytes()
         assert np.array_equal(vec, before)
 
+    @staticmethod
+    def _random_step(gen, k, complex_mat):
+        """One step on a k-qubit register: a diagonal or a dense matrix on
+        contiguous or permuted targets, complex when ``complex_mat``."""
+        m = int(gen.integers(1, min(k, 4) + 1))
+        targets = tuple(int(t) for t in gen.permutation(k)[:m])
+        if gen.integers(2):
+            lo = int(gen.integers(0, k - m + 1))
+            targets = tuple(range(lo, lo + m))
+        shape = 2**m if gen.integers(2) else (2**m, 2**m)
+        mat = gen.normal(size=shape)
+        if complex_mat:
+            mat = mat + 1j * gen.normal(size=shape)
+        return mat, targets
+
     @given(st.integers(2, 9), st.integers(0, 2**32 - 1), st.booleans())
     @example(9, 3, False)  # float register, complex steps: promoted at the first
     def test_random_step_lists_match_the_per_step_kernel(self, k, seed, real):
         # Mixed float64 and complex128 steps: a float register is promoted
         # where the per-step product would promote it.
         gen = np.random.default_rng(seed)
-        steps = []
-        for _ in range(int(gen.integers(1, 8))):
-            m = int(gen.integers(1, min(k, 4) + 1))
-            targets = tuple(int(t) for t in gen.permutation(k)[:m])
-            if gen.integers(2):
-                lo = int(gen.integers(0, k - m + 1))
-                targets = tuple(range(lo, lo + m))
-            shape = 2**m if gen.integers(2) else (2**m, 2**m)
-            mat = gen.normal(size=shape)
-            if gen.integers(2):
-                mat = mat + 1j * gen.normal(size=shape)
-            steps.append((mat, targets))
+        steps = [self._random_step(gen, k, bool(gen.integers(2)))
+                 for _ in range(int(gen.integers(1, 8)))]
         vec = gen.normal(size=2**k) if real else ginibre(gen, 2**k)[0]
         before = vec.copy()
         got = run_passes(vec, steps, k)
         want = apply_steps(vec, steps, k)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert np.array_equal(vec, before)
+
+    @settings(deadline=None)
+    @given(st.integers(2, 8), st.integers(1, 6), st.sampled_from([1, 2, 3, 7]),
+           st.integers(0, 2**32 - 1))
+    @example(6, 3, 7, 1)  # odd period: the bound cycle spans two periods
+    @example(6, 4, 7, 2)  # even period: each step is bound once per buffer
+    @example(5, 1, 7, 3)  # one step repeated
+    @example(5, 5, 3, 4)  # no pass past 3p: every pass runs as it is bound
+    def test_repeated_step_lists_match_the_per_step_kernel(self, k, period, repeats, seed):
+        # A period of random steps, the list repeating it by identity, as a
+        # Trotter evolution's lowering does. The float64 register is promoted
+        # to complex at a complex step inside the first period, after its
+        # first pass when the period has more than one step.
+        gen = np.random.default_rng(seed)
+        promote = int(gen.integers(1, period)) if period > 1 else 0
+        steps = [self._random_step(gen, k, i == promote or (i > promote and bool(gen.integers(2))))
+                 for i in range(period)] * repeats
+        assert _period(steps) == period
+        vec = gen.normal(size=2**k)
+        before = vec.copy()
+        got = run_passes(vec, steps, k)
+        want = apply_steps(vec, steps, k)
+        assert got.dtype == want.dtype == np.complex128
+        assert got.tobytes() == want.tobytes()
         assert np.array_equal(vec, before)
 
     def test_no_steps_return_the_input(self):
@@ -741,6 +791,39 @@ class TestApplyMatrix:
             tracemalloc.stop()
         assert got.tobytes() == apply_steps(vec, lowered, 2 * n + 1).tobytes()
         assert 2 * register <= peak < 3 * register
+
+
+    def test_a_repeated_step_is_planned_and_bound_once_per_period(self, monkeypatch):
+        # The n=7 Ising evolution's 5 passes per Trotter step: each distinct
+        # step is planned once, and at most 3 periods of passes are bound,
+        # however many steps the evolution has. Each run matches the per-step
+        # kernel bit for bit.
+        counts = {}
+        plan = _linalg._plan
+
+        def counted_plan(mat, targets, k):
+            counts["plans"] += 1
+            bind = plan(mat, targets, k)
+
+            def counted_bind(src, dst, spare):
+                counts["binds"] += 1
+                return bind(src, dst, spare)
+
+            return counted_bind
+
+        monkeypatch.setattr(_linalg, "_plan", counted_plan)
+        h = ising_chain(7)
+        vec = np.random.default_rng(6).normal(size=4**7)
+        seen = []
+        for steps in (16, 64):
+            counts.update(plans=0, binds=0)
+            lowered = _fuse_tail(_transfer(trotter_circuit(h, 1.0, steps)), 14)
+            assert len(lowered) == 5 * steps
+            got = run_passes(vec, lowered, 14)
+            assert got.tobytes() == apply_steps(vec, lowered, 14).tobytes()
+            seen.append(dict(counts))
+        assert seen[0] == seen[1]
+        assert seen[0]["plans"] == 5 and seen[0]["binds"] <= 15
 
 
 class TestSingleRegisterLowering:
