@@ -41,6 +41,7 @@ from .simulator import (
     Gate,
     QState,
     RngStream,
+    _is_unitary,
     _reserve_dilated,
     apply_circuit,
     channel_dual_postselect,
@@ -388,6 +389,19 @@ def validate_config(path) -> tuple[dict | None, list[str]]:
 
     if task == "corr" and "operator_b" in raw:
         cfg["_operator_b"] = _load_operator(cfg["operator_b"], cfg["_dir"], errors, "operator_b")
+    if task == "corr" and op is not None:
+        # What interferometric_state refuses. Past the byte budget a sum's
+        # unitarity is left to the run, which refuses its register first.
+        for field in ("operator", "operator_b"):
+            o = cfg.get("_" + field)
+            if o is not None and o.n != op.n:
+                errors.append(f"{field}: acts on {o.n} sites, operator on {op.n}")
+            elif o is not None:
+                try:
+                    if not _is_unitary(o):
+                        errors.append(f"{field}: corr needs a unitary operator")
+                except CapExceededError:
+                    pass
 
     if task == "nqubit" and op is not None:
         items = list(op.ordered_items())
@@ -412,25 +426,25 @@ def validate_config(path) -> tuple[dict | None, list[str]]:
 def _evolved(cfg: dict, op: PauliSum, basis) -> VectorizedState:
     """Encoded operator in ``basis`` after the configured evolution. An
     evolution runs from the Pauli rep, whose coefficients of a Hermitian
-    operator are real; with none, the operator is vectorized in ``basis``.
-    A Hamiltonian evolves by super_propagator_circuit, whose Heisenberg
-    picture applies each step's terms in the order listed."""
-    u = _configured_circuit(cfg, super_propagator_circuit)
+    operator are real; with none, the operator is vectorized in ``basis``."""
+    u = _configured_circuit(cfg)
     if u is None:
         return vectorize(op, basis)
     state = heisenberg_doubled(vectorize(op, PAULI), u)
     return state if basis == PAULI else bell_transform(state, "p_to_c")
 
 
-def _configured_circuit(cfg: dict, build) -> Circuit | None:
-    """The configured evolution's circuit: the given circuit, ``build``(h, t,
-    steps) of the Hamiltonian, or None when nothing evolves."""
+def _configured_circuit(cfg: dict) -> Circuit | None:
+    """The configured evolution's circuit: the given circuit, the Hamiltonian's
+    trotter_circuit(h, t, steps), or None when nothing evolves. Every task
+    evolves by it, so a Hamiltonian config runs as the inline circuit that
+    lists its terms step by step."""
     circuit = cfg.get("_circuit")
     h = cfg.get("_hamiltonian")
     if circuit is not None:
         return circuit
     if h is not None and cfg["t"] != 0.0:
-        return build(h, cfg["t"], cfg["steps"])
+        return trotter_circuit(h, cfg["t"], cfg["steps"])
     return None
 
 
@@ -584,7 +598,7 @@ def _task_corr(cfg: dict, rng: RngStream):
     op = cfg["_operator"]
     op_b = cfg.get("_operator_b", op)
     # Re tr(B A(t))/2^n: A evolves, B stays at t = 0.
-    u = _configured_circuit(cfg, trotter_circuit) or Circuit(op.n)
+    u = _configured_circuit(cfg) or Circuit(op.n)
     state = interferometric_state(op, op_b, u, Circuit(op.n))
     rep = est.estimate_corr_interferometric(state, cfg["shots"], rng.fork("corr"))
 
@@ -629,7 +643,7 @@ def _task_choi2pc(cfg: dict, rng: RngStream):
 def _task_nqubit(cfg: dict, rng: RngStream):
     op = cfg["_operator"]
     word = next(iter(op.ordered_items()))[1]
-    u = _configured_circuit(cfg, trotter_circuit) or Circuit(op.n)
+    u = _configured_circuit(cfg) or Circuit(op.n)
     reports = est.nqubit_otoc(word, u, cfg["_pairs"], cfg["shots"], rng.fork("nqubit"))
     return reports, {}, lambda: _exact_otocs(cfg), {}
 

@@ -501,7 +501,7 @@ def _hermitian_real_terms(h: PauliSum) -> list[tuple[float, PauliString]]:
 
 # Peak bytes per placed step (a gate, or a part of a wide pexp's CX ladder)
 # of a Trotter circuit's gates and its doubled lowering's step lists, by
-# tracemalloc over building super_propagator_circuit(...) and its _transfer:
+# tracemalloc over building trotter_circuit(...) and its _transfer:
 # 24.0 B for "ZZ" and for a 7-site Ising chain at 150,000 gates, 4.5 B for
 # XYZY + ZIII at 337,500 placed steps; 31.0 B for "ZZ" at 1,000. One step is
 # lowered and its steps repeated, so the lists hold one reference per step.
@@ -525,13 +525,13 @@ def trotter_circuit(h: PauliSum, t: float, steps: int) -> Circuit:
 
 
 def super_propagator_circuit(h: PauliSum, t: float, steps: int) -> Circuit:
-    """The Trotter circuit of ``hamiltonian`` configs: the inverse of
+    """The reference of ``compile2d``'s oracle: the inverse of
     trotter_circuit(h, -t, steps), which is trotter_circuit(h, t, steps)
     with each step's terms in reverse order, angles bitwise equal.
 
     :func:`heisenberg_doubled` takes a circuit's gates in reverse, so on
-    this circuit it applies each step's terms in the order listed, driving
-    ||O>> toward ||U^dag O U>> for U = exp(-iHt)."""
+    this circuit it applies each step's terms in the order listed, the
+    order that :func:`lattice2d.trotter_step_schedule` compiles."""
     return trotter_circuit(h, -t, steps).inverse()
 
 
@@ -577,10 +577,7 @@ def heisenberg_doubled(state: VectorizedState, u: Circuit) -> VectorizedState:
     """||O>> -> ||U^dag O U>> in the state's own basis, computational or
     Pauli, as real transfer passes in the Hermitian-Pauli basis: gates in
     reverse order, one :func:`bell_transform` each way for the
-    computational rep.
-
-    On trotter_circuit(h, t, steps) each step's terms apply in reverse
-    order; super_propagator_circuit applies them in the order listed."""
+    computational rep."""
     if u.k != state.n:
         raise ValueError("circuit size does not match site count")
     pauli = state if state.basis == PAULI else bell_transform(state, "c_to_p")
@@ -599,6 +596,19 @@ def _identity_pairs(n: int) -> np.ndarray:
     return amps
 
 
+def _is_unitary(o: PauliSum) -> bool:
+    """Whether every entry of O O^dag - I is within 1e-10 of 0. One Pauli
+    word c P has O O^dag = |c|^2 I. A sum is checked on its dense matrix;
+    that, its conjugate, their product and its moduli are stated first."""
+    if len(o) == 1:
+        return abs(abs(next(iter(o.terms.values()))) ** 2 - 1) <= 1e-10
+    reserve(4 * 16 * 4**o.n, f"the unitarity check of an operator on {o.n} sites")
+    m = o.to_dense()
+    gram = m @ m.conj().T
+    gram.flat[:: 2**o.n + 1] -= 1
+    return bool(np.max(np.abs(gram)) <= 1e-10)
+
+
 def interferometric_state(
     op: PauliSum, op2: PauliSum, u: Circuit, u2: Circuit
 ) -> QState:
@@ -615,18 +625,15 @@ def interferometric_state(
     k = 2 * n + 1
     # The register, the ancilla-1 branch and the two dense operators.
     reserve(16 * 2**k + 3 * 16 * 4**n, f"the interferometric state on {k} qubits")
-    mats = []
     for name, o in (("first", op), ("second", op2)):
-        m = o.to_dense()
-        if np.max(np.abs(m @ m.conj().T - np.eye(2**n))) > 1e-10:
+        if not _is_unitary(o):
             raise ValueError(f"{name} operator is not unitary")
-        mats.append(m)
     identity = _identity_pairs(n)
     branch = heisenberg_doubled(vectorize(op, PAULI), u2.inverse().concat(u))
     branch = bell_transform(branch, "p_to_c").amplitudes
     amps = np.empty(2**k, dtype=complex)
     amps[0::2] = identity
-    amps[1::2] = apply_block(branch, n, mats[1], None)
+    amps[1::2] = apply_block(branch, n, op2.to_dense(), None)
     amps /= np.sqrt(2)
     return QState(k, amps)
 

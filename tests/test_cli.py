@@ -359,6 +359,16 @@ class TestCorr:
         assert doc["params"]["n"] == 9
         assert doc["oracle"]["abs_delta"] <= 5 * doc["stderr"] + 1 / shots
 
+    def test_unitary_sum_of_words_runs(self, tmp_path):
+        # 0.6 X + 0.8 Z squares to I: unitary, though not one Pauli word.
+        code, out = run_task(
+            tmp_path, "corr", operator={"text": "0.6 0 XII\n0.8 0 ZII"}, shots=256, seed=31,
+            extra_args=("--with-oracle",),
+        )
+        assert code == 0
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["value"] == 1.0 and doc["oracle"]["abs_delta"] < 1e-12
+
     def test_orthogonal_pair_centers_on_zero(self, tmp_path):
         code, out = run_task(
             tmp_path, "corr", operator="ZII", operator_b="XII",
@@ -619,8 +629,13 @@ class TestConfigValidation:
          "grouping: every term that is not identity on both sides must be in a group"),
         ("superop", {"operator": "XII", "superop": {"text": "0.5 0.5 XII XII"}},
          "superop: grouped estimation needs real coefficients"),
+        ("corr", {"operator": {"text": "0.5 0 XII"}}, "operator: corr needs a unitary operator"),
+        ("corr", {"operator": "ZII", "operator_b": {"text": "0.5 0 XII\n0.5 0 ZII"}},
+         "operator_b: corr needs a unitary operator"),
+        ("corr", {"operator": "ZII", "operator_b": "XI"}, "operator_b: acts on 2 sites, operator on 3"),
     ], ids=["zero-operator", "cancelling-terms", "zero-operator-b", "shots-below-groups",
-            "identity-terms", "zero-group", "term-left-out", "complex-coefficient"])
+            "identity-terms", "zero-group", "term-left-out", "complex-coefficient",
+            "corr-nonunitary", "corr-nonunitary-b", "corr-width-b"])
     def test_config_the_estimator_would_refuse_is_config_error(self, tmp_path, capsys, task, cfg,
                                                                field):
         path = tmp_path / "config.json"
@@ -697,6 +712,39 @@ class TestInlineCircuit:
         errors = []
         cli._load_circuit(spec, tmp_path, errors)
         assert errors == errors_of_each_gate(spec)
+
+
+# The fields besides its evolution that each evolving task needs, on n sites.
+def evolving_fields(task: str, n: int) -> dict:
+    word = lambda head: head + "I" * (n - len(head))
+    return {
+        "evolve": {"operator": word("ZX")},
+        "sample": {"operator": word("ZX")},
+        "otoc": {"operator": word("ZX"), "pairs": [[word("X"), word("X")], [word("IZ")] * 2]},
+        "superop": {"operator": word("ZX"), "superop": "size"},
+        "ose": {"operator": word("ZX")},
+        "loe": {"operator": word("ZX"), "partition": list(range(n // 2))},
+        "corr": {"operator": word("ZX"), "operator_b": word("Z")},
+        "nqubit": {"operator": word("X"), "pairs": [[word("Z"), word("IZ")]]},
+    }[task]
+
+
+@pytest.mark.parametrize("n", [3, 7])
+@pytest.mark.parametrize("task", ["evolve", "sample", "otoc", "superop", "ose", "loe", "corr",
+                                  "nqubit"])
+def test_hamiltonian_config_runs_as_its_inline_circuit(tmp_path, task, n):
+    # A hamiltonian config evolves by trotter_circuit, one pexp per term per
+    # step in the order listed: the inline circuit that lists them writes the
+    # same bytes in every task.
+    common = dict(t=1.0, steps=16, seed=11, shots=512, **evolving_fields(task, n))
+    text = "".join(f"{c.real} 0 {p.label}\n" for c, p in ising_chain(n).ordered_items())
+    code_h, by_h = run_task(tmp_path, task, out="h", hamiltonian={"text": text}, **common)
+    code_c, by_c = run_task(tmp_path, task, out="c", circuit=ising_spec(n, 1.0, 16), **common)
+    assert code_h == code_c == 0
+    names = sorted(path.name for path in by_h.iterdir())
+    assert "report.json" in names and names == sorted(path.name for path in by_c.iterdir())
+    for name in names:
+        assert (by_h / name).read_bytes() == (by_c / name).read_bytes(), name
 
 
 class TestCircuitFieldTypes:
@@ -783,6 +831,16 @@ class TestCapExit:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and " needs " in err and err.endswith(self.REFUSAL)
+        assert not out.exists()
+
+    def test_corr_unitarity_check_past_the_budget_is_left_to_the_run(self, tmp_path, capsys):
+        # Validation cannot afford the dense check of a non-unitary 8-site
+        # sum, so it passes it on; the run refuses its register first.
+        text = f"0.5 0 {self.W8}\n0.5 0 X{'I' * 7}"
+        code, out = run_task(tmp_path, "corr", operator={"text": text}, seed=1)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: the interferometric state on 17 qubits needs ")
         assert not out.exists()
 
     def test_oracle_refusal_writes_nothing(self, tmp_path, capsys, monkeypatch):

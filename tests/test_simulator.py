@@ -40,6 +40,7 @@ from opvec.simulator import (
     _evolve_pauli,
     _fuse_tail,
     _identity_pairs,
+    _is_unitary,
     _lower,
     _term_gate,
     _transfer,
@@ -297,6 +298,18 @@ class TestInterferometric:
         op = PauliSum.from_text("1 0 " + "Z" * n)
         peak = refusal_peak(lambda: interferometric_state(op, op, Circuit(n), Circuit(n)), want)
         assert peak < 1 << 20
+
+    # A word is judged by its coefficient alone, a sum by its dense product.
+    @pytest.mark.parametrize("text, unitary", [
+        ("1 0 XI", True), ("0.6 0.8 YZ", True), ("0.5 0 XI", False), ("1.000001 0 ZZ", False),
+        ("0.6 0 XI\n0.8 0 ZI", True), ("0.5 0 II\n0.5 0 XX\n0.5 0 YY\n0.5 0 ZZ", True),
+        ("0.6 0 XI\n0.8 0 IZ", False), ("0.7071067811865476 0 XI\n0 0.7071067811865476 YI", False),
+    ])
+    def test_unitarity_check_matches_the_dense_product(self, text, unitary):
+        o = PauliSum.from_text(text)
+        m = o.to_dense()
+        assert _is_unitary(o) is unitary
+        assert unitary == (np.max(np.abs(m @ m.conj().T - np.eye(4))) <= 1e-10)
 
     def test_rejects_nonunitary(self):
         with pytest.raises(ValueError):
@@ -1061,9 +1074,9 @@ class TestLoweringPerDistinctGate:
     N = 7
 
     def _lowerings(self, steps):
-        # dt = 1/64 in every circuit, whatever its step count. The doubled
-        # keys name the config kind: inline circuits run heisenberg_doubled
-        # on trotter_circuit, hamiltonian configs on super_propagator_circuit.
+        # dt = 1/64 in every circuit, whatever its step count. Every config
+        # runs heisenberg_doubled on trotter_circuit; super_propagator_circuit,
+        # each step's terms reversed, is compile2d's oracle reference.
         # apply_circuit lowers trotter_circuit onto its own register.
         h, t = ising_chain(self.N), steps / 64
         return {
