@@ -103,8 +103,9 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    """JSON numbers only, integer or real; not true or false."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """Finite JSON numbers only, integer or real; not true or false, and not
+    the NaN and Infinity literals that ``json.loads`` accepts."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _resolve(base: Path, value: str) -> Path:
@@ -170,7 +171,7 @@ def _load_circuit(spec, base: Path, errors: list[str]) -> Circuit | None:
             if not all(map(_is_int, g["targets"])):
                 raise ValueError(f"gates[{i}].targets: expected integers")
             if g.get("angle") is not None and not _is_number(g["angle"]):
-                raise ValueError(f"gates[{i}].angle: expected a number")
+                raise ValueError(f"gates[{i}].angle: expected a finite number")
             if g.get("axes") is not None and not isinstance(g["axes"], str):
                 raise ValueError(f"gates[{i}].axes: expected a string")
             gates.append(gate)
@@ -276,7 +277,7 @@ def validate_config(path) -> tuple[dict | None, list[str]]:
             cfg[key] = _DEFAULTS[key]
     for key in ("t", "epsilon", "delta", "dt", "h_x", "h_z", "J", "p"):
         if not _is_number(cfg[key]):
-            errors.append(f"{key}: expected a number")
+            errors.append(f"{key}: expected a finite number")
             cfg[key] = float(_DEFAULTS[key])
     if cfg["seed"] < 0:
         errors.append("seed: must be >= 0")
@@ -457,8 +458,7 @@ def _oracle_evolved(cfg: dict, op: PauliSum) -> np.ndarray:
         u = dense_unitary(circuit)
         dense = u.conj().T @ dense @ u
     elif h is not None and cfg["t"] != 0.0:
-        u = oracle.propagator(h, cfg["t"])
-        dense = u.conj().T @ dense @ u
+        dense = oracle.heisenberg(dense, h, cfg["t"])
     norm = np.linalg.norm(dense)
     return dense * math.sqrt(2**op.n) / norm
 
@@ -739,7 +739,8 @@ def _execute(cfg: dict, out: Path, rng: RngStream) -> None:
         doc["oracle"] = truth if isinstance(truth, dict) else _delta_block(
             doc["value"], doc["stderr"], truth
         )
-    artifacts["report.json"] = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    # A non-finite result raises ValueError here, before any artifact is written.
+    artifacts["report.json"] = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     out.mkdir(parents=True, exist_ok=True)
     for name, body in artifacts.items():
         if isinstance(body, str):

@@ -24,6 +24,7 @@ from .pauli import SIGMA, PauliString
 from .simulator import (
     Circuit,
     Gate,
+    _P_GRID,
     QState,
     RngStream,
     apply_circuit,
@@ -423,15 +424,6 @@ def estimate_ose(
         },
     )
     return OseEstimate(report, entropy)
-
-
-# The binomial draws of estimate_loe2 and estimate_corr_interferometric take
-# their probabilities rounded to a multiple of 1/_P_GRID. numpy draws
-# Binomial(shots, p) for p > 1/2 as shots - Binomial(shots, 1 - p), so rounding
-# dust across p = 1/2, where every vanishing correlator sits, would mirror
-# the draw; the grid is far coarser than that dust (about 1e-14 on <X>) and
-# far finer than any stated error.
-_P_GRID = 2.0**40
 
 
 # ---------------------------------------------------------------------------

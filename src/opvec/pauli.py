@@ -17,6 +17,7 @@ nonzero per row, at column ``row ^ xmask``, and is built from those alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,6 +173,8 @@ class PauliSum:
                 re_c, im_c = float(fields[0]), float(fields[1])
             except ValueError as exc:
                 raise ParseError(f"line {lineno}: bad coefficient in {raw!r}") from exc
+            if not (math.isfinite(re_c) and math.isfinite(im_c)):
+                raise ParseError(f"line {lineno}: coefficient is not finite in {raw!r}")
             pairs.append((complex(re_c, im_c), PauliString.from_label(fields[2])))
         if not pairs:
             raise ParseError("no terms found")
@@ -180,10 +183,9 @@ class PauliSum:
         return cls.from_terms(pairs)
 
     def to_text(self) -> str:
-        lines = []
-        for (z, x), c in sorted(self.terms.items()):
-            p = PauliString(self.n, z, x)
-            lines.append(f"{c.real!r} {c.imag!r} {p.label}")
+        """The text format, terms in insertion order, so a sum read back
+        lists its terms, and a Hamiltonian its Trotter step, as written."""
+        lines = [f"{c.real!r} {c.imag!r} {p.label}" for c, p in self.ordered_items()]
         return "\n".join(lines) + "\n"
 
     def add(self, c: complex, p: PauliString) -> None:

@@ -465,12 +465,27 @@ class RngStream:
         return f"RngStream(seed={self.seed}, path={self.path})"
 
 
+# Every probability a sampler draws from is rounded to a multiple of
+# 1/_P_GRID first. numpy draws a binomial for p = 1e-33 but not for p = 0, so
+# rounding dust where a state holds nothing would redraw a whole multinomial
+# on any last-bit change; and it draws Binomial(shots, p) for p > 1/2 as
+# shots - Binomial(shots, 1 - p), so dust across p = 1/2, where every
+# vanishing correlator sits, would mirror the draw. The grid is far coarser
+# than that dust (about 1e-14 on <X>) and far finer than any stated error.
+_P_GRID = 2.0**40
+
+
 def born_sample(state: QState, shots: int, rng: RngStream) -> dict[int, int]:
     """Computational-basis outcome counts from ``shots`` independent
-    measurements, keyed by basis index in ascending order."""
+    measurements, keyed by basis index in ascending order, drawn from the
+    Born probabilities rounded to multiples of 1/_P_GRID and renormalized."""
     if shots < 1:
         raise ValueError("shots must be at least 1")
-    counts = rng.generator.multinomial(shots, state.probabilities())
+    q = state.probabilities()
+    q *= _P_GRID
+    np.rint(q, out=q)
+    q /= q.sum()
+    counts = rng.generator.multinomial(shots, q)
     hits = np.flatnonzero(counts)
     return dict(zip(hits.tolist(), counts[hits].tolist()))
 

@@ -99,6 +99,8 @@ class OperatorSumSuperop:
                 right = PauliString.from_label(parts[3])
             except ValueError as exc:
                 raise ParseError(f"line {ln}: {exc}") from None
+            if not np.isfinite(f):
+                raise ParseError(f"line {ln}: coefficient is not finite")
             if n is None:
                 n = left.n
             if left.n != n or right.n != n:

@@ -174,7 +174,14 @@ def test_diagonal_otoc_suite_from_shared_samples():
             if abs(est.value - oracle[q]) >= 3.0 * est.stderr + 1e-12:
                 ok = False
         passes += ok
-    assert passes >= 19
+    # 64 simultaneous 3-sigma windows: on correct code a repetition passes at
+    # a rate near 0.94-0.99 (190 and 197 of 200 repetitions at seed 12345,
+    # without and with the 2^-40 probability grid of born_sample). At 0.94,
+    # P(passes < 16 of 20) = 0.56%, a false-failure rate under 1%, where
+    # requiring 19 would fail 34% of fresh draws. A biased estimator that
+    # passes a repetition half the time reaches 16 with probability 0.59%,
+    # so it still fails 99.4% of the time.
+    assert passes >= 16
     print(f"diagonal suite: {passes}/20 repetitions with all 64 in window")
 
 

@@ -653,6 +653,71 @@ class TestConfigValidation:
         assert json.loads((out / "report.json").read_text())["shots"] == shots
 
 
+# Every numeric field each task reads, and the base config it is put in.
+# A non-finite number in any of them, or in a Pauli-text coefficient or a gate
+# angle, would run to a NaN result, an invalid report.json or a traceback.
+_PAIRS = {"pairs": [["IZI", "IZI"]]}
+_NUMERIC_FIELDS = {
+    "evolve": ({"operator": "ZII", "hamiltonian": HAM3}, ["t", "steps", "seed"]),
+    "sample": ({"operator": "ZII", "hamiltonian": HAM3}, ["t", "steps", "seed", "shots"]),
+    "otoc": ({"operator": "ZII", "hamiltonian": HAM3, **_PAIRS}, ["t", "steps", "shots"]),
+    "superop": ({"operator": "ZII", "hamiltonian": HAM3, "superop": "size"},
+                ["t", "steps", "shots", "power"]),
+    "ose": ({"operator": "ZII", "hamiltonian": HAM3}, ["t", "steps", "alpha", "epsilon", "delta"]),
+    "loe": ({"operator": "ZII", "hamiltonian": HAM3, "partition": [0]}, ["t", "steps", "shots"]),
+    "corr": ({"operator": "ZXI", "hamiltonian": HAM3}, ["t", "steps", "shots"]),
+    "choi2pc": ({"operator": "ZII", "site": 0}, ["p", "site", "seed"]),
+    "nqubit": ({"operator": "XII", "hamiltonian": HAM3, **_PAIRS}, ["t", "steps", "shots"]),
+    "compile2d": ({"lattice": {"rows": 2, "cols": 2}}, ["dt", "h_x", "h_z", "J"]),
+}
+_NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("value", _NON_FINITE, ids=["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("task,field", [
+    (task, field) for task, (_, fields) in _NUMERIC_FIELDS.items() for field in fields
+])
+def test_non_finite_field_is_config_error(tmp_path, capsys, task, field, value):
+    base, _ = _NUMERIC_FIELDS[task]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"task": task, **base, field: value}))  # NaN, Infinity literals
+    code = main([task, "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert f"config error: {field}: expected" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("task,cfg,field", [
+    ("evolve", lambda v: {"operator": {"text": f"{v} 0 XII"}}, "operator"),
+    ("evolve", lambda v: {"operator": {"text": f"1 {v} XII"}}, "operator"),
+    ("corr", lambda v: {"operator": "ZII", "operator_b": {"text": f"{v} 0 XII"}}, "operator_b"),
+    ("evolve", lambda v: {"operator": "ZII", "t": 1.0,
+                          "hamiltonian": {"text": f"{v} 0 ZII\n0.25 0 XXI"}}, "hamiltonian"),
+    ("superop", lambda v: {"operator": "XII", "superop": {"text": f"{v} 0 XII XII"}}, "superop"),
+    ("evolve", lambda v: {"operator": "ZI", "circuit": {"qubits": 2, "gates": [
+        {"name": "pexp", "targets": [0, 1], "angle": float(v), "axes": "XX"}]}}, "circuit"),
+], ids=["operator-real", "operator-imag", "operator-b", "hamiltonian", "superop", "gate-angle"])
+def test_non_finite_coefficient_is_config_error(tmp_path, capsys, task, cfg, field, text):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"task": task, **cfg(text)}))
+    code = main([task, "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert f"config error: {field}: " in err and "finite" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_finite_result_exits_1_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    nan_task = (lambda cfg, rng: (float("nan"), {}, None, {}), "autocorrelation")
+    monkeypatch.setitem(cli._TASKS, "evolve", nan_task)
+    code, out = run_task(tmp_path, "evolve", operator="ZII")
+    assert code == 1
+    assert "error: Out of range float values are not JSON compliant" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def ising_spec(n: int, t: float, steps: int) -> dict:
     """The Ising chain's Trotter circuit as inline circuit JSON, one pexp
     per term per step in ising_chain's term order, angle 2 c dt."""

@@ -10,9 +10,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opvec.oracle import (
     _HELD,
+    _sectors,
     exact_channel_dual,
     exact_heisenberg,
     exact_loe,
@@ -21,6 +23,7 @@ from opvec.oracle import (
     exact_pauli_amplitudes,
     exact_regulated,
     exact_wightman,
+    heisenberg,
     pauli_probabilities,
     propagator,
 )
@@ -72,6 +75,96 @@ def test_propagator_matches_the_complex_formula(n, extra):
 def test_propagator_rejects_non_hermitian():
     with pytest.raises(ValueError):
         propagator(np.array([[0, 1], [0, 0]]), 1.0)
+    # An imaginary coefficient makes a term anti-hermitian inside its sector.
+    h = PauliSum.from_text("0 0.5 XXI\n1 0 ZZI")
+    for call in (lambda: propagator(h, 1.0), lambda: heisenberg(PauliString.from_label("ZII"), h, 1.0)):
+        with pytest.raises(ValueError, match="hermitian"):
+            call()
+
+
+def _one_block(hm: np.ndarray, t: float) -> np.ndarray:
+    """e^{-iHt} from one complex eigh of the whole matrix."""
+    evals, vecs = np.linalg.eigh(hm)
+    return (vecs * np.exp(-1j * evals * t)) @ vecs.conj().T
+
+
+def _sum(n: int, terms) -> PauliSum:
+    return PauliSum.from_terms([(c, PauliString.from_label(label.ljust(n, "I"))) for c, label in terms])
+
+
+# Each family's sector shape at n sites, and whether its blocks are complex.
+SECTOR_CASES = {
+    "diagonal": (lambda n: _sum(n, [(0.5, "I" * i + "Z") for i in range(n)] + [(0.3, "ZZ")]),
+                 lambda n: (2**n, 1), False),
+    "ising": (ising_chain, lambda n: (2, 2 ** (n - 1)), False),
+    "x_field": (lambda n: _sum(n, [(0.7, "I" * i + "X") for i in range(n)] + [(0.2, "ZZ")]),
+                lambda n: (1, 2**n), False),
+    "odd_y": (lambda n: _sum(n, [(0.5, "I" * i + "Z") for i in range(n)]
+                              + [(0.25, "I" * i + "XX") for i in range(n - 1)] + [(0.3, "XY")]),
+              lambda n: (2, 2 ** (n - 1)), True),
+}
+
+
+def _check_sectors_and_propagator(h: PauliSum, t: float, gen) -> np.ndarray:
+    """The sectors partition the basis, H has no entry between two of them,
+    and propagator is unitary and within 1e-12 of the one-block formula;
+    heisenberg matches U^dag O U for a word and for a sum."""
+    hm = h.to_dense()
+    sec = _sectors(h, 2**h.n)
+    assert sorted(sec.ravel().tolist()) == list(range(2**h.n))
+    label = np.empty(2**h.n, dtype=int)
+    label[sec] = np.arange(len(sec))[:, None]
+    assert not hm[label[:, None] != label[None, :]].any()
+    u = propagator(h, t)
+    assert np.max(np.abs(u @ u.conj().T - np.eye(2**h.n))) < 1e-12
+    assert np.max(np.abs(u - _one_block(hm, t))) < 1e-12
+    word = PauliString(h.n, int(gen.integers(2**h.n)), int(gen.integers(2**h.n)))
+    for op in (word, random_hermitian_sum(gen, h.n, 3)):
+        om = op.to_dense()
+        assert np.max(np.abs(heisenberg(op, h, t) - u.conj().T @ om @ u)) < 1e-12
+    return sec
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+@pytest.mark.parametrize("case", SECTOR_CASES)
+def test_sector_propagator_and_heisenberg(monkeypatch, case, n, gen):
+    build, shape, complex_blocks = SECTOR_CASES[case]
+    h = build(n)
+    solved = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: solved.append(m.dtype) or eigh(m))
+    sec = _check_sectors_and_propagator(h, 0.9, gen)
+    assert sec.shape == shape(n)
+    assert solved[0] == (np.complex128 if complex_blocks else np.float64)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.tuples(st.floats(-2, 2, allow_nan=False), st.text(alphabet="IXYZ", min_size=n, max_size=n)),
+    min_size=1, max_size=6)), st.floats(-3, 3, allow_nan=False), st.integers(0, 2**32 - 1))
+def test_sector_propagator_on_random_pauli_sums(terms, t, seed):
+    h = PauliSum.from_terms([(c, PauliString.from_label(label)) for c, label in terms])
+    if not h.terms:
+        return
+    _check_sectors_and_propagator(h, t, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("extra", ["YY", "YZ"])  # real blocks, complex blocks
+def test_dense_hamiltonians_are_one_sector_bit_for_bit(extra):
+    h = ising_chain(5)
+    h.add(0.3, PauliString.from_label(extra.ljust(5, "I")))
+    hm = h.to_dense()
+    if hm.imag.any():
+        evals, vecs = np.linalg.eigh(hm)
+        want = (vecs * np.exp(-0.7j * evals)) @ vecs.conj().T
+    else:
+        evals, vecs = np.linalg.eigh(hm.real)
+        want = np.empty(hm.shape, dtype=complex)
+        want.real = (vecs * np.cos(evals * 0.7)) @ vecs.T
+        want.imag = (vecs * -np.sin(evals * 0.7)) @ vecs.T
+    om = PauliString.from_label("ZXIII").to_dense()
+    assert np.array_equal(propagator(hm, 0.7), want)
+    assert np.array_equal(heisenberg(om, hm, 0.7), want.conj().T @ om @ want)
 
 
 def test_heisenberg_conjugates(gen):

@@ -203,11 +203,28 @@ class TestRng:
         amps = gen.standard_normal(2**k) + 1j * gen.standard_normal(2**k)
         state = QState(k, amps / np.linalg.norm(amps))
         got = born_sample(state, 500, RngStream(4).fork("s"))
-        counts = RngStream(4).fork("s").generator.multinomial(500, state.probabilities())
+        q = np.rint(state.probabilities() * 2.0**40)
+        counts = RngStream(4).fork("s").generator.multinomial(500, q / q.sum())
         want = {int(i): int(c) for i, c in enumerate(counts) if c}
         assert got == want
         assert list(got) == list(want)
         assert all(type(i) is int and type(c) is int for i, c in got.items())
+
+    def test_born_sample_ignores_rounding_dust(self, gen):
+        # Half the outcomes hold nothing; a 1e-15 shift of every amplitude
+        # puts 1e-30 of dust on each of them, and moves the others' last bits.
+        amps = np.zeros(2**8, dtype=complex)
+        amps[::2] = gen.standard_normal(2**7) + 1j * gen.standard_normal(2**7)
+        clean = QState(8, amps / np.linalg.norm(amps))
+        dusty = QState(8, clean.amplitudes + 1e-15)
+        redrawn = 0
+        for seed in range(20):
+            draw = lambda s: born_sample(s, 4096, RngStream(seed).fork("s"))
+            assert draw(dusty) == draw(clean)
+            raw = lambda s: RngStream(seed).fork("s").generator.multinomial(4096, s.probabilities())
+            redrawn += not np.array_equal(raw(dusty), raw(clean))
+        # Without the grid the dust redraws the sample.
+        assert redrawn > 0
 
 
 class TestTrotter:
@@ -235,6 +252,14 @@ class TestTrotter:
     def test_imaginary_coefficient_rejected(self):
         with pytest.raises(ValueError):
             trotter_circuit(PauliSum.from_text("0 1 XX"), 1.0, 1)
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_text_round_trip_keeps_the_trotter_order(self, n):
+        h = ising_chain(n)
+        h.add(0.3, PauliString.from_label("YY".ljust(n, "I")))
+        back = PauliSum.from_text(h.to_text())
+        assert [p.label for _, p in back.ordered_items()] == [p.label for _, p in h.ordered_items()]
+        assert trotter_circuit(back, 0.7, 3).gates == trotter_circuit(h, 0.7, 3).gates
 
     def test_super_propagator_tracks_heisenberg(self):
         h = PauliSum.from_text("0.8 0 XY")  # single term: no splitting error
@@ -804,6 +829,17 @@ class TestApplyMatrix:
             tracemalloc.stop()
         assert got.tobytes() == apply_steps(vec, lowered, 2 * n + 1).tobytes()
         assert 2 * register <= peak < 3 * register
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_register_buffers_start_on_a_cache_line(self, dtype):
+        # Both buffers, whichever one the last pass wrote, whatever the
+        # input's own alignment.
+        size = 2**10 * np.dtype(dtype).itemsize
+        for offset in range(0, 64, 8):
+            vec = np.zeros(size + 64, np.uint8)[offset: offset + size].view(dtype)
+            for passes in (1, 2):
+                got = run_passes(vec, [(np.eye(4), (0, 1))] * passes, 10)
+                assert got.ctypes.data % 64 == 0
 
 
     def test_a_repeated_step_is_planned_and_bound_once_per_period(self, monkeypatch):
