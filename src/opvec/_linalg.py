@@ -45,11 +45,29 @@ def reserve(nbytes: int, what: str) -> None:
 # product differently from the transposed one, and the pass is cheap anyway.
 # Doubled evolutions on the float64 register of n sites fuse a block on
 # sites (n-3, n-2) with an adjacent one on (n-2, n-1) into one 64 x 64 block
-# (B = 1), so the narrow fold still runs only on a block on (n-3, n-2) with no
-# such neighbour, as in a circuit whose last two bonds are apart.
+# (B = 1, run split as below), so the narrow fold still runs only on a block
+# on (n-3, n-2) with no such neighbour, as in a circuit whose last two bonds
+# are apart. The fold of a block-diagonal block is block-diagonal, so a fold
+# to 32 x 32 or 64 x 64 can run split too (below).
 _FOLD = 32
 _FOLD_NARROW = 64
 _FOLD_ROWS = 32
+
+# A block that is block-diagonal in its leading target qubit (see
+# :func:`_halves`), as every transfer block whose first site carries no field
+# is, runs as two half-size products: with B >= D from D = _SPLIT_BATCHED,
+# and with B = 1, folded or not, from D = _SPLIT_FLAT with at least
+# _SPLIT_ROWS rows. Per pass on 2^14 float64 amplitudes (one OpenBLAS thread,
+# x86-64), the split took 0.4-0.75x the dense time for the 64 x 64 tail and
+# 0.6-0.8x for a 16 x 16 block with B >= 64, within noise of it at B = 16 or
+# 32, but 1.2-1.4x for a 16 x 16 block with B = 1 and 1.1-2.6x for a 4 x 4
+# block. With 32 rows the split of a fold moved the low bits, as the
+# small-matrix path above rounds by the product's shape; from 64 rows, and in
+# every batched shape tried on 2^6 to 2^19 float64 and complex128 amplitudes,
+# it kept the dense product's bits.
+_SPLIT_BATCHED = 16
+_SPLIT_FLAT = 32
+_SPLIT_ROWS = 64
 
 
 def run_passes(vec: np.ndarray, steps: list, k: int) -> np.ndarray:
@@ -163,9 +181,15 @@ def _plan(mat: np.ndarray, targets: tuple[int, ...], k: int):
 
     ========================================  ===============================
     diagonal (1-D ``mat``)                    one multiply over (A, D, B)
-    B = 1                                     one GEMM (A, D) @ mat^T
     D * B <= _FOLD, or 1 < B < D with         mat (x) I_B, built here, then
-    D * B <= _FOLD_NARROW, A >= _FOLD_ROWS    as B = 1
+    D * B <= _FOLD_NARROW, A >= _FOLD_ROWS    as B = 1 below
+    block-diagonal in the leading target      one matmul of the two h x h
+    qubit (:func:`_halves`), with B = 1,      diagonal quadrants M0, M1,
+    D >= _SPLIT_FLAT, A >= _SPLIT_ROWS, or    h = D / 2, stacked: (A, 2, h)
+    with B >= D >= _SPLIT_BATCHED             viewed as (2, A, h) @ (M0^T,
+                                              M1^T) for B = 1, (M0, M1) @
+                                              (A, 2, h, B) for B >= D
+    B = 1                                     one GEMM (A, D) @ mat^T
     B >= D                                    one batched GEMM mat @ (A, D,
                                               B); one GEMM when A = 1
     any other 1 < B < D                       (A, D, B) transposed to (A, B,
@@ -179,7 +203,10 @@ def _plan(mat: np.ndarray, targets: tuple[int, ...], k: int):
     ``dst``. Each kernel runs the GEMM or multiply of the one-array-per-pass
     kernel it replaced, with the same operand shapes and order, so every
     pass keeps that kernel's bits; the narrow fold, which replaced chunked
-    transposed GEMMs, rounds as they did only from _FOLD_ROWS rows up."""
+    transposed GEMMs, rounds as they did only from _FOLD_ROWS rows up. The
+    split leaves out only products with the exact zeros of the off-diagonal
+    quadrants, and keeps the dense GEMM's bits where it is used (see
+    _SPLIT_ROWS). It costs one test of ``mat`` per plan, none per pass."""
     m = len(targets)
     dim = 2**m
     lo = targets[0] if m else 0
@@ -202,6 +229,16 @@ def _plan(mat: np.ndarray, targets: tuple[int, ...], k: int):
     if mat.ndim == 1:
         factor = mat[:, None]
         return lambda src, dst, spare: partial(np.multiply, src.reshape(shape), factor, dst.reshape(shape))
+    if b >= dim >= _SPLIT_BATCHED or (b == 1 and dim >= _SPLIT_FLAT and 2**lo >= _SPLIT_ROWS):
+        halves, h = _halves(mat), dim // 2
+        if halves is not None and b == 1:
+            right, split = np.stack([half.T for half in halves]), (-1, 2, h)
+            return lambda src, dst, spare: partial(
+                np.matmul, src.reshape(split).transpose(1, 0, 2), right,
+                dst.reshape(split).transpose(1, 0, 2))
+        if halves is not None:
+            left, split = np.stack(halves), (-1, 2, h, b)
+            return lambda src, dst, spare: partial(np.matmul, left, src.reshape(split), dst.reshape(split))
     if b == 1:
         right = mat.T
         return lambda src, dst, spare: partial(np.matmul, src.reshape(-1, dim), right, dst.reshape(-1, dim))
@@ -212,6 +249,16 @@ def _plan(mat: np.ndarray, targets: tuple[int, ...], k: int):
         _transposed, dst.reshape(-1, b, dim), src.reshape(shape).transpose(0, 2, 1),
         dst.reshape(-1, dim), right, spare.reshape(-1, dim), dst.reshape(shape),
         spare.reshape(-1, b, dim).transpose(0, 2, 1))
+
+
+def _halves(mat: np.ndarray):
+    """The two diagonal quadrants of a square ``mat`` when both off-diagonal
+    quadrants are exactly zero, so that ``mat`` is block-diagonal in its
+    leading target qubit; otherwise None."""
+    h = len(mat) // 2
+    if mat[:h, h:].any() or mat[h:, :h].any():
+        return None
+    return mat[:h, :h], mat[h:, h:]
 
 
 def _moved(into, gathered, product, operand, rows, out, back):

@@ -93,6 +93,12 @@ _DEFAULTS = {
     "site": 0,
 }
 
+# The keys without a default that some task reads. A config key outside
+# these and _DEFAULTS is refused, so a misspelt field cannot fall back to
+# its default unnoticed.
+_FIELDS = {"task", "operator", "operator_b", "hamiltonian", "circuit", "pairs",
+           "superop", "grouping", "partition", "lattice"}
+
 
 # ---------------------------------------------------------------------------
 # Config loading and validation.
@@ -268,6 +274,8 @@ def validate_config(path) -> tuple[dict | None, list[str]]:
         errors.append(f"task: expected one of {', '.join(TASKS)}; got {task!r}")
         return None, errors
 
+    for key in sorted(raw.keys() - _DEFAULTS.keys() - _FIELDS):
+        errors.append(f"{key}: no task reads this key")
     for key, default in _DEFAULTS.items():
         cfg.setdefault(key, default)
 
@@ -286,6 +294,8 @@ def validate_config(path) -> tuple[dict | None, list[str]]:
         errors.append("shots: must lie in 1..2^63 - 1")
     if cfg["steps"] < 1:
         errors.append("steps: must be >= 1")
+    if task not in _UNEVOLVED and cfg["t"] != 0 and "hamiltonian" not in raw and "circuit" not in raw:
+        errors.append("t: nonzero, but there is no hamiltonian or circuit to evolve by")
     if not 0 <= cfg["p"] <= 1:
         errors.append("p: must lie in [0, 1]")
     if not isinstance(cfg["out"], str):
@@ -694,7 +704,8 @@ _TASKS = {
 
 TASKS = tuple(_TASKS)
 
-# Tasks that run no evolution, so report no t and steps.
+# Tasks that run no evolution, so report no t and steps, and take a nonzero t
+# with nothing to evolve by.
 _UNEVOLVED = ("choi2pc", "compile2d")
 
 # Checked in order; the first class the exception is an instance of wins.

@@ -353,8 +353,10 @@ def _fuse_tail(steps: list, k: int) -> list:
     k-6..k-3 and one on k-4..k-1 in either order, multiplied into one 64 x 64
     block on k-6..k-1. Alone, the first of them has 4 trailing amplitudes
     and runs as the fold mat (x) I_4 (see :func:`_linalg._plan`); the fused
-    block is a GEMM of the same shape that does its neighbour's work instead.
-    Blocks whose union does not end the register, as on the float64 view of
+    block does its neighbour's work in a GEMM of the same shape. Where it
+    conserves the z bit of its first site, as an Ising step's does, it is
+    block-diagonal in its leading qubit, and that GEMM runs as two of half
+    the size. Blocks whose union does not end the register, as on the float64 view of
     complex coefficients, stay apart.
 
     Each distinct fused pair, by the identity of both matrices and which one

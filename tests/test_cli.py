@@ -709,6 +709,45 @@ def test_non_finite_coefficient_is_config_error(tmp_path, capsys, task, cfg, fie
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("task,key", [
+    ("evolve", "step"), ("sample", "shot"), ("compile2d", "lattices"), ("corr", "operatorB"),
+])
+def test_key_no_task_reads_is_config_error(tmp_path, capsys, task, key):
+    # "step" would otherwise run the default 64 steps.
+    base, _ = _NUMERIC_FIELDS[task]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"task": task, **base, "t": 0.5, key: 3}))
+    code = main([task, "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert f"config error: {key}: no task reads this key" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("task", cli._UNEVOLVED)
+def test_keys_another_task_reads_are_accepted(tmp_path, task):
+    # Neither task evolves; the benchmark's compile2d configs carry t and
+    # steps, and its choi2pc configs a hamiltonian.
+    base, _ = _NUMERIC_FIELDS[task]
+    code, out = run_task(tmp_path, task, **base, t=1.0, steps=64, hamiltonian=HAM3,
+                         pairs=[["ZII", "ZII"]])
+    assert code == 0
+    assert (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("task", [task for task in _NUMERIC_FIELDS if task not in cli._UNEVOLVED])
+def test_nonzero_t_with_nothing_to_evolve_is_config_error(tmp_path, capsys, task):
+    base, _ = _NUMERIC_FIELDS[task]
+    cfg = {key: value for key, value in base.items() if key != "hamiltonian"}
+    code, out = run_task(tmp_path, task, **cfg, t=1.0)
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "config error: t: nonzero, but there is no hamiltonian or circuit" in err
+    assert not out.exists()
+    code, out = run_task(tmp_path, task, **cfg, t=0.0)
+    assert code == 0
+
+
 def test_non_finite_result_exits_1_and_writes_nothing(tmp_path, capsys, monkeypatch):
     nan_task = (lambda cfg, rng: (float("nan"), {}, None, {}), "autocorrelation")
     monkeypatch.setitem(cli._TASKS, "evolve", nan_task)

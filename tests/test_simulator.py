@@ -875,6 +875,98 @@ class TestApplyMatrix:
         assert seen[0]["plans"] == 5 and seen[0]["binds"] <= 15
 
 
+def _planned_split(mat, targets, k) -> bool:
+    """Whether :func:`_linalg._plan` runs ``mat`` on ``targets`` as two
+    half-size products: one matmul whose only operand apart from the
+    register views is a (2, h, h) stack of diagonal quadrants, of ``mat``
+    or of its fold."""
+    src, dst, spare = (np.zeros(2**k) for _ in range(3))
+    call = _linalg._plan(mat, targets, k)(src, dst, spare)
+    own = [a.shape for a in call.args if isinstance(a, np.ndarray)
+           and not any(np.shares_memory(a, buf) for buf in (src, dst, spare))]
+    return call.func is np.matmul and len(own) == 1 and own[0] == (2, own[0][-1], own[0][-1])
+
+
+def _block_diagonal(gen, size, dtype):
+    """A random ``size`` x ``size`` matrix of ``dtype`` whose off-diagonal
+    quadrants are exactly zero."""
+    h = size // 2
+    mat = np.zeros((size, size), dtype)
+    for s in (slice(0, h), slice(h, size)):
+        mat[s, s] = gen.normal(size=(h, h))
+        if dtype is np.complex128:
+            mat[s, s] += 1j * gen.normal(size=(h, h))
+    return mat
+
+
+class TestSplitPasses:
+    """A block that is block-diagonal in its leading target qubit runs as two
+    half-size products where _plan splits it, bit for bit as the dense
+    product it replaces."""
+
+    # (k, block side, targets) of each split shape, with A, D, B as in _plan.
+    _SHAPES = {
+        "B1": (12, 64, tuple(range(6, 12))),  # the fused tail, A = 64
+        "B1-wide-batch": (15, 64, tuple(range(9, 15))),  # A = 512
+        "B1-folded": (11, 16, (6, 7, 8, 9)),  # B = 2: a 32 x 32 fold
+        "B1-narrow-fold": (12, 16, (6, 7, 8, 9)),  # B = 4: a 64 x 64 fold
+        "B-ge-D": (14, 16, (6, 7, 8, 9)),  # B = 16
+        "B-ge-D-wide": (14, 16, (2, 3, 4, 5)),  # B = 256
+        "B-ge-D-64": (14, 64, (2, 3, 4, 5, 6, 7)),
+        "A1": (10, 16, (0, 1, 2, 3)),  # B = 64
+        "A1-64": (12, 64, tuple(range(6))),
+    }
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("shape", list(_SHAPES))
+    def test_split_keeps_the_dense_bits(self, monkeypatch, shape, dtype):
+        k, size, targets = self._SHAPES[shape]
+        gen = np.random.default_rng(k + size)
+        mat = _block_diagonal(gen, size, dtype)
+        assert _planned_split(mat, targets, k)
+        vec = gen.normal(size=2**k).astype(dtype)
+        if dtype is np.complex128:
+            vec += 1j * gen.normal(size=2**k)
+        # Twice, so the second pass reads the first one's buffer.
+        steps = [(mat, targets)] * 2
+        got = run_passes(vec, steps, k)
+        monkeypatch.setattr(_linalg, "_halves", lambda mat: None)
+        assert got.tobytes() == run_passes(vec, steps, k).tobytes()
+        want = apply_steps(vec, steps, k)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("k, size, targets", [
+        (12, 16, tuple(range(8, 12))),  # B = 1 at D = 16
+        (11, 16, (5, 6, 7, 8)),  # B = 4: a 64 x 64 fold with only 32 rows
+        (14, 16, (7, 8, 9, 10)),  # B = 8 = h: transposed
+        (14, 4, (3, 4)),  # D = 4
+        (12, 64, tuple(range(5, 11))),  # B = 2 < D: transposed
+    ])
+    def test_small_or_narrow_blocks_stay_dense(self, k, size, targets):
+        mat = _block_diagonal(np.random.default_rng(0), size, np.float64)
+        assert not _planned_split(mat, targets, k)
+
+    @pytest.mark.parametrize("row, col", [(0, 63), (40, 3)])
+    def test_a_nonzero_off_diagonal_entry_takes_the_dense_path(self, row, col):
+        k, size, targets = self._SHAPES["B1"]
+        gen = np.random.default_rng(3)
+        mat = _block_diagonal(gen, size, np.float64)
+        mat[row, col] = 1e-300
+        assert _linalg._halves(mat) is None
+        assert not _planned_split(mat, targets, k)
+        vec = gen.normal(size=2**k)
+        assert (run_passes(vec, [(mat, targets)], k).tobytes()
+                == apply_steps(vec, [(mat, targets)], k).tobytes())
+
+    def test_four_of_the_five_ising_n7_passes_split(self):
+        # Each bond block whose first site carries no field conserves that
+        # site's z-bit; the block on sites (0, 1) holds both of their fields.
+        lowered = _fuse_tail(_transfer(trotter_circuit(ising_chain(7), 1.0, 1)), 14)
+        split = [targets for mat, targets in lowered if _planned_split(mat, targets, 14)]
+        assert len(lowered) == 5
+        assert sorted(split) == [(2, 3, 4, 5), (4, 5, 6, 7), (6, 7, 8, 9), tuple(range(8, 14))]
+
+
 class TestSingleRegisterLowering:
     def test_one_step_per_gate(self):
         circ = Circuit(4, [Gate("h", (q,)) for q in range(4)])
