@@ -40,34 +40,57 @@ def reserve(nbytes: int, what: str) -> None:
 # over the last axis. A dense block whose trailing block is narrower than it
 # (1 < B < D) is folded up to _FOLD_NARROW when the folded GEMM has at least
 # _FOLD_ROWS rows. At D = 16, B = 4 on 2^14 float64 amplitudes the fold took
-# 74 us against 95 us for the transposed GEMM. With fewer rows OpenBLAS
-# (0.3.31, Haswell kernels) takes a small-matrix path that rounds the folded
-# product differently from the transposed one, and the pass is cheap anyway.
+# 45 us against 48 us for the transposed kernel, and 19 us run split (below)
+# when the block is block-diagonal. With fewer rows OpenBLAS (0.3.31,
+# SkylakeX kernels) takes a small-matrix path that rounds the folded product
+# differently from the transposed one, and the pass is cheap anyway. Wider
+# folds lost: 4 x 4 and 8 x 8 blocks with B = 16 and 8 took 3x as long
+# folded to 64 x 64 as batched, and a 16 x 16 block with B = 8 runs 1.7x
+# faster split (below) than folded to 128 x 128.
 # Doubled evolutions on the float64 register of n sites fuse a block on
 # sites (n-3, n-2) with an adjacent one on (n-2, n-1) into one 64 x 64 block
 # (B = 1, run split as below), so the narrow fold still runs only on a block
 # on (n-3, n-2) with no such neighbour, as in a circuit whose last two bonds
 # are apart. The fold of a block-diagonal block is block-diagonal, so a fold
-# to 32 x 32 or 64 x 64 can run split too (below).
+# to 16 x 16 or wider can run split too (below).
 _FOLD = 32
 _FOLD_NARROW = 64
 _FOLD_ROWS = 32
 
 # A block that is block-diagonal in its leading target qubit (see
 # :func:`_halves`), as every transfer block whose first site carries no field
-# is, runs as two half-size products: with B >= D from D = _SPLIT_BATCHED,
-# and with B = 1, folded or not, from D = _SPLIT_FLAT with at least
-# _SPLIT_ROWS rows. Per pass on 2^14 float64 amplitudes (one OpenBLAS thread,
-# x86-64), the split took 0.4-0.75x the dense time for the 64 x 64 tail and
-# 0.6-0.8x for a 16 x 16 block with B >= 64, within noise of it at B = 16 or
-# 32, but 1.2-1.4x for a 16 x 16 block with B = 1 and 1.1-2.6x for a 4 x 4
-# block. With 32 rows the split of a fold moved the low bits, as the
-# small-matrix path above rounds by the product's shape; from 64 rows, and in
+# is, runs as two half-size products: with B >= D from D = _SPLIT_BATCHED;
+# with B = 1, folded or not, from D = _SPLIT_FLAT with at least _SPLIT_ROWS
+# rows; and on float64 with B = D / 2 from D = _SPLIT_BATCHED, where the
+# transposed GEMM it replaces has at least _NN_ROWS rows. Per pass on 2^14
+# amplitudes (one OpenBLAS thread, SkylakeX kernels, right operands laid out
+# as below), the split took 0.4x the dense time for the 64 x 64 tail, 0.75x
+# for a 16 x 16 block with B = 1 (float64 and complex128), 0.5x for a float64
+# one with B = 8, and 0.7-0.9x with B >= 64. It took 1.25-1.4x as long for an
+# 8 x 8 block with B = 1 from 512 rows, for 4 x 4 and 8 x 8 blocks with
+# B = 32 to 64, and for complex128 blocks with B = D / 2. With 32 rows the
+# split of a fold moved the low bits, as the small-matrix path above rounds
+# by the product's shape, and so did the B = D / 2 split of a 32 x 32 block
+# with B = 16 and A = 2 against the transposed view; from 64 rows, and in
 # every batched shape tried on 2^6 to 2^19 float64 and complex128 amplitudes,
-# it kept the dense product's bits.
+# it kept the dense product's bits. A float64 block with B = D / 2 on a
+# complex128 register kept them too, but took 1.1-1.8x as long split, so
+# there it runs transposed.
 _SPLIT_BATCHED = 16
-_SPLIT_FLAT = 32
+_SPLIT_FLAT = 16
 _SPLIT_ROWS = 64
+
+# A float64 product with at least _NN_ROWS rows takes its right-hand matrix
+# as a C-contiguous copy of mat^T, made once per plan (:func:`_right`), not
+# as the transposed view. OpenBLAS's small-matrix dgemm (0.3.31, SkylakeX
+# kernels) ran 1.25-2.4x faster with it, for D = 4 to 64 from 64 rows until
+# the product leaves that path, and as fast beyond (D = 64 from 256 rows,
+# D = 16 from 4096): the split 64 x 64 tail on 2^14 amplitudes took 18 us
+# against 34 us. Below 64 rows the two layouts round differently (at one row
+# for every D, below 64 rows at D = 32 and below 32 at D = 64); from 64 rows,
+# for D = 2 to 128 up to 2^18 rows on one or two threads, they kept the same
+# bits. zgemm ran no faster with it, so complex128 keeps the view.
+_NN_ROWS = 64
 
 
 def run_passes(vec: np.ndarray, steps: list, k: int) -> np.ndarray:
@@ -154,15 +177,16 @@ def _line_aligned(size: int, dtype) -> np.ndarray:
     return raw[start:start + size * itemsize].view(dtype)
 
 
-def _period(seq) -> int:
-    """The smallest p dividing len(seq) with seq[i] is seq[i + p] for every
-    i, or len(seq) when there is none (1 when ``seq`` is empty): the length
-    of the part that ``seq`` repeats, as a Trotter circuit repeats one step.
-    Items compare by identity, as steps hold numpy arrays, and only the
-    positions where seq[0] recurs are tried."""
+def _period(seq, same=operator.is_) -> int:
+    """The smallest p dividing len(seq) with same(seq[i], seq[i + p]) for
+    every i, or len(seq) when there is none (1 when ``seq`` is empty): the
+    length of the part that ``seq`` repeats, as a Trotter circuit repeats
+    one step. Items compare by identity unless ``same`` says otherwise, as
+    steps hold numpy arrays, and only the positions where seq[0] recurs are
+    tried."""
     n = len(seq)
     for p in range(1, n // 2 + 1):
-        if seq[p] is seq[0] and n % p == 0 and all(map(operator.is_, seq, seq[p:])):
+        if same(seq[p], seq[0]) and n % p == 0 and all(map(same, seq, seq[p:])):
             return p
     return max(n, 1)
 
@@ -185,10 +209,10 @@ def _plan(mat: np.ndarray, targets: tuple[int, ...], k: int):
     D * B <= _FOLD_NARROW, A >= _FOLD_ROWS    as B = 1 below
     block-diagonal in the leading target      one matmul of the two h x h
     qubit (:func:`_halves`), with B = 1,      diagonal quadrants M0, M1,
-    D >= _SPLIT_FLAT, A >= _SPLIT_ROWS, or    h = D / 2, stacked: (A, 2, h)
-    with B >= D >= _SPLIT_BATCHED             viewed as (2, A, h) @ (M0^T,
-                                              M1^T) for B = 1, (M0, M1) @
-                                              (A, 2, h, B) for B >= D
+    D >= _SPLIT_FLAT, A >= _SPLIT_ROWS;       h = D / 2, stacked: (A, 2, h)
+    with B >= D >= _SPLIT_BATCHED; or on      viewed as (2, A, h) @ (M0^T,
+    float64 with B = h, D >= _SPLIT_BATCHED,  M1^T) for B = 1, (M0, M1) @
+    A * B >= _NN_ROWS, on a float64 register  (A, 2, h, B) for B >= h
     B = 1                                     one GEMM (A, D) @ mat^T
     B >= D                                    one batched GEMM mat @ (A, D,
                                               B); one GEMM when A = 1
@@ -206,7 +230,10 @@ def _plan(mat: np.ndarray, targets: tuple[int, ...], k: int):
     transposed GEMMs, rounds as they did only from _FOLD_ROWS rows up. The
     split leaves out only products with the exact zeros of the off-diagonal
     quadrants, and keeps the dense GEMM's bits where it is used (see
-    _SPLIT_ROWS). It costs one test of ``mat`` per plan, none per pass."""
+    _SPLIT_ROWS). It costs one test of ``mat`` per plan, none per pass.
+    Each right-hand mat^T above is bound as :func:`_right` lays it out: a
+    C-contiguous copy for float64 from _NN_ROWS rows up, where it keeps the
+    view's bits, and the transposed view otherwise."""
     m = len(targets)
     dim = 2**m
     lo = targets[0] if m else 0
@@ -225,30 +252,52 @@ def _plan(mat: np.ndarray, targets: tuple[int, ...], k: int):
         else:
             mat = (mat[:, None, :, None] * np.eye(b)[None, :, None, :]).reshape(dim * b, dim * b)
         dim, b = dim * b, 1
-    shape = (-1, dim, b)
+    shape, rows = (-1, dim, b), 2**lo
     if mat.ndim == 1:
         factor = mat[:, None]
         return lambda src, dst, spare: partial(np.multiply, src.reshape(shape), factor, dst.reshape(shape))
-    if b >= dim >= _SPLIT_BATCHED or (b == 1 and dim >= _SPLIT_FLAT and 2**lo >= _SPLIT_ROWS):
-        halves, h = _halves(mat), dim // 2
-        if halves is not None and b == 1:
-            right, split = np.stack([half.T for half in halves]), (-1, 2, h)
-            return lambda src, dst, spare: partial(
-                np.matmul, src.reshape(split).transpose(1, 0, 2), right,
-                dst.reshape(split).transpose(1, 0, 2))
-        if halves is not None:
-            left, split = np.stack(halves), (-1, 2, h, b)
-            return lambda src, dst, spare: partial(np.matmul, left, src.reshape(split), dst.reshape(split))
+    halves, h = None, dim // 2
+    if (b >= dim >= _SPLIT_BATCHED or (b == 1 and dim >= _SPLIT_FLAT and rows >= _SPLIT_ROWS)
+            or (b == h and dim >= _SPLIT_BATCHED and _contiguous_right(mat, rows * b))):
+        halves = _halves(mat)
+    if halves is not None and b == 1:
+        right, split = _right(np.stack(halves), rows), (-1, 2, h)
+        return lambda src, dst, spare: partial(
+            np.matmul, src.reshape(split).transpose(1, 0, 2), right,
+            dst.reshape(split).transpose(1, 0, 2))
+    if halves is not None:
+        left, split = np.stack(halves), (-1, 2, h, b)
+        batched = lambda src, dst, spare: partial(np.matmul, left, src.reshape(split), dst.reshape(split))
+        if b >= dim:
+            return batched
     if b == 1:
-        right = mat.T
+        right = _right(mat, rows)
         return lambda src, dst, spare: partial(np.matmul, src.reshape(-1, dim), right, dst.reshape(-1, dim))
     if b >= dim:
         return lambda src, dst, spare: partial(np.matmul, mat, src.reshape(shape), dst.reshape(shape))
-    right = mat.T
-    return lambda src, dst, spare: partial(
+    right = _right(mat, rows * b)
+    transposed = lambda src, dst, spare: partial(
         _transposed, dst.reshape(-1, b, dim), src.reshape(shape).transpose(0, 2, 1),
         dst.reshape(-1, dim), right, spare.reshape(-1, dim), dst.reshape(shape),
         spare.reshape(-1, b, dim).transpose(0, 2, 1))
+    if halves is None:
+        return transposed
+    # B = h: split where the product is float64, not on a complex register.
+    return lambda src, dst, spare: (batched if dst.dtype == np.float64 else transposed)(src, dst, spare)
+
+
+def _contiguous_right(mat: np.ndarray, rows: int) -> bool:
+    """Whether a product with ``rows`` rows takes ``mat``^T as a C-contiguous
+    copy (see _NN_ROWS): for a float64 ``mat`` from _NN_ROWS rows up."""
+    return mat.dtype == np.float64 and rows >= _NN_ROWS
+
+
+def _right(mat: np.ndarray, rows: int) -> np.ndarray:
+    """``mat`` transposed over its last two axes, as the right operand of a
+    product with ``rows`` rows: a C-contiguous copy, made once per plan,
+    where :func:`_contiguous_right` says so, otherwise the transposed view."""
+    view = np.swapaxes(mat, -1, -2)
+    return np.ascontiguousarray(view) if _contiguous_right(mat, rows) else view
 
 
 def _halves(mat: np.ndarray):

@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
+import operator
 import sys
 from pathlib import Path
 
@@ -28,6 +30,7 @@ import numpy as np
 from . import estimators as est
 from . import lattice2d
 from . import oracle
+from ._linalg import _period
 from .errors import (
     CapExceededError,
     EntangledEigenbasisError,
@@ -144,6 +147,35 @@ def _load_operator(spec, base: Path, errors: list[str], field: str) -> PauliSum 
     return op
 
 
+def _spec_period(specs: list) -> int:
+    """The smallest period p of the gate ``specs`` under ``==`` (see
+    :func:`_linalg._period`) when every spec holds exactly its JSON types (a
+    str name, a list of int targets, a finite int or float angle or none, a
+    str axis word or none) and every angle has the sign of its counterpart
+    in the first period; otherwise len(specs). ``==`` equates true with 1,
+    1.0 with 1 and -0.0 with 0.0, so these conditions make each spec load
+    as its first-period counterpart does. Each check maps a C-level call
+    over the specs."""
+    n = len(specs)
+    p = _period(specs, operator.eq)
+    if p >= n or {*map(type, specs)} != {dict}:
+        return n
+
+    def field(key):
+        return map(dict.get, specs, itertools.repeat(key))
+
+    targets = [*field("targets")]
+    numbers = [angle for angle in field("angle") if angle is not None]
+    typed = ({*map(type, field("name"))} == {str} and {*map(type, targets)} == {list}
+             and {*map(type, itertools.chain.from_iterable(targets))} <= {int}
+             and {*map(type, numbers)} <= {int, float} and all(map(math.isfinite, numbers))
+             and {*map(type, field("axes"))} <= {str, type(None)})
+    if not typed:
+        return n
+    signs = [*map(math.copysign, itertools.repeat(1.0), numbers)]
+    return p if signs == signs[: len(signs) * p // n] * (n // p) else n
+
+
 def _load_circuit(spec, base: Path, errors: list[str]) -> Circuit | None:
     """Circuit JSON: {"qubits": k, "gates": [{"name", "targets", "angle"?, "axes"?}]}.
 
@@ -153,7 +185,13 @@ def _load_circuit(spec, base: Path, errors: list[str]) -> Circuit | None:
     with an unhashable field gets its own Gate, which reports it. Gate
     coerces what it can, so ``qubits`` and every target must be JSON
     integers, every angle a number and every axis word a string, checked
-    on each spec after Gate has reported what it refuses."""
+    on each spec after Gate has reported what it refuses.
+
+    A gate list that repeats one period of specs (:func:`_spec_period`), as
+    an inline Trotter circuit does, loads its first period only, and the
+    circuit repeats that period's Gates. Every later spec would load as its
+    counterpart in the first period does, so a refusal names the same first
+    bad index, with the same message, as loading every spec would."""
     try:
         if isinstance(spec, dict) and isinstance(spec.get("file"), str):
             doc = json.loads(_resolve(base, spec["file"]).read_text())
@@ -162,9 +200,13 @@ def _load_circuit(spec, base: Path, errors: list[str]) -> Circuit | None:
         else:
             errors.append("circuit: expected {'file': ...} or an inline gate list")
             return None
+        specs, repeats = doc["gates"], 1
+        if type(specs) is list:
+            p = _spec_period(specs)
+            specs, repeats = specs[:p], len(specs) // max(p, 1)
         made: dict[tuple, Gate] = {}
         gates = []
-        for i, g in enumerate(doc["gates"]):
+        for i, g in enumerate(specs):
             key = (g["name"], tuple(g["targets"]), repr(g.get("angle")), g.get("axes"))
             try:
                 gate = made.get(key)
@@ -183,7 +225,7 @@ def _load_circuit(spec, base: Path, errors: list[str]) -> Circuit | None:
             gates.append(gate)
         if not _is_int(doc["qubits"]):
             raise ValueError("qubits: expected an integer")
-        return Circuit(doc["qubits"], gates)
+        return Circuit(doc["qubits"], gates * repeats)
     except (KeyError, TypeError, ValueError, OSError, json.JSONDecodeError) as exc:
         errors.append(f"circuit: {exc}")
         return None

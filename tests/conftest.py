@@ -1,5 +1,29 @@
+import ctypes
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+
+def _openblas_core() -> str:
+    """The core OpenBLAS chose at load, read from the library numpy ships in
+    numpy.libs; "unknown" where there is none or it does not say."""
+    libs = Path(np.__file__).parent.with_name("numpy.libs")
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
+def pytest_report_header(config):
+    # The bit-for-bit kernel tests hold for the BLAS kernels they ran on.
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return (f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')}, "
+            f"OpenBLAS core {_openblas_core()}")
 
 
 @pytest.fixture

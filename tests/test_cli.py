@@ -802,6 +802,50 @@ class TestInlineCircuit:
             heisenberg_doubled(state, built).amplitudes,
         )
 
+    def test_a_repeated_gate_list_loads_one_period(self):
+        gates = ising_spec(7, 1.0, 64)["gates"]
+        assert cli._spec_period(gates) == 13
+        assert cli._spec_period(gates[:-1]) == len(gates) - 1
+        assert cli._spec_period([]) == 0
+
+    def test_a_later_period_with_true_targets_is_refused_by_its_index(self, tmp_path, capsys):
+        # true == 1, so the list still repeats under ==; it loads spec by spec.
+        spec = ising_spec(3, 1.0, 4)
+        assert spec["gates"][16] == {**spec["gates"][1], "targets": [1]}
+        spec["gates"][16]["targets"] = [True]
+        assert cli._spec_period(spec["gates"]) == 20
+        code, out = run_task(tmp_path, "evolve", operator="ZII", circuit=spec, seed=1)
+        assert code == 2
+        assert "config error: circuit: gates[16].targets: expected integers" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_negative_zero_in_one_period_keeps_its_gate_apart(self, tmp_path):
+        specs = [{"name": "rz", "targets": [0], "angle": 0.0}, {"name": "h", "targets": [0]}] * 4
+        specs[4] = {**specs[4], "angle": -0.0}
+        assert cli._spec_period(specs) == 8
+        gates = cli._load_circuit({"qubits": 1, "gates": specs}, tmp_path, []).gates
+        assert gates[0] is gates[2] is gates[6] and gates[4] is not gates[0]
+        assert [repr(g.angle) for g in gates[::2]] == ["0.0", "0.0", "-0.0", "0.0"]
+        assert len({id(g) for g in gates[1::2]}) == 1
+
+    def test_an_integer_angle_in_one_period_loads_as_the_float(self, tmp_path):
+        floats = ising_spec(3, 4.0, 4)
+        assert {g["angle"] for g in floats["gates"]} == {1.0, 0.5}
+        mixed = ising_spec(3, 4.0, 4)
+        for g in mixed["gates"][5:10]:
+            g["angle"] = int(g["angle"]) if g["angle"] == 1.0 else g["angle"]
+        assert cli._spec_period(mixed["gates"]) == 5
+        outs = []
+        for name, spec in (("float", floats), ("mixed", mixed)):
+            code, out = run_task(tmp_path, "sample", out=name, operator="ZXI", circuit=spec,
+                                 t=1.0, seed=3, shots=256)
+            assert code == 0
+            outs.append(out)
+        names = sorted(path.name for path in outs[0].iterdir())
+        assert "dist.csv" in names and names == sorted(path.name for path in outs[1].iterdir())
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
     @pytest.mark.parametrize("bad", [
         {"name": "h", "targets": [[0]]},
         {"name": ["h"], "targets": [0]},

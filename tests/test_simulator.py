@@ -908,6 +908,8 @@ class TestSplitPasses:
     _SHAPES = {
         "B1": (12, 64, tuple(range(6, 12))),  # the fused tail, A = 64
         "B1-wide-batch": (15, 64, tuple(range(9, 15))),  # A = 512
+        "B1-16": (12, 16, tuple(range(8, 12))),  # A = 256
+        "B1-folded-16": (12, 8, (8, 9, 10)),  # B = 2: a 16 x 16 fold
         "B1-folded": (11, 16, (6, 7, 8, 9)),  # B = 2: a 32 x 32 fold
         "B1-narrow-fold": (12, 16, (6, 7, 8, 9)),  # B = 4: a 64 x 64 fold
         "B-ge-D": (14, 16, (6, 7, 8, 9)),  # B = 16
@@ -936,9 +938,9 @@ class TestSplitPasses:
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("k, size, targets", [
-        (12, 16, tuple(range(8, 12))),  # B = 1 at D = 16
+        (12, 8, tuple(range(9, 12))),  # B = 1 at D = 8
         (11, 16, (5, 6, 7, 8)),  # B = 4: a 64 x 64 fold with only 32 rows
-        (14, 16, (7, 8, 9, 10)),  # B = 8 = h: transposed
+        (14, 32, (6, 7, 8, 9, 10)),  # B = 8 < h: transposed
         (14, 4, (3, 4)),  # D = 4
         (12, 64, tuple(range(5, 11))),  # B = 2 < D: transposed
     ])
@@ -965,6 +967,100 @@ class TestSplitPasses:
         split = [targets for mat, targets in lowered if _planned_split(mat, targets, 14)]
         assert len(lowered) == 5
         assert sorted(split) == [(2, 3, 4, 5), (4, 5, 6, 7), (6, 7, 8, 9), tuple(range(8, 14))]
+
+    # (k, block side, targets) with B = h on the float64 register: split
+    # from _NN_ROWS rows of the transposed GEMM (A * B) up.
+    @pytest.mark.parametrize("k, size, targets", [
+        *((k, 16, tuple(range(k - 7, k - 3))) for k in range(7, 18)),  # B = 8
+        (10, 32, (1, 2, 3, 4, 5)),  # B = 16 with 32 rows, where the split would move bits
+        (11, 32, (2, 3, 4, 5, 6)),  # B = 16 with 64 rows
+        (13, 64, tuple(range(2, 8))),  # B = 32 with 128 rows
+    ])
+    def test_a_half_trailing_block_splits_on_float64(self, monkeypatch, k, size, targets):
+        gen = np.random.default_rng(k + size)
+        mat = _block_diagonal(gen, size, np.float64)
+        rows = 2 ** (k - len(targets))
+        assert _planned_split(mat, targets, k) == (rows >= _linalg._NN_ROWS)
+        vec = gen.normal(size=2**k)
+        steps = [(mat, targets)] * 2
+        got = run_passes(vec, steps, k)
+        assert got.tobytes() == apply_steps(vec, steps, k).tobytes()
+        monkeypatch.setattr(_linalg, "_halves", lambda mat: None)
+        assert _linalg._plan(mat, targets, k)(vec, vec, vec).func is _linalg._transposed
+        assert got.tobytes() == run_passes(vec, steps, k).tobytes()
+
+    @pytest.mark.parametrize("mat_dtype", [np.float64, np.complex128])
+    def test_a_half_trailing_block_stays_transposed_on_complex128(self, mat_dtype):
+        # The split ran 1.1-1.8x slower than the transposed kernel there.
+        gen = np.random.default_rng(1)
+        mat, targets, k = _block_diagonal(gen, 16, mat_dtype), (7, 8, 9, 10), 14
+        vec = gen.normal(size=2**k) + 1j * gen.normal(size=2**k)
+        assert _linalg._plan(mat, targets, k)(vec, vec.copy(), vec.copy()).func is _linalg._transposed
+        steps = [(mat, targets)] * 2
+        assert run_passes(vec, steps, k).tobytes() == apply_steps(vec, steps, k).tobytes()
+
+
+def _right_operand(mat, targets, k):
+    """(rows, right) of the product that :func:`_linalg._plan` binds with
+    ``mat``, or its fold or stacked halves, as the right operand, or None
+    when the pass holds no such product."""
+    bufs = [np.zeros(2**k, mat.dtype) for _ in range(3)]
+    call = _linalg._plan(mat, targets, k)(*bufs)
+    own = [i for i, a in enumerate(call.args) if isinstance(a, np.ndarray)
+           and not any(np.shares_memory(a, buf) for buf in bufs)]
+    if call.func is _linalg._transposed:
+        return call.args[2].shape[0], call.args[3]
+    if call.func is np.matmul and own == [1]:
+        return call.args[0].shape[-2], call.args[1]
+    return None
+
+
+class TestContiguousRight:
+    """A float64 product's right-hand matrix is bound as a C-contiguous copy
+    of mat^T from _NN_ROWS rows up, where OpenBLAS's non-transposed kernel
+    is faster and rounds as the transposed one does; below that, and on
+    complex128, the transposed view."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_layout_follows_the_row_count(self, dtype):
+        gen = np.random.default_rng(2)
+        seen = set()
+        for k in range(4, 15):
+            # B = 1 dense, small and narrow folds, the split tail, and the
+            # transposed kernel, each dense and block-diagonal.
+            for size, end in [(2, 0), (4, 0), (8, 0), (16, 0), (16, 1), (16, 2), (16, 3),
+                              (32, 2), (64, 0)]:
+                m = size.bit_length() - 1
+                if k < m + end:
+                    continue
+                targets = tuple(range(k - end - m, k - end))
+                for mat in (gen.normal(size=(size, size)), _block_diagonal(gen, size, np.float64)):
+                    found = _right_operand(mat.astype(dtype), targets, k)
+                    if found is None:
+                        continue
+                    rows, right = found
+                    contiguous = dtype is np.float64 and rows >= _linalg._NN_ROWS
+                    seen.add(contiguous)
+                    if contiguous:
+                        assert right.flags.c_contiguous and right.base is None
+                    else:
+                        assert right.base is not None
+                        assert np.swapaxes(right, -1, -2).flags.c_contiguous
+        assert seen == ({True, False} if dtype is np.float64 else {False})
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.sampled_from([2, 4, 8, 16, 32, 64]), st.integers(6, 14),
+           st.sampled_from([np.float64, np.complex128]), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_the_contiguous_product_keeps_the_view_bits(self, size, log_rows, dtype, stacked, seed):
+        gen = np.random.default_rng(seed)
+        batch = (2,) if stacked else ()
+        left = gen.normal(size=batch + (2**log_rows, size)).astype(dtype)
+        mat = gen.normal(size=batch + (size, size)).astype(dtype)
+        if dtype is np.complex128:
+            left += 1j * gen.normal(size=left.shape)
+            mat += 1j * gen.normal(size=mat.shape)
+        view = np.swapaxes(mat, -1, -2)
+        assert (left @ np.ascontiguousarray(view)).tobytes() == (left @ view).tobytes()
 
 
 class TestSingleRegisterLowering:
