@@ -24,13 +24,14 @@ import math
 import operator
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import estimators as est
 from . import lattice2d
 from . import oracle
-from ._linalg import _period
+from ._linalg import _period, reserve
 from .errors import (
     CapExceededError,
     EntangledEigenbasisError,
@@ -44,6 +45,7 @@ from .simulator import (
     Gate,
     QState,
     RngStream,
+    _hermitian_real_terms,
     _is_unitary,
     _reserve_dilated,
     apply_circuit,
@@ -75,32 +77,6 @@ EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_CAP = 3
 EXIT_NONCOMMUTING = 4
-
-_DEFAULTS = {
-    "seed": 0,
-    "shots": 4096,
-    "with_oracle": False,
-    "out": ".",
-    "t": 0.0,
-    "steps": 64,
-    "basis": "pauli",
-    "alpha": 2,
-    "epsilon": 0.1,
-    "delta": 0.05,
-    "power": 1,
-    "dt": 0.05,
-    "h_x": 0.0,
-    "h_z": 0.0,
-    "J": 0.0,
-    "p": 0.0,
-    "site": 0,
-}
-
-# The keys without a default that some task reads. A config key outside
-# these and _DEFAULTS is refused, so a misspelt field cannot fall back to
-# its default unnoticed.
-_FIELDS = {"task", "operator", "operator_b", "hamiltonian", "circuit", "pairs",
-           "superop", "grouping", "partition", "lattice"}
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +209,6 @@ def _load_circuit(spec, base: Path, errors: list[str]) -> Circuit | None:
 
 def _pairs(spec, n: int, errors: list[str]) -> list[tuple[PauliString, PauliString]]:
     out = []
-    if not isinstance(spec, list) or not spec:
-        errors.append("pairs: expected a nonempty list of [left, right] labels")
-        return out
     for i, entry in enumerate(spec):
         try:
             left, right = entry
@@ -298,8 +271,10 @@ def _check_groups(a: OperatorSumSuperop, grouping, shots: int, errors: list[str]
 def validate_config(path) -> tuple[dict | None, list[str]]:
     """Load, default-fill, and fully check one experiment config.
 
-    Errors are aggregated; the returned config is None whenever any were
-    found. File references are resolved relative to the config file."""
+    Every key is checked against its row of ``_FIELDS``, whatever the task;
+    the structured fields are then loaded, and the checks that span fields
+    run. Errors are aggregated; the returned config is None whenever any
+    were found. File references are resolved relative to the config file."""
     errors: list[str] = []
     path = Path(path)
     try:
@@ -316,54 +291,43 @@ def validate_config(path) -> tuple[dict | None, list[str]]:
         errors.append(f"task: expected one of {', '.join(TASKS)}; got {task!r}")
         return None, errors
 
-    for key in sorted(raw.keys() - _DEFAULTS.keys() - _FIELDS):
+    for key in sorted(raw.keys() - _FIELDS.keys()):
         errors.append(f"{key}: no task reads this key")
-    for key, default in _DEFAULTS.items():
-        cfg.setdefault(key, default)
+    for key, field in _FIELDS.items():
+        checks = (field.kind, field.bound) if key in raw else ()
+        for test, refusal in filter(None, checks):
+            if not test(raw[key]):
+                errors.append(f"{key}: {refusal}")
+                # The checks below see the default, or no value.
+                del cfg[key]
+                break
+        if key in cfg or field.default is None:
+            continue
+        if field.default is not _REQUIRED:
+            cfg[key] = field.default
+        elif key not in raw and task in field.readers:
+            errors.append(f"{key}: required")
 
-    for key in ("seed", "shots", "steps", "alpha", "power", "site"):
-        if not _is_int(cfg[key]):
-            errors.append(f"{key}: expected an integer")
-            cfg[key] = _DEFAULTS[key]
-    for key in ("t", "epsilon", "delta", "dt", "h_x", "h_z", "J", "p"):
-        if not _is_number(cfg[key]):
-            errors.append(f"{key}: expected a finite number")
-            cfg[key] = float(_DEFAULTS[key])
-    if cfg["seed"] < 0:
-        errors.append("seed: must be >= 0")
-    # Generator.multinomial and .binomial take int64 counts.
-    if not 1 <= cfg["shots"] < 2**63:
-        errors.append("shots: must lie in 1..2^63 - 1")
-    if cfg["steps"] < 1:
-        errors.append("steps: must be >= 1")
-    if task not in _UNEVOLVED and cfg["t"] != 0 and "hamiltonian" not in raw and "circuit" not in raw:
+    if (task in _FIELDS["t"].readers and cfg["t"] != 0
+            and "hamiltonian" not in cfg and "circuit" not in cfg):
         errors.append("t: nonzero, but there is no hamiltonian or circuit to evolve by")
-    if not 0 <= cfg["p"] <= 1:
-        errors.append("p: must lie in [0, 1]")
-    if not isinstance(cfg["out"], str):
-        errors.append("out: expected a string")
-    if not isinstance(cfg["with_oracle"], bool):
-        errors.append("with_oracle: expected a boolean")
-        cfg["with_oracle"] = False
-    if cfg["basis"] not in ("pauli", "computational"):
-        errors.append("basis: expected 'pauli' or 'computational'")
-        cfg["basis"] = "pauli"
 
-    op = None
-    if task != "compile2d":
-        if "operator" not in raw:
-            errors.append("operator: required")
-        else:
-            op = _load_operator(cfg["operator"], cfg["_dir"], errors, "operator")
-            cfg["_operator"] = op
+    for key in ("operator", "operator_b"):
+        if key in cfg and task in _FIELDS[key].readers:
+            cfg["_" + key] = _load_operator(cfg[key], cfg["_dir"], errors, key)
+    op = cfg.get("_operator")
 
-    if "hamiltonian" in raw and "circuit" in raw:
+    if "hamiltonian" in cfg and "circuit" in cfg:
         errors.append("hamiltonian and circuit are mutually exclusive")
-    if "hamiltonian" in raw:
-        cfg["_hamiltonian"] = _load_pauli_sum(
-            cfg["hamiltonian"], cfg["_dir"], errors, "hamiltonian"
-        )
-    if "circuit" in raw:
+    if "hamiltonian" in cfg:
+        h = cfg["_hamiltonian"] = _load_pauli_sum(cfg["hamiltonian"], cfg["_dir"], errors,
+                                                  "hamiltonian")
+        try:  # What trotter_circuit refuses, whatever t is.
+            if h is not None:
+                _hermitian_real_terms(h)
+        except ValueError as exc:
+            errors.append(f"hamiltonian: {exc}")
+    if "circuit" in cfg:
         cfg["_circuit"] = _load_circuit(cfg["circuit"], cfg["_dir"], errors)
 
     if op is not None:
@@ -374,74 +338,47 @@ def validate_config(path) -> tuple[dict | None, list[str]]:
                 if width != op.n:
                     errors.append(f"{built[1:]}: acts on {width} sites, operator on {op.n}")
 
-    if task in ("otoc", "nqubit"):
-        if "pairs" not in raw:
-            errors.append("pairs: required")
-        elif op is not None:
-            cfg["_pairs"] = _pairs(cfg["pairs"], op.n, errors)
+    if "pairs" in cfg and task in _FIELDS["pairs"].readers and op is not None:
+        cfg["_pairs"] = _pairs(cfg["pairs"], op.n, errors)
 
-    if task == "superop":
-        spec = raw.get("superop")
-        if not isinstance(spec, (str, dict)):
-            errors.append("superop: required (builtin name, {'text': ...}, or {'file': ...})")
-        elif op is not None:
-            try:
-                if isinstance(spec, str):
-                    cfg["_superop"] = builtin_diagonal(spec, op.n)
-                elif isinstance(spec.get("text"), str):
-                    cfg["_superop"] = OperatorSumSuperop.from_text(spec["text"])
-                elif isinstance(spec.get("file"), str):
-                    cfg["_superop"] = OperatorSumSuperop.from_text(
-                        _resolve(cfg["_dir"], spec["file"]).read_text()
-                    )
-                else:
-                    errors.append("superop: expected builtin name, {'text': ...}, or {'file': ...}")
-            except (ParseError, ValueError, OSError) as exc:
-                errors.append(f"superop: {exc}")
-        if cfg["power"] < 1:
-            errors.append("power: must be >= 1")
-        elif cfg["power"] > 1 and isinstance(cfg.get("_superop"), OperatorSumSuperop):
+    if task == "superop" and "superop" in cfg and op is not None:
+        spec = cfg["superop"]
+        try:
+            if isinstance(spec, str):
+                cfg["_superop"] = builtin_diagonal(spec, op.n)
+            elif isinstance(spec, dict) and isinstance(spec.get("text"), str):
+                cfg["_superop"] = OperatorSumSuperop.from_text(spec["text"])
+            elif isinstance(spec, dict) and isinstance(spec.get("file"), str):
+                cfg["_superop"] = OperatorSumSuperop.from_text(
+                    _resolve(cfg["_dir"], spec["file"]).read_text()
+                )
+            else:
+                errors.append("superop: expected builtin name, {'text': ...}, or {'file': ...}")
+        except (ParseError, ValueError, OSError) as exc:
+            errors.append(f"superop: {exc}")
+    if isinstance(cfg.get("_superop"), OperatorSumSuperop):
+        if cfg["power"] > 1:
             errors.append("power: moments above 1 need a diagonal superoperator")
-        grouping = raw.get("grouping")
-        if grouping is not None and not (
-                isinstance(grouping, list)
-                and all(isinstance(g, list) and all(_is_int(i) for i in g) for g in grouping)):
-            errors.append("grouping: expected a list of integer lists")
-        elif isinstance(cfg.get("_superop"), OperatorSumSuperop):
-            _check_groups(cfg["_superop"], grouping, cfg["shots"], errors)
+        _check_groups(cfg["_superop"], cfg.get("grouping"), cfg["shots"], errors)
 
     if task == "ose":
-        if cfg["alpha"] < 2:
-            errors.append("alpha: purity order must be an integer >= 2")
-        if not cfg["epsilon"] > 0:
-            errors.append("epsilon: must be positive")
-        if not 0 < cfg["delta"] < 1:
-            errors.append("delta: must lie in (0, 1)")
-        if cfg["alpha"] >= 2 and cfg["epsilon"] > 0 and 0 < cfg["delta"] < 1:
-            try:
-                counts = est.ose_shot_counts(cfg["alpha"], cfg["epsilon"], cfg["delta"])
-            except (OverflowError, ZeroDivisionError):  # past float range, or epsilon**2 == 0
-                counts = (2**63,)
-            if max(counts) >= 2**63:
-                errors.append("alpha, epsilon, delta: both shot counts must be below 2^63")
+        try:
+            counts = est.ose_shot_counts(cfg["alpha"], cfg["epsilon"], cfg["delta"])
+        except (OverflowError, ZeroDivisionError):  # past float range, or epsilon**2 == 0
+            counts = (2**63,)
+        if max(counts) >= 2**63:
+            errors.append("alpha, epsilon, delta: both shot counts must be below 2^63")
 
-    if task == "loe":
-        partition = raw.get("partition")
-        if not (isinstance(partition, list) and partition
-                and all(_is_int(s) for s in partition)):
-            errors.append("partition: expected a nonempty list of site indices")
-        elif op is not None:
-            sites = sorted(set(partition))
-            if sites[0] < 0 or sites[-1] >= op.n:
-                errors.append(f"partition: sites must lie in 0..{op.n - 1}")
-            elif len(sites) == op.n:
-                errors.append("partition: must be a proper subset of the sites")
+    if task == "loe" and "partition" in cfg and op is not None:
+        sites = sorted(set(cfg["partition"]))
+        if sites[0] < 0 or sites[-1] >= op.n:
+            errors.append(f"partition: sites must lie in 0..{op.n - 1}")
+        elif len(sites) == op.n:
+            errors.append("partition: must be a proper subset of the sites")
 
     if task == "choi2pc" and op is not None and not 0 <= cfg["site"] < op.n:
         errors.append(f"site: must lie in 0..{op.n - 1}")
 
-    if task == "corr" and "operator_b" in raw:
-        cfg["_operator_b"] = _load_operator(cfg["operator_b"], cfg["_dir"], errors, "operator_b")
     if task == "corr" and op is not None:
         # What interferometric_state refuses. Past the byte budget a sum's
         # unitarity is left to the run, which refuses its register first.
@@ -460,15 +397,6 @@ def validate_config(path) -> tuple[dict | None, list[str]]:
         items = list(op.ordered_items())
         if len(items) != 1 or abs(items[0][0] - 1.0) > 1e-12:
             errors.append("operator: nqubit estimation requires a single unit-coefficient Pauli")
-
-    if task == "compile2d":
-        lattice = raw.get("lattice")
-        if not (isinstance(lattice, dict)
-                and _is_int(lattice.get("rows"))
-                and _is_int(lattice.get("cols"))):
-            errors.append("lattice: expected {'rows': int, 'cols': int}")
-        elif lattice["rows"] < 1 or lattice["cols"] < 1:
-            errors.append("lattice: dimensions must be positive")
 
     return (None, errors) if errors else (cfg, errors)
 
@@ -700,8 +628,16 @@ def _task_nqubit(cfg: dict, rng: RngStream):
     return reports, {}, lambda: _exact_otocs(cfg), {}
 
 
+# Peak bytes per lattice site of a compile2d run, by tracemalloc over embed,
+# trotter_step_schedule, validate and Schedule.to_json with h_x, h_z and J
+# nonzero: 18,100 B at 150x150, 18,339 B with 17-digit angles. Of these, the
+# layout, schedule and audit hold 5,128 B; to_json's gate dicts and text the rest.
+_LATTICE_SITE_BYTES = 20_000
+
+
 def _task_compile2d(cfg: dict, rng: RngStream):
     rows, cols = cfg["lattice"]["rows"], cfg["lattice"]["cols"]
+    reserve(_LATTICE_SITE_BYTES * rows * cols, f"the schedule of a {rows}x{cols} lattice")
     layout = lattice2d.embed(rows, cols)
     schedule = lattice2d.trotter_step_schedule(
         cfg["h_x"], cfg["h_z"], cfg["J"], cfg["dt"], layout
@@ -746,9 +682,70 @@ _TASKS = {
 
 TASKS = tuple(_TASKS)
 
-# Tasks that run no evolution, so report no t and steps, and take a nonzero t
-# with nothing to evolve by.
-_UNEVOLVED = ("choi2pc", "compile2d")
+
+class _Field(NamedTuple):
+    """One config field: its JSON type as (test, refusal), or None where
+    validate_config loads it after its walk; its default, which is _REQUIRED
+    where the tasks that read the field must give it and None where an absent
+    field is unused; the tasks that read it; and its range as (test, refusal)."""
+    kind: tuple[Callable[[object], bool], str] | None
+    default: object
+    readers: tuple[str, ...]
+    bound: tuple[Callable[[object], bool], str] | None = None
+
+
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(map(_is_int, value))
+
+
+_REQUIRED = object()
+_INT = (_is_int, "expected an integer")
+_NUMBER = (_is_number, "expected a finite number")
+# The tasks that evolve their operator, by a hamiltonian or a circuit.
+_EVOLVING = ("evolve", "sample", "otoc", "superop", "ose", "loe", "corr", "nqubit")
+
+# Every config field, in the order validate_config checks them; README.md
+# lists the same rows. A key with no row is refused, so a misspelt field
+# cannot fall back to its default unnoticed.
+_FIELDS = {
+    "task": _Field(None, _REQUIRED, TASKS),
+    "seed": _Field(_INT, 0, TASKS, (lambda v: v >= 0, "must be >= 0")),
+    "with_oracle": _Field((lambda v: isinstance(v, bool), "expected a boolean"), False, TASKS),
+    "out": _Field((lambda v: isinstance(v, str), "expected a string"), ".", TASKS),
+    "operator": _Field(None, _REQUIRED, (*_EVOLVING, "choi2pc")),
+    "hamiltonian": _Field(None, None, _EVOLVING),
+    "circuit": _Field(None, None, _EVOLVING),
+    "t": _Field(_NUMBER, 0.0, _EVOLVING),
+    "steps": _Field(_INT, 64, _EVOLVING, (lambda v: v >= 1, "must be >= 1")),
+    "basis": _Field((lambda v: v in ("pauli", "computational"),
+                     "expected 'pauli' or 'computational'"), "pauli", ("evolve",)),
+    # Generator.multinomial and .binomial take int64 counts.
+    "shots": _Field(_INT, 4096, ("sample", "otoc", "superop", "loe", "corr", "nqubit"),
+                    (lambda v: 1 <= v < 2**63, "must lie in 1..2^63 - 1")),
+    "pairs": _Field((lambda v: isinstance(v, list) and bool(v),
+                     "expected a nonempty list of [left, right] labels"),
+                    _REQUIRED, ("otoc", "nqubit")),
+    "superop": _Field(None, _REQUIRED, ("superop",)),
+    "grouping": _Field((lambda v: v is None or isinstance(v, list) and all(map(_is_int_list, v)),
+                        "expected a list of integer lists"), None, ("superop",)),
+    "power": _Field(_INT, 1, ("superop",), (lambda v: v >= 1, "must be >= 1")),
+    "alpha": _Field(_INT, 2, ("ose",), (lambda v: v >= 2, "purity order must be an integer >= 2")),
+    "epsilon": _Field(_NUMBER, 0.1, ("ose",), (lambda v: v > 0, "must be positive")),
+    "delta": _Field(_NUMBER, 0.05, ("ose",), (lambda v: 0 < v < 1, "must lie in (0, 1)")),
+    "partition": _Field((lambda v: _is_int_list(v) and bool(v),
+                         "expected a nonempty list of site indices"), _REQUIRED, ("loe",)),
+    "operator_b": _Field(None, None, ("corr",)),
+    "p": _Field(_NUMBER, 0.0, ("choi2pc",), (lambda v: 0 <= v <= 1, "must lie in [0, 1]")),
+    "site": _Field(_INT, 0, ("choi2pc",)),
+    "lattice": _Field((lambda v: isinstance(v, dict) and _is_int(v.get("rows"))
+                       and _is_int(v.get("cols")), "expected {'rows': int, 'cols': int}"),
+                      _REQUIRED, ("compile2d",),
+                      (lambda v: v["rows"] >= 1 and v["cols"] >= 1, "dimensions must be positive")),
+    "dt": _Field(_NUMBER, 0.05, ("compile2d",)),
+    "h_x": _Field(_NUMBER, 0.0, ("compile2d",)),
+    "h_z": _Field(_NUMBER, 0.0, ("compile2d",)),
+    "J": _Field(_NUMBER, 0.0, ("compile2d",)),
+}
 
 # Checked in order; the first class the exception is an instance of wins.
 _EXIT_CODES = {
@@ -775,7 +772,7 @@ def _execute(cfg: dict, out: Path, rng: RngStream) -> None:
     params = {"label": label, **own}
     if op is not None:
         params["n"] = op.n
-    if task not in _UNEVOLVED:
+    if task in _FIELDS["t"].readers:
         params.update(t=cfg["t"], steps=cfg["steps"])
     truth = exact() if cfg["with_oracle"] else None
     pairs = rep if isinstance(rep, list) else None
@@ -810,7 +807,7 @@ def run(config: dict, out_dir=None, with_oracle: bool | None = None,
         cfg["seed"] = seed
     if with_oracle is not None:
         cfg["with_oracle"] = with_oracle
-    out = Path(out_dir) if out_dir is not None else Path(cfg.get("out", "."))
+    out = Path(out_dir) if out_dir is not None else Path(cfg["out"])
     rng = RngStream(cfg["seed"]).fork(cfg["task"])
     try:
         _execute(cfg, out, rng)

@@ -495,7 +495,19 @@ class TestCompile2d:
     def test_missing_lattice_is_config_error(self, tmp_path, capsys):
         code, _ = run_task(tmp_path, "compile2d", seed=1)
         assert code == 2
-        assert "lattice" in capsys.readouterr().err
+        assert "config error: lattice: required" in capsys.readouterr().err
+
+    def test_lattice_past_the_byte_budget_exits_3(self, tmp_path):
+        # Refused before the layout is built, under the benchmark's 2 GiB
+        # address-space ceiling, with no traceback.
+        cfg = {"task": "compile2d", "lattice": {"rows": 2000, "cols": 2000}}
+        proc = run_child(tmp_path, cfg, 2 << 30)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr == (
+            "error: the schedule of a 2000x2000 lattice needs 80000000000 bytes; "
+            f"the byte budget allows {_linalg.BYTE_BUDGET}\n"
+        )
+        assert not (tmp_path / "out").exists()
 
 
 class TestConfigValidation:
@@ -595,11 +607,17 @@ class TestConfigValidation:
         ("ose", {"operator": "ZII", "alpha": 10**400}, OSE_COUNTS),
         ("ose", {"operator": "ZII", "epsilon": 1e-200}, OSE_COUNTS),
         ("compile2d", {"lattice": {"rows": True, "cols": 2}}, "lattice"),
+        # Each range holds whatever the task, as seed's and shots' do.
+        ("evolve", {"operator": "ZII", "alpha": 1}, "alpha: purity order must be an integer >= 2"),
+        ("sample", {"operator": "ZII", "epsilon": 0}, "epsilon: must be positive"),
+        ("choi2pc", {**CHOI, "delta": 1}, "delta: must lie in (0, 1)"),
+        ("loe", {"operator": "ZII", "partition": [0], "power": 0}, "power: must be >= 1"),
     ], ids=["site-str", "site-float", "site-list", "site-bool", "site-past-end", "p-above-1",
             "p-below-0", "out-int", "partition-bool", "grouping-bool", "grouping-past-end",
             "grouping-negative", "grouping-repeat", "groups-none", "groups-empty",
             "seed-negative", "shots-sample", "shots-otoc", "ose-alpha", "ose-alpha-past-float",
-            "ose-epsilon", "rows-bool"])
+            "ose-epsilon", "rows-bool", "alpha-evolve", "epsilon-sample", "delta-choi2pc",
+            "power-loe"])
     def test_mistyped_field_is_config_error(self, tmp_path, capsys, task, cfg, field):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"task": task, "seed": 1, **cfg}))
@@ -633,9 +651,15 @@ class TestConfigValidation:
         ("corr", {"operator": "ZII", "operator_b": {"text": "0.5 0 XII\n0.5 0 ZII"}},
          "operator_b: corr needs a unitary operator"),
         ("corr", {"operator": "ZII", "operator_b": "XI"}, "operator_b: acts on 2 sites, operator on 3"),
+        # trotter_circuit's refusal, at any t.
+        ("evolve", {"operator": "ZII", "hamiltonian": {"text": "1 1 ZZI"}, "t": 1},
+         "hamiltonian: Hamiltonian coefficients must be real"),
+        ("evolve", {"operator": "ZII", "hamiltonian": {"text": "1 1 ZZI"}, "t": 0},
+         "hamiltonian: Hamiltonian coefficients must be real"),
     ], ids=["zero-operator", "cancelling-terms", "zero-operator-b", "shots-below-groups",
             "identity-terms", "zero-group", "term-left-out", "complex-coefficient",
-            "corr-nonunitary", "corr-nonunitary-b", "corr-width-b"])
+            "corr-nonunitary", "corr-nonunitary-b", "corr-width-b", "hamiltonian-imaginary",
+            "hamiltonian-imaginary-at-t0"])
     def test_config_the_estimator_would_refuse_is_config_error(self, tmp_path, capsys, task, cfg,
                                                                field):
         path = tmp_path / "config.json"
@@ -724,7 +748,8 @@ def test_key_no_task_reads_is_config_error(tmp_path, capsys, task, key):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("task", cli._UNEVOLVED)
+@pytest.mark.parametrize("task", [task for task in cli.TASKS
+                                  if task not in cli._FIELDS["t"].readers])
 def test_keys_another_task_reads_are_accepted(tmp_path, task):
     # Neither task evolves; the benchmark's compile2d configs carry t and
     # steps, and its choi2pc configs a hamiltonian.
@@ -735,7 +760,8 @@ def test_keys_another_task_reads_are_accepted(tmp_path, task):
     assert (out / "report.json").exists()
 
 
-@pytest.mark.parametrize("task", [task for task in _NUMERIC_FIELDS if task not in cli._UNEVOLVED])
+@pytest.mark.parametrize("task", [task for task in _NUMERIC_FIELDS
+                                  if task in cli._FIELDS["t"].readers])
 def test_nonzero_t_with_nothing_to_evolve_is_config_error(tmp_path, capsys, task):
     base, _ = _NUMERIC_FIELDS[task]
     cfg = {key: value for key, value in base.items() if key != "hamiltonian"}
@@ -1107,3 +1133,19 @@ def test_report_key_sets(tmp_path, case, with_oracle):
             assert set(entry) == (keys | {"oracle"} if with_oracle else keys)
             if with_oracle:
                 assert set(entry["oracle"]) == pair_block
+
+
+def test_readme_field_table_matches_the_cli_table():
+    # One README row per row of cli._FIELDS, in its order, with its default.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = [[cell.strip() for cell in line.strip().strip("|").split("|")]
+            for line in readme.splitlines() if line.startswith("| `")]
+    table = {cells[0].strip("`"): cells[2] for cells in rows if len(cells) == 5}
+
+    def shown(default):
+        if default is cli._REQUIRED:
+            return "required"
+        return "—" if default is None else f"`{json.dumps(default)}`"
+
+    assert list(table) == list(cli._FIELDS)
+    assert table == {name: shown(field.default) for name, field in cli._FIELDS.items()}
