@@ -28,11 +28,22 @@ from .errors import CapExceededError
 BYTE_BUDGET = 3 << 28
 
 
+def size_text(count: int) -> str:
+    """``count`` in decimal digits up to 2^64; past it, as the power of two
+    it equals or exceeds, since str() of an int past 4,300 digits raises."""
+    if count.bit_length() <= 64:
+        return str(count)
+    k = count.bit_length() - 1
+    return f"2^{k}" if count == 1 << k else f"over 2^{k}"
+
+
 def reserve(nbytes: int, what: str) -> None:
     """Refuse ``what``, before it is allocated, if its ``nbytes`` of working
     memory exceed BYTE_BUDGET."""
     if nbytes > BYTE_BUDGET:
-        raise CapExceededError(f"{what} needs {nbytes} bytes; the byte budget allows {BYTE_BUDGET}")
+        raise CapExceededError(
+            f"{what} needs {size_text(nbytes)} bytes; the byte budget allows {BYTE_BUDGET}"
+        )
 
 
 # Largest (target block) x (trailing block) size folded into one matrix,

@@ -634,6 +634,15 @@ def _task_nqubit(cfg: dict, rng: RngStream):
 # layout, schedule and audit hold 5,128 B; to_json's gate dicts and text the rest.
 _LATTICE_SITE_BYTES = 20_000
 
+# Registers of 16 * 4^n bytes, n = rows * cols, that compile2d's oracle
+# reference states to the byte budget before the lattice is embedded: the two
+# buffers of its doubled evolution, its largest single request. By tracemalloc
+# over exact() it holds 6.0 registers at its peak from 3x3 to 3x4 (1.6 GB at
+# 3x4, which ran in 21 s under a 2 GiB address-space ceiling); stating all
+# six would refuse 3x4. With two, every lattice of up to 12 sites runs, as
+# before, and a larger one exits 3 at once instead of after its schedule.
+_LATTICE_ORACLE_REGISTERS = 2
+
 
 def _task_compile2d(cfg: dict, rng: RngStream):
     rows, cols = cfg["lattice"]["rows"], cfg["lattice"]["cols"]
@@ -768,6 +777,9 @@ def _execute(cfg: dict, out: Path, rng: RngStream) -> None:
     op = cfg.get("_operator")
     if cfg["with_oracle"] and op is not None:
         oracle.reserve_working_set(2**op.n)
+    elif cfg["with_oracle"]:  # compile2d, the one task with no operator
+        n = cfg["lattice"]["rows"] * cfg["lattice"]["cols"]
+        reserve(_LATTICE_ORACLE_REGISTERS * 16 * 4**n, f"a doubled evolution on {2 * n} qubits")
     rep, own, exact, artifacts = handler(cfg, rng)
     params = {"label": label, **own}
     if op is not None:

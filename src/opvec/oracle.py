@@ -20,6 +20,15 @@ x86-64), U^dag Z_0 U took 1.9 ms against 2.5 ms for one block at 7 sites,
 and 0.21 s against 0.65 s at 10; the propagator alone 0.13 s against
 0.39 s at 10.
 
+The eigensystem of the last Pauli-sum Hamiltonian, its sectors with one
+eigenvector matrix each, is kept in one read-only entry keyed by the sum's
+content, so every later call under the same H, at any t, skips the ``eigh``
+and forms U from the same bits. It holds about 64 KiB at 7 sites (the Ising
+chain's two real sectors) and up to 64 MiB for one complex sector at 11.
+
+On Pauli words, the OTOC trace tr(O^dag P O Q) is vdot(P O, O Q) with each
+side O permuted and scaled by one word, with no dense product.
+
 Entropies use the natural logarithm throughout.
 """
 
@@ -27,7 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._linalg import reserve
+from ._linalg import reserve, size_text
 from .pauli import SIGMA, PauliString, PauliSum
 
 # Largest unitarity, completeness or imaginary residue accepted as rounding.
@@ -38,14 +47,19 @@ _TOLERANCE = 1e-10
 # 9 and 10 sites (numpy 2.4, one OpenBLAS thread): on one sector (the Ising
 # chain plus a YZ bond), 5.5 matrices for propagator and 6.5 for heisenberg;
 # on the chain's two sectors, 2.9 and 4.5 (3.8 and 4.8 with a complex XY
-# bond); 6.5 for exact_otoc on Pauli words, 7.9 for exact_wightman.
+# bond); 7.9 for exact_wightman. exact_otoc on Pauli words holds 4 with its
+# operator (tracemalloc at 9 sites; 6 before it skipped the dense products).
+# The eigensystem kept between calls is at most one more matrix, for one
+# complex sector, and a quarter of one on the Ising chain: by tracemalloc at
+# 9 sites with one complex sector kept, a whole CLI run peaked at most that
+# one matrix higher than with none kept (corr 7 to 8, choi2pc 11 to 12).
 _HELD = 8
 
 
 def reserve_working_set(dim: int) -> None:
     """Refuse an oracle computation at dimension ``dim``, before anything is
     built, if the dense matrices it holds exceed the byte budget."""
-    reserve(_HELD * 16 * dim**2, f"the oracle's working set at dimension {dim}")
+    reserve(_HELD * 16 * dim**2, f"the oracle's working set at dimension {size_text(dim)}")
 
 
 def dense(op) -> np.ndarray:
@@ -94,24 +108,56 @@ def _sectors(h, dim: int) -> np.ndarray:
     return np.argsort(labels, kind="stable").reshape(-1, 2 ** len(pivots))
 
 
-def _propagator_blocks(h, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """H's sectors (:func:`_sectors`) and e^{-iHt} on each, of shape
-    (C, m, m), from one batched hermitian ``eigh`` of H's diagonal blocks.
-    Blocks with no imaginary part, as from Pauli words with an even number
-    of Ys each, are diagonalized as real symmetric matrices, and each block
-    of U is formed from two real products, (V cos Et) V^T - i (V sin Et) V^T."""
+# The eigensystem (:func:`_eigensystem`) of the last Pauli-sum Hamiltonian
+# diagonalized, as (key, (sec, evals, vecs)), or None.
+_KEPT: tuple | None = None
+
+
+def _key(h: PauliSum) -> tuple:
+    """H's content: its site count, and its terms in ``to_dense``'s order with
+    their coefficients by their bits, so that 0.0 and -0.0 differ."""
+    terms = sorted(h.terms.items())
+    return h.n, tuple(k for k, _ in terms), np.array([c for _, c in terms], dtype=complex).tobytes()
+
+
+def _eigensystem(h) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """H's sectors (:func:`_sectors`), of shape (C, m), with the eigenvalues,
+    (C, m), and eigenvectors, (C, m, m), of its diagonal blocks, from one
+    batched hermitian ``eigh``, all read-only. Blocks with no imaginary part,
+    as from Pauli words with an even number of Ys each, are diagonalized as
+    real symmetric matrices. A Pauli sum's eigensystem is kept in one slot,
+    keyed by :func:`_key`, so a later call with a sum of the same content
+    reuses it; a call that misses empties the slot before it builds, so the
+    working set it reserves still bounds the peak. A dense H is never kept."""
+    global _KEPT
+    key = _key(h) if isinstance(h, PauliSum) else None
+    if key is not None and _KEPT is not None and _KEPT[0] == key:
+        reserve_working_set(2**h.n)
+        return _KEPT[1]
+    _KEPT = None
     hm = dense(h)
     sec = _sectors(h, len(hm))
     blocks = hm[None] if len(sec) == 1 else hm[sec[:, :, None], sec[:, None, :]]
     if np.max(np.abs(blocks - blocks.conj().transpose(0, 2, 1))) > 1e-12:
         raise ValueError("Hamiltonian must be hermitian")
-    if blocks.imag.any():
-        evals, vecs = np.linalg.eigh(blocks)
+    eig = (sec, *np.linalg.eigh(blocks if blocks.imag.any() else blocks.real))
+    for a in eig:
+        a.flags.writeable = False
+    if key is not None:
+        _KEPT = key, eig
+    return eig
+
+
+def _propagator_blocks(h, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """H's sectors and e^{-iHt} on each, of shape (C, m, m), from its
+    eigensystem (:func:`_eigensystem`). A real eigensystem forms each block
+    of U from two real products, (V cos Et) V^T - i (V sin Et) V^T."""
+    sec, evals, vecs = _eigensystem(h)
+    if np.iscomplexobj(vecs):
         phases = np.exp(-1j * evals * t)[:, None, :]
         return sec, (vecs * phases) @ vecs.conj().transpose(0, 2, 1)
-    evals, vecs = np.linalg.eigh(blocks.real)
     vecs_t = vecs.transpose(0, 2, 1)
-    u = np.empty(blocks.shape, dtype=complex)
+    u = np.empty(vecs.shape, dtype=complex)
     u.real = (vecs * np.cos(evals * t)[:, None, :]) @ vecs_t
     u.imag = (vecs * -np.sin(evals * t)[:, None, :]) @ vecs_t
     return sec, u
@@ -192,12 +238,25 @@ def pauli_probabilities(op) -> np.ndarray:
 
 
 def exact_otoc(op, p, q) -> float:
-    """tr(O^dag P^dag O Q)/2^n for the already-evolved operator O."""
+    """tr(O^dag P^dag O Q)/2^n for the already-evolved operator O. For Pauli
+    words P and Q this is vdot(P O, O Q): a word's matrix has one nonzero per
+    row, at column row ^ xmask, so P O is O's rows permuted and scaled by
+    P's row values, and O Q is O's columns permuted and scaled by Q's."""
     om = dense(op)
-    pm = dense(p)
-    qm = dense(q)
-    # tr(X Q) = sum_ij X_ij Q_ji, with no fourth product.
-    val = np.sum((om.conj().T @ pm.conj().T @ om) * qm.T) / len(om)
+    if isinstance(p, PauliString) and isinstance(q, PauliString):
+        if q.n != p.n or 2**p.n != len(om):
+            raise ValueError("operator and word dims differ")
+        idx = np.arange(len(om))
+        po = om[idx ^ p.xmask]
+        po *= p.row_values()[:, None]
+        oq = om[:, idx ^ q.xmask]
+        oq *= q.row_values()[idx ^ q.xmask]
+        val = np.vdot(po, oq) / len(om)
+    else:
+        pm = dense(p)
+        qm = dense(q)
+        # tr(X Q) = sum_ij X_ij Q_ji, with no fourth product.
+        val = np.sum((om.conj().T @ pm.conj().T @ om) * qm.T) / len(om)
     if abs(val.imag) > _TOLERANCE:
         raise ValueError(f"imaginary residue {val.imag} exceeds tolerance")
     return float(val.real)

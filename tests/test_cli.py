@@ -509,6 +509,40 @@ class TestCompile2d:
         )
         assert not (tmp_path / "out").exists()
 
+    def test_oracle_past_the_byte_budget_exits_3(self, tmp_path):
+        # The reference's doubled register of 2 * 10^4 qubits: its byte count
+        # has 6,000 digits, named as a power of two. It used to exit 1 after
+        # 36 s of building the schedule, when str() of that count raised.
+        cfg = {"task": "compile2d", "lattice": {"rows": 100, "cols": 100}, "with_oracle": True}
+        proc = run_child(tmp_path, cfg, 2 << 30)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr == (
+            "error: a doubled evolution on 20000 qubits needs 2^20005 bytes; "
+            f"the byte budget allows {_linalg.BYTE_BUDGET}\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("rows, cols, admitted", [
+        (3, 4, True),  # 12 sites, the largest lattice the oracle ran
+        (1, 13, False),
+        (100, 100, False),
+    ])
+    def test_oracle_register_is_stated_before_the_layout(self, tmp_path, monkeypatch,
+                                                         rows, cols, admitted):
+        class Embedded(Exception):
+            pass
+
+        def embed(*args):
+            raise Embedded
+
+        monkeypatch.setattr(cli.lattice2d, "embed", embed)
+        cfg = {"lattice": {"rows": rows, "cols": cols}, "with_oracle": True}
+        if admitted:
+            with pytest.raises(Embedded):
+                run_task(tmp_path, "compile2d", **cfg)
+        else:
+            assert run_task(tmp_path, "compile2d", **cfg)[0] == 3
+
 
 class TestConfigValidation:
     def test_missing_operator(self, tmp_path, capsys):

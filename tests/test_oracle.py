@@ -6,12 +6,15 @@ exists and structural checks (unitarity, normalization, symmetry)
 elsewhere.
 """
 
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from opvec import oracle
+from opvec.errors import CapExceededError
 from opvec.oracle import (
     _HELD,
     _sectors,
@@ -26,10 +29,26 @@ from opvec.oracle import (
     heisenberg,
     pauli_probabilities,
     propagator,
+    reserve_working_set,
 )
 from opvec.pauli import SIGMA, PauliString, PauliSum
 from opvec.vectorize import PAULI, pauli_index, vectorize
-from helpers import ginibre, ising_chain, random_hermitian_sum, refusal_peak
+from helpers import ginibre, ising_chain, pauli_normalized, random_hermitian_sum, refusal_peak
+
+
+@pytest.fixture
+def cold(monkeypatch):
+    """An empty eigensystem slot, so the next Pauli-sum Hamiltonian is
+    diagonalized afresh whatever an earlier test left there."""
+    monkeypatch.setattr(oracle, "_KEPT", None)
+
+
+def counting_eigh(monkeypatch) -> list:
+    """The dtype of every matrix np.linalg.eigh solves from here on."""
+    solved = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: solved.append(m.dtype) or eigh(m))
+    return solved
 
 
 def test_propagator_is_unitary_and_generates_h(gen):
@@ -47,14 +66,12 @@ def test_propagator_is_unitary_and_generates_h(gen):
     ("YYIII", np.float64),  # even Ys: a real symmetric matrix
     ("IYZII", np.complex128),  # one Y: imaginary entries
 ])
-def test_propagator_solves_real_hamiltonians_in_real_arithmetic(monkeypatch, extra, solved_as):
+def test_propagator_solves_real_hamiltonians_in_real_arithmetic(monkeypatch, cold, extra, solved_as):
     h = ising_chain(5)
     h.add(0.3, PauliString.from_label(extra))
     evals, vecs = np.linalg.eigh(h.to_dense())
     want = (vecs * np.exp(-0.7j * evals)) @ vecs.conj().T
-    solved = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda m: solved.append(m.dtype) or eigh(m))
+    solved = counting_eigh(monkeypatch)
     u = propagator(h, 0.7)
     assert solved == [solved_as]
     assert np.max(np.abs(u - want)) < 1e-12
@@ -127,12 +144,10 @@ def _check_sectors_and_propagator(h: PauliSum, t: float, gen) -> np.ndarray:
 
 @pytest.mark.parametrize("n", [2, 4, 6])
 @pytest.mark.parametrize("case", SECTOR_CASES)
-def test_sector_propagator_and_heisenberg(monkeypatch, case, n, gen):
+def test_sector_propagator_and_heisenberg(monkeypatch, cold, case, n, gen):
     build, shape, complex_blocks = SECTOR_CASES[case]
     h = build(n)
-    solved = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda m: solved.append(m.dtype) or eigh(m))
+    solved = counting_eigh(monkeypatch)
     sec = _check_sectors_and_propagator(h, 0.9, gen)
     assert sec.shape == shape(n)
     assert solved[0] == (np.complex128 if complex_blocks else np.float64)
@@ -165,6 +180,70 @@ def test_dense_hamiltonians_are_one_sector_bit_for_bit(extra):
     om = PauliString.from_label("ZXIII").to_dense()
     assert np.array_equal(propagator(hm, 0.7), want)
     assert np.array_equal(heisenberg(om, hm, 0.7), want.conj().T @ om @ want)
+
+
+def _chain_plus(extra: str) -> PauliSum:
+    """A new sum each call, as each CLI run parses its Hamiltonian afresh."""
+    h = ising_chain(5)
+    h.add(0.3, PauliString.from_label(extra.ljust(5, "I")))
+    return h
+
+
+@pytest.mark.parametrize("extra", ["YY", "YZ"])  # real eigensystem, complex eigensystem
+def test_a_warm_eigensystem_gives_the_cold_bits(monkeypatch, cold, extra):
+    op = PauliString.from_label("ZXIII")
+    solved = counting_eigh(monkeypatch)
+    u = propagator(_chain_plus(extra), 0.7)
+    assert len(solved) == 1
+    warm_u, warm_h = propagator(_chain_plus(extra), 0.7), heisenberg(op, _chain_plus(extra), 0.7)
+    assert len(solved) == 1
+    monkeypatch.setattr(oracle, "_KEPT", None)
+    cold_h = heisenberg(op, _chain_plus(extra), 0.7)
+    assert len(solved) == 2
+    assert np.array_equal(warm_u, u)
+    assert np.array_equal(warm_h, cold_h)
+
+
+def test_a_different_hamiltonian_evicts_the_kept_one(monkeypatch, cold):
+    h = ising_chain(5)
+    bond = (0, 0b11)  # XX on sites 0 and 1
+    c = h.terms[bond]
+    last_bit, signed_zero = ising_chain(5), ising_chain(5)
+    last_bit.terms[bond] = complex(np.nextafter(c.real, 1.0), 0.0)
+    signed_zero.terms[bond] = complex(c.real, -0.0)
+    solved = counting_eigh(monkeypatch)
+    u = propagator(h, 0.7)
+    for other in (last_bit, signed_zero):
+        got = propagator(other, 0.7)
+        monkeypatch.setattr(oracle, "_KEPT", None)
+        assert np.array_equal(got, propagator(other, 0.7))
+    assert len(solved) == 5
+    assert np.array_equal(propagator(h, 0.7), u)  # evicted: diagonalized again
+    assert len(solved) == 6
+    h.add(0.1, PauliString.from_label("ZZIII"))  # the same sum, changed in place
+    assert not np.array_equal(propagator(h, 0.7), u)
+    assert len(solved) == 7
+
+
+def test_a_dense_hamiltonian_is_never_kept(monkeypatch, cold):
+    h = ising_chain(4)
+    solved = counting_eigh(monkeypatch)
+    propagator(h, 0.7)
+    assert oracle._KEPT is not None
+    hm = h.to_dense()
+    for _ in range(2):
+        propagator(hm, 0.7)
+        assert oracle._KEPT is None
+    assert len(solved) == 3
+
+
+def test_the_kept_eigensystem_is_read_only(cold):
+    propagator(ising_chain(4), 0.7)
+    _, (sec, evals, vecs) = oracle._KEPT
+    assert (sec.shape, evals.shape, vecs.shape) == ((2, 8), (2, 8), (2, 8, 8))
+    for arr in (sec, evals, vecs):
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = 0
 
 
 def test_heisenberg_conjugates(gen):
@@ -218,6 +297,35 @@ class TestOtoc:
             pm, qm = p, q
         want = np.trace(op.conj().T @ pm.conj().T @ op @ qm).real / 8
         assert exact_otoc(op, p, q) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_words_match_the_dense_formula(self, gen, n):
+        # Random words, Y letters among them, on a Hermitian operator and on
+        # a non-Hermitian one, both evolved; the dense formula is the matrix
+        # path. tr(O^dag P O Q) is real for Hermitian P and Q whatever O is.
+        dim = 2**n
+        h = ising_chain(n)
+        h.add(0.3, PauliString.from_label("YZ".ljust(n, "I")))
+        words = [PauliString(n, int(gen.integers(dim)), int(gen.integers(dim))) for _ in range(40)]
+        assert sum(w.y_count > 0 for w in words) > 20
+        for om in (ginibre(gen, dim), random_hermitian_sum(gen, n, 4).to_dense()):
+            evolved = heisenberg(pauli_normalized(om), h, 0.9)
+            for p, q in zip(words[::2], words[1::2]):
+                want = exact_otoc(evolved, p.to_dense(), q.to_dense())
+                assert abs(exact_otoc(evolved, p, q) - want) < 1e-14
+
+    def test_imaginary_residue_still_refused(self, gen):
+        op = pauli_normalized(ginibre(gen, 8))
+        q = PauliString.from_label("XYZ")
+        with pytest.raises(ValueError, match="imaginary residue"):
+            exact_otoc(op, ginibre(gen, 8), q)
+
+    def test_words_of_another_size_refused(self, gen):
+        op = ginibre(gen, 8)
+        with pytest.raises(ValueError, match="dims differ"):
+            exact_otoc(op, PauliString.from_label("XY"), PauliString.from_label("XY"))
+        with pytest.raises(ValueError, match="dims differ"):
+            exact_otoc(op, PauliString.from_label("XYZ"), PauliString.from_label("XYZI"))
 
 
 class TestOse:
@@ -353,6 +461,15 @@ class TestChannelDual:
 
 
 class TestConfig:
+    @pytest.mark.parametrize("dim, named", [
+        (2**10000, "at dimension 2^10000 needs 2^20007 bytes"),  # past str()'s 4,300 digits
+        (3 * 2**30, "at dimension 3221225472 needs over 2^70 bytes"),
+        (2**12, "at dimension 4096 needs 2147483648 bytes"),
+    ], ids=["2^10000", "3*2^30", "2^12"])
+    def test_refusal_names_any_size(self, dim, named):
+        with pytest.raises(CapExceededError, match=re.escape(f"{named}; the byte budget allows")):
+            reserve_working_set(dim)
+
     def test_cap_enforced(self):
         # The matrices an oracle call holds at n=20, refused before the first
         # dense operator is built.
