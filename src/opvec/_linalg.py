@@ -84,9 +84,7 @@ _FOLD_ROWS = 32
 # by the product's shape, and so did the B = D / 2 split of a 32 x 32 block
 # with B = 16 and A = 2 against the transposed view; from 64 rows, and in
 # every batched shape tried on 2^6 to 2^19 float64 and complex128 amplitudes,
-# it kept the dense product's bits. A float64 block with B = D / 2 on a
-# complex128 register kept them too, but took 1.1-1.8x as long split, so
-# there it runs transposed.
+# it kept the dense product's bits.
 _SPLIT_BATCHED = 16
 _SPLIT_FLAT = 16
 _SPLIT_ROWS = 64
@@ -107,37 +105,33 @@ _NN_ROWS = 64
 def run_passes(vec: np.ndarray, steps: list, k: int) -> np.ndarray:
     """Apply the (matrix, targets) ``steps``, in order, to a k-qubit vector,
     one register pass each; ``vec`` is left as it is, and returned when there
-    are no steps. A 1-D matrix is a diagonal.
+    are no steps. Every matrix is 2-D and has ``vec``'s dtype.
 
     Each distinct step, by the identity of its matrix and its targets, is
     planned once by :func:`_plan`. The passes then alternate between two
-    register buffers allocated before the first one, reading ``vec`` or one
-    buffer and writing the other, so no pass allocates a register. Each
-    buffer is one line-aligned allocation (:func:`_line_aligned`) of the
-    register's bytes at the widest dtype of the run, stated to
-    :func:`reserve` before the first pass; a caller that
-    holds more states it itself. A pass's dtype is that of its operands'
-    product, as numpy promotes it, and a promotion takes a new pair of
-    buffers. ``steps`` keeps its matrices alive through the call.
+    register buffers of ``vec``'s dtype, reading ``vec`` or one buffer and
+    writing the other, so no pass allocates a register. Each buffer is one
+    line-aligned allocation (:func:`_line_aligned`), made after the first
+    step is planned, so that a fold's temporaries there never add to them.
+    Both are stated to :func:`reserve` first; a caller that holds more
+    states it itself. ``steps`` keeps its matrices alive through the call.
 
     A list that repeats a period of p steps by identity (see :func:`_period`),
     as a Trotter evolution's lowering does, costs O(p) Python work, not
-    O(len(steps)). After the first period every pass has the widest dtype,
-    so the passes alternate between one settled pair of buffers, and pass i
-    reads the buffer that pass i - 2p read. So passes p..3p-1 bind each
-    distinct (step, output buffer) once, as a call with its operand views
-    made (see :func:`_plan`), and pass i >= 3p repeats the bound call of
-    pass p + (i - 3p) mod 2p. The first period's passes, and every pass of
-    an aperiodic list, are bound as they run. Either way each pass makes
-    the same numpy calls on the same operands, so it keeps its bits.
+    O(len(steps)). Pass i >= 3p reads and writes the buffers that pass
+    i - 2p did. So passes p..3p-1 bind each distinct (step, output buffer)
+    once, as a call with its operand views made (see :func:`_plan`), and
+    pass i >= 3p repeats the bound call of pass p + (i - 3p) mod 2p. The
+    first period's passes, and every pass of an aperiodic list, are bound as
+    they run. Either way each pass makes the same numpy calls on the same
+    operands, so it keeps its bits.
 
     This is the package's one pass loop: every caller that applies a list of
     steps to a register hands the whole list to it."""
     if not steps:
         return vec
     p = _period(steps)
-    widest = np.result_type(vec.dtype, *{mat.dtype for mat, _ in steps[:p]})
-    reserve(widest.itemsize * vec.size, f"each register buffer of {k} qubits")
+    reserve(vec.nbytes, f"each register buffer of {k} qubits")
     binders: dict[tuple, object] = {}
     bound: dict[tuple, object] = {}
     cycle, outs = [], []  # the bound calls of passes p..3p-1, and their outputs
@@ -148,9 +142,8 @@ def run_passes(vec: np.ndarray, steps: list, k: int) -> np.ndarray:
         bind = binders.get(key)
         if bind is None:
             bind = binders[key] = _plan(mat, targets, k)
-        dtype = np.promote_types(src.dtype, mat.dtype)
-        if not bufs or bufs[0].dtype != dtype:
-            bufs = (_line_aligned(vec.size, dtype), _line_aligned(vec.size, dtype))
+        if not bufs:
+            bufs = (_line_aligned(vec.size, vec.dtype), _line_aligned(vec.size, vec.dtype))
         dst, spare = (bufs[1], bufs[0]) if src is bufs[0] else bufs
         if i < p:
             bind(src, dst, spare)()
@@ -215,7 +208,6 @@ def _plan(mat: np.ndarray, targets: tuple[int, ...], k: int):
     leading, target and trailing blocks of a register viewed as (A, D, B):
 
     ========================================  ===============================
-    diagonal (1-D ``mat``)                    one multiply over (A, D, B)
     D * B <= _FOLD, or 1 < B < D with         mat (x) I_B, built here, then
     D * B <= _FOLD_NARROW, A >= _FOLD_ROWS    as B = 1 below
     block-diagonal in the leading target      one matmul of the two h x h
@@ -223,7 +215,7 @@ def _plan(mat: np.ndarray, targets: tuple[int, ...], k: int):
     D >= _SPLIT_FLAT, A >= _SPLIT_ROWS;       h = D / 2, stacked: (A, 2, h)
     with B >= D >= _SPLIT_BATCHED; or on      viewed as (2, A, h) @ (M0^T,
     float64 with B = h, D >= _SPLIT_BATCHED,  M1^T) for B = 1, (M0, M1) @
-    A * B >= _NN_ROWS, on a float64 register  (A, 2, h, B) for B >= h
+    A * B >= _NN_ROWS                         (A, 2, h, B) for B >= h
     B = 1                                     one GEMM (A, D) @ mat^T
     B >= D                                    one batched GEMM mat @ (A, D,
                                               B); one GEMM when A = 1
@@ -235,7 +227,7 @@ def _plan(mat: np.ndarray, targets: tuple[int, ...], k: int):
 
     Any other target order copies the target axes to the front into
     ``dst``, applies one product into ``spare`` and moves the axes back into
-    ``dst``. Each kernel runs the GEMM or multiply of the one-array-per-pass
+    ``dst``. Each kernel runs the GEMM of the one-array-per-pass
     kernel it replaced, with the same operand shapes and order, so every
     pass keeps that kernel's bits; the narrow fold, which replaced chunked
     transposed GEMMs, rounds as they did only from _FOLD_ROWS rows up. The
@@ -250,23 +242,16 @@ def _plan(mat: np.ndarray, targets: tuple[int, ...], k: int):
     lo = targets[0] if m else 0
     if tuple(targets) != tuple(range(lo, lo + m)):
         cube, front = (2,) * k, tuple(range(m))
-        product, operand = (np.multiply, mat[:, None]) if mat.ndim == 1 else (np.matmul, mat)
         return lambda src, dst, spare: partial(
-            _moved, dst.reshape(cube), np.moveaxis(src.reshape(cube), targets, front), product,
-            operand, dst.reshape(dim, -1), spare.reshape(dim, -1),
+            _moved, dst.reshape(cube), np.moveaxis(src.reshape(cube), targets, front), mat,
+            dst.reshape(dim, -1), spare.reshape(dim, -1),
             np.moveaxis(spare.reshape(cube), front, targets))
     b = 2 ** (k - lo - m)
     narrow = b < dim and dim * b <= _FOLD_NARROW and 2**lo >= _FOLD_ROWS
     if 1 < b and (dim * b <= _FOLD or narrow):
-        if mat.ndim == 1:
-            mat = np.repeat(mat, b)
-        else:
-            mat = (mat[:, None, :, None] * np.eye(b)[None, :, None, :]).reshape(dim * b, dim * b)
+        mat = (mat[:, None, :, None] * np.eye(b)[None, :, None, :]).reshape(dim * b, dim * b)
         dim, b = dim * b, 1
     shape, rows = (-1, dim, b), 2**lo
-    if mat.ndim == 1:
-        factor = mat[:, None]
-        return lambda src, dst, spare: partial(np.multiply, src.reshape(shape), factor, dst.reshape(shape))
     halves, h = None, dim // 2
     if (b >= dim >= _SPLIT_BATCHED or (b == 1 and dim >= _SPLIT_FLAT and rows >= _SPLIT_ROWS)
             or (b == h and dim >= _SPLIT_BATCHED and _contiguous_right(mat, rows * b))):
@@ -278,23 +263,17 @@ def _plan(mat: np.ndarray, targets: tuple[int, ...], k: int):
             dst.reshape(split).transpose(1, 0, 2))
     if halves is not None:
         left, split = np.stack(halves), (-1, 2, h, b)
-        batched = lambda src, dst, spare: partial(np.matmul, left, src.reshape(split), dst.reshape(split))
-        if b >= dim:
-            return batched
+        return lambda src, dst, spare: partial(np.matmul, left, src.reshape(split), dst.reshape(split))
     if b == 1:
         right = _right(mat, rows)
         return lambda src, dst, spare: partial(np.matmul, src.reshape(-1, dim), right, dst.reshape(-1, dim))
     if b >= dim:
         return lambda src, dst, spare: partial(np.matmul, mat, src.reshape(shape), dst.reshape(shape))
     right = _right(mat, rows * b)
-    transposed = lambda src, dst, spare: partial(
+    return lambda src, dst, spare: partial(
         _transposed, dst.reshape(-1, b, dim), src.reshape(shape).transpose(0, 2, 1),
         dst.reshape(-1, dim), right, spare.reshape(-1, dim), dst.reshape(shape),
         spare.reshape(-1, b, dim).transpose(0, 2, 1))
-    if halves is None:
-        return transposed
-    # B = h: split where the product is float64, not on a complex register.
-    return lambda src, dst, spare: (batched if dst.dtype == np.float64 else transposed)(src, dst, spare)
 
 
 def _contiguous_right(mat: np.ndarray, rows: int) -> bool:
@@ -321,11 +300,11 @@ def _halves(mat: np.ndarray):
     return mat[:h, :h], mat[h:, h:]
 
 
-def _moved(into, gathered, product, operand, rows, out, back):
+def _moved(into, gathered, mat, rows, out, back):
     """The pass on targets in any other order: the target axes copied to
     the front, one product, and the axes moved back (see :func:`_plan`)."""
     np.copyto(into, gathered)
-    product(operand, rows, out)
+    np.matmul(mat, rows, out)
     np.copyto(into, back)
 
 

@@ -116,10 +116,15 @@ def _load_pauli_sum(spec, base: Path, errors: list[str], field: str) -> PauliSum
 
 def _load_operator(spec, base: Path, errors: list[str], field: str) -> PauliSum | None:
     """An operator to vectorize, loaded as :func:`_load_pauli_sum` loads it;
-    one whose coefficients are all zero has no direction, so it is refused."""
+    one whose coefficients are all zero has no direction, and one whose
+    squared coefficients sum below the smallest normal float64 has a norm
+    that underflows, so both are refused."""
     op = _load_pauli_sum(spec, base, errors, field)
     if op is not None and not op.terms:
         errors.append(f"{field}: every coefficient is zero; the zero operator cannot be vectorized")
+    elif op is not None and sum(abs(c) ** 2 for c in op.terms.values()) < sys.float_info.min:
+        errors.append(f"{field}: the coefficients' squares sum below {sys.float_info.min!r}; "
+                      "an operator this small cannot be normalized")
     return op
 
 

@@ -9,17 +9,16 @@ site i of the represented operator owns qubits 2i (left copy) and 2i+1
 A circuit is a sequence of gates, applied in order. :func:`_lower` turns
 it into (matrix, targets) steps on its own register, one per gate or part of
 a wide pexp's CX ladder, and :func:`run_passes` applies them one pass each.
-For a doubled evolution, a circuit that repeats one period, as a Trotter
-circuit repeats one step, is lowered and fused one period at a time and the
-period's steps repeated (:func:`_tiled`); :func:`run_passes` then binds one
-period's passes and replays them.
 
 Heisenberg evolution of a vectorized operator runs in the Hermitian-Pauli
 basis, where site i's qubit pair (2i, 2i+1) indexes I, X, Z, Y. There the
 doubled image U^dag (x) U^T of a gate is its real orthogonal Pauli transfer
-matrix, so a Hermitian operator evolves as a float64 vector: gates in
-reverse order, one real pass per :func:`_transfer` block, or per pair of
-blocks on the last three sites that :func:`_fuse_tail` joins.
+matrix, so a Hermitian operator evolves as a float64 vector. The one
+evolution, :func:`heisenberg_doubled`, runs the steps of the one lowering,
+:func:`_transfer`: gates in reverse order, single-site steps absorbed into
+blocks, blocks on the last three sites joined, and a circuit that repeats
+one period, as a Trotter circuit repeats one step, lowered one period at a
+time and the period's steps repeated.
 """
 
 from __future__ import annotations
@@ -200,39 +199,35 @@ def _lower(circuit: Circuit) -> list:
     return _placed(circuit.gates, lambda g: _place(g, built))
 
 
-def _transfer(circuit: Circuit, sites=None) -> list:
+def _transfer(circuit: Circuit, k: int) -> list:
     """Real (transfer matrix, register targets) steps carrying the
-    Hermitian-Pauli coefficients of O to those of U^dag O U on a doubled
-    register: gates in reverse order, circuit qubit q on register qubits
-    (2s, 2s+1) of its site s = sites[q] (default q), and single-site steps
-    absorbed by :func:`_absorb`. Matrices are built and shared as in
-    :func:`_lower`.
+    Hermitian-Pauli coefficients of O to those of U^dag O U on a k-qubit
+    doubled register, k = 2n for the float64 vector of n sites and 2n + 1
+    for the float64 view: gates in reverse order, circuit qubit q on
+    register qubits (2q, 2q+1), single-site steps absorbed (:func:`_absorb`)
+    and blocks on the last three sites joined (:func:`_fuse_tail`, none on
+    the float64 view). Matrices are built and shared as in :func:`_lower`.
 
-    One period of the reversed gates is placed and absorbed, and its steps
-    repeated (see :func:`_tiled`), so a period's single-site steps join
-    blocks inside that period. A period that leaves a single-site step,
-    on a site no block of it covers, would merge that step with the next
-    period's; then the whole circuit is lowered."""
-    sites = range(circuit.k) if sites is None else sites
+    One period of the reversed gates (see :func:`_linalg._period`) is
+    lowered and its steps repeated, so the work follows the period, not the
+    length, with two rules at the seam between periods:
+
+    1. a period that leaves a single-site step, on a site no block of it
+       covers, would merge it with the next period's: the whole circuit is
+       absorbed;
+    2. a period whose last fused block fuses with its own first absorbed
+       step, which starts the next period: all periods' absorbed steps are
+       fused as one list."""
     built: dict[tuple, np.ndarray] = {}
-    return _tiled(
-        circuit.gates[::-1],
-        lambda gates: _absorb(_placed(gates, lambda g: _place(g, built, sites))),
-        lambda out, head: any(len(targets) == 2 for _, targets in out),
-    )
-
-
-def _tiled(seq, lower, joins) -> list:
-    """The list ``lower(seq)``, computed on one period of ``seq`` (see
-    :func:`_linalg._period`) and repeated, so its work follows the period,
-    not the length. When ``joins(out, head)`` says that ``out``, one
-    period's lowering, would merge with the next period, which starts with
-    ``head``, the whole of ``seq`` is lowered, as an aperiodic one is."""
-    p = _period(seq)
-    out = lower(seq[:p])
-    if p < len(seq) and joins(out, seq[0]):
-        return lower(seq)
-    return out * (len(seq) // p)
+    gates = circuit.gates[::-1]
+    p = _period(gates)
+    steps = _absorb(_placed(gates[:p], lambda g: _place(g, built, True)))
+    if p < len(gates) and any(len(targets) == 2 for _, targets in steps):
+        p, steps = len(gates), _absorb(_placed(gates, lambda g: _place(g, built, True)))
+    fused = _fuse_tail(steps, k)
+    if p < len(gates) and len(_fuse_tail([fused[-1], steps[0]], k)) == 1:
+        return _fuse_tail(steps * (len(gates) // p), k)
+    return fused * (len(gates) // p)
 
 
 def _placed(gates, place) -> list:
@@ -251,9 +246,9 @@ def _placed(gates, place) -> list:
     return out
 
 
-def _place(g: Gate, built: dict, sites=None) -> list:
+def _place(g: Gate, built: dict, transfer: bool = False) -> list:
     """The (matrix, targets) steps of one gate; a wide pexp becomes its CX
-    ladder. With ``sites``, each part is its real transfer matrix on the
+    ladder. With ``transfer``, each part is its real transfer matrix on the
     register qubits of its sites in ascending order, and the parts run in
     reverse, as :func:`_transfer` describes. ``built`` holds the matrices
     already made in this call, told apart by name, axes, repr(angle), which
@@ -262,23 +257,22 @@ def _place(g: Gate, built: dict, sites=None) -> list:
         parts = [(None, *step) for step in _pexp_ladder(g)]
     else:
         parts = [(g, g.name, g.targets, g.angle)]
-    if sites is not None:
+    if transfer:
         parts.reverse()
     out = []
     for gate, name, targets, angle in parts:
-        at = [sites[t] for t in targets] if sites is not None else targets
-        flip = sites is not None and len(at) == 2 and at[0] > at[1]
+        flip = transfer and len(targets) == 2 and targets[0] > targets[1]
         key = (name, getattr(gate, "axes", None), repr(angle), flip)
         m = built.get(key)
         if m is None:
             m = gate_matrix(gate or Gate(name, targets, angle))
-            if sites is not None:
+            if transfer:
                 m = _transfer_matrix(m, flip)
             m.flags.writeable = False
             if name != "u":
                 built[key] = m
-        if sites is not None:
-            targets = tuple(q for s in sorted(at) for q in (2 * s, 2 * s + 1))
+        if transfer:
+            targets = tuple(q for s in sorted(targets) for q in (2 * s, 2 * s + 1))
         out.append((m, targets))
     return out
 
@@ -564,41 +558,31 @@ def _y_phase(amps: np.ndarray, n: int, phase: complex) -> np.ndarray:
     return amps
 
 
-def _evolve_pauli(amps: np.ndarray, n: int, lowered: list) -> np.ndarray:
-    """Pauli-rep amplitudes of n sites after the :func:`_transfer` steps
-    ``lowered``, as a new array.
+def heisenberg_doubled(state: VectorizedState, u: Circuit) -> VectorizedState:
+    """||O>> -> ||U^dag O U>> in the state's own basis, computational or
+    Pauli, as the real :func:`_transfer` passes of ``u`` in the
+    Hermitian-Pauli basis, with one :func:`bell_transform` each way for the
+    computational rep.
 
     The coefficients run as one float64 vector when every imaginary part
     is exactly 0; otherwise their float64 view runs, as a register with one
-    extra trailing re/im qubit. On the float64 vector, :func:`_fuse_tail`
-    joins adjacent blocks on the last three sites. The running register and
-    one pass output, :func:`run_passes`'s two buffers, are stated to the
-    byte budget before the first pass. The fusion runs on one period of
-    ``lowered`` and is repeated (see :func:`_tiled`), unless one period's
-    last block would fuse with the next one's first."""
-    coeffs = _y_phase(amps.copy(), n, 1j)
+    extra trailing re/im qubit. The running register and one pass output,
+    :func:`run_passes`'s two buffers, are stated to the byte budget before
+    the first pass."""
+    if u.k != state.n:
+        raise ValueError("circuit size does not match site count")
+    n = state.n
+    pauli = state if state.basis == PAULI else bell_transform(state, "c_to_p")
+    coeffs = _y_phase(pauli.amplitudes.copy(), n, 1j)
     if coeffs.imag.any():
         reg, k = coeffs.view(np.float64), 2 * n + 1
     else:
         reg, k = np.ascontiguousarray(coeffs.real), 2 * n
     del coeffs  # on the real path, the complex copy is freed before the passes
     reserve(2 * reg.nbytes, f"a doubled evolution on {2 * n} qubits")
-    fused = _tiled(lowered, lambda steps: _fuse_tail(steps, k),
-                   lambda out, head: len(_fuse_tail([out[-1], head], k)) == 1)
-    reg = run_passes(reg, fused, k)
-    out = reg.astype(complex) if k == 2 * n else np.ascontiguousarray(reg).view(complex)
-    return _y_phase(out, n, -1j)
-
-
-def heisenberg_doubled(state: VectorizedState, u: Circuit) -> VectorizedState:
-    """||O>> -> ||U^dag O U>> in the state's own basis, computational or
-    Pauli, as real transfer passes in the Hermitian-Pauli basis: gates in
-    reverse order, one :func:`bell_transform` each way for the
-    computational rep."""
-    if u.k != state.n:
-        raise ValueError("circuit size does not match site count")
-    pauli = state if state.basis == PAULI else bell_transform(state, "c_to_p")
-    out = VectorizedState(state.n, PAULI, _evolve_pauli(pauli.amplitudes, state.n, _transfer(u)))
+    reg = run_passes(reg, _transfer(u, k), k)
+    amps = reg.astype(complex) if k == 2 * n else np.ascontiguousarray(reg).view(complex)
+    out = VectorizedState(n, PAULI, _y_phase(amps, n, -1j))
     return out if state.basis == PAULI else bell_transform(out, "p_to_c")
 
 
@@ -677,8 +661,8 @@ def channel_dual_postselect(
 
     dilation acts on len(sites) system qubits followed by n_env fresh
     environment qubits; its qubit q < len(sites) is system site sites[q].
-    O (x) I runs through the dilation's transfer passes, as in
-    :func:`heisenberg_doubled`. The environment's |0><0| block is taken in
+    O (x) I runs through :func:`heisenberg_doubled` of the dilation, its
+    qubits moved onto their sites. The environment's |0><0| block is taken in
     the Pauli rep, where on each environment site it is (c_I + c_Z)/sqrt(2),
     row 0 of the p_to_c pair transform; only the system's block then moves
     to the computational rep. Returns the renormalized ||E^dag(O)>>_C and the
@@ -699,8 +683,12 @@ def channel_dual_postselect(
     # The environment sites are the least significant: I on each is index 0.
     amps = np.zeros(4**total, dtype=complex)
     amps[:: 4**n_env] = pauli.amplitudes
-    lowered = _transfer(dilation, list(sites) + list(range(n, total)))
-    amps = _evolve_pauli(amps, total, lowered)
+    # The dilation with each qubit moved onto its site, each distinct gate once.
+    site = [*sites, *range(n, total)]
+    moved = {id(g): Gate(g.name, [site[q] for q in g.targets], g.angle, g.axes, g.matrix)
+             for g in dilation.gates}
+    dilated = Circuit(total, [moved[id(g)] for g in dilation.gates])
+    amps = heisenberg_doubled(VectorizedState(total, PAULI, amps), dilated).amplitudes
     zero = functools.reduce(np.kron, [_P_TO_C[0]] * n_env)
     block = amps.reshape(4**n, 4**n_env) @ zero
     prob = float(np.linalg.norm(block) ** 2)

@@ -1,8 +1,16 @@
 import ctypes
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# OPVEC_HYPOTHESIS=deep runs every property test on 1000 examples with no
+# deadline, as the CI step that deepens the lowering and executor properties
+# does; by default hypothesis keeps its own settings.
+settings.register_profile("deep", max_examples=1000, deadline=None)
+settings.load_profile(os.environ.get("OPVEC_HYPOTHESIS", "default"))
 
 
 def _openblas_core() -> str:

@@ -135,9 +135,9 @@ _CHUNK = 1 << 13
 
 
 def apply_matrix(vec: np.ndarray, mat: np.ndarray, targets: tuple[int, ...], k: int) -> np.ndarray:
-    """``mat`` (2^m x 2^m, or 1-D for a diagonal) on the ``targets`` qubits
-    of a k-qubit vector, as one new array: the per-step kernel each register
-    pass used before the pass executor. Contiguous ascending targets are an
+    """``mat`` (2^m x 2^m) on the ``targets`` qubits of a k-qubit vector, as
+    one new array: the per-step kernel each register pass used before the
+    pass executor. Contiguous ascending targets are an
     (A, D, B) contraction: D * B <= 32 folds into mat (x) I_B, 1 < B < D runs
     one transposed GEMM per chunk of _CHUNK amplitudes, and B >= D one batched
     GEMM. Other target orders move the target axes to the front and back."""
@@ -145,20 +145,14 @@ def apply_matrix(vec: np.ndarray, mat: np.ndarray, targets: tuple[int, ...], k: 
     lo = targets[0] if m else 0
     if tuple(targets) != tuple(range(lo, lo + m)):
         t = np.moveaxis(vec.reshape((2,) * k), targets, range(m)).reshape(2**m, -1)
-        t = (mat[:, None] * t if mat.ndim == 1 else mat @ t).reshape((2,) * k)
+        t = (mat @ t).reshape((2,) * k)
         return np.moveaxis(t, range(m), targets).reshape(-1)
     dim, b = 2**m, 2 ** (k - lo - m)
     if 1 < b and dim * b <= 32:
-        if mat.ndim == 1:
-            mat = np.repeat(mat, b)
-        else:
-            mat = (mat[:, None, :, None] * np.eye(b)[None, :, None, :]).reshape(dim * b, dim * b)
+        mat = (mat[:, None, :, None] * np.eye(b)[None, :, None, :]).reshape(dim * b, dim * b)
         dim, b = dim * b, 1
     if b == 1:
-        t = vec.reshape(-1, dim)
-        out = t * mat if mat.ndim == 1 else t @ mat.T
-    elif mat.ndim == 1:
-        out = vec.reshape(-1, dim, b) * mat[:, None]
+        out = vec.reshape(-1, dim) @ mat.T
     elif b < dim:
         t = vec.reshape(-1, dim, b)
         out = np.empty(t.shape, dtype=np.result_type(vec, mat))

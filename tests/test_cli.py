@@ -662,14 +662,21 @@ class TestConfigValidation:
 
     # Configs whose fields are each well typed and in range, but which the
     # estimator would refuse at run time with exit 1: the zero operator has
-    # no vectorized state, and an operator-sum superop's groups must each get
-    # a shot, be real and cover every term that is not identity.
+    # no vectorized state, nor has one whose squared coefficients sum below
+    # the smallest normal float64 (its norm underflows), and an operator-sum
+    # superop's groups must each get a shot, be real and cover every term
+    # that is not identity.
     @pytest.mark.parametrize("task,cfg,field", [
         ("evolve", {"operator": {"text": "0 0 XII"}}, "operator: every coefficient is zero"),
         ("evolve", {"operator": {"text": "0.5 0 XII\n-0.5 0 XII"}},
          "operator: every coefficient is zero"),
         ("corr", {"operator": "ZII", "operator_b": {"text": "0 0 XII"}},
          "operator_b: every coefficient is zero"),
+        ("evolve", {"operator": {"text": "1e-160 0 ZXI"}}, "operator: the coefficients' squares sum"),
+        ("evolve", {"operator": {"text": "1e-300 0 ZXI\n1e-300 0 XII"}},
+         "operator: the coefficients' squares sum"),
+        ("corr", {"operator": "ZII", "operator_b": {"text": "1e-300 0 XII"}},
+         "operator_b: the coefficients' squares sum"),
         ("superop", {"operator": "XII", "shots": 2,
                      "superop": {"text": "0.5 0 XII XII\n0.25 0 ZII ZII\n0.25 0 IZI IZI"}},
          "shots: the 3 measured groups need at least 3 shots"),
@@ -690,7 +697,8 @@ class TestConfigValidation:
          "hamiltonian: Hamiltonian coefficients must be real"),
         ("evolve", {"operator": "ZII", "hamiltonian": {"text": "1 1 ZZI"}, "t": 0},
          "hamiltonian: Hamiltonian coefficients must be real"),
-    ], ids=["zero-operator", "cancelling-terms", "zero-operator-b", "shots-below-groups",
+    ], ids=["zero-operator", "cancelling-terms", "zero-operator-b", "tiny-operator-1e-160",
+            "tiny-operator-1e-300", "tiny-operator-b", "shots-below-groups",
             "identity-terms", "zero-group", "term-left-out", "complex-coefficient",
             "corr-nonunitary", "corr-nonunitary-b", "corr-width-b", "hamiltonian-imaginary",
             "hamiltonian-imaginary-at-t0"])
@@ -702,6 +710,15 @@ class TestConfigValidation:
         assert code == 2
         assert f"config error: {field}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("task, fields", [
+        ("evolve", {}), ("otoc", {"pairs": [["IZI", "IZI"]]}), ("choi2pc", {"p": 0.1, "site": 0}),
+    ])
+    def test_a_small_operator_above_the_underflow_still_runs(self, tmp_path, task, fields):
+        # 1e-150 squared is 1e-300, a normal float64, so the norm is exact.
+        code, out = run_task(tmp_path, task, operator={"text": "1e-150 0 ZXI"}, hamiltonian=HAM3,
+                             t=0.5, steps=4, seed=1, extra_args=("--with-oracle",), **fields)
+        assert code == 0 and (out / "report.json").exists()
 
     @pytest.mark.parametrize("grouping,shots", [([[0, 1]], 1), ([[0], [1]], 2)])
     def test_one_shot_per_measured_group_runs(self, tmp_path, grouping, shots):
@@ -839,6 +856,46 @@ def errors_of_each_gate(spec: dict) -> list[str]:
     except (KeyError, TypeError, ValueError) as exc:
         return [f"circuit: {exc}"]
     return []
+
+
+# Every register pass of every task: a 2-D matrix of the register's dtype,
+# the one step kind that _linalg.run_passes runs. Each evolution kind, with
+# a Hermitian and a complex operator (of modulus 1, as corr needs a unitary
+# one; nqubit needs a unit coefficient), with and without the oracle.
+def _contract_circuit(n):
+    extra = [{"name": "h", "targets": [0]}, {"name": "cx", "targets": [n - 1, 0]},
+             {"name": "s", "targets": [1]}, {"name": "pexp", "targets": [2, 0, 1], "angle": 0.4,
+                                              "axes": "XYZ"}]
+    return {"qubits": n, "gates": ising_spec(n, 0.7, 4)["gates"] + extra}
+
+
+@pytest.mark.parametrize("oracle", [False, True])
+@pytest.mark.parametrize("n", [3, 4])
+def test_every_pass_is_2d_and_has_the_registers_dtype(tmp_path, monkeypatch, n, oracle):
+    seen, real = [], _linalg.run_passes
+
+    def spy(vec, steps, k):
+        seen.extend((mat.ndim, mat.dtype, vec.dtype) for mat, _ in steps)
+        return real(vec, steps, k)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "run_passes", None) is real:
+            monkeypatch.setattr(mod, "run_passes", spy)
+    word = "ZX".ljust(n, "I")
+    evolutions = [{}, {"hamiltonian": {"text": ising_chain(n).to_text()}, "t": 0.7, "steps": 4},
+                  {"circuit": _contract_circuit(n)}]
+    tasks = {"evolve": {}, "sample": {}, "otoc": {"pairs": [[word[::-1]] * 2]},
+             "superop": {"superop": "size"}, "ose": {}, "loe": {"partition": [0]}, "corr": {},
+             "choi2pc": {"p": 0.1, "site": 0}, "nqubit": {"pairs": [[word] * 2]}}
+    flags = ("--with-oracle",) if oracle else ()
+    runs = [("compile2d", {"lattice": {"rows": 2, "cols": n - 1}})]
+    runs += [(task, {"operator": op, **evolution, **fields})
+             for task, fields in tasks.items() for evolution in evolutions
+             for op in ([word] if task == "nqubit" else [word, {"text": f"0.6 0.8 {word}"}])]
+    for i, (task, cfg) in enumerate(runs):
+        assert run_task(tmp_path, task, out=f"out{i}", extra_args=flags, seed=1, **cfg)[0] == 0, cfg
+    assert {dtype for _, dtype, _ in seen} == {np.dtype(np.float64), np.dtype(np.complex128)}
+    assert all(ndim == 2 and mat == vec for ndim, mat, vec in seen)
 
 
 class TestInlineCircuit:

@@ -37,8 +37,6 @@ from opvec.simulator import (
 from opvec.simulator import (
     _TROTTER_STEP_BYTES,
     _absorb,
-    _evolve_pauli,
-    _fuse_tail,
     _identity_pairs,
     _is_unitary,
     _lower,
@@ -376,8 +374,11 @@ class TestChannelDual:
         total = n + n_env
         amps = np.zeros(4**total, dtype=complex)
         amps[:: 4**n_env] = bell_transform(state, "c_to_p").amplitudes
-        amps = _evolve_pauli(amps, total, _transfer(dilation, list(sites) + list(range(n, total))))
-        whole = bell_transform(VectorizedState(total, PAULI, amps), "p_to_c").amplitudes
+        site = [*sites, *range(n, total)]
+        moved = Circuit(total, [Gate(g.name, [site[q] for q in g.targets], g.angle, g.axes, g.matrix)
+                                for g in dilation.gates])
+        whole = heisenberg_doubled(VectorizedState(total, PAULI, amps), moved)
+        whole = bell_transform(whole, "p_to_c").amplitudes
         block = whole.reshape(4**n, 4**n_env)[:, 0]
         want = float(np.linalg.norm(block) ** 2)
         assert out.basis == COMPUTATIONAL
@@ -623,7 +624,7 @@ class TestLoweringMatchesGateLoops:
         assert not gate_matrix(Gate("h", (0,))).flags.writeable
         assert not gate_matrix(g).flags.writeable
         circ = _mixed_circuit(np.random.default_rng(8), 3, 20)
-        for lowered in (_lower(circ), _transfer(circ)):
+        for lowered in (_lower(circ), _transfer(circ, 6)):
             for mat, _ in lowered:
                 with pytest.raises(ValueError):
                     mat[(0,) * mat.ndim] = 0.0
@@ -651,7 +652,7 @@ def _dense_reference(vec, mat, targets, k):
     """mat (x) I on (targets, then the other qubits), permuted back to the
     natural qubit order, times vec."""
     rest = [q for q in range(k) if q not in targets]
-    full = np.kron(np.diag(mat) if mat.ndim == 1 else mat, np.eye(2 ** len(rest)))
+    full = np.kron(mat, np.eye(2 ** len(rest)))
     inv = list(np.argsort(list(targets) + rest))
     full = full.reshape((2,) * (2 * k)).transpose(inv + [k + i for i in inv])
     return full.reshape(2**k, 2**k) @ vec
@@ -666,7 +667,7 @@ def _apply_cases(draw):
         targets = tuple(range(lo, lo + m))
     else:
         targets = tuple(draw(st.permutations(range(k)))[:m])
-    return k, targets, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+    return k, targets, draw(st.integers(0, 2**32 - 1))
 
 
 class TestApplyMatrix:
@@ -674,48 +675,37 @@ class TestApplyMatrix:
     step lists against one reference apply_matrix per step, bit for bit."""
 
     @given(_apply_cases())
-    @example((6, (0, 1), False, 1))  # block at the start, trailing block of 16
-    @example((6, (2, 3), False, 2))  # middle
-    @example((6, (4, 5), False, 3))  # end: trailing block of 1
-    @example((6, (3, 4), False, 4))  # trailing block of 2
-    @example((6, (3, 4), True, 5))  # diagonal, trailing block of 2
-    @example((6, (1, 4), False, 6))  # not contiguous
-    @example((6, (3, 2), True, 7))  # unsorted
-    @example((6, (0, 1, 2, 3), False, 9))  # D=16, trailing block of 4: transposed GEMM
-    @example((7, (0, 1, 2, 3), False, 10))  # D=16, trailing block of 8
-    @example((7, (1, 2, 3, 4), True, 11))  # diagonal, D=16, trailing block of 4
+    @example((6, (0, 1), 1))  # block at the start, trailing block of 16
+    @example((6, (2, 3), 2))  # middle
+    @example((6, (4, 5), 3))  # end: trailing block of 1
+    @example((6, (3, 4), 4))  # trailing block of 2
+    @example((6, (1, 4), 6))  # not contiguous
+    @example((6, (3, 2), 7))  # unsorted
+    @example((6, (0, 1, 2, 3), 9))  # D=16, trailing block of 4: transposed GEMM
+    @example((7, (0, 1, 2, 3), 10))  # D=16, trailing block of 8
     def test_matches_dense_kron(self, case):
-        k, targets, diagonal, seed = case
-        vec, mat = self._operands(k, len(targets), diagonal, seed)
+        k, targets, seed = case
+        gen = np.random.default_rng(seed)
+        vec = gen.normal(size=2**k) + 1j * gen.normal(size=2**k)
+        mat = _random_unitary(gen, 2 ** len(targets))
         got = run_passes(vec, [(mat, targets)], k)
         assert _close(got, _dense_reference(vec, mat, targets, k))
 
-    @staticmethod
-    def _operands(k, m, diagonal, seed):
-        gen = np.random.default_rng(seed)
-        vec = gen.normal(size=2**k) + 1j * gen.normal(size=2**k)
-        if diagonal:
-            return vec, np.exp(1j * gen.normal(size=2**m))
-        return vec, _random_unitary(gen, 2**m)
-
     # Steps of each kernel class on a k-qubit register, k = 2n or 2n + 1 for
-    # n = 5 and 7, as (matrix size, diagonal, targets). A, D, B are the
-    # leading, target and trailing block sizes: B1 is B = 1, A1 is A = 1,
-    # B-ge-D is B >= D, and the narrow classes have 1 < B < D.
+    # n = 5 and 7, as (matrix size, targets). A, D, B are the leading, target
+    # and trailing block sizes: B1 is B = 1, A1 is A = 1, B-ge-D is B >= D,
+    # and the narrow classes have 1 < B < D.
     _CLASSES = {
-        "diagonal": lambda k: [(4, True, (k - 2, k - 1)), (16, True, (2, 3, 4, 5)), (2, True, (0,))],
-        "B1": lambda k: [(16, False, tuple(range(k - 4, k))), (4, False, (k - 2, k - 1))],
-        "A1": lambda k: [(16, False, (0, 1, 2, 3)), (4, False, (0, 1))],
-        "B-ge-D": lambda k: [(16, False, (k - 8, k - 7, k - 6, k - 5)), (4, False, (1, 2))],
+        "B1": lambda k: [(16, tuple(range(k - 4, k))), (4, (k - 2, k - 1))],
+        "A1": lambda k: [(16, (0, 1, 2, 3)), (4, (0, 1))],
+        "B-ge-D": lambda k: [(16, (k - 8, k - 7, k - 6, k - 5)), (4, (1, 2))],
         # D * B <= 32 folds; D * B = 64 folds with at least 32 leading rows.
-        "narrow-folded": lambda k: [(16, False, tuple(range(k - 5, k - 1))),
-                                    (8, False, (k - 5, k - 4, k - 3))]
-                                   + [(16, False, tuple(range(k - 6, k - 2)))] * (k > 10),
+        "narrow-folded": lambda k: [(16, tuple(range(k - 5, k - 1))), (8, (k - 5, k - 4, k - 3))]
+                                   + [(16, tuple(range(k - 6, k - 2)))] * (k > 10),
         # B = 8, and B = 4 with fewer than 32 leading rows.
-        "narrow-transposed": lambda k: [(16, False, tuple(range(k - 7, k - 3)))]
-                                       + [(16, False, tuple(range(k - 6, k - 2)))] * (k < 11),
-        "non-contiguous": lambda k: [(4, False, (1, k - 2)), (8, False, (k - 1, 0, 3)),
-                                     (4, True, (5, 2)), (16, False, (3, 1, 2, 0))],
+        "narrow-transposed": lambda k: [(16, tuple(range(k - 7, k - 3)))]
+                                       + [(16, tuple(range(k - 6, k - 2)))] * (k < 11),
+        "non-contiguous": lambda k: [(4, (1, k - 2)), (8, (k - 1, 0, 3)), (16, (3, 1, 2, 0))],
     }
 
     @pytest.mark.parametrize("k", [10, 11, 14, 15])
@@ -724,8 +714,8 @@ class TestApplyMatrix:
     def test_kernel_classes_match_the_per_step_kernel(self, kernel, dtype, k):
         gen = np.random.default_rng(k)
         steps = []
-        for size, diagonal, targets in self._CLASSES[kernel](k):
-            mat = gen.normal(size=size if diagonal else (size, size)).astype(dtype)
+        for size, targets in self._CLASSES[kernel](k):
+            mat = gen.normal(size=(size, size)).astype(dtype)
             if dtype is np.complex128:
                 mat += 1j * gen.normal(size=mat.shape)
             steps.append((mat, targets))
@@ -740,57 +730,51 @@ class TestApplyMatrix:
         assert np.array_equal(vec, before)
 
     @staticmethod
-    def _random_step(gen, k, complex_mat):
-        """One step on a k-qubit register: a diagonal or a dense matrix on
-        contiguous or permuted targets, complex when ``complex_mat``."""
+    def _random_step(gen, k, dtype):
+        """One step on a k-qubit register: a dense matrix of ``dtype`` on
+        contiguous or permuted targets."""
         m = int(gen.integers(1, min(k, 4) + 1))
         targets = tuple(int(t) for t in gen.permutation(k)[:m])
         if gen.integers(2):
             lo = int(gen.integers(0, k - m + 1))
             targets = tuple(range(lo, lo + m))
-        shape = 2**m if gen.integers(2) else (2**m, 2**m)
-        mat = gen.normal(size=shape)
-        if complex_mat:
-            mat = mat + 1j * gen.normal(size=shape)
+        mat = gen.normal(size=(2**m, 2**m))
+        if dtype is np.complex128:
+            mat = mat + 1j * gen.normal(size=mat.shape)
         return mat, targets
 
-    @given(st.integers(2, 9), st.integers(0, 2**32 - 1), st.booleans())
-    @example(9, 3, False)  # float register, complex steps: promoted at the first
-    def test_random_step_lists_match_the_per_step_kernel(self, k, seed, real):
-        # Mixed float64 and complex128 steps: a float register is promoted
-        # where the per-step product would promote it.
+    @given(st.integers(2, 9), st.integers(0, 2**32 - 1), st.sampled_from([np.float64, np.complex128]))
+    @example(9, 3, np.float64)
+    @example(9, 3, np.complex128)
+    def test_random_step_lists_match_the_per_step_kernel(self, k, seed, dtype):
+        # Every step has the register's dtype, as every caller's do.
         gen = np.random.default_rng(seed)
-        steps = [self._random_step(gen, k, bool(gen.integers(2)))
-                 for _ in range(int(gen.integers(1, 8)))]
-        vec = gen.normal(size=2**k) if real else ginibre(gen, 2**k)[0]
+        steps = [self._random_step(gen, k, dtype) for _ in range(int(gen.integers(1, 8)))]
+        vec = gen.normal(size=2**k) if dtype is np.float64 else ginibre(gen, 2**k)[0]
         before = vec.copy()
         got = run_passes(vec, steps, k)
         want = apply_steps(vec, steps, k)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert got.dtype == want.dtype == dtype and got.tobytes() == want.tobytes()
         assert np.array_equal(vec, before)
 
     @settings(deadline=None)
     @given(st.integers(2, 8), st.integers(1, 6), st.sampled_from([1, 2, 3, 7]),
-           st.integers(0, 2**32 - 1))
-    @example(6, 3, 7, 1)  # odd period: the bound cycle spans two periods
-    @example(6, 4, 7, 2)  # even period: each step is bound once per buffer
-    @example(5, 1, 7, 3)  # one step repeated
-    @example(5, 5, 3, 4)  # no pass past 3p: every pass runs as it is bound
-    def test_repeated_step_lists_match_the_per_step_kernel(self, k, period, repeats, seed):
+           st.integers(0, 2**32 - 1), st.sampled_from([np.float64, np.complex128]))
+    @example(6, 3, 7, 1, np.complex128)  # odd period: the bound cycle spans two periods
+    @example(6, 4, 7, 2, np.float64)  # even period: each step is bound once per buffer
+    @example(5, 1, 7, 3, np.complex128)  # one step repeated
+    @example(5, 5, 3, 4, np.float64)  # no pass past 3p: every pass runs as it is bound
+    def test_repeated_step_lists_match_the_per_step_kernel(self, k, period, repeats, seed, dtype):
         # A period of random steps, the list repeating it by identity, as a
-        # Trotter evolution's lowering does. The float64 register is promoted
-        # to complex at a complex step inside the first period, after its
-        # first pass when the period has more than one step.
+        # Trotter evolution's lowering does.
         gen = np.random.default_rng(seed)
-        promote = int(gen.integers(1, period)) if period > 1 else 0
-        steps = [self._random_step(gen, k, i == promote or (i > promote and bool(gen.integers(2))))
-                 for i in range(period)] * repeats
+        steps = [self._random_step(gen, k, dtype) for _ in range(period)] * repeats
         assert _period(steps) == period
-        vec = gen.normal(size=2**k)
+        vec = gen.normal(size=2**k).astype(dtype)
         before = vec.copy()
         got = run_passes(vec, steps, k)
         want = apply_steps(vec, steps, k)
-        assert got.dtype == want.dtype == np.complex128
+        assert got.dtype == want.dtype == dtype
         assert got.tobytes() == want.tobytes()
         assert np.array_equal(vec, before)
 
@@ -799,14 +783,15 @@ class TestApplyMatrix:
         assert run_passes(vec, [], 3) is vec
 
     def test_buffers_are_stated_to_the_budget(self, monkeypatch):
-        # Each buffer holds 2^12 complex128 amplitudes, the float64 input
-        # promoted to the complex step's dtype: refused before the first pass.
-        monkeypatch.setattr(_linalg, "BYTE_BUDGET", 16 * 2**12 - 1)
-        steps = [(np.eye(2), (0,)), (np.eye(2, dtype=complex), (1,))]
-        with pytest.raises(CapExceededError, match="each register buffer of 12 qubits"):
-            run_passes(np.ones(2**12), steps, 12)
-        monkeypatch.setattr(_linalg, "BYTE_BUDGET", 16 * 2**12)
-        assert run_passes(np.ones(2**12), steps, 12).dtype == np.complex128
+        # Each buffer holds 2^12 amplitudes of the register's dtype: refused
+        # before the first pass.
+        for dtype in (np.float64, np.complex128):
+            vec, steps = np.ones(2**12, dtype), [(np.eye(2, dtype=dtype), (0,))] * 2
+            monkeypatch.setattr(_linalg, "BYTE_BUDGET", vec.nbytes - 1)
+            with pytest.raises(CapExceededError, match="each register buffer of 12 qubits"):
+                run_passes(vec, steps, 12)
+            monkeypatch.setattr(_linalg, "BYTE_BUDGET", vec.nbytes)
+            assert run_passes(vec, steps, 12).dtype == dtype
 
     def test_a_doubled_evolution_allocates_no_register_per_pass(self):
         # A 64-step n=5 Heisenberg evolution on the float64 view of complex
@@ -816,7 +801,7 @@ class TestApplyMatrix:
         # input, the run holds its two buffers, one folded 32 x 32 matrix
         # (8 KiB) and its plans: 2.73 registers.
         n = 5
-        lowered = _transfer(trotter_circuit(ising_chain(n), 1.0, 64))
+        lowered = _transfer(trotter_circuit(ising_chain(n), 1.0, 64), 2 * n + 1)
         assert len(lowered) == 64 * (n - 1)
         vec = np.random.default_rng(5).normal(size=2 * 4**n)
         register = vec.nbytes
@@ -866,7 +851,7 @@ class TestApplyMatrix:
         seen = []
         for steps in (16, 64):
             counts.update(plans=0, binds=0)
-            lowered = _fuse_tail(_transfer(trotter_circuit(h, 1.0, steps)), 14)
+            lowered = _transfer(trotter_circuit(h, 1.0, steps), 14)
             assert len(lowered) == 5 * steps
             got = run_passes(vec, lowered, 14)
             assert got.tobytes() == apply_steps(vec, lowered, 14).tobytes()
@@ -963,7 +948,7 @@ class TestSplitPasses:
     def test_four_of_the_five_ising_n7_passes_split(self):
         # Each bond block whose first site carries no field conserves that
         # site's z-bit; the block on sites (0, 1) holds both of their fields.
-        lowered = _fuse_tail(_transfer(trotter_circuit(ising_chain(7), 1.0, 1)), 14)
+        lowered = _transfer(trotter_circuit(ising_chain(7), 1.0, 1), 14)
         split = [targets for mat, targets in lowered if _planned_split(mat, targets, 14)]
         assert len(lowered) == 5
         assert sorted(split) == [(2, 3, 4, 5), (4, 5, 6, 7), (6, 7, 8, 9), tuple(range(8, 14))]
@@ -989,11 +974,10 @@ class TestSplitPasses:
         assert _linalg._plan(mat, targets, k)(vec, vec, vec).func is _linalg._transposed
         assert got.tobytes() == run_passes(vec, steps, k).tobytes()
 
-    @pytest.mark.parametrize("mat_dtype", [np.float64, np.complex128])
-    def test_a_half_trailing_block_stays_transposed_on_complex128(self, mat_dtype):
+    def test_a_half_trailing_block_stays_transposed_on_complex128(self):
         # The split ran 1.1-1.8x slower than the transposed kernel there.
         gen = np.random.default_rng(1)
-        mat, targets, k = _block_diagonal(gen, 16, mat_dtype), (7, 8, 9, 10), 14
+        mat, targets, k = _block_diagonal(gen, 16, np.complex128), (7, 8, 9, 10), 14
         vec = gen.normal(size=2**k) + 1j * gen.normal(size=2**k)
         assert _linalg._plan(mat, targets, k)(vec, vec.copy(), vec.copy()).func is _linalg._transposed
         steps = [(mat, targets)] * 2
@@ -1127,7 +1111,7 @@ class TestTransferPath:
         # site joins the coupling block just before it on that site: n-1 real
         # blocks per step, shared by all 64 steps.
         n = 7
-        lowered = _transfer(trotter_circuit(ising_chain(n), 1.0, 64))
+        lowered = _transfer(trotter_circuit(ising_chain(n), 1.0, 64), 2 * n + 1)
         assert len(lowered) == 64 * (n - 1)
         assert len({id(mat) for mat, _ in lowered}) == 2  # XX with one field, XX with two
         for mat, targets in lowered:
@@ -1138,7 +1122,7 @@ class TestTransferPath:
     def test_super_propagator_pairs_fuse(self):
         # Terms in the order listed: each step's fields join the block after
         # them in that step.
-        lowered = _transfer(super_propagator_circuit(ising_chain(7), 1.0, 64))
+        lowered = _transfer(super_propagator_circuit(ising_chain(7), 1.0, 64), 15)
         assert len(lowered) == 64 * 6
         assert all(mat.shape == (16, 16) and mat.dtype == np.float64 for mat, _ in lowered)
 
@@ -1146,7 +1130,7 @@ class TestTransferPath:
         op = random_hermitian_sum(gen, 3, 8)
         for g in _every_gate_kind(gen):
             circ = Circuit(3, [g])
-            [(mat, targets)] = _transfer(circ)
+            [(mat, targets)] = _transfer(circ, 7)
             assert mat.dtype == np.float64, g
             assert np.max(np.abs(mat @ mat.T - np.eye(len(mat)))) < 1e-12, g
             assert targets == tuple(q for s in sorted(g.targets) for q in (2 * s, 2 * s + 1))
@@ -1194,7 +1178,7 @@ class TestTransferPath:
 
     @pytest.mark.parametrize("build", [trotter_circuit, super_propagator_circuit])
     def test_ising_step_is_n_minus_1_passes(self, build):
-        lowered = _transfer(build(ising_chain(7), 1 / 64, 1))
+        lowered = _transfer(build(ising_chain(7), 1 / 64, 1), 15)
         assert sorted(t for _, t in lowered) == [tuple(range(2 * i, 2 * i + 4)) for i in range(6)]
 
     def test_single_site_steps_join_the_nearest_block_on_their_site(self, gen):
@@ -1263,10 +1247,11 @@ class TestTailFusion:
     def test_one_read_only_block_per_distinct_pair(self, build, distinct):
         # Both circuits repeat one step's blocks: each step's fields are
         # absorbed inside that step.
-        lowered = _transfer(build(ising_chain(7), 1.0, 64))
+        circ = build(ising_chain(7), 1.0, 64)
+        lowered = _transfer(circ, 15)
         ends = {tuple(range(8, 12)), tuple(range(10, 14))}
         pairs = {(id(a), id(b)) for (a, ta), (b, tb) in zip(lowered, lowered[1:]) if {ta, tb} == ends}
-        blocks = [mat for mat, targets in _fuse_tail(lowered, 14) if len(targets) == 6]
+        blocks = [mat for mat, targets in _transfer(circ, 14) if len(targets) == 6]
         assert len(blocks) == 64 and len(pairs) == distinct
         assert len({id(m) for m in blocks}) == distinct
         assert not any(m.flags.writeable for m in blocks)
@@ -1304,8 +1289,9 @@ class TestLoweringPerDistinctGate:
         # apply_circuit lowers trotter_circuit onto its own register.
         h, t = ising_chain(self.N), steps / 64
         return {
-            "heisenberg_doubled": lambda: _transfer(trotter_circuit(h, t, steps)),
-            "super_propagator_circuit": lambda: _transfer(super_propagator_circuit(h, t, steps)),
+            "heisenberg_doubled": lambda: _transfer(trotter_circuit(h, t, steps), 2 * self.N + 1),
+            "super_propagator_circuit": lambda: _transfer(super_propagator_circuit(h, t, steps),
+                                                          2 * self.N + 1),
             "apply_circuit": lambda: _lower(trotter_circuit(h, t, steps)),
         }
 
@@ -1486,11 +1472,11 @@ class TestPeriodicLowering:
         # Site 2 has only its field: over the whole circuit its 8 steps are
         # one single-site step, which one step's lowering would leave 8 times.
         circ = trotter_circuit(PauliSum.from_text("1 0 ZZI\n0.5 0 IIZ"), 0.8, 8)
-        lowered = _transfer(circ)
+        lowered = _transfer(circ, 7)
         assert [t for _, t in lowered] == [(4, 5)] + [(0, 1, 2, 3)] * 8
         with monkeypatch.context() as m:
             _untiled(m)
-            whole = _transfer(circ)
+            whole = _transfer(circ, 7)
         assert [(mat.tobytes(), t) for mat, t in whole] == [(mat.tobytes(), t) for mat, t in lowered]
 
 
