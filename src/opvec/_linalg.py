@@ -102,17 +102,20 @@ _SPLIT_ROWS = 64
 _NN_ROWS = 64
 
 
-def run_passes(vec: np.ndarray, steps: list, k: int) -> np.ndarray:
+def run_passes(vec: np.ndarray, steps: list, k: int, plans: dict | None = None) -> np.ndarray:
     """Apply the (matrix, targets) ``steps``, in order, to a k-qubit vector,
     one register pass each; ``vec`` is left as it is, and returned when there
     are no steps. Every matrix is 2-D and has ``vec``'s dtype.
 
     Each distinct step, by the identity of its matrix and its targets, is
-    planned once by :func:`_plan`. The passes then alternate between two
-    register buffers of ``vec``'s dtype, reading ``vec`` or one buffer and
-    writing the other, so no pass allocates a register. Each buffer is one
-    line-aligned allocation (:func:`_line_aligned`), made after the first
-    step is planned, so that a fold's temporaries there never add to them.
+    planned once by :func:`_plan`, into ``plans`` when the caller passes a
+    dict: a later call on k qubits with that dict reuses the plans made so
+    far, so the caller keeps the dict only while it keeps the matrices
+    alive. The passes then alternate between two register buffers of
+    ``vec``'s dtype, reading ``vec`` or one buffer and writing the other, so
+    no pass allocates a register. Each buffer is one line-aligned allocation
+    (:func:`_line_aligned`), made after the first step is planned, so that a
+    fold's temporaries there never add to them.
     Both are stated to :func:`reserve` first; a caller that holds more
     states it itself. ``steps`` keeps its matrices alive through the call.
 
@@ -132,7 +135,7 @@ def run_passes(vec: np.ndarray, steps: list, k: int) -> np.ndarray:
         return vec
     p = _period(steps)
     reserve(vec.nbytes, f"each register buffer of {k} qubits")
-    binders: dict[tuple, object] = {}
+    binders = {} if plans is None else plans
     bound: dict[tuple, object] = {}
     cycle, outs = [], []  # the bound calls of passes p..3p-1, and their outputs
     bufs: tuple[np.ndarray, ...] = ()

@@ -642,10 +642,12 @@ _LATTICE_SITE_BYTES = 20_000
 # Registers of 16 * 4^n bytes, n = rows * cols, that compile2d's oracle
 # reference states to the byte budget before the lattice is embedded: the two
 # buffers of its doubled evolution, its largest single request. By tracemalloc
-# over exact() it holds 6.0 registers at its peak from 3x3 to 3x4 (1.6 GB at
-# 3x4, which ran in 21 s under a 2 GiB address-space ceiling); stating all
-# six would refuse 3x4. With two, every lattice of up to 12 sites runs, as
-# before, and a larger one exits 3 at once instead of after its schedule.
+# over exact() it holds 5.0 registers at its peak (5.02 at 3x3, 5.01 at 2x5):
+# its start and lowered states, the evolved coefficients and the two buffers
+# of their basis change. That is about 1.3 GB at 3x4, which ran in 21 s under
+# a 2 GiB address-space ceiling when it held 6.0; stating all five would
+# refuse 3x4. With two, every lattice of up to 12 sites runs, as before, and
+# a larger one exits 3 at once instead of after its schedule.
 _LATTICE_ORACLE_REGISTERS = 2
 
 

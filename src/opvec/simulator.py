@@ -558,11 +558,44 @@ def _y_phase(amps: np.ndarray, n: int, phase: complex) -> np.ndarray:
     return amps
 
 
+# The last doubled evolution's preparation, as (key, steps, plans): the key of
+# :func:`_key`, :func:`_transfer`'s steps and the :func:`run_passes` plans
+# made of them, so the tasks that evolve many operators through one circuit
+# lower and plan it once. It holds a few KB of matrices of at most 64 x 64 and
+# their plans, one reference per placed step, and one key entry per gate of
+# the circuit's first period.
+_KEPT: tuple | None = None
+
+
+def _key(circuit: Circuit, k: int) -> tuple:
+    """What :func:`_transfer` lowers on k qubits: k, the circuit's size, gate
+    count and period p (:func:`_linalg._period`), and each gate of its first
+    period by name, targets, repr(angle), which keeps -0.0 apart from 0.0,
+    axes and u-matrix bytes."""
+    p = _period(circuit.gates)
+    return k, circuit.k, len(circuit.gates), p, tuple(
+        (g.name, g.targets, repr(g.angle), g.axes, g._matrix_bytes) for g in circuit.gates[:p])
+
+
+def _prepared(circuit: Circuit, k: int) -> tuple[list, dict]:
+    """:func:`_transfer`'s steps of ``circuit`` on k qubits and the dict of
+    their plans, from the one slot when its key matches; a miss empties the
+    slot before it lowers, so one preparation is held at a time."""
+    global _KEPT
+    key = _key(circuit, k)
+    if _KEPT is None or _KEPT[0] != key:
+        _KEPT = None
+        _KEPT = key, _transfer(circuit, k), {}
+    return _KEPT[1], _KEPT[2]
+
+
 def heisenberg_doubled(state: VectorizedState, u: Circuit) -> VectorizedState:
     """||O>> -> ||U^dag O U>> in the state's own basis, computational or
     Pauli, as the real :func:`_transfer` passes of ``u`` in the
     Hermitian-Pauli basis, with one :func:`bell_transform` each way for the
-    computational rep.
+    computational rep. The steps and their plans come from the one kept
+    slot (:func:`_prepared`), so a circuit of the last one's content is not
+    lowered or planned again.
 
     The coefficients run as one float64 vector when every imaginary part
     is exactly 0; otherwise their float64 view runs, as a register with one
@@ -572,16 +605,20 @@ def heisenberg_doubled(state: VectorizedState, u: Circuit) -> VectorizedState:
     if u.k != state.n:
         raise ValueError("circuit size does not match site count")
     n = state.n
-    pauli = state if state.basis == PAULI else bell_transform(state, "c_to_p")
-    coeffs = _y_phase(pauli.amplitudes.copy(), n, 1j)
+    if state.basis == PAULI:
+        coeffs = _y_phase(state.amplitudes.copy(), n, 1j)
+    else:  # the basis change's output is this call's own, phased in place
+        coeffs = _y_phase(bell_transform(state, "c_to_p").amplitudes, n, 1j)
     if coeffs.imag.any():
         reg, k = coeffs.view(np.float64), 2 * n + 1
     else:
         reg, k = np.ascontiguousarray(coeffs.real), 2 * n
-    del coeffs  # on the real path, the complex copy is freed before the passes
+    del coeffs  # on the real path, the complex coefficients are freed before the passes
     reserve(2 * reg.nbytes, f"a doubled evolution on {2 * n} qubits")
-    reg = run_passes(reg, _transfer(u, k), k)
+    steps, plans = _prepared(u, k)
+    reg = run_passes(reg, steps, k, plans)
     amps = reg.astype(complex) if k == 2 * n else np.ascontiguousarray(reg).view(complex)
+    del reg  # on the real path, the float64 register is freed before the basis change
     out = VectorizedState(n, PAULI, _y_phase(amps, n, -1j))
     return out if state.basis == PAULI else bell_transform(out, "p_to_c")
 

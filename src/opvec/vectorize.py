@@ -113,6 +113,11 @@ _C_TO_P = _P_TO_C.conj().T
 _P_TO_C.setflags(write=False)
 _C_TO_P.setflags(write=False)
 
+# The plans of each direction's n pair passes, by (direction, n), made on
+# first use and kept, as the matrices are these constants: one 16x16 fold of
+# a 4x4 matrix (4 KiB) and n bound kernels each.
+_BELL_PLANS: dict[tuple[str, int], dict] = {}
+
 
 def bell_transform(state: VectorizedState, direction: str) -> VectorizedState:
     """Change a state between the computational and Pauli reps.
@@ -133,7 +138,8 @@ def bell_transform(state: VectorizedState, direction: str) -> VectorizedState:
         raise ValueError(f"unknown direction {direction!r}")
     n = state.n
     steps = [(mat, (2 * site, 2 * site + 1)) for site in range(n)]
-    return VectorizedState(n, out_basis, run_passes(state.amplitudes, steps, 2 * n))
+    plans = _BELL_PLANS.setdefault((direction, n), {})
+    return VectorizedState(n, out_basis, run_passes(state.amplitudes, steps, 2 * n, plans))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from opvec import simulator
+
 # OPVEC_HYPOTHESIS=deep runs every property test on 1000 examples with no
 # deadline, as the CI step that deepens the lowering and executor properties
 # does; by default hypothesis keeps its own settings.
@@ -32,6 +34,13 @@ def pytest_report_header(config):
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return (f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')}, "
             f"OpenBLAS core {_openblas_core()}")
+
+
+@pytest.fixture(autouse=True)
+def _empty_kept_preparation():
+    """Each test starts with no doubled evolution's preparation kept, so a
+    test that counts lowering or planning work sees its own."""
+    simulator._KEPT = None
 
 
 @pytest.fixture

@@ -165,8 +165,9 @@ def apply_matrix(vec: np.ndarray, mat: np.ndarray, targets: tuple[int, ...], k: 
     return out.reshape(-1)
 
 
-def apply_steps(vec: np.ndarray, steps: list, k: int) -> np.ndarray:
-    """One :func:`apply_matrix` per (matrix, targets) step, in order."""
+def apply_steps(vec: np.ndarray, steps: list, k: int, plans: dict | None = None) -> np.ndarray:
+    """One :func:`apply_matrix` per (matrix, targets) step, in order; it takes
+    ``run_passes``'s plans argument, to stand in for it, and plans nothing."""
     for mat, targets in steps:
         vec = apply_matrix(vec, mat, targets, k)
     return vec

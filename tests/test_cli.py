@@ -13,7 +13,7 @@ import pytest
 from helpers import ising_chain, refusal_peak
 
 import opvec
-from opvec import _linalg, cli
+from opvec import _linalg, cli, simulator
 from opvec.cli import main
 from opvec.estimators import EmpiricalPauliDist
 from opvec.vectorize import COMPUTATIONAL, PAULI, load_state, vectorize
@@ -848,6 +848,41 @@ def ising_spec(n: int, t: float, steps: int) -> dict:
     return {"qubits": n, "gates": gates}
 
 
+def test_runs_in_one_process_write_what_an_empty_slot_writes(tmp_path, monkeypatch):
+    # The README chain as a hamiltonian config and as its inline circuit
+    # share one kept preparation; choi2pc's dilation, then a complex
+    # operator's float64 view of the same circuit (k = 2n + 1), replace it;
+    # then the first config runs again. Each run writes the bytes of its own
+    # run from an empty slot.
+    chain = {"text": "0.5 0 ZII\n0.5 0 IZI\n0.5 0 IIZ\n0.25 0 XXI\n0.25 0 IXX\n"}
+    base = {"t": 1.0, "steps": 64, "basis": "pauli", "seed": 7}
+    configs = [
+        ("evolve", {"operator": "ZII", "hamiltonian": chain, **base}),
+        ("evolve", {"operator": "ZII", "circuit": ising_spec(3, 1.0, 64), **base}),
+        ("choi2pc", {"operator": "ZII", "p": 0.1, "site": 0, "seed": 7}),
+        ("evolve", {"operator": {"text": "0.5 0.5 XZI\n"}, "hamiltonian": chain, **base}),
+    ]
+    alone = []
+    for i, (task, cfg) in enumerate(configs):
+        simulator._KEPT = None
+        code, out = run_task(tmp_path, task, out=f"alone{i}", **cfg)
+        assert code == 0
+        alone.append(out)
+    lowered, real = [], simulator._transfer
+    monkeypatch.setattr(simulator, "_transfer", lambda c, k: lowered.append(k) or real(c, k))
+    simulator._KEPT = None
+    for j, i in enumerate([0, 1, 2, 3, 0]):
+        task, cfg = configs[i]
+        code, out = run_task(tmp_path, task, out=f"shared{j}", **cfg)
+        assert code == 0
+        names = sorted(path.name for path in alone[i].iterdir())
+        assert sorted(path.name for path in out.iterdir()) == names
+        for name in names:
+            assert (out / name).read_bytes() == (alone[i] / name).read_bytes(), (j, name)
+    # The inline circuit found the hamiltonian's preparation; every other run lowered.
+    assert lowered == [6, 8, 7, 6]
+
+
 def errors_of_each_gate(spec: dict) -> list[str]:
     """The errors of building every gate of ``spec`` on its own."""
     try:
@@ -874,9 +909,9 @@ def _contract_circuit(n):
 def test_every_pass_is_2d_and_has_the_registers_dtype(tmp_path, monkeypatch, n, oracle):
     seen, real = [], _linalg.run_passes
 
-    def spy(vec, steps, k):
+    def spy(vec, steps, k, plans=None):
         seen.extend((mat.ndim, mat.dtype, vec.dtype) for mat, _ in steps)
-        return real(vec, steps, k)
+        return real(vec, steps, k, plans)
 
     for mod in list(sys.modules.values()):
         if getattr(mod, "run_passes", None) is real:

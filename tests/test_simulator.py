@@ -1227,6 +1227,7 @@ class TestTailFusion:
         assert [shape for shape, _, _ in calls].count((64, 64)) == 64
         assert len(calls) == 64 * (n - 2)
         monkeypatch.setattr(simulator, "_fuse_tail", lambda steps, k: steps)
+        monkeypatch.setattr(simulator, "_KEPT", None)  # else the fused lowering is reused
         assert _close(fused, heisenberg_doubled(state, circ).amplitudes)
 
     def test_complex_register_and_separated_tail_blocks_stay_unfused(self, monkeypatch):
@@ -1345,8 +1346,9 @@ class TestLoweringPerDistinctGate:
 
 def _untiled(m):
     """Patch ``m`` so that every sequence is lowered whole, as if nothing
-    repeated a period."""
+    repeated a period, with the kept lowering emptied."""
     m.setattr(simulator, "_period", lambda seq: max(len(seq), 1))
+    m.setattr(simulator, "_KEPT", None)
 
 
 def _and_passes(call):
@@ -1515,9 +1517,9 @@ def _count_passes(monkeypatch, call):
     ``call()`` makes through the simulator, in order."""
     shapes = []
 
-    def counting(vec, steps, k):
+    def counting(vec, steps, k, plans=None):
         shapes.extend((mat.shape, targets, len(vec)) for mat, targets in steps)
-        return run_passes(vec, steps, k)
+        return run_passes(vec, steps, k, plans)
 
     with monkeypatch.context() as m:
         m.setattr(simulator, "run_passes", counting)
@@ -1625,6 +1627,96 @@ class TestPasses:
     def test_reruns_are_bitwise_identical(self):
         for run in _ising_doubled_n7().values():
             assert np.array_equal(run(), run())
+
+
+# ---------------------------------------------------------------------------
+# The kept preparation: heisenberg_doubled lowers and plans the last circuit
+# once, keyed on its content.
+
+def _kept_circuit(angle=0.0, u=None, steps=4):
+    """A 3-site circuit of 4 steps that repeat one step of 4 gates, each
+    call built from fresh Gate objects."""
+    u = np.diag([1, np.exp(0.4j)]) if u is None else u
+    step = [Gate("rzz", (0, 1), angle), Gate("rx", (2,), 0.5), Gate("rxx", (1, 2), 0.7),
+            Gate("u", (0,), matrix=u)]
+    return Circuit(3, step * steps)
+
+
+_REAL3 = "0.6 0 ZXI\n0.8 0 YIZ"  # real Pauli coefficients: k = 2n
+_COMPLEX3 = "0.6 0.8 ZXI"  # the float64 view: k = 2n + 1
+
+
+class TestKeptPreparation:
+    def test_a_content_equal_circuit_is_not_lowered_or_planned_again(self, monkeypatch):
+        state = vectorize(PauliSum.from_text(_REAL3), PAULI)
+        first = heisenberg_doubled(state, _kept_circuit()).amplitudes
+        calls = []
+        for mod, name in ((simulator, "_place"), (simulator, "_absorb"),
+                          (simulator, "_fuse_tail"), (_linalg, "_plan")):
+            real = getattr(mod, name)
+            monkeypatch.setattr(mod, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+        again = heisenberg_doubled(state, _kept_circuit()).amplitudes
+        assert calls == [] and again.tobytes() == first.tobytes()
+        simulator._KEPT = None
+        assert heisenberg_doubled(state, _kept_circuit()).amplitudes.tobytes() == first.tobytes()
+        assert set(calls) == {"_place", "_absorb", "_fuse_tail", "_plan"}
+
+    @pytest.mark.parametrize("change", ["-0.0 angle", "u matrix", "gate count", "k = 2n + 1"])
+    def test_the_key_misses_on_any_change_of_content(self, change):
+        real = vectorize(PauliSum.from_text(_REAL3), PAULI)
+        state, other = real, {
+            "-0.0 angle": lambda: _kept_circuit(angle=-0.0),
+            "u matrix": lambda: _kept_circuit(u=np.diag([1, np.exp(0.5j)])),
+            "gate count": lambda: _kept_circuit(steps=5),
+            "k = 2n + 1": _kept_circuit,
+        }[change]()
+        if change.startswith("k"):
+            state = vectorize(PauliSum.from_text(_COMPLEX3), PAULI)
+        heisenberg_doubled(real, _kept_circuit())
+        kept = simulator._KEPT
+        got = heisenberg_doubled(state, other).amplitudes
+        assert simulator._KEPT[0] != kept[0] and simulator._KEPT[1] is not kept[1]
+        simulator._KEPT = None
+        assert heisenberg_doubled(state, other).amplitudes.tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize("text", [_REAL3, _COMPLEX3])
+    def test_the_computational_rep_is_phased_in_place_and_keeps_its_bits(self, text):
+        # From the computational rep, the c_to_p output is the evolution's
+        # own and is phased in place; the caller's state is left as it is, and
+        # the bits are those of the Pauli-rep evolution between two changes.
+        state = vectorize(PauliSum.from_text(text), COMPUTATIONAL)
+        before = state.amplitudes.tobytes()
+        got = heisenberg_doubled(state, _kept_circuit()).amplitudes
+        via = heisenberg_doubled(bell_transform(state, "c_to_p"), _kept_circuit())
+        assert state.amplitudes.tobytes() == before
+        assert got.tobytes() == bell_transform(via, "p_to_c").amplitudes.tobytes()
+
+    def test_a_miss_empties_the_slot_before_it_lowers(self, monkeypatch):
+        state = vectorize(PauliSum.from_text(_REAL3), PAULI)
+        heisenberg_doubled(state, _kept_circuit())
+        assert simulator._KEPT is not None
+        seen, real = [], simulator._transfer
+        monkeypatch.setattr(simulator, "_transfer", lambda c, k: seen.append(simulator._KEPT) or real(c, k))
+        heisenberg_doubled(state, _kept_circuit(steps=5))
+        assert seen == [None]
+
+    @settings(deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), count=st.integers(1, 30),
+           text=st.sampled_from(["1 0 ", "0.6 0.8 "]))
+    def test_a_kept_preparation_keeps_the_bits(self, seed, n, count, text):
+        # A circuit evolved from an empty slot, then rebuilt from fresh gates
+        # after another circuit held the slot, then again as it is: each run
+        # writes the same bytes, and only the content-equal twin hits.
+        circ, twin = (_mixed_circuit(np.random.default_rng(seed), n, count) for _ in range(2))
+        other = _mixed_circuit(np.random.default_rng(seed + 1), n, count)
+        state = vectorize(PauliSum.from_text(text + "XZYX"[:n]), PAULI)
+        simulator._KEPT = None
+        want = heisenberg_doubled(state, circ).amplitudes.tobytes()
+        heisenberg_doubled(state, other)
+        assert heisenberg_doubled(state, twin).amplitudes.tobytes() == want
+        kept = simulator._KEPT
+        assert heisenberg_doubled(state, circ).amplitudes.tobytes() == want
+        assert simulator._KEPT is kept
 
 
 def _trotter_per_step(h, t, steps, reverse):
