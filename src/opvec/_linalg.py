@@ -58,11 +58,10 @@ def reserve(nbytes: int, what: str) -> None:
 # folds lost: 4 x 4 and 8 x 8 blocks with B = 16 and 8 took 3x as long
 # folded to 64 x 64 as batched, and a 16 x 16 block with B = 8 runs 1.7x
 # faster split (below) than folded to 128 x 128.
-# Doubled evolutions on the float64 register of n sites fuse a block on
-# sites (n-3, n-2) with an adjacent one on (n-2, n-1) into one 64 x 64 block
-# (B = 1, run split as below), so the narrow fold still runs only on a block
-# on (n-3, n-2) with no such neighbour, as in a circuit whose last two bonds
-# are apart. The fold of a block-diagonal block is block-diagonal, so a fold
+# Doubled evolutions on n sites fuse a block on sites (n-3, n-2) with an
+# adjacent one on (n-2, n-1) into one 64 x 64 block (B = 1, run split as
+# below), so the narrow fold still runs only on a block on (n-3, n-2) with no
+# such neighbour, as in a circuit whose last two bonds are apart. The fold of a block-diagonal block is block-diagonal, so a fold
 # to 16 x 16 or wider can run split too (below).
 _FOLD = 32
 _FOLD_NARROW = 64
@@ -70,23 +69,18 @@ _FOLD_ROWS = 32
 
 # A block that is block-diagonal in its leading target qubit (see
 # :func:`_halves`), as every transfer block whose first site carries no field
-# is, runs as two half-size products: with B >= D from D = _SPLIT_BATCHED;
-# with B = 1, folded or not, from D = _SPLIT_FLAT with at least _SPLIT_ROWS
-# rows; and on float64 with B = D / 2 from D = _SPLIT_BATCHED, where the
-# transposed GEMM it replaces has at least _NN_ROWS rows. Per pass on 2^14
+# is, runs as two half-size products from D = _SPLIT: with B >= D, and with
+# B = 1, folded or not, on at least _SPLIT_ROWS rows. Per pass on 2^14
 # amplitudes (one OpenBLAS thread, SkylakeX kernels, right operands laid out
 # as below), the split took 0.4x the dense time for the 64 x 64 tail, 0.75x
-# for a 16 x 16 block with B = 1 (float64 and complex128), 0.5x for a float64
-# one with B = 8, and 0.7-0.9x with B >= 64. It took 1.25-1.4x as long for an
-# 8 x 8 block with B = 1 from 512 rows, for 4 x 4 and 8 x 8 blocks with
-# B = 32 to 64, and for complex128 blocks with B = D / 2. With 32 rows the
+# for a 16 x 16 block with B = 1 (float64 and complex128), and 0.7-0.9x with
+# B >= 64. It took 1.25-1.4x as long for an 8 x 8 block with B = 1 from 512
+# rows, and for 4 x 4 and 8 x 8 blocks with B = 32 to 64. With 32 rows the
 # split of a fold moved the low bits, as the small-matrix path above rounds
-# by the product's shape, and so did the B = D / 2 split of a 32 x 32 block
-# with B = 16 and A = 2 against the transposed view; from 64 rows, and in
-# every batched shape tried on 2^6 to 2^19 float64 and complex128 amplitudes,
-# it kept the dense product's bits.
-_SPLIT_BATCHED = 16
-_SPLIT_FLAT = 16
+# by the product's shape; from 64 rows, and in every batched shape tried on
+# 2^6 to 2^19 float64 and complex128 amplitudes, it kept the dense product's
+# bits.
+_SPLIT = 16
 _SPLIT_ROWS = 64
 
 # A float64 product with at least _NN_ROWS rows takes its right-hand matrix
@@ -105,14 +99,17 @@ _NN_ROWS = 64
 def run_passes(vec: np.ndarray, steps: list, k: int, plans: dict | None = None) -> np.ndarray:
     """Apply the (matrix, targets) ``steps``, in order, to a k-qubit vector,
     one register pass each; ``vec`` is left as it is, and returned when there
-    are no steps. Every matrix is 2-D and has ``vec``'s dtype.
+    are no steps. Every matrix is 2-D and has ``vec``'s dtype. ``vec`` may
+    hold several k-qubit registers back to back, as a complex operator's
+    real and imaginary parts do (:func:`simulator.heisenberg_doubled`): each
+    pass applies its step to every one of them, with the plans of one.
 
     Each distinct step, by the identity of its matrix and its targets, is
     planned once by :func:`_plan`, into ``plans`` when the caller passes a
     dict: a later call on k qubits with that dict reuses the plans made so
     far, so the caller keeps the dict only while it keeps the matrices
-    alive. The passes then alternate between two register buffers of
-    ``vec``'s dtype, reading ``vec`` or one buffer and writing the other, so
+    alive. The passes then alternate between two buffers of ``vec``'s size
+    and dtype, reading ``vec`` or one buffer and writing the other, so
     no pass allocates a register. Each buffer is one line-aligned allocation
     (:func:`_line_aligned`), made after the first step is planned, so that a
     fold's temporaries there never add to them.
@@ -214,11 +211,11 @@ def _plan(mat: np.ndarray, targets: tuple[int, ...], k: int):
     D * B <= _FOLD, or 1 < B < D with         mat (x) I_B, built here, then
     D * B <= _FOLD_NARROW, A >= _FOLD_ROWS    as B = 1 below
     block-diagonal in the leading target      one matmul of the two h x h
-    qubit (:func:`_halves`), with B = 1,      diagonal quadrants M0, M1,
-    D >= _SPLIT_FLAT, A >= _SPLIT_ROWS;       h = D / 2, stacked: (A, 2, h)
-    with B >= D >= _SPLIT_BATCHED; or on      viewed as (2, A, h) @ (M0^T,
-    float64 with B = h, D >= _SPLIT_BATCHED,  M1^T) for B = 1, (M0, M1) @
-    A * B >= _NN_ROWS                         (A, 2, h, B) for B >= h
+    qubit (:func:`_halves`), D >= _SPLIT,     diagonal quadrants M0, M1,
+    with B = 1 and A >= _SPLIT_ROWS, or       h = D / 2, stacked: (A, 2, h)
+    with B >= D                               viewed as (2, A, h) @ (M0^T,
+                                              M1^T) for B = 1, (M0, M1) @
+                                              (A, 2, h, B) for B >= D
     B = 1                                     one GEMM (A, D) @ mat^T
     B >= D                                    one batched GEMM mat @ (A, D,
                                               B); one GEMM when A = 1
@@ -229,10 +226,13 @@ def _plan(mat: np.ndarray, targets: tuple[int, ...], k: int):
     ========================================  ===============================
 
     Any other target order copies the target axes to the front into
-    ``dst``, applies one product into ``spare`` and moves the axes back into
-    ``dst``. Each kernel runs the GEMM of the one-array-per-pass
-    kernel it replaced, with the same operand shapes and order, so every
-    pass keeps that kernel's bits; the narrow fold, which replaced chunked
+    ``dst``, applies one batched product into ``spare`` and moves the axes
+    back into ``dst``. Every kernel views the arrays with a free leading
+    size, so they may hold several k-qubit registers back to back, each
+    passed as the others are; the choices above read A of one register.
+    Each kernel runs the GEMM of the one-array-per-pass kernel it
+    replaced, with the same operand shapes and order, so every pass on one
+    register keeps that kernel's bits; the narrow fold, which replaced chunked
     transposed GEMMs, rounds as they did only from _FOLD_ROWS rows up. The
     split leaves out only products with the exact zeros of the off-diagonal
     quadrants, and keeps the dense GEMM's bits where it is used (see
@@ -244,11 +244,12 @@ def _plan(mat: np.ndarray, targets: tuple[int, ...], k: int):
     dim = 2**m
     lo = targets[0] if m else 0
     if tuple(targets) != tuple(range(lo, lo + m)):
-        cube, front = (2,) * k, tuple(range(m))
+        # Axis 0 counts the registers; qubit q is axis q + 1.
+        cube, axes, front = (-1,) + (2,) * k, tuple(t + 1 for t in targets), tuple(range(1, m + 1))
         return lambda src, dst, spare: partial(
-            _moved, dst.reshape(cube), np.moveaxis(src.reshape(cube), targets, front), mat,
-            dst.reshape(dim, -1), spare.reshape(dim, -1),
-            np.moveaxis(spare.reshape(cube), front, targets))
+            _moved, dst.reshape(cube), np.moveaxis(src.reshape(cube), axes, front), mat,
+            dst.reshape(-1, dim, 2 ** (k - m)), spare.reshape(-1, dim, 2 ** (k - m)),
+            np.moveaxis(spare.reshape(cube), front, axes))
     b = 2 ** (k - lo - m)
     narrow = b < dim and dim * b <= _FOLD_NARROW and 2**lo >= _FOLD_ROWS
     if 1 < b and (dim * b <= _FOLD or narrow):
@@ -256,8 +257,7 @@ def _plan(mat: np.ndarray, targets: tuple[int, ...], k: int):
         dim, b = dim * b, 1
     shape, rows = (-1, dim, b), 2**lo
     halves, h = None, dim // 2
-    if (b >= dim >= _SPLIT_BATCHED or (b == 1 and dim >= _SPLIT_FLAT and rows >= _SPLIT_ROWS)
-            or (b == h and dim >= _SPLIT_BATCHED and _contiguous_right(mat, rows * b))):
+    if b >= dim >= _SPLIT or (b == 1 and dim >= _SPLIT and rows >= _SPLIT_ROWS):
         halves = _halves(mat)
     if halves is not None and b == 1:
         right, split = _right(np.stack(halves), rows), (-1, 2, h)
@@ -279,18 +279,13 @@ def _plan(mat: np.ndarray, targets: tuple[int, ...], k: int):
         spare.reshape(-1, b, dim).transpose(0, 2, 1))
 
 
-def _contiguous_right(mat: np.ndarray, rows: int) -> bool:
-    """Whether a product with ``rows`` rows takes ``mat``^T as a C-contiguous
-    copy (see _NN_ROWS): for a float64 ``mat`` from _NN_ROWS rows up."""
-    return mat.dtype == np.float64 and rows >= _NN_ROWS
-
-
 def _right(mat: np.ndarray, rows: int) -> np.ndarray:
     """``mat`` transposed over its last two axes, as the right operand of a
-    product with ``rows`` rows: a C-contiguous copy, made once per plan,
-    where :func:`_contiguous_right` says so, otherwise the transposed view."""
+    product with ``rows`` rows: a C-contiguous copy, made once per plan, for
+    a float64 ``mat`` from _NN_ROWS rows up (see _NN_ROWS), otherwise the
+    transposed view."""
     view = np.swapaxes(mat, -1, -2)
-    return np.ascontiguousarray(view) if _contiguous_right(mat, rows) else view
+    return np.ascontiguousarray(view) if mat.dtype == np.float64 and rows >= _NN_ROWS else view
 
 
 def _halves(mat: np.ndarray):

@@ -642,12 +642,12 @@ _LATTICE_SITE_BYTES = 20_000
 # Registers of 16 * 4^n bytes, n = rows * cols, that compile2d's oracle
 # reference states to the byte budget before the lattice is embedded: the two
 # buffers of its doubled evolution, its largest single request. By tracemalloc
-# over exact() it holds 5.0 registers at its peak (5.02 at 3x3, 5.01 at 2x5):
-# its start and lowered states, the evolved coefficients and the two buffers
-# of their basis change. That is about 1.3 GB at 3x4, which ran in 21 s under
-# a 2 GiB address-space ceiling when it held 6.0; stating all five would
-# refuse 3x4. With two, every lattice of up to 12 sites runs, as before, and
-# a larger one exits 3 at once instead of after its schedule.
+# over exact() it holds 4.0 registers at its peak (4.03 at 3x3, 4.01 at 2x5):
+# the lowered state, the evolved Pauli-rep reference and the two buffers of
+# its basis change. That is about 1.07 GB at 3x4, which ran in 21 s under a
+# 2 GiB address-space ceiling when it held 6.0; stating all four would refuse
+# 3x4. With two, every lattice of up to 12 sites runs, as before, and a
+# larger one exits 3 at once instead of after its schedule.
 _LATTICE_ORACLE_REGISTERS = 2
 
 
@@ -669,13 +669,18 @@ def _task_compile2d(cfg: dict, rng: RngStream):
     def exact():
         # One lowered schedule step against one Heisenberg Trotter step of
         # the lattice Hamiltonian, both applied to the encoded Z on site 0.
+        # The reference evolves its real Pauli coefficients and changes basis
+        # once; each register is freed once it has been read.
         n = rows * cols
+        z0 = PauliString.single(n, 0, "Z")
+        start = vectorize(z0, COMPUTATIONAL).amplitudes
+        one = apply_circuit(QState(2 * n, start), lattice2d.schedule_to_circuit(schedule, layout))
+        del start
         h = lattice2d.grid_hamiltonian(rows, cols, cfg["h_x"], cfg["h_z"], cfg["J"])
-        start = vectorize(PauliString.single(n, 0, "Z"), COMPUTATIONAL)
-        lowered = lattice2d.schedule_to_circuit(schedule, layout)
-        one = apply_circuit(QState(2 * n, start.amplitudes), lowered)
-        ref = heisenberg_doubled(start, super_propagator_circuit(h, cfg["dt"], 1))
-        return {"value": 0.0, "abs_delta": float(np.linalg.norm(one.amplitudes - ref.amplitudes))}
+        ref = heisenberg_doubled(vectorize(z0, PAULI), super_propagator_circuit(h, cfg["dt"], 1))
+        ref = bell_transform(ref, "p_to_c").amplitudes
+        ref -= one.amplitudes
+        return {"value": 0.0, "abs_delta": float(np.linalg.norm(ref))}
 
     return report.entangling_depth, params, exact, {"schedule.json": schedule.to_json() + "\n"}
 

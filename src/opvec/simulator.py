@@ -199,14 +199,14 @@ def _lower(circuit: Circuit) -> list:
     return _placed(circuit.gates, lambda g: _place(g, built))
 
 
-def _transfer(circuit: Circuit, k: int) -> list:
+def _transfer(circuit: Circuit) -> list:
     """Real (transfer matrix, register targets) steps carrying the
-    Hermitian-Pauli coefficients of O to those of U^dag O U on a k-qubit
-    doubled register, k = 2n for the float64 vector of n sites and 2n + 1
-    for the float64 view: gates in reverse order, circuit qubit q on
+    Hermitian-Pauli coefficients of O to those of U^dag O U on the 2n-qubit
+    doubled register of n sites: gates in reverse order, circuit qubit q on
     register qubits (2q, 2q+1), single-site steps absorbed (:func:`_absorb`)
-    and blocks on the last three sites joined (:func:`_fuse_tail`, none on
-    the float64 view). Matrices are built and shared as in :func:`_lower`.
+    and blocks on the last three sites joined (:func:`_fuse_tail`). The
+    real and imaginary parts of complex coefficients run the same steps.
+    Matrices are built and shared as in :func:`_lower`.
 
     One period of the reversed gates (see :func:`_linalg._period`) is
     lowered and its steps repeated, so the work follows the period, not the
@@ -219,7 +219,7 @@ def _transfer(circuit: Circuit, k: int) -> list:
        step, which starts the next period: all periods' absorbed steps are
        fused as one list."""
     built: dict[tuple, np.ndarray] = {}
-    gates = circuit.gates[::-1]
+    gates, k = circuit.gates[::-1], 2 * circuit.k
     p = _period(gates)
     steps = _absorb(_placed(gates[:p], lambda g: _place(g, built, True)))
     if p < len(gates) and any(len(targets) == 2 for _, targets in steps):
@@ -277,17 +277,21 @@ def _place(g: Gate, built: dict, transfer: bool = False) -> list:
     return out
 
 
-# Hermitian Pauli words on one and two sites, by pair index 2z + x per site.
-_PAULI_WORDS = {1: np.array([SIGMA[c] for c in PAULI_CHARS])}
-_PAULI_WORDS[2] = np.einsum("aij,bkl->abikjl", _PAULI_WORDS[1], _PAULI_WORDS[1]).reshape(16, 4, 4)
+@functools.cache
+def _pauli_words(w: int) -> np.ndarray:
+    """The Hermitian Pauli words on w sites, by pair index 2z + x per site."""
+    if w == 1:
+        return np.array([SIGMA[c] for c in PAULI_CHARS])
+    words = np.einsum("aij,bkl->abikjl", _pauli_words(1), _pauli_words(w - 1))
+    return words.reshape(4**w, 2**w, 2**w)
 
 
 def _transfer_matrix(m: np.ndarray, flip: bool = False) -> np.ndarray:
     """The real 4^w x 4^w transfer matrix R_ab = tr(P_a M^dag P_b M) / 2^w
-    of a unitary M on w <= 2 sites: it maps the Hermitian-Pauli coefficients
-    of O to those of M^dag O M. ``flip`` lists the two sites in reverse."""
+    of a unitary M on w sites: it maps the Hermitian-Pauli coefficients of O
+    to those of M^dag O M. ``flip`` lists two sites in reverse."""
     w = m.shape[0].bit_length() - 1
-    p = _PAULI_WORDS[w]
+    p = _pauli_words(w)
     # P_a is Hermitian, so tr(P_a A) sums conj(P_a) * A entrywise.
     rows = p.reshape(len(p), -1)
     r = rows.conj() @ (m.conj().T @ p @ m).reshape(len(p), -1).T / 2**w
@@ -350,8 +354,7 @@ def _fuse_tail(steps: list, k: int) -> list:
     block does its neighbour's work in a GEMM of the same shape. Where it
     conserves the z bit of its first site, as an Ising step's does, it is
     block-diagonal in its leading qubit, and that GEMM runs as two of half
-    the size. Blocks whose union does not end the register, as on the float64 view of
-    complex coefficients, stay apart.
+    the size.
 
     Each distinct fused pair, by the identity of both matrices and which one
     comes first, is built once per call and read-only; ``steps`` keeps the
@@ -560,32 +563,32 @@ def _y_phase(amps: np.ndarray, n: int, phase: complex) -> np.ndarray:
 
 # The last doubled evolution's preparation, as (key, steps, plans): the key of
 # :func:`_key`, :func:`_transfer`'s steps and the :func:`run_passes` plans
-# made of them, so the tasks that evolve many operators through one circuit
-# lower and plan it once. It holds a few KB of matrices of at most 64 x 64 and
-# their plans, one reference per placed step, and one key entry per gate of
-# the circuit's first period.
+# made of them, so the tasks that evolve many operators through one circuit,
+# Hermitian or complex, lower and plan it once. It holds a few KB of matrices
+# of at most 64 x 64 and their plans, one reference per placed step, and one
+# key entry per gate of the circuit's first period.
 _KEPT: tuple | None = None
 
 
-def _key(circuit: Circuit, k: int) -> tuple:
-    """What :func:`_transfer` lowers on k qubits: k, the circuit's size, gate
-    count and period p (:func:`_linalg._period`), and each gate of its first
-    period by name, targets, repr(angle), which keeps -0.0 apart from 0.0,
-    axes and u-matrix bytes."""
+def _key(circuit: Circuit) -> tuple:
+    """What :func:`_transfer` lowers: the circuit's size, gate count and
+    period p (:func:`_linalg._period`), and each gate of its first period by
+    name, targets, repr(angle), which keeps -0.0 apart from 0.0, axes and
+    u-matrix bytes."""
     p = _period(circuit.gates)
-    return k, circuit.k, len(circuit.gates), p, tuple(
+    return circuit.k, len(circuit.gates), p, tuple(
         (g.name, g.targets, repr(g.angle), g.axes, g._matrix_bytes) for g in circuit.gates[:p])
 
 
-def _prepared(circuit: Circuit, k: int) -> tuple[list, dict]:
-    """:func:`_transfer`'s steps of ``circuit`` on k qubits and the dict of
-    their plans, from the one slot when its key matches; a miss empties the
-    slot before it lowers, so one preparation is held at a time."""
+def _prepared(circuit: Circuit) -> tuple[list, dict]:
+    """:func:`_transfer`'s steps of ``circuit`` and the dict of their plans,
+    from the one slot when its key matches; a miss empties the slot before
+    it lowers, so one preparation is held at a time."""
     global _KEPT
-    key = _key(circuit, k)
+    key = _key(circuit)
     if _KEPT is None or _KEPT[0] != key:
         _KEPT = None
-        _KEPT = key, _transfer(circuit, k), {}
+        _KEPT = key, _transfer(circuit), {}
     return _KEPT[1], _KEPT[2]
 
 
@@ -597,11 +600,13 @@ def heisenberg_doubled(state: VectorizedState, u: Circuit) -> VectorizedState:
     slot (:func:`_prepared`), so a circuit of the last one's content is not
     lowered or planned again.
 
-    The coefficients run as one float64 vector when every imaginary part
-    is exactly 0; otherwise their float64 view runs, as a register with one
-    extra trailing re/im qubit. The running register and one pass output,
-    :func:`run_passes`'s two buffers, are stated to the byte budget before
-    the first pass."""
+    The coefficients run as one float64 register of 2n qubits when every
+    imaginary part is exactly 0. Otherwise O = A + iB runs as two, A's
+    coefficients then B's back to back, through the same steps in one
+    :func:`run_passes` call: the transfer matrices are real, so U^dag A U
+    and U^dag B U evolve apart. The float64 registers and
+    :func:`run_passes`'s two buffers of their size are stated to the byte
+    budget before the first pass."""
     if u.k != state.n:
         raise ValueError("circuit size does not match site count")
     n = state.n
@@ -609,16 +614,15 @@ def heisenberg_doubled(state: VectorizedState, u: Circuit) -> VectorizedState:
         coeffs = _y_phase(state.amplitudes.copy(), n, 1j)
     else:  # the basis change's output is this call's own, phased in place
         coeffs = _y_phase(bell_transform(state, "c_to_p").amplitudes, n, 1j)
-    if coeffs.imag.any():
-        reg, k = coeffs.view(np.float64), 2 * n + 1
-    else:
-        reg, k = np.ascontiguousarray(coeffs.real), 2 * n
-    del coeffs  # on the real path, the complex coefficients are freed before the passes
+    reg = np.concatenate((coeffs.real, coeffs.imag) if coeffs.imag.any() else (coeffs.real,))
+    del coeffs  # the complex coefficients are freed before the passes
     reserve(2 * reg.nbytes, f"a doubled evolution on {2 * n} qubits")
-    steps, plans = _prepared(u, k)
-    reg = run_passes(reg, steps, k, plans)
-    amps = reg.astype(complex) if k == 2 * n else np.ascontiguousarray(reg).view(complex)
-    del reg  # on the real path, the float64 register is freed before the basis change
+    steps, plans = _prepared(u)
+    reg = run_passes(reg, steps, 2 * n, plans)
+    amps = reg[: 4**n].astype(complex)
+    if len(reg) > 4**n:
+        amps.imag = reg[4**n:]
+    del reg  # the float64 registers are freed before the basis change
     out = VectorizedState(n, PAULI, _y_phase(amps, n, -1j))
     return out if state.basis == PAULI else bell_transform(out, "p_to_c")
 

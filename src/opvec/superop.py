@@ -27,7 +27,7 @@ import numpy as np
 from ._linalg import apply_block, reserve, run_passes
 from .errors import NonCommutingSetError, ParseError
 from .pauli import PauliString
-from .simulator import Circuit, Gate, gate_matrix
+from .simulator import Circuit, Gate, _transfer_matrix, gate_matrix
 from .vectorize import (
     COMPUTATIONAL,
     PAULI,
@@ -322,34 +322,27 @@ def lifted_pauli(left: PauliString, right: PauliString) -> tuple[int, PauliStrin
 # ---------------------------------------------------------------------------
 # Clifford conjugation of Pauli words.
 
-_PHASES = (1, 1j, -1, -1j)
-
 # Images of every local Pauli word under one gate kind, keyed by name, axes
 # and repr(angle): a tuple indexed by the local word's Pauli index, each
-# entry (phase, z bits, x bits) over the gate's targets, or None where the
+# entry (sign, z bits, x bits) over the gate's targets, or None where the
 # image is not a single Pauli word.
 _IMAGES: dict[tuple, tuple] = {}
 
 
 def _local_images(gate: Gate) -> tuple:
-    """C P C^dag of each local word P, by dense conjugation and exact
-    re-identification against every candidate word."""
+    """C P C^dag of each local word P, read from column P of the transfer
+    matrix of C^dag (:func:`simulator._transfer_matrix`). The image of a
+    Hermitian word is Hermitian, so when it is one word, that column holds a
+    single entry of +-1."""
     m = len(gate.targets)
-    words = [index_pauli(idx, m) for idx in range(4**m)]
-    dense = [w.to_dense() for w in words]
-    g = gate_matrix(gate)
     images = []
-    for fac in dense:
-        out = g @ fac @ g.conj().T
-        image = None
-        for cand, cand_dense in zip(words, dense):
-            coef = np.trace(cand_dense.conj().T @ out) / 2**m
-            if abs(coef) > 0.5:
-                snapped = min(_PHASES, key=lambda ph: abs(ph - coef))
-                if abs(snapped - coef) <= 1e-9:
-                    image = (snapped, cand.z, cand.x)
-                break
-        images.append(image)
+    for col in _transfer_matrix(gate_matrix(gate).conj().T).T:
+        idx = int(np.argmax(np.abs(col)))
+        if abs(abs(col[idx]) - 1) <= 1e-9:
+            word = index_pauli(idx, m)
+            images.append((1 if col[idx] > 0 else -1, word.z, word.x))
+        else:
+            images.append(None)
     return tuple(images)
 
 

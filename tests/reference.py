@@ -5,9 +5,10 @@ Each builds an explicit dense matrix, so each suits small n only:
 ``walsh_hadamard``, ``interleaved_kron`` checks ``lifted_pauli``, and
 ``transfer_matrix`` checks ``to_operator_sum``, ``apply_vectorized`` and
 ``expectation``, and ``apply_dense`` checks ``apply_vectorized``.
-``kron_dense`` checks the Pauli-matrix builders, and ``apply_matrix``, the
+``kron_dense`` checks the Pauli-matrix builders, ``apply_matrix``, the
 per-step kernel that ``run_passes`` replaced, checks the pass executor bit
-for bit.
+for bit, and ``local_images`` checks the Clifford images that
+``conjugate_pauli`` reads from transfer matrices.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 from opvec._linalg import reserve
 from opvec.errors import CapExceededError
 from opvec.pauli import SIGMA, PauliString, PauliSum
+from opvec.simulator import Gate, gate_matrix
 from opvec.superop import DiagonalSuperop, OperatorSumSuperop
 from opvec.vectorize import BasisTag, index_pauli
 
@@ -166,8 +168,36 @@ def apply_matrix(vec: np.ndarray, mat: np.ndarray, targets: tuple[int, ...], k: 
 
 
 def apply_steps(vec: np.ndarray, steps: list, k: int, plans: dict | None = None) -> np.ndarray:
-    """One :func:`apply_matrix` per (matrix, targets) step, in order; it takes
+    """One :func:`apply_matrix` per (matrix, targets) step, in order, on each
+    k-qubit register that ``vec`` holds back to back; it takes
     ``run_passes``'s plans argument, to stand in for it, and plans nothing."""
+    if vec.size > 2**k:
+        return np.concatenate([apply_steps(reg, steps, k) for reg in vec.reshape(-1, 2**k)])
     for mat, targets in steps:
         vec = apply_matrix(vec, mat, targets, k)
     return vec
+
+
+def local_images(gate: Gate) -> tuple:
+    """C P C^dag of each local word P of ``gate``'s targets, by dense
+    conjugation and exact re-identification against every candidate word:
+    (phase, z bits, x bits) of the first candidate whose overlap exceeds 1/2
+    in modulus, when it is within 1e-9 of a unit phase, else None. It checks
+    ``superop._local_images``."""
+    m = len(gate.targets)
+    words = [index_pauli(idx, m) for idx in range(4**m)]
+    dense = [w.to_dense() for w in words]
+    g = gate_matrix(gate)
+    images = []
+    for fac in dense:
+        out = g @ fac @ g.conj().T
+        image = None
+        for cand, cand_dense in zip(words, dense):
+            coef = np.trace(cand_dense.conj().T @ out) / 2**m
+            if abs(coef) > 0.5:
+                snapped = min((1, 1j, -1, -1j), key=lambda ph: abs(ph - coef))
+                if abs(snapped - coef) <= 1e-9:
+                    image = (snapped, cand.z, cand.x)
+                break
+        images.append(image)
+    return tuple(images)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -544,6 +545,30 @@ class TestCompile2d:
             assert run_task(tmp_path, "compile2d", **cfg)[0] == 3
 
 
+    def test_oracle_reference_runs_one_real_register_and_holds_four(self, monkeypatch):
+        # From the Pauli rep, the encoded Z evolves as one float64 register,
+        # and exact() peaks at 4.1 registers of 16 * 4^n bytes at 2x4: the
+        # lowered state, the reference and the two buffers of its one basis
+        # change.
+        cfg = {"lattice": {"rows": 2, "cols": 4}, "h_x": 0.7, "h_z": 0.3, "J": 1.0, "dt": 0.1}
+        _, _, exact, _ = cli._task_compile2d(cfg, cli.RngStream(1))
+        real, seen = simulator.run_passes, []
+        monkeypatch.setattr(simulator, "run_passes",
+                            lambda vec, *rest: seen.append((vec.dtype, vec.size)) or real(vec, *rest))
+        exact()
+        # The lowered schedule on the computational state, then the reference.
+        assert seen == [(np.complex128, 4**8), (np.float64, 4**8)]
+        monkeypatch.undo()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert exact()["abs_delta"] < 1e-13
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * 16 * 4**8
+
+
 class TestConfigValidation:
     def test_missing_operator(self, tmp_path, capsys):
         code, _ = run_task(tmp_path, "evolve", seed=1)
@@ -849,11 +874,10 @@ def ising_spec(n: int, t: float, steps: int) -> dict:
 
 
 def test_runs_in_one_process_write_what_an_empty_slot_writes(tmp_path, monkeypatch):
-    # The README chain as a hamiltonian config and as its inline circuit
-    # share one kept preparation; choi2pc's dilation, then a complex
-    # operator's float64 view of the same circuit (k = 2n + 1), replace it;
-    # then the first config runs again. Each run writes the bytes of its own
-    # run from an empty slot.
+    # The README chain as a hamiltonian config, as its inline circuit and
+    # with a complex operator share one kept preparation; choi2pc's
+    # dilation replaces it; then the first config runs again. Each run
+    # writes the bytes of its own run from an empty slot.
     chain = {"text": "0.5 0 ZII\n0.5 0 IZI\n0.5 0 IIZ\n0.25 0 XXI\n0.25 0 IXX\n"}
     base = {"t": 1.0, "steps": 64, "basis": "pauli", "seed": 7}
     configs = [
@@ -869,9 +893,9 @@ def test_runs_in_one_process_write_what_an_empty_slot_writes(tmp_path, monkeypat
         assert code == 0
         alone.append(out)
     lowered, real = [], simulator._transfer
-    monkeypatch.setattr(simulator, "_transfer", lambda c, k: lowered.append(k) or real(c, k))
+    monkeypatch.setattr(simulator, "_transfer", lambda c: lowered.append(c.k) or real(c))
     simulator._KEPT = None
-    for j, i in enumerate([0, 1, 2, 3, 0]):
+    for j, i in enumerate([0, 1, 3, 2, 0]):
         task, cfg = configs[i]
         code, out = run_task(tmp_path, task, out=f"shared{j}", **cfg)
         assert code == 0
@@ -879,8 +903,9 @@ def test_runs_in_one_process_write_what_an_empty_slot_writes(tmp_path, monkeypat
         assert sorted(path.name for path in out.iterdir()) == names
         for name in names:
             assert (out / name).read_bytes() == (alone[i] / name).read_bytes(), (j, name)
-    # The inline circuit found the hamiltonian's preparation; every other run lowered.
-    assert lowered == [6, 8, 7, 6]
+    # The inline circuit and the complex operator found the hamiltonian's
+    # preparation; the dilation and the rerun after it lowered.
+    assert lowered == [3, 4, 3]
 
 
 def errors_of_each_gate(spec: dict) -> list[str]:

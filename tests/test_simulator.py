@@ -624,7 +624,7 @@ class TestLoweringMatchesGateLoops:
         assert not gate_matrix(Gate("h", (0,))).flags.writeable
         assert not gate_matrix(g).flags.writeable
         circ = _mixed_circuit(np.random.default_rng(8), 3, 20)
-        for lowered in (_lower(circ), _transfer(circ, 6)):
+        for lowered in (_lower(circ), _transfer(circ)):
             for mat, _ in lowered:
                 with pytest.raises(ValueError):
                     mat[(0,) * mat.ndim] = 0.0
@@ -778,6 +778,34 @@ class TestApplyMatrix:
         assert got.tobytes() == want.tobytes()
         assert np.array_equal(vec, before)
 
+    @settings(deadline=None)
+    @given(st.integers(2, 9), st.integers(1, 3), st.integers(0, 2**32 - 1),
+           st.sampled_from([np.float64, np.complex128]))
+    @example(6, 2, 1, np.float64)
+    @example(9, 3, 2, np.complex128)
+    def test_stacked_registers_match_single_register_runs(self, k, m, seed, dtype):
+        # m k-qubit registers back to back through one run_passes call, as a
+        # complex operator's real and imaginary parts run, against one call
+        # per register: bit for bit at m = 1, within 1e-15 of unit-norm
+        # registers through unitary steps otherwise, where a GEMM over more
+        # rows may round differently. One step has non-adjacent targets.
+        gen = np.random.default_rng(seed)
+        steps = [self._random_step(gen, k, dtype) for _ in range(int(gen.integers(1, 8)))]
+        steps.insert(int(gen.integers(len(steps) + 1)), (gen.normal(size=(4, 4)), (k - 1, 0)))
+        steps = [(_random_unitary(gen, len(mat)) if dtype is np.complex128 else np.linalg.qr(mat)[0],
+                  targets) for mat, targets in steps]
+        regs = [gen.normal(size=2**k).astype(dtype) for _ in range(m)]
+        if dtype is np.complex128:
+            regs = [reg + 1j * gen.normal(size=2**k) for reg in regs]
+        regs = [reg / np.linalg.norm(reg) for reg in regs]
+        got = run_passes(np.concatenate(regs), steps, k)
+        want = np.concatenate([run_passes(reg, steps, k) for reg in regs])
+        assert got.dtype == dtype and got.shape == want.shape
+        if m == 1:
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-15
+
     def test_no_steps_return_the_input(self):
         vec = np.ones(8)
         assert run_passes(vec, [], 3) is vec
@@ -794,25 +822,24 @@ class TestApplyMatrix:
             assert run_passes(vec, steps, 12).dtype == dtype
 
     def test_a_doubled_evolution_allocates_no_register_per_pass(self):
-        # A 64-step n=5 Heisenberg evolution on the float64 view of complex
-        # coefficients: 4 passes per step over 2^11 amplitudes (16 KiB), among
-        # them the transposed kernel (B = 8), whose per-step form holds two
-        # more register-sized temporaries (4.1 registers at peak). Beyond the
-        # input, the run holds its two buffers, one folded 32 x 32 matrix
-        # (8 KiB) and its plans: 2.73 registers.
+        # A 64-step n=5 Heisenberg evolution of complex coefficients: their
+        # real and imaginary parts as two float64 registers of 2^10
+        # amplitudes back to back (16 KiB), 3 passes per step, the last a
+        # fused 64 x 64 block. Beyond the input, the run holds its two
+        # buffers and its plans: 2.37 registers.
         n = 5
-        lowered = _transfer(trotter_circuit(ising_chain(n), 1.0, 64), 2 * n + 1)
-        assert len(lowered) == 64 * (n - 1)
+        lowered = _transfer(trotter_circuit(ising_chain(n), 1.0, 64))
+        assert len(lowered) == 64 * (n - 2)
         vec = np.random.default_rng(5).normal(size=2 * 4**n)
         register = vec.nbytes
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            got = run_passes(vec, lowered, 2 * n + 1)
+            got = run_passes(vec, lowered, 2 * n)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert got.tobytes() == apply_steps(vec, lowered, 2 * n + 1).tobytes()
+        assert _close(got, apply_steps(vec, lowered, 2 * n))
         assert 2 * register <= peak < 3 * register
 
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
@@ -851,7 +878,7 @@ class TestApplyMatrix:
         seen = []
         for steps in (16, 64):
             counts.update(plans=0, binds=0)
-            lowered = _transfer(trotter_circuit(h, 1.0, steps), 14)
+            lowered = _transfer(trotter_circuit(h, 1.0, steps))
             assert len(lowered) == 5 * steps
             got = run_passes(vec, lowered, 14)
             assert got.tobytes() == apply_steps(vec, lowered, 14).tobytes()
@@ -948,37 +975,26 @@ class TestSplitPasses:
     def test_four_of_the_five_ising_n7_passes_split(self):
         # Each bond block whose first site carries no field conserves that
         # site's z-bit; the block on sites (0, 1) holds both of their fields.
-        lowered = _transfer(trotter_circuit(ising_chain(7), 1.0, 1), 14)
+        lowered = _transfer(trotter_circuit(ising_chain(7), 1.0, 1))
         split = [targets for mat, targets in lowered if _planned_split(mat, targets, 14)]
         assert len(lowered) == 5
         assert sorted(split) == [(2, 3, 4, 5), (4, 5, 6, 7), (6, 7, 8, 9), tuple(range(8, 14))]
 
-    # (k, block side, targets) with B = h on the float64 register: split
-    # from _NN_ROWS rows of the transposed GEMM (A * B) up.
+    # (k, block side, targets) with B = h, which no doubled register has:
+    # its blocks are 4^w wide on whole sites, so B is a power of 4. On
+    # complex128 the split ran 1.1-1.8x slower than the transposed kernel.
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     @pytest.mark.parametrize("k, size, targets", [
-        *((k, 16, tuple(range(k - 7, k - 3))) for k in range(7, 18)),  # B = 8
-        (10, 32, (1, 2, 3, 4, 5)),  # B = 16 with 32 rows, where the split would move bits
-        (11, 32, (2, 3, 4, 5, 6)),  # B = 16 with 64 rows
+        *((k, 16, tuple(range(k - 7, k - 3))) for k in (7, 10, 14, 17)),  # B = 8
+        (10, 32, (1, 2, 3, 4, 5)),  # B = 16 with 32 rows
         (13, 64, tuple(range(2, 8))),  # B = 32 with 128 rows
     ])
-    def test_a_half_trailing_block_splits_on_float64(self, monkeypatch, k, size, targets):
+    def test_a_half_trailing_block_stays_transposed(self, k, size, targets, dtype):
         gen = np.random.default_rng(k + size)
-        mat = _block_diagonal(gen, size, np.float64)
-        rows = 2 ** (k - len(targets))
-        assert _planned_split(mat, targets, k) == (rows >= _linalg._NN_ROWS)
-        vec = gen.normal(size=2**k)
-        steps = [(mat, targets)] * 2
-        got = run_passes(vec, steps, k)
-        assert got.tobytes() == apply_steps(vec, steps, k).tobytes()
-        monkeypatch.setattr(_linalg, "_halves", lambda mat: None)
-        assert _linalg._plan(mat, targets, k)(vec, vec, vec).func is _linalg._transposed
-        assert got.tobytes() == run_passes(vec, steps, k).tobytes()
-
-    def test_a_half_trailing_block_stays_transposed_on_complex128(self):
-        # The split ran 1.1-1.8x slower than the transposed kernel there.
-        gen = np.random.default_rng(1)
-        mat, targets, k = _block_diagonal(gen, 16, np.complex128), (7, 8, 9, 10), 14
-        vec = gen.normal(size=2**k) + 1j * gen.normal(size=2**k)
+        mat = _block_diagonal(gen, size, dtype)
+        vec = gen.normal(size=2**k).astype(dtype)
+        if dtype is np.complex128:
+            vec += 1j * gen.normal(size=2**k)
         assert _linalg._plan(mat, targets, k)(vec, vec.copy(), vec.copy()).func is _linalg._transposed
         steps = [(mat, targets)] * 2
         assert run_passes(vec, steps, k).tobytes() == apply_steps(vec, steps, k).tobytes()
@@ -1108,29 +1124,31 @@ def _every_gate_kind(gen) -> list[Gate]:
 class TestTransferPath:
     def test_doubled_trotter_pairs_fuse(self):
         # In the Heisenberg order of trotter_circuit, each step's field on a
-        # site joins the coupling block just before it on that site: n-1 real
-        # blocks per step, shared by all 64 steps.
+        # site joins the coupling block just before it on that site, and the
+        # two blocks on the last three sites fuse: n-2 real blocks per step,
+        # shared by all 64 steps.
         n = 7
-        lowered = _transfer(trotter_circuit(ising_chain(n), 1.0, 64), 2 * n + 1)
-        assert len(lowered) == 64 * (n - 1)
-        assert len({id(mat) for mat, _ in lowered}) == 2  # XX with one field, XX with two
+        lowered = _transfer(trotter_circuit(ising_chain(n), 1.0, 64))
+        assert len(lowered) == 64 * (n - 2)
+        # XX with one field, XX with two, and the fused tail.
+        assert len({id(mat) for mat, _ in lowered}) == 3
         for mat, targets in lowered:
-            assert mat.shape == (16, 16) and mat.dtype == np.float64
+            assert mat.shape == (2 ** len(targets),) * 2 and mat.dtype == np.float64
             assert not mat.flags.writeable
             assert targets == tuple(range(targets[0], targets[0] + len(targets)))
 
     def test_super_propagator_pairs_fuse(self):
         # Terms in the order listed: each step's fields join the block after
         # them in that step.
-        lowered = _transfer(super_propagator_circuit(ising_chain(7), 1.0, 64), 15)
-        assert len(lowered) == 64 * 6
-        assert all(mat.shape == (16, 16) and mat.dtype == np.float64 for mat, _ in lowered)
+        lowered = _transfer(super_propagator_circuit(ising_chain(7), 1.0, 64))
+        assert len(lowered) == 64 * 5
+        assert all(mat.shape == (2 ** len(t),) * 2 and mat.dtype == np.float64 for mat, t in lowered)
 
     def test_every_gate_kind_has_a_real_orthogonal_transfer_matrix(self, gen):
         op = random_hermitian_sum(gen, 3, 8)
         for g in _every_gate_kind(gen):
             circ = Circuit(3, [g])
-            [(mat, targets)] = _transfer(circ, 7)
+            [(mat, targets)] = _transfer(circ)
             assert mat.dtype == np.float64, g
             assert np.max(np.abs(mat @ mat.T - np.eye(len(mat)))) < 1e-12, g
             assert targets == tuple(q for s in sorted(g.targets) for q in (2 * s, 2 * s + 1))
@@ -1163,11 +1181,29 @@ class TestTransferPath:
                 assert got.basis == basis
                 assert _close(got.amplitudes, want.amplitudes)
 
+    @settings(deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), count=st.integers(1, 30),
+           basis=st.sampled_from([PAULI, COMPUTATIONAL]))
+    def test_complex_coefficients_evolve_as_their_real_and_imaginary_parts(self, seed, n, count, basis):
+        # O = A + iB with A and B Hermitian: U^dag O U is U^dag A U + i U^dag B U,
+        # each evolved on its own, and agrees with the dense U^dag O U.
+        gen = np.random.default_rng(seed)
+        circ = _mixed_circuit(gen, n, count)
+        o = ginibre(gen, 2**n)
+        parts = [(o + o.conj().T) / 2, (o - o.conj().T) / 2j]
+        got = heisenberg_doubled(vectorize(o, basis), circ).amplitudes
+        a, b = (np.linalg.norm(p) * heisenberg_doubled(vectorize(p, basis), circ).amplitudes
+                for p in parts)
+        assert np.max(np.abs(got - (a + 1j * b) / np.linalg.norm(o))) <= 1e-13
+        u = dense_unitary(circ)
+        assert np.max(np.abs(got - vectorize(u.conj().T @ o @ u, basis).amplitudes)) <= 1e-12
+
     @pytest.mark.parametrize("text, size, per_step", [
         # Hermitian: one float64 vector, whose two blocks per step end the
-        # register and fuse into one.
+        # register and fuse into one. Complex: the real then the imaginary
+        # parts, back to back through the same fused steps.
         ("0.6 0 XZI\n-0.8 0 IYY", 4**3, 1),
-        ("0.5 0.5 XZI", 2 * 4**3, 2),  # complex: the float64 view, re/im trailing
+        ("0.5 0.5 XZI", 2 * 4**3, 1),
     ])
     def test_coefficients_run_as_float64(self, monkeypatch, text, size, per_step):
         state = vectorize(PauliSum.from_text(text), PAULI)
@@ -1177,9 +1213,10 @@ class TestTransferPath:
         assert all(length == size for _, _, length in calls)
 
     @pytest.mark.parametrize("build", [trotter_circuit, super_propagator_circuit])
-    def test_ising_step_is_n_minus_1_passes(self, build):
-        lowered = _transfer(build(ising_chain(7), 1 / 64, 1), 15)
-        assert sorted(t for _, t in lowered) == [tuple(range(2 * i, 2 * i + 4)) for i in range(6)]
+    def test_an_ising_step_is_n_minus_2_passes(self, build):
+        lowered = _transfer(build(ising_chain(7), 1 / 64, 1))
+        want = [tuple(range(2 * i, 2 * i + 4)) for i in range(4)] + [tuple(range(8, 14))]
+        assert sorted(t for _, t in lowered) == want
 
     def test_single_site_steps_join_the_nearest_block_on_their_site(self, gen):
         def orthogonal(sites):
@@ -1196,12 +1233,13 @@ class TestTransferPath:
         assert _close(apply_steps(vec, out, 8), apply_steps(vec, steps, 8))
 
     @pytest.mark.parametrize("text, itemsize, per_step", [
-        ("1 0 ZXIII", 8, 3), ("0.6 0.8 ZXIII", 16, 4),
+        ("1 0 ZXIII", 8, 3), ("0.6 0.8 ZXIII", 16, 3),
     ])
     def test_register_is_stated_before_the_first_pass(self, monkeypatch, text, itemsize, per_step):
-        # The running register and one pass output: 8 bytes per coefficient
-        # on the real path, 16 on the float64 view. The real path fuses the
-        # blocks on the last three sites.
+        # The running registers and one pass output: 8 bytes per coefficient
+        # for real coefficients, 16 for complex ones, whose real and
+        # imaginary parts run as two registers. Both fuse the blocks on the
+        # last three sites.
         n = 5
         state = vectorize(PauliSum.from_text(text), PAULI)
         circ = trotter_circuit(ising_chain(n), 1.0, 2)
@@ -1214,8 +1252,8 @@ class TestTransferPath:
 
 
 class TestTailFusion:
-    """On the float64 register, adjacent blocks on the last three sites run
-    as one 64x64 block."""
+    """On the doubled register, of real or complex coefficients alike,
+    adjacent blocks on the last three sites run as one 64x64 block."""
 
     @pytest.mark.parametrize("build", [trotter_circuit, super_propagator_circuit])
     @pytest.mark.parametrize("n", range(3, 9))
@@ -1230,14 +1268,15 @@ class TestTailFusion:
         monkeypatch.setattr(simulator, "_KEPT", None)  # else the fused lowering is reused
         assert _close(fused, heisenberg_doubled(state, circ).amplitudes)
 
-    def test_complex_register_and_separated_tail_blocks_stay_unfused(self, monkeypatch):
+    def test_complex_coefficients_fuse_and_separated_tail_blocks_stay_unfused(self, monkeypatch):
         n = 4
-        # On the float64 view of complex coefficients the tail blocks end one
-        # qubit, the trailing re/im one, short of the register.
+        # Complex coefficients run the Hermitian path's fused steps.
         state = vectorize(PauliSum.from_text("0.6 0.8 ZXII"), PAULI)
         circ = trotter_circuit(ising_chain(n), 1.0, 4)
         calls = _count_passes(monkeypatch, lambda: heisenberg_doubled(state, circ))
-        assert len(calls) == 4 * (n - 1) and all(shape == (16, 16) for shape, _, _ in calls)
+        assert len(calls) == 4 * (n - 2)
+        assert [shape for shape, _, _ in calls] == [(64, 64), (16, 16)] * 4
+        assert all(size == 2 * 4**n for _, _, size in calls)
         # A block on sites (0, 1) between the blocks on (1, 2) and (2, 3).
         state = vectorize(PauliSum.from_text("1 0 ZXII"), PAULI)
         circ = Circuit(n, [Gate("rzz", (2, 3), 0.3), Gate("rzz", (0, 1), 0.5), Gate("rxx", (1, 2), 0.7)])
@@ -1245,14 +1284,16 @@ class TestTailFusion:
         assert [targets for _, targets, _ in calls] == [(2, 3, 4, 5), (0, 1, 2, 3), (4, 5, 6, 7)]
 
     @pytest.mark.parametrize("build, distinct", [(trotter_circuit, 1), (super_propagator_circuit, 1)])
-    def test_one_read_only_block_per_distinct_pair(self, build, distinct):
+    def test_one_read_only_block_per_distinct_pair(self, monkeypatch, build, distinct):
         # Both circuits repeat one step's blocks: each step's fields are
         # absorbed inside that step.
         circ = build(ising_chain(7), 1.0, 64)
-        lowered = _transfer(circ, 15)
+        with monkeypatch.context() as m:
+            m.setattr(simulator, "_fuse_tail", lambda steps, k: steps)
+            lowered = _transfer(circ)
         ends = {tuple(range(8, 12)), tuple(range(10, 14))}
         pairs = {(id(a), id(b)) for (a, ta), (b, tb) in zip(lowered, lowered[1:]) if {ta, tb} == ends}
-        blocks = [mat for mat, targets in _transfer(circ, 14) if len(targets) == 6]
+        blocks = [mat for mat, targets in _transfer(circ) if len(targets) == 6]
         assert len(blocks) == 64 and len(pairs) == distinct
         assert len({id(m) for m in blocks}) == distinct
         assert not any(m.flags.writeable for m in blocks)
@@ -1290,9 +1331,8 @@ class TestLoweringPerDistinctGate:
         # apply_circuit lowers trotter_circuit onto its own register.
         h, t = ising_chain(self.N), steps / 64
         return {
-            "heisenberg_doubled": lambda: _transfer(trotter_circuit(h, t, steps), 2 * self.N + 1),
-            "super_propagator_circuit": lambda: _transfer(super_propagator_circuit(h, t, steps),
-                                                          2 * self.N + 1),
+            "heisenberg_doubled": lambda: _transfer(trotter_circuit(h, t, steps)),
+            "super_propagator_circuit": lambda: _transfer(super_propagator_circuit(h, t, steps)),
             "apply_circuit": lambda: _lower(trotter_circuit(h, t, steps)),
         }
 
@@ -1474,11 +1514,11 @@ class TestPeriodicLowering:
         # Site 2 has only its field: over the whole circuit its 8 steps are
         # one single-site step, which one step's lowering would leave 8 times.
         circ = trotter_circuit(PauliSum.from_text("1 0 ZZI\n0.5 0 IIZ"), 0.8, 8)
-        lowered = _transfer(circ, 7)
+        lowered = _transfer(circ)
         assert [t for _, t in lowered] == [(4, 5)] + [(0, 1, 2, 3)] * 8
         with monkeypatch.context() as m:
             _untiled(m)
-            whole = _transfer(circ, 7)
+            whole = _transfer(circ)
         assert [(mat.tobytes(), t) for mat, t in whole] == [(mat.tobytes(), t) for mat, t in lowered]
 
 
@@ -1601,7 +1641,8 @@ class TestPasses:
         assert _close(got[0].amplitudes, plain[0].amplitudes)
         assert got[1] == pytest.approx(plain[1], abs=1e-12)
         # Each single-site gate joins a two-site block: one pass per rzz,
-        # cz and cx, on the float64 view of the 4 sites' complex coefficients.
+        # cz and cx, on the real then the imaginary parts of the 4 sites'
+        # complex coefficients, as two stacked float64 registers.
         calls = _count_passes(monkeypatch, call)
         assert len(calls) == 6
         assert all(shape == (16, 16) and size == 2 * 4**4 for shape, _, size in calls)
@@ -1642,8 +1683,8 @@ def _kept_circuit(angle=0.0, u=None, steps=4):
     return Circuit(3, step * steps)
 
 
-_REAL3 = "0.6 0 ZXI\n0.8 0 YIZ"  # real Pauli coefficients: k = 2n
-_COMPLEX3 = "0.6 0.8 ZXI"  # the float64 view: k = 2n + 1
+_REAL3 = "0.6 0 ZXI\n0.8 0 YIZ"  # real Pauli coefficients: one float64 register
+_COMPLEX3 = "0.6 0.8 ZXI"  # complex: two stacked float64 registers
 
 
 class TestKeptPreparation:
@@ -1661,18 +1702,15 @@ class TestKeptPreparation:
         assert heisenberg_doubled(state, _kept_circuit()).amplitudes.tobytes() == first.tobytes()
         assert set(calls) == {"_place", "_absorb", "_fuse_tail", "_plan"}
 
-    @pytest.mark.parametrize("change", ["-0.0 angle", "u matrix", "gate count", "k = 2n + 1"])
+    @pytest.mark.parametrize("change", ["-0.0 angle", "u matrix", "gate count"])
     def test_the_key_misses_on_any_change_of_content(self, change):
-        real = vectorize(PauliSum.from_text(_REAL3), PAULI)
-        state, other = real, {
+        state = vectorize(PauliSum.from_text(_REAL3), PAULI)
+        other = {
             "-0.0 angle": lambda: _kept_circuit(angle=-0.0),
             "u matrix": lambda: _kept_circuit(u=np.diag([1, np.exp(0.5j)])),
             "gate count": lambda: _kept_circuit(steps=5),
-            "k = 2n + 1": _kept_circuit,
         }[change]()
-        if change.startswith("k"):
-            state = vectorize(PauliSum.from_text(_COMPLEX3), PAULI)
-        heisenberg_doubled(real, _kept_circuit())
+        heisenberg_doubled(state, _kept_circuit())
         kept = simulator._KEPT
         got = heisenberg_doubled(state, other).amplitudes
         assert simulator._KEPT[0] != kept[0] and simulator._KEPT[1] is not kept[1]
@@ -1691,12 +1729,26 @@ class TestKeptPreparation:
         assert state.amplitudes.tobytes() == before
         assert got.tobytes() == bell_transform(via, "p_to_c").amplitudes.tobytes()
 
+    def test_a_hermitian_and_a_complex_operator_share_one_lowering(self, monkeypatch):
+        # Both run the same 2n-qubit steps: the complex operator finds the
+        # Hermitian one's preparation, and then writes the bytes of an
+        # evolution from an empty slot.
+        lowered, real = [], simulator._transfer
+        monkeypatch.setattr(simulator, "_transfer", lambda c: lowered.append(c) or real(c))
+        heisenberg_doubled(vectorize(PauliSum.from_text(_REAL3), PAULI), _kept_circuit())
+        state = vectorize(PauliSum.from_text(_COMPLEX3), PAULI)
+        got = heisenberg_doubled(state, _kept_circuit()).amplitudes
+        assert len(lowered) == 1
+        simulator._KEPT = None
+        assert heisenberg_doubled(state, _kept_circuit()).amplitudes.tobytes() == got.tobytes()
+        assert len(lowered) == 2
+
     def test_a_miss_empties_the_slot_before_it_lowers(self, monkeypatch):
         state = vectorize(PauliSum.from_text(_REAL3), PAULI)
         heisenberg_doubled(state, _kept_circuit())
         assert simulator._KEPT is not None
         seen, real = [], simulator._transfer
-        monkeypatch.setattr(simulator, "_transfer", lambda c, k: seen.append(simulator._KEPT) or real(c, k))
+        monkeypatch.setattr(simulator, "_transfer", lambda c: seen.append(simulator._KEPT) or real(c))
         heisenberg_doubled(state, _kept_circuit(steps=5))
         assert seen == [None]
 

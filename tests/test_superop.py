@@ -30,7 +30,14 @@ from opvec.superop import (
 )
 from opvec.vectorize import COMPUTATIONAL, PAULI, index_pauli, pauli_index, vectorize
 from helpers import ginibre, random_word, refusal_peak
-from reference import apply_dense, interleaved_kron, transfer_matrix, transform_matrix, walsh_matrix
+from reference import (
+    apply_dense,
+    interleaved_kron,
+    local_images,
+    transfer_matrix,
+    transform_matrix,
+    walsh_matrix,
+)
 
 # Conjugation images of two-qubit Pauli words under the per-site-pair basis
 # change from the computational to the Pauli rep (the CX then H pair layer):
@@ -316,6 +323,26 @@ class TestClassification:
             assert np.allclose(sign * word.to_dense(), want, atol=1e-12)
 
 
+def _gates_of_every_kind() -> list[Gate]:
+    """Every named gate; each rotation and 1-, 2- and 3-site pexp at the
+    Clifford angles 0, +-pi/2 and pi and at 0.3; and three u gates, two of
+    them random and one a Hadamard."""
+    gates = [Gate(name, (0, 1)[: 2 if name in ("cx", "cz", "swap") else 1])
+             for name in ("id", "x", "y", "z", "h", "s", "sdg", "t", "tdg", "cx", "cz", "swap")]
+    angles = (0.0, np.pi / 2, -np.pi / 2, np.pi, 0.3)
+    for axes, name in (("X", "rx"), ("Y", "ry"), ("Z", "rz"), ("XX", "rxx"), ("YY", "ryy"), ("ZZ", "rzz")):
+        targets = tuple(range(len(axes)))
+        gates += [Gate(name, targets, a) for a in angles]
+    for axes in ("X", "Y", "Z", "XZ", "YX", "ZZ", "XYZ"):
+        gates += [Gate("pexp", tuple(range(len(axes))), a, axes) for a in angles]
+    gen = np.random.default_rng(28)
+    for width in (1, 2):
+        q, r = np.linalg.qr(gen.normal(size=(2**width,) * 2) + 1j * gen.normal(size=(2**width,) * 2))
+        gates.append(Gate("u", tuple(range(width)), matrix=q * (np.diag(r) / np.abs(np.diag(r)))))
+    gates.append(Gate("u", (0,), matrix=gate_matrix(Gate("h", (0,)))))
+    return gates
+
+
 class TestCliffordConjugation:
     @pytest.mark.parametrize("name", ["h", "s", "sdg", "x", "y", "z"])
     def test_single_qubit_gates_match_dense(self, name, gen):
@@ -334,6 +361,14 @@ class TestCliffordConjugation:
             phase, q = conjugate_pauli(g, 1.0, p)
             u = _gate_dense(name)
             assert np.allclose(u @ p.to_dense() @ u.conj().T, phase * q.to_dense(), atol=1e-12)
+
+    @pytest.mark.parametrize("gate", _gates_of_every_kind(), ids=lambda g: f"{g.name}-{g.axes}-{g.angle}")
+    def test_images_are_the_dense_conjugation_images(self, gate):
+        # Read from the transfer matrix of C^dag, as the dense search found
+        # them: signs of +-1, and None wherever the image is not one word.
+        got = superop._local_images(gate)
+        assert got == local_images(gate)
+        assert all(image is None or image[0] in (1, -1) for image in got)
 
     def test_non_clifford_rejected(self):
         with pytest.raises(ValueError):
