@@ -520,7 +520,7 @@ def _task_sample(cfg: dict, rng: RngStream):
 
 
 def _task_otoc(cfg: dict, rng: RngStream):
-    state = _evolved(cfg, cfg["_operator"], COMPUTATIONAL)
+    state = _evolved(cfg, cfg["_operator"], PAULI)
     reports = est.estimate_otoc_group(state, cfg["_pairs"], cfg["shots"], rng.fork("otoc"))
     return reports, {}, lambda: _exact_otocs(cfg), {}
 

@@ -36,6 +36,7 @@ from .superop import (
     NOT_COMMUTING,
     DiagonalSuperop,
     OperatorSumSuperop,
+    _is_mirrored,
     classify_commuting_set,
     common_eigenbasis_circuit,
     conjugate_through,
@@ -259,12 +260,20 @@ def _measure_family(
     """Born-sample the doubled register in the common eigenbasis of the
     lifted family {L_i (x) R_i^*}: each pair's eigenvalue at every distinct
     outcome, and the outcome counts. ``message`` heads the
-    NonCommutingSetError raised when the family does not commute."""
+    NonCommutingSetError raised when the family does not commute.
+
+    A mirrored family's eigenbasis circuit, CX then H on each site pair,
+    undoes the p_to_c basis change, so a Pauli-rep state is sampled as it
+    is; any other state or family is moved to the computational rep and
+    through the circuit."""
     _require_commuting(pairs, message)
-    s = state if state.basis == COMPUTATIONAL else bell_transform(state, "p_to_c")
     lifted = [lifted_pauli(l, r) for l, r in pairs]
     circ = common_eigenbasis_circuit([w for _, w in lifted])
-    reg = apply_circuit(QState(2 * s.n, s.amplitudes), circ)
+    if state.basis == PAULI and all(_is_mirrored(w) for _, w in lifted):
+        reg = QState(2 * state.n, state.amplitudes)
+    else:
+        s = state if state.basis == COMPUTATIONAL else bell_transform(state, "p_to_c")
+        reg = apply_circuit(QState(2 * s.n, s.amplitudes), circ)
     outcomes, weights = _outcome_weights(born_sample(reg, shots, rng))
     eigs = [
         _eigen_signs(outcomes, *conjugate_through(circ, sign, word)) for sign, word in lifted

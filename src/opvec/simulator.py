@@ -32,7 +32,7 @@ import numpy as np
 from ._linalg import _period, apply_block, reserve, run_passes
 from .errors import ProjectionFailedError
 from .pauli import PAULI_CHARS, SIGMA, PauliString, PauliSum
-from .vectorize import _P_TO_C, COMPUTATIONAL, PAULI, VectorizedState, bell_transform, vectorize
+from .vectorize import _BELL, COMPUTATIONAL, PAULI, VectorizedState, bell_transform, vectorize
 
 _SQ = 1 / np.sqrt(2)
 
@@ -730,7 +730,7 @@ def channel_dual_postselect(
              for g in dilation.gates}
     dilated = Circuit(total, [moved[id(g)] for g in dilation.gates])
     amps = heisenberg_doubled(VectorizedState(total, PAULI, amps), dilated).amplitudes
-    zero = functools.reduce(np.kron, [_P_TO_C[0]] * n_env)
+    zero = functools.reduce(np.kron, [_BELL[0]] * n_env)
     block = amps.reshape(4**n, 4**n_env) @ zero
     prob = float(np.linalg.norm(block) ** 2)
     if prob < 1e-12:

@@ -149,25 +149,6 @@ class DiagonalSuperop:
             out[lo : lo + _LAM_CHUNK] = self.lam(np.arange(lo, min(size, lo + _LAM_CHUNK)))
         return out
 
-    def to_operator_sum(self) -> OperatorSumSuperop:
-        """Diagonal operator-sum form sum_k f_k P_k (.) P_k from the sparse
-        coefficients, or from a dense transform when none are stored."""
-        if self.f_sparse is not None:
-            items = sorted(self.f_sparse.items())
-            terms = tuple(
-                (f, PauliString(self.n, z, x), PauliString(self.n, z, x))
-                for (z, x), f in items
-                if f != 0
-            )
-            return OperatorSumSuperop(self.n, terms)
-        f = walsh_hadamard(self.lam_vector(), self.n, "lambda_to_f")
-        terms = []
-        for i, fv in enumerate(f):
-            if abs(fv) > 1e-14:
-                p = index_pauli(i, self.n)
-                terms.append((fv, p, p))
-        return OperatorSumSuperop(self.n, tuple(terms))
-
 
 def walsh_hadamard(values: np.ndarray, n: int, direction: str) -> np.ndarray:
     """Commutation-sign transform between operator-sum coefficients f and

@@ -16,8 +16,8 @@ qubits. Two bases are supported:
   Y = -i Z X.
 
 The two representations are related by a local basis change acting on each
-(L, R) qubit pair; composing/inverting those transforms is exact, so states
-can be moved freely between representations.
+(L, R) qubit pair, one real orthogonal 4x4 matrix, so states can be moved
+freely between representations.
 
 Vectors are serialized to a small binary format: a 13-byte header
 (magic "OPV1", basis tag byte, uint32 n, uint32 local dimension, which is
@@ -102,44 +102,39 @@ def index_pauli(idx: int, n: int) -> PauliString:
 # ---------------------------------------------------------------------------
 # Local basis-change transforms.
 
-# The unitary taking a Pauli-rep (L, R) pair to the computational rep,
-# CNOT (H x I). H's -1 entry is exp(i pi), so the two -1/sqrt(2) entries keep
-# an imaginary part of 8.66e-17: the last bits of every computational-rep
-# state depend on it, and Born sampling redraws a whole sample when they move.
-_P_TO_C = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]) @ np.kron(
-    np.array([[1, 1], [1, np.exp(1j * np.pi)]]) / np.sqrt(2), np.eye(2)
-)
-_C_TO_P = _P_TO_C.conj().T
-_P_TO_C.setflags(write=False)
-_C_TO_P.setflags(write=False)
+# The real orthogonal matrix taking a Pauli-rep (L, R) pair to the
+# computational rep, CNOT (H x I); its transpose takes it back. Both act on
+# the float64 view of a complex register, whose last qubit is re/im, so the
+# basis change makes no complex product.
+_BELL = np.array([[1, 0, 1, 0], [0, 1, 0, 1], [0, 1, 0, -1], [1, 0, -1, 0]]) / np.sqrt(2)
+_BELL.setflags(write=False)
+_BELL_TO = {"p_to_c": (_BELL, COMPUTATIONAL), "c_to_p": (_BELL.T, PAULI)}
 
 # The plans of each direction's n pair passes, by (direction, n), made on
-# first use and kept, as the matrices are these constants: one 16x16 fold of
-# a 4x4 matrix (4 KiB) and n bound kernels each.
+# first use and kept, as the matrices are these constants: at most two folds
+# of the 4x4 matrix with the identity on the trailing qubits (8x8 and 32x32,
+# 8.6 KiB) and n bound kernels each.
 _BELL_PLANS: dict[tuple[str, int], dict] = {}
 
 
 def bell_transform(state: VectorizedState, direction: str) -> VectorizedState:
     """Change a state between the computational and Pauli reps.
 
-    direction: "c_to_p" or "p_to_c". Acts as one fixed two-qubit unitary per
-    (L, R) site pair, so the composition of the two directions is exactly the
-    identity.
+    direction: "c_to_p" or "p_to_c". Acts as one fixed real two-qubit
+    orthogonal matrix per (L, R) site pair, on the register's real and
+    imaginary parts alike; the two directions are each other's transpose,
+    so they compose to the identity up to rounding.
     """
-    if direction == "p_to_c":
-        if state.basis.kind == "computational":
-            raise ValueError("state is already in 'computational'")
-        mat, out_basis = _P_TO_C, COMPUTATIONAL
-    elif direction == "c_to_p":
-        if state.basis.kind != "computational":
-            raise ValueError(f"state is in {state.basis.kind!r}, not computational")
-        mat, out_basis = _C_TO_P, PAULI
-    else:
+    if direction not in _BELL_TO:
         raise ValueError(f"unknown direction {direction!r}")
+    mat, out_basis = _BELL_TO[direction]
+    if state.basis == out_basis:
+        raise ValueError(f"state is already in {out_basis.kind!r}")
     n = state.n
     steps = [(mat, (2 * site, 2 * site + 1)) for site in range(n)]
     plans = _BELL_PLANS.setdefault((direction, n), {})
-    return VectorizedState(n, out_basis, run_passes(state.amplitudes, steps, 2 * n, plans))
+    floats = np.ascontiguousarray(state.amplitudes).view(np.float64)
+    return VectorizedState(n, out_basis, run_passes(floats, steps, 2 * n + 1, plans).view(complex))
 
 
 # ---------------------------------------------------------------------------

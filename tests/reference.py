@@ -1,10 +1,13 @@
-"""Dense references that the tests compare production code against.
+"""Dense references that the tests compare production code against, and
+the test-only builders they share.
 
-Each builds an explicit dense matrix, so each suits small n only:
+Each reference builds an explicit dense matrix, so each suits small n only:
 ``transform_matrix`` checks ``bell_transform``, ``walsh_matrix`` checks
-``walsh_hadamard``, ``interleaved_kron`` checks ``lifted_pauli``, and
-``transfer_matrix`` checks ``to_operator_sum``, ``apply_vectorized`` and
-``expectation``, and ``apply_dense`` checks ``apply_vectorized``.
+``walsh_hadamard``, ``interleaved_kron`` checks ``lifted_pauli``,
+``transfer_matrix`` checks ``apply_vectorized``, ``expectation`` and
+``to_operator_sum`` below, and ``apply_dense`` checks ``apply_vectorized``.
+``to_operator_sum`` writes a diagonal superoperator as the operator-sum
+superoperator that the grouped estimators and dense transfer matrices take.
 ``kron_dense`` checks the Pauli-matrix builders, ``apply_matrix``, the
 per-step kernel that ``run_passes`` replaced, checks the pass executor bit
 for bit, and ``local_images`` checks the Clifford images that
@@ -22,7 +25,7 @@ from opvec._linalg import reserve
 from opvec.errors import CapExceededError
 from opvec.pauli import SIGMA, PauliString, PauliSum
 from opvec.simulator import Gate, gate_matrix
-from opvec.superop import DiagonalSuperop, OperatorSumSuperop
+from opvec.superop import DiagonalSuperop, OperatorSumSuperop, walsh_hadamard
 from opvec.vectorize import BasisTag, index_pauli
 
 CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
@@ -108,6 +111,25 @@ def transfer_matrix(
         return TransferMatrix(basis, n, m_c)
     r = transform_matrix(n, "c_to_p")
     return TransferMatrix(basis, n, r @ m_c @ r.conj().T)
+
+
+def to_operator_sum(d: DiagonalSuperop) -> OperatorSumSuperop:
+    """Diagonal operator-sum form sum_k f_k P_k (.) P_k of ``d``, from its
+    sparse coefficients, or from a dense transform when none are stored."""
+    if d.f_sparse is not None:
+        terms = tuple(
+            (f, PauliString(d.n, z, x), PauliString(d.n, z, x))
+            for (z, x), f in sorted(d.f_sparse.items())
+            if f != 0
+        )
+        return OperatorSumSuperop(d.n, terms)
+    f = walsh_hadamard(d.lam_vector(), d.n, "lambda_to_f")
+    terms = []
+    for i, fv in enumerate(f):
+        if abs(fv) > 1e-14:
+            p = index_pauli(i, d.n)
+            terms.append((fv, p, p))
+    return OperatorSumSuperop(d.n, tuple(terms))
 
 
 def apply_dense(a: OperatorSumSuperop, op: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import ginibre, ising_chain, pauli_normalized, random_hermitian_sum, refusal_peak
 
@@ -35,7 +36,13 @@ from opvec.estimators import (
     sample_pauli_dist,
 )
 from opvec import estimators, simulator
-from opvec.estimators import _NQUBIT_SHOT_BYTES, _OSE_SAMPLE_BYTES, _count_pairs, _swap_test_distribution
+from opvec.estimators import (
+    _NQUBIT_SHOT_BYTES,
+    _OSE_SAMPLE_BYTES,
+    _count_pairs,
+    _measure_family,
+    _swap_test_distribution,
+)
 from opvec.oracle import (
     exact_heisenberg,
     exact_loe,
@@ -59,9 +66,11 @@ from opvec.superop import (
     OperatorSumSuperop,
     common_eigenbasis_circuit,
     expectation,
+    lifted_pauli,
     size_superop,
 )
 from opvec.vectorize import COMPUTATIONAL, PAULI, VectorizedState, bell_transform, pauli_index, vectorize
+from reference import to_operator_sum
 
 
 def word(label: str) -> PauliString:
@@ -269,6 +278,59 @@ class TestGroupedOtoc:
         assert err.value.witness == (0, 1)
 
 
+class TestMirroredShortcut:
+    """A mirrored family {W_i (x) W_i^*} on a Pauli-rep state is sampled in
+    place: its eigenbasis circuit, CX then H per site pair, undoes the p_to_c
+    basis change. Today's route, that basis change and then the circuit, is
+    what a computational-rep state still takes."""
+
+    @staticmethod
+    def _spied(monkeypatch) -> list[str]:
+        calls: list[str] = []
+
+        def spy(state, direction):
+            calls.append(direction)
+            return bell_transform(state, direction)
+
+        monkeypatch.setattr(estimators, "bell_transform", spy)
+        return calls
+
+    @settings(deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_in_place_route_matches_the_basis_change_route(self, n, count, seed):
+        gen = np.random.default_rng(seed)
+        amps = gen.standard_normal(4**n) + 1j * gen.standard_normal(4**n)
+        state = VectorizedState(n, PAULI, amps / np.linalg.norm(amps))
+        words = [PauliString(n, int(gen.integers(2**n)), int(gen.integers(2**n))) for _ in range(count)]
+        pairs = [(w, w) for w in words]
+        moved = bell_transform(state, "p_to_c")
+        circ = common_eigenbasis_circuit([lifted_pauli(w, w)[1] for w in words])
+        today = apply_circuit(QState(2 * n, moved.amplitudes), circ).probabilities()
+        in_place = QState(2 * n, state.amplitudes).probabilities()
+        assert np.max(np.abs(in_place - today)) <= 1e-15
+        eigs, weights = _measure_family(state, pairs, 500, RngStream(seed % 1000), "")
+        want_eigs, want_weights = _measure_family(moved, pairs, 500, RngStream(seed % 1000), "")
+        assert np.array_equal(weights, want_weights)
+        assert all(np.array_equal(a, b) for a, b in zip(eigs, want_eigs))
+
+    def test_mirrored_family_skips_the_basis_change(self, monkeypatch):
+        calls = self._spied(monkeypatch)
+        state = vectorize(evolved_chain_op("ZI", 1.3, 24), PAULI)
+        estimate_otoc_group(state, DIAG_PAIRS, 200, RngStream(3))
+        assert calls == []
+
+    def test_other_family_goes_through_the_computational_rep(self, monkeypatch):
+        # The second pair differs on its two copies, so the family is not
+        # mirrored; its lifted words still commute.
+        pairs = [(word("ZI"), word("ZI")), (word("IZ"), word("IX"))]
+        state = vectorize(evolved_chain_op("ZI", 1.3, 24), PAULI)
+        want = estimate_otoc_group(bell_transform(state, "p_to_c"), pairs, 200, RngStream(5))
+        calls = self._spied(monkeypatch)
+        got = estimate_otoc_group(state, pairs, 200, RngStream(5))
+        assert calls == ["p_to_c"]
+        assert [(r.value, r.stderr) for r in got] == [(r.value, r.stderr) for r in want]
+
+
 def axis_groups(a: OperatorSumSuperop) -> list[list[int]]:
     """Group the non-identity terms of a diagonal operator sum by letter."""
     groups: dict[str, list[int]] = {"X": [], "Y": [], "Z": []}
@@ -282,7 +344,7 @@ def axis_groups(a: OperatorSumSuperop) -> list[list[int]]:
 
 class TestGroupedSuperop:
     def test_word_state_exact(self):
-        a = size_superop(3).to_operator_sum()
+        a = to_operator_sum(size_superop(3))
         plan = allocate_shots([1.0, 1.0, 1.0], 300)
         st = word_state("XIY", COMPUTATIONAL)
         rep = estimate_superop_grouped(st, a, axis_groups(a), plan, RngStream(23))
@@ -294,7 +356,7 @@ class TestGroupedSuperop:
     def test_matches_expectation_generic(self, gen):
         op = pauli_normalized(ginibre(gen, 8))
         st = vectorize(op, COMPUTATIONAL)
-        a = size_superop(3).to_operator_sum()
+        a = to_operator_sum(size_superop(3))
         plan = allocate_shots([1.0, 1.0, 1.0], 60_000)
         rep = estimate_superop_grouped(st, a, axis_groups(a), plan, RngStream(29))
         want = expectation(size_superop(3), st)
@@ -308,7 +370,7 @@ class TestGroupedSuperop:
             )
 
     def test_rejects_plan_grouping_mismatch(self):
-        a = size_superop(2).to_operator_sum()
+        a = to_operator_sum(size_superop(2))
         with pytest.raises(ValueError, match="does not match"):
             estimate_superop_grouped(
                 word_state("XY", COMPUTATIONAL),
@@ -319,7 +381,7 @@ class TestGroupedSuperop:
             )
 
     def test_rejects_double_grouping(self):
-        a = size_superop(2).to_operator_sum()
+        a = to_operator_sum(size_superop(2))
         groups = axis_groups(a)
         groups[1] = groups[0]
         with pytest.raises(ValueError, match="twice"):
@@ -332,7 +394,7 @@ class TestGroupedSuperop:
             )
 
     def test_rejects_ungrouped_non_identity(self):
-        a = size_superop(2).to_operator_sum()
+        a = to_operator_sum(size_superop(2))
         groups = axis_groups(a)
         groups[2] = groups[2][:-1]
         with pytest.raises(ValueError, match="left out"):
@@ -357,7 +419,7 @@ class TestGroupedSuperop:
             )
 
     def test_rejects_starved_group(self):
-        a = size_superop(2).to_operator_sum()
+        a = to_operator_sum(size_superop(2))
         groups = axis_groups(a)
         with pytest.raises(ValueError, match="no shots"):
             estimate_superop_grouped(

@@ -34,6 +34,7 @@ from reference import (
     apply_dense,
     interleaved_kron,
     local_images,
+    to_operator_sum,
     transfer_matrix,
     transform_matrix,
     walsh_matrix,
@@ -132,13 +133,13 @@ class TestDiagonal:
     def test_operator_sum_form_matches_transfer(self):
         s = size_superop(2)
         direct = transfer_matrix(s, PAULI).matrix
-        from_sum = transfer_matrix(s.to_operator_sum(), PAULI).matrix
+        from_sum = transfer_matrix(to_operator_sum(s), PAULI).matrix
         assert np.allclose(direct, from_sum, atol=1e-12)
 
     def test_lambda_only_diagonal_builds_operator_sum(self):
         d = builtin_diagonal("weight_indicator@1", 2)
         assert d.f_sparse is None
-        got = transfer_matrix(d.to_operator_sum(), PAULI).matrix
+        got = transfer_matrix(to_operator_sum(d), PAULI).matrix
         assert np.allclose(got, np.diag(d.lam_vector()), atol=1e-12)
 
     @pytest.mark.parametrize(
@@ -236,7 +237,7 @@ class TestTransfer:
         assert not transfer_matrix(OperatorSumSuperop(1, ((0.5j, p, q),)), COMPUTATIONAL).is_hermitian
 
     def test_rep_covariance(self):
-        s = size_superop(2).to_operator_sum()
+        s = to_operator_sum(size_superop(2))
         mc = transfer_matrix(s, COMPUTATIONAL).matrix
         mp = transfer_matrix(s, PAULI).matrix
         r = transform_matrix(2, "c_to_p")
@@ -263,7 +264,7 @@ class TestTransfer:
 class TestExpectation:
     def test_moments_match_dense(self, gen):
         s = size_superop(2)
-        a = s.to_operator_sum()
+        a = to_operator_sum(s)
         state = vectorize(ginibre(gen, 4), PAULI)
         tm = transfer_matrix(a, PAULI).matrix
         v = state.amplitudes

@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from opvec.errors import ParseError
 from opvec.pauli import PauliString, PauliSum
@@ -18,7 +18,7 @@ from opvec.vectorize import (
     COMPUTATIONAL,
     PAULI,
     VectorizedState,
-    _P_TO_C,
+    _BELL,
     bell_transform,
     devectorize,
     index_pauli,
@@ -28,9 +28,13 @@ from opvec.vectorize import (
     vectorize,
 )
 from helpers import ginibre
-from reference import kron_sum, transform_matrix
+from reference import apply_steps, kron_sum, transform_matrix
 
 SQ = 1 / np.sqrt(2)
+
+# CNOT (H x I), the Pauli-to-computational matrix of one (L, R) pair, written
+# out: every entry is 0 or +-1/sqrt(2).
+PAIR = np.array([[1, 0, 1, 0], [0, 1, 0, 1], [0, 1, 0, -1], [1, 0, -1, 0]]) / np.sqrt(2)
 
 # Single-site images. Pauli rep: basis index packs (z, x); the Y image
 # carries the -i of Y = -i Z X. Computational rep: row-stacked matrix.
@@ -144,18 +148,31 @@ class TestBasisChange:
         want = transform_matrix(2, "p_to_c") @ state.amplitudes
         assert np.allclose(moved.amplitudes, want, atol=1e-12)
 
-    def test_pair_transform_keeps_its_rounding(self):
-        # SUM (F x I) with F the d = 2 Fourier matrix: F's -1 entry is
-        # exp(2 pi i / 2), whose imaginary part (8.66e-17 after the 1/sqrt(2))
-        # the production matrix keeps.
-        f = np.array([[1, 1], [1, np.exp(2j * np.pi / 2)]], dtype=complex) / np.sqrt(2)
-        sum_perm = np.zeros((4, 4), dtype=complex)
-        for m in range(2):
-            for t in range(2):
-                sum_perm[2 * m + (m + t) % 2, 2 * m + t] = 1.0
-        want = sum_perm @ np.kron(f, np.eye(2))
-        assert _P_TO_C.tobytes() == want.tobytes()
-        assert not _P_TO_C.flags.writeable
+    def test_pair_matrix_is_exact_and_read_only(self):
+        # No imaginary part, and the -1 of H is exactly -1.
+        assert _BELL.dtype == np.float64
+        assert _BELL.tobytes() == PAIR.tobytes()
+        assert not _BELL.flags.writeable
+
+    @settings(deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.sampled_from(["p_to_c", "c_to_p"]))
+    def test_matches_the_dense_transform_and_a_per_site_loop(self, n, seed, direction):
+        # The dense matrix of n sites is the kron of those of h and n - h
+        # sites, so the n = 6 check applies two 64 x 64 matrices, not one
+        # 4096 x 4096. The loop is one real 4x4 product per site on the
+        # float64 view, whose last qubit is re/im.
+        gen = np.random.default_rng(seed)
+        amps = gen.standard_normal(4**n) + 1j * gen.standard_normal(4**n)
+        amps /= np.linalg.norm(amps)
+        start = VectorizedState(n, PAULI if direction == "p_to_c" else COMPUTATIONAL, amps)
+        got = bell_transform(start, direction)
+        assert got.basis == (COMPUTATIONAL if direction == "p_to_c" else PAULI)
+        h = n // 2
+        want = transform_matrix(h, direction) @ amps.reshape(4**h, -1) @ transform_matrix(n - h, direction).T
+        assert np.max(np.abs(got.amplitudes - want.reshape(-1))) <= 1e-15
+        pair = PAIR if direction == "p_to_c" else PAIR.T
+        loop = apply_steps(amps.view(np.float64), [(pair, (2 * s, 2 * s + 1)) for s in range(n)], 2 * n + 1)
+        assert got.amplitudes.view(np.float64).tobytes() == loop.tobytes()
 
     def test_rejects_wrong_rep(self):
         state = vectorize(PauliString.from_label("Z"), PAULI)
