@@ -365,6 +365,8 @@ def validate_config(path) -> tuple[dict | None, list[str]]:
         if cfg["power"] > 1:
             errors.append("power: moments above 1 need a diagonal superoperator")
         _check_groups(cfg["_superop"], cfg.get("grouping"), cfg["shots"], errors)
+    elif "_superop" in cfg and cfg.get("grouping") is not None:
+        errors.append("grouping: only an operator-sum superoperator is measured in groups")
 
     if task == "ose":
         try:
@@ -529,7 +531,7 @@ def _task_superop(cfg: dict, rng: RngStream):
     op = cfg["_operator"]
     a = cfg["_superop"]
     diagonal = isinstance(a, DiagonalSuperop)
-    state = _evolved(cfg, op, PAULI if diagonal else COMPUTATIONAL)
+    state = _evolved(cfg, op, PAULI)
     artifacts = {}
     params = {"power": cfg["power"]}
     if diagonal:
@@ -569,7 +571,7 @@ def _task_ose(cfg: dict, rng: RngStream):
 def _task_loe(cfg: dict, rng: RngStream):
     op = cfg["_operator"]
     partition = sorted(set(cfg["partition"]))
-    state = _evolved(cfg, op, COMPUTATIONAL)
+    state = _evolved(cfg, op, PAULI)
     rep = est.estimate_loe2(state, state, partition, cfg["shots"], rng.fork("loe"))
     return (
         rep,

@@ -14,13 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import amplitude_matrix, reserve, run_passes
+from ._linalg import amplitude_matrix, reserve
 from .errors import (
     EntangledEigenbasisError,
     NonCommutingSetError,
     ParseError,
 )
-from .pauli import SIGMA, PauliString
+from .pauli import PauliString
 from .simulator import (
     Circuit,
     Gate,
@@ -91,6 +91,10 @@ class EmpiricalPauliDist:
                 n = p.n
             elif p.n != n:
                 raise ParseError(f"line {ln}: inconsistent string length")
+            if c <= 0:
+                raise ParseError(f"line {ln}: count must be positive; got {c}")
+            if pauli_index(p) in counts:
+                raise ParseError(f"line {ln}: repeated Pauli string {label}")
             counts[pauli_index(p)] = c
         if n is None:
             raise ParseError("empty distribution")
@@ -307,7 +311,8 @@ def estimate_superop_grouped(
 ) -> EstimatorReport:
     """Weighted sum of per-group eigenbasis estimates of an operator-sum
     superoperator expectation. Ungrouped terms must be identity-on-both-sides
-    and are added exactly; group errors combine in quadrature."""
+    and are added exactly; group errors combine in quadrature. A Pauli-rep
+    state changes basis once, only if some grouped term's lift is not mirrored."""
     if not a.is_self_adjoint:
         raise ValueError("grouped estimation requires a self-adjoint superoperator")
     if len(plan.counts) != len(grouping):
@@ -327,7 +332,9 @@ def estimate_superop_grouped(
         if left.weight or right.weight:
             raise ValueError(f"non-identity term {idx} left out of the grouping")
         exact += f.real
-    s = state if state.basis == COMPUTATIONAL else bell_transform(state, "p_to_c")
+    words = [lifted_pauli(*a.terms[idx][1:])[1] for group in grouping for idx in group]
+    if state.basis == PAULI and not all(map(_is_mirrored, words)):
+        state = bell_transform(state, "p_to_c")
     value = exact
     var = 0.0
     total = 0
@@ -341,7 +348,7 @@ def estimate_superop_grouped(
         if any(abs(f.imag) > 1e-12 for f, _, _ in terms):
             raise ValueError("grouped terms need real coefficients")
         eigs, weights = _measure_family(
-            s, [(l, r) for _, l, r in terms], gshots, rng.fork(f"group{gi}"),
+            state, [(l, r) for _, l, r in terms], gshots, rng.fork(f"group{gi}"),
             f"group {gi} is not a commuting family",
         )
         per_shot = np.zeros(weights.shape, dtype=float)
@@ -438,62 +445,31 @@ def estimate_ose(
 # ---------------------------------------------------------------------------
 # Linearized operator entanglement via the destructive SWAP test.
 
-# Per-qubit 4x4 factors of the swap test's Bell statistics, Paulis ordered
-# I, X, Y, Z. Row P of _PAULI_COEF maps a qubit's (row bit, column bit) pair
-# of a density matrix to its factor of tr(P rho). Row sigma of _BELL_FROM_PAULI
-# holds s(sigma, P) eps(P) / 4, the Pauli expansion of the projector onto the
-# Bell pair (sigma x I)|Phi+>: s is +1 when sigma and P commute, eps is -1 on Y.
-# Outcome Y is the singlet, the one outcome with swap eigenvalue -1.
-_PAULI_COEF = np.array([SIGMA[c].T.reshape(-1) for c in "IXYZ"])
-_BELL_FROM_PAULI = np.array(
-    [[1, 1, -1, 1], [1, 1, 1, -1], [1, -1, -1, -1], [1, -1, 1, 1]], dtype=float
-) / 4
-_SINGLET = 2
-
-
-def _pauli_coefficients(state: VectorizedState, qubits: list[int]) -> np.ndarray:
-    """tr(P rho) for every Pauli word P on ``qubits``, where rho is the
-    reduced state of ``state``, in the computational rep, on those qubits;
-    indexed by one base-4 digit (I, X, Y, Z) per qubit, in ``qubits`` order."""
-    if state.basis != COMPUTATIONAL:
-        state = bell_transform(state, "p_to_c")
-    k = len(qubits)
-    amps = state.amplitudes.reshape((2,) * (2 * state.n))
-    m = np.moveaxis(amps, qubits, range(k)).reshape(2**k, -1)
-    rho = m @ m.conj().T
-    # qubit q's (row bit, column bit) pair on bits (2q, 2q + 1)
-    vec = rho.reshape((2,) * (2 * k)).transpose(
-        [ax for q in range(k) for ax in (q, k + q)]
-    ).reshape(-1)
-    vec = run_passes(vec, [(_PAULI_COEF, (2 * q, 2 * q + 1)) for q in range(k)], 2 * k)
-    return vec.real
-
-
-def _swap_test_distribution(
+def _even_sign_probability(
     state_a: VectorizedState, state_b: VectorizedState, sites: list[int]
-) -> np.ndarray:
-    """Exact distribution of the swap test's Bell outcomes, from the two
-    copies' reduced states on the measured qubits.
-
-    Axis j of the result is measured qubit j; its index is that qubit's Bell
-    pair sigma_j, ordered I, X, Y, Z. With the Pauli coefficients
-    c(P) = tr(P rho) of each copy, the probability of sigma over q measured
-    qubits is 4^-q sum_P prod_j s(sigma_j, P_j) eps(P_j) c_a(P) c_b(P), and
-    both sums factor into one 4x4 contraction per qubit. When both copies
-    hold the same state and the partition is more than half the sites, the
-    complement is measured instead: a pure state's two sides have the same
-    purity, so the swap sign has the same law there (the outcomes differ).
-    """
+) -> float:
+    """(1 + tr(rho_a rho_b)) / 2 in [0, 1], from the copies' reduced states
+    on both qubits of each measured site, in the rep the copies arrive in.
+    Equal copies of a pure state read the smaller side of the cut, which has
+    the same purity. The 16^m entries of each reduced state on m measured
+    sites are stated to the byte budget before any is built."""
     n = state_a.n
     same = np.array_equal(state_a.amplitudes, state_b.amplitudes)
     if same and 2 * len(sites) > n:
         sites = [s for s in range(n) if s not in sites]
+    m = len(sites)
+    reserve(16 * 16**m * (1 if same else 2), f"the swap test's reduced states on {m} sites")
     qubits = [q for s in sites for q in (2 * s, 2 * s + 1)]
-    coef = _pauli_coefficients(state_a, qubits)
-    coef = coef * (coef if same else _pauli_coefficients(state_b, qubits))
-    k = len(qubits)
-    coef = run_passes(coef, [(_BELL_FROM_PAULI, (2 * q, 2 * q + 1)) for q in range(k)], 2 * k)
-    return coef.reshape((4,) * k)
+
+    def reduced(state: VectorizedState) -> np.ndarray:
+        amps = np.moveaxis(state.amplitudes.reshape((2,) * (2 * n)), qubits, range(2 * m))
+        mat = amps.reshape(4**m, -1)
+        return mat @ mat.conj().T
+
+    rho_a = reduced(state_a)
+    rho_b = rho_a if same else reduced(state_b)
+    overlap = np.vdot(rho_b, rho_a).real / (np.trace(rho_a).real * np.trace(rho_b).real)
+    return min(max((1.0 + overlap) / 2, 0.0), 1.0)
 
 
 def estimate_loe2(
@@ -503,23 +479,18 @@ def estimate_loe2(
     shots: int,
     rng: RngStream,
 ) -> EstimatorReport:
-    """1 - tr(rho_A^2) from Bell measurements across two copies.
+    """1 - tr(rho_A^2) from the destructive swap test across two copies.
 
-    Each shot measures, for every register qubit of the partition's (left,
-    right) pairs, the corresponding copy-1/copy-2 qubit pair in the Bell
-    basis; the swap eigenvalue is the product of singlet signs, and its mean
-    is tr(rho_A^a rho_A^b).
-
-    The two-copy register is never built. The Bell outcomes depend only on
-    the copies' reduced states on the measured qubits, and the estimate only
-    on the parity of each outcome's singlet count. So the exact distribution
-    gives p_even, the probability of an even count, and the number of +1
-    signs is one binomial draw at p_even rounded to a multiple of
-    1/_P_GRID, as in :func:`estimate_corr_interferometric`. When both copies
-    hold the same state, the smaller side of the cut is measured, m =
-    min(|A|, n-|A|) sites: the distribution has 16^m entries (4096 at n=7)
-    and the reduced states 16^m amplitudes each. Different copies are
-    measured on the partition as given, 16^|A| entries.
+    Each shot measures every register qubit of the partition's (left, right)
+    pairs against its twin in the other copy in the Bell basis and reads -1
+    on an odd number of singlets, so it reads +1 with probability (1 +
+    tr(rho_A^a rho_A^b)) / 2. The +1 count is one binomial draw at that
+    probability, rounded to a multiple of 1/_P_GRID as in
+    :func:`estimate_corr_interferometric` and taken from the copies' reduced
+    states in either rep: no two-copy register, no table of Bell outcomes
+    and no basis change. Equal copies are read on the smaller side of the
+    cut, m = min(|A|, n-|A|) sites, different ones on the partition as
+    given; each reduced state has 16^m entries.
     """
     if state_a.n != state_b.n or state_a.basis != state_b.basis:
         raise ValueError("copies must share site count and rep")
@@ -529,11 +500,7 @@ def estimate_loe2(
         raise ValueError("partition must be a nonempty proper subset of sites")
     if sites[0] < 0 or sites[-1] >= n:
         raise ValueError("partition site out of range")
-    p = np.clip(_swap_test_distribution(state_a, state_b, sites), 0.0, None)
-    odd = np.zeros((), dtype=bool)  # odd singlet count, by outcome
-    for _ in range(p.ndim):
-        odd = np.logical_xor.outer(odd, np.arange(4) == _SINGLET)
-    p_even = p[~odd].sum() / p.sum()
+    p_even = _even_sign_probability(state_a, state_b, sites)
     even = int(rng.generator.binomial(shots, round(p_even * _P_GRID) / _P_GRID))
     purity, stderr = _mean_stderr(np.array([1.0, -1.0]), np.array([even, shots - even], dtype=float))
     return EstimatorReport(

@@ -1,5 +1,6 @@
 """Shared builders for the test suite."""
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -20,6 +21,22 @@ def refusal_peak(call, requested: int) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def spy_calls(monkeypatch, *names: str) -> list[str]:
+    """Record, in order, the name of every call of the named functions,
+    through each opvec module's binding of them."""
+    calls: list[str] = []
+    for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "opvec"]:
+        for name in names:
+            fn = getattr(module, name, None)
+            if callable(fn):
+                def spy(*args, _fn=fn, _name=name, **kwargs):
+                    calls.append(_name)
+                    return _fn(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, spy)
+    return calls
 
 
 def ising_chain(n: int) -> PauliSum:

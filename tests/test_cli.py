@@ -11,13 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import ising_chain, refusal_peak
+from helpers import ising_chain, refusal_peak, spy_calls
 
 import opvec
-from opvec import _linalg, cli, simulator
+from opvec import _linalg, cli, estimators, simulator
 from opvec.cli import main
 from opvec.estimators import EmpiricalPauliDist
-from opvec.vectorize import COMPUTATIONAL, PAULI, load_state, vectorize
+from opvec.vectorize import COMPUTATIONAL, PAULI, bell_transform, load_state, vectorize
 from opvec.pauli import PauliString
 from opvec.simulator import Gate, heisenberg_doubled, trotter_circuit
 
@@ -271,6 +271,27 @@ class TestSuperop:
         assert "power: moments above 1 need a diagonal superoperator" in capsys.readouterr().err
         assert not out.exists()
 
+    MIRRORED_SUM = {"text": "0.5 0 XII XII\n0.25 0 ZII ZII\n0.25 0 IIY IIY"}
+
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    def test_mirrored_operator_sum_samples_in_place(self, tmp_path, monkeypatch, t):
+        # Every group of a diagonal operator sum f P(.)P is a mirrored pair,
+        # sampled on the Pauli rep as it is: no basis change and no circuit,
+        # and the report of the route through the computational rep.
+        cfg = dict(operator={"text": "0.7 0 XYZ\n0.3 0 ZZI"}, superop=self.MIRRORED_SUM,
+                   shots=4096, seed=23, extra_args=("--with-oracle",))
+        if t:
+            cfg.update(hamiltonian=HAM3, t=t, steps=16)
+        calls = spy_calls(monkeypatch, "apply_circuit", "bell_transform")
+        code, out = run_task(tmp_path, "superop", out="in_place", **cfg)
+        assert code == 0 and calls == []
+        grouped = estimators.estimate_superop_grouped
+        monkeypatch.setattr(estimators, "estimate_superop_grouped",
+                            lambda state, *rest: grouped(bell_transform(state, "p_to_c"), *rest))
+        code, moved = run_task(tmp_path, "superop", out="moved", **cfg)
+        assert code == 0 and calls.count("apply_circuit") == 3
+        assert (out / "report.json").read_bytes() == (moved / "report.json").read_bytes()
+
     def test_diagonal_moment_reports_its_power(self, tmp_path):
         code, out = run_task(tmp_path, "superop", operator="XII", superop="size",
                              power=2, shots=512, seed=17, extra_args=("--with-oracle",))
@@ -316,6 +337,17 @@ class TestLoe:
         )
         doc = run_limited(tmp_path, cfg, 1 << 30)
         assert doc["oracle"]["abs_delta"] <= 5 * doc["stderr"] + 1 / shots
+
+    def test_evolves_into_the_pauli_rep_with_no_basis_change(self, tmp_path, monkeypatch):
+        calls = spy_calls(monkeypatch, "bell_transform", "run_passes")
+        code, out = run_task(tmp_path, "loe", operator="ZII", hamiltonian=HAM3, t=1.0,
+                             steps=16, partition=[0], shots=4096, seed=7,
+                             extra_args=("--with-oracle",))
+        assert code == 0
+        # run_passes is the evolution's own pass loop, not a basis change
+        assert "bell_transform" not in calls and "run_passes" in calls
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["oracle"]["abs_delta"] <= 5 * doc["stderr"] + 1 / 4096
 
     def test_rejects_full_partition(self, tmp_path, capsys):
         code, _ = run_task(
@@ -658,6 +690,8 @@ class TestConfigValidation:
         ("superop", {**SUM2, "grouping": [[0], [0, 1]]}, "grouping: each term index may appear once"),
         ("superop", {**SUM2, "grouping": []}, "grouping: needs at least one nonempty group"),
         ("superop", {**SUM2, "grouping": [[], []]}, "grouping: needs at least one nonempty group"),
+        ("superop", {"operator": "ZII", "superop": "size", "grouping": [[0], [5]]},
+         "grouping: only an operator-sum superoperator is measured in groups"),
         ("sample", {"operator": "ZII", "seed": -3}, "seed: must be >= 0"),
         ("sample", {"operator": "ZII", "shots": 10**20}, "shots: must lie in 1..2^63 - 1"),
         ("otoc", {"operator": "ZII", "pairs": [["ZII", "ZII"]], "shots": 2**63},
@@ -673,7 +707,7 @@ class TestConfigValidation:
         ("loe", {"operator": "ZII", "partition": [0], "power": 0}, "power: must be >= 1"),
     ], ids=["site-str", "site-float", "site-list", "site-bool", "site-past-end", "p-above-1",
             "p-below-0", "out-int", "partition-bool", "grouping-bool", "grouping-past-end",
-            "grouping-negative", "grouping-repeat", "groups-none", "groups-empty",
+            "grouping-negative", "grouping-repeat", "groups-none", "groups-empty", "grouping-diagonal",
             "seed-negative", "shots-sample", "shots-otoc", "ose-alpha", "ose-alpha-past-float",
             "ose-epsilon", "rows-bool", "alpha-evolve", "epsilon-sample", "delta-choi2pc",
             "power-loe"])

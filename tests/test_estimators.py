@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import ginibre, ising_chain, pauli_normalized, random_hermitian_sum, refusal_peak
+from helpers import (
+    ginibre, ising_chain, pauli_normalized, random_hermitian_sum, refusal_peak, spy_calls,
+)
 
 from opvec.errors import (
     EntangledEigenbasisError,
@@ -41,7 +43,7 @@ from opvec.estimators import (
     _OSE_SAMPLE_BYTES,
     _count_pairs,
     _measure_family,
-    _swap_test_distribution,
+    _even_sign_probability,
 )
 from opvec.oracle import (
     exact_heisenberg,
@@ -138,10 +140,21 @@ class TestEmpiricalDist:
             "pauli_string,count\nXQ,3\n",
             "pauli_string,count\nXX,3\nXYZ,1\n",
             "pauli_string,count\n",
+            "pauli_string,count\nXI,3\nXI,5\n",
+            "pauli_string,count\nXI,3\nZZ,0\n",
+            "pauli_string,count\nXI,3\nZZ,-2\n",
         ],
     )
     def test_from_csv_rejects(self, text):
         with pytest.raises(ParseError):
+            EmpiricalPauliDist.from_csv(text)
+
+    @pytest.mark.parametrize("text,problem", [
+        ("pauli_string,count\nXI,3\nXI,5\n", "line 3: repeated Pauli string XI"),
+        ("pauli_string,count\nXI,3\nZZ,0\n", "line 3: count must be positive; got 0"),
+    ], ids=["repeated", "zero"])
+    def test_from_csv_names_the_line(self, text, problem):
+        with pytest.raises(ParseError, match=f"^{problem}$"):
             EmpiricalPauliDist.from_csv(text)
 
     def test_counts_must_sum_to_shots(self):
@@ -243,7 +256,7 @@ class TestGroupedOtoc:
             want = exact_otoc(evolved, left.to_dense(), right.to_dense())
             assert abs(rep.value - want) < 3 * rep.stderr + 1e-12
 
-    def test_pauli_rep_converts(self):
+    def test_pauli_rep_input(self):
         u = random_clifford_circuit(2, 3, RngStream(9))
         evolved = exact_heisenberg(word("XI").to_dense(), dense_unitary(u))
         reports = estimate_otoc_group(
@@ -361,6 +374,29 @@ class TestGroupedSuperop:
         rep = estimate_superop_grouped(st, a, axis_groups(a), plan, RngStream(29))
         want = expectation(size_superop(3), st)
         assert abs(rep.value - want) < 3 * rep.stderr + 1e-12
+
+    @pytest.mark.parametrize("text,moves", [
+        ("0.5 0 XII XII\n0.25 0 ZII ZII\n0.25 0 IIY IIY", False),
+        ("0.5 0 XII XII\n0.25 0 ZII IZI\n0.25 0 IIY IIY", True),
+    ], ids=["mirrored", "mixed"])
+    def test_pauli_rep_changes_basis_only_for_a_lift_not_mirrored(
+        self, gen, monkeypatch, text, moves
+    ):
+        # f P(.)P lifts to a mirrored pair, sampled in place; one term that
+        # does not moves the state to the computational rep once, before the
+        # first group, and every group then runs its eigenbasis circuit.
+        a = OperatorSumSuperop.from_text(text)
+        state = random_state(gen, 3, PAULI)
+        moved = bell_transform(state, "p_to_c")
+        plan = allocate_shots([0.5, 0.25, 0.25], 4096)
+        grouping = [[0], [1], [2]]
+        want = [estimate_superop_grouped(moved, a, grouping, plan, RngStream(s)) for s in range(10)]
+        calls = spy_calls(monkeypatch, "bell_transform", "apply_circuit")
+        for seed, rep in enumerate(want):
+            got = estimate_superop_grouped(state, a, grouping, plan, RngStream(seed))
+            assert calls == (["bell_transform"] + ["apply_circuit"] * 3 if moves else [])
+            assert (got.value, got.stderr) == (rep.value, rep.stderr)
+            calls.clear()
 
     def test_rejects_non_self_adjoint(self):
         a = OperatorSumSuperop(1, ((1j, word("X"), word("I")),))
@@ -557,10 +593,32 @@ class TestLinearEntanglement:
         b = estimate_loe2(st, st, [1, 2], 20_000, RngStream(59))
         assert abs(a.value - b.value) < 3 * (a.stderr + b.stderr) + 1e-12
 
-    def test_pauli_rep_converts(self):
+    def test_pauli_rep_reads_in_place(self):
         st = word_state("XY", PAULI)
         rep = estimate_loe2(st, st, [1], 200, RngStream(43))
         assert rep.value == 0.0
+
+    @pytest.mark.parametrize("partition", [[0, 2], [0, 1, 3]], ids=["half", "larger-side"])
+    @pytest.mark.parametrize("copies", ["same", "different"])
+    def test_either_rep_gives_the_same_draws(self, gen, copies, partition):
+        # A change of rep is one orthogonal 4x4 matrix per site, which leaves
+        # tr(rho_a rho_b) and so the draw as they are.
+        a = random_state(gen, 4)
+        b = a if copies == "same" else random_state(gen, 4)
+        pa = bell_transform(a, "c_to_p")
+        pb = pa if copies == "same" else bell_transform(b, "c_to_p")
+        for seed in range(20):
+            want = estimate_loe2(a, b, partition, 4096, RngStream(seed))
+            got = estimate_loe2(pa, pb, partition, 4096, RngStream(seed))
+            assert (got.value, got.stderr, got.metadata) == (want.value, want.stderr, want.metadata)
+
+    @pytest.mark.parametrize("basis", [COMPUTATIONAL, PAULI], ids=["computational", "pauli"])
+    def test_makes_no_basis_change_and_no_register_pass(self, gen, monkeypatch, basis):
+        a, b = random_state(gen, 4, basis), random_state(gen, 4, basis)
+        calls = spy_calls(monkeypatch, "bell_transform", "run_passes", "apply_circuit")
+        for x, y in [(a, a), (a, b)]:
+            estimate_loe2(x, y, [0, 2], 4096, RngStream(1))
+        assert calls == []
 
     def test_stderr_scales_with_shots(self):
         st = vectorize(BELL_PAIR_OP, COMPUTATIONAL)
@@ -570,14 +628,13 @@ class TestLinearEntanglement:
 
     @pytest.mark.parametrize("copies", ["same", "different"])
     def test_one_binomial_at_the_even_singlet_probability(self, gen, copies):
-        # The +1 signs are Binomial(shots, p_even), p_even summed over the
-        # even-singlet outcomes of the exact distribution and rounded to the
+        # The +1 signs are Binomial(shots, p_even), p_even the two-copy
+        # register's probability of an even singlet count, rounded to the
         # grid.
         a = random_state(gen, 4)
         b = a if copies == "same" else random_state(gen, 4)
-        dist = np.clip(_swap_test_distribution(a, b, [0, 2]), 0.0, None)
-        even_singlets = (np.indices(dist.shape) == 2).sum(axis=0) % 2 == 0
-        p_even = dist[even_singlets].sum() / dist.sum()
+        p_even = 1.0 - minus_sign_probability(joint_register_bell_marginal(a, b, [0, 2]))
+        assert _even_sign_probability(a, b, [0, 2]) == pytest.approx(p_even, abs=1e-12)
         shots = 4096
         for seed in range(5):
             rep = estimate_loe2(a, b, [0, 2], shots, RngStream(seed))
@@ -611,6 +668,15 @@ class TestLinearEntanglement:
         with pytest.raises(ValueError, match="share"):
             estimate_loe2(a, b, [0], 10, RngStream(0))
 
+    def test_reduced_states_are_stated_to_the_budget(self, gen):
+        # Different copies are read on the partition as given: at n = 8 and
+        # |A| = 7 that is two reduced states of 16 * 16^7 bytes each, refused
+        # before either is built. Equal copies read the one-site complement.
+        a, b = random_state(gen, 8), random_state(gen, 8)
+        call = lambda: estimate_loe2(a, b, range(7), 10, RngStream(0))  # noqa: E731
+        assert refusal_peak(call, 2 * 16 * 16**7) < 1 << 20
+        assert estimate_loe2(a, a, range(7), 10, RngStream(0)).shots == 10
+
 
 # Bell pair of the old CX/H readout's (bit_a, bit_b), as 2*bit_a + bit_b, in
 # the distribution's I, X, Y, Z order: Phi+ = 00, Psi+ = 01, Psi- = 11, Phi- = 10.
@@ -620,7 +686,9 @@ _SIGMA_FROM_BITS = [0, 1, 3, 2]
 def joint_register_bell_marginal(a, b, sites) -> np.ndarray:
     """Reference: the Bell outcome distribution on the partition's qubits,
     read off the two-copy register the swap test used to build (4^(2n)
-    amplitudes). Axes as in ``_swap_test_distribution``."""
+    amplitudes). Axis j is measured qubit j, indexed by its Bell pair sigma_j
+    in the order I, X, Y, Z; Y is the singlet, the one pair with swap
+    eigenvalue -1."""
     a = a if a.basis == COMPUTATIONAL else bell_transform(a, "p_to_c")
     b = b if b.basis == COMPUTATIONAL else bell_transform(b, "p_to_c")
     k = 2 * a.n
@@ -650,6 +718,13 @@ def random_state(gen, n: int, basis=COMPUTATIONAL):
 
 
 class TestSwapTestDistribution:
+    """The +1 probability of the swap test, read off the reduced states,
+    against the two-copy register's Bell outcomes."""
+
+    @staticmethod
+    def _register_p_even(a, b, partition) -> float:
+        return 1.0 - minus_sign_probability(joint_register_bell_marginal(a, b, partition))
+
     @pytest.mark.parametrize(
         "n,partition",
         [(2, [0]), (2, [1]), (3, [1]), (4, [1, 2]), (4, [0, 3]), (4, [0, 2])],
@@ -658,45 +733,54 @@ class TestSwapTestDistribution:
     def test_matches_the_joint_register(self, gen, n, partition, copies):
         a = random_state(gen, n)
         b = a if copies == "same" else random_state(gen, n)
-        got = _swap_test_distribution(a, b, partition)
-        want = joint_register_bell_marginal(a, b, partition)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        got = _even_sign_probability(a, b, partition)
+        assert got == pytest.approx(self._register_p_even(a, b, partition), abs=1e-12)
 
     @pytest.mark.parametrize("n,partition", [(3, [0, 1]), (3, [0, 2]), (4, [0, 1, 3])])
-    def test_larger_side_keeps_the_sign_law(self, gen, n, partition):
-        # equal copies measure the complement: other outcomes, same sign law
+    def test_larger_side_keeps_the_sign_law(self, gen, monkeypatch, n, partition):
+        # equal copies read the complement's reduced state: same sign law
         a = random_state(gen, n)
-        got = _swap_test_distribution(a, a, partition)
-        assert got.ndim == 2 * (n - len(partition))
-        want = joint_register_bell_marginal(a, a, partition)
-        assert minus_sign_probability(got) == pytest.approx(
-            minus_sign_probability(want), abs=1e-12
-        )
+        asked = []
+        monkeypatch.setattr(estimators, "reserve", lambda nbytes, what: asked.append(nbytes))
+        got = _even_sign_probability(a, a, partition)
+        assert asked == [16 * 16 ** (n - len(partition))]
+        assert got == pytest.approx(self._register_p_even(a, a, partition), abs=1e-12)
 
     @pytest.mark.parametrize("n,partition", [(3, [0, 2]), (4, [0, 1, 3])])
     def test_different_copies_measure_the_partition_as_given(self, gen, n, partition):
         # tr(rho_A^a rho_A^b) != tr(rho_B^a rho_B^b) for different states
         a, b = random_state(gen, n), random_state(gen, n)
-        got = _swap_test_distribution(a, b, partition)
-        want = joint_register_bell_marginal(a, b, partition)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        got = _even_sign_probability(a, b, partition)
+        assert got == pytest.approx(self._register_p_even(a, b, partition), abs=1e-12)
+        rest = [s for s in range(n) if s not in partition]
+        assert abs(got - self._register_p_even(a, b, rest)) > 1e-6
 
     def test_pauli_rep_input(self, gen):
         a = random_state(gen, 4, PAULI)
         b = random_state(gen, 4, PAULI)
         for x, y in [(a, a), (a, b)]:
-            got = _swap_test_distribution(x, y, [0, 2])
-            want = joint_register_bell_marginal(x, y, [0, 2])
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            got = _even_sign_probability(x, y, [0, 2])
+            assert got == pytest.approx(self._register_p_even(x, y, [0, 2]), abs=1e-12)
+
+    @settings(deadline=None)
+    @given(st.integers(2, 4), st.booleans(), st.booleans(), st.data())
+    def test_p_even_in_either_rep_matches_the_joint_register(self, n, same, pauli, data):
+        sites = sorted(data.draw(
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=n - 1, unique=True)))
+        gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        basis = PAULI if pauli else COMPUTATIONAL
+        a = random_state(gen, n, basis)
+        b = a if same else random_state(gen, n, basis)
+        got = _even_sign_probability(a, b, sites)
+        assert got == pytest.approx(self._register_p_even(a, b, sites), abs=1e-12)
 
     @pytest.mark.parametrize("partition", [[0], [1, 2], [0, 1, 3], [2]])
     def test_expected_sign_is_the_oracle_purity(self, gen, partition):
         op = ginibre(gen, 16)
         st = vectorize(op, COMPUTATIONAL)
-        dist = _swap_test_distribution(st, st, partition)
-        assert dist.sum() == pytest.approx(1.0, abs=1e-12)
-        mean_sign = 1.0 - 2.0 * minus_sign_probability(dist)
-        assert mean_sign == pytest.approx(exact_loe(op, partition)["trace"], abs=1e-12)
+        p_even = _even_sign_probability(st, st, partition)
+        assert p_even == pytest.approx(self._register_p_even(st, st, partition), abs=1e-12)
+        assert 2.0 * p_even - 1.0 == pytest.approx(exact_loe(op, partition)["trace"], abs=1e-12)
 
     def test_estimate_stays_small_in_memory(self, gen):
         # the two-copy register alone would be 16 * 4^10 bytes = 16 MiB
