@@ -531,7 +531,7 @@ def _task_superop(cfg: dict, rng: RngStream):
     op = cfg["_operator"]
     a = cfg["_superop"]
     diagonal = isinstance(a, DiagonalSuperop)
-    state = _evolved(cfg, op, PAULI)
+    state = _evolved(cfg, op, PAULI if diagonal else COMPUTATIONAL)
     artifacts = {}
     params = {"power": cfg["power"]}
     if diagonal:

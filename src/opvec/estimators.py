@@ -311,8 +311,7 @@ def estimate_superop_grouped(
 ) -> EstimatorReport:
     """Weighted sum of per-group eigenbasis estimates of an operator-sum
     superoperator expectation. Ungrouped terms must be identity-on-both-sides
-    and are added exactly; group errors combine in quadrature. A Pauli-rep
-    state changes basis once, only if some grouped term's lift is not mirrored."""
+    and are added exactly; group errors combine in quadrature."""
     if not a.is_self_adjoint:
         raise ValueError("grouped estimation requires a self-adjoint superoperator")
     if len(plan.counts) != len(grouping):
@@ -332,9 +331,7 @@ def estimate_superop_grouped(
         if left.weight or right.weight:
             raise ValueError(f"non-identity term {idx} left out of the grouping")
         exact += f.real
-    words = [lifted_pauli(*a.terms[idx][1:])[1] for group in grouping for idx in group]
-    if state.basis == PAULI and not all(map(_is_mirrored, words)):
-        state = bell_transform(state, "p_to_c")
+    s = state if state.basis == COMPUTATIONAL else bell_transform(state, "p_to_c")
     value = exact
     var = 0.0
     total = 0
@@ -348,7 +345,7 @@ def estimate_superop_grouped(
         if any(abs(f.imag) > 1e-12 for f, _, _ in terms):
             raise ValueError("grouped terms need real coefficients")
         eigs, weights = _measure_family(
-            state, [(l, r) for _, l, r in terms], gshots, rng.fork(f"group{gi}"),
+            s, [(l, r) for _, l, r in terms], gshots, rng.fork(f"group{gi}"),
             f"group {gi} is not a commuting family",
         )
         per_shot = np.zeros(weights.shape, dtype=float)
@@ -448,27 +445,32 @@ def estimate_ose(
 def _even_sign_probability(
     state_a: VectorizedState, state_b: VectorizedState, sites: list[int]
 ) -> float:
-    """(1 + tr(rho_a rho_b)) / 2 in [0, 1], from the copies' reduced states
-    on both qubits of each measured site, in the rep the copies arrive in.
-    Equal copies of a pure state read the smaller side of the cut, which has
-    the same purity. The 16^m entries of each reduced state on m measured
-    sites are stated to the byte budget before any is built."""
-    n = state_a.n
+    """(1 + tr(rho_a rho_b)) / 2 in [0, 1], rho the copies' reduced states on
+    both qubits of each measured site, in the rep the copies arrive in. With
+    M a copy's amplitudes as a (measured, rest) matrix, tr(rho_a rho_b) is
+    also ||M_a^dag M_b||_F^2, so the overlap is read on the smaller side of
+    the cut, m = min(|A|, n-|A|) sites, in matrices of 16^m entries, each
+    stated to the byte budget before it is built."""
+    n, k = state_a.n, len(sites)
     same = np.array_equal(state_a.amplitudes, state_b.amplitudes)
-    if same and 2 * len(sites) > n:
-        sites = [s for s in range(n) if s not in sites]
-    m = len(sites)
-    reserve(16 * 16**m * (1 if same else 2), f"the swap test's reduced states on {m} sites")
+    m = min(k, n - k)
+    built = 1 if same or 2 * k > n else 2
+    reserve(16 * 16**m * built, f"the swap test's reduced states on {m} sites")
     qubits = [q for s in sites for q in (2 * s, 2 * s + 1)]
 
-    def reduced(state: VectorizedState) -> np.ndarray:
-        amps = np.moveaxis(state.amplitudes.reshape((2,) * (2 * n)), qubits, range(2 * m))
-        mat = amps.reshape(4**m, -1)
-        return mat @ mat.conj().T
+    def split(state: VectorizedState) -> np.ndarray:
+        amps = np.moveaxis(state.amplitudes.reshape((2,) * (2 * n)), qubits, range(2 * k))
+        return amps.reshape(4**k, -1)
 
-    rho_a = reduced(state_a)
-    rho_b = rho_a if same else reduced(state_b)
-    overlap = np.vdot(rho_b, rho_a).real / (np.trace(rho_a).real * np.trace(rho_b).real)
+    ma = split(state_a)
+    mb = ma if same else split(state_b)
+    if 2 * k > n:
+        rest = ma.conj().T @ mb
+        overlap = np.vdot(rest, rest).real
+    else:
+        rho_a = ma @ ma.conj().T
+        overlap = np.vdot(rho_a if same else mb @ mb.conj().T, rho_a).real
+    overlap /= np.vdot(ma, ma).real * np.vdot(mb, mb).real
     return min(max((1.0 + overlap) / 2, 0.0), 1.0)
 
 
@@ -488,9 +490,8 @@ def estimate_loe2(
     probability, rounded to a multiple of 1/_P_GRID as in
     :func:`estimate_corr_interferometric` and taken from the copies' reduced
     states in either rep: no two-copy register, no table of Bell outcomes
-    and no basis change. Equal copies are read on the smaller side of the
-    cut, m = min(|A|, n-|A|) sites, different ones on the partition as
-    given; each reduced state has 16^m entries.
+    and no basis change. The overlap is read on the smaller side of the cut,
+    m = min(|A|, n-|A|) sites, in matrices of 16^m entries.
     """
     if state_a.n != state_b.n or state_a.basis != state_b.basis:
         raise ValueError("copies must share site count and rep")

@@ -14,10 +14,10 @@ import pytest
 from helpers import ising_chain, refusal_peak, spy_calls
 
 import opvec
-from opvec import _linalg, cli, estimators, simulator
+from opvec import _linalg, cli, simulator
 from opvec.cli import main
 from opvec.estimators import EmpiricalPauliDist
-from opvec.vectorize import COMPUTATIONAL, PAULI, bell_transform, load_state, vectorize
+from opvec.vectorize import COMPUTATIONAL, PAULI, load_state, vectorize
 from opvec.pauli import PauliString
 from opvec.simulator import Gate, heisenberg_doubled, trotter_circuit
 
@@ -270,27 +270,6 @@ class TestSuperop:
         assert code == 2
         assert "power: moments above 1 need a diagonal superoperator" in capsys.readouterr().err
         assert not out.exists()
-
-    MIRRORED_SUM = {"text": "0.5 0 XII XII\n0.25 0 ZII ZII\n0.25 0 IIY IIY"}
-
-    @pytest.mark.parametrize("t", [0.0, 1.0])
-    def test_mirrored_operator_sum_samples_in_place(self, tmp_path, monkeypatch, t):
-        # Every group of a diagonal operator sum f P(.)P is a mirrored pair,
-        # sampled on the Pauli rep as it is: no basis change and no circuit,
-        # and the report of the route through the computational rep.
-        cfg = dict(operator={"text": "0.7 0 XYZ\n0.3 0 ZZI"}, superop=self.MIRRORED_SUM,
-                   shots=4096, seed=23, extra_args=("--with-oracle",))
-        if t:
-            cfg.update(hamiltonian=HAM3, t=t, steps=16)
-        calls = spy_calls(monkeypatch, "apply_circuit", "bell_transform")
-        code, out = run_task(tmp_path, "superop", out="in_place", **cfg)
-        assert code == 0 and calls == []
-        grouped = estimators.estimate_superop_grouped
-        monkeypatch.setattr(estimators, "estimate_superop_grouped",
-                            lambda state, *rest: grouped(bell_transform(state, "p_to_c"), *rest))
-        code, moved = run_task(tmp_path, "superop", out="moved", **cfg)
-        assert code == 0 and calls.count("apply_circuit") == 3
-        assert (out / "report.json").read_bytes() == (moved / "report.json").read_bytes()
 
     def test_diagonal_moment_reports_its_power(self, tmp_path):
         code, out = run_task(tmp_path, "superop", operator="XII", superop="size",

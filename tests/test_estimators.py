@@ -37,7 +37,7 @@ from opvec.estimators import (
     ose_shot_counts,
     sample_pauli_dist,
 )
-from opvec import estimators, simulator
+from opvec import _linalg, estimators, simulator
 from opvec.estimators import (
     _NQUBIT_SHOT_BYTES,
     _OSE_SAMPLE_BYTES,
@@ -375,29 +375,6 @@ class TestGroupedSuperop:
         want = expectation(size_superop(3), st)
         assert abs(rep.value - want) < 3 * rep.stderr + 1e-12
 
-    @pytest.mark.parametrize("text,moves", [
-        ("0.5 0 XII XII\n0.25 0 ZII ZII\n0.25 0 IIY IIY", False),
-        ("0.5 0 XII XII\n0.25 0 ZII IZI\n0.25 0 IIY IIY", True),
-    ], ids=["mirrored", "mixed"])
-    def test_pauli_rep_changes_basis_only_for_a_lift_not_mirrored(
-        self, gen, monkeypatch, text, moves
-    ):
-        # f P(.)P lifts to a mirrored pair, sampled in place; one term that
-        # does not moves the state to the computational rep once, before the
-        # first group, and every group then runs its eigenbasis circuit.
-        a = OperatorSumSuperop.from_text(text)
-        state = random_state(gen, 3, PAULI)
-        moved = bell_transform(state, "p_to_c")
-        plan = allocate_shots([0.5, 0.25, 0.25], 4096)
-        grouping = [[0], [1], [2]]
-        want = [estimate_superop_grouped(moved, a, grouping, plan, RngStream(s)) for s in range(10)]
-        calls = spy_calls(monkeypatch, "bell_transform", "apply_circuit")
-        for seed, rep in enumerate(want):
-            got = estimate_superop_grouped(state, a, grouping, plan, RngStream(seed))
-            assert calls == (["bell_transform"] + ["apply_circuit"] * 3 if moves else [])
-            assert (got.value, got.stderr) == (rep.value, rep.stderr)
-            calls.clear()
-
     def test_rejects_non_self_adjoint(self):
         a = OperatorSumSuperop(1, ((1j, word("X"), word("I")),))
         with pytest.raises(ValueError, match="self-adjoint"):
@@ -668,14 +645,17 @@ class TestLinearEntanglement:
         with pytest.raises(ValueError, match="share"):
             estimate_loe2(a, b, [0], 10, RngStream(0))
 
-    def test_reduced_states_are_stated_to_the_budget(self, gen):
-        # Different copies are read on the partition as given: at n = 8 and
-        # |A| = 7 that is two reduced states of 16 * 16^7 bytes each, refused
-        # before either is built. Equal copies read the one-site complement.
+    def test_reduced_states_are_stated_to_the_budget(self, gen, monkeypatch):
+        # Every read is on the smaller side of the cut: two different n = 8
+        # copies on |A| = 4 build two reduced states of 16 * 16^4 bytes each,
+        # refused before either is built, and on |A| = 7 one 4 x 4 matrix on
+        # the other site, which the same budget allows.
         a, b = random_state(gen, 8), random_state(gen, 8)
-        call = lambda: estimate_loe2(a, b, range(7), 10, RngStream(0))  # noqa: E731
-        assert refusal_peak(call, 2 * 16 * 16**7) < 1 << 20
-        assert estimate_loe2(a, a, range(7), 10, RngStream(0)).shots == 10
+        monkeypatch.setattr(_linalg, "BYTE_BUDGET", 2 * 16 * 16**4 - 1)
+        call = lambda: estimate_loe2(a, b, range(4), 10, RngStream(0))  # noqa: E731
+        assert refusal_peak(call, 2 * 16 * 16**4) < 1 << 20
+        for partition in [range(7), range(1, 8), [3]]:
+            assert estimate_loe2(a, b, partition, 10, RngStream(0)).shots == 10
 
 
 # Bell pair of the old CX/H readout's (bit_a, bit_b), as 2*bit_a + bit_b, in
@@ -737,14 +717,17 @@ class TestSwapTestDistribution:
         assert got == pytest.approx(self._register_p_even(a, b, partition), abs=1e-12)
 
     @pytest.mark.parametrize("n,partition", [(3, [0, 1]), (3, [0, 2]), (4, [0, 1, 3])])
-    def test_larger_side_keeps_the_sign_law(self, gen, monkeypatch, n, partition):
-        # equal copies read the complement's reduced state: same sign law
+    @pytest.mark.parametrize("copies", ["same", "different"])
+    def test_larger_side_keeps_the_sign_law(self, gen, monkeypatch, n, partition, copies):
+        # the overlap is read as ||M_a^dag M_b||^2, one matrix on the
+        # complement's sites, for equal and different copies alike
         a = random_state(gen, n)
+        b = a if copies == "same" else random_state(gen, n)
         asked = []
         monkeypatch.setattr(estimators, "reserve", lambda nbytes, what: asked.append(nbytes))
-        got = _even_sign_probability(a, a, partition)
+        got = _even_sign_probability(a, b, partition)
         assert asked == [16 * 16 ** (n - len(partition))]
-        assert got == pytest.approx(self._register_p_even(a, a, partition), abs=1e-12)
+        assert got == pytest.approx(self._register_p_even(a, b, partition), abs=1e-12)
 
     @pytest.mark.parametrize("n,partition", [(3, [0, 2]), (4, [0, 1, 3])])
     def test_different_copies_measure_the_partition_as_given(self, gen, n, partition):
