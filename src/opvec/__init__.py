@@ -2,7 +2,7 @@
 
 An n-site operator becomes a 2n-qubit state; Heisenberg evolution becomes
 Schrodinger evolution of that state; operator observables (OTOCs, size,
-stabilizer and operator entanglement, regulated correlators) become sampling
+stabilizer and operator entanglement, two-point correlators) become sampling
 experiments on it."""
 
 from .errors import (
@@ -51,9 +51,7 @@ from .simulator import (
     channel_dual_postselect,
     dense_unitary,
     heisenberg_doubled,
-    imaginary_time_apply,
     interferometric_state,
-    regulated_overlap,
     super_propagator_circuit,
     trotter_circuit,
 )

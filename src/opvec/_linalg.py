@@ -327,15 +327,3 @@ def from_amplitude_matrix(mat: np.ndarray, n: int) -> np.ndarray:
     t = mat.reshape((2,) * (2 * n))
     order = np.argsort([2 * s for s in range(n)] + [2 * s + 1 for s in range(n)])
     return np.transpose(t, order).reshape(-1)
-
-
-def apply_block(vec: np.ndarray, n: int, left: np.ndarray | None, right: np.ndarray | None) -> np.ndarray:
-    """Apply (A x B) with A on all L qubits and B on all R qubits of a
-    site-interleaved doubled register: S -> A S B^T in matrix form."""
-    s = amplitude_matrix(vec, n)
-    if left is not None:
-        s = left @ s
-    if right is not None:
-        s = s @ right.T
-    return from_amplitude_matrix(s, n)
-

@@ -545,8 +545,7 @@ def _task_superop(cfg: dict, rng: RngStream):
         params["groups"] = len(grouping)
 
     def exact():
-        basis = PAULI if diagonal else COMPUTATIONAL
-        return expectation(a, vectorize(_oracle_evolved(cfg, op), basis), k=cfg["power"])
+        return expectation(a, vectorize(_oracle_evolved(cfg, op), PAULI), k=cfg["power"])
 
     return rep, params, exact, artifacts
 

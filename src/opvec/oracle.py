@@ -2,8 +2,8 @@
 reserves its dense matrices against the byte budget before it builds them.
 
 Everything here is brute-force linear algebra on 2^n x 2^n matrices:
-conjugation by explicit propagators, trace formulas, reduced density
-matrices, thermal weights from hermitian eigendecompositions. None of the
+conjugation by explicit propagators from hermitian eigendecompositions,
+trace formulas and reduced density matrices. None of the
 vectorized-register or circuit kernels are used, so agreement with the
 estimator stack is a genuine cross-check rather than a tautology.
 
@@ -47,8 +47,8 @@ _TOLERANCE = 1e-10
 # 9 and 10 sites (numpy 2.4, one OpenBLAS thread): on one sector (the Ising
 # chain plus a YZ bond), 5.5 matrices for propagator and 6.5 for heisenberg;
 # on the chain's two sectors, 2.9 and 4.5 (3.8 and 4.8 with a complex XY
-# bond); 7.9 for exact_wightman. exact_otoc on Pauli words holds 4 with its
-# operator (tracemalloc at 9 sites; 6 before it skipped the dense products).
+# bond). exact_otoc on Pauli words holds 4 with its operator (tracemalloc at
+# 9 sites; 6 before it skipped the dense products).
 # The eigensystem kept between calls is at most one more matrix, for one
 # complex sector, and a quarter of one on the Ising chain: by tracemalloc at
 # 9 sites with one complex sector kept, a whole CLI run peaked at most that
@@ -195,12 +195,6 @@ def heisenberg(op, h, t: float) -> np.ndarray:
     return out
 
 
-def _thermal(h: np.ndarray, a: float) -> np.ndarray:
-    """e^{-aH}, unnormalized."""
-    evals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(-a * evals)) @ vecs.conj().T
-
-
 def exact_heisenberg(op, u) -> np.ndarray:
     om = dense(op)
     um = dense(u)
@@ -312,46 +306,6 @@ def exact_loe(op, partition, alpha: int = 2) -> dict[str, float]:
         "entropy": float(np.log(trace_power) / (1 - alpha)),
         "linear": 1.0 - trace_power,
     }
-
-
-def _validate_pattern(pattern) -> tuple[float, float, float, float]:
-    vals = tuple(float(v) for v in pattern)
-    if len(vals) != 4:
-        raise ValueError("pattern must list four thermal exponents")
-    if sorted(vals) != [0.0, 0.0, 0.5, 0.5]:
-        raise ValueError("exactly two exponents must be 1/2 and the rest 0")
-    return vals
-
-
-def exact_regulated(
-    op, a, b, h, t: float, beta: float, pattern
-) -> float:
-    """Regulated out-of-time-order correlator
-    tr(rho^a1 O(t) rho^a2 A rho^a3 O(t) rho^a4 B)/Z with rho = e^{-beta H}
-    unnormalized and Z = tr(e^{-beta H}). beta=0 reduces to the plain
-    correlator."""
-    hm = dense(h)
-    a1, a2, a3, a4 = _validate_pattern(pattern)
-    om = exact_heisenberg(dense(op), propagator(hm, t))
-    am = dense(a)
-    bm = dense(b)
-    z = np.trace(_thermal(hm, beta)).real
-    weights = [_thermal(hm, ai * beta) for ai in (a1, a2, a3, a4)]
-    val = np.trace(weights[0] @ om @ weights[1] @ am @ weights[2] @ om @ weights[3] @ bm) / z
-    if abs(val.imag) > _TOLERANCE:
-        raise ValueError(f"imaginary residue {val.imag} exceeds tolerance")
-    return float(val.real)
-
-
-def exact_wightman(op1, op2, h, beta: float) -> float:
-    """Thermally split two-point function tr(rho^{1/2} O1 rho^{1/2} O2)/Z."""
-    hm = dense(h)
-    half = _thermal(hm, beta / 2)
-    z = np.trace(_thermal(hm, beta)).real
-    val = np.trace(half @ dense(op1) @ half @ dense(op2)) / z
-    if abs(val.imag) > _TOLERANCE:
-        raise ValueError(f"imaginary residue {val.imag} exceeds tolerance")
-    return float(val.real)
 
 
 def exact_channel_dual(kraus, op) -> np.ndarray:

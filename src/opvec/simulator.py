@@ -29,10 +29,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import _period, apply_block, reserve, run_passes
+from ._linalg import _period, reserve, run_passes
 from .errors import ProjectionFailedError
 from .pauli import PAULI_CHARS, SIGMA, PauliString, PauliSum
-from .vectorize import _BELL, COMPUTATIONAL, PAULI, VectorizedState, bell_transform, vectorize
+from .vectorize import (
+    _BELL,
+    PAULI,
+    VectorizedState,
+    _bell_passes,
+    apply_pauli_terms,
+    bell_transform,
+    vectorize,
+)
 
 _SQ = 1 / np.sqrt(2)
 
@@ -661,21 +669,25 @@ def interferometric_state(
     (|0>||I>> + |1>||O2 U2 O(t) U2^dag>>)/sqrt(2). Both evolutions fix
     ||I>>, so only the ancilla-1 half is evolved, on its own 2n qubits:
     ||O>> by :func:`heisenberg_doubled` of U U2^dag, then O2 on the left
-    copy. No controlled operation is needed.
+    copy as the terms (c, W, I) of its words on the Pauli rep
+    (:func:`vectorize.apply_pauli_terms`), then one basis change. No
+    controlled operation and no dense operator is needed.
     """
     n = u.k
     k = 2 * n + 1
-    # The register, the ancilla-1 branch and the two dense operators.
+    # The peak: the register, O2's product on the branch and the basis
+    # change's two buffers. The branch beside the product's working set, four
+    # registers of its size (apply_pauli_terms), holds as much before them.
     reserve(16 * 2**k + 3 * 16 * 4**n, f"the interferometric state on {k} qubits")
     for name, o in (("first", op), ("second", op2)):
         if not _is_unitary(o):
             raise ValueError(f"{name} operator is not unitary")
-    identity = _identity_pairs(n)
-    branch = heisenberg_doubled(vectorize(op, PAULI), u2.inverse().concat(u))
-    branch = bell_transform(branch, "p_to_c").amplitudes
+    branch = heisenberg_doubled(vectorize(op, PAULI), u2.inverse().concat(u)).amplitudes
+    eye = PauliString.identity(n)
+    branch = apply_pauli_terms(branch, n, [(c, w, eye) for c, w in op2.items()])
     amps = np.empty(2**k, dtype=complex)
-    amps[0::2] = identity
-    amps[1::2] = apply_block(branch, n, op2.to_dense(), None)
+    amps[0::2] = _identity_pairs(n)
+    amps[1::2] = _bell_passes(branch, n, "p_to_c")
     amps /= np.sqrt(2)
     return QState(k, amps)
 
@@ -736,49 +748,6 @@ def channel_dual_postselect(
     if prob < 1e-12:
         raise ProjectionFailedError("environment projection lost all amplitude", prob)
     return bell_transform(VectorizedState(n, PAULI, block / np.sqrt(prob)), "p_to_c"), prob
-
-
-# ---------------------------------------------------------------------------
-# Imaginary-time regulator.
-
-def imaginary_time_apply(
-    state: VectorizedState, h: PauliSum, beta: float, side: str
-) -> VectorizedState:
-    """Multiply the encoded operator by exp(-beta H / 2) on the chosen side
-    and renormalize."""
-    if state.basis != COMPUTATIONAL:
-        raise ValueError("imaginary-time regulator acts on the computational rep")
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    if beta == 0:
-        return state.copy()
-    dense = h.to_dense()
-    if np.max(np.abs(dense - dense.conj().T)) > 1e-12:
-        raise ValueError("Hamiltonian must be hermitian")
-    w, v = np.linalg.eigh(dense)
-    decay = (v * np.exp(-beta * w / 2)) @ v.conj().T
-    if side == "left":
-        amps = apply_block(state.amplitudes, state.n, decay, np.eye(2**state.n))
-    else:
-        amps = apply_block(state.amplitudes, state.n, np.eye(2**state.n), decay.T)
-    norm = np.linalg.norm(amps)
-    if norm < 1e-300:
-        raise ValueError("regulated state vanished")
-    return VectorizedState(state.n, COMPUTATIONAL, amps / norm)
-
-
-def regulated_overlap(
-    bra: VectorizedState, ket: VectorizedState, a: PauliSum, b: PauliSum
-) -> complex:
-    """<bra| (A (x) B^T) |ket> on the doubled register: the regulated
-    correlator tr(X1^dag A X2 B) of the encoded operators X1, X2,
-    normalized by their HS norms."""
-    if bra.basis != COMPUTATIONAL or ket.basis != COMPUTATIONAL:
-        raise ValueError("regulated overlaps act on the computational rep")
-    moved = apply_block(ket.amplitudes, ket.n, a.to_dense(), b.to_dense().T)
-    return complex(np.vdot(bra.amplitudes, moved))
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 register.
 
 An operator-sum superoperator A(O) = sum f L O R (Hermitian Pauli words L, R)
-acts on computational-rep vectorized states as the matrix
-sum f L (x) R^*, with the site-interleaved ordering making each term a
-product of per-site 4x4 blocks. Diagonal superoperators are carried as a
+acts on Pauli-rep vectorized states term by term as a signed permutation
+(:func:`vectorize.apply_pauli_terms`): index k moves to k ^ idx(L) ^ idx(R),
+times one phase per site. Diagonal superoperators are carried as a
 real function lambda over Pauli indices plus, when one exists, a sparse
 operator-sum coefficient vector f; the two are related by the commutation
 sign transform lambda = K f, f = K lambda / 4^n with
@@ -24,14 +24,14 @@ from typing import Callable
 
 import numpy as np
 
-from ._linalg import apply_block, reserve, run_passes
+from ._linalg import reserve, run_passes
 from .errors import NonCommutingSetError, ParseError
 from .pauli import PauliString
 from .simulator import Circuit, Gate, _transfer_matrix, gate_matrix
 from .vectorize import (
-    COMPUTATIONAL,
     PAULI,
     VectorizedState,
+    apply_pauli_terms,
     bell_transform,
     index_pauli,
     pauli_index,
@@ -76,11 +76,8 @@ class OperatorSumSuperop:
         return all(abs(v.imag) < 1e-12 for v in self.merged().values())
 
     def apply_vectorized(self, amps: np.ndarray) -> np.ndarray:
-        """Action on raw computational-rep amplitudes (norm not preserved)."""
-        out = np.zeros_like(amps)
-        for f, l, r in self.terms:
-            out += f * apply_block(amps, self.n, l.to_dense(), r.to_dense().T)
-        return out
+        """Action on raw Pauli-rep amplitudes (norm not preserved)."""
+        return apply_pauli_terms(amps, self.n, self.terms)
 
     @staticmethod
     def from_text(text: str) -> "OperatorSumSuperop":
@@ -233,17 +230,14 @@ def expectation(
     """k-th moment of the superobservable over the encoded operator."""
     if k < 1:
         raise ValueError("moment order must be >= 1")
+    if state.n != a.n:
+        raise ValueError("site count mismatch")
+    s = state if state.basis == PAULI else bell_transform(state, "c_to_p")
     if isinstance(a, DiagonalSuperop):
-        s = state if state.basis == PAULI else bell_transform(state, "c_to_p")
-        if s.n != a.n:
-            raise ValueError("site count mismatch")
         lam = a.lam_vector()
         return float(np.abs(s.amplitudes) ** 2 @ lam**k)
     if not a.is_self_adjoint:
         raise ValueError("expectation values require a self-adjoint superoperator")
-    s = state if state.basis == COMPUTATIONAL else bell_transform(state, "p_to_c")
-    if s.n != a.n:
-        raise ValueError("site count mismatch")
     cur = s.amplitudes
     for _ in range(k):
         cur = a.apply_vectorized(cur)

@@ -19,6 +19,10 @@ The two representations are related by a local basis change acting on each
 (L, R) qubit pair, one real orthogonal 4x4 matrix, so states can be moved
 freely between representations.
 
+In the Pauli rep a sandwich L (.) R of two Pauli words is a signed
+permutation: the amplitude of Q_k moves to index k ^ idx(L) ^ idx(R), times
+a phase that is a product of one factor per site.
+
 Vectors are serialized to a small binary format: a 13-byte header
 (magic "OPV1", basis tag byte, uint32 n, uint32 local dimension, which is
 always 2, little-endian) followed by the amplitudes as little-endian
@@ -34,7 +38,7 @@ import numpy as np
 
 from ._linalg import amplitude_matrix, from_amplitude_matrix, reserve, run_passes
 from .errors import ParseError
-from .pauli import PauliString, PauliSum
+from .pauli import SIGMA, PauliString, PauliSum
 
 _MAGIC = b"OPV1"
 _TAG_CODES = {"computational": 0, "pauli": 1}
@@ -72,9 +76,6 @@ class VectorizedState:
         norm = np.linalg.norm(self.amplitudes)
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"vectorized states are unit norm; got {norm!r}")
-
-    def copy(self) -> "VectorizedState":
-        return VectorizedState(self.n, self.basis, self.amplitudes.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -127,14 +128,58 @@ def bell_transform(state: VectorizedState, direction: str) -> VectorizedState:
     """
     if direction not in _BELL_TO:
         raise ValueError(f"unknown direction {direction!r}")
-    mat, out_basis = _BELL_TO[direction]
+    out_basis = _BELL_TO[direction][1]
     if state.basis == out_basis:
         raise ValueError(f"state is already in {out_basis.kind!r}")
-    n = state.n
-    steps = [(mat, (2 * site, 2 * site + 1)) for site in range(n)]
+    return VectorizedState(state.n, out_basis, _bell_passes(state.amplitudes, state.n, direction))
+
+
+def _bell_passes(amps: np.ndarray, n: int, direction: str) -> np.ndarray:
+    """The amplitudes of :func:`bell_transform`, of any norm."""
+    steps = [(_BELL_TO[direction][0], (2 * site, 2 * site + 1)) for site in range(n)]
     plans = _BELL_PLANS.setdefault((direction, n), {})
-    floats = np.ascontiguousarray(state.amplitudes).view(np.float64)
-    return VectorizedState(n, out_basis, run_passes(floats, steps, 2 * n + 1, plans).view(complex))
+    floats = np.ascontiguousarray(amps).view(np.float64)
+    return run_passes(floats, steps, 2 * n + 1, plans).view(complex)
+
+
+# ---------------------------------------------------------------------------
+# Pauli words acting on the Pauli rep.
+
+# _SANDWICH[l, r, d]: the phase of sigma_l Q_{d ^ l ^ r} sigma_r = phase Q_d
+# on one site, with sigma the standard words and Q = Z^z X^x the product
+# forms, all indexed by the digit 2z + x (I, X, Z, Y). Every entry is exactly
+# 1, -1, 1j or -1j.
+_PRODUCT_FORMS = (SIGMA["I"], SIGMA["X"], SIGMA["Z"], SIGMA["Z"] @ SIGMA["X"])
+_WORDS = tuple(SIGMA[c] for c in "IXZY")
+_SANDWICH = np.array([[[
+    np.trace(_PRODUCT_FORMS[d].conj().T @ _WORDS[l] @ _PRODUCT_FORMS[d ^ l ^ r] @ _WORDS[r]) / 2
+    for d in range(4)] for r in range(4)] for l in range(4)])
+_SANDWICH.setflags(write=False)
+
+
+def apply_pauli_terms(amps: np.ndarray, n: int, terms) -> np.ndarray:
+    """sum f L (.) R over the (f, L, R) terms, Hermitian Pauli words L and R,
+    on the 4^n Pauli-rep amplitudes ``amps``, as a new array (the norm is
+    not kept). Each term is one gather of ``amps`` at j ^ idx(L) ^ idx(R),
+    times f and the outer product of each site's row of _SANDWICH, site 0
+    first: no dense matrix is built."""
+    size = 4**n
+    # The sum, one term's gathered amplitudes and phases, and two index vectors.
+    reserve(4 * 16 * size, f"a sum of Pauli sandwiches on {2 * n} qubits")
+    idx = np.arange(size)
+    out = np.zeros(size, dtype=complex)
+    term = np.empty(size, dtype=complex)
+    for f, left, right in terms:
+        li, ri = pauli_index(left), pauli_index(right)
+        phase = np.full(1, f, dtype=complex)
+        for shift in range(2 * n - 2, -1, -2):
+            phase = np.multiply.outer(phase, _SANDWICH[(li >> shift) & 3, (ri >> shift) & 3])
+        # Every index is in range; under the default mode="raise" numpy
+        # would gather into a temporary and copy it into ``term``.
+        np.take(amps, idx ^ (li ^ ri), out=term, mode="wrap")
+        term *= phase.reshape(-1)
+        out += term
+    return out
 
 
 # ---------------------------------------------------------------------------

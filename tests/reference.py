@@ -81,11 +81,13 @@ class TransferMatrix:
         return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) < 1e-12)
 
 
-def _interleaved_term(left: PauliString, right: PauliString) -> np.ndarray:
+def _interleaved_term(left: PauliString, right: PauliString, site: np.ndarray) -> np.ndarray:
+    """L (x) R^* on the interleaved register, each site's 4x4 block
+    conjugated by ``site``."""
     out = np.eye(1, dtype=complex)
     for i in range(left.n):
         block = np.kron(SIGMA[left.site(i)], SIGMA[right.site(i)].conj())
-        out = np.kron(out, block)
+        out = np.kron(out, site @ block @ site.conj().T)
     return out
 
 
@@ -104,13 +106,13 @@ def transfer_matrix(
             return TransferMatrix(basis, n, m_p)
         r = transform_matrix(n, "c_to_p")
         return TransferMatrix(basis, n, r.conj().T @ m_p @ r)
-    m_c = np.zeros((4**n, 4**n), dtype=complex)
+    # The basis change is a kron of one 4x4 matrix per site, so the Pauli-rep
+    # matrix conjugates each site's block by it, with no 4^n-sided product.
+    site = transform_matrix(1, "c_to_p") if basis.kind == "pauli" else np.eye(4)
+    m = np.zeros((4**n, 4**n), dtype=complex)
     for f, left, right in a.terms:
-        m_c += f * _interleaved_term(left, right)
-    if basis.kind == "computational":
-        return TransferMatrix(basis, n, m_c)
-    r = transform_matrix(n, "c_to_p")
-    return TransferMatrix(basis, n, r @ m_c @ r.conj().T)
+        m += f * _interleaved_term(left, right, site)
+    return TransferMatrix(basis, n, m)
 
 
 def to_operator_sum(d: DiagonalSuperop) -> OperatorSumSuperop:

@@ -45,8 +45,6 @@ from opvec.oracle import (
     exact_loe,
     exact_ose,
     exact_otoc,
-    exact_regulated,
-    exact_wightman,
     propagator,
 )
 from opvec.pauli import PauliString, PauliSum
@@ -59,10 +57,8 @@ from opvec.simulator import (
     channel_dual_postselect,
     dense_unitary,
     heisenberg_doubled,
-    imaginary_time_apply,
     interferometric_state,
     random_clifford_circuit,
-    regulated_overlap,
     super_propagator_circuit,
     trotter_circuit,
 )
@@ -352,35 +348,6 @@ def test_bitflip_channel_dual_postselection():
         channel_dual_postselect(dilation(0.5), 1, z_state, sites=(0,))
     assert exc.value.probability <= 1e-12
     print("bit-flip dual: states and probabilities exact, p=1/2 projection refused")
-
-
-def test_thermal_regulated_correlators():
-    h = PauliSum(2)
-    h.add(1.0, word("ZZ"))
-    t, beta = 0.7, 1.0
-    o = word("XI")
-    # single-term Hamiltonian: one product step is the exact propagator
-    st = heisenberg_doubled(vectorize(o.to_dense(), COMPUTATIONAL), trotter_circuit(h, t, 1))
-    ed = exact_heisenberg(o.to_dense(), propagator(h, t))
-    plain = regulated_overlap(st, st, _ps("ZI"), _ps("ZI"))
-    want_plain = exact_otoc(ed, word("ZI"), word("ZI"))
-    assert abs(plain - want_plain) <= 1e-12
-    bra = imaginary_time_apply(st, h, beta, side="right")
-    ket = imaginary_time_apply(st, h, beta, side="left")
-    reg = regulated_overlap(bra, ket, _ps("ZI"), _ps("ZI"))
-    want_reg = exact_regulated(o, word("ZI"), word("ZI"), h, t, beta, (0.5, 0.0, 0.5, 0.0))
-    assert abs(want_reg) > 0.1  # probe chosen so the regulated value cannot vanish
-    assert abs(reg - want_reg) <= 1e-10
-    ident = vectorize(word("II").to_dense(), COMPUTATIONAL)
-    wbra = imaginary_time_apply(ident, h, beta, side="left")
-    wket = imaginary_time_apply(vectorize(o.to_dense(), COMPUTATIONAL), h, beta, side="left")
-    wight = regulated_overlap(wbra, wket, _ps("XI"), _ps("II"))
-    want_w = exact_wightman(o, o, h, beta)
-    assert abs(want_w - 1.0 / math.cosh(beta)) <= 1e-12  # closed form for this probe
-    assert abs(wight - want_w) <= 1e-10
-    print(f"thermal: beta=0 delta {abs(plain - want_plain):.1e}, "
-          f"regulated {want_reg:+.4f} delta {abs(reg - want_reg):.1e}, "
-          f"wightman delta {abs(wight - want_w):.1e}")
 
 
 def test_grouped_shot_cost_ordering():

@@ -18,7 +18,7 @@ from opvec import _linalg, cli, simulator
 from opvec.cli import main
 from opvec.estimators import EmpiricalPauliDist
 from opvec.vectorize import COMPUTATIONAL, PAULI, load_state, vectorize
-from opvec.pauli import PauliString
+from opvec.pauli import PauliString, PauliSum
 from opvec.simulator import Gate, heisenberg_doubled, trotter_circuit
 
 
@@ -1083,6 +1083,58 @@ def test_hamiltonian_config_runs_as_its_inline_circuit(tmp_path, task, n):
     assert "report.json" in names and names == sorted(path.name for path in by_c.iterdir())
     for name in names:
         assert (by_h / name).read_bytes() == (by_c / name).read_bytes(), name
+
+
+def _word5(head: str) -> str:
+    return head.ljust(5, "I")
+
+
+_EVOLVED5 = dict(hamiltonian={"text": ising_chain(5).to_text()}, t=1.0, steps=4)
+SINGLE_WORD_N5 = {
+    "evolve": dict(operator=_word5("ZX"), **_EVOLVED5),
+    "sample": dict(operator=_word5("ZX"), **_EVOLVED5),
+    "otoc": dict(operator=_word5("ZX"), pairs=[[_word5("X")] * 2, [_word5("IZ")] * 2], **_EVOLVED5),
+    "superop": dict(operator=_word5("ZX"), superop="size", **_EVOLVED5),
+    "superop_sum": dict(operator=_word5("ZX"), superop={"text": (
+        f"0.5 0 {_word5('X')} {_word5('X')}\n0.25 0 {_word5('Z')} {_word5('IZ')}\n")},
+        **_EVOLVED5),
+    "ose": dict(operator=_word5("ZX"), **_EVOLVED5),
+    "loe": dict(operator=_word5("ZX"), partition=[0, 1], **_EVOLVED5),
+    "corr": dict(operator=_word5("ZX"), operator_b=_word5("Z"), **_EVOLVED5),
+    "choi2pc": dict(operator=_word5("ZX"), p=0.1, site=0),
+    "nqubit": dict(operator=_word5("X"), pairs=[[_word5("Z"), _word5("IZ")]], **_EVOLVED5),
+    "compile2d": dict(lattice={"rows": 1, "cols": 5}, h_x=0.3, J=1.1, dt=0.05),
+}
+
+
+def dense_sizes(monkeypatch) -> list[int]:
+    """The site count of every Pauli word or sum made dense from here on."""
+    sizes = []
+    for cls in (PauliString, PauliSum):
+        def spy(self, _dense=cls.to_dense):
+            sizes.append(self.n)
+            return _dense(self)
+
+        monkeypatch.setattr(cls, "to_dense", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("case", sorted(SINGLE_WORD_N5))
+def test_no_task_builds_a_dense_operator_without_the_oracle(tmp_path, monkeypatch, case):
+    # Gate matrices of one or two sites stay dense; no n-site operator is.
+    sizes = dense_sizes(monkeypatch)
+    task = case.split("_")[0]
+    code, _ = run_task(tmp_path, task, seed=1, **SINGLE_WORD_N5[case])
+    assert code == 0
+    assert max(sizes, default=0) <= 2
+
+
+def test_the_dense_spy_sees_the_oracle(tmp_path, monkeypatch):
+    sizes = dense_sizes(monkeypatch)
+    code, _ = run_task(tmp_path, "superop", seed=1, extra_args=("--with-oracle",),
+                       **SINGLE_WORD_N5["superop_sum"])
+    assert code == 0
+    assert 5 in sizes
 
 
 class TestCircuitFieldTypes:

@@ -24,8 +24,6 @@ from opvec.oracle import (
     exact_ose,
     exact_otoc,
     exact_pauli_amplitudes,
-    exact_regulated,
-    exact_wightman,
     heisenberg,
     pauli_probabilities,
     propagator,
@@ -387,63 +385,6 @@ class TestLoe:
     def test_bad_partitions(self, partition):
         with pytest.raises(ValueError):
             exact_loe(PauliString.from_label("XZ"), partition)
-
-
-class TestRegulated:
-    def test_beta_zero_reduces_to_otoc(self):
-        h = ising_chain(2)
-        o = PauliString.from_label("ZI")
-        a = PauliString.from_label("XI")
-        b = PauliString.from_label("XI")
-        t = 0.7
-        got = exact_regulated(o, a, b, h, t, 0.0, (0.5, 0.0, 0.5, 0.0))
-        evolved = exact_heisenberg(o.to_dense(), propagator(h.to_dense(), t))
-        assert got == pytest.approx(exact_otoc(evolved, a, b), abs=1e-12)
-
-    def test_matches_direct_trace(self):
-        h = PauliSum.from_text("1 0 ZZ")
-        o = PauliString.from_label("XI")
-        a = PauliString.from_label("ZI")
-        t, beta = 0.7, 1.0
-        got = exact_regulated(o, a, a, h, t, beta, (0.5, 0.0, 0.5, 0.0))
-        hm = h.to_dense()
-        w, v = np.linalg.eigh(hm)
-        rho_half = (v * np.exp(-beta * w / 2)) @ v.conj().T
-        z = np.exp(-beta * w).sum()
-        om = exact_heisenberg(o.to_dense(), propagator(hm, t))
-        am = a.to_dense()
-        want = np.trace(rho_half @ om @ am @ rho_half @ om @ am).real / z
-        assert got == pytest.approx(want, abs=1e-12)
-
-    @pytest.mark.parametrize("pattern", [(0.5, 0.5, 0.5, 0.5), (1.0, 0.0, 0.0, 0.0), (0.5, 0.0, 0.5)])
-    def test_pattern_validation(self, pattern):
-        with pytest.raises(ValueError):
-            exact_regulated(
-                PauliString.from_label("X"),
-                PauliString.from_label("Z"),
-                PauliString.from_label("Z"),
-                PauliString.from_label("Z"),
-                0.0,
-                1.0,
-                pattern,
-            )
-
-    def test_wightman_beta_zero_is_plain_trace(self):
-        o1 = PauliString.from_label("XI")
-        o2 = PauliSum.from_text("1 0 XI\n0.5 0 ZZ")
-        h = ising_chain(2)
-        got = exact_wightman(o1, o2, h, 0.0)
-        want = np.trace(o1.to_dense() @ o2.to_dense()).real / 4
-        assert got == pytest.approx(want, abs=1e-12)
-
-    def test_wightman_anticommuting_probe(self):
-        # X anticommutes with H = ZZ, so commuting it past one half-weight
-        # flips that weight's sign: tr(...) = tr(I) = 4 and only the
-        # partition function Z = 4 cosh(beta) survives.
-        h = PauliSum.from_text("1 0 ZZ")
-        x = PauliString.from_label("XI")
-        beta = 1.3
-        assert exact_wightman(x, x, h, beta) == pytest.approx(1 / np.cosh(beta), abs=1e-12)
 
 
 class TestChannelDual:

@@ -27,10 +27,8 @@ from opvec.simulator import (
     dense_unitary,
     gate_matrix,
     heisenberg_doubled,
-    imaginary_time_apply,
     interferometric_state,
     random_clifford_circuit,
-    regulated_overlap,
     super_propagator_circuit,
     trotter_circuit,
 )
@@ -313,8 +311,9 @@ class TestInterferometric:
         assert np.array_equal(state.amplitudes[0::2], _identity_pairs(n) / np.sqrt(2))
 
     def test_reservation_at_11_sites(self, monkeypatch):
-        # The register, the ancilla-1 branch and the two dense operators,
-        # stated before any of them is built.
+        # The peak, stated before anything is built: the register, O2's
+        # product on the branch and the basis change's two buffers. No dense
+        # operator is built.
         n = 11
         want = 16 * 2 ** (2 * n + 1) + 3 * 16 * 4**n
         monkeypatch.setattr(_linalg, "BYTE_BUDGET", want - 1)
@@ -392,51 +391,6 @@ class TestChannelDual:
         with pytest.raises(ProjectionFailedError) as err:
             channel_dual_postselect(dilation, 1, state)
         assert err.value.probability <= 1e-12
-
-
-class TestImaginaryTime:
-    def test_left_multiplication_matches_dense(self, gen):
-        h = random_hermitian_sum(gen, 2, 3)
-        mat = ginibre(gen, 4)
-        beta = 0.9
-        state = imaginary_time_apply(vectorize(mat, COMPUTATIONAL), h, beta, "left")
-        w, v = np.linalg.eigh(h.to_dense())
-        decay = (v * np.exp(-beta * w / 2)) @ v.conj().T
-        want = vectorize(decay @ mat, COMPUTATIONAL)
-        assert np.allclose(state.amplitudes, want.amplitudes, atol=1e-12)
-
-    def test_right_multiplication_matches_dense(self, gen):
-        h = random_hermitian_sum(gen, 2, 3)
-        mat = ginibre(gen, 4)
-        beta = 1.4
-        state = imaginary_time_apply(vectorize(mat, COMPUTATIONAL), h, beta, "right")
-        w, v = np.linalg.eigh(h.to_dense())
-        decay = (v * np.exp(-beta * w / 2)) @ v.conj().T
-        want = vectorize(mat @ decay, COMPUTATIONAL)
-        assert np.allclose(state.amplitudes, want.amplitudes, atol=1e-12)
-
-    def test_zero_beta_is_copy(self, gen):
-        state = vectorize(ginibre(gen, 4), COMPUTATIONAL)
-        out = imaginary_time_apply(state, ising_chain(2), 0.0, "left")
-        assert np.allclose(out.amplitudes, state.amplitudes)
-        assert out is not state
-
-    @pytest.mark.parametrize("beta,side", [(-1.0, "left"), (1.0, "middle")])
-    def test_bad_arguments(self, beta, side):
-        state = vectorize(PauliString.from_label("ZZ"), COMPUTATIONAL)
-        with pytest.raises(ValueError):
-            imaginary_time_apply(state, ising_chain(2), beta, side)
-
-    def test_regulated_overlap_is_trace_form(self, gen):
-        x1, x2 = ginibre(gen, 4), ginibre(gen, 4)
-        a = random_hermitian_sum(gen, 2, 3)
-        b = random_hermitian_sum(gen, 2, 3)
-        got = regulated_overlap(
-            vectorize(x1, COMPUTATIONAL), vectorize(x2, COMPUTATIONAL), a, b
-        )
-        want = np.trace(x1.conj().T @ a.to_dense() @ x2 @ b.to_dense())
-        want /= np.linalg.norm(x1) * np.linalg.norm(x2)
-        assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_random_clifford_is_unitary_and_seeded():

@@ -28,7 +28,7 @@ from opvec.superop import (
     size_superop,
     walsh_hadamard,
 )
-from opvec.vectorize import COMPUTATIONAL, PAULI, index_pauli, pauli_index, vectorize
+from opvec.vectorize import COMPUTATIONAL, PAULI, bell_transform, index_pauli, pauli_index, vectorize
 from helpers import ginibre, random_word, refusal_peak
 from reference import (
     apply_dense,
@@ -79,9 +79,10 @@ class TestOperatorSum:
             ),
         )
         mat = ginibre(gen, 4)
-        state = vectorize(mat, COMPUTATIONAL)
+        state = vectorize(mat, PAULI)
         moved = a.apply_vectorized(state.amplitudes)
-        want = vectorize(apply_dense(a, mat / np.linalg.norm(mat)), COMPUTATIONAL)
+        dense = vectorize(apply_dense(a, mat / np.linalg.norm(mat)), COMPUTATIONAL)
+        want = bell_transform(dense, "c_to_p")
         assert np.allclose(moved / np.linalg.norm(moved), want.amplitudes, atol=1e-12)
 
     def test_merged_sums_duplicates(self):
@@ -247,8 +248,8 @@ class TestTransfer:
         a = OperatorSumSuperop(
             2, ((0.3, PauliString.from_label("XY"), PauliString.from_label("ZI")),)
         )
-        state = vectorize(ginibre(gen, 4), COMPUTATIONAL)
-        tm = transfer_matrix(a, COMPUTATIONAL).matrix
+        state = vectorize(ginibre(gen, 4), PAULI)
+        tm = transfer_matrix(a, PAULI).matrix
         assert np.allclose(tm @ state.amplitudes, a.apply_vectorized(state.amplitudes), atol=1e-12)
 
     def test_diagonal_in_pauli_rep(self):

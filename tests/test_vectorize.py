@@ -12,13 +12,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from opvec import _linalg
 from opvec.errors import ParseError
-from opvec.pauli import PauliString, PauliSum
+from opvec.pauli import SIGMA, PauliString, PauliSum
+from opvec.superop import OperatorSumSuperop
 from opvec.vectorize import (
     COMPUTATIONAL,
     PAULI,
     VectorizedState,
     _BELL,
+    _SANDWICH,
+    apply_pauli_terms,
     bell_transform,
     devectorize,
     index_pauli,
@@ -27,8 +31,8 @@ from opvec.vectorize import (
     save_state,
     vectorize,
 )
-from helpers import ginibre
-from reference import apply_steps, kron_sum, transform_matrix
+from helpers import ginibre, random_word, refusal_peak
+from reference import apply_steps, kron_sum, transfer_matrix, transform_matrix
 
 SQ = 1 / np.sqrt(2)
 
@@ -180,6 +184,62 @@ class TestBasisChange:
             bell_transform(state, "c_to_p")
         with pytest.raises(ValueError):
             bell_transform(state, "sideways")
+
+
+def _product_forms(n: int) -> np.ndarray:
+    """The 4^n product forms Z^z X^x by Pauli index, each a kron of per-site
+    matrix powers, site 0 first."""
+    z, x = SIGMA["Z"], SIGMA["X"]
+    forms = []
+    for k in range(4**n):
+        out = np.eye(1)
+        for shift in range(2 * n - 2, -1, -2):
+            d = (k >> shift) & 3
+            out = np.kron(out, np.linalg.matrix_power(z, d >> 1) @ np.linalg.matrix_power(x, d & 1))
+        forms.append(out)
+    return np.stack(forms)
+
+
+class TestPauliTerms:
+    def test_sandwich_table_is_exact_and_read_only(self):
+        assert _SANDWICH.shape == (4, 4, 4)
+        assert set(_SANDWICH.ravel().tolist()) == {1, -1, 1j, -1j}
+        assert not _SANDWICH.flags.writeable
+
+    def test_every_word_pair_at_two_sites_is_the_dense_sandwich(self):
+        # Column k of each pair's map is L Q_k R projected on the product
+        # forms, tr(Q_j^dag L Q_k R) / 4: exact, as every entry is 0, +-1 or +-i.
+        n = 2
+        forms = _product_forms(n)
+        words = [index_pauli(k, n) for k in range(4**n)]
+        basis = np.eye(4**n, dtype=complex)
+        for left in words:
+            for right in words:
+                sandwiched = left.to_dense() @ forms @ right.to_dense()
+                want = np.einsum("jba,kba->jk", forms.conj(), sandwiched) / 2**n
+                got = np.stack([apply_pauli_terms(e, n, [(1.0, left, right)]) for e in basis], 1)
+                assert np.array_equal(got, want), (left, right)
+
+    @settings(deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_random_sums_match_the_transfer_matrix(self, n, count, seed):
+        gen = np.random.default_rng(seed)
+        terms = tuple(
+            (complex(*gen.standard_normal(2)), random_word(gen, n), random_word(gen, n))
+            for _ in range(count)
+        )
+        amps = gen.standard_normal(4**n) + 1j * gen.standard_normal(4**n)
+        amps /= np.linalg.norm(amps)
+        want = transfer_matrix(OperatorSumSuperop(n, terms), PAULI).matrix @ amps
+        assert np.max(np.abs(apply_pauli_terms(amps, n, terms) - want)) <= 1e-13
+
+    def test_refuses_past_the_byte_budget_before_it_builds(self, monkeypatch):
+        n = 9
+        want = 4 * 16 * 4**n
+        monkeypatch.setattr(_linalg, "BYTE_BUDGET", want - 1)
+        amps = np.zeros(4**n, dtype=complex)
+        x = PauliString.single(n, 0, "X")
+        assert refusal_peak(lambda: apply_pauli_terms(amps, n, [(1.0, x, x)]), want) < 1 << 16
 
 
 class TestSerialization:
