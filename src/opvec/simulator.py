@@ -19,6 +19,21 @@ evolution, :func:`heisenberg_doubled`, runs the steps of the one lowering,
 blocks, blocks on the last three sites joined, and a circuit that repeats
 one period, as a Trotter circuit repeats one step, lowered one period at a
 time and the period's steps repeated.
+
+A circuit made only of Pauli rotations whose generators all commute with a
+word S of I and Z letters with Z on site 0 is tapered, as a Hamiltonian's
+Pauli symmetry removes a qubit in the Schrodinger picture (Bravyi,
+Gambetta, Mezzacapo and Temme, 2017): the evolution keeps each word's
+commutation sign with S, so after the Clifford C that maps S to X on
+site 0 each sector is one half of the register, fixed by its most
+significant qubit, and evolves on 2n - 1 qubits through C U C^dag's
+lowering, restricted to that sector. The coefficients move to and from
+C O C^dag's words by one gather each way, a permutation that is linear
+over GF(2) in the index bits. The Ising chain, with S = Z on every site,
+is tapered. A circuit with any other gate, with no such S, whose conjugated
+lowering has more steps than its own, or with a step on site 0 that does not
+keep its z bit, as a conjugated wide pexp with X there has, keeps the full
+register.
 """
 
 from __future__ import annotations
@@ -569,12 +584,231 @@ def _y_phase(amps: np.ndarray, n: int, phase: complex) -> np.ndarray:
     return amps
 
 
-# The last doubled evolution's preparation, as (key, steps, plans): the key of
-# :func:`_key`, :func:`_transfer`'s steps and the :func:`run_passes` plans
-# made of them, so the tasks that evolve many operators through one circuit,
-# Hermitian or complex, lower and plan it once. It holds a few KB of matrices
-# of at most 64 x 64 and their plans, one reference per placed step, and one
-# key entry per gate of the circuit's first period.
+# ---------------------------------------------------------------------------
+# Tapering by a Z-type Pauli symmetry.
+#
+# If a word S commutes with every gate generator, U^dag O U keeps each word's
+# commutation sign with S. For a circuit of Pauli rotations with a Z-type S
+# through site 0, a Clifford C maps S to X on site 0. Every generator of
+# C U C^dag then carries I or X on site 0, so it keeps the z bit of site 0,
+# register qubit 0, and the 2n-qubit evolution splits into two of 2n - 1
+# qubits, one on each half of the register.
+
+def _rotation_word(g: Gate, n: int) -> PauliString | None:
+    """The word P of a Pauli rotation exp(-i angle P/2) on n sites (pexp and
+    rx ... rzz), or None for any other gate."""
+    axes = _ROTATION_AXES.get(g.name) or (g.axes if g.name == "pexp" else None)
+    if axes is None:
+        return None
+    label = ["I"] * n
+    for t, a in zip(g.targets, axes):
+        label[t] = a
+    return PauliString.from_label("".join(label))
+
+
+def _z_symmetry(xmasks) -> int | None:
+    """A Z-type word s, as the mask of its Z sites, with Z on site 0 and an
+    even overlap with every mask of ``xmasks``; None when there is none, that
+    is when X on site 0 alone lies in their GF(2) span. The masks are
+    eliminated to a reduced echelon basis, each leading bit set in its own
+    vector only, and s is the one such word with Z on no other site that
+    leads no vector."""
+    rows: dict[int, int] = {}  # leading bit -> basis vector
+    for v in xmasks:
+        for bit, row in rows.items():
+            if v >> bit & 1:
+                v ^= row
+        if v:
+            top = v.bit_length() - 1
+            for bit, row in rows.items():
+                if row >> top & 1:
+                    rows[bit] = row ^ v
+            rows[top] = v
+    if 0 in rows:
+        return None
+    return functools.reduce(int.__or__, (1 << bit for bit, row in rows.items() if row & 1), 1)
+
+
+def _tapering_clifford(n: int, s: int) -> Circuit:
+    """A Clifford C with C S C^dag = X_0 for the Z-type word S of mask ``s``:
+    the CX ladder cx(t_{j+1}, t_j) over S's sites t_0 = 0 < t_1 < ..., from
+    the last pair down, then h on every site. On the Ising chain, where S is
+    Z on every site, C maps each Z_i to X_i X_{i+1} (Z_{n-1} to X_{n-1}) and
+    each X_i X_{i+1} to Z_{i+1}: the chain again has XX bonds and Z fields."""
+    sites = [i for i in range(n) if s >> i & 1]
+    ladder = [Gate("cx", pair) for pair in zip(sites[:0:-1], sites[-2::-1])]
+    return Circuit(n, ladder + [Gate("h", (i,)) for i in range(n)])
+
+
+def _conjugated(circuit: Circuit, clifford: Circuit, words: dict) -> Circuit:
+    """C U C^dag for the unitary C of ``clifford``. Each distinct rotation
+    exp(-i angle P/2), keyed in ``words`` by its identity with its word P,
+    becomes one pexp of C P C^dag = +-P' on the sites of P', the sign moved
+    into its angle. Each maximal run of consecutive gates whose words
+    commute pairwise is reversed, which leaves C U C^dag as it is. The
+    first period is reversed and repeated when its first gate anticommutes
+    with a gate of its last run, so that no run crosses a seam; otherwise
+    the whole gate list is, so the result never depends on the period.
+
+    The reversal is for the fields. C swaps the chain's fields and bonds:
+    the conjugated bonds come in the order of U's fields, and the conjugated
+    fields stand on the other side of them. :func:`_absorb` would then join
+    each field to the block where its site comes first, and no pass would be
+    block-diagonal in its leading qubit (:func:`_linalg._halves`). Reversed,
+    each field joins the block where its site comes second, as in U's own
+    lowering, and four of the five passes of an n = 7 Trotter step split, in
+    trotter_circuit's and in super_propagator_circuit's order alike: they
+    took 24 us against 33 us unreversed (one BLAS thread, x86-64)."""
+    from .superop import conjugate_through  # superop imports this module
+
+    moved = {}
+    for key, (g, word) in words.items():
+        sign, image = conjugate_through(clifford, 1, word)
+        sites = [i for i in range(circuit.k) if image.site(i) != "I"]
+        angle = g.angle if sign > 0 else -g.angle
+        moved[key] = Gate("pexp", sites, angle, "".join(image.site(i) for i in sites)), image
+
+    def reversed_runs(gates) -> tuple[list, list]:
+        out, run = [], []
+        for g in gates:
+            gate, image = moved[id(g)]
+            if not all(image.commutes(other) for _, other in run):
+                out += [gate for gate, _ in reversed(run)]
+                run = []
+            run.append((gate, image))
+        return out + [gate for gate, _ in reversed(run)], run
+
+    gates = circuit.gates
+    p = _period(gates)
+    period, last = reversed_runs(gates[:p])
+    first = moved[id(gates[0])][1]
+    if p < len(gates) and all(first.commutes(other) for _, other in last):
+        return Circuit(circuit.k, reversed_runs(gates)[0])
+    return Circuit(circuit.k, period * (len(gates) // p))
+
+
+def _restricted(steps: list, sector: int) -> list | None:
+    """``steps`` on the 2n - 1 register qubits left when qubit 0 is fixed to
+    ``sector``: a step on qubit 0 keeps its matrix's diagonal block of that
+    sector, and every target moves down by one. The period of ``steps``
+    (:func:`_linalg._period`) is restricted and repeated, each distinct
+    matrix's block made once, so the list repeats as ``steps`` does. The
+    blocks off the sector are zero in exact arithmetic and are dropped; None
+    when an entry there exceeds 1e-15, as in a step that is not
+    block-diagonal in qubit 0, such as part of a wide pexp's CX ladder on
+    site 0."""
+    p = _period(steps)
+    blocks: dict[int, np.ndarray] = {}
+    out = []
+    for mat, targets in steps[:p]:
+        if targets[0]:
+            out.append((mat, tuple(t - 1 for t in targets)))
+            continue
+        block = blocks.get(id(mat))
+        if block is None:
+            h = len(mat) // 2
+            if max(np.abs(mat[:h, h:]).max(), np.abs(mat[h:, :h]).max()) > 1e-15:
+                return None
+            half = slice(sector * h, (sector + 1) * h)
+            block = blocks[id(mat)] = np.ascontiguousarray(mat[half, half])
+            block.flags.writeable = False
+        out.append((block, tuple(t - 1 for t in targets[1:])))
+    return out * (len(steps) // p)
+
+
+def _index_map(n: int, clifford) -> np.ndarray:
+    """The int32 table j -> pi(j) of the linear map pi that the Clifford
+    gates ``clifford`` (cx and h), applied in order, make of the Pauli-rep
+    indices of n sites, up to signs: cx(c, t) sets x_t ^= x_c and
+    z_c ^= z_t, h swaps its site's z and x bits. pi is linear over GF(2),
+    so the images of the 2n unit indices are found first and the table is
+    doubled one index bit at a time."""
+    units = 1 << np.arange(2 * n, dtype=np.int32)  # index bit b; site i's x bit is 2(n-1-i)
+    for g in clifford:
+        x = [2 * (n - 1 - q) for q in g.targets]
+        if g.name == "cx":
+            units ^= (units >> x[0] & 1) << x[1]
+            units ^= (units >> x[1] + 1 & 1) << x[0] + 1
+        else:
+            swap = (units >> x[0] ^ units >> x[0] + 1) & 1
+            units ^= swap << x[0] | swap << x[0] + 1
+    table = np.empty(4**n, dtype=np.int32)
+    table[0] = 0
+    for b, image in enumerate(units):
+        np.bitwise_xor(table[: 1 << b], image, out=table[1 << b: 2 << b])
+    table.flags.writeable = False
+    return table
+
+
+def _tapered(circuit: Circuit, most: int) -> tuple | None:
+    """The tapered preparation of ``circuit``, whose own lowering has
+    ``most`` steps: :func:`_transfer`'s steps of C U C^dag restricted to each
+    sector (:func:`_restricted`), and the index maps to and from the tapered
+    words (:func:`_index_map`) as int32 tables of 4^n entries. None, for the
+    full register, unless ``most`` is not 0, every gate is a Pauli
+    rotation, a Z-type symmetry through site 0 is found
+    (:func:`_z_symmetry`), the conjugated lowering has at most ``most``
+    steps, and every step on site 0 restricts."""
+    if not most:
+        return None
+    n = circuit.k
+    words: dict[int, tuple] = {}
+    for g in circuit.gates[: _period(circuit.gates)]:  # every distinct gate
+        if id(g) not in words:
+            word = _rotation_word(g, n)
+            if word is None:
+                return None
+            words[id(g)] = g, word
+    s = _z_symmetry(word.x for _, word in words.values())
+    if s is None:
+        return None
+    clifford = _tapering_clifford(n, s)
+    steps = _transfer(_conjugated(circuit, clifford, words))
+    if len(steps) > most:
+        return None
+    sectors = tuple(_restricted(steps, sector) for sector in (0, 1))
+    if None in sectors:
+        return None
+    reserve(2 * 4 * 4**n, f"the tapering index maps of {n} sites")
+    gates = clifford.gates  # each self-inverse, so C^dag is them reversed
+    return sectors, (_index_map(n, gates[::-1]), _index_map(n, gates))
+
+
+def _evolve_tapered(amps: np.ndarray, n: int, sectors: tuple, plans: dict, maps: tuple) -> np.ndarray:
+    """The Pauli-rep amplitudes ``amps`` of O evolved on the tapered
+    register, as Pauli-rep amplitudes. One gather moves them onto the words
+    of C O C^dag: the CX ladder maps Z^z X^x products with no sign and the h
+    layer with (-1)^{#Y}, which joins the Hermitian phase i^{#Y} of the
+    image as (-i)^{#Y}. Each half that holds a nonzero coefficient runs
+    through its sector's steps on 2n - 1 qubits, as one float64 register or,
+    for complex coefficients, two stacked. The way back is i^{#Y}, then one
+    gather. The gathers index with the int32 maps as they are: np.take,
+    about 20 us faster per gather at n = 7, first copies them to int64,
+    which at n = 12 added 134 MB to the peak."""
+    to_tapered, from_tapered = maps
+    coeffs = _y_phase(amps[to_tapered], n, -1j)
+    for half, steps in zip(coeffs.reshape(2, -1), sectors):
+        if not half.any():
+            continue
+        reg = np.concatenate((half.real, half.imag) if half.imag.any() else (half.real,))
+        reserve(2 * reg.nbytes, f"a tapered doubled evolution on {2 * n - 1} qubits")
+        reg = run_passes(reg, steps, 2 * n - 1, plans)
+        half.real = reg[: len(half)]
+        half.imag = reg[len(half):] if len(reg) > len(half) else 0
+        del reg
+    return _y_phase(coeffs, n, 1j)[from_tapered]
+
+
+# The last doubled evolution's preparation, as (key, steps, plans, maps): the
+# key of :func:`_key`, the steps, the :func:`run_passes` plans made of them,
+# and the tapering maps, so the tasks that evolve many operators through one
+# circuit, Hermitian or complex, lower and plan it once. For the full
+# register the steps are :func:`_transfer`'s and maps is None; a tapered
+# circuit's (:func:`_tapered`) are two lists of restricted steps, one per
+# sector, sharing the plans, and maps is the two int32 index tables, 8 * 4^n
+# bytes. Beside those, a few KB of matrices of at most 64 x 64 and their
+# plans, one reference per placed step, and one key entry per gate of the
+# circuit's first period.
 _KEPT: tuple | None = None
 
 
@@ -588,44 +822,58 @@ def _key(circuit: Circuit) -> tuple:
         (g.name, g.targets, repr(g.angle), g.axes, g._matrix_bytes) for g in circuit.gates[:p])
 
 
-def _prepared(circuit: Circuit) -> tuple[list, dict]:
-    """:func:`_transfer`'s steps of ``circuit`` and the dict of their plans,
-    from the one slot when its key matches; a miss empties the slot before
+def _prepared(circuit: Circuit) -> tuple:
+    """(steps, plans, maps) of ``circuit`` as the :data:`_KEPT` slot holds
+    them, from the slot when its key matches; a miss empties the slot before
     it lowers, so one preparation is held at a time."""
     global _KEPT
     key = _key(circuit)
     if _KEPT is None or _KEPT[0] != key:
         _KEPT = None
-        _KEPT = key, _transfer(circuit), {}
-    return _KEPT[1], _KEPT[2]
+        steps = _transfer(circuit)
+        steps, maps = _tapered(circuit, len(steps)) or (steps, None)
+        _KEPT = key, steps, {}, maps
+    return _KEPT[1:]
 
 
 def heisenberg_doubled(state: VectorizedState, u: Circuit) -> VectorizedState:
     """||O>> -> ||U^dag O U>> in the state's own basis, computational or
-    Pauli, as the real :func:`_transfer` passes of ``u`` in the
-    Hermitian-Pauli basis, with one :func:`bell_transform` each way for the
-    computational rep. The steps and their plans come from the one kept
-    slot (:func:`_prepared`), so a circuit of the last one's content is not
+    Pauli, as the real transfer passes of ``u`` in the Hermitian-Pauli
+    basis, with one :func:`bell_transform` each way for the computational
+    rep. The steps and their plans come from the one kept slot
+    (:func:`_prepared`), so a circuit of the last one's content is not
     lowered or planned again.
 
-    The coefficients run as one float64 register of 2n qubits when every
-    imaginary part is exactly 0. Otherwise O = A + iB runs as two, A's
+    A circuit of Pauli rotations with a Z-type symmetry through site 0 is
+    tapered (:func:`_tapered`): it runs C U C^dag on C O C^dag, one half of
+    the register per sector, on 2n - 1 qubits (:func:`_evolve_tapered`), and
+    maps the result back. Its preparation states the two int32 index maps,
+    8 * 4^n bytes, and each half that runs states its float64 registers
+    and :func:`run_passes`'s two buffers of their size, 2 * 8 * 4^n / 2
+    bytes, or twice that for complex coefficients, before its first pass.
+    Any other circuit runs :func:`_transfer`'s steps on the full register.
+
+    On either register the coefficients run as one float64 register when
+    every imaginary part is exactly 0. Otherwise O = A + iB runs as two, A's
     coefficients then B's back to back, through the same steps in one
     :func:`run_passes` call: the transfer matrices are real, so U^dag A U
-    and U^dag B U evolve apart. The float64 registers and
-    :func:`run_passes`'s two buffers of their size are stated to the byte
-    budget before the first pass."""
+    and U^dag B U evolve apart. On the full register the float64 registers
+    and :func:`run_passes`'s two buffers of their size, 2 * 8 * 4^n bytes, or
+    twice that, are stated to the byte budget before the first pass."""
     if u.k != state.n:
         raise ValueError("circuit size does not match site count")
     n = state.n
-    if state.basis == PAULI:
-        coeffs = _y_phase(state.amplitudes.copy(), n, 1j)
-    else:  # the basis change's output is this call's own, phased in place
-        coeffs = _y_phase(bell_transform(state, "c_to_p").amplitudes, n, 1j)
+    steps, plans, maps = _prepared(u)
+    amps = state.amplitudes if state.basis == PAULI else bell_transform(state, "c_to_p").amplitudes
+    if maps is not None:
+        out = VectorizedState(n, PAULI, _evolve_tapered(amps, n, steps, plans, maps))
+        return out if state.basis == PAULI else bell_transform(out, "p_to_c")
+    # The basis change's output is this call's own, phased in place.
+    coeffs = _y_phase(amps.copy() if state.basis == PAULI else amps, n, 1j)
+    del amps
     reg = np.concatenate((coeffs.real, coeffs.imag) if coeffs.imag.any() else (coeffs.real,))
     del coeffs  # the complex coefficients are freed before the passes
     reserve(2 * reg.nbytes, f"a doubled evolution on {2 * n} qubits")
-    steps, plans = _prepared(u)
     reg = run_passes(reg, steps, 2 * n, plans)
     amps = reg[: 4**n].astype(complex)
     if len(reg) > 4**n:

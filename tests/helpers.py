@@ -51,6 +51,23 @@ def ising_chain(n: int) -> PauliSum:
     return out
 
 
+def fielded_chain(n: int) -> PauliSum:
+    """The Ising chain plus a longitudinal X field of 0.2 on every site,
+    listed after the Z fields and before the couplings. X on site 0 alone is
+    then a generator, so no Z-type word through site 0 commutes with them
+    all and the evolution keeps the full register; the fields join the
+    blocks of their sites, so the passes are the chain's."""
+    out = PauliSum(n)
+    for i in range(n):
+        out.add(0.5, PauliString.single(n, i, "Z"))
+    for i in range(n):
+        out.add(0.2, PauliString.single(n, i, "X"))
+    for c, p in ising_chain(n).ordered_items():
+        if p.weight == 2:
+            out.add(c, p)
+    return out
+
+
 def ginibre(gen: np.random.Generator, dim: int) -> np.ndarray:
     return (gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))) / np.sqrt(2)
 

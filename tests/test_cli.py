@@ -917,8 +917,36 @@ def test_runs_in_one_process_write_what_an_empty_slot_writes(tmp_path, monkeypat
         for name in names:
             assert (out / name).read_bytes() == (alone[i] / name).read_bytes(), (j, name)
     # The inline circuit and the complex operator found the hamiltonian's
-    # preparation; the dilation and the rerun after it lowered.
-    assert lowered == [3, 4, 3]
+    # preparation; the dilation and the rerun after it lowered. The chain
+    # tapers, so each of its preparations lowers the circuit and then its
+    # conjugate; the dilation, of an ry and a cx, keeps the full register.
+    assert lowered == [3, 3, 4, 3, 3]
+
+
+def test_a_tapered_chain_around_a_dilation_writes_what_a_fresh_process_writes(tmp_path):
+    # The chain tapers and choi2pc's dilation keeps the full register: the
+    # chain, the dilation and the chain again in one interpreter each write
+    # the bytes of their own fresh process.
+    chain = {"text": "0.5 0 ZII\n0.5 0 IZI\n0.5 0 IIZ\n0.25 0 XXI\n0.25 0 IXX\n"}
+    configs = [
+        {"task": "evolve", "operator": "XZI", "hamiltonian": chain, "t": 1.0, "steps": 16, "seed": 7},
+        {"task": "choi2pc", "operator": "ZII", "p": 0.1, "site": 1, "seed": 7},
+    ]
+    fresh = []
+    for i, cfg in enumerate(configs):
+        (tmp_path / f"fresh{i}").mkdir()
+        proc = run_child(tmp_path / f"fresh{i}", cfg, 2 << 30)
+        assert proc.returncode == 0, proc.stderr
+        fresh.append(tmp_path / f"fresh{i}" / "out")
+    simulator._KEPT = None
+    for j, i in enumerate([0, 1, 0]):
+        fields = dict(configs[i])
+        code, out = run_task(tmp_path, fields.pop("task"), out=f"shared{j}", **fields)
+        assert code == 0
+        names = sorted(path.name for path in fresh[i].iterdir())
+        assert sorted(path.name for path in out.iterdir()) == names
+        for name in names:
+            assert (out / name).read_bytes() == (fresh[i] / name).read_bytes(), (j, name)
 
 
 def errors_of_each_gate(spec: dict) -> list[str]:

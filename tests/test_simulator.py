@@ -36,13 +36,28 @@ from opvec.simulator import (
     _TROTTER_STEP_BYTES,
     _absorb,
     _identity_pairs,
+    _index_map,
     _is_unitary,
     _lower,
+    _prepared,
+    _restricted,
+    _tapering_clifford,
     _term_gate,
     _transfer,
+    _y_phase,
+    _z_symmetry,
 )
-from opvec.vectorize import COMPUTATIONAL, PAULI, VectorizedState, bell_transform, vectorize
-from helpers import ginibre, ising_chain, random_hermitian_sum, refusal_peak
+from opvec.superop import conjugate_through
+from opvec.vectorize import (
+    COMPUTATIONAL,
+    PAULI,
+    VectorizedState,
+    bell_transform,
+    index_pauli,
+    pauli_index,
+    vectorize,
+)
+from helpers import fielded_chain, ginibre, ising_chain, random_hermitian_sum, random_word, refusal_peak
 from reference import apply_matrix, apply_steps
 
 
@@ -508,6 +523,30 @@ def _mixed_circuit(gen, k: int, count: int) -> Circuit:
             width = min(k, int(gen.integers(1, 3)))
             gates.append(Gate("u", q[:width], matrix=_random_unitary(gen, 2**width)))
     return Circuit(k, gates)
+
+
+def _symmetric_circuit(gen, n: int, count: int, symmetries: int) -> Circuit:
+    """Seeded circuit of ``count`` Pauli rotations on n sites, repeated 1 to
+    3 times, whose generators commute with each of ``symmetries`` random
+    Z-type words through site 0: words of 1 to 3 sites, one in six as wide
+    as the register, Y letters included, as a named rotation where one fits
+    and otherwise a pexp on its sites in random order."""
+    masks = [1 | 2 * int(gen.integers(2 ** (n - 1))) for _ in range(symmetries)]
+    gates = []
+    while len(gates) < count:
+        width = n if gen.integers(6) == 0 else int(gen.integers(1, min(n, 3) + 1))
+        sites = [int(q) for q in gen.permutation(n)[:width]]
+        axes = "".join(gen.choice(list("XYZ"), width))
+        x = sum(1 << q for q, a in zip(sites, axes) if a in "XY")
+        if any(bin(x & s).count("1") % 2 for s in masks):
+            continue
+        angle = float(gen.normal())
+        named = {"X": "rx", "Y": "ry", "Z": "rz", "XX": "rxx", "YY": "ryy", "ZZ": "rzz"}.get(axes)
+        if named and gen.integers(2):
+            gates.append(Gate(named, sites, angle))
+        else:
+            gates.append(Gate("pexp", sites, angle, axes))
+    return Circuit(n, gates * int(gen.integers(1, 4)))
 
 
 def _twin_u_circuit(gen, k: int) -> Circuit:
@@ -1137,12 +1176,16 @@ class TestTransferPath:
 
     @settings(deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), count=st.integers(1, 30),
-           basis=st.sampled_from([PAULI, COMPUTATIONAL]))
-    def test_complex_coefficients_evolve_as_their_real_and_imaginary_parts(self, seed, n, count, basis):
+           basis=st.sampled_from([PAULI, COMPUTATIONAL]), tapered=st.booleans())
+    def test_complex_coefficients_evolve_as_their_real_and_imaginary_parts(
+            self, seed, n, count, basis, tapered):
         # O = A + iB with A and B Hermitian: U^dag O U is U^dag A U + i U^dag B U,
-        # each evolved on its own, and agrees with the dense U^dag O U.
+        # each evolved on its own, and agrees with the dense U^dag O U; on
+        # the full register of a mixed circuit, and on the tapered register
+        # of a circuit of rotations with a Z-type symmetry, where A and B run
+        # as two stacked registers in each half.
         gen = np.random.default_rng(seed)
-        circ = _mixed_circuit(gen, n, count)
+        circ = _symmetric_circuit(gen, n, count, 1) if tapered else _mixed_circuit(gen, n, count)
         o = ginibre(gen, 2**n)
         parts = [(o + o.conj().T) / 2, (o - o.conj().T) / 2j]
         got = heisenberg_doubled(vectorize(o, basis), circ).amplitudes
@@ -1152,16 +1195,27 @@ class TestTransferPath:
         u = dense_unitary(circ)
         assert np.max(np.abs(got - vectorize(u.conj().T @ o @ u, basis).amplitudes)) <= 1e-12
 
-    @pytest.mark.parametrize("text, size, per_step", [
-        # Hermitian: one float64 vector, whose two blocks per step end the
-        # register and fuse into one. Complex: the real then the imaginary
-        # parts, back to back through the same fused steps.
-        ("0.6 0 XZI\n-0.8 0 IYY", 4**3, 1),
-        ("0.5 0.5 XZI", 2 * 4**3, 1),
-    ])
+    # Hermitian: one float64 vector, whose two blocks per step end the
+    # register and fuse into one. Complex: the real then the imaginary parts,
+    # back to back through the same fused steps.
+    _FLOAT64_CASES = [("0.6 0 XZI\n-0.8 0 IYY", 4**3, 1), ("0.5 0.5 XZI", 2 * 4**3, 1)]
+
+    @pytest.mark.parametrize("text, size, per_step", _FLOAT64_CASES)
     def test_coefficients_run_as_float64(self, monkeypatch, text, size, per_step):
-        state = vectorize(PauliSum.from_text(text), PAULI)
+        # On the chain's tapered register each sector that holds a
+        # coefficient runs its half, size / 2, through its own fused steps:
+        # XZI lies in sector 1 and IYY in sector 0.
+        op = PauliSum.from_text(text)
+        state = vectorize(op, PAULI)
         circ = trotter_circuit(ising_chain(3), 0.6, 4)
+        calls = _count_passes(monkeypatch, lambda: heisenberg_doubled(state, circ))
+        assert len(calls) == 4 * per_step * len(_chain_sectors(op))
+        assert all(length == size // 2 for _, _, length in calls)
+
+    @pytest.mark.parametrize("text, size, per_step", _FLOAT64_CASES)
+    def test_coefficients_run_as_float64_on_the_full_register(self, monkeypatch, text, size, per_step):
+        state = vectorize(PauliSum.from_text(text), PAULI)
+        circ = trotter_circuit(fielded_chain(3), 0.6, 4)
         calls = _count_passes(monkeypatch, lambda: heisenberg_doubled(state, circ))
         assert len(calls) == 4 * per_step
         assert all(length == size for _, _, length in calls)
@@ -1186,17 +1240,42 @@ class TestTransferPath:
         vec = gen.normal(size=4**4)
         assert _close(apply_steps(vec, out, 8), apply_steps(vec, steps, 8))
 
-    @pytest.mark.parametrize("text, itemsize, per_step", [
-        ("1 0 ZXIII", 8, 3), ("0.6 0.8 ZXIII", 16, 3),
-    ])
+    _STATED_CASES = [("1 0 ZXIII", 8, 3), ("0.6 0.8 ZXIII", 16, 3)]
+
+    @pytest.mark.parametrize("text, itemsize, per_step", _STATED_CASES)
     def test_register_is_stated_before_the_first_pass(self, monkeypatch, text, itemsize, per_step):
+        # On the chain's tapered register: the running registers and one
+        # pass output of ZXIII's sector, half the register, 8 bytes per
+        # coefficient for real coefficients and 16 for complex ones. The
+        # preparation states the two int32 index maps first, 8 * 4^n bytes;
+        # refused, it keeps nothing.
+        n = 5
+        state = vectorize(PauliSum.from_text(text), PAULI)
+        circ = trotter_circuit(ising_chain(n), 1.0, 2)
+        maps = 8 * 4**n
+        monkeypatch.setattr(_linalg, "BYTE_BUDGET", maps - 1)
+        with pytest.raises(CapExceededError, match=f"^the tapering index maps of {n} sites needs {maps} bytes"):
+            heisenberg_doubled(state, circ)
+        assert simulator._KEPT is None
+        monkeypatch.setattr(_linalg, "BYTE_BUDGET", maps)
+        assert _prepared(circ)[2] is not None
+        want = 2 * itemsize * 4**n // 2
+        monkeypatch.setattr(_linalg, "BYTE_BUDGET", want - 1)
+        assert _count_passes(monkeypatch, lambda: refusal_peak(
+            lambda: heisenberg_doubled(state, circ), want)) == []
+        monkeypatch.setattr(_linalg, "BYTE_BUDGET", want)
+        assert len(_count_passes(monkeypatch, lambda: heisenberg_doubled(state, circ))) == 2 * per_step
+
+    @pytest.mark.parametrize("text, itemsize, per_step", _STATED_CASES)
+    def test_register_is_stated_before_the_first_pass_on_the_full_register(
+            self, monkeypatch, text, itemsize, per_step):
         # The running registers and one pass output: 8 bytes per coefficient
         # for real coefficients, 16 for complex ones, whose real and
         # imaginary parts run as two registers. Both fuse the blocks on the
         # last three sites.
         n = 5
         state = vectorize(PauliSum.from_text(text), PAULI)
-        circ = trotter_circuit(ising_chain(n), 1.0, 2)
+        circ = trotter_circuit(fielded_chain(n), 1.0, 2)
         want = 2 * itemsize * 4**n
         monkeypatch.setattr(_linalg, "BYTE_BUDGET", want - 1)
         assert _count_passes(monkeypatch, lambda: refusal_peak(
@@ -1206,14 +1285,36 @@ class TestTransferPath:
 
 
 class TestTailFusion:
-    """On the doubled register, of real or complex coefficients alike,
-    adjacent blocks on the last three sites run as one 64x64 block."""
+    """On the doubled register, full or tapered, of real or complex
+    coefficients alike, adjacent blocks on the last three sites run as one
+    64x64 block."""
 
     @pytest.mark.parametrize("build", [trotter_circuit, super_propagator_circuit])
     @pytest.mark.parametrize("n", range(3, 9))
     def test_fused_matches_unfused(self, monkeypatch, n, build):
-        state = vectorize(PauliSum.from_text("0.6 0 " + "ZX".ljust(n, "I") + "\n0.8 0 " + "Y" * n), PAULI)
+        # On the chain's tapered register each sector that holds a word runs
+        # its own steps: ZX... lies in sector 1 and Y^n in sector n mod 2. At
+        # n = 3 the fused block spans the register and keeps its sector's
+        # 32x32 half.
+        op = PauliSum.from_text("0.6 0 " + "ZX".ljust(n, "I") + "\n0.8 0 " + "Y" * n)
+        state = vectorize(op, PAULI)
         circ = build(ising_chain(n), 1.0, 64)
+        fused = heisenberg_doubled(state, circ).amplitudes
+        calls = _count_passes(monkeypatch, lambda: heisenberg_doubled(state, circ))
+        tail = (32, 32) if n == 3 else (64, 64)
+        halves = len(_chain_sectors(op))
+        assert [shape for shape, _, _ in calls].count(tail) == 64 * halves
+        assert len(calls) == 64 * (n - 2) * halves
+        assert all(size == 4**n // 2 for _, _, size in calls)
+        monkeypatch.setattr(simulator, "_fuse_tail", lambda steps, k: steps)
+        monkeypatch.setattr(simulator, "_KEPT", None)  # else the fused lowering is reused
+        assert _close(fused, heisenberg_doubled(state, circ).amplitudes)
+
+    @pytest.mark.parametrize("build", [trotter_circuit, super_propagator_circuit])
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_fused_matches_unfused_on_the_full_register(self, monkeypatch, n, build):
+        state = vectorize(PauliSum.from_text("0.6 0 " + "ZX".ljust(n, "I") + "\n0.8 0 " + "Y" * n), PAULI)
+        circ = build(fielded_chain(n), 1.0, 64)
         fused = heisenberg_doubled(state, circ).amplitudes
         calls = _count_passes(monkeypatch, lambda: heisenberg_doubled(state, circ))
         assert [shape for shape, _, _ in calls].count((64, 64)) == 64
@@ -1224,16 +1325,41 @@ class TestTailFusion:
 
     def test_complex_coefficients_fuse_and_separated_tail_blocks_stay_unfused(self, monkeypatch):
         n = 4
-        # Complex coefficients run the Hermitian path's fused steps.
+        # Complex coefficients run the Hermitian path's fused steps, on the
+        # chain's tapered register: the block on sites (0, 1) keeps its
+        # sector's 8x8 half, and the others move down one qubit. The
+        # conjugated step's bonds run in ascending order (see
+        # simulator._conjugated).
         state = vectorize(PauliSum.from_text("0.6 0.8 ZXII"), PAULI)
         circ = trotter_circuit(ising_chain(n), 1.0, 4)
         calls = _count_passes(monkeypatch, lambda: heisenberg_doubled(state, circ))
         assert len(calls) == 4 * (n - 2)
+        assert [shape for shape, _, _ in calls] == [(8, 8), (64, 64)] * 4
+        assert all(size == 2 * 4**n // 2 for _, _, size in calls)
+        # A block on sites (0, 1) between the blocks on (1, 2) and (2, 3) of
+        # a circuit that tapers: C, h on every site, makes the generators
+        # ZZ, XZ, ZZ, which commute, so their run is reversed and the
+        # Heisenberg order is the order listed.
+        state = vectorize(PauliSum.from_text("1 0 ZXII"), PAULI)
+        circ = Circuit(n, [Gate("rxx", (1, 2), 0.3), Gate("pexp", (0, 1), 0.5, "ZX"),
+                           Gate("rxx", (2, 3), 0.7)])
+        calls = _count_passes(monkeypatch, lambda: heisenberg_doubled(state, circ))
+        assert [targets for _, targets, _ in calls] == [(1, 2, 3, 4), (0, 1, 2), (3, 4, 5, 6)]
+
+    def test_complex_coefficients_fuse_and_separated_tail_blocks_stay_unfused_on_the_full_register(
+            self, monkeypatch):
+        n = 4
+        state = vectorize(PauliSum.from_text("0.6 0.8 ZXII"), PAULI)
+        circ = trotter_circuit(fielded_chain(n), 1.0, 4)
+        calls = _count_passes(monkeypatch, lambda: heisenberg_doubled(state, circ))
+        assert len(calls) == 4 * (n - 2)
         assert [shape for shape, _, _ in calls] == [(64, 64), (16, 16)] * 4
         assert all(size == 2 * 4**n for _, _, size in calls)
-        # A block on sites (0, 1) between the blocks on (1, 2) and (2, 3).
+        # The same blocks with an X field on site 0, which joins the block on
+        # sites (0, 1).
         state = vectorize(PauliSum.from_text("1 0 ZXII"), PAULI)
-        circ = Circuit(n, [Gate("rzz", (2, 3), 0.3), Gate("rzz", (0, 1), 0.5), Gate("rxx", (1, 2), 0.7)])
+        circ = Circuit(n, [Gate("rzz", (2, 3), 0.3), Gate("rzz", (0, 1), 0.5), Gate("rx", (0,), 0.2),
+                           Gate("rxx", (1, 2), 0.7)])
         calls = _count_passes(monkeypatch, lambda: heisenberg_doubled(state, circ))
         assert [targets for _, targets, _ in calls] == [(2, 3, 4, 5), (0, 1, 2, 3), (4, 5, 6, 7)]
 
@@ -1372,6 +1498,9 @@ class TestPeriodicLowering:
     @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 6),
            st.sampled_from([1, 2, 3, 7]))
     @example(1, 3, 1, 7)  # one gate: a single-site one stays apart in its period
+    # Rotations that taper, whose last conjugated gate commutes with the
+    # next period's first: a run of commuting gates crosses the seam.
+    @example(449980386, 4, 3, 2)
     def test_a_repeated_circuit_lowers_as_the_untiled_one(self, seed, k, count, reps):
         # Against the whole circuit lowered at once: the evolution of a
         # Hermitian sum (the float64 vector, whose tail blocks fuse) and of
@@ -1395,11 +1524,45 @@ class TestPeriodicLowering:
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_trotter_order_and_aperiodic_circuits_are_bitwise_the_untiled_lowering(self, n):
+        # On the chain's tapered register the conjugated step opens its
+        # Heisenberg order with single-site steps, the images of its bonds,
+        # that one step's lowering joins to that step's blocks and the
+        # untiled lowering, from the second step on, to the step before. So
+        # for trotter_circuit, as the corr branch, an inline circuit and
+        # nqubit run it, and for super_propagator_circuit, as compile2d's
+        # oracle reference does, the passes are those of the untiled
+        # lowering of the conjugated circuit and the values agree to
+        # rounding; the full-register test below keeps the bitwise claim.
+        h = ising_chain(n)
+        hermitian = vectorize(PauliSum.from_text("0.6 0 " + "ZX".ljust(n, "I") + "\n0.8 0 " + "Y" * n), PAULI)
+        skewed = vectorize(PauliSum.from_text("0.6 0.8 " + "XZ".ljust(n, "I")), PAULI)
+        op, op2 = PauliSum.from_text("1 0 " + "ZX".ljust(n, "I")), PauliSum.from_text("1 0 " + "X" * n)
+        calls = []
+        for circ in (trotter_circuit(h, 1.0, 16), super_propagator_circuit(h, 1.0, 16)):
+            calls += [
+                lambda circ=circ: heisenberg_doubled(hermitian, circ).amplitudes,
+                lambda circ=circ: heisenberg_doubled(skewed, circ).amplitudes,
+                lambda circ=circ: interferometric_state(op, op2, circ, Circuit(n)).amplitudes,
+            ]
+        got = [_and_passes(call) for call in calls]
+        # Half the register per sector; the complex coefficients as two.
+        sizes = [{size for _, _, size in passes} for _, passes in got]
+        assert sizes == [{4**n // 2}, {4**n}, {4**n // 2}] * 2
+        with pytest.MonkeyPatch.context() as m:
+            _untiled(m)
+            want = [_and_passes(call) for call in calls]
+        for (a, a_passes), (b, b_passes) in zip(got, want):
+            assert a_passes == b_passes
+            assert _close(a, b)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_trotter_order_and_aperiodic_circuits_are_bitwise_the_untiled_lowering_on_the_full_register(
+            self, n):
         # trotter_circuit's Heisenberg order absorbs each step's fields in
         # that step, as the whole-circuit lowering does: the corr branch, an
         # inline circuit and nqubit run it. An aperiodic circuit is its own
         # period.
-        h = ising_chain(n)
+        h = fielded_chain(n)
         hermitian = vectorize(PauliSum.from_text("0.6 0 " + "ZX".ljust(n, "I") + "\n0.8 0 " + "Y" * n), PAULI)
         skewed = vectorize(PauliSum.from_text("0.6 0.8 " + "XZ".ljust(n, "I")), PAULI)
         circ = trotter_circuit(h, 1.0, 16)
@@ -1439,6 +1602,8 @@ class TestPeriodicLowering:
         # _absorb gets one step's 13 placed steps, not 64 x 13 = 832;
         # _fuse_tail gets the step's 6 blocks, not 384, and then the fused
         # step's last block with the next step's first, which do not fuse.
+        # Both hold for the circuit's own lowering and then for that of its
+        # conjugate by the tapering Clifford.
         lengths = {"_absorb": [], "_fuse_tail": []}
         for name, seen in lengths.items():
             real = getattr(simulator, name)
@@ -1449,7 +1614,7 @@ class TestPeriodicLowering:
 
             monkeypatch.setattr(simulator, name, counting)
         _ising_doubled_n7()[path]()
-        assert lengths == {"_absorb": [13], "_fuse_tail": [6, 2]}
+        assert lengths == {"_absorb": [13, 13], "_fuse_tail": [6, 2, 6, 2]}
 
     def test_blocks_fusing_across_the_seam_fuse_the_whole_list(self, monkeypatch):
         # In Heisenberg order each period's blocks are on sites (1, 2),
@@ -1521,10 +1686,16 @@ def _count_passes(monkeypatch, call):
     return shapes
 
 
-def _ising_doubled_n7():
+def _chain_sectors(op: PauliSum) -> set[int]:
+    """The sectors of the words of ``op`` under the chain's symmetry, Z on
+    every site: each word's count of X and Y letters, mod 2."""
+    return {bin(p.x).count("1") % 2 for _, p in op.items()}
+
+
+def _ising_doubled_n7(chain=ising_chain):
     """The n=7 chain's 64-step Heisenberg evolution from the Pauli rep, as
     the CLI runs it, on both config kinds' circuits."""
-    h = ising_chain(7)
+    h = chain(7)
     state = vectorize(PauliSum.from_text("1 0 ZXIIIII"), PAULI)
     return {
         "super_propagator_circuit": lambda: heisenberg_doubled(
@@ -1544,10 +1715,27 @@ class TestPasses:
 
     @pytest.mark.parametrize("path", ["super_propagator_circuit", "heisenberg_doubled"])
     def test_ising_n7_makes_320_passes(self, monkeypatch, path):
-        # Per Trotter step: n-1 = 6 real 16x16 blocks, the fields absorbed
-        # into them, of which the two on the last three sites fuse into one
-        # 64x64 block: 5 passes on the float64 register of 4^7 coefficients.
+        # On the tapered register of ZXIIIII's sector, 4^7 / 2 coefficients on
+        # 13 qubits. Per Trotter step of the conjugated chain: n-1 = 6 real
+        # XX blocks, the Z fields absorbed into them, of which the two on the
+        # last three sites fuse into one 64x64 block and the one on sites
+        # (0, 1) keeps its sector's 8x8 half: 5 passes.
         calls = _count_passes(monkeypatch, _ising_doubled_n7()[path])
+        assert len(calls) == 320
+        assert all(size == 4**7 // 2 for _, _, size in calls)
+        shapes = [shape for shape, _, _ in calls]
+        assert shapes.count((64, 64)) == 64 and shapes.count((8, 8)) == 64
+        assert all(targets == tuple(range(7, 13)) for shape, targets, _ in calls if shape == (64, 64))
+        assert all(targets == (0, 1, 2) for shape, targets, _ in calls if shape == (8, 8))
+        assert all(shape == (16, 16) for shape, targets, _ in calls if len(targets) == 4)
+
+    @pytest.mark.parametrize("path", ["super_propagator_circuit", "heisenberg_doubled"])
+    def test_ising_n7_makes_320_passes_on_the_full_register(self, monkeypatch, path):
+        # Per Trotter step of the chain with an X field: n-1 = 6 real 16x16
+        # blocks, the fields absorbed into them, of which the two on the last
+        # three sites fuse into one 64x64 block: 5 passes on the float64
+        # register of 4^7 coefficients.
+        calls = _count_passes(monkeypatch, _ising_doubled_n7(fielded_chain)[path])
         assert len(calls) == 320
         assert all(size == 4**7 for _, _, size in calls)
         assert [shape for shape, _, _ in calls].count((64, 64)) == 64
@@ -1555,10 +1743,19 @@ class TestPasses:
         assert all(shape == (16, 16) for shape, targets, _ in calls if targets != tuple(range(8, 14)))
 
     def test_interferometric_passes_act_on_the_doubled_register(self, monkeypatch):
+        # On the chain's tapered register: the 5 qubits of ZXI's sector, and
+        # the fused block's 32x32 half.
+        self._interferometric_passes(monkeypatch, ising_chain, (32, 32), 2**5)
+
+    def test_interferometric_passes_act_on_the_doubled_register_on_the_full_register(self, monkeypatch):
+        self._interferometric_passes(monkeypatch, fielded_chain, (64, 64), 2**6)
+
+    @staticmethod
+    def _interferometric_passes(monkeypatch, chain, shape, size):
         # Only the ancilla-1 branch is evolved, on the 6 doubled qubits, as
         # one real vector: n-1 = 2 blocks per Trotter step of either circuit,
-        # which span the register and fuse into one 64x64 block.
-        h = ising_chain(3)
+        # which span the register and fuse into one block.
+        h = chain(3)
         op, op2 = PauliSum.from_text("1 0 ZXI"), PauliSum.from_text("1 0 XIZ")
         u, u2 = trotter_circuit(h, 0.7, 5), trotter_circuit(h, -0.4, 3)
         got, plain = _run_and_per_step(
@@ -1568,7 +1765,7 @@ class TestPasses:
         assert _close(got, _ref_interferometric_state(op, op2, u, u2))
         calls = _count_passes(monkeypatch, lambda: interferometric_state(op, op2, u, u2))
         assert len(calls) == 5 + 3
-        assert all(shape == (64, 64) and size == 2**6 for shape, _, size in calls)
+        assert all(pass_shape == shape and pass_size == size for pass_shape, _, pass_size in calls)
 
     def test_dense_unitary(self, monkeypatch):
         # One pass per gate over the identity's 4^4 amplitudes.
@@ -1723,6 +1920,154 @@ class TestKeptPreparation:
         kept = simulator._KEPT
         assert heisenberg_doubled(state, circ).amplitudes.tobytes() == want
         assert simulator._KEPT is kept
+
+
+# ---------------------------------------------------------------------------
+# The taper: a circuit of Pauli rotations with a Z-type symmetry through
+# site 0 evolves each sector on its half of the register.
+
+def _full_register(state: VectorizedState, u: Circuit) -> np.ndarray:
+    """The amplitudes of U^dag O U in the state's basis from the full
+    register: run_passes(_transfer(u)) on the Hermitian-Pauli coefficients,
+    one float64 register or, for complex coefficients, two, as
+    heisenberg_doubled runs a circuit that does not taper."""
+    n = state.n
+    amps = state.amplitudes if state.basis == PAULI else bell_transform(state, "c_to_p").amplitudes
+    coeffs = _y_phase(amps.copy(), n, 1j)
+    reg = np.concatenate((coeffs.real, coeffs.imag) if coeffs.imag.any() else (coeffs.real,))
+    reg = run_passes(reg, _transfer(u), 2 * n)
+    out = reg[: 4**n].astype(complex)
+    if len(reg) > 4**n:
+        out.imag = reg[4**n:]
+    out = VectorizedState(n, PAULI, _y_phase(out, n, -1j))
+    return (out if state.basis == PAULI else bell_transform(out, "p_to_c")).amplitudes
+
+
+class TestTaper:
+    def test_the_chain_maps_to_xx_bonds_and_z_fields(self):
+        # C maps Z^n to X on site 0, each Z_i to X_i X_{i+1} (Z_{n-1} to
+        # X_{n-1}) and each X_i X_{i+1} to Z_{i+1}.
+        n = 7
+        chain = ising_chain(n)
+        s = _z_symmetry(p.x for _, p in chain.items())
+        assert s == 2**n - 1
+        clifford = _tapering_clifford(n, s)
+        assert [(g.name, g.targets) for g in clifford.gates] == (
+            [("cx", (i + 1, i)) for i in reversed(range(n - 1))] + [("h", (i,)) for i in range(n)])
+
+        def image(label):
+            sign, word = conjugate_through(clifford, 1, PauliString.from_label(label))
+            return sign, "".join(word.site(i) for i in range(n))
+
+        assert image("Z" * n) == (1, "X" + "I" * (n - 1))
+        for i in range(n):
+            want = "I" * i + ("XX" if i < n - 1 else "X")
+            assert image("I" * i + "Z" + "I" * (n - i - 1)) == (1, want.ljust(n, "I"))
+        for i in range(n - 1):
+            assert image(("I" * i + "XX").ljust(n, "I")) == (1, ("I" * (i + 1) + "Z").ljust(n, "I"))
+
+    @settings(deadline=None)
+    @given(n=st.integers(1, 5), masks=st.lists(st.integers(0, 31), max_size=6))
+    def test_the_symmetry_is_found_unless_x_on_site_0_is_in_the_span(self, n, masks):
+        masks = [m % 2**n for m in masks]
+        span = {0}
+        for m in masks:
+            span |= {v ^ m for v in span}
+        s = _z_symmetry(masks)
+        assert (s is None) == (1 in span)
+        if s is not None:
+            assert s & 1 and s < 2**n
+            assert all(bin(s & m).count("1") % 2 == 0 for m in masks)
+
+    @pytest.mark.parametrize("n, s", [(1, 0b1), (2, 0b11), (3, 0b101), (4, 0b1101), (4, 0b1)])
+    def test_the_index_maps_are_the_clifford_on_words(self, n, s):
+        # from the words of O to those of C O C^dag and back, up to signs.
+        clifford = _tapering_clifford(n, s)
+        back, forth = _index_map(n, clifford.gates[::-1]), _index_map(n, clifford.gates)
+        assert back.dtype == forth.dtype == np.int32 and not forth.flags.writeable
+        for j in range(4**n):
+            _, word = conjugate_through(clifford, 1, index_pauli(j, n))
+            assert forth[j] == pauli_index(word)
+        assert np.array_equal(back[forth], np.arange(4**n))
+        # S's own word lands on X on site 0, which commutes with sector 0,
+        # the first half, and anticommutes with sector 1.
+        assert forth[pauli_index(PauliString(n, s, 0))] == 4 ** (n - 1)
+
+    @settings(deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6), count=st.integers(1, 12),
+           symmetries=st.integers(1, 3), kind=st.sampled_from(["word", "sum", "complex"]),
+           basis=st.sampled_from([PAULI, COMPUTATIONAL]))
+    def test_tapered_evolution_matches_the_full_register(self, seed, n, count, symmetries, kind, basis):
+        # Random rotations commuting with 1 to 3 Z-type words through site 0,
+        # Y letters and wide pexps among them, on one word (one sector), a
+        # Hermitian sum (mostly both sectors) or a complex matrix.
+        gen = np.random.default_rng(seed)
+        circ = _symmetric_circuit(gen, n, count, symmetries)
+        op = {
+            "word": lambda: PauliSum.from_terms([(1.0, random_word(gen, n, nontrivial=True))]),
+            "sum": lambda: random_hermitian_sum(gen, n, 6),
+            "complex": lambda: ginibre(gen, 2**n),
+        }[kind]()
+        state = vectorize(op, basis)
+        got = heisenberg_doubled(state, circ).amplitudes
+        assert np.max(np.abs(got - _full_register(state, circ))) <= 1e-13
+
+    def test_random_symmetric_circuits_reach_both_registers(self):
+        # The property above runs both paths: about half its circuits taper.
+        # The others hold a conjugated wide pexp with X on site 0, whose
+        # CX-ladder steps are not block-diagonal there, or lower to more
+        # steps conjugated, and keep the full register.
+        gen = np.random.default_rng(5)
+        tapered = 0
+        for _ in range(60):
+            simulator._KEPT = None
+            n = int(gen.integers(2, 7))
+            _prepared(_symmetric_circuit(gen, n, int(gen.integers(1, 13)), int(gen.integers(1, 4))))
+            tapered += simulator._KEPT[3] is not None
+        assert 20 <= tapered <= 50
+
+    @pytest.mark.parametrize("name", ["h", "cx", "u", "fielded", "dilation", "more steps", "empty"])
+    def test_circuits_that_do_not_taper_keep_the_full_register_bit_for_bit(self, name):
+        chain = trotter_circuit(ising_chain(4), 0.8, 8)
+        circ = {
+            "h": chain.concat(Circuit(4, [Gate("h", (2,))])),
+            "cx": chain.concat(Circuit(4, [Gate("cx", (1, 3))])),
+            "u": chain.concat(Circuit(4, [Gate("u", (0,), matrix=np.diag([1, 1j]))])),
+            "fielded": trotter_circuit(fielded_chain(4), 0.8, 8),
+            # choi2pc's dilation of site 1, its environment on site 4.
+            "dilation": Circuit(5, [Gate("ry", (4,), 0.6), Gate("cx", (4, 1))]),
+            # Z on site 0 and YX on (0, 1) commute with ZZ; C makes them XX
+            # and XY, which do not join into one block.
+            "more steps": Circuit(4, [Gate("rz", (0,), 0.3), Gate("pexp", (0, 1), 0.5, "YX")]),
+            "empty": Circuit(4),
+        }[name]
+        n = circ.k
+        gen = np.random.default_rng(n)
+        for op in (random_hermitian_sum(gen, n, 6), ginibre(gen, 2**n)):
+            for basis in (PAULI, COMPUTATIONAL):
+                state = vectorize(op, basis)
+                simulator._KEPT = None
+                got = heisenberg_doubled(state, circ).amplitudes
+                key, steps, _, maps = simulator._KEPT
+                assert maps is None
+                assert [(m.tobytes(), t) for m, t in steps] == [(m.tobytes(), t) for m, t in _transfer(circ)]
+                assert got.tobytes() == _full_register(state, circ).tobytes()
+
+    def test_dust_off_the_sector_is_dropped_and_more_is_refused(self, gen):
+        # A block-diagonal 16x16 block on sites (0, 1) with dust of 1e-16
+        # off its diagonal blocks keeps each sector's exact 8x8 block; at
+        # 1e-14 the step does not restrict.
+        mat = np.zeros((16, 16))
+        mat[:8, :8], mat[8:, 8:] = gen.normal(size=(8, 8)), gen.normal(size=(8, 8))
+        one = np.eye(4)
+        steps = [(mat + 1e-16 * (1 - np.kron(np.eye(2), np.ones((8, 8)))), (0, 1, 2, 3)), (one, (4, 5))]
+        for sector in (0, 1):
+            [(block, targets), (same, moved)] = _restricted(steps, sector)
+            half = slice(8 * sector, 8 * sector + 8)
+            assert np.array_equal(block, mat[half, half]) and targets == (0, 1, 2)
+            assert same is one and moved == (3, 4)
+        steps[0] = (mat + 1e-14 * (1 - np.kron(np.eye(2), np.ones((8, 8)))), (0, 1, 2, 3))
+        assert _restricted(steps, 0) is None
 
 
 def _trotter_per_step(h, t, steps, reverse):
